@@ -13,16 +13,12 @@
 //      admission, cache lookup, response serialization, and the TCP
 //      round-trip.
 //
-//   2. Connection scaling (--idle N > 0): the epoll backend's reason to
-//      exist. One active client measures cache-hit serving while N idle
-//      connections sit open, under BOTH backends. The thread-per-
-//      connection backend burns a thread per idle socket; the reactor
-//      holds them for a few hundred bytes each. Gated, not just recorded:
-//      the epoll daemon's thread count must stay O(solver pool), its
-//      active throughput must not fall meaningfully below the threads
-//      backend's, and the threads backend must demonstrably have paid a
-//      thread per idle connection (the contrast that makes the first two
-//      gates mean something).
+//   2. Connection scaling (--idle N > 0): the reactor's reason to exist.
+//      One active client measures cache-hit serving on the same daemon
+//      shape twice in one process: once with no idle connections, once
+//      with N idle connections open. Gated, not just recorded: with N
+//      idle the daemon's thread count must stay O(solver pool), and its
+//      active throughput must stay within 0.85x of the 0-idle run.
 //
 //   bench_service [--connections N] [--requests R] [--distinct K]
 //                 [--idle N] [--idle-requests R] [--out BENCH_service.json]
@@ -154,17 +150,15 @@ struct ScalingSample {
   double p99_ms = 0.0;
 };
 
-/// One backend's scaling run: daemon up, `idle` silent connections open and
-/// accepted, then one active client measures `requests` cache-hit solves.
-ScalingSample run_scaling(mf::serve::ServeBackend backend, std::size_t idle,
-                          std::size_t requests, std::size_t pool_threads,
+/// One scaling run: daemon up, `idle` silent connections open and accepted,
+/// then one active client measures `requests` cache-hit solves.
+ScalingSample run_scaling(std::size_t idle, std::size_t requests, std::size_t pool_threads,
                           const std::vector<mf::serve::WireRequest>& identities) {
   const int baseline_threads = process_threads();
 
   mf::solve::ResultCache cache(4096);
   mf::serve::DaemonOptions options;
   options.cache = &cache;
-  options.backend = backend;
   options.threads = pool_threads;
   mf::serve::Daemon daemon(options);
   daemon.start();
@@ -198,9 +192,8 @@ ScalingSample run_scaling(mf::serve::ServeBackend backend, std::size_t idle,
       const mf::serve::Client::Outcome outcome =
           client.solve(identities[r % identities.size()]);
       if (!outcome.ok) {
-        std::fprintf(stderr, "error: scaling solve failed (%s): %s: %s\n",
-                     mf::serve::to_string(backend).c_str(), outcome.error_code.c_str(),
-                     outcome.detail.c_str());
+        std::fprintf(stderr, "error: scaling solve failed (%zu idle): %s: %s\n", idle,
+                     outcome.error_code.c_str(), outcome.detail.c_str());
         std::exit(1);
       }
       latencies.push_back(std::chrono::duration<double, std::milli>(
@@ -212,8 +205,8 @@ ScalingSample run_scaling(mf::serve::ServeBackend backend, std::size_t idle,
                                .count();
     sample.req_per_s =
         wall_ms > 0.0 ? 1000.0 * static_cast<double>(requests) / wall_ms : 0.0;
-    // Sampled mid-run, with every idle connection live: this is the number
-    // the backends disagree about.
+    // Sampled mid-run, with every idle connection live: a daemon that spent
+    // a thread per connection would show it here.
     sample.threads_delta = process_threads() - baseline_threads;
   }
   std::sort(latencies.begin(), latencies.end());
@@ -312,18 +305,16 @@ int main(int argc, char** argv) {
   const double total_requests = static_cast<double>(all.size());
   const double req_per_s = wall_ms > 0.0 ? 1000.0 * total_requests / wall_ms : 0.0;
 
-  // The scaling comparison (opt-in): pool width pinned so the epoll gate
+  // The scaling comparison (opt-in): pool width pinned so the gate
   // "threads stay O(pool)" has a fixed yardstick.
   constexpr std::size_t kScalingPool = 4;
   const std::size_t idle =
       idle_requested > 0 ? fit_idle_to_fd_limit(idle_requested) : 0;
-  ScalingSample epoll_sample;
-  ScalingSample threads_sample;
+  ScalingSample idle_0;
+  ScalingSample idle_n;
   if (idle > 0) {
-    epoll_sample = run_scaling(mf::serve::ServeBackend::kEpoll, idle, idle_requests,
-                               kScalingPool, identities);
-    threads_sample = run_scaling(mf::serve::ServeBackend::kThreads, idle, idle_requests,
-                                 kScalingPool, identities);
+    idle_0 = run_scaling(0, idle_requests, kScalingPool, identities);
+    idle_n = run_scaling(idle, idle_requests, kScalingPool, identities);
   }
 
   std::ostringstream json;
@@ -370,9 +361,9 @@ int main(int argc, char** argv) {
     json << ",\n  \"scaling\": {\n"
          << "    \"idle\": " << idle << ",\n"
          << "    \"pool_threads\": " << kScalingPool << ",\n";
-    emit("epoll", epoll_sample);
+    emit("idle_0", idle_0);
     json << ",\n";
-    emit("threads", threads_sample);
+    emit("idle_n", idle_n);
     json << "\n  }";
   }
   json << "\n}\n";
@@ -390,39 +381,28 @@ int main(int argc, char** argv) {
               quantile(all, 0.99), static_cast<unsigned long long>(stats.service.solved));
 
   if (idle > 0) {
-    std::printf("scaling (%zu idle): epoll %+d threads, %.1f req/s, p50 %.3f ms | "
-                "threads %+d threads, %.1f req/s, p50 %.3f ms\n",
-                idle, epoll_sample.threads_delta, epoll_sample.req_per_s,
-                epoll_sample.p50_ms, threads_sample.threads_delta,
-                threads_sample.req_per_s, threads_sample.p50_ms);
+    std::printf("scaling: 0 idle %+d threads, %.1f req/s, p50 %.3f ms | "
+                "%zu idle %+d threads, %.1f req/s, p50 %.3f ms\n",
+                idle_0.threads_delta, idle_0.req_per_s, idle_0.p50_ms, idle,
+                idle_n.threads_delta, idle_n.req_per_s, idle_n.p50_ms);
 
     // Gate 1: the reactor's thread bill is the pool plus a constant (the
     // loop thread and a little runtime slack) — NOT a function of idle.
     const int allowed = static_cast<int>(kScalingPool) + 8;
-    if (epoll_sample.threads_delta > allowed) {
+    if (idle_n.threads_delta > allowed) {
       std::fprintf(stderr,
-                   "error: epoll backend used %d extra threads with %zu idle "
-                   "connections (allowed %d — pool plus slack)\n",
-                   epoll_sample.threads_delta, idle, allowed);
+                   "error: daemon used %d extra threads with %zu idle connections "
+                   "(allowed %d — pool plus slack)\n",
+                   idle_n.threads_delta, idle, allowed);
       return 1;
     }
-    // Gate 2: the contrast is real — the threads backend did pay roughly a
-    // thread per idle connection, so gate 1 is measuring something.
-    if (threads_sample.threads_delta < static_cast<int>(idle)) {
+    // Gate 2: parked connections are not allowed to cost active throughput.
+    // 0.85 absorbs timer noise without letting a real regression through.
+    if (idle_n.req_per_s < 0.85 * idle_0.req_per_s) {
       std::fprintf(stderr,
-                   "error: threads backend used only %d extra threads with %zu "
-                   "idle connections — the scaling contrast collapsed\n",
-                   threads_sample.threads_delta, idle);
-      return 1;
-    }
-    // Gate 3: multiplexing is not allowed to cost active throughput. The
-    // epoll backend should meet or beat the threads backend here; 0.85
-    // absorbs CI timer noise without letting a real regression through.
-    if (epoll_sample.req_per_s < 0.85 * threads_sample.req_per_s) {
-      std::fprintf(stderr,
-                   "error: epoll active throughput %.1f req/s fell below 0.85x "
-                   "the threads backend's %.1f req/s\n",
-                   epoll_sample.req_per_s, threads_sample.req_per_s);
+                   "error: active throughput with %zu idle connections %.1f req/s fell "
+                   "below 0.85x the 0-idle run's %.1f req/s\n",
+                   idle, idle_n.req_per_s, idle_0.req_per_s);
       return 1;
     }
   }

@@ -16,8 +16,6 @@
 //   mfsched --dispatch N --figure NAME [--launcher local|cmd:<template>]
 //           [--retries K] [--dispatch-dir DIR] [--dispatch-timeout SECONDS]
 //   mfsched --cache-gc SIZE --cache-dir DIR
-//   mfsched --serve-demo [--requests N] [--distinct K] [--method ID]
-//           [--cache-dir DIR]
 //
 // `--dispatch N` is the hands-off spelling of a shard+merge campaign: it
 // launches N `mfsched --shard i/N` worker processes (locally by fork/exec,
@@ -52,13 +50,6 @@
 // hit/miss/eviction counters plus the solve-service counters (requests,
 // cache hits, in-flight dedup joins, actual solver invocations) after any
 // run.
-//
-// `--serve-demo` exercises the async service the way a scheduler server
-// would: it submits a stream of N concurrent requests over K distinct
-// problems to `solve::SolveService` and proves single-flight deduplication
-// — at most one solver invocation per distinct request identity, duplicate
-// answers bit-identical — with the counters to show who was answered by a
-// shared flight vs. the cache.
 #include <unistd.h>
 
 #include <algorithm>
@@ -69,11 +60,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -117,9 +106,7 @@ int usage(const char* program) {
       "          [--inject-shard-failure I] [--scale K] [--scenario ID] [--seed S]\n"
       "          [--cache MODE] [--cache-dir DIR] [--out FILE]\n"
       "       %s --cache-gc SIZE [--cache-gc-ttl AGE] --cache-dir DIR\n"
-      "       %s --serve-demo [--requests N] [--distinct K] [--method ID]\n"
-      "          [--cache-dir DIR]\n"
-      "       %s --serve PORT [--serve-backend epoll|threads] [--threads N]\n"
+      "       %s --serve PORT [--threads N]\n"
       "          [--max-pending N] [--rate-limit BURST] [--rate-refill PER_SEC]\n"
       "          [--idle-timeout SECONDS] [--cache-gc-interval DUR]\n"
       "          [--port-file FILE] [--cache-dir DIR]\n"
@@ -146,20 +133,15 @@ int usage(const char* program) {
       "--cache-gc-ttl    also expires entries unused for AGE (s/m/h/d suffixes,\n"
       "                  e.g. 36h, 7d); usable alone or with --cache-gc\n"
       "--cache-stats     prints cache + solve-service counters after the run\n"
-      "--serve-demo      concurrent request replay proving single-flight dedup\n"
       "--serve           runs the scheduler daemon on PORT (0 = ephemeral; loopback\n"
       "                  only); SIGTERM drains gracefully — stop accepting, finish\n"
       "                  in-flight solves, report final counters\n"
-      "--serve-backend   connection model: 'epoll' (default — one reactor thread\n"
-      "                  multiplexes every connection; idle clients cost no thread)\n"
-      "                  or 'threads' (one blocking thread per connection)\n"
       "--idle-timeout    close connections idle for SECONDS (no completed frame,\n"
-      "                  no flushed response; 0 = never). Frame-accurate under\n"
-      "                  epoll, a per-read receive timeout under threads\n"
+      "                  no flushed response; 0 = never)\n"
       "--cache-gc-interval  run disk-cache GC inside the daemon every DUR\n"
-      "                  (s/m/h/d suffixes) on the epoll timer queue; the cap and\n"
+      "                  (s/m/h/d suffixes) on its event-loop timer; the cap and\n"
       "                  TTL come from --cache-gc SIZE / --cache-gc-ttl AGE;\n"
-      "                  needs --cache-dir and the epoll backend\n"
+      "                  needs --cache-dir\n"
       "--max-pending     daemon admission cap: solves in flight across all clients\n"
       "                  before new ones are refused with queue-full\n"
       "--rate-limit      per-client token bucket: burst capacity in requests\n"
@@ -179,7 +161,7 @@ int usage(const char* program) {
       "--inject-shard-failure  testing hook: pass --fail-marker to shard I's\n"
       "                  first dispatch attempt\n",
       program, program, program, program, program, program, program, program, program,
-      program, program, mf::exp::figure_spec_names().c_str(),
+      program, mf::exp::figure_spec_names().c_str(),
       mf::exp::scenario_ids().c_str());
   return 2;
 }
@@ -475,96 +457,6 @@ int run_figure(const mf::support::CliArgs& args) {
   return 0;
 }
 
-/// The scheduler-service rehearsal: replay a stream of concurrent requests
-/// — N submissions over K distinct request identities — through
-/// `SolveService::submit` and verify the service's contract: at most one
-/// solver invocation per distinct identity (single-flight dedup plus cache
-/// population), every duplicate answer bit-identical to its leader's.
-int run_serve_demo(const mf::support::CliArgs& args) {
-  const std::size_t total =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("requests", 64)));
-  const std::size_t distinct = std::min(
-      total, static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("distinct", 8))));
-  const std::string method = args.get("method", "H4w+ls");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-
-  CacheScope cache_scope(args);
-  mf::support::ThreadPool pool;
-  mf::solve::SolveService service(&pool, cache_scope.backend());
-
-  // Instances sized so one solve takes long enough that later duplicates
-  // genuinely arrive mid-flight (H4w+ls runs a refinement stage), but a
-  // 64-request demo still finishes in well under a second.
-  std::vector<std::shared_ptr<const mf::core::Problem>> problems;
-  problems.reserve(distinct);
-  for (std::size_t k = 0; k < distinct; ++k) {
-    mf::exp::Scenario scenario;
-    scenario.tasks = 120;
-    scenario.machines = 12;
-    scenario.types = 4;
-    problems.push_back(std::make_shared<const mf::core::Problem>(
-        mf::exp::generate(scenario, seed + k)));
-  }
-
-  std::printf("serve-demo: %zu concurrent requests over %zu distinct identities, "
-              "method %s, backend %s\n",
-              total, distinct, method.c_str(), cache_scope.backend()->describe().c_str());
-
-  std::vector<std::future<mf::solve::SolveResult>> futures;
-  futures.reserve(total);
-  try {
-    for (std::size_t i = 0; i < total; ++i) {
-      mf::solve::SolveRequest request;
-      // Round-robin over the identities: the first `distinct` submissions
-      // become flight leaders, the rest land mid-flight (dedup) or after a
-      // flight completed (cache hit). Either way: no second solve.
-      request.problem = problems[i % distinct];
-      request.solver_id = method;
-      request.params.seed = seed;
-      request.params.cache = mf::solve::CachePolicy::kReadWrite;
-      futures.push_back(service.submit(std::move(request)));
-    }
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
-
-  std::vector<mf::solve::SolveResult> results;
-  results.reserve(total);
-  for (auto& future : futures) results.push_back(future.get());
-
-  // Every answer for one identity must be bit-identical to its first
-  // answer — shared flights and cache hits return exactly the result the
-  // solver computed once.
-  std::size_t mismatches = 0;
-  for (std::size_t i = distinct; i < total; ++i) {
-    const mf::solve::SolveResult& first = results[i % distinct];
-    const mf::solve::SolveResult& later = results[i];
-    const bool identical =
-        later.status == first.status && later.mapping == first.mapping &&
-        std::memcmp(&later.period, &first.period, sizeof(double)) == 0;
-    if (!identical) ++mismatches;
-  }
-
-  // A fresh service instance starts at zero, so its stats ARE the delta.
-  const mf::solve::ServiceStats stats = service.stats();
-  print_service_line(stats);
-  if (stats.solved > distinct) {
-    std::fprintf(stderr, "FAIL: %llu solver invocations for %zu distinct identities\n",
-                 static_cast<unsigned long long>(stats.solved), distinct);
-    return 1;
-  }
-  if (mismatches > 0) {
-    std::fprintf(stderr, "FAIL: %zu duplicate answers differ from their leader\n",
-                 mismatches);
-    return 1;
-  }
-  std::printf("ok: every duplicate shared its leader's solve, %zu/%zu answers "
-              "bit-identical\n",
-              total - distinct, total - distinct);
-  return 0;
-}
-
 /// Parses "4096", "512K", "64M", "2G" into bytes; nullopt on anything else
 /// — including negative values (strtoull would silently wrap them) and
 /// values whose suffix multiplication overflows 64 bits (a wrapped cap
@@ -699,16 +591,6 @@ int run_serve(const mf::support::CliArgs& args) {
   options.rate_capacity = args.get_double("rate-limit", 0.0);
   options.rate_refill_per_sec = args.get_double("rate-refill", 1.0);
   options.cache = cache_scope.backend();
-
-  const std::string backend_text = args.get("serve-backend", "epoll");
-  const std::optional<mf::serve::ServeBackend> backend =
-      mf::serve::serve_backend_from_string(backend_text);
-  if (!backend.has_value()) {
-    std::fprintf(stderr, "error: unknown --serve-backend '%s' (epoll, threads)\n",
-                 backend_text.c_str());
-    return 2;
-  }
-  options.backend = *backend;
   options.idle_timeout_seconds = args.get_double("idle-timeout", 0.0);
 
   if (args.has("cache-gc-interval")) {
@@ -718,12 +600,6 @@ int run_serve(const mf::support::CliArgs& args) {
       std::fprintf(stderr,
                    "error: --cache-gc-interval expects a positive duration like 30s or "
                    "15m (s/m/h/d)\n");
-      return 2;
-    }
-    if (*backend != mf::serve::ServeBackend::kEpoll) {
-      std::fprintf(stderr,
-                   "error: --cache-gc-interval needs the epoll backend (the timer queue "
-                   "lives in the reactor)\n");
       return 2;
     }
     if (cache_scope.disk() == nullptr) {
@@ -760,9 +636,8 @@ int run_serve(const mf::support::CliArgs& args) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
   }
-  std::printf("serve: listening on 127.0.0.1:%u (backend %s, max pending %zu, rate limit %s)\n",
-              static_cast<unsigned>(daemon.port()),
-              mf::serve::to_string(options.backend).c_str(), options.max_pending,
+  std::printf("serve: listening on 127.0.0.1:%u (max pending %zu, rate limit %s)\n",
+              static_cast<unsigned>(daemon.port()), options.max_pending,
               options.rate_capacity > 0.0
                   ? (std::to_string(options.rate_capacity) + " burst").c_str()
                   : "off");
@@ -797,14 +672,12 @@ int run_serve(const mf::support::CliArgs& args) {
               static_cast<unsigned long long>(stats.connections_total),
               static_cast<unsigned long long>(stats.service.completed),
               stats.latency_p50_ms, stats.latency_p99_ms);
-  if (options.backend == mf::serve::ServeBackend::kEpoll) {
-    std::printf("serve: loop %llu wakeups, %llu timers fired, %llu idle closes, "
-                "%llu bytes backpressured\n",
-                static_cast<unsigned long long>(stats.loop_wakeups),
-                static_cast<unsigned long long>(stats.loop_timers_fired),
-                static_cast<unsigned long long>(stats.idle_closes),
-                static_cast<unsigned long long>(stats.backpressure_bytes));
-  }
+  std::printf("serve: loop %llu wakeups, %llu timers fired, %llu idle closes, "
+              "%llu bytes backpressured\n",
+              static_cast<unsigned long long>(stats.loop_wakeups),
+              static_cast<unsigned long long>(stats.loop_timers_fired),
+              static_cast<unsigned long long>(stats.idle_closes),
+              static_cast<unsigned long long>(stats.backpressure_bytes));
   if (options.cache_gc_interval_seconds > 0.0) {
     std::printf("serve: gc %llu runs, %llu entries removed (%llu bytes)\n",
                 static_cast<unsigned long long>(stats.gc_runs),
@@ -1050,7 +923,6 @@ int main(int argc, char** argv) {
   if (args.has("dispatch")) return run_dispatch(args);
   if (args.has("figure")) return run_figure(args);
   if (args.has("merge")) return run_merge(args);
-  if (args.has("serve-demo")) return run_serve_demo(args);
 
   if (args.has("demo")) {
     mf::exp::Scenario scenario;

@@ -5,7 +5,6 @@
 #include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -36,34 +35,21 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// How long the listener stays parked after accept4 ran out of
+/// descriptors (or kernel memory) before the reactor tries again.
+constexpr double kAcceptRetrySeconds = 0.1;
+
 }  // namespace
 
-std::string to_string(ServeBackend backend) {
-  switch (backend) {
-    case ServeBackend::kEpoll:
-      return "epoll";
-    case ServeBackend::kThreads:
-      return "threads";
-  }
-  return "?";
-}
-
-std::optional<ServeBackend> serve_backend_from_string(const std::string& token) {
-  if (token == "epoll") return ServeBackend::kEpoll;
-  if (token == "threads") return ServeBackend::kThreads;
-  return std::nullopt;
-}
-
 // ---------------------------------------------------------------------------
-// The epoll backend: one reactor thread multiplexing every connection.
+// The reactor: one loop thread multiplexing every connection.
 //
 // Each connection is a small frame state machine. kHeader accumulates the
 // header line byte-for-byte (bounded by kMaxHeaderBytes); kBody fills the
-// declared body; a complete frame dispatches exactly like the threads
-// backend's switch. A solve leaves the connection in kSolveWait with the
-// socket deregistered from epoll — the daemon reads nothing more from that
-// client until its answer is on the wire, which is the same
-// one-request-at-a-time backpressure the blocking backend gets for free.
+// declared body; a complete frame dispatches on its type. A solve leaves
+// the connection in kSolveWait with the socket deregistered from epoll —
+// the daemon reads nothing more from that client until its answer is on
+// the wire (one request at a time per connection).
 // Responses are written immediately; a short write parks the remainder in
 // `out` and arms EPOLLOUT (the backpressure_bytes gauge counts those
 // bytes). Solve completion happens on a pool thread, which serializes the
@@ -103,8 +89,7 @@ struct EpollServer {
   bool drain_requested_ = false;
 
   void start() {
-    loop_->add_fd(daemon_.listen_fd_, EPOLLIN, [this](std::uint32_t) { on_accept(); });
-    listen_registered_ = true;
+    watch_listener();
     arm_housekeeping();
     if (daemon_.options_.cache_gc_interval_seconds > 0.0 &&
         daemon_.options_.gc_disk != nullptr) {
@@ -149,12 +134,31 @@ struct EpollServer {
     });
   }
 
+  void watch_listener() {
+    loop_->add_fd(daemon_.listen_fd_, EPOLLIN, [this](std::uint32_t) { on_accept(); });
+    listen_registered_ = true;
+  }
+
+  /// Out of descriptors or memory: the pending connection stays in the
+  /// backlog, so the level-triggered listener would re-fire at once and
+  /// spin the loop. Stop watching it and look again after a short pause.
+  void park_listener() {
+    loop_->remove_fd(daemon_.listen_fd_);
+    listen_registered_ = false;
+    loop_->add_timer_after(kAcceptRetrySeconds, [this] {
+      if (!drain_requested_) watch_listener();
+    });
+  }
+
   void on_accept() {
     for (;;) {
       const int fd = ::accept4(daemon_.listen_fd_, nullptr, nullptr,
                                SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) {
         if (errno == EINTR) continue;
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS || errno == ENOMEM) {
+          park_listener();
+        }
         return;  // EAGAIN (drained the backlog) or the listener died
       }
       if (drain_requested_ ||
@@ -492,10 +496,10 @@ struct EpollServer {
     if (listen_registered_) {
       loop_->remove_fd(daemon_.listen_fd_);
       listen_registered_ = false;
-      // Reset anything still sitting in the backlog; wait() closes the fd
-      // after the loop thread has joined.
-      ::shutdown(daemon_.listen_fd_, SHUT_RDWR);
     }
+    // Reset anything still sitting in the backlog; wait() closes the fd
+    // after the loop thread has joined.
+    ::shutdown(daemon_.listen_fd_, SHUT_RDWR);
     std::vector<std::shared_ptr<Connection>> idle;
     for (const auto& [id, conn] : connections_) {
       if (conn->phase != Connection::Phase::kSolveWait &&
@@ -521,7 +525,8 @@ Daemon::Daemon(DaemonOptions options)
       pool_(std::make_unique<support::ThreadPool>(
           options.threads == 0 ? support::default_thread_count() : options.threads)),
       service_(std::make_unique<solve::SolveService>(pool_.get(), options.cache)),
-      limiter_(options.rate_capacity, options.rate_refill_per_sec) {}
+      limiter_(options.rate_capacity, options.rate_refill_per_sec),
+      epoll_(std::make_unique<EpollServer>(*this)) {}
 
 Daemon::~Daemon() {
   drain();
@@ -557,62 +562,23 @@ void Daemon::start() {
     port_ = ntohs(bound.sin_port);
   }
 
-  if (options_.backend == ServeBackend::kEpoll) {
-    set_nonblocking(listen_fd_);
-    epoll_ = std::make_unique<EpollServer>(*this);
-    epoll_->start();
-    loop_thread_ = std::thread([loop = epoll_->loop_] { loop->run(); });
-  } else {
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
+  set_nonblocking(listen_fd_);
+  epoll_->start();
+  loop_thread_ = std::thread([loop = epoll_->loop_] { loop->run(); });
 }
 
 void Daemon::drain() {
   if (draining_.exchange(true)) return;
-  if (options_.backend == ServeBackend::kEpoll) {
-    // Everything happens on the loop thread — no lock dance with the
-    // connection table. draining_ is already set, so admissions refuse
-    // `draining` even before the posted closure runs.
-    if (epoll_) {
-      epoll_->loop_->post([server = epoll_.get()] { server->request_drain(); });
-    }
-    return;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(threads_mutex_);
-    // shutdown(2), not close(2): it pops the accept thread out of
-    // accept(2) without retiring the descriptor number, so there is no
-    // window where another thread's fresh fd could be mistaken for the
-    // listen socket. wait() closes it after the accept thread has joined.
-    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-    // Nudge connections blocked in read_frame: SHUT_RD makes their next
-    // read return EOF. Write sides stay open, so a thread mid-solve still
-    // flushes its response before it notices the drain.
-    for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RD);
-  }
+  // Everything happens on the loop thread — no lock dance with the
+  // connection table. draining_ is already set, so admissions refuse
+  // `draining` even before the posted closure runs.
+  epoll_->loop_->post([server = epoll_.get()] { server->request_drain(); });
 }
 
 void Daemon::wait() {
-  if (options_.backend == ServeBackend::kEpoll) {
-    if (loop_thread_.joinable()) loop_thread_.join();
-    close_quietly(listen_fd_);
-    listen_fd_ = -1;
-    return;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    const std::lock_guard<std::mutex> lock(threads_mutex_);
-    close_quietly(listen_fd_);
-    listen_fd_ = -1;
-  }
-  std::vector<std::thread> threads;
-  {
-    const std::lock_guard<std::mutex> lock(threads_mutex_);
-    threads.swap(connection_threads_);
-  }
-  for (std::thread& thread : threads) {
-    if (thread.joinable()) thread.join();
-  }
+  if (loop_thread_.joinable()) loop_thread_.join();
+  close_quietly(listen_fd_);
+  listen_fd_ = -1;
 }
 
 DaemonStatsSnapshot Daemon::stats_snapshot() const {
@@ -624,10 +590,8 @@ DaemonStatsSnapshot Daemon::stats_snapshot() const {
   stats.pending = pending_.load(std::memory_order_relaxed);
   stats.pool_queue_depth = pool_->queue_depth();
   stats.pool_in_flight = pool_->in_flight();
-  if (epoll_) {
-    stats.loop_wakeups = epoll_->loop_->wakeups();
-    stats.loop_timers_fired = epoll_->loop_->timers_fired();
-  }
+  stats.loop_wakeups = epoll_->loop_->wakeups();
+  stats.loop_timers_fired = epoll_->loop_->timers_fired();
   stats.idle_closes = idle_closes_.load(std::memory_order_relaxed);
   stats.backpressure_bytes = static_cast<std::uint64_t>(
       std::max<std::int64_t>(0, backpressure_bytes_.load(std::memory_order_relaxed)));
@@ -656,89 +620,6 @@ void Daemon::run_gc_once() {
   gc_runs_.fetch_add(1, std::memory_order_relaxed);
   gc_entries_removed_.fetch_add(report.entries_removed, std::memory_order_relaxed);
   gc_bytes_removed_.fetch_add(report.bytes_removed, std::memory_order_relaxed);
-}
-
-void Daemon::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      // listen_fd_ was closed by drain(), or the socket died — either way
-      // the daemon stops taking new connections.
-      return;
-    }
-    if (options_.idle_timeout_seconds > 0.0) {
-      // Best approximation without a reactor: a receive timeout. Note this
-      // is per read(2), so a client trickling bytes faster than the
-      // timeout can keep refreshing it — frame-accurate idle accounting is
-      // the epoll backend's job.
-      timeval tv{};
-      tv.tv_sec = static_cast<time_t>(options_.idle_timeout_seconds);
-      tv.tv_usec = static_cast<suseconds_t>(
-          (options_.idle_timeout_seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    }
-    {
-      const std::lock_guard<std::mutex> lock(threads_mutex_);
-      if (draining_.load(std::memory_order_relaxed)) {
-        // Lost the race with drain(): refuse politely instead of serving.
-        (void)write_frame(fd, {FrameType::kError,
-                               error_body(kErrDraining, "daemon is draining")});
-        close_quietly(fd);
-        continue;
-      }
-      connection_fds_.insert(fd);
-      connection_threads_.emplace_back([this, fd] { connection_loop(fd); });
-    }
-    connections_total_.fetch_add(1, std::memory_order_relaxed);
-    connections_active_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void Daemon::connection_loop(int fd) {
-  for (;;) {
-    const ReadResult incoming = read_frame(fd, options_.max_frame_bytes);
-    if (incoming.status == ReadStatus::kClosed) break;
-    if (incoming.status == ReadStatus::kTooLarge) {
-      // The declared body was never read, so the stream is out of sync:
-      // answer and hang up.
-      (void)write_frame(fd, {FrameType::kError, error_body(kErrTooLarge, incoming.detail)});
-      break;
-    }
-    if (incoming.status == ReadStatus::kMalformed) {
-      (void)write_frame(fd,
-                        {FrameType::kError, error_body(kErrBadRequest, incoming.detail)});
-      break;
-    }
-
-    Frame response;
-    switch (incoming.frame.type) {
-      case FrameType::kPing:
-        response = {FrameType::kOk, "pong\n"};
-        break;
-      case FrameType::kStats:
-        response = {FrameType::kOk, stats_to_text(stats_snapshot())};
-        break;
-      case FrameType::kSolve:
-        response = handle_solve(incoming.frame.body);
-        break;
-      case FrameType::kOk:
-      case FrameType::kError:
-        // Response types are not requests; a peer sending one is confused.
-        response = {FrameType::kError,
-                    error_body(kErrBadRequest, "frame type '" +
-                                                   to_string(incoming.frame.type) +
-                                                   "' is not a request")};
-        break;
-    }
-    if (!write_frame(fd, response)) break;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(threads_mutex_);
-    connection_fds_.erase(fd);
-  }
-  close_quietly(fd);
-  connections_active_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 std::optional<WireRequest> Daemon::admit_solve(const std::string& body, Frame& refusal) {
@@ -775,36 +656,6 @@ std::optional<WireRequest> Daemon::admit_solve(const std::string& body, Frame& r
     return std::nullopt;
   }
   return wire;
-}
-
-Frame Daemon::handle_solve(const std::string& body) {
-  Frame refusal;
-  std::optional<WireRequest> wire = admit_solve(body, refusal);
-  if (!wire.has_value()) return refusal;
-
-  Frame response;
-  const auto started = std::chrono::steady_clock::now();
-  try {
-    // The response body needs the canonical key even when the request's
-    // cache policy is kOff (submit() builds none then) — compute it here,
-    // from exactly the fields submit() would use.
-    const solve::CacheKey key =
-        solve::make_cache_key(core::digest(*wire->request.problem),
-                              solve::effective_solver_id(wire->request.solver_id,
-                                                         wire->request.params),
-                              wire->request.params);
-    const solve::SolveResult result = service_->submit(std::move(wire->request)).get();
-    response = {FrameType::kOk, solve::entry_to_text(key, result)};
-  } catch (const std::invalid_argument& error) {
-    response = {FrameType::kError, error_body(kErrBadRequest, error.what())};
-  } catch (const std::exception& error) {
-    response = {FrameType::kError, error_body(kErrInternal, error.what())};
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - started;
-  latency_.record_us(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count()));
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  return response;
 }
 
 }  // namespace mf::serve

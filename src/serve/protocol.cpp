@@ -124,21 +124,6 @@ class BodyReader {
   std::istringstream fields_;
 };
 
-/// Blocking full-buffer write with short-write/EINTR retries.
-bool write_all(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ::ssize_t wrote = ::write(fd, data, size);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (wrote == 0) return false;
-    data += wrote;
-    size -= static_cast<std::size_t>(wrote);
-  }
-  return true;
-}
-
 /// Blocking read of exactly `size` bytes; false on EOF or error.
 bool read_all(int fd, char* data, std::size_t size) {
   while (size > 0) {
@@ -285,11 +270,6 @@ HeaderParse parse_frame_header(const std::string& header,
   }
   result.status = ReadStatus::kOk;
   return result;
-}
-
-bool write_frame(int fd, const Frame& frame) {
-  const std::string bytes = frame_to_bytes(frame);
-  return write_all(fd, bytes.data(), bytes.size());
 }
 
 std::string request_to_text(const WireRequest& wire) {

@@ -103,16 +103,12 @@ struct HeaderParse {
   std::string detail;
 };
 
-/// The one strict header parser both the blocking reader and the epoll
-/// state machine share — strictly three tokens (`mf-serve/1 <type> <len>`),
-/// so the two backends reject malformed headers with byte-identical
-/// details.
+/// The one strict header parser both the blocking reader and the daemon's
+/// frame state machine share — strictly three tokens
+/// (`mf-serve/1 <type> <len>`), so both reject malformed headers with
+/// byte-identical details.
 [[nodiscard]] HeaderParse parse_frame_header(const std::string& header,
                                              std::size_t max_body_bytes);
-
-/// Writes a whole frame to `fd` (blocking, retries short writes); false on
-/// any write error.
-[[nodiscard]] bool write_frame(int fd, const Frame& frame);
 
 /// A solve request as it travels: the client's identity (the rate-limiter
 /// key) plus the `SolveRequest` itself. The wire form is final — stream
@@ -150,10 +146,9 @@ struct DaemonStatsSnapshot {
   std::uint64_t pending = 0;  ///< solve requests admitted and not yet answered
   std::uint64_t pool_queue_depth = 0;
   std::uint64_t pool_in_flight = 0;
-  // Event-loop gauges (zero under the threads backend, which has no
-  // reactor): epoll wakeups with work, timer handlers run, connections
-  // closed by the idle timeout, and bytes currently buffered for writers
-  // whose peer is slow to read (backpressure).
+  // Event-loop gauges: epoll wakeups with work, timer handlers run,
+  // connections closed by the idle timeout, and bytes currently buffered
+  // for writers whose peer is slow to read (backpressure).
   std::uint64_t loop_wakeups = 0;
   std::uint64_t loop_timers_fired = 0;
   std::uint64_t idle_closes = 0;

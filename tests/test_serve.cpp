@@ -7,18 +7,19 @@
 // work cost one solve (single-flight across TCP connections), and a warm
 // daemon re-solves nothing.
 //
-// Live-daemon tests are parameterized over BOTH serving backends (the
-// epoll reactor and the thread-per-connection fallback), and a dedicated
-// test replays every refusal against both and demands byte-identical wire
-// responses. Byte-level abuse — dribbled headers, pipelined frames, idle
-// timeouts — is exercised through a raw socket, below the Client helper.
+// A dedicated test replays every refusal against a live daemon and compares
+// the responses with golden wire bytes. Byte-level abuse — dribbled
+// headers, pipelined frames, idle timeouts, a full fd table — is exercised
+// through a raw socket, below the Client helper.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -492,15 +493,13 @@ struct RawConn {
 };
 
 /// One complete response frame read off a raw socket, normalized to the
-/// tuple the wire format determines bytes from — comparing these across
-/// backends IS comparing wire bytes (the header re-serializes canonically
-/// from type + body length).
+/// tuple the wire format determines bytes from — comparing these IS
+/// comparing wire bytes (the header re-serializes canonically from type +
+/// body length).
 struct WireObservation {
   ReadStatus status = ReadStatus::kMalformed;
   FrameType type = FrameType::kError;
   std::string body;
-
-  bool operator==(const WireObservation&) const = default;
 };
 
 WireObservation observe_response(RawConn& conn) {
@@ -514,25 +513,8 @@ WireObservation observe_response(RawConn& conn) {
   return seen;
 }
 
-/// Live-daemon tests run under BOTH serving backends: the epoll reactor
-/// and the thread-per-connection fallback must be observationally
-/// identical at the wire.
-class ServeDaemonBoth : public ::testing::TestWithParam<ServeBackend> {
- protected:
-  static DaemonOptions with_backend(DaemonOptions options = {}) {
-    options.backend = GetParam();
-    return options;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Backends, ServeDaemonBoth,
-                         ::testing::Values(ServeBackend::kEpoll, ServeBackend::kThreads),
-                         [](const ::testing::TestParamInfo<ServeBackend>& info) {
-                           return to_string(info.param);
-                         });
-
-TEST_P(ServeDaemonBoth, PingStatsAndSolveRoundTrip) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, PingStatsAndSolveRoundTrip) {
+  TestDaemon server;
   Client client("127.0.0.1", server.daemon->port());
   EXPECT_TRUE(client.ping());
 
@@ -560,16 +542,14 @@ TEST_P(ServeDaemonBoth, PingStatsAndSolveRoundTrip) {
   EXPECT_EQ(stats->service.solved, 1u);
   EXPECT_EQ(stats->latency_count, 1u);
   EXPECT_GE(stats->connections_total, 1u);
-  if (GetParam() == ServeBackend::kEpoll) {
-    // The reactor demonstrably multiplexed this exchange.
-    EXPECT_GT(stats->loop_wakeups, 0u);
-  }
+  // The reactor demonstrably multiplexed this exchange.
+  EXPECT_GT(stats->loop_wakeups, 0u);
 }
 
-TEST_P(ServeDaemonBoth, ConcurrentTwinsAcrossConnectionsShareOneFlight) {
+TEST(ServeDaemon, ConcurrentTwinsAcrossConnectionsShareOneFlight) {
   ensure_gated_solver();
   GateGuard gate;
-  TestDaemon server(with_backend());
+  TestDaemon server;
 
   WireRequest wire = sample_request();
   wire.request.solver_id = "serve-gated";
@@ -613,8 +593,8 @@ TEST_P(ServeDaemonBoth, ConcurrentTwinsAcrossConnectionsShareOneFlight) {
   EXPECT_EQ(stats->service.dedup_joined, kClients - 1u);
 }
 
-TEST_P(ServeDaemonBoth, WarmDaemonRepeatedClientsCostZeroNewSolves) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, WarmDaemonRepeatedClientsCostZeroNewSolves) {
+  TestDaemon server;
   WireRequest wire = sample_request();
   wire.request.params.local_search = false;
   wire.request.params.cache = solve::CachePolicy::kReadWrite;
@@ -650,8 +630,8 @@ TEST_P(ServeDaemonBoth, WarmDaemonRepeatedClientsCostZeroNewSolves) {
   EXPECT_GE(stats->service.cache_hits, 5u);
 }
 
-TEST_P(ServeDaemonBoth, MalformedBytesGetErrorResponsesAndTheDaemonSurvives) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, MalformedBytesGetErrorResponsesAndTheDaemonSurvives) {
+  TestDaemon server;
   {
     // Garbage magic: error response, then the daemon hangs up.
     Client client("127.0.0.1", server.daemon->port());
@@ -690,10 +670,10 @@ TEST_P(ServeDaemonBoth, MalformedBytesGetErrorResponsesAndTheDaemonSurvives) {
   EXPECT_TRUE(client.solve(wire).ok);
 }
 
-TEST_P(ServeDaemonBoth, QueueFullRejectionIsExplicit) {
+TEST(ServeDaemon, QueueFullRejectionIsExplicit) {
   DaemonOptions options;
   options.max_pending = 0;  // reject every solve
-  TestDaemon server(with_backend(options));
+  TestDaemon server(options);
   Client client("127.0.0.1", server.daemon->port());
   const Client::Outcome outcome = client.solve(sample_request());
   ASSERT_FALSE(outcome.ok);
@@ -704,11 +684,11 @@ TEST_P(ServeDaemonBoth, QueueFullRejectionIsExplicit) {
   EXPECT_EQ(stats->service.submitted, 0u);  // refused before submit()
 }
 
-TEST_P(ServeDaemonBoth, RateLimitRejectionIsPerClient) {
+TEST(ServeDaemon, RateLimitRejectionIsPerClient) {
   DaemonOptions options;
   options.rate_capacity = 1.0;  // one request, then dry
   options.rate_refill_per_sec = 0.0;
-  TestDaemon server(with_backend(options));
+  TestDaemon server(options);
 
   WireRequest wire = sample_request();
   wire.request.params.local_search = false;
@@ -730,8 +710,8 @@ TEST_P(ServeDaemonBoth, RateLimitRejectionIsPerClient) {
   EXPECT_EQ(stats->service.rejected_rate_limited, 1u);
 }
 
-TEST_P(ServeDaemonBoth, DrainRefusesNewWorkAndStopsAccepting) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, DrainRefusesNewWorkAndStopsAccepting) {
+  TestDaemon server;
   const std::uint16_t port = server.daemon->port();
   {
     Client client("127.0.0.1", port);
@@ -746,8 +726,8 @@ TEST_P(ServeDaemonBoth, DrainRefusesNewWorkAndStopsAccepting) {
   EXPECT_EQ(stats.connections_active, 0u);
 }
 
-TEST_P(ServeDaemonBoth, RemoteExecutorMatchesLocalBatchBitForBit) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, RemoteExecutorMatchesLocalBatchBitForBit) {
+  TestDaemon server;
   RemoteExecutorOptions remote_options;
   remote_options.port = server.daemon->port();
   remote_options.connections = 3;
@@ -785,8 +765,8 @@ TEST_P(ServeDaemonBoth, RemoteExecutorMatchesLocalBatchBitForBit) {
 // Byte-level abuse: partial frames, slow-loris dribblers, idle timeouts
 // ---------------------------------------------------------------------------
 
-TEST_P(ServeDaemonBoth, SlowLorisDribblerDoesNotStallOtherClients) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, SlowLorisDribblerDoesNotStallOtherClients) {
+  TestDaemon server;
   // A dribbler parks mid-header and goes quiet...
   RawConn dribbler(server.daemon->port());
   ASSERT_TRUE(dribbler.send_all("mf-serve/1 pi"));
@@ -807,8 +787,8 @@ TEST_P(ServeDaemonBoth, SlowLorisDribblerDoesNotStallOtherClients) {
   EXPECT_EQ(pong.body, "pong\n");
 }
 
-TEST_P(ServeDaemonBoth, PartialAndPipelinedFramesKeepBoundaries) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, PartialAndPipelinedFramesKeepBoundaries) {
+  TestDaemon server;
   RawConn conn(server.daemon->port());
 
   // One byte per write: the frame assembles across arbitrarily bad
@@ -834,31 +814,25 @@ TEST_P(ServeDaemonBoth, PartialAndPipelinedFramesKeepBoundaries) {
   EXPECT_TRUE(stats_from_text(seen.body).has_value());
 }
 
-TEST_P(ServeDaemonBoth, IdleTimeoutClosesAStalledConnection) {
+TEST(ServeDaemon, IdleTimeoutClosesAStalledConnection) {
   DaemonOptions options;
   options.idle_timeout_seconds = 0.2;
-  TestDaemon server(with_backend(options));
+  TestDaemon server(options);
 
   RawConn stalled(server.daemon->port());
   ASSERT_TRUE(stalled.send_all("mf-serve/1 s"));  // mid-header, then silence
-  // The daemon hangs up on its own (the threads backend may send a
-  // bad-request first — its receive timeout surfaces as a read error —
-  // but the close is what matters).
+  // The daemon hangs up on its own.
   EXPECT_TRUE(stalled.drain_until_eof(5.0));
-  if (GetParam() == ServeBackend::kEpoll) {
-    EXPECT_GE(server.daemon->stats_snapshot().idle_closes, 1u);
-  }
+  EXPECT_GE(server.daemon->stats_snapshot().idle_closes, 1u);
 }
 
-TEST(ServeDaemonEpoll, ByteDribbleCannotEvadeFrameIdleClock) {
-  // The epoll backend counts idleness frame-to-frame, so a slow-loris
-  // client feeding one byte at a time — always faster than any per-read
-  // timeout — is still closed on schedule. (The threads backend's
-  // SO_RCVTIMEO approximation is refreshed per byte; this guarantee is
-  // the reactor's alone, hence no TEST_P.)
+TEST(ServeDaemon, ByteDribbleCannotEvadeFrameIdleClock) {
+  // The daemon counts idleness frame-to-frame, so a slow-loris client
+  // feeding one byte at a time — always faster than any per-read timeout —
+  // is still closed on schedule.
   DaemonOptions options;
   options.idle_timeout_seconds = 0.3;
-  TestDaemon server(options);  // default backend: epoll
+  TestDaemon server(options);
 
   RawConn dribbler(server.daemon->port());
   timeval tv{};
@@ -885,9 +859,9 @@ TEST(ServeDaemonEpoll, ByteDribbleCannotEvadeFrameIdleClock) {
   EXPECT_GE(server.daemon->stats_snapshot().idle_closes, 1u);
 }
 
-TEST_P(ServeDaemonBoth, OversizedFrameIsRefusedBeforeItsBodyArrives) {
+TEST(ServeDaemon, OversizedFrameIsRefusedBeforeItsBodyArrives) {
   DaemonOptions options;
-  TestDaemon server(with_backend(options));
+  TestDaemon server(options);
   RawConn conn(server.daemon->port());
   // Header only — the declared body is never sent, so a daemon that
   // buffered before refusing would hang here instead of answering.
@@ -956,25 +930,89 @@ TEST(ServeDaemon, RefusalsMatchGoldenWireBytes) {
         refusal("rate-limited client 'test-client' exceeded its request budget\n")}},
   };
 
-  for (const ServeBackend backend : {ServeBackend::kEpoll, ServeBackend::kThreads}) {
-    DaemonOptions backend_options = options;
-    backend_options.backend = backend;
-    TestDaemon server(backend_options);
-    for (const Probe& probe : probes) {
-      RawConn conn(server.daemon->port());
-      EXPECT_TRUE(conn.send_all(probe.bytes)) << probe.name;
-      if (probe.half_close) conn.finish_writing();
-      for (const WireObservation& expected : probe.expected) {
-        const WireObservation seen = observe_response(conn);
-        EXPECT_EQ(seen.status, expected.status) << probe.name;
-        EXPECT_EQ(seen.type, expected.type) << probe.name;
-        EXPECT_EQ(seen.body, expected.body) << probe.name << " (" << to_string(backend) << ")";
-      }
+  TestDaemon server(options);
+  for (const Probe& probe : probes) {
+    RawConn conn(server.daemon->port());
+    EXPECT_TRUE(conn.send_all(probe.bytes)) << probe.name;
+    if (probe.half_close) conn.finish_writing();
+    for (const WireObservation& expected : probe.expected) {
+      const WireObservation seen = observe_response(conn);
+      EXPECT_EQ(seen.status, expected.status) << probe.name;
+      EXPECT_EQ(seen.type, expected.type) << probe.name;
+      EXPECT_EQ(seen.body, expected.body) << probe.name;
     }
   }
 }
 
-TEST(ServeDaemonEpoll, GcTimerCompactsTheDiskCachePeriodically) {
+TEST(ServeDaemon, AcceptBacksOffWhileDescriptorsRunOut) {
+  // With the fd table full, accept4 fails and the connection stays in the
+  // backlog. A level-triggered listener would re-fire at once and spin the
+  // loop thread; the daemon must instead park the listener and retry on a
+  // timer, then serve the waiting client as soon as an fd frees up.
+  TestDaemon server;
+  // Run the accept, dispatch and stats paths once while descriptors are
+  // plentiful: UBSan's vptr check probes memory through pipe(2), so a
+  // polymorphic call first seen inside the exhausted window would fail.
+  {
+    Client warm("127.0.0.1", server.daemon->port());
+    ASSERT_TRUE(warm.ping());
+  }
+  (void)server.daemon->stats_snapshot();
+
+  rlimit original{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &original), 0);
+  rlimit lowered = original;
+  lowered.rlim_cur = std::min<rlim_t>(original.rlim_cur, 4096);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  std::vector<int> ballast;
+  for (;;) {
+    const int fd = ::dup(STDIN_FILENO);
+    if (fd < 0) break;
+    ballast.push_back(fd);
+  }
+  const int exhausted_errno = errno;
+  const auto release_all = [&] {
+    for (const int fd : ballast) ::close(fd);
+    ballast.clear();
+    ::setrlimit(RLIMIT_NOFILE, &original);
+  };
+  if (exhausted_errno != EMFILE || ballast.size() < 2) {
+    release_all();
+    FAIL() << "could not exhaust the fd table (errno " << exhausted_errno << ")";
+  }
+
+  // One free slot: the client's socket takes it, the daemon's accept finds none.
+  ::close(ballast.back());
+  ballast.pop_back();
+  std::unique_ptr<RawConn> client;
+  try {
+    client = std::make_unique<RawConn>(server.daemon->port());
+  } catch (const std::exception& error) {
+    release_all();
+    FAIL() << error.what();
+  }
+  timeval tv{};
+  tv.tv_sec = 5;
+  ::setsockopt(client->fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  EXPECT_TRUE(client->send_all(frame_to_bytes({FrameType::kPing, ""})));
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::uint64_t before = server.daemon->stats_snapshot().loop_wakeups;
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::uint64_t during = server.daemon->stats_snapshot().loop_wakeups - before;
+  EXPECT_LE(during, 20u) << "the loop spun while accept4 had no descriptor";
+
+  // Free a descriptor: the parked listener comes back and answers.
+  ::close(ballast.back());
+  ballast.pop_back();
+  const WireObservation pong = observe_response(*client);
+  release_all();
+  EXPECT_EQ(pong.status, ReadStatus::kOk);
+  EXPECT_EQ(pong.body, "pong\n");
+}
+
+TEST(ServeDaemon, GcTimerCompactsTheDiskCachePeriodically) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "mf-serve-gc-timer-test";
   std::filesystem::remove_all(dir);
@@ -1012,8 +1050,8 @@ TEST(ServeDaemonEpoll, GcTimerCompactsTheDiskCachePeriodically) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_P(ServeDaemonBoth, RemoteExecutorSurfacesUnknownSolverAsErrorResult) {
-  TestDaemon server(with_backend());
+TEST(ServeDaemon, RemoteExecutorSurfacesUnknownSolverAsErrorResult) {
+  TestDaemon server;
   RemoteExecutorOptions remote_options;
   remote_options.port = server.daemon->port();
   RemoteExecutor remote(remote_options);
