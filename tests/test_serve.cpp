@@ -891,43 +891,40 @@ TEST(ServeDaemon, RefusalsMatchGoldenWireBytes) {
 
   const std::string solve_bytes =
       frame_to_bytes({FrameType::kSolve, request_to_text(sample_request())});
-  const auto refusal = [](std::string body) {
-    return WireObservation{ReadStatus::kOk, FrameType::kError, std::move(body)};
-  };
-
+  // Every response is a complete `error` frame; the bodies are the golden bytes.
   struct Probe {
     const char* name;
     std::string bytes;
     bool half_close;
-    std::vector<WireObservation> expected;
+    std::vector<std::string> error_bodies;
   };
   const std::vector<Probe> probes = {
       {"bad-magic", "GET / HTTP/1.1\r\n", false,
-       {refusal("bad-request bad magic 'GET' (want mf-serve/1)\n")}},
+       {"bad-request bad magic 'GET' (want mf-serve/1)\n"}},
       {"unknown-type", "mf-serve/1 shout 0\n", false,
-       {refusal("bad-request unknown frame type 'shout'\n")}},
+       {"bad-request unknown frame type 'shout'\n"}},
       {"unparsable-length", "mf-serve/1 solve many\n", false,
-       {refusal("bad-request unparsable content length 'many'\n")}},
+       {"bad-request unparsable content length 'many'\n"}},
       {"negative-length", "mf-serve/1 solve -1\n", false,
-       {refusal("bad-request unparsable content length '-1'\n")}},
+       {"bad-request unparsable content length '-1'\n"}},
       {"trailing-token", "mf-serve/1 solve 0 extra\n", false,
-       {refusal("bad-request trailing tokens in frame header\n")}},
+       {"bad-request trailing tokens in frame header\n"}},
       {"oversized-header", std::string(200, 'x'), true,
-       {refusal("bad-request frame header exceeds 128 bytes\n")}},
+       {"bad-request frame header exceeds 128 bytes\n"}},
       {"declared-too-large",
        "mf-serve/1 solve " + std::to_string(options.max_frame_bytes + 1) + "\n", false,
-       {refusal("too-large declared body of 4194305 bytes exceeds limit of 4194304\n")}},
+       {"too-large declared body of 4194305 bytes exceeds limit of 4194304\n"}},
       {"truncated-body", "mf-serve/1 solve 10\nabc", true,
-       {refusal("bad-request truncated body (declared 10 bytes)\n")}},
+       {"bad-request truncated body (declared 10 bytes)\n"}},
       {"response-type-frame", "mf-serve/1 ok 0\n", false,
-       {refusal("bad-request frame type 'ok' is not a request\n")}},
+       {"bad-request frame type 'ok' is not a request\n"}},
       {"unparsable-solve-body", frame_to_bytes({FrameType::kSolve, "garbage\n"}), false,
-       {refusal("bad-request malformed solve request body\n")}},
+       {"bad-request malformed solve request body\n"}},
       // One pipelined write, two refusals: the first admitted solve hits
       // the zero-length pending queue, the retry has drained its bucket.
       {"queue-full-then-rate-limited", solve_bytes + solve_bytes, false,
-       {refusal("queue-full pending queue at capacity (0)\n"),
-        refusal("rate-limited client 'test-client' exceeded its request budget\n")}},
+       {"queue-full pending queue at capacity (0)\n",
+        "rate-limited client 'test-client' exceeded its request budget\n"}},
   };
 
   TestDaemon server(options);
@@ -935,11 +932,11 @@ TEST(ServeDaemon, RefusalsMatchGoldenWireBytes) {
     RawConn conn(server.daemon->port());
     EXPECT_TRUE(conn.send_all(probe.bytes)) << probe.name;
     if (probe.half_close) conn.finish_writing();
-    for (const WireObservation& expected : probe.expected) {
+    for (const std::string& body : probe.error_bodies) {
       const WireObservation seen = observe_response(conn);
-      EXPECT_EQ(seen.status, expected.status) << probe.name;
-      EXPECT_EQ(seen.type, expected.type) << probe.name;
-      EXPECT_EQ(seen.body, expected.body) << probe.name;
+      EXPECT_EQ(seen.status, ReadStatus::kOk) << probe.name;
+      EXPECT_EQ(seen.type, FrameType::kError) << probe.name;
+      EXPECT_EQ(seen.body, body) << probe.name;
     }
   }
 }
