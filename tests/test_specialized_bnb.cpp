@@ -2,6 +2,9 @@
 // force, dominance over every heuristic, budget behaviour and edge cases.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/evaluation.hpp"
 #include "exact/brute_force.hpp"
 #include "exact/specialized_bnb.hpp"
@@ -135,6 +138,72 @@ TEST(SpecializedBnB, PaperScaleInstanceSolves) {
   ASSERT_TRUE(result.mapping.has_value());
   EXPECT_TRUE(result.proven_optimal);
   EXPECT_GT(result.nodes, 0u);
+}
+
+// --- Pinned-seed node-for-node identity ------------------------------------
+
+enum Topology { kChain, kInTree };
+
+struct GoldenBnB {
+  Topology topology;
+  std::size_t tasks;
+  std::size_t machines;
+  std::size_t types;
+  std::uint64_t seed;
+  bool seed_with_heuristics;
+  std::uint64_t nodes;
+  bool proven_optimal;
+  double period;  // hexfloat-captured, compared bit-exactly
+  std::vector<core::MachineIndex> assignment;
+};
+
+const std::vector<GoldenBnB>& golden_bnb_entries() {
+  static const std::vector<GoldenBnB> entries{
+#include "golden_bnb.inc"
+  };
+  return entries;
+}
+
+TEST(SpecializedBnBGolden, SameNodesPeriodsAndMappingsAsPreRewriteCapture) {
+  // Captured from the B&B before its per-node allocations were removed.
+  // The node count pins the visit order and every prune; the period is the
+  // search's own max of loads (when the search beat the warm start), so its
+  // bits also pin the undo-by-subtraction load arithmetic. Chains and
+  // in-trees at the Figure 10 (m=5, p=2) and Figure 12 (m=9, p=4) shapes,
+  // with and without the H2/H4w warm start; the n=14/20 rows mostly run out
+  // of the 20,000-node budget.
+  const auto& entries = golden_bnb_entries();
+  ASSERT_EQ(entries.size(), 64u);
+  std::size_t exhausted = 0;
+  for (const GoldenBnB& entry : entries) {
+    SCOPED_TRACE(std::string(entry.topology == kChain ? "chain" : "in-tree") +
+                 " n=" + std::to_string(entry.tasks) + " m=" + std::to_string(entry.machines) +
+                 " seed=" + std::to_string(entry.seed) +
+                 (entry.seed_with_heuristics ? " warm" : " cold"));
+    exp::Scenario scenario;
+    scenario.tasks = entry.tasks;
+    scenario.machines = entry.machines;
+    scenario.types = entry.types;
+    const Problem problem = entry.topology == kChain
+                                ? exp::generate(scenario, entry.seed)
+                                : exp::generate_in_tree(scenario, 0.4, entry.seed);
+    BnBOptions options;
+    options.max_nodes = 20'000;
+    options.seed_with_heuristics = entry.seed_with_heuristics;
+    const BnBResult result = solve_specialized_optimal(problem, options);
+    EXPECT_EQ(result.nodes, entry.nodes);
+    EXPECT_EQ(result.proven_optimal, entry.proven_optimal);
+    EXPECT_EQ(result.period, entry.period);
+    ASSERT_TRUE(result.mapping.has_value());
+    ASSERT_EQ(result.mapping->task_count(), entry.assignment.size());
+    for (core::TaskIndex i = 0; i < entry.assignment.size(); ++i) {
+      EXPECT_EQ(result.mapping->machine_of(i), entry.assignment[i]) << "assignment[" << i << "]";
+    }
+    if (!entry.proven_optimal) ++exhausted;
+  }
+  // Both outcomes stay covered: the budget cut and a completed proof.
+  EXPECT_GT(exhausted, 0u);
+  EXPECT_LT(exhausted, entries.size());
 }
 
 }  // namespace
