@@ -19,10 +19,22 @@ using core::TypeIndex;
 namespace {
 
 struct Searcher {
+  /// A branch: a machine and the load it reaches if the node's task goes
+  /// there.
+  struct Candidate {
+    MachineIndex machine;
+    double resulting_load;
+  };
+
   const core::Problem& problem;
   const BnBOptions& options;
   // Assignment order: the shared backward traversal.
   const std::vector<TaskIndex>& order;
+
+  // Per-task structure, read once through the checked Application
+  // accessors so the hot loops index plain arrays.
+  std::vector<TaskIndex> successor;  // kNoTask for sinks
+  std::vector<TypeIndex> task_type;
 
   // Per-task minima over machines (optimistic completion ingredients).
   std::vector<double> min_attempts;  // min_u 1/(1-f_{i,u})
@@ -47,11 +59,16 @@ struct Searcher {
   /// backward order), so stale values are never observed and the search
   /// allocates nothing per node.
   std::vector<double> opt_x_scratch;
+  /// Depth-major candidate lists: depth d owns slots [d*m, d*m + m), so a
+  /// node's sorted branches stay intact while its subtree runs below it.
+  std::vector<Candidate> candidates;
 
   Searcher(const core::Problem& p, const BnBOptions& opts)
       : problem(p),
         options(opts),
         order(p.app.backward_order()),
+        successor(p.task_count()),
+        task_type(p.task_count()),
         min_attempts(p.task_count()),
         min_time(p.task_count()),
         assignment(p.task_count(), core::kUnassigned),
@@ -61,8 +78,11 @@ struct Searcher {
         free_machines(p.machine_count()),
         types_to_go(p.type_count()),
         type_machine_count(p.type_count(), 0),
-        opt_x_scratch(p.task_count(), 0.0) {
+        opt_x_scratch(p.task_count(), 0.0),
+        candidates(p.task_count() * p.machine_count()) {
     for (TaskIndex i = 0; i < p.task_count(); ++i) {
+      successor[i] = p.app.successor(i);
+      task_type[i] = p.app.type_of(i);
       double best_f = std::numeric_limits<double>::infinity();
       double best_w = std::numeric_limits<double>::infinity();
       // Row reductions over the cached F table and the w row (span idiom):
@@ -79,7 +99,7 @@ struct Searcher {
   }
 
   [[nodiscard]] double downstream_products(TaskIndex i) const {
-    const TaskIndex succ = problem.app.successor(i);
+    const TaskIndex succ = successor[i];
     return succ == core::kNoTask ? 1.0 : x[succ];
   }
 
@@ -102,7 +122,7 @@ struct Searcher {
     std::vector<double>& opt_x = opt_x_scratch;
     for (std::size_t d = depth; d < order.size(); ++d) {
       const TaskIndex i = order[d];
-      const TaskIndex succ = problem.app.successor(i);
+      const TaskIndex succ = successor[i];
       double downstream = 1.0;
       if (succ != core::kNoTask) {
         downstream = assignment[succ] == core::kUnassigned ? opt_x[succ] : x[succ];
@@ -137,7 +157,7 @@ struct Searcher {
     if (lower_bound(depth) >= incumbent) return;
 
     const TaskIndex i = order[depth];
-    const TypeIndex t = problem.app.type_of(i);
+    const TypeIndex t = task_type[i];
     const double x_base = downstream_products(i);
     // Hot row views for this task: w, f, and the cached F = 1/(1-f).
     const std::span<const double> time_row = problem.platform.time_row(i);
@@ -145,12 +165,10 @@ struct Searcher {
     const std::span<const double> attempts_row = problem.platform.attempts_row(i);
 
     // Candidate machines sorted by resulting load: good incumbents early.
-    struct Candidate {
-      MachineIndex machine;
-      double resulting_load;
-    };
-    std::vector<Candidate> candidates;
-    candidates.reserve(problem.machine_count());
+    // Stable insertion puts each candidate after every equal load, which is
+    // the order std::stable_sort gives, without allocating.
+    Candidate* const list = candidates.data() + depth * problem.machine_count();
+    std::size_t count = 0;
     bool considered_free = false;
     for (MachineIndex u = 0; u < problem.machine_count(); ++u) {
       if (!allowed(t, u)) continue;
@@ -162,10 +180,10 @@ struct Searcher {
       if (machine_type[u] == core::kNoTask && loads[u] == 0.0) {
         bool duplicate = false;
         if (considered_free) {
-          for (const Candidate& c : candidates) {
-            if (machine_type[c.machine] == core::kNoTask && loads[c.machine] == 0.0 &&
-                time_row[c.machine] == time_row[u] &&
-                failure_row[c.machine] == failure_row[u]) {
+          for (std::size_t k = 0; k < count; ++k) {
+            const MachineIndex v = list[k].machine;
+            if (machine_type[v] == core::kNoTask && loads[v] == 0.0 &&
+                time_row[v] == time_row[u] && failure_row[v] == failure_row[u]) {
               duplicate = true;
               break;
             }
@@ -175,16 +193,15 @@ struct Searcher {
         if (duplicate) continue;
       }
       const double xi = x_base * attempts_row[u];
-      candidates.push_back({u, loads[u] + xi * time_row[u]});
+      const double resulting_load = loads[u] + xi * time_row[u];
+      std::size_t k = count++;
+      for (; k > 0 && list[k - 1].resulting_load > resulting_load; --k) list[k] = list[k - 1];
+      list[k] = {u, resulting_load};
     }
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return a.resulting_load < b.resulting_load;
-                     });
 
-    for (const Candidate& candidate : candidates) {
-      const MachineIndex u = candidate.machine;
-      if (candidate.resulting_load >= incumbent) continue;  // dominated branch
+    for (std::size_t k = 0; k < count; ++k) {
+      const MachineIndex u = list[k].machine;
+      if (list[k].resulting_load >= incumbent) continue;  // dominated branch
 
       // Apply.
       const TypeIndex saved_type = machine_type[u];

@@ -35,7 +35,9 @@ struct BnBResult {
   std::optional<core::Mapping> mapping;  ///< best mapping found (nullopt if infeasible)
   double period = 0.0;
   bool proven_optimal = false;  ///< search space exhausted within budget
-  std::uint64_t nodes = 0;      ///< nodes expanded
+  /// Nodes visited, leaves and pruned nodes included. A search that runs
+  /// out of budget reports max_nodes + 1: the node it refused is counted.
+  std::uint64_t nodes = 0;
 };
 
 /// Minimum-period *specialized* mapping. Requires p <= m for feasibility

@@ -55,6 +55,8 @@ TEST(SpecializedBnB, BudgetExhaustionReportsNotProven) {
   options.max_nodes = 5;  // absurdly small
   const BnBResult result = solve_specialized_optimal(problem, options);
   EXPECT_FALSE(result.proven_optimal);
+  // Every visited node counts, the refused sixth one included.
+  EXPECT_EQ(result.nodes, 6u);
   // The heuristic warm start still provides a mapping.
   ASSERT_TRUE(result.mapping.has_value());
   EXPECT_TRUE(result.mapping->complies_with(MappingRule::kSpecialized, problem.app,
