@@ -11,12 +11,15 @@
 //     IncrementalEvaluator probes that replaced both;
 //   * one full evaluation through EvalWorkspace (zero-allocation span
 //     walk) vs the allocating core::period reference;
-//   * the dense core scans max_expected_products / period_upper_bound.
+//   * the dense core scans max_expected_products / period_upper_bound;
+//   * the exact B&B's cost per node (a note, not gated).
 //
 // A global operator-new hook counts heap allocations inside each timed
 // region; the incremental probes and workspace evaluations must allocate
-// nothing per op, and the harness exits non-zero if they do — that is the
-// zero-allocation guarantee CI enforces, independent of timer noise.
+// nothing per op, the B&B nothing per node (two solves that exhaust
+// budgets 10x apart allocate the same count), and the harness exits
+// non-zero if they do — that is the zero-allocation guarantee CI
+// enforces, independent of timer noise.
 //
 // The SIMD kernel groups time every compiled-and-runnable ISA variant of
 // the dispatched kernels (core/simd.hpp) against the scalar table in the
@@ -63,6 +66,7 @@
 #include "core/failure.hpp"
 #include "core/simd.hpp"
 #include "exact/hungarian.hpp"
+#include "exact/specialized_bnb.hpp"
 #include "exp/scenario.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
@@ -437,10 +441,11 @@ int main(int argc, char** argv) {
           "                     [--check BASELINE.json] [--tolerance 0.25] [--print-isa]\n"
           "\n"
           "Times the evaluation kernels on a fixed problem grid and fails if a\n"
-          "zero-allocation kernel allocates, if the (n=100, m=20) relocate probe\n"
-          "is below 3.5x over the pre-kernel evaluation path, if any SIMD kernel\n"
-          "variant is not bit-identical to the scalar table, if the widest-ISA\n"
-          "machine-load re-summation speedup is below 1.5x on the stress shape,\n"
+          "zero-allocation kernel allocates, if the exact B&B allocates per node,\n"
+          "if the (n=100, m=20) relocate probe is below 3.5x over the pre-kernel\n"
+          "evaluation path, if any SIMD kernel variant is not bit-identical to\n"
+          "the scalar table, if the widest-ISA machine-load re-summation\n"
+          "speedup is below 1.5x on the stress shape,\n"
           "or (with --check) if any paired speedup ratio fell more than\n"
           "--tolerance below the committed baseline's (absolute medians are\n"
           "reported, not gated: paired ratios are immune to host-state drift,\n"
@@ -809,6 +814,51 @@ int main(int argc, char** argv) {
     record_simd("leq_mask", count, 1, measure_group(count, 1, reps, 256, mask_group));
   }
 
+  // --- Exact B&B: zero allocations per node --------------------------------
+  // A Figure 12 shape instance that runs out of both budgets, so the
+  // second solve visits ten times the nodes of the first. Per-solve set-up
+  // (the Searcher's arrays, the H2/H4w warm start) allocates; the nodes
+  // must not, so both solves must allocate the same count.
+  struct BnBRun {
+    std::uint64_t budget = 0;
+    std::uint64_t nodes = 0;
+    std::uint64_t allocs = 0;
+    bool proven = false;
+    double ns_per_node = 0.0;
+  };
+  std::vector<BnBRun> bnb_runs;
+  {
+    mf::exp::Scenario scenario;
+    scenario.tasks = 20;
+    scenario.machines = 9;
+    scenario.types = 4;
+    const mf::core::Problem problem = mf::exp::generate(scenario, 20003);
+    auto solve = [&problem](std::uint64_t budget) {
+      mf::exact::BnBOptions options;
+      options.max_nodes = budget;
+      const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+      const double start = now_ns();
+      const mf::exact::BnBResult result = mf::exact::solve_specialized_optimal(problem, options);
+      const double elapsed = now_ns() - start;
+      return BnBRun{budget, result.nodes,
+                    g_alloc_count.load(std::memory_order_relaxed) - allocs_before,
+                    result.proven_optimal, elapsed / static_cast<double>(result.nodes)};
+    };
+    // Warm-up: the first solve in a process also pays one-time set-up.
+    (void)solve(1'000);
+    bnb_runs = {solve(200'000), solve(2'000'000)};
+    std::printf("\nexact B&B (n=20, m=9, p=4, generator seed 20003; ns/node is a note, "
+                "allocs gate)\n");
+    std::printf("| budget  |   nodes | proven |  allocs | ns/node |\n");
+    std::printf("|---------|---------|--------|---------|---------|\n");
+    for (const BnBRun& run : bnb_runs) {
+      std::printf("| %7llu | %7llu | %6s | %7llu | %7.1f |\n",
+                  static_cast<unsigned long long>(run.budget),
+                  static_cast<unsigned long long>(run.nodes), run.proven ? "yes" : "no",
+                  static_cast<unsigned long long>(run.allocs), run.ns_per_node);
+    }
+  }
+
   write_json(out_path, calib, kernels, speedups, simd_speedups);
   std::printf("\nwrote %s\n", out_path.c_str());
 
@@ -816,7 +866,8 @@ int main(int argc, char** argv) {
 
   // Gate 1: the zero-allocation guarantee. Probes, workspace evaluations,
   // the hoisted-workspace Hungarian solver and every dispatched SIMD
-  // kernel must not touch the heap, on any grid point.
+  // kernel must not touch the heap, on any grid point, and the B&B must
+  // not touch it per node.
   for (const KernelResult& r : kernels) {
     const bool must_be_clean = r.name == "relocate_probe_incremental" ||
                                r.name == "swap_probe_incremental" ||
@@ -831,6 +882,22 @@ int main(int argc, char** argv) {
                    r.name.c_str(), r.n, r.m, r.allocs_per_op);
       ++failures;
     }
+  }
+  // The B&B half of gate 1: both solves must stop on their budgets (or the
+  // comparison says nothing about nodes) and allocate the same count.
+  const BnBRun& bnb_small = bnb_runs[0];
+  const BnBRun& bnb_large = bnb_runs[1];
+  if (bnb_small.proven || bnb_large.proven) {
+    std::fprintf(stderr, "FAIL: the B&B allocation instance no longer exhausts its budgets\n");
+    ++failures;
+  } else if (bnb_small.allocs != bnb_large.allocs) {
+    std::fprintf(stderr,
+                 "FAIL: B&B allocates per node: %llu allocs at %llu nodes, %llu at %llu\n",
+                 static_cast<unsigned long long>(bnb_small.allocs),
+                 static_cast<unsigned long long>(bnb_small.nodes),
+                 static_cast<unsigned long long>(bnb_large.allocs),
+                 static_cast<unsigned long long>(bnb_large.nodes));
+    ++failures;
   }
 
   // Gate 2: the headline speedup — the incremental relocate probe at
