@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "core/evaluation.hpp"
 #include "exp/scenario.hpp"
@@ -242,6 +244,81 @@ TEST_P(BinarySearchConsistencyTest, H2PeriodIsAchievedByItsOwnMapping) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BinarySearchConsistencyTest,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+enum Topology { kChain, kInTree };
+
+/// Generator settings of a golden row: the paper's defaults, Figure 8's
+/// high failure rates, Figure 9's per-task rates, tie-heavy integer times
+/// (w in [100, 102], so ranks and then w tie often) and non-integer times.
+enum Shape { kPaper, kHighFailure, kTaskFailure, kTies, kFractional };
+
+struct GoldenBinarySearch {
+  Topology topology;
+  Shape shape;
+  std::size_t tasks;
+  std::size_t machines;
+  std::size_t types;
+  std::uint64_t seed;
+  std::string heuristic;
+  double period;  // hexfloat-captured, compared bit-exactly
+  std::vector<core::MachineIndex> assignment;
+};
+
+const std::vector<GoldenBinarySearch>& golden_binary_search_entries() {
+  static const std::vector<GoldenBinarySearch> entries{
+#include "golden_binary_search.inc"
+  };
+  return entries;
+}
+
+TEST(BinarySearchGolden, SameMappingsAndPeriodsAsPreRewriteCapture) {
+  // Captured from the engine that re-sorted every task's machines on every
+  // probe. The figure tables print one decimal, so only a bit-exact table
+  // proves a rewrite still takes the same probes to the same mappings.
+  // Chains and in-trees at the Figure 5/6/7/8/9/12 shapes, plus tie-heavy
+  // and non-integer times, two seeds each, for H2 and H3.
+  const auto& entries = golden_binary_search_entries();
+  ASSERT_EQ(entries.size(), 92u);
+  for (const GoldenBinarySearch& entry : entries) {
+    SCOPED_TRACE(entry.heuristic + (entry.topology == kChain ? " chain" : " in-tree") +
+                 " shape=" + std::to_string(entry.shape) + " n=" + std::to_string(entry.tasks) +
+                 " m=" + std::to_string(entry.machines) + " p=" + std::to_string(entry.types) +
+                 " seed=" + std::to_string(entry.seed));
+    exp::Scenario scenario;
+    scenario.tasks = entry.tasks;
+    scenario.machines = entry.machines;
+    scenario.types = entry.types;
+    switch (entry.shape) {
+      case kPaper:
+        break;
+      case kHighFailure:
+        scenario.failure_min = 0.0;
+        scenario.failure_max = 0.10;
+        break;
+      case kTaskFailure:
+        scenario.failure_attachment = exp::FailureAttachment::kTaskOnly;
+        break;
+      case kTies:
+        scenario.time_min_ms = 100.0;
+        scenario.time_max_ms = 102.0;
+        break;
+      case kFractional:
+        scenario.integer_times = false;
+        break;
+    }
+    const Problem problem = entry.topology == kChain
+                                ? exp::generate(scenario, entry.seed)
+                                : exp::generate_in_tree(scenario, 0.4, entry.seed);
+    support::Rng rng(0);
+    const auto mapping = heuristic_by_name(entry.heuristic)->run(problem, rng);
+    ASSERT_TRUE(mapping.has_value());
+    EXPECT_EQ(core::period(problem, *mapping), entry.period);
+    ASSERT_EQ(mapping->task_count(), entry.assignment.size());
+    for (core::TaskIndex i = 0; i < entry.assignment.size(); ++i) {
+      EXPECT_EQ(mapping->machine_of(i), entry.assignment[i]) << "assignment[" << i << "]";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace mf::heuristics
