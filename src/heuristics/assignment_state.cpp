@@ -20,6 +20,10 @@ SpecializationTracker::SpecializationTracker(const core::Application& app,
       types_to_go_(app.type_count()) {
   MF_REQUIRE(app.type_count() <= machine_count,
              "specialized mapping impossible: more task types than machines");
+  // Every other type keeps at least one machine, so no type ever holds more
+  // than m - p + 1: reserving that once means commits after a reset() never
+  // allocate, whatever machines the next pass hands out.
+  for (auto& machines : type_machines_) machines.reserve(machine_count - app.type_count() + 1);
 }
 
 bool SpecializationTracker::allowed(TypeIndex t, MachineIndex u) const {
@@ -47,6 +51,13 @@ void SpecializationTracker::commit(TypeIndex t, MachineIndex u) {
     MF_CHECK(free_machines_ > 0, "free machine underflow");
     --free_machines_;
   }
+}
+
+void SpecializationTracker::reset() {
+  std::fill(machine_type_.begin(), machine_type_.end(), kNoTask);
+  for (auto& machines : type_machines_) machines.clear();
+  free_machines_ = machine_type_.size();
+  types_to_go_ = type_machines_.size();
 }
 
 bool SpecializationTracker::is_free(MachineIndex u) const {
@@ -113,6 +124,14 @@ void AssignmentState::assign(TaskIndex i, MachineIndex u) {
   x_[i] = x;
   loads_[u] += x * problem_->platform.time_row(i)[u];
   ++assigned_;
+}
+
+void AssignmentState::reset() {
+  tracker_.reset();
+  std::fill(mapping_.begin(), mapping_.end(), kUnassigned);
+  std::fill(x_.begin(), x_.end(), 0.0);
+  std::fill(loads_.begin(), loads_.end(), 0.0);
+  assigned_ = 0;
 }
 
 double AssignmentState::current_period() const {

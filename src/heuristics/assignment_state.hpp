@@ -33,6 +33,9 @@ class SpecializationTracker {
   /// must hold.
   void commit(core::TypeIndex t, core::MachineIndex u);
 
+  /// Frees every machine again, keeping the allocated capacity.
+  void reset();
+
   [[nodiscard]] bool is_free(core::MachineIndex u) const;
   /// Type served by machine u, or kNoTask when the machine is free.
   [[nodiscard]] core::TypeIndex type_of_machine(core::MachineIndex u) const;
@@ -82,8 +85,16 @@ class AssignmentState {
   /// Places task i on machine u, updating loads, x_i and specialization.
   void assign(core::TaskIndex i, core::MachineIndex u);
 
+  /// Unassigns every task, as a freshly constructed state, keeping the
+  /// allocated capacity so repeated passes allocate nothing.
+  void reset();
+
   [[nodiscard]] bool all_assigned() const noexcept { return assigned_ == mapping_.size(); }
   [[nodiscard]] core::Mapping mapping() const { return core::Mapping{mapping_}; }
+  /// Machine of each task (kUnassigned until placed), without mapping()'s copy.
+  [[nodiscard]] std::span<const core::MachineIndex> assignment() const noexcept {
+    return mapping_;
+  }
   [[nodiscard]] const SpecializationTracker& tracker() const noexcept { return tracker_; }
   /// Largest committed machine load so far.
   [[nodiscard]] double current_period() const;

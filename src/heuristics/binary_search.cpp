@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/evaluation.hpp"
 #include "support/check.hpp"
-#include "support/matrix.hpp"
 #include "support/stats.hpp"
 
 namespace mf::heuristics {
@@ -15,25 +15,46 @@ namespace mf::heuristics {
 using core::MachineIndex;
 using core::TaskIndex;
 
+namespace {
+
+/// One greedy pass at `period_bound` onto a freshly reset `state`: each
+/// task, in backward order, takes the first machine of its order that is
+/// type-feasible and keeps that machine's load within the bound. Returns
+/// false as soon as a task fits nowhere.
+bool place_all_within(const core::Problem& problem, const MachineSelector& selector,
+                      AssignmentState& state, double period_bound) {
+  const std::size_t m = problem.machine_count();
+  const SpecializationTracker& tracker = state.tracker();
+  for (TaskIndex i : problem.app.backward_order()) {
+    const std::span<const MachineIndex> order = selector.machines_for(i);
+    MF_CHECK(order.size() == m, "selector must order all machines");
+    const core::TypeIndex type = problem.app.type_of(i);
+    const double x = state.downstream_products(i);
+    const std::span<const double> attempts = problem.platform.attempts_row(i);
+    const std::span<const double> times = problem.platform.time_row(i);
+    const std::span<const double> loads = state.loads();
+    MachineIndex chosen = core::kUnassigned;
+    for (MachineIndex u : order) {
+      if (!tracker.allowed(type, u)) continue;
+      // The very doubles load_if(i, u) computes.
+      if (loads[u] + (x * attempts[u]) * times[u] > period_bound) continue;
+      chosen = u;
+      break;
+    }
+    if (chosen == core::kUnassigned) return false;
+    state.assign(i, chosen);
+  }
+  MF_CHECK(state.all_assigned(), "assignment pass incomplete");
+  return true;
+}
+
+}  // namespace
+
 std::optional<core::Mapping> assign_within_period(const core::Problem& problem,
                                                   const MachineSelector& selector,
                                                   double period_bound) {
   AssignmentState state(problem);
-  std::vector<MachineIndex> order;
-  for (TaskIndex i : problem.app.backward_order()) {
-    selector.order_machines(problem, state, i, order);
-    MF_CHECK(order.size() == problem.machine_count(), "selector must order all machines");
-    bool placed = false;
-    for (MachineIndex u : order) {
-      if (!state.allowed(i, u)) continue;
-      if (state.load_if(i, u) > period_bound) continue;
-      state.assign(i, u);
-      placed = true;
-      break;
-    }
-    if (!placed) return std::nullopt;
-  }
-  MF_CHECK(state.all_assigned(), "assignment pass incomplete");
+  if (!place_all_within(problem, selector, state, period_bound)) return std::nullopt;
   return state.mapping();
 }
 
@@ -42,70 +63,91 @@ std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem
   if (problem.type_count() > problem.machine_count()) return std::nullopt;
   selector.prepare(problem);
 
+  // One state for every probe and one buffer for the best assignment, so a
+  // probe allocates nothing.
+  AssignmentState state(problem);
+  std::vector<MachineIndex> best;
+  auto probe = [&](double period_bound) {
+    state.reset();
+    if (!place_all_within(problem, selector, state, period_bound)) return false;
+    const std::span<const MachineIndex> assignment = state.assignment();
+    best.assign(assignment.begin(), assignment.end());
+    return true;
+  };
+
   // Integer millisecond bounds, exactly as Algorithms 2-3.
   std::int64_t lo = 0;
   auto hi = static_cast<std::int64_t>(std::ceil(core::period_upper_bound(problem)));
-  std::optional<core::Mapping> best =
-      assign_within_period(problem, selector, static_cast<double>(hi));
-  if (!best.has_value()) return std::nullopt;  // defensive; UB is always feasible
-
+  if (!probe(static_cast<double>(hi))) return std::nullopt;  // defensive; UB is always feasible
   while (hi - lo > 1) {
     const std::int64_t mid = lo + (hi - lo) / 2;
-    auto attempt = assign_within_period(problem, selector, static_cast<double>(mid));
-    if (attempt.has_value()) {
+    if (probe(static_cast<double>(mid))) {
       hi = mid;
-      best = std::move(attempt);
     } else {
       lo = mid;
     }
   }
-  return best;
+  return core::Mapping{std::move(best)};
 }
 
 namespace {
 
-/// H2's machine preference: precomputed rank of each task in each machine's
-/// ascending-w column; prefer the machine where the task ranks best.
+/// H2's machine preference: each task ranks in every machine's ascending-w
+/// column; the task prefers machines where its rank is best, ties going to
+/// smaller w, then to the smaller index.
 class RankSelector final : public MachineSelector {
  public:
   void prepare(const core::Problem& problem) override {
     const std::size_t n = problem.task_count();
     const std::size_t m = problem.machine_count();
-    ranks_ = support::Matrix(n, m);
-    std::vector<TaskIndex> by_time(n);
+    // Dense ranking: tasks with equal w share a rank, matching the paper's
+    // "rank of T_i in the ordered set" (sets collapse ties). A rank counts
+    // the distinct smaller w, so the order among equal w does not matter.
+    std::vector<std::size_t> ranks(n * m);
+    std::vector<std::pair<double, TaskIndex>> by_time(n);
     for (MachineIndex u = 0; u < m; ++u) {
-      std::iota(by_time.begin(), by_time.end(), TaskIndex{0});
-      std::stable_sort(by_time.begin(), by_time.end(), [&](TaskIndex a, TaskIndex b) {
-        return problem.platform.time(a, u) < problem.platform.time(b, u);
-      });
-      // Dense ranking: tasks with equal w share a rank, matching the
-      // paper's "rank of T_i in the ordered set" (sets collapse ties).
+      for (TaskIndex i = 0; i < n; ++i) by_time[i] = {problem.platform.time_row(i)[u], i};
+      std::sort(by_time.begin(), by_time.end());
       std::size_t rank = 0;
       for (std::size_t k = 0; k < n; ++k) {
-        if (k > 0 &&
-            problem.platform.time(by_time[k], u) > problem.platform.time(by_time[k - 1], u)) {
-          ++rank;
-        }
-        ranks_.at(by_time[k], u) = static_cast<double>(rank);
+        if (k > 0 && by_time[k].first > by_time[k - 1].first) ++rank;
+        ranks[by_time[k].second * m + u] = rank;
       }
+    }
+    // (rank, w, index) keys are distinct, so a plain sort gives the order a
+    // stable sort by (rank, w) of the ascending indices gives.
+    struct Key {
+      std::size_t rank;
+      double time;
+      MachineIndex machine;
+      bool operator<(const Key& other) const {
+        if (rank != other.rank) return rank < other.rank;
+        // Tie on rank: "machines are sorted by non-decreasing values of w".
+        if (time != other.time) return time < other.time;
+        return machine < other.machine;
+      }
+    };
+    std::vector<Key> keys(m);
+    tasks_ = n;
+    machines_ = m;
+    order_.resize(n * m);
+    for (TaskIndex i = 0; i < n; ++i) {
+      const std::span<const double> times = problem.platform.time_row(i);
+      for (MachineIndex u = 0; u < m; ++u) keys[u] = {ranks[i * m + u], times[u], u};
+      std::sort(keys.begin(), keys.end());
+      for (MachineIndex k = 0; k < m; ++k) order_[i * m + k] = keys[k].machine;
     }
   }
 
-  void order_machines(const core::Problem& problem, const AssignmentState& /*state*/,
-                      TaskIndex task, std::vector<MachineIndex>& order) const override {
-    order.resize(problem.machine_count());
-    std::iota(order.begin(), order.end(), MachineIndex{0});
-    std::stable_sort(order.begin(), order.end(), [&](MachineIndex a, MachineIndex b) {
-      const double ra = ranks_.at(task, a);
-      const double rb = ranks_.at(task, b);
-      if (ra != rb) return ra < rb;
-      // Tie on rank: "machines are sorted by non-decreasing values of w".
-      return problem.platform.time(task, a) < problem.platform.time(task, b);
-    });
+  [[nodiscard]] std::span<const MachineIndex> machines_for(TaskIndex task) const override {
+    MF_REQUIRE(task < tasks_, "task index out of range");
+    return std::span<const MachineIndex>(order_).subspan(task * machines_, machines_);
   }
 
  private:
-  support::Matrix ranks_;
+  std::size_t tasks_ = 0;
+  std::size_t machines_ = 0;
+  std::vector<MachineIndex> order_;  ///< task-major: row i is task i's order
 };
 
 /// H3's machine preference: static order by decreasing heterogeneity
@@ -130,9 +172,8 @@ class HeterogeneitySelector final : public MachineSelector {
                      });
   }
 
-  void order_machines(const core::Problem& /*problem*/, const AssignmentState& /*state*/,
-                      TaskIndex /*task*/, std::vector<MachineIndex>& order) const override {
-    order = static_order_;
+  [[nodiscard]] std::span<const MachineIndex> machines_for(TaskIndex /*task*/) const override {
+    return static_order_;
   }
 
  private:

@@ -7,10 +7,14 @@
 // MachineSelector policy. As in the paper, the search runs on integer
 // millisecond bounds starting from [0, period of all tasks on the slowest
 // machine] and stops when max - min <= 1.
+//
+// The orders depend only on the instance, so the selector builds them once
+// per solve and a probe is one greedy scan over a reused AssignmentState.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "heuristics/assignment_state.hpp"
 #include "heuristics/heuristic.hpp"
@@ -25,15 +29,14 @@ class MachineSelector {
  public:
   virtual ~MachineSelector() = default;
 
-  /// Called once per problem before any assignment pass; precomputes
-  /// whatever the ordering needs (ranks for H2, heterogeneity for H3).
+  /// Called once per problem before any assignment pass; builds every
+  /// task's machine order (by rank for H2, by heterogeneity for H3).
   virtual void prepare(const core::Problem& problem) = 0;
 
-  /// Fills `order` with all machine indices, most preferred first.
-  /// `state` exposes current loads for selectors that care about them.
-  virtual void order_machines(const core::Problem& problem, const AssignmentState& state,
-                              core::TaskIndex task,
-                              std::vector<core::MachineIndex>& order) const = 0;
+  /// All machine indices for `task`, most preferred first. The view stays
+  /// valid until the next prepare() or the selector's destruction.
+  [[nodiscard]] virtual std::span<const core::MachineIndex> machines_for(
+      core::TaskIndex task) const = 0;
 };
 
 /// Runs one greedy placement pass at a fixed period bound. Returns the

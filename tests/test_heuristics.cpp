@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,12 +109,16 @@ TEST(BinarySearchEngine, AssignWithinTightBoundFails) {
   const Problem problem = test::tiny_chain_problem();
   class FirstFitSelector final : public MachineSelector {
    public:
-    void prepare(const core::Problem&) override {}
-    void order_machines(const core::Problem& p, const AssignmentState&, core::TaskIndex,
-                        std::vector<core::MachineIndex>& order) const override {
-      order.resize(p.machine_count());
-      for (std::size_t u = 0; u < order.size(); ++u) order[u] = u;
+    void prepare(const core::Problem& p) override {
+      order_.resize(p.machine_count());
+      for (std::size_t u = 0; u < order_.size(); ++u) order_[u] = u;
     }
+    std::span<const core::MachineIndex> machines_for(core::TaskIndex) const override {
+      return order_;
+    }
+
+   private:
+    std::vector<core::MachineIndex> order_;
   };
   FirstFitSelector selector;
   selector.prepare(problem);
