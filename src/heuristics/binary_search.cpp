@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -76,9 +77,14 @@ std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem
   };
 
   // Integer millisecond bounds, exactly as Algorithms 2-3.
+  const double upper = std::ceil(core::period_upper_bound(problem));
+  if (!probe(upper)) return std::nullopt;  // defensive; UB is always feasible
+  // From 2^63 on, the ceiling has no int64 value: the bisection then starts
+  // below INT64_MAX, and while its probes fail the mapping at `upper` stands.
+  constexpr double kInt64End = 0x1p63;
   std::int64_t lo = 0;
-  auto hi = static_cast<std::int64_t>(std::ceil(core::period_upper_bound(problem)));
-  if (!probe(static_cast<double>(hi))) return std::nullopt;  // defensive; UB is always feasible
+  std::int64_t hi = upper < kInt64End ? static_cast<std::int64_t>(upper)
+                                      : std::numeric_limits<std::int64_t>::max();
   while (hi - lo > 1) {
     const std::int64_t mid = lo + (hi - lo) / 2;
     if (probe(static_cast<double>(mid))) {

@@ -45,8 +45,10 @@ class MachineSelector {
     const core::Problem& problem, const MachineSelector& selector, double period_bound);
 
 /// Full bisection (Algorithms 2-3 outer loop). Returns the best mapping
-/// found, or std::nullopt when even the trivial upper bound fails (cannot
-/// happen for feasible inputs; kept for interface honesty).
+/// found, or std::nullopt when p > m or even the trivial upper bound fails
+/// (cannot happen for feasible inputs; kept for interface honesty). A
+/// trivial bound beyond int64's range caps the bisection's start at
+/// INT64_MAX; the pass at the bound itself still provides the mapping.
 [[nodiscard]] std::optional<core::Mapping> binary_search_schedule(
     const core::Problem& problem, MachineSelector& selector);
 

@@ -127,6 +127,24 @@ TEST(BinarySearchEngine, AssignWithinTightBoundFails) {
       assign_within_period(problem, selector, core::period_upper_bound(problem)).has_value());
 }
 
+TEST(BinarySearchEngine, PeriodBoundPastInt64StillYieldsMapping) {
+  // Twelve tasks that each lose 99% of their products: every task upstream
+  // needs 100x the products of its successor, so the trivial bound is about
+  // 1e26 ms, which no int64 holds. The problem is feasible all the same.
+  const Problem problem =
+      test::uniform_problem({0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}, 4, 100.0, 0.99);
+  ASSERT_GT(core::period_upper_bound(problem), 0x1p63);
+  for (const std::string name : {"H2", "H3"}) {
+    support::Rng rng(1);
+    const auto mapping = heuristic_by_name(name)->run(problem, rng);
+    ASSERT_TRUE(mapping.has_value()) << name;
+    EXPECT_TRUE(
+        mapping->complies_with(MappingRule::kSpecialized, problem.app, problem.machine_count()))
+        << name;
+    EXPECT_LE(core::period(problem, *mapping), core::period_upper_bound(problem)) << name;
+  }
+}
+
 TEST(H4Family, PrefersFastMachineWhenFailuresEqual) {
   // One task, two machines: M0 slow, M1 fast; identical failures.
   core::Application app = core::Application::linear_chain({0});
