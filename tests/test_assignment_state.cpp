@@ -3,7 +3,10 @@
 // state's load/x accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/evaluation.hpp"
+#include "exp/scenario.hpp"
 #include "heuristics/assignment_state.hpp"
 #include "test_helpers.hpp"
 
@@ -108,6 +111,61 @@ TEST(AssignmentState, SpecializationEnforcedOnAssign) {
   state.assign(2, 0);  // type 0 -> M0
   EXPECT_FALSE(state.allowed(1, 0));
   EXPECT_THROW(state.assign(1, 0), std::invalid_argument);
+}
+
+/// Places the tasks in backward order, stopping after `count`, each on the
+/// allowed machine with the smallest load_if (the first on ties).
+void least_load_pass(const Problem& problem, AssignmentState& state, std::size_t count) {
+  const auto& order = problem.app.backward_order();
+  for (std::size_t k = 0; k < count && k < order.size(); ++k) {
+    const core::TaskIndex i = order[k];
+    core::MachineIndex best = core::kUnassigned;
+    for (core::MachineIndex u = 0; u < problem.machine_count(); ++u) {
+      if (!state.allowed(i, u)) continue;
+      if (best == core::kUnassigned || state.load_if(i, u) < state.load_if(i, best)) best = u;
+    }
+    state.assign(i, best);
+  }
+}
+
+void expect_same_observables(const Problem& problem, const AssignmentState& state,
+                             const AssignmentState& fresh) {
+  EXPECT_TRUE(std::ranges::equal(state.loads(), fresh.loads()));
+  EXPECT_EQ(state.all_assigned(), fresh.all_assigned());
+  EXPECT_EQ(state.mapping(), fresh.mapping());
+  EXPECT_TRUE(std::ranges::equal(state.assignment(), fresh.assignment()));
+  EXPECT_EQ(state.tracker().free_machines(), fresh.tracker().free_machines());
+  EXPECT_EQ(state.tracker().types_to_go(), fresh.tracker().types_to_go());
+  for (core::TypeIndex t = 0; t < problem.type_count(); ++t) {
+    EXPECT_EQ(state.tracker().machines_of_type(t), fresh.tracker().machines_of_type(t));
+  }
+  for (core::MachineIndex u = 0; u < problem.machine_count(); ++u) {
+    EXPECT_EQ(state.tracker().type_of_machine(u), fresh.tracker().type_of_machine(u));
+  }
+}
+
+TEST(AssignmentState, ResetMatchesFreshStateAndRepeatsPass) {
+  exp::Scenario scenario;
+  scenario.tasks = 12;
+  scenario.machines = 5;
+  scenario.types = 3;
+  const Problem problem = exp::generate(scenario, 4);
+  const std::size_t n = problem.task_count();
+
+  AssignmentState state(problem);
+  least_load_pass(problem, state, n / 2);
+  ASSERT_LT(state.tracker().free_machines(), problem.machine_count());
+  state.reset();
+  const AssignmentState fresh(problem);
+  expect_same_observables(problem, state, fresh);
+
+  // A pass after the reset retraces a pass on a fresh state exactly.
+  AssignmentState fresh_pass(problem);
+  least_load_pass(problem, state, n);
+  least_load_pass(problem, fresh_pass, n);
+  EXPECT_TRUE(state.all_assigned());
+  expect_same_observables(problem, state, fresh_pass);
+  EXPECT_EQ(state.current_period(), fresh_pass.current_period());
 }
 
 }  // namespace
