@@ -12,12 +12,15 @@
 //   * one full evaluation through EvalWorkspace (zero-allocation span
 //     walk) vs the allocating core::period reference;
 //   * the dense core scans max_expected_products / period_upper_bound;
-//   * the exact B&B's cost per node (a note, not gated).
+//   * the exact B&B's cost per node and the H2/H3 cost per solve (notes,
+//     not gated).
 //
 // A global operator-new hook counts heap allocations inside each timed
 // region; the incremental probes and workspace evaluations must allocate
 // nothing per op, the B&B nothing per node (two solves that exhaust
-// budgets 10x apart allocate the same count), and the harness exits
+// budgets 10x apart allocate the same count), H2 and H3 nothing per
+// bisection probe (a solve allocates the same count when every w is
+// scaled x1024 and the search takes more probes), and the harness exits
 // non-zero if they do — that is the zero-allocation guarantee CI
 // enforces, independent of timer noise.
 //
@@ -68,6 +71,7 @@
 #include "exact/hungarian.hpp"
 #include "exact/specialized_bnb.hpp"
 #include "exp/scenario.hpp"
+#include "heuristics/binary_search.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/matrix.hpp"
@@ -442,6 +446,7 @@ int main(int argc, char** argv) {
           "\n"
           "Times the evaluation kernels on a fixed problem grid and fails if a\n"
           "zero-allocation kernel allocates, if the exact B&B allocates per node,\n"
+          "if H2 or H3 allocates per bisection probe,\n"
           "if the (n=100, m=20) relocate probe is below 3.5x over the pre-kernel\n"
           "evaluation path, if any SIMD kernel variant is not bit-identical to\n"
           "the scalar table, if the widest-ISA machine-load re-summation\n"
@@ -859,6 +864,66 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- H2/H3: zero allocations per bisection probe -------------------------
+  // A Figure 9 shape instance, and the same instance with every w x1024: a
+  // power-of-two scale keeps every rank, order and load ratio exact, while
+  // the bisection over the 1024x bound takes about ten more probes.
+  // Per-solve set-up (the machine orders, the state, the result) allocates;
+  // the probes must not, so each heuristic allocates the same count on both.
+  struct HeuristicRun {
+    const char* name = "";
+    double scale = 1.0;
+    std::uint64_t allocs = 0;
+    double us_per_solve = 0.0;
+  };
+  std::vector<HeuristicRun> heuristic_runs;
+  {
+    mf::exp::Scenario scenario;
+    scenario.tasks = 100;
+    scenario.machines = 100;
+    scenario.types = 40;
+    scenario.failure_attachment = mf::exp::FailureAttachment::kTaskOnly;
+    const mf::core::Problem problem = mf::exp::generate(scenario, 20003);
+    mf::support::Matrix times(problem.task_count(), problem.machine_count());
+    mf::support::Matrix failures(problem.task_count(), problem.machine_count());
+    for (mf::core::TaskIndex i = 0; i < problem.task_count(); ++i) {
+      for (mf::core::MachineIndex u = 0; u < problem.machine_count(); ++u) {
+        times.at(i, u) = problem.platform.time(i, u) * 1024.0;
+        failures.at(i, u) = problem.platform.failure(i, u);
+      }
+    }
+    const mf::core::Problem scaled{problem.app,
+                                   mf::core::Platform{std::move(times), std::move(failures)}};
+    const mf::heuristics::H2BinarySearchRank h2;
+    const mf::heuristics::H3BinarySearchHeterogeneity h3;
+    constexpr int kTimedSolves = 20;
+    for (const mf::heuristics::Heuristic* heuristic :
+         std::initializer_list<const mf::heuristics::Heuristic*>{&h2, &h3}) {
+      for (const mf::core::Problem* instance : {&problem, &scaled}) {
+        mf::support::Rng rng(0);  // deterministic heuristics ignore it
+        (void)heuristic->run(*instance, rng);  // warm-up
+        const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+        (void)heuristic->run(*instance, rng);
+        const std::uint64_t allocs =
+            g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+        const double start = now_ns();
+        for (int k = 0; k < kTimedSolves; ++k) (void)heuristic->run(*instance, rng);
+        const double elapsed = now_ns() - start;
+        heuristic_runs.push_back({heuristic == &h2 ? "H2" : "H3",
+                                  instance == &problem ? 1.0 : 1024.0, allocs,
+                                  elapsed / 1000.0 / kTimedSolves});
+      }
+    }
+    std::printf("\nbinary-search heuristics (n=m=100, p=40, f_{i,u}=f_i, generator seed 20003; "
+                "us/solve is a note, allocs gate)\n");
+    std::printf("| solver | w scale | allocs | us/solve |\n");
+    std::printf("|--------|---------|--------|----------|\n");
+    for (const HeuristicRun& run : heuristic_runs) {
+      std::printf("| %-6s | %7.0f | %6llu | %8.1f |\n", run.name, run.scale,
+                  static_cast<unsigned long long>(run.allocs), run.us_per_solve);
+    }
+  }
+
   write_json(out_path, calib, kernels, speedups, simd_speedups);
   std::printf("\nwrote %s\n", out_path.c_str());
 
@@ -898,6 +963,21 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(bnb_large.allocs),
                  static_cast<unsigned long long>(bnb_large.nodes));
     ++failures;
+  }
+
+  // The H2/H3 half of gate 1: the 1024x instance's extra probes must not
+  // allocate (runs come in unscaled/scaled pairs per solver).
+  for (std::size_t k = 0; k + 1 < heuristic_runs.size(); k += 2) {
+    const HeuristicRun& unscaled = heuristic_runs[k];
+    const HeuristicRun& scaled = heuristic_runs[k + 1];
+    if (unscaled.allocs != scaled.allocs) {
+      std::fprintf(stderr,
+                   "FAIL: %s allocates per bisection probe: %llu allocs at w x1, %llu at "
+                   "w x1024\n",
+                   unscaled.name, static_cast<unsigned long long>(unscaled.allocs),
+                   static_cast<unsigned long long>(scaled.allocs));
+      ++failures;
+    }
   }
 
   // Gate 2: the headline speedup — the incremental relocate probe at
