@@ -95,10 +95,23 @@ void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
+// std::stable_sort takes its temporary buffer through the nothrow forms.
+// libstdc++'s own forward to operator new above, but a sanitizer runtime
+// defines its own, whose blocks the free() below must not release.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
