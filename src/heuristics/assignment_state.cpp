@@ -20,9 +20,9 @@ SpecializationTracker::SpecializationTracker(const core::Application& app,
       types_to_go_(app.type_count()) {
   MF_REQUIRE(app.type_count() <= machine_count,
              "specialized mapping impossible: more task types than machines");
-  // Every other type keeps at least one machine, so no type ever holds more
-  // than m - p + 1: reserving that once means commits after a reset() never
-  // allocate, whatever machines the next pass hands out.
+  // The reservation rule keeps a machine for every other type, so no type
+  // ever holds more than m - p + 1: reserving that once means commits after
+  // a reset() never allocate, whatever machines the next pass hands out.
   for (auto& machines : type_machines_) machines.reserve(machine_count - app.type_count() + 1);
 }
 
