@@ -1,14 +1,18 @@
 // Tests for the Hungarian (linear sum assignment) solver, validated against
-// brute-force enumeration of permutations on random matrices.
+// brute-force enumeration of permutations on random matrices and pinned to
+// a golden table of exact matchings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "exact/hungarian.hpp"
+#include "support/matrix.hpp"
 #include "support/rng.hpp"
 
 namespace mf::exact {
@@ -111,6 +115,61 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(2, 3, 4, 5, 6),
                        ::testing::Values<std::size_t>(6, 7),
                        ::testing::Values<std::uint64_t>(1, 2, 3, 4)));
+
+/// Cost generators of a golden row: integers 0-9 (ties everywhere, so the
+/// solver's tie rule decides the matching), continuous costs, and Theorem
+/// 1's -log(1 - f) at the paper's default failure rates.
+enum CostKind { kIntegerTies, kContinuous, kTheorem1 };
+
+struct GoldenHungarian {
+  CostKind kind;
+  std::size_t rows;
+  std::size_t cols;
+  std::uint64_t seed;
+  double total_cost;  // hexfloat-captured, compared bit-exactly
+  std::vector<std::size_t> row_to_col;
+};
+
+support::Matrix golden_cost(CostKind kind, std::size_t rows, std::size_t cols,
+                            std::uint64_t seed) {
+  support::Rng rng(seed);
+  support::Matrix cost(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      switch (kind) {
+        case kIntegerTies:
+          cost.at(r, c) = static_cast<double>(rng.uniform_u64(0, 9));
+          break;
+        case kContinuous:
+          cost.at(r, c) = rng.uniform(0.0, 5.0);
+          break;
+        case kTheorem1:
+          cost.at(r, c) = -std::log(1.0 - rng.uniform(0.005, 0.02));
+          break;
+      }
+    }
+  }
+  return cost;
+}
+
+TEST(HungarianGolden, SameAssignmentsAndCostsAsPreRewriteCapture) {
+  // Captured from the solver that ran its row scan and dual update through
+  // the SIMD kernel table. Equal-cost matchings are common here, and only
+  // the exact matching shows whether a rewrite kept the first-index tie
+  // rule. Rows 1-20, up to six spare columns.
+  static const std::vector<GoldenHungarian> entries{
+#include "golden_hungarian.inc"
+  };
+  ASSERT_EQ(entries.size(), 48u);
+  for (const GoldenHungarian& entry : entries) {
+    SCOPED_TRACE("kind=" + std::to_string(entry.kind) + " rows=" + std::to_string(entry.rows) +
+                 " cols=" + std::to_string(entry.cols) + " seed=" + std::to_string(entry.seed));
+    const support::Matrix cost = golden_cost(entry.kind, entry.rows, entry.cols, entry.seed);
+    const AssignmentResult result = solve_assignment(cost);
+    EXPECT_EQ(result.row_to_col, entry.row_to_col);
+    EXPECT_EQ(result.total_cost, entry.total_cost);
+  }
+}
 
 }  // namespace
 }  // namespace mf::exact
