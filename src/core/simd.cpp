@@ -5,17 +5,15 @@
 // expressions — so "scalar" is not a separate implementation that can
 // drift, it IS the generic code at W = 1. Dispatch probes the CPU once
 // (GCC/Clang __builtin_cpu_supports on x86-64; NEON is baseline on
-// aarch64), honors an MF_SIMD environment override (scalar/sse2/neon/
-// avx2/avx512), and exposes force() so tests and benches can pin every
-// variant through the exact dispatch point production code uses.
+// aarch64), honors an MF_SIMD environment override (scalar/neon/avx2),
+// and exposes force() so tests and benches can pin every variant through
+// the exact dispatch point production code uses.
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "core/simd.hpp"
@@ -26,10 +24,8 @@ namespace mf::core::simd {
 const char* isa_name(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar: return "scalar";
-    case Isa::kSse2: return "sse2";
     case Isa::kNeon: return "neon";
     case Isa::kAvx2: return "avx2";
-    case Isa::kAvx512: return "avx512";
   }
   return "unknown";
 }
@@ -49,17 +45,10 @@ struct VScalar {
   static reg broadcast(double v) { return v; }
   static reg zero() { return 0.0; }
   static reg add(reg a, reg b) { return a + b; }
-  static reg sub(reg a, reg b) { return a - b; }
   static reg mul(reg a, reg b) { return a * b; }
-  static reg min(reg a, reg b) { return b < a ? b : a; }
   static reg max(reg a, reg b) { return a < b ? b : a; }
-  static mask lt(reg a, reg b) { return a < b; }
   static mask le(reg a, reg b) { return a <= b; }
-  static mask eq(reg a, reg b) { return a == b; }
-  static mask mask_and(mask a, mask b) { return a && b; }
-  static reg blend(mask m, reg if_true, reg if_false) { return m ? if_true : if_false; }
   static unsigned to_bits(mask m) { return m ? 1u : 0u; }
-  static double reduce_min(reg v) { return v; }
   static double reduce_max(reg v) { return v; }
   template <typename Idx>
   static reg gather_lanes(const double* base, const Idx* const* lanes, std::size_t k) {
@@ -86,24 +75,14 @@ bool host_supports(Isa isa) noexcept {
     case Isa::kScalar:
       return true;
 #if defined(__x86_64__) || defined(_M_X64)
-    case Isa::kSse2:
-      return true;  // architectural baseline of x86-64
     case Isa::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
-    case Isa::kAvx512:
-      // f+dq+vl matches the TU's -m flags: VL lets the 256-bit half-width
-      // shuffles in the insert gathers use the full 32-register file.
-      return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512dq") != 0 &&
-             __builtin_cpu_supports("avx512vl") != 0;
     case Isa::kNeon:
       return false;
 #elif defined(__aarch64__)
     case Isa::kNeon:
       return true;  // architectural baseline of aarch64
-    case Isa::kSse2:
     case Isa::kAvx2:
-    case Isa::kAvx512:
       return false;
 #else
     default:
@@ -119,8 +98,9 @@ const std::vector<const KernelTable*>& available_tables() {
   static const std::vector<const KernelTable*> tables = [] {
     std::vector<const KernelTable*> found;
     const KernelTable* candidates[] = {
-        detail::scalar_table(), detail::sse2_table(),   detail::neon_table(),
-        detail::avx2_table(),   detail::avx512_table(),
+        detail::scalar_table(),
+        detail::neon_table(),
+        detail::avx2_table(),
     };
     for (const KernelTable* table : candidates) {
       if (table != nullptr && host_supports(table->isa)) found.push_back(table);

@@ -6,39 +6,32 @@
 // chain whose operand ORDER defines the bit-identity contract — it cannot
 // be vectorized without reassociating, so it stays scalar forever. The
 // rest of the hot loops are *independent-lane*: each lane (a machine sum,
-// a matrix column, a per-task product) computes a value no other lane
+// a matrix entry, a per-task product) computes a value no other lane
 // reads, so running W of them per instruction changes nothing about any
 // individual lane's operand sequence. Those are the loops this layer
-// ports:
+// ports, each on a path the paper's figures or the daemon run:
 //
-//   * resum_machines       — per-machine load re-summation (lanes are
-//                            machines; each lane folds ITS member list in
-//                            ascending task order, the exact reference
-//                            accumulation; no cross-lane adds, ever)
-//   * row_max              — row reductions for max_expected_products /
-//                            period_upper_bound (max is exact in any
-//                            order)
-//   * mul                  — the fused x·w product table (independent
-//                            per-task multiplies)
-//   * hungarian_row_scan   — the reduced-cost min_v scan of the Hungarian
-//                            O(n·m²) inner loop (lanes are columns; the
-//                            delta fold is a min — exact in any order —
-//                            and the argmin replays the reference
-//                            first-index tie rule)
-//   * hungarian_apply_delta— the dual-potential update over columns
-//   * leq_mask             — the bottleneck threshold row scan (exact
-//                            comparisons to a bitmask)
+//   * resum_machines — per-machine load re-summation in the evaluators
+//                      (lanes are machines; each lane folds ITS member
+//                      list in ascending task order, the exact reference
+//                      accumulation; no cross-lane adds, ever)
+//   * row_max        — row reductions for the evaluators' period and for
+//                      max_expected_products / period_upper_bound (max is
+//                      exact in any order)
+//   * mul            — the fused x·w product table (independent per-task
+//                      multiplies)
+//   * leq_mask       — the bottleneck assignment's threshold row scan
+//                      (exact comparisons to a bitmask)
 //
-// Variants: a mandatory scalar reference (also the only table in a
-// -DMF_DISABLE_SIMD build), SSE2 / AVX2 / AVX-512 on x86-64, NEON on
+// Variants: a mandatory scalar reference, AVX2 on x86-64, NEON on
 // aarch64. Each ISA lives in its own translation unit (simd_<isa>.cpp)
 // compiled with exactly the flags it needs — the rest of the library is
-// never built with -mavx2 et al., so the baseline binary stays runnable
-// on any host and the compiler cannot leak wider instructions into
-// non-kernel code. simd::active() picks the widest variant the running
-// CPU supports (CPUID probing via __builtin_cpu_supports) the first time
-// it is called; tests and benches pin specific variants through
-// simd::force() or the MF_SIMD environment variable (e.g. MF_SIMD=scalar).
+// never built with -mavx2, so the baseline binary stays runnable on any
+// host and the compiler cannot leak wider instructions into non-kernel
+// code. simd::active() picks the widest variant the running CPU supports
+// (CPUID probing via __builtin_cpu_supports) the first time it is called;
+// tests and benches pin specific variants through simd::force() or the
+// MF_SIMD environment variable (e.g. MF_SIMD=scalar).
 //
 // Bit-identity contract: for identical inputs, every table produces
 // byte-identical outputs to the scalar table. The enforcement is
@@ -60,25 +53,11 @@ namespace mf::core::simd {
 /// available.
 enum class Isa : int {
   kScalar = 0,
-  kSse2,
   kNeon,
   kAvx2,
-  kAvx512,
 };
 
 [[nodiscard]] const char* isa_name(Isa isa) noexcept;
-
-/// Result of one Hungarian reduced-cost row scan.
-struct RowScanResult {
-  /// min over the unused columns of the post-update min_v (+inf when every
-  /// column is used — the caller's "no augmenting path" check).
-  double delta = 0.0;
-  /// FIRST unused column attaining delta (the reference scan's strict-<
-  /// running-min keeps the earliest index), or kNoColumn.
-  std::size_t argmin = kNoColumn;
-
-  static constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
-};
 
 /// One ISA variant: a function pointer per kernel. All pointers are
 /// always non-null. Raw pointers + sizes rather than spans: the hot call
@@ -86,8 +65,6 @@ struct RowScanResult {
 /// should not re-introduce bounds plumbing.
 struct KernelTable {
   Isa isa = Isa::kScalar;
-  /// Doubles processed per vector instruction (1 for scalar).
-  std::size_t lanes = 1;
 
   /// max of values[0..count); requires count >= 1. Max of doubles is the
   /// same value in any association order, so wide folds are exact.
@@ -100,30 +77,12 @@ struct KernelTable {
   /// For each q in queue[0..queue_count): loads[q] = sum over
   /// k in [begin[q], begin[q+1]) of xw[members[k]], accumulated in
   /// ascending k — the reference operand order of core::machine_periods.
-  /// Lanes are MACHINES: a wide variant folds up to `lanes` machines'
-  /// sums concurrently, but each machine's partial sum only ever combines
-  /// with its own members, in order. There is no cross-lane add.
+  /// Lanes are MACHINES: a wide variant folds one machine's sum per
+  /// vector lane, but each machine's partial sum only ever combines with
+  /// its own members, in order. There is no cross-lane add.
   void (*resum_machines)(const double* xw, const TaskIndex* members,
                          const std::size_t* begin, const MachineIndex* queue,
                          std::size_t queue_count, double* loads);
-
-  /// The Hungarian inner loop over columns j in [0, count), 0-based dense
-  /// views (the solver passes its 1-based arrays offset by one). For each
-  /// column with used[j] == 0.0:
-  ///   reduced = (row[j] - u_row) - v[j];          // reference op order
-  ///   if (reduced < min_v[j]) { min_v[j] = reduced; way[j] = way_tag; }
-  /// then delta/argmin over the unused columns' (updated) min_v.
-  /// `used` holds exactly 0.0 or 1.0 per column.
-  RowScanResult (*hungarian_row_scan)(const double* row, double u_row,
-                                      const double* v, const double* used,
-                                      double* min_v, std::uint32_t* way,
-                                      std::uint32_t way_tag, std::size_t count);
-
-  /// Post-scan dual update over columns j in [0, count):
-  ///   used[j] == 1.0:  v[j] -= delta;      (min_v[j] untouched)
-  ///   used[j] == 0.0:  min_v[j] -= delta;  (v[j] untouched)
-  void (*hungarian_apply_delta)(double* v, double* min_v, const double* used,
-                                double delta, std::size_t count);
 
   /// words[j / 64] bit (j % 64) = (row[j] <= threshold) for j in
   /// [0, count); all (count + 63) / 64 words are fully written (tail bits
@@ -134,15 +93,15 @@ struct KernelTable {
 
 /// The dispatched table: the widest ISA this host supports among the
 /// compiled-in variants, unless overridden by force() or the MF_SIMD
-/// environment variable (read once, at first use). Never null; at minimum
-/// the scalar table. The pointer may change only via force(), so callers
+/// environment variable (read at first use and again by
+/// reset_dispatch()). Never null; at minimum the scalar table. The
+/// pointer may change only via force() or reset_dispatch(), so callers
 /// may cache the reference for the duration of one operation but should
 /// re-read it per top-level call.
 [[nodiscard]] const KernelTable& active() noexcept;
 
 /// Every table compiled into this binary AND runnable on this host,
-/// scalar first, then ascending width. In a -DMF_DISABLE_SIMD build this
-/// is exactly {scalar}.
+/// scalar first, then ascending width.
 [[nodiscard]] std::span<const KernelTable* const> available() noexcept;
 
 /// Pins `active()` to a specific variant — the test/bench hook that
@@ -151,7 +110,9 @@ struct KernelTable {
 /// available on this host/build.
 bool force(Isa isa) noexcept;
 
-/// Restores the default dispatch choice (widest available or MF_SIMD).
+/// Restores the default dispatch choice: the table MF_SIMD names, as the
+/// environment holds it now, or the widest available when it is unset or
+/// names no available table.
 void reset_dispatch() noexcept;
 
 }  // namespace mf::core::simd

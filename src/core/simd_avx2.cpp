@@ -4,17 +4,17 @@
 // the library, so the binary still runs on pre-AVX2 hosts and simply
 // never dispatches here). -ffp-contract=off on the TU guarantees the
 // compiler cannot fuse separate multiply and add rounds into an FMA the
-// scalar table performs as two roundings.
+// scalar table performs as two roundings. It is the only wide x86-64
+// table: SSE2 and AVX-512 tables measured no faster end to end (see
+// docs/performance.md, "SIMD variants").
 #include "core/simd_internal.hpp"
 
-#if defined(__AVX2__) && !defined(MF_DISABLE_SIMD)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <limits>
 
 namespace {
 
@@ -27,22 +27,10 @@ struct VAvx2 {
   static reg broadcast(double v) { return _mm256_set1_pd(v); }
   static reg zero() { return _mm256_setzero_pd(); }
   static reg add(reg a, reg b) { return _mm256_add_pd(a, b); }
-  static reg sub(reg a, reg b) { return _mm256_sub_pd(a, b); }
   static reg mul(reg a, reg b) { return _mm256_mul_pd(a, b); }
-  static reg min(reg a, reg b) { return _mm256_min_pd(a, b); }
   static reg max(reg a, reg b) { return _mm256_max_pd(a, b); }
-  static mask lt(reg a, reg b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
   static mask le(reg a, reg b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
-  static mask eq(reg a, reg b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
-  static mask mask_and(mask a, mask b) { return _mm256_and_pd(a, b); }
-  static reg blend(mask m, reg if_true, reg if_false) {
-    return _mm256_blendv_pd(if_false, if_true, m);
-  }
   static unsigned to_bits(mask m) { return static_cast<unsigned>(_mm256_movemask_pd(m)); }
-  static double reduce_min(reg v) {
-    __m128d folded = _mm_min_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
-    return _mm_cvtsd_f64(_mm_min_sd(folded, _mm_unpackhi_pd(folded, folded)));
-  }
   static double reduce_max(reg v) {
     __m128d folded = _mm_max_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
     return _mm_cvtsd_f64(_mm_max_sd(folded, _mm_unpackhi_pd(folded, folded)));

@@ -4,14 +4,12 @@
 // other architecture.
 #include "core/simd_internal.hpp"
 
-#if defined(__aarch64__) && !defined(MF_DISABLE_SIMD)
+#if defined(__aarch64__)
 
 #include <arm_neon.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <limits>
 
 namespace {
 
@@ -24,25 +22,12 @@ struct VNeon {
   static reg broadcast(double v) { return vdupq_n_f64(v); }
   static reg zero() { return vdupq_n_f64(0.0); }
   static reg add(reg a, reg b) { return vaddq_f64(a, b); }
-  static reg sub(reg a, reg b) { return vsubq_f64(a, b); }
   static reg mul(reg a, reg b) { return vmulq_f64(a, b); }
-  static reg min(reg a, reg b) { return vminq_f64(a, b); }
   static reg max(reg a, reg b) { return vmaxq_f64(a, b); }
-  static mask lt(reg a, reg b) { return vcltq_f64(a, b); }
   static mask le(reg a, reg b) { return vcleq_f64(a, b); }
-  static mask eq(reg a, reg b) { return vceqq_f64(a, b); }
-  static mask mask_and(mask a, mask b) { return vandq_u64(a, b); }
-  static reg blend(mask m, reg if_true, reg if_false) {
-    return vbslq_f64(m, if_true, if_false);
-  }
   static unsigned to_bits(mask m) {
     return static_cast<unsigned>(vgetq_lane_u64(m, 0) & 1) |
            (static_cast<unsigned>(vgetq_lane_u64(m, 1) & 1) << 1);
-  }
-  static double reduce_min(reg v) {
-    const double a = vgetq_lane_f64(v, 0);
-    const double b = vgetq_lane_f64(v, 1);
-    return b < a ? b : a;
   }
   static double reduce_max(reg v) {
     const double a = vgetq_lane_f64(v, 0);

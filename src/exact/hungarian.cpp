@@ -1,11 +1,11 @@
 #include "exact/hungarian.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <span>
+#include <vector>
 
-#include "core/simd.hpp"
 #include "support/check.hpp"
 
 namespace mf::exact {
@@ -15,19 +15,16 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Reusable scratch for the shortest-augmenting-path solver. All arrays
-/// are 1-based (index 0 is the classical sentinel column/row). `used`
-/// holds exactly 0.0 or 1.0 per column so the SIMD row scan can test
-/// used-ness with a plain double compare; `way` is 32-bit so the scan can
-/// store back-pointers lane-wise. prepare() reuses capacity, so repeated
-/// solves of same-or-smaller shapes never touch the heap.
+/// are 1-based (index 0 is the classical sentinel column/row). prepare()
+/// reuses capacity, so repeated solves of same-or-smaller shapes never
+/// touch the heap.
 struct HungarianWorkspace {
-  std::vector<double> u;                 // n + 1 row potentials
-  std::vector<double> v;                 // m + 1 column potentials
-  std::vector<double> min_v;             // m + 1 best reduced cost per column
-  std::vector<double> used;              // m + 1, 0.0 / 1.0 flags
-  std::vector<std::uint32_t> way;        // m + 1 augmenting-path back-pointers
-  std::vector<std::size_t> match;        // m + 1, match[c] = row on column c
-  std::vector<std::size_t> used_cols;    // columns marked used, in mark order
+  std::vector<double> u;            // n + 1 row potentials
+  std::vector<double> v;            // m + 1 column potentials
+  std::vector<double> min_v;        // m + 1 best reduced cost per column
+  std::vector<char> used;           // m + 1 columns on the alternating tree
+  std::vector<std::size_t> way;     // m + 1 augmenting-path back-pointers
+  std::vector<std::size_t> match;   // m + 1, match[c] = row on column c
 
   void prepare(std::size_t n, std::size_t m) {
     u.assign(n + 1, 0.0);
@@ -36,7 +33,6 @@ struct HungarianWorkspace {
     way.assign(m + 1, 0);
     min_v.resize(m + 1);
     used.resize(m + 1);
-    used_cols.reserve(m + 1);
   }
 };
 
@@ -60,7 +56,6 @@ double solve_assignment_into(const support::Matrix& cost,
     }
   }
 
-  const core::simd::KernelTable& kernels = core::simd::active();
   HungarianWorkspace& ws = workspace();
   ws.prepare(n, m);
 
@@ -68,34 +63,39 @@ double solve_assignment_into(const support::Matrix& cost,
     ws.match[0] = r;
     std::size_t j0 = 0;  // current column on the alternating path
     std::fill(ws.min_v.begin(), ws.min_v.end(), kInf);
-    std::fill(ws.used.begin(), ws.used.end(), 0.0);
-    ws.used_cols.clear();
+    std::fill(ws.used.begin(), ws.used.end(), 0);
     do {
-      ws.used[j0] = 1.0;
-      ws.used_cols.push_back(j0);
+      ws.used[j0] = 1;
       const std::size_t i0 = ws.match[j0];
-      // Row reduction over the unchecked span view: this is the O(n·m²)
-      // inner loop of the whole algorithm, dispatched through the SIMD
-      // table (lanes are columns; reduced costs, the min_v updates and
-      // the running delta min are all per-column independent, and the
-      // argmin replays the reference first-index tie rule).
+      // Row reduction, the O(n·m²) inner loop of the whole algorithm. The
+      // strict < keeps the first unused column attaining the minimum.
       const std::span<const double> cost_row = cost.row_data(i0 - 1);
-      const core::simd::RowScanResult scan = kernels.hungarian_row_scan(
-          cost_row.data(), ws.u[i0], ws.v.data() + 1, ws.used.data() + 1,
-          ws.min_v.data() + 1, ws.way.data() + 1, static_cast<std::uint32_t>(j0), m);
-      MF_CHECK(scan.argmin != core::simd::RowScanResult::kNoColumn,
-               "no augmenting path found");
-      const double delta = scan.delta;
-      // Dual update. The used columns' matched rows are pairwise distinct
-      // (a matching), so the u increments commute — walking the used list
-      // gives the same doubles as the reference ascending-j sweep. The
-      // sentinel column 0 is always used: its v update stays scalar, its
-      // min_v is never touched (exactly like the reference).
-      for (const std::size_t jc : ws.used_cols) ws.u[ws.match[jc]] += delta;
-      ws.v[0] -= delta;
-      kernels.hungarian_apply_delta(ws.v.data() + 1, ws.min_v.data() + 1,
-                                    ws.used.data() + 1, delta, m);
-      j0 = scan.argmin + 1;
+      double delta = kInf;
+      std::size_t j1 = 0;
+      for (std::size_t j = 1; j <= m; ++j) {
+        if (ws.used[j]) continue;
+        const double reduced = (cost_row[j - 1] - ws.u[i0]) - ws.v[j];
+        if (reduced < ws.min_v[j]) {
+          ws.min_v[j] = reduced;
+          ws.way[j] = j0;
+        }
+        if (ws.min_v[j] < delta) {
+          delta = ws.min_v[j];
+          j1 = j;
+        }
+      }
+      MF_CHECK(j1 != 0, "no augmenting path found");
+      // Dual update. The used columns are matched to pairwise distinct
+      // rows, so each row potential moves at most once.
+      for (std::size_t j = 0; j <= m; ++j) {
+        if (ws.used[j]) {
+          ws.u[ws.match[j]] += delta;
+          ws.v[j] -= delta;
+        } else {
+          ws.min_v[j] -= delta;
+        }
+      }
+      j0 = j1;
     } while (ws.match[j0] != 0);
     // Unwind the alternating path.
     do {
