@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,11 +25,6 @@ struct Method {
   /// protocol for the exact methods ("results are reported only if ... the
   /// MIP" succeeds); mirrors its CPLEX timeouts on larger instances.
   bool require_proof = false;
-  /// Resolved once by method_for so direct `run()` calls (the per-method
-  /// benches) skip the registry lock; when null, run() resolves
-  /// `solver_id` anew. Sweeps no longer use it — the runner goes through
-  /// BatchSolver, which dedupes its own resolution per batch.
-  std::shared_ptr<const solve::Solver> solver;
 
   /// Full-fidelity solve through the registry; `seed` overrides
   /// `params.seed` to give each trial its own deterministic stream.
