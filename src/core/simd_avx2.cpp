@@ -5,8 +5,7 @@
 // never dispatches here). -ffp-contract=off on the TU guarantees the
 // compiler cannot fuse separate multiply and add rounds into an FMA the
 // scalar table performs as two roundings. It is the only wide x86-64
-// table: SSE2 and AVX-512 tables measured no faster end to end (see
-// docs/performance.md, "SIMD variants").
+// table; docs/performance.md ("SIMD variants") says why.
 #include "core/simd_internal.hpp"
 
 #if defined(__AVX2__)

@@ -322,8 +322,8 @@ TEST(SimdDispatch, EnvOverrideSelectsNamedTable) {
     core::simd::reset_dispatch();
     EXPECT_EQ(&core::simd::active(), table) << core::simd::isa_name(table->isa);
   }
-  // A name with no table in this build (including the deleted SSE2 and
-  // AVX-512 variants) falls back to the widest available table.
+  // A name with no table here, avx512 and sse2 included, falls back to the
+  // widest available table, so a stale override never fails a run.
   for (const char* name : {"avx512", "sse2", "bogus"}) {
     ASSERT_EQ(setenv("MF_SIMD", name, 1), 0);
     core::simd::reset_dispatch();
