@@ -33,7 +33,10 @@
 // alias for bnb. `--refine` is shorthand for appending "+ls".
 //
 // `--figure` runs one sweep (the paper's fig05..fig12 plus the per-model
-// scn-* sweeps) through the one execution engine. `--scenario` swaps the
+// scn-* sweeps) through the one execution engine, or one of two reports
+// over them: `fig11` (fig10 normalized to the exact optimum) and `summary`
+// (Section 7.4's factors from the optimal, over fig09 and fig10); `--out`
+// then writes only the report's lines. `--scenario` swaps the
 // failure regime instances are drawn under (try `--list-scenarios`):
 // solvers plan against the model's effective rates and the table reports
 // model-adjusted analytic periods. `--shard i/N` evaluates only shard i's
@@ -90,6 +93,68 @@
 
 namespace {
 
+/// `--figure fig11|summary`: reports over the paper sweeps rather than
+/// sweeps of their own. Each names the sweeps it runs, in order, and
+/// renders their results into its lines — all that `--out` writes.
+struct Report {
+  const char* title;
+  std::vector<std::string> sweeps;
+  std::string (*render)(const std::vector<mf::exp::SweepResult>& results);
+};
+
+/// The "mean period ratio to REF" block: the paper's "factor from optimal"
+/// per method, averaged over the sweep's points.
+std::string ratio_lines(const mf::exp::SweepResult& result, const std::string& reference) {
+  std::string text =
+      "mean period ratio to " + reference + " (the paper's \"factor from optimal\"):\n";
+  for (const auto& [name, ratio] : result.mean_ratio_to(reference)) {
+    char line[64];
+    std::snprintf(line, sizeof line, "  %-4s %.2f\n", name.c_str(), ratio);
+    text += line;
+  }
+  return text + "\n";
+}
+
+std::optional<Report> report_by_name(const std::string& name) {
+  using Results = std::vector<mf::exp::SweepResult>;
+  if (name == "fig11") {
+    return Report{"Figure 10 normalized to the exact optimum (Figure 11)",
+                  {"fig10"},
+                  [](const Results& results) {
+                    return ratio_lines(results[0], "MIP") +
+                           "normalized series (period / optimal period):\n" +
+                           results[0].ratio_table("MIP").to_string() + "\n";
+                  }};
+  }
+  if (name == "summary") {
+    return Report{"Section 7.4 factors from the optimal (fig09 vs OtO, fig10 vs MIP)",
+                  {"fig09", "fig10"},
+                  [](const Results& results) {
+                    return ratio_lines(results[0], "OtO") + ratio_lines(results[1], "MIP") +
+                           "paper vs measured summary:\n" +
+                           mf::exp::summary_table(results[0], results[1]).to_string() + "\n";
+                  }};
+  }
+  return std::nullopt;
+}
+
+/// Every name `--figure` accepts: the sweeps, then the reports.
+std::string figure_names() { return mf::exp::figure_spec_names() + " fig11 summary"; }
+
+/// A report needs its sweeps' complete results, so it cannot be split
+/// across shards; name the sweeps that can be.
+int refuse_split_report(const std::string& name, const Report& report) {
+  std::string sweeps;
+  for (const std::string& sweep : report.sweeps) {
+    sweeps += (sweeps.empty() ? "" : " and ") + sweep;
+  }
+  std::fprintf(stderr,
+               "error: %s is a report over %s, not a sweep; --shard or --dispatch %s "
+               "instead\n",
+               name.c_str(), sweeps.c_str(), sweeps.c_str());
+  return 2;
+}
+
 int usage(const char* program) {
   std::printf(
       "usage: %s <problem-file> [--method ID] [--refine] [--simulate N]\n"
@@ -116,7 +181,7 @@ int usage(const char* program) {
       "--list            prints every registered solver id\n"
       "--list-scenarios  prints every registered failure-model scenario id\n"
       "--demo            writes demo_problem.txt instead of scheduling\n"
-      "--figure          runs a figure sweep (%s)\n"
+      "--figure          runs a figure sweep or report (%s)\n"
       "--scenario        draws the sweep's instances under this failure model (%s)\n"
       "--shard           runs only slice i of N and writes a shard file for --merge\n"
       "--merge           recombines shard files into the full sweep table\n"
@@ -161,8 +226,7 @@ int usage(const char* program) {
       "--inject-shard-failure  testing hook: pass --fail-marker to shard I's\n"
       "                  first dispatch attempt\n",
       program, program, program, program, program, program, program, program, program,
-      program, mf::exp::figure_spec_names().c_str(),
-      mf::exp::scenario_ids().c_str());
+      program, figure_names().c_str(), mf::exp::scenario_ids().c_str());
   return 2;
 }
 
@@ -300,17 +364,17 @@ bool wants_cache_stats(const mf::support::CliArgs& args, mf::solve::CachePolicy 
   return args.has("cache-stats") || policy != mf::solve::CachePolicy::kOff;
 }
 
-void print_sweep(const mf::exp::SweepResult& result) {
-  std::printf("%s\n", result.to_table().to_string().c_str());
-  std::printf("%s\n", result.to_chart().c_str());
+/// A sweep's table and chart: what every mode prints, and the one spelling
+/// of a sweep's `--out` file. The unsharded and the dispatched path must
+/// write identical bytes — CI diffs their files to prove campaign
+/// bit-exactness — so both render through this helper.
+std::string sweep_text(const mf::exp::SweepResult& result) {
+  return result.to_table().to_string() + "\n" + result.to_chart() + "\n";
 }
 
-/// The one spelling of a sweep's `--out` file. The unsharded and the
-/// dispatched path must write identical bytes — CI diffs their files to
-/// prove campaign bit-exactness — so both funnel through this helper.
-bool write_sweep_file(const mf::exp::SweepResult& result, const std::string& out) {
+bool write_out(const std::string& text, const std::string& out) {
   std::ofstream file(out);
-  file << result.to_table().to_string() << "\n" << result.to_chart() << "\n";
+  file << text;
   file.flush();
   if (!file.good()) {
     std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
@@ -340,33 +404,45 @@ bool injected_failure_fires(const mf::support::CliArgs& args) {
   return true;
 }
 
+void print_header(const mf::exp::SweepSpec& spec, mf::solve::CachePolicy cache) {
+  std::printf("=== %s: %s ===\n", spec.name.c_str(), spec.description.c_str());
+  std::printf("scenario: %s; failure model '%s'; sweep over %s; %zu trials/point; cache %s\n",
+              spec.base.describe().c_str(), spec.scenario_id.c_str(),
+              mf::exp::to_string(spec.variable).c_str(), spec.trials,
+              mf::solve::to_string(cache).c_str());
+}
+
 int run_figure(const mf::support::CliArgs& args) {
   if (injected_failure_fires(args)) return 1;
   const std::string name = args.get("figure", "");
-  std::optional<mf::exp::SweepSpec> found = mf::exp::figure_spec_by_name(name);
-  if (!found.has_value()) {
-    std::fprintf(stderr, "error: unknown figure '%s' (%s)\n", name.c_str(),
-                 mf::exp::figure_spec_names().c_str());
-    return 2;
-  }
-  mf::exp::SweepSpec spec = *std::move(found);
-  const std::size_t scale = get_positive(args, "scale");
-  if (scale > 1) spec = mf::exp::scaled_down(spec, scale);
-  // --seed overrides the spec's fixed base seed for independent
-  // replications; all shards of one campaign must then share the value.
-  if (args.has("seed")) {
-    spec.base_seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  }
+  const std::optional<Report> report = report_by_name(name);
+  if (report.has_value() && args.has("shard")) return refuse_split_report(name, *report);
   // --scenario re-draws the figure's instances under another failure model;
   // all shards of one campaign must share the id (merge() enforces it).
-  if (args.has("scenario")) {
-    const std::string scenario = args.get("scenario", "");
-    if (!mf::exp::ScenarioRegistry::instance().contains(scenario)) {
-      std::fprintf(stderr, "error: unknown scenario '%s' (%s)\n", scenario.c_str(),
-                   mf::exp::scenario_ids().c_str());
+  const std::string scenario = args.get("scenario", "");
+  if (args.has("scenario") && !mf::exp::ScenarioRegistry::instance().contains(scenario)) {
+    std::fprintf(stderr, "error: unknown scenario '%s' (%s)\n", scenario.c_str(),
+                 mf::exp::scenario_ids().c_str());
+    return 2;
+  }
+  const std::size_t scale = get_positive(args, "scale");
+  std::vector<mf::exp::SweepSpec> specs;
+  for (const std::string& sweep : report.has_value() ? report->sweeps
+                                                     : std::vector<std::string>{name}) {
+    std::optional<mf::exp::SweepSpec> found = mf::exp::figure_spec_by_name(sweep);
+    if (!found.has_value()) {
+      std::fprintf(stderr, "error: unknown figure '%s' (%s)\n", name.c_str(),
+                   figure_names().c_str());
       return 2;
     }
-    spec.scenario_id = scenario;
+    mf::exp::SweepSpec& spec = specs.emplace_back(*std::move(found));
+    if (scale > 1) spec = mf::exp::scaled_down(spec, scale);
+    // --seed overrides the spec's fixed base seed for independent
+    // replications; all shards of one campaign must then share the value.
+    if (args.has("seed")) {
+      spec.base_seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    }
+    if (args.has("scenario")) spec.scenario_id = scenario;
   }
 
   mf::exp::SweepOptions options;
@@ -404,17 +480,13 @@ int run_figure(const mf::support::CliArgs& args) {
   }
 
   mf::support::ThreadPool pool;
-  std::printf("=== %s: %s ===\n", spec.name.c_str(), spec.description.c_str());
-  std::printf("scenario: %s; failure model '%s'; sweep over %s; %zu trials/point; cache %s\n",
-              spec.base.describe().c_str(), spec.scenario_id.c_str(),
-              mf::exp::to_string(spec.variable).c_str(), spec.trials,
-              mf::solve::to_string(options.cache).c_str());
-
   if (options.shard.is_sharded()) {
     if (args.get_int("repeat", 1) != 1) {
       std::fprintf(stderr, "error: --repeat cannot be combined with --shard\n");
       return 2;
     }
+    const mf::exp::SweepSpec& spec = specs.front();
+    print_header(spec, options.cache);
     const mf::exp::SweepResult result = mf::exp::run_sweep(spec, options, &pool);
     std::string out = args.get("out", "");
     if (out.empty()) {
@@ -442,17 +514,26 @@ int run_figure(const mf::support::CliArgs& args) {
 
   const std::size_t repeat = get_positive(args, "repeat");
   const std::string out = args.get("out", "");
+  if (report.has_value()) std::printf("=== %s: %s ===\n", name.c_str(), report->title);
   for (std::size_t round = 0; round < repeat; ++round) {
     if (repeat > 1) std::printf("--- run %zu of %zu ---\n", round + 1, repeat);
     cache_scope.reset_baseline();
-    const mf::exp::SweepResult result = mf::exp::run_sweep(spec, options, &pool);
-    print_sweep(result);
+    std::vector<mf::exp::SweepResult> results;
+    for (const mf::exp::SweepSpec& spec : specs) {
+      print_header(spec, options.cache);
+      results.push_back(mf::exp::run_sweep(spec, options, &pool));
+      std::printf("%s", sweep_text(results.back()).c_str());
+    }
+    // What --out writes: the sweep's table and chart, or the report's lines.
+    const std::string text =
+        report.has_value() ? report->render(results) : sweep_text(results.front());
+    if (report.has_value()) std::printf("%s", text.c_str());
     // Remote runs execute in the daemon, where the cache and its counters
     // live; the local scope would read all-zero. --serve-stats reports them.
     if (wants_cache_stats(args, options.cache) && !remote.has_value()) {
       cache_scope.print_delta();
     }
-    if (!out.empty() && !write_sweep_file(result, out)) return 1;
+    if (!out.empty() && !write_out(text, out)) return 1;
   }
   return 0;
 }
@@ -750,6 +831,9 @@ int run_remote_stats(const mf::support::CliArgs& args) {
 /// the byte-identical unsharded table.
 int run_dispatch(const mf::support::CliArgs& args) {
   const std::string name = args.get("figure", "");
+  if (const std::optional<Report> report = report_by_name(name)) {
+    return refuse_split_report(name, *report);
+  }
   if (name.empty() || !mf::exp::figure_spec_by_name(name).has_value()) {
     std::fprintf(stderr, "error: --dispatch needs a known --figure NAME (%s)\n",
                  mf::exp::figure_spec_names().c_str());
@@ -868,9 +952,10 @@ int run_dispatch(const mf::support::CliArgs& args) {
 
   std::printf("=== %s: %s (dispatched over %zu shards) ===\n", report.merged->spec.name.c_str(),
               report.merged->spec.description.c_str(), report.shards.size());
-  print_sweep(*report.merged);
+  const std::string text = sweep_text(*report.merged);
+  std::printf("%s", text.c_str());
   const std::string out = args.get("out", "");
-  if (!out.empty() && !write_sweep_file(*report.merged, out)) return 1;
+  if (!out.empty() && !write_out(text, out)) return 1;
   return 0;
 }
 
@@ -894,7 +979,7 @@ int run_merge(const mf::support::CliArgs& args) {
     const mf::exp::SweepResult result = mf::exp::merge(std::move(shards));
     std::printf("=== %s: %s (merged from %zu shards) ===\n", result.spec.name.c_str(),
                 result.spec.description.c_str(), paths.size());
-    print_sweep(result);
+    std::printf("%s", sweep_text(result).c_str());
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;

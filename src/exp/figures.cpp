@@ -1,6 +1,7 @@
 #include "exp/figures.hpp"
 
 #include <algorithm>
+#include <map>
 
 namespace mf::exp {
 
@@ -11,6 +12,21 @@ std::vector<std::size_t> range(std::size_t from, std::size_t to, std::size_t ste
   for (std::size_t v = from; v <= to; v += step) values.push_back(v);
   return values;
 }
+
+/// Section 7.4's factors from the optimal, as the paper reports them: each
+/// heuristic's mean period over the one-to-one optimum (Figure 9's
+/// protocol) and over the MIP (Figure 10's).
+struct PaperFactor {
+  const char* method;
+  double vs_one_to_one;
+  double vs_exact;
+};
+
+constexpr PaperFactor kPaperFactors[] = {
+    {"H2", 1.84, 1.73},
+    {"H3", 1.75, 1.58},
+    {"H4w", 1.28, 1.33},
+};
 
 }  // namespace
 
@@ -191,6 +207,23 @@ SweepSpec scaled_down(SweepSpec spec, std::size_t factor) {
   spec.trials = std::max<std::size_t>(1, spec.trials / factor);
   spec.max_trials = std::max<std::size_t>(spec.trials, spec.max_trials / factor);
   return spec;
+}
+
+support::Table summary_table(const SweepResult& fig09, const SweepResult& fig10) {
+  const std::map<std::string, double> vs_one_to_one = fig09.mean_ratio_to("OtO");
+  const std::map<std::string, double> vs_exact = fig10.mean_ratio_to("MIP");
+  const auto measured = [](const std::map<std::string, double>& ratios, const char* method) {
+    const auto it = ratios.find(method);
+    return it == ratios.end() ? std::string("-") : support::format_double(it->second, 2);
+  };
+  support::Table table({"method", "vs OtO (paper)", "vs OtO (measured)", "vs MIP (paper)",
+                        "vs MIP (measured)"});
+  for (const PaperFactor& paper : kPaperFactors) {
+    table.add_row({paper.method, support::format_double(paper.vs_one_to_one, 2),
+                   measured(vs_one_to_one, paper.method),
+                   support::format_double(paper.vs_exact, 2), measured(vs_exact, paper.method)});
+  }
+  return table;
 }
 
 }  // namespace mf::exp

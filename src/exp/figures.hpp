@@ -7,8 +7,11 @@
 //   fig09: m=n=100, p=20..100, f_{i,u}=f_i, H2 H3 H4w + OtO     (Figure 9)
 //   fig10: m=5,   p=2, n=2..16,   all six + exact ("MIP")       (Figure 10)
 //   fig12: m=9,   p=4, n=4..20,   H2 H3 H4 H4w + exact          (Figure 12)
-// Figure 11 is Figure 10 normalized to the exact optimum and is derived
-// from fig10's result via SweepResult::mean_ratio_to / ratio tables.
+// Figure 11 (Figure 10 normalized to the exact optimum) and the Section 7.4
+// "factor from the optimal" table are reports over these sweeps, not sweeps
+// of their own: `mfsched --figure fig11` renders fig10's result through
+// SweepResult::ratio_table("MIP"), and `--figure summary` renders fig09's
+// and fig10's through `summary_table`.
 //
 // Beyond the paper, one figure-style sweep per non-iid failure model
 // (scenario_registry.hpp) reuses Figure 6's geometry:
@@ -57,8 +60,14 @@ inline constexpr std::uint64_t kFigureExactNodeBudget = 5'000'000;
 [[nodiscard]] std::string figure_spec_names();
 
 /// Scales trial counts down by `factor` (at least 1 trial per point); used
-/// by smoke tests and quick bench runs. The default benches run the paper's
-/// full trial counts.
+/// by smoke tests and quick runs (`mfsched --scale`). Every sweep point
+/// stays; a figure run without it uses the paper's full trial counts.
 [[nodiscard]] SweepSpec scaled_down(SweepSpec spec, std::size_t factor);
+
+/// Section 7.4's table: the paper's "factor from the optimal" next to the
+/// measured one for H2, H3 and H4w — the mean period ratio to OtO over
+/// `fig09`'s result and to MIP over `fig10`'s (SweepResult::mean_ratio_to),
+/// 2 decimals; "-" where a sweep has no ratio for the method.
+[[nodiscard]] support::Table summary_table(const SweepResult& fig09, const SweepResult& fig10);
 
 }  // namespace mf::exp

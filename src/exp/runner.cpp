@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/evaluation.hpp"
@@ -241,6 +242,17 @@ PointResult run_point_shard(const SweepSpec& spec, std::size_t point_index, std:
   return point;
 }
 
+/// The reference's mean period at `point`, or nullopt when the reference
+/// counted no trial there (nothing to divide by).
+std::optional<double> reference_mean(const PointResult& point, const std::string& reference) {
+  const auto ref = point.period_by_method.find(reference);
+  if (ref == point.period_by_method.end() || ref->second.count == 0 ||
+      ref->second.mean <= 0.0) {
+    return std::nullopt;
+  }
+  return ref->second.mean;
+}
+
 }  // namespace
 
 support::Table SweepResult::to_table() const {
@@ -282,19 +294,38 @@ std::string SweepResult::to_chart() const {
 std::map<std::string, double> SweepResult::mean_ratio_to(const std::string& reference) const {
   std::map<std::string, support::RunningStats> ratios;
   for (const PointResult& point : points) {
-    const auto ref = point.period_by_method.find(reference);
-    if (ref == point.period_by_method.end() || ref->second.count == 0 ||
-        ref->second.mean <= 0.0) {
-      continue;
-    }
+    const std::optional<double> ref = reference_mean(point, reference);
+    if (!ref.has_value()) continue;
     for (const auto& [name, summary] : point.period_by_method) {
       if (name == reference || summary.count == 0) continue;
-      ratios[name].add(summary.mean / ref->second.mean);
+      ratios[name].add(summary.mean / *ref);
     }
   }
   std::map<std::string, double> result;
   for (const auto& [name, stats] : ratios) result[name] = stats.mean();
   return result;
+}
+
+support::Table SweepResult::ratio_table(const std::string& reference) const {
+  std::vector<std::string> header{to_string(spec.variable)};
+  for (const Method& method : spec.methods) {
+    if (method.name != reference) header.push_back(method.name + " / " + reference);
+  }
+  support::Table table(std::move(header));
+  for (const PointResult& point : points) {
+    const std::optional<double> ref = reference_mean(point, reference);
+    if (!ref.has_value()) continue;
+    std::vector<std::string> row{std::to_string(point.sweep_value)};
+    for (const Method& method : spec.methods) {
+      if (method.name == reference) continue;
+      const auto it = point.period_by_method.find(method.name);
+      row.push_back(it == point.period_by_method.end() || it->second.count == 0
+                        ? "-"
+                        : support::format_double(it->second.mean / *ref, 2));
+    }
+    table.add_row(std::move(row));
+  }
+  return table;
 }
 
 SweepResult run_sweep(const SweepSpec& spec, support::ThreadPool* pool) {

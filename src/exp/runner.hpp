@@ -142,6 +142,11 @@ struct SweepResult {
   /// Mean of (method period / reference period) over all points where the
   /// reference succeeded — the paper's "factor of X from the optimal".
   [[nodiscard]] std::map<std::string, double> mean_ratio_to(const std::string& reference) const;
+  /// The per-point ratios behind `mean_ratio_to` (Figure 11's series): one
+  /// row per point where the reference succeeded, one "<method> /
+  /// <reference>" column per other method, 2 decimals; "-" where the
+  /// method counted no trial.
+  [[nodiscard]] support::Table ratio_table(const std::string& reference) const;
 };
 
 /// Runs the sweep; `pool` may be null for serial execution.

@@ -114,6 +114,37 @@ TEST(Runner, RatiosAgainstReference) {
   EXPECT_GT(ratios.at("H1"), 1.0) << "H1 should be worse than H4w on average";
 }
 
+/// A per-point summary that counted trials at the given mean period.
+support::Summary counted(double mean) {
+  support::Summary summary;
+  summary.count = 3;
+  summary.mean = mean;
+  return summary;
+}
+
+TEST(Runner, RatioTableSkipsPointsWithoutReferenceAndMarksEmptyCells) {
+  SweepResult result;
+  result.spec.variable = SweepVariable::kTasks;
+  for (const char* name : {"H2", "MIP", "H3"}) result.spec.methods.push_back({.name = name});
+  PointResult first;
+  first.sweep_value = 10;
+  first.period_by_method = {
+      {"H2", counted(150.0)}, {"MIP", counted(100.0)}, {"H3", support::Summary{}}};
+  PointResult unproven;  // the reference counted no trial: no row
+  unproven.sweep_value = 20;
+  unproven.period_by_method = {
+      {"H2", counted(150.0)}, {"MIP", support::Summary{}}, {"H3", counted(120.0)}};
+  PointResult last;
+  last.sweep_value = 30;
+  last.period_by_method = {{"H2", counted(400.0)}, {"MIP", counted(300.0)}, {"H3", counted(250.0)}};
+  result.points = {first, unproven, last};
+
+  support::Table expected({"number of tasks", "H2 / MIP", "H3 / MIP"});
+  expected.add_row({"10", "1.50", "-"});
+  expected.add_row({"30", "1.33", "0.83"});
+  EXPECT_EQ(result.ratio_table("MIP").to_string(), expected.to_string());
+}
+
 TEST(Runner, Validation) {
   SweepSpec spec = tiny_spec();
   spec.methods.clear();
@@ -173,6 +204,26 @@ TEST(Figures, ScaledDownReducesTrials) {
   EXPECT_EQ(scaled.trials, 3u);
   const SweepSpec floor = scaled_down(figure5_spec(), 1000);
   EXPECT_EQ(floor.trials, 1u);
+}
+
+TEST(Figures, SummaryTableMarksMethodsMissingFromASweep) {
+  SweepResult fig09;
+  PointResult one_to_one;
+  one_to_one.period_by_method = {
+      {"H2", counted(200.0)}, {"H3", counted(150.0)}, {"OtO", counted(100.0)}};
+  fig09.points = {one_to_one};
+  SweepResult fig10;
+  PointResult exact;
+  exact.period_by_method = {
+      {"H2", counted(110.0)}, {"H4w", counted(120.0)}, {"MIP", counted(100.0)}};
+  fig10.points = {exact};
+
+  support::Table expected({"method", "vs OtO (paper)", "vs OtO (measured)", "vs MIP (paper)",
+                           "vs MIP (measured)"});
+  expected.add_row({"H2", "1.84", "2.00", "1.73", "1.10"});
+  expected.add_row({"H3", "1.75", "1.50", "1.58", "-"});
+  expected.add_row({"H4w", "1.28", "-", "1.33", "1.20"});
+  EXPECT_EQ(summary_table(fig09, fig10).to_string(), expected.to_string());
 }
 
 /// Smoke-run a miniature version of a heuristics-only figure end to end.
