@@ -1,4 +1,4 @@
-// Ablation benches for the design choices DESIGN.md calls out, plus the
+// Ablation tables for the design choices behind the heuristics, plus the
 // extension studies:
 //   1. H4/H4f failure-factor interpretation: F = 1/(1-f) (Section 5.1's
 //      notation) vs the literal "failure rate" f of the Algorithm 4/6
@@ -7,13 +7,19 @@
 //      water-filling split recovers over the rigid H4w mapping.
 //   3. Reconfiguration crossover (Section 6's motivation for specialized
 //      mappings): the switch cost at which a general mapping loses.
-#include <benchmark/benchmark.h>
-
+//   4. Local-search refinement: how much of each heuristic's optimality gap
+//      one refinement pass closes (the paper's heuristics are one-shot
+//      constructive; this quantifies the headroom an iterative improver
+//      adds).
+//
+//   ./ablations
 #include <cstdio>
 
 #include "core/evaluation.hpp"
+#include "exact/specialized_bnb.hpp"
 #include "exp/scenario.hpp"
 #include "extensions/divisible.hpp"
+#include "extensions/local_search.hpp"
 #include "extensions/reconfiguration.hpp"
 #include "heuristics/h4_family.hpp"
 #include "heuristics/heuristic.hpp"
@@ -118,29 +124,49 @@ void print_reconfiguration_ablation() {
   std::printf("%s\n", table.to_string().c_str());
 }
 
-void BM_DivideWorkload(benchmark::State& state) {
+void print_refinement_ablation() {
+  std::printf("=== Ablation: local-search refinement of the paper's heuristics ===\n");
+  std::printf("(m=5, p=2, n=12 instances where the exact optimum is computable;\n");
+  std::printf(" 'gap' = mean period / optimal period - 1, before and after refining)\n\n");
+
   mf::exp::Scenario scenario;
-  scenario.tasks = static_cast<std::size_t>(state.range(0));
-  scenario.machines = 20;
-  scenario.types = 5;
-  const Problem problem = mf::exp::generate(scenario, 3);
-  mf::support::Rng rng(3);
-  const auto seed_mapping = mf::heuristics::heuristic_by_name("H4w")->run(problem, rng);
-  for (auto _ : state) {
-    const auto schedule = mf::ext::divide_workload(problem, *seed_mapping);
-    benchmark::DoNotOptimize(schedule.period);
+  scenario.tasks = 12;
+  scenario.machines = 5;
+  scenario.types = 2;
+  constexpr std::uint64_t kTrials = 20;
+
+  mf::support::Table table(
+      {"heuristic", "gap before %", "gap after %", "mean moves", "local optimum %"});
+  for (const auto& heuristic : mf::heuristics::all_heuristics()) {
+    mf::support::RunningStats before, after, moves;
+    int converged = 0;
+    for (std::uint64_t seed = 1; seed <= kTrials; ++seed) {
+      const Problem problem = mf::exp::generate(scenario, seed);
+      const mf::exact::BnBResult optimal = mf::exact::solve_specialized_optimal(problem);
+      if (!optimal.proven_optimal || !optimal.mapping.has_value()) continue;
+      mf::support::Rng rng(seed);
+      const auto start = heuristic->run(problem, rng);
+      if (!start.has_value()) continue;
+      const mf::ext::RefinementResult refined = mf::ext::refine_mapping(problem, *start);
+      before.add(100.0 * (refined.initial_period / optimal.period - 1.0));
+      after.add(100.0 * (refined.period / optimal.period - 1.0));
+      moves.add(static_cast<double>(refined.moves_applied));
+      converged += refined.converged ? 1 : 0;
+    }
+    table.add_row({heuristic->name(), mf::support::format_double(before.mean(), 1),
+                   mf::support::format_double(after.mean(), 1),
+                   mf::support::format_double(moves.mean(), 1),
+                   mf::support::format_double(100.0 * converged / kTrials, 0)});
   }
+  std::printf("%s\n", table.to_string().c_str());
 }
-BENCHMARK(BM_DivideWorkload)->Arg(50)->Arg(200);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_failure_factor_ablation();
   print_divisible_ablation();
   print_reconfiguration_ablation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  print_refinement_ablation();
   return 0;
 }

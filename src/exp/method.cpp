@@ -5,22 +5,9 @@
 
 namespace mf::exp {
 
-solve::SolveResult Method::run(const core::Problem& problem, std::uint64_t seed) const {
-  solve::SolveParams trial_params = params;
-  trial_params.seed = seed;
-  return solve::run(problem, solver_id, trial_params);
-}
-
 bool Method::counts(const solve::SolveResult& result) const {
   if (require_proof && result.status != solve::Status::kOptimal) return false;
   return result.has_mapping();
-}
-
-std::optional<core::Mapping> Method::solve(const core::Problem& problem,
-                                           std::uint64_t seed) const {
-  solve::SolveResult result = run(problem, seed);
-  if (!counts(result)) return std::nullopt;
-  return std::move(result.mapping);
 }
 
 Method method_for(const std::string& solver_id, std::string display_name,
@@ -57,14 +44,6 @@ Method method_exact_specialized(std::uint64_t max_nodes) {
   solve::SolveParams params;
   params.max_nodes = max_nodes;
   Method method = method_for("bnb", "MIP", params);
-  method.require_proof = true;
-  return method;
-}
-
-Method method_lp_mip(std::uint64_t max_nodes) {
-  solve::SolveParams params;
-  params.max_nodes = max_nodes;
-  Method method = method_for("mip", "LP-MIP", params);
   method.require_proof = true;
   return method;
 }

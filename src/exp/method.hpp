@@ -7,12 +7,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/mapping.hpp"
-#include "core/platform.hpp"
 #include "solve/solver.hpp"
 
 namespace mf::exp {
@@ -26,19 +23,9 @@ struct Method {
   /// MIP" succeeds); mirrors its CPLEX timeouts on larger instances.
   bool require_proof = false;
 
-  /// Full-fidelity solve through the registry; `seed` overrides
-  /// `params.seed` to give each trial its own deterministic stream.
-  [[nodiscard]] solve::SolveResult run(const core::Problem& problem, std::uint64_t seed) const;
-
   /// The sweep protocol: whether a solve counts as a successful trial
   /// (a mapping exists and, with `require_proof`, optimality was proven).
   [[nodiscard]] bool counts(const solve::SolveResult& result) const;
-
-  /// The sweep protocol view: the mapping when the trial counts, nullopt
-  /// when the method failed on this instance (infeasible, or — with
-  /// `require_proof` — budget exhausted without an optimality proof).
-  [[nodiscard]] std::optional<core::Mapping> solve(const core::Problem& problem,
-                                                   std::uint64_t seed) const;
 };
 
 /// Builds a method for any registered solver id; `display_name` defaults
@@ -56,14 +43,9 @@ struct Method {
 /// Optimal one-to-one mapping for machine-independent failures ("OtO").
 [[nodiscard]] Method method_optimal_one_to_one();
 
-/// Exact specialized mapping via branch-and-bound ("MIP"). Fails (nullopt)
-/// when the node budget is exhausted without an optimality proof, mirroring
-/// the paper's CPLEX timeouts on larger instances.
+/// Exact specialized mapping via branch-and-bound ("MIP"). A trial does not
+/// count when the node budget is exhausted without an optimality proof,
+/// mirroring the paper's CPLEX timeouts on larger instances.
 [[nodiscard]] Method method_exact_specialized(std::uint64_t max_nodes);
-
-/// The literal Section 6.1 MIP solved with the in-repo simplex
-/// branch-and-bound. Much slower than method_exact_specialized; used by the
-/// micro benches and cross-validation tests.
-[[nodiscard]] Method method_lp_mip(std::uint64_t max_nodes);
 
 }  // namespace mf::exp

@@ -315,23 +315,31 @@ TEST(Batch, EmptyBatchIsFine) {
   EXPECT_TRUE(BatchSolver(nullptr).solve_all({}).empty());
 }
 
+/// One sweep trial of `method`: its solver and params, with the trial's seed.
+SolveResult run_trial(const core::Problem& problem, const exp::Method& method,
+                      std::uint64_t seed) {
+  SolveParams params = method.params;
+  params.seed = seed;
+  return run(problem, method.solver_id, params);
+}
+
 TEST(Method, WrapsRegistrySolvers) {
   const core::Problem problem = medium_problem();
   const exp::Method method = exp::method_for("H4w", "paper-best");
   EXPECT_EQ(method.name, "paper-best");
-  const auto mapping = method.solve(problem, 5);
-  ASSERT_TRUE(mapping.has_value());
-  EXPECT_EQ(*mapping, *run(problem, "H4w", {.seed = 5}).mapping);
+  const SolveResult result = run_trial(problem, method, 5);
+  ASSERT_TRUE(method.counts(result));
+  EXPECT_EQ(*result.mapping, *run(problem, "H4w", {.seed = 5}).mapping);
   EXPECT_THROW((void)exp::method_for("H9"), std::invalid_argument);
 }
 
 TEST(Method, RequireProofDropsBudgetExhaustedTrials) {
   const core::Problem problem = medium_problem();
   exp::Method exact = exp::method_exact_specialized(/*max_nodes=*/1);
-  EXPECT_FALSE(exact.solve(problem, 1).has_value())
+  EXPECT_FALSE(exact.counts(run_trial(problem, exact, 1)))
       << "a budget-exhausted incumbent must not count as an exact solve";
   exact = exp::method_exact_specialized(/*max_nodes=*/0);
-  EXPECT_TRUE(exact.solve(problem, 1).has_value());
+  EXPECT_TRUE(exact.counts(run_trial(problem, exact, 1)));
 }
 
 TEST(Status, ToStringCoversAllValues) {
