@@ -2,51 +2,17 @@
 // (solve/service.hpp), kept as the name call sites reach for when they have
 // a vector of requests and want a vector of results.
 //
-// Each request gets its own deterministic RNG stream derived from
-// (request seed, request index), so a pooled batch returns bit-for-bit the
-// same mappings as a sequential loop — the property the sweep runner and
-// the sharded/cached execution layers build on. Everything else —
-// single-flight dedup, cache population, error isolation — is the
-// service's; `solve_all` is one constructor call away from it.
+// `solve_all` gives each request its own deterministic RNG stream derived
+// from (request seed, request index), so a pooled batch returns bit-for-bit
+// the same mappings as a sequential loop — the property the sweep runner
+// and the sharded/cached execution layers build on. Single-flight dedup,
+// cache population and error isolation come with the service.
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "solve/service.hpp"
 
 namespace mf::solve {
 
-class BatchSolver final : public SolveExecutor {
- public:
-  /// `pool` may be null for serial execution; results are identical either
-  /// way (modulo wall-time diagnostics). `cache` overrides the process-wide
-  /// `ResultCache::global()` consulted for requests whose params enable
-  /// caching (tests and benches isolate themselves this way; the CLI points
-  /// it at a TieredCache for --cache-dir persistence).
-  explicit BatchSolver(support::ThreadPool* pool = nullptr, CacheBackend* cache = nullptr)
-      : pool_(pool), cache_(cache) {}
-
-  /// Solves every request through a fresh `SolveService`; `results[i]`
-  /// corresponds to `requests[i]`. All solver ids are resolved up front, so
-  /// an unknown id throws (with the list of known ids) before any work
-  /// starts. A solver exception mid-batch does NOT abort the fan: the
-  /// request's result becomes Status::kError with the message in
-  /// diagnostics.note, so one bad request cannot kill a 10k-request sweep.
-  [[nodiscard]] std::vector<SolveResult> solve_all(
-      const std::vector<SolveRequest>& requests) override;
-
-  /// The per-request seed stream: requests sharing one base seed still get
-  /// statistically independent RNG streams, and the stream depends only on
-  /// (seed, index) — never on scheduling order.
-  [[nodiscard]] static std::uint64_t stream_seed(std::uint64_t seed,
-                                                 std::size_t index) noexcept {
-    return SolveService::stream_seed(seed, index);
-  }
-
- private:
-  support::ThreadPool* pool_;
-  CacheBackend* cache_;
-};
+using BatchSolver = SolveService;
 
 }  // namespace mf::solve
