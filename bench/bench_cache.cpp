@@ -16,10 +16,8 @@
 //   bench_cache [--figure fig06] [--scale K] [--out BENCH_cache.json]
 //               [--dir bench_cache_dir]
 //
-// Deliberately free of the google-benchmark dependency: one timed pass per
-// temperature is the measurement (a cold pass cannot be repeated without
-// resetting the cache, which is the quantity under test), so the harness
-// would add nothing but a dependency that may be absent.
+// One timed pass per temperature is the measurement: a cold pass cannot be
+// repeated without resetting the cache, which is the quantity under test.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

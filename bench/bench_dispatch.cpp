@@ -13,9 +13,9 @@
 //   bench_dispatch [--figure fig06] [--scale K] [--mfsched ./mfsched]
 //                  [--dir bench_dispatch_dir] [--out BENCH_dispatch.json]
 //
-// Like bench_cache, deliberately free of the google-benchmark dependency:
-// one timed campaign per (fan-out, temperature) is the measurement, and a
-// cold campaign cannot be repeated without resetting the store under test.
+// Like bench_cache, one timed campaign per (fan-out, temperature) is the
+// measurement: a cold campaign cannot be repeated without resetting the
+// store under test.
 #include <sys/wait.h>
 
 #include <algorithm>

@@ -48,9 +48,6 @@
 // per-candidate path — the headline claim this layer exists to deliver
 // (the floor sits below the cross-host-state noise band; the paired
 // baseline comparison is the tight gate).
-//
-// Deliberately free of the google-benchmark dependency so CI always
-// builds and runs it (same policy as bench_cache).
 #include <algorithm>
 #include <atomic>
 #include <chrono>

@@ -12,9 +12,6 @@
 // or a warm pass that never consulted the cache, fails the bench.
 //
 //   bench_scenarios [--scale K] [--out BENCH_scenarios.json]
-//
-// Deliberately free of the google-benchmark dependency so CI can always
-// build and run it (see bench_cache.cpp for the rationale).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

@@ -23,10 +23,8 @@
 //   bench_service [--connections N] [--requests R] [--distinct K]
 //                 [--idle N] [--idle-requests R] [--out BENCH_service.json]
 //
-// Deliberately free of the google-benchmark dependency, like the other
-// plain harnesses: the quantity under test (sustained req/s and tail
-// latency across live connections) needs a daemon and threads, not an
-// iteration framework.
+// The quantity under test (sustained req/s and tail latency across live
+// connections) needs a daemon and threads, not an iteration framework.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/resource.h>

@@ -28,9 +28,6 @@
 //
 //   bench_sim [--out BENCH_sim.json] [--reps 5] [--outputs 100000]
 //             [--floor 1000000]
-//
-// Deliberately free of the google-benchmark dependency so CI always builds
-// and runs it (same policy as bench_kernels and bench_cache).
 #include <algorithm>
 #include <atomic>
 #include <chrono>

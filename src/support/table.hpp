@@ -1,9 +1,9 @@
 // Plain-text rendering of experiment results.
 //
-// The figure benches print the same series the paper plots; `Table` renders
+// `mfsched --figure` prints the same series the paper plots; `Table` renders
 // aligned columns and `AsciiChart` draws a rough terminal line chart so the
 // *shape* of each figure (who wins, where curves cross) is visible straight
-// from the bench output without plotting tools.
+// from the terminal without plotting tools.
 #pragma once
 
 #include <string>
