@@ -125,7 +125,7 @@ support::Summary counted(double mean) {
 TEST(Runner, RatioTableSkipsPointsWithoutReferenceAndMarksEmptyCells) {
   SweepResult result;
   result.spec.variable = SweepVariable::kTasks;
-  for (const char* name : {"H2", "MIP", "H3"}) result.spec.methods.push_back({.name = name});
+  for (const char* name : {"H2", "MIP", "H3"}) result.spec.methods.emplace_back().name = name;
   PointResult first;
   first.sweep_value = 10;
   first.period_by_method = {
