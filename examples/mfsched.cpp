@@ -12,20 +12,15 @@
 //   mfsched --figure NAME [--scenario ID] [--scale K] [--cache MODE]
 //           [--cache-dir DIR] [--cache-stats]
 //           [--repeat R] [--shard i/N [--out shard-file]]
-//   mfsched --merge <shard-file>...
-//   mfsched --dispatch N --figure NAME [--launcher local|cmd:<template>]
-//           [--retries K] [--dispatch-dir DIR] [--dispatch-timeout SECONDS]
+//   mfsched --merge <shard-file>... [--out FILE]
 //   mfsched --cache-gc SIZE --cache-dir DIR
 //
-// `--dispatch N` is the hands-off spelling of a shard+merge campaign: it
-// launches N `mfsched --shard i/N` worker processes (locally by fork/exec,
-// or through a `--launcher cmd:<template>` shell wrapper for ssh-style
-// remotes), supervises them, retries failed or wedged shards up to
-// `--retries` times each, collects the shard files under `--dispatch-dir`,
-// and merges — the resulting table is byte-identical to the unsharded run.
-// `--cache-gc SIZE` shrinks a shared `--cache-dir` to the byte cap,
-// evicting least-recently-used entries first, so long campaigns can point
-// every worker at one directory indefinitely.
+// `--shard i/N` + `--merge` is the one multi-process path. The caller
+// starts and supervises the N shard processes (a shell `&` and `wait`,
+// slurm, k8s jobs); `--merge --out` then writes the same bytes as the
+// unsharded run's `--out`. `--cache-gc SIZE` shrinks a shared `--cache-dir`
+// to the byte cap, evicting least-recently-used entries first, so long
+// campaigns can point every worker at one directory indefinitely.
 //
 // `--method` accepts every registered solver id (try `--list`): the paper
 // heuristics H1..H4f, the exact solvers bnb / mip / brute, the one-to-one
@@ -53,6 +48,10 @@
 // hit/miss/eviction counters plus the solve-service counters (requests,
 // cache hits, in-flight dedup joins, actual solver invocations) after any
 // run.
+//
+// Every flag lives in one table (`kFlags`): an unknown `--name` or a value
+// its kind cannot hold exits 2 before any mode runs, and `--help` prints
+// its per-flag lines from the same table.
 #include <unistd.h>
 
 #include <algorithm>
@@ -64,16 +63,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/evaluation.hpp"
 #include "core/io.hpp"
-#include "exp/dispatch.hpp"
 #include "exp/figures.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
@@ -148,11 +146,121 @@ int refuse_split_report(const std::string& name, const Report& report) {
   for (const std::string& sweep : report.sweeps) {
     sweeps += (sweeps.empty() ? "" : " and ") + sweep;
   }
-  std::fprintf(stderr,
-               "error: %s is a report over %s, not a sweep; --shard or --dispatch %s "
-               "instead\n",
+  std::fprintf(stderr, "error: %s is a report over %s, not a sweep; --shard %s instead\n",
                name.c_str(), sweeps.c_str(), sweeps.c_str());
   return 2;
+}
+
+/// How `main` checks a flag's value before any mode runs.
+enum class FlagValue {
+  kUnchecked,  // a switch, or text its mode parses (paths, ids, i/N)
+  kInt,        // a whole number of either sign
+  kCount,      // a whole number >= 0 (read as an unsigned count)
+  kNumber,     // a finite number
+};
+
+/// One row per flag mfsched reads: `main` refuses any other `--name`, and
+/// `--help` prints its per-flag lines from here. Each '\n' in `help`
+/// continues on an indented line; `choices`, when set, lists the live
+/// names on the last one.
+struct Flag {
+  const char* name;
+  const char* arg;  // value placeholder in --help; "" for a switch
+  FlagValue kind;
+  const char* help;
+  std::string (*choices)() = nullptr;
+};
+
+const Flag kFlags[] = {
+    {"method", "ID", FlagValue::kUnchecked,
+     "registered solver id (--list) or +ls composite\n(default H4w)"},
+    {"refine", "", FlagValue::kUnchecked, "appends +ls (local-search refinement) to --method"},
+    {"simulate", "N", FlagValue::kCount, "validates the mapping with N simulated products"},
+    {"budget", "NODES", FlagValue::kCount, "node budget for tree-search solvers (bnb, mip)"},
+    {"seed", "S", FlagValue::kInt,
+     "RNG seed (default 1); with --figure, overrides the\nsweep's base seed"},
+    {"out", "FILE", FlagValue::kUnchecked,
+     "writes the mapping, the sweep's table and chart, a\nreport's lines, the shard file "
+     "(--shard) or the merged\ntable (--merge)"},
+    {"list", "", FlagValue::kUnchecked, "prints every registered solver id"},
+    {"list-scenarios", "", FlagValue::kUnchecked,
+     "prints every registered failure-model scenario id"},
+    {"demo", "", FlagValue::kUnchecked, "writes demo_problem.txt instead of scheduling"},
+    {"tasks", "N", FlagValue::kCount, "demo problem size (default 15 tasks)"},
+    {"machines", "M", FlagValue::kCount, "demo problem size (default 6 machines)"},
+    {"types", "P", FlagValue::kCount, "demo problem size (default 3 task types)"},
+    {"figure", "NAME", FlagValue::kUnchecked, "runs a figure sweep or report:", figure_names},
+    {"scenario", "ID", FlagValue::kUnchecked, "draws the sweep's instances under this failure model:",
+     mf::exp::scenario_ids},
+    {"scale", "K", FlagValue::kInt, "divides the trials per point by K (below 1 reads as 1)"},
+    {"repeat", "R", FlagValue::kInt, "runs the sweep R times in-process (below 1 reads as 1)"},
+    {"shard", "i/N", FlagValue::kUnchecked, "runs only slice i of N and writes a shard file"},
+    {"merge", "FILE...", FlagValue::kUnchecked,
+     "recombines one shard file per shard into the full\nsweep table"},
+    {"cache", "MODE", FlagValue::kUnchecked,
+     "result-cache policy: off, read or rw (default off;\nrw with --cache-dir or --connect)"},
+    {"cache-dir", "DIR", FlagValue::kUnchecked,
+     "persistent on-disk result cache layered under memory\n(implies --cache rw unless "
+     "overridden); a fresh process\npointed at a populated dir re-solves nothing"},
+    {"cache-gc", "SIZE", FlagValue::kUnchecked,
+     "shrinks --cache-dir to SIZE bytes (K/M/G suffixes),\nevicting least-recently-used "
+     "entries first"},
+    {"cache-gc-ttl", "AGE", FlagValue::kUnchecked,
+     "also expires entries unused for AGE (s/m/h/d\nsuffixes, e.g. 36h, 7d); usable alone "
+     "or with\n--cache-gc"},
+    {"cache-stats", "", FlagValue::kUnchecked, "prints cache + solve-service counters after the run"},
+    {"serve", "PORT", FlagValue::kInt,
+     "runs the scheduler daemon on PORT (0 = ephemeral;\nloopback only); SIGTERM drains "
+     "gracefully: stop\naccepting, finish in-flight solves, report counters"},
+    {"threads", "N", FlagValue::kInt, "daemon solver-pool width (default: hardware concurrency)"},
+    {"max-pending", "N", FlagValue::kInt,
+     "daemon admission cap: solves in flight across all\nclients before new ones are refused "
+     "with queue-full"},
+    {"rate-limit", "BURST", FlagValue::kNumber,
+     "per-client token bucket: burst capacity in requests\n(0 = unlimited)"},
+    {"rate-refill", "PER_SEC", FlagValue::kNumber,
+     "tokens per second restored to each --rate-limit bucket"},
+    {"idle-timeout", "SECONDS", FlagValue::kNumber,
+     "closes connections idle for SECONDS (no completed\nframe, no flushed response; 0 = never)"},
+    {"cache-gc-interval", "DUR", FlagValue::kUnchecked,
+     "runs disk-cache GC inside the daemon every DUR\n(s/m/h/d suffixes) on its event-loop "
+     "timer; the cap\nand TTL come from --cache-gc / --cache-gc-ttl; needs\n--cache-dir"},
+    {"port-file", "FILE", FlagValue::kUnchecked, "daemon writes its bound port here once listening"},
+    {"connect", "HOST:PORT", FlagValue::kUnchecked,
+     "sends work to a daemon instead of solving in-process:\n--figure runs the sweep remotely "
+     "(bit-identical table),\na problem file solves one instance, --serve-stats\nprints the "
+     "daemon's live counters"},
+    {"serve-stats", "", FlagValue::kUnchecked, "with --connect: fetch and print the daemon's stats"},
+    {"client-id", "ID", FlagValue::kUnchecked, "client identity for the daemon's rate limiter"},
+    {"connections", "N", FlagValue::kCount,
+     "parallel connections --connect uses for a sweep\n(0 = the default, 4)"},
+    {"help", "", FlagValue::kUnchecked, "prints this summary"},
+};
+
+/// Refuses a `--name` missing from `kFlags`, or a value its kind cannot
+/// hold; prints the error naming the flag and returns false.
+bool flags_valid(const mf::support::CliArgs& args) {
+  for (const std::string& name : args.names()) {
+    const Flag* flag = std::find_if(std::begin(kFlags), std::end(kFlags),
+                                    [&](const Flag& row) { return name == row.name; });
+    if (flag == std::end(kFlags)) {
+      std::fprintf(stderr, "error: unknown flag --%s (see --help)\n", name.c_str());
+      return false;
+    }
+    try {
+      if (flag->kind == FlagValue::kInt) (void)args.get_int(name, 0);
+      if (flag->kind == FlagValue::kNumber) (void)args.get_double(name, 0.0);
+      if (flag->kind == FlagValue::kCount && args.get_int(name, 0) < 0) {
+        std::fprintf(stderr, "error: --%s expects a count >= 0, got '%s'\n", name.c_str(),
+                     args.get(name, "").c_str());
+        return false;
+      }
+    } catch (const std::invalid_argument& error) {
+      std::fprintf(stderr, "error: %s\n", error.what());
+      return false;
+    }
+  }
+  return true;
 }
 
 int usage(const char* program) {
@@ -165,11 +273,7 @@ int usage(const char* program) {
       "       %s --figure NAME [--scenario ID] [--scale K] [--cache MODE]\n"
       "          [--cache-dir DIR] [--cache-stats]\n"
       "          [--repeat R] [--shard i/N [--out shard-file]]\n"
-      "       %s --merge <shard-file>...\n"
-      "       %s --dispatch N --figure NAME [--launcher local|cmd:<template>]\n"
-      "          [--retries K] [--dispatch-dir DIR] [--dispatch-timeout SECONDS]\n"
-      "          [--inject-shard-failure I] [--scale K] [--scenario ID] [--seed S]\n"
-      "          [--cache MODE] [--cache-dir DIR] [--out FILE]\n"
+      "       %s --merge <shard-file>... [--out FILE]\n"
       "       %s --cache-gc SIZE [--cache-gc-ttl AGE] --cache-dir DIR\n"
       "       %s --serve PORT [--threads N]\n"
       "          [--max-pending N] [--rate-limit BURST] [--rate-refill PER_SEC]\n"
@@ -178,55 +282,17 @@ int usage(const char* program) {
       "       %s --connect HOST:PORT (--figure NAME | <problem-file> | --serve-stats)\n"
       "          [--client-id ID] [--connections N]\n"
       "       %s --help\n"
-      "--list            prints every registered solver id\n"
-      "--list-scenarios  prints every registered failure-model scenario id\n"
-      "--demo            writes demo_problem.txt instead of scheduling\n"
-      "--figure          runs a figure sweep or report (%s)\n"
-      "--scenario        draws the sweep's instances under this failure model (%s)\n"
-      "--shard           runs only slice i of N and writes a shard file for --merge\n"
-      "--merge           recombines shard files into the full sweep table\n"
-      "--dispatch        launches N shard worker processes, supervises them,\n"
-      "                  retries failures (--retries per shard, --dispatch-timeout\n"
-      "                  kills wedged workers), and merges — byte-identical to the\n"
-      "                  unsharded table; --launcher cmd:<template> wraps each\n"
-      "                  worker command ({CMD}) for ssh/k8s-style remotes\n"
-      "--cache-dir       persistent on-disk result cache layered under memory\n"
-      "                  (implies --cache rw unless overridden); a fresh process\n"
-      "                  pointed at a populated dir re-solves nothing\n"
-      "--cache-gc        shrinks --cache-dir to SIZE bytes (K/M/G suffixes),\n"
-      "                  evicting least-recently-used entries first\n"
-      "--cache-gc-ttl    also expires entries unused for AGE (s/m/h/d suffixes,\n"
-      "                  e.g. 36h, 7d); usable alone or with --cache-gc\n"
-      "--cache-stats     prints cache + solve-service counters after the run\n"
-      "--serve           runs the scheduler daemon on PORT (0 = ephemeral; loopback\n"
-      "                  only); SIGTERM drains gracefully — stop accepting, finish\n"
-      "                  in-flight solves, report final counters\n"
-      "--idle-timeout    close connections idle for SECONDS (no completed frame,\n"
-      "                  no flushed response; 0 = never)\n"
-      "--cache-gc-interval  run disk-cache GC inside the daemon every DUR\n"
-      "                  (s/m/h/d suffixes) on its event-loop timer; the cap and\n"
-      "                  TTL come from --cache-gc SIZE / --cache-gc-ttl AGE;\n"
-      "                  needs --cache-dir\n"
-      "--max-pending     daemon admission cap: solves in flight across all clients\n"
-      "                  before new ones are refused with queue-full\n"
-      "--rate-limit      per-client token bucket: burst capacity in requests\n"
-      "                  (0 = unlimited); --rate-refill tokens/second restored\n"
-      "--rate-refill     see --rate-limit\n"
-      "--port-file       daemon writes its bound port here once listening\n"
-      "--threads         daemon solver-pool width (default: hardware concurrency)\n"
-      "--connect         sends work to a daemon instead of solving in-process:\n"
-      "                  --figure runs the sweep remotely (bit-identical table),\n"
-      "                  a problem file solves one instance, --serve-stats prints\n"
-      "                  the daemon's live counters\n"
-      "--serve-stats     with --connect: fetch and print the daemon's stats\n"
-      "--client-id       client identity for the daemon's rate limiter\n"
-      "--connections     parallel connections --connect uses for a sweep\n"
-      "--fail-marker     testing hook: fail the run once, creating FILE; a rerun\n"
-      "                  that finds FILE proceeds (exercises dispatch retries)\n"
-      "--inject-shard-failure  testing hook: pass --fail-marker to shard I's\n"
-      "                  first dispatch attempt\n",
-      program, program, program, program, program, program, program, program, program,
-      program, figure_names().c_str(), mf::exp::scenario_ids().c_str());
+      "flags:\n",
+      program, program, program, program, program, program, program, program, program);
+  for (const Flag& flag : kFlags) {
+    std::string head = std::string("--") + flag.name;
+    if (flag.arg[0] != '\0') head += std::string(" ") + flag.arg;
+    std::istringstream help(std::string(flag.help) +
+                            (flag.choices != nullptr ? "\n" + flag.choices() : ""));
+    for (std::string line; std::getline(help, line); head.clear()) {
+      std::printf("%-24s%s\n", head.c_str(), line.c_str());
+    }
+  }
   return 2;
 }
 
@@ -365,9 +431,9 @@ bool wants_cache_stats(const mf::support::CliArgs& args, mf::solve::CachePolicy 
 }
 
 /// A sweep's table and chart: what every mode prints, and the one spelling
-/// of a sweep's `--out` file. The unsharded and the dispatched path must
-/// write identical bytes — CI diffs their files to prove campaign
-/// bit-exactness — so both render through this helper.
+/// of a sweep's `--out` file. An unsharded sweep and a `--merge` of its
+/// shards must write identical bytes (CI diffs both against
+/// tests/golden_figures/), so both render through this helper.
 std::string sweep_text(const mf::exp::SweepResult& result) {
   return result.to_table().to_string() + "\n" + result.to_chart() + "\n";
 }
@@ -390,20 +456,6 @@ std::size_t get_positive(const mf::support::CliArgs& args, const std::string& na
   return static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int(name, 1)));
 }
 
-/// Testing hook for the dispatcher's retry path: `--fail-marker FILE` makes
-/// the run fail once — the first process to see a missing FILE creates it
-/// and exits nonzero; a retry finds the marker and proceeds normally.
-bool injected_failure_fires(const mf::support::CliArgs& args) {
-  const std::string marker = args.get("fail-marker", "");
-  if (marker.empty() || marker == "true") return false;
-  std::error_code ec;
-  if (std::filesystem::exists(marker, ec)) return false;
-  std::ofstream(marker).flush();
-  std::fprintf(stderr, "injected failure: created marker %s and aborting this attempt\n",
-               marker.c_str());
-  return true;
-}
-
 void print_header(const mf::exp::SweepSpec& spec, mf::solve::CachePolicy cache) {
   std::printf("=== %s: %s ===\n", spec.name.c_str(), spec.description.c_str());
   std::printf("scenario: %s; failure model '%s'; sweep over %s; %zu trials/point; cache %s\n",
@@ -413,7 +465,6 @@ void print_header(const mf::exp::SweepSpec& spec, mf::solve::CachePolicy cache) 
 }
 
 int run_figure(const mf::support::CliArgs& args) {
-  if (injected_failure_fires(args)) return 1;
   const std::string name = args.get("figure", "");
   const std::optional<Report> report = report_by_name(name);
   if (report.has_value() && args.has("shard")) return refuse_split_report(name, *report);
@@ -595,6 +646,31 @@ std::optional<std::chrono::seconds> parse_age_seconds(const std::string& text) {
   return std::chrono::seconds(static_cast<std::int64_t>(value * multiplier));
 }
 
+/// `--cache-gc SIZE` in bytes, or `fallback` without the flag; exits 2 on
+/// a malformed size.
+std::uint64_t gc_cap_flag(const mf::support::CliArgs& args, std::uint64_t fallback) {
+  if (!args.has("cache-gc")) return fallback;
+  const std::optional<std::uint64_t> cap = parse_size_bytes(args.get("cache-gc", ""));
+  if (!cap.has_value()) {
+    std::fprintf(stderr, "error: --cache-gc expects a size like 64M (K/M/G suffixes)\n");
+    std::exit(2);
+  }
+  return *cap;
+}
+
+/// `--cache-gc-ttl AGE`, or zero (no expiry) without the flag; exits 2 on
+/// a malformed age.
+std::chrono::seconds gc_ttl_flag(const mf::support::CliArgs& args) {
+  if (!args.has("cache-gc-ttl")) return std::chrono::seconds::zero();
+  const std::optional<std::chrono::seconds> age =
+      parse_age_seconds(args.get("cache-gc-ttl", ""));
+  if (!age.has_value()) {
+    std::fprintf(stderr, "error: --cache-gc-ttl expects an age like 36h or 7d (s/m/h/d)\n");
+    std::exit(2);
+  }
+  return *age;
+}
+
 /// `--cache-gc SIZE --cache-dir DIR`: shrink the persistent store to the
 /// cap, evicting least-recently-used entries (LRU by mtime; lookups
 /// refresh it), so long campaigns can share one directory indefinitely.
@@ -607,26 +683,8 @@ int run_cache_gc(const mf::support::CliArgs& args) {
     return 2;
   }
   // --cache-gc-ttl alone means "expire by age, cap nothing".
-  std::uint64_t cap_bytes = std::numeric_limits<std::uint64_t>::max();
-  if (args.has("cache-gc")) {
-    const std::optional<std::uint64_t> cap = parse_size_bytes(args.get("cache-gc", ""));
-    if (!cap.has_value()) {
-      std::fprintf(stderr, "error: --cache-gc expects a size like 64M (K/M/G suffixes)\n");
-      return 2;
-    }
-    cap_bytes = *cap;
-  }
-  std::chrono::seconds max_age = std::chrono::seconds::zero();
-  if (args.has("cache-gc-ttl")) {
-    const std::optional<std::chrono::seconds> age =
-        parse_age_seconds(args.get("cache-gc-ttl", ""));
-    if (!age.has_value()) {
-      std::fprintf(stderr,
-                   "error: --cache-gc-ttl expects an age like 36h or 7d (s/m/h/d)\n");
-      return 2;
-    }
-    max_age = *age;
-  }
+  const std::uint64_t cap_bytes = gc_cap_flag(args, std::numeric_limits<std::uint64_t>::max());
+  const std::chrono::seconds max_age = gc_ttl_flag(args);
   try {
     mf::solve::DiskCache cache(dir);
     const mf::solve::DiskGcReport report = cache.gc(cap_bytes, max_age);
@@ -689,25 +747,8 @@ int run_serve(const mf::support::CliArgs& args) {
     }
     options.cache_gc_interval_seconds = static_cast<double>(interval->count());
     options.gc_disk = cache_scope.disk();
-    if (args.has("cache-gc")) {
-      const std::optional<std::uint64_t> cap = parse_size_bytes(args.get("cache-gc", ""));
-      if (!cap.has_value()) {
-        std::fprintf(stderr,
-                     "error: --cache-gc expects a size like 64M (K/M/G suffixes)\n");
-        return 2;
-      }
-      options.gc_max_bytes = *cap;
-    }
-    if (args.has("cache-gc-ttl")) {
-      const std::optional<std::chrono::seconds> age =
-          parse_age_seconds(args.get("cache-gc-ttl", ""));
-      if (!age.has_value()) {
-        std::fprintf(stderr,
-                     "error: --cache-gc-ttl expects an age like 36h or 7d (s/m/h/d)\n");
-        return 2;
-      }
-      options.gc_max_age_seconds = static_cast<std::uint64_t>(age->count());
-    }
+    options.gc_max_bytes = gc_cap_flag(args, options.gc_max_bytes);
+    options.gc_max_age_seconds = static_cast<std::uint64_t>(gc_ttl_flag(args).count());
   }
 
   mf::serve::Daemon daemon(options);
@@ -825,140 +866,6 @@ int run_remote_stats(const mf::support::CliArgs& args) {
   }
 }
 
-/// `--dispatch N --figure NAME`: the hands-off multi-process campaign.
-/// Launches N `mfsched --shard i/N` workers through the chosen launcher,
-/// supervises and retries them, and merges the collected shard files into
-/// the byte-identical unsharded table.
-int run_dispatch(const mf::support::CliArgs& args) {
-  const std::string name = args.get("figure", "");
-  if (const std::optional<Report> report = report_by_name(name)) {
-    return refuse_split_report(name, *report);
-  }
-  if (name.empty() || !mf::exp::figure_spec_by_name(name).has_value()) {
-    std::fprintf(stderr, "error: --dispatch needs a known --figure NAME (%s)\n",
-                 mf::exp::figure_spec_names().c_str());
-    return 2;
-  }
-  if (args.has("shard") || args.get_int("repeat", 1) != 1) {
-    std::fprintf(stderr, "error: --dispatch drives its own shards; drop --shard/--repeat\n");
-    return 2;
-  }
-  if (args.has("scenario") &&
-      !mf::exp::ScenarioRegistry::instance().contains(args.get("scenario", ""))) {
-    std::fprintf(stderr, "error: unknown scenario '%s' (%s)\n",
-                 args.get("scenario", "").c_str(), mf::exp::scenario_ids().c_str());
-    return 2;
-  }
-  const std::int64_t shard_count = args.get_int("dispatch", 0);
-  if (shard_count < 2) {
-    std::fprintf(stderr, "error: --dispatch expects a worker count N >= 2\n");
-    return 2;
-  }
-
-  std::string launcher_error;
-  const std::unique_ptr<mf::exp::Launcher> launcher =
-      mf::exp::launcher_from_spec(args.get("launcher", "local"), &launcher_error);
-  if (launcher == nullptr) {
-    std::fprintf(stderr, "error: %s\n", launcher_error.c_str());
-    return 2;
-  }
-
-  mf::exp::DispatchOptions options;
-  options.shard_count = static_cast<std::size_t>(shard_count);
-  options.max_attempts =
-      static_cast<std::size_t>(std::max<std::int64_t>(0, args.get_int("retries", 2))) + 1;
-  options.timeout_seconds = args.get_double("dispatch-timeout", 0.0);
-  options.work_dir = args.get("dispatch-dir", name + ".dispatch");
-  options.launcher = launcher.get();
-  options.observer = [](const mf::exp::DispatchEvent& event) {
-    std::printf("dispatch: shard=%zu/%zu attempt=%zu event=%s", event.shard,
-                event.shard_count, event.attempt, mf::exp::to_string(event.kind).c_str());
-    switch (event.kind) {
-      case mf::exp::DispatchEvent::Kind::kLaunch:
-        std::printf(" pid=%d log=%s", static_cast<int>(event.pid), event.detail.c_str());
-        break;
-      case mf::exp::DispatchEvent::Kind::kOk:
-        std::printf(" wall_ms=%.1f file=%s", event.wall_ms, event.detail.c_str());
-        break;
-      default:
-        std::printf(" exit=%d detail=\"%s\"", event.exit_code, event.detail.c_str());
-        break;
-    }
-    std::printf("\n");
-    std::fflush(stdout);  // progress must stream, not arrive post-merge
-  };
-
-  // The workers are this very binary; /proc/self/exe survives PATH-relative
-  // and cwd-relative invocations (fall back to argv[0] off Linux).
-  std::error_code self_ec;
-  std::filesystem::path self = std::filesystem::read_symlink("/proc/self/exe", self_ec);
-  if (self_ec) self = args.program();
-
-  std::vector<std::string> base{self.string(), "--figure", name};
-  for (const char* flag : {"scale", "scenario", "seed", "cache", "cache-dir"}) {
-    if (args.has(flag)) {
-      base.push_back(std::string("--") + flag);
-      base.push_back(args.get(flag, ""));
-    }
-  }
-  const std::int64_t inject = args.get_int("inject-shard-failure", -1);
-
-  mf::exp::Dispatcher dispatcher(
-      name, [&](std::size_t index, const std::string& out_path) {
-        std::vector<std::string> argv = base;
-        argv.insert(argv.end(),
-                    {"--shard", std::to_string(index) + "/" + std::to_string(shard_count),
-                     "--out", out_path});
-        if (inject >= 0 && index == static_cast<std::size_t>(inject)) {
-          argv.insert(argv.end(),
-                      {"--fail-marker",
-                       (options.work_dir / ("injected-fail-shard" + std::to_string(index)))
-                           .string()});
-        }
-        return argv;
-      });
-
-  std::printf("dispatch: figure %s over %lld shards via %s, %zu attempt(s)/shard%s\n",
-              name.c_str(), static_cast<long long>(shard_count),
-              launcher->describe().c_str(), options.max_attempts,
-              options.timeout_seconds > 0.0 ? ", wedge timeout armed" : "");
-  std::fflush(stdout);
-
-  mf::exp::DispatchReport report;
-  try {
-    report = dispatcher.run(options);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
-
-  std::size_t ok_count = 0;
-  std::size_t retried = 0;
-  for (const mf::exp::ShardReport& shard : report.shards) {
-    if (shard.ok) ++ok_count;
-    if (shard.ok && shard.attempts > 1) ++retried;
-    std::printf("dispatch-shard: index=%zu ok=%d attempts=%zu exit=%d wall_ms=%.1f file=%s%s%s\n",
-                shard.index, shard.ok ? 1 : 0, shard.attempts, shard.exit_code,
-                shard.wall_ms, shard.shard_file.c_str(),
-                shard.error.empty() ? "" : " error=", shard.error.c_str());
-  }
-  std::printf("dispatch-summary: shards=%zu ok=%zu failed=%zu retried=%zu launcher=%s\n",
-              report.shards.size(), ok_count, report.shards.size() - ok_count, retried,
-              launcher->describe().c_str());
-  if (!report.ok) {
-    std::fprintf(stderr, "error: %s\n", report.error.c_str());
-    return 1;
-  }
-
-  std::printf("=== %s: %s (dispatched over %zu shards) ===\n", report.merged->spec.name.c_str(),
-              report.merged->spec.description.c_str(), report.shards.size());
-  const std::string text = sweep_text(*report.merged);
-  std::printf("%s", text.c_str());
-  const std::string out = args.get("out", "");
-  if (!out.empty() && !write_out(text, out)) return 1;
-  return 0;
-}
-
 int run_merge(const mf::support::CliArgs& args) {
   // The flag parser binds the first file to --merge itself ("--name value"
   // form); the rest arrive as positionals.
@@ -979,7 +886,11 @@ int run_merge(const mf::support::CliArgs& args) {
     const mf::exp::SweepResult result = mf::exp::merge(std::move(shards));
     std::printf("=== %s: %s (merged from %zu shards) ===\n", result.spec.name.c_str(),
                 result.spec.description.c_str(), paths.size());
-    std::printf("%s", sweep_text(result).c_str());
+    // The same text, and with --out the same file, as the unsharded sweep.
+    const std::string text = sweep_text(result);
+    std::printf("%s", text.c_str());
+    const std::string out = args.get("out", "");
+    if (!out.empty() && !write_out(text, out)) return 1;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
@@ -991,6 +902,7 @@ int run_merge(const mf::support::CliArgs& args) {
 
 int main(int argc, char** argv) {
   const mf::support::CliArgs args(argc, argv);
+  if (!flags_valid(args)) return 2;
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   if (args.has("help")) {
@@ -1005,7 +917,6 @@ int main(int argc, char** argv) {
   if (args.has("serve")) return run_serve(args);
   if (args.has("cache-gc") || args.has("cache-gc-ttl")) return run_cache_gc(args);
   if (args.has("serve-stats")) return run_remote_stats(args);
-  if (args.has("dispatch")) return run_dispatch(args);
   if (args.has("figure")) return run_figure(args);
   if (args.has("merge")) return run_merge(args);
 

@@ -270,10 +270,10 @@ SweepResult sweep_shard_from_text(const std::string& text) {
 }
 
 void save_sweep_shard(const SweepResult& result, const std::string& path) {
-  // Write-temp-then-rename, like the disk cache: a reader (the dispatcher
-  // validating a collected shard) can never observe a half-written file,
-  // even when a killed worker's orphaned descendants race a retry attempt
-  // on the same path.
+  // Write-temp-then-rename, like the disk cache: a reader (`--merge`, or a
+  // scheduler collecting shard files) can never observe a half-written
+  // file, even when a killed shard process races its rerun on the same
+  // path.
   const std::string temp = path + ".tmp-" + std::to_string(::getpid());
   {
     std::ofstream out(temp);

@@ -1,6 +1,9 @@
 #include "support/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "support/check.hpp"
 
@@ -37,13 +40,34 @@ std::string CliArgs::get(const std::string& name, const std::string& fallback) c
 std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument("--" + name + " expects a whole number, got '" + it->second +
+                                "'");
+  }
+  return value;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value)) {
+    throw std::invalid_argument("--" + name + " expects a number, got '" + it->second + "'");
+  }
+  return value;
+}
+
+std::vector<std::string> CliArgs::names() const {
+  std::vector<std::string> names;
+  names.reserve(flags_.size());
+  for (const auto& [name, value] : flags_) names.push_back(name);
+  return names;
 }
 
 }  // namespace mf::support

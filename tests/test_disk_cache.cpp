@@ -3,13 +3,19 @@
 // stand-in for a fresh process) serves what a prior one stored, and the
 // robustness contract holds — corrupt, truncated, or version-mismatched
 // entry files are misses, never crashes, and concurrent writers on one
-// directory never produce a torn entry.
+// directory never produce a torn entry. `DiskCache::gc` keeps the newest
+// entries under the byte cap, tracks recency through lookups, expires by
+// TTL, and never touches an entry that is still being written (a fresh
+// temp file).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,6 +30,8 @@
 
 namespace mf::solve {
 namespace {
+
+namespace fs = std::filesystem;
 
 core::Problem small_problem(std::uint64_t seed = 7) {
   exp::Scenario scenario;
@@ -340,6 +348,230 @@ TEST_F(DiskCacheTest, DescribeNamesTheLayers) {
   EXPECT_EQ(disk.describe(), "disk(" + dir_.string() + ")");
   EXPECT_EQ(tiered.describe(),
             "tiered(memory-lru(128) over disk(" + dir_.string() + "))");
+}
+
+// ---------------------------------------------------------------------------
+// DiskCache::gc
+// ---------------------------------------------------------------------------
+
+class DiskGcTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("mf-gc-test-" +
+            std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()));
+    fs::remove_all(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  [[nodiscard]] solve::CacheKey key_for(std::uint64_t seed) const {
+    solve::SolveParams params;
+    params.seed = seed;
+    return solve::make_cache_key(core::digest(problem_), "H1", params);
+  }
+
+  /// Inserts one entry and back-dates its file `age_hours` into the past,
+  /// returning the entry path.
+  fs::path insert_aged(solve::DiskCache& cache, std::uint64_t seed, int age_hours) {
+    solve::SolveResult result;
+    result.status = solve::Status::kFeasible;
+    result.period = static_cast<double>(seed);
+    cache.insert(key_for(seed), result);
+    const fs::path path = dir_ / solve::DiskCache::entry_filename(key_for(seed));
+    fs::last_write_time(path, fs::file_time_type::clock::now() - std::chrono::hours(age_hours));
+    return path;
+  }
+
+  core::Problem problem_ = small_problem();
+  fs::path dir_;
+};
+
+TEST_F(DiskGcTest, KeepsTheNewestEntriesUnderTheByteCap) {
+  solve::DiskCache cache(dir_);
+  // Seeds share a digit count so every entry file has the same size.
+  const fs::path oldest = insert_aged(cache, 11, 4);
+  const fs::path mid = insert_aged(cache, 12, 3);
+  const fs::path newer = insert_aged(cache, 13, 2);
+  const fs::path newest = insert_aged(cache, 14, 1);
+
+  const std::uint64_t cap = static_cast<std::uint64_t>(fs::file_size(newest)) +
+                            static_cast<std::uint64_t>(fs::file_size(newer));
+  const solve::DiskGcReport report = cache.gc(cap);
+
+  EXPECT_EQ(report.entries_before, 4u);
+  EXPECT_EQ(report.entries_kept, 2u);
+  EXPECT_EQ(report.entries_removed, 2u);
+  EXPECT_LE(report.bytes_kept, cap);
+  EXPECT_EQ(report.bytes_before, report.bytes_kept + report.bytes_removed);
+  EXPECT_TRUE(fs::exists(newest));
+  EXPECT_TRUE(fs::exists(newer));
+  EXPECT_FALSE(fs::exists(mid));
+  EXPECT_FALSE(fs::exists(oldest));
+  // Survivors still serve hits; evicted entries are honest misses.
+  EXPECT_TRUE(cache.lookup(key_for(14)).has_value());
+  EXPECT_FALSE(cache.lookup(key_for(11)).has_value());
+  const solve::CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.size, 2u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_GT(stats.bytes, 0u);
+  EXPECT_LE(stats.bytes, cap);
+}
+
+TEST_F(DiskGcTest, SurvivorsAreARecencyPrefixEvenWithUnevenSizes) {
+  // gc only inspects names, sizes and mtimes, so fabricated entry files
+  // give exact control over both dimensions.
+  solve::DiskCache cache(dir_);  // creates the directory
+  const auto fabricate = [&](const std::string& stem, std::size_t bytes, int age_hours) {
+    const fs::path path = dir_ / (stem + ".mfc");
+    std::ofstream(path) << std::string(bytes, 'x');
+    fs::last_write_time(path,
+                        fs::file_time_type::clock::now() - std::chrono::hours(age_hours));
+    return path;
+  };
+  const fs::path newest_big = fabricate("aa", 400, 1);
+  const fs::path old1 = fabricate("bb", 100, 2);
+  const fs::path old2 = fabricate("cc", 100, 3);
+  const fs::path old3 = fabricate("dd", 100, 4);
+
+  // Cap 600: the newest 400 and the next two 100s fit; the oldest is cut.
+  solve::DiskGcReport report = cache.gc(600);
+  EXPECT_EQ(report.entries_kept, 3u);
+  EXPECT_EQ(report.entries_removed, 1u);
+  EXPECT_TRUE(fs::exists(newest_big));
+  EXPECT_FALSE(fs::exists(old3));
+
+  // Cap 300: the newest entry alone overflows the cap, which cuts the
+  // prefix at zero — an older entry must never survive a newer eviction
+  // (keeping stale entries while dropping the hottest would invert LRU).
+  report = cache.gc(300);
+  EXPECT_EQ(report.entries_kept, 0u);
+  EXPECT_EQ(report.entries_removed, 3u);
+  EXPECT_FALSE(fs::exists(newest_big));
+  EXPECT_FALSE(fs::exists(old1));
+  EXPECT_FALSE(fs::exists(old2));
+}
+
+TEST_F(DiskGcTest, LookupRefreshesRecencySoLruTracksUse) {
+  solve::DiskCache cache(dir_);
+  insert_aged(cache, 21, 3);  // older ...
+  insert_aged(cache, 22, 1);  // ... newer
+  // Using the older entry must move it to the front of the LRU order.
+  ASSERT_TRUE(cache.lookup(key_for(21)).has_value());
+
+  const std::uint64_t one_entry =
+      static_cast<std::uint64_t>(fs::file_size(dir_ / solve::DiskCache::entry_filename(key_for(21))));
+  const solve::DiskGcReport report = cache.gc(one_entry);
+
+  EXPECT_EQ(report.entries_kept, 1u);
+  EXPECT_TRUE(cache.lookup(key_for(21)).has_value());
+  EXPECT_FALSE(cache.lookup(key_for(22)).has_value());
+}
+
+TEST_F(DiskGcTest, NeverDeletesAnEntryBeingWritten) {
+  solve::DiskCache cache(dir_);
+  insert_aged(cache, 31, 2);
+  // An entry mid-write is a temp file. A fresh one belongs to a live
+  // writer and must survive even a zero cap; an hours-old one is a crash
+  // leftover and is swept.
+  const fs::path fresh_temp = dir_ / "0123456789abcdef0123456789abcdef.mfc.tmp-42-0";
+  const fs::path stale_temp = dir_ / "fedcba9876543210fedcba9876543210.mfc.tmp-43-0";
+  std::ofstream(fresh_temp) << "half-written entry";
+  std::ofstream(stale_temp) << "abandoned entry";
+  fs::last_write_time(stale_temp, fs::file_time_type::clock::now() - std::chrono::hours(2));
+
+  const solve::DiskGcReport report = cache.gc(0);
+
+  EXPECT_EQ(report.entries_removed, 1u);
+  EXPECT_EQ(report.entries_kept, 0u);
+  EXPECT_EQ(report.stale_temps_removed, 1u);
+  EXPECT_TRUE(fs::exists(fresh_temp));
+  EXPECT_FALSE(fs::exists(stale_temp));
+  EXPECT_EQ(cache.stats().size, 0u);
+}
+
+TEST_F(DiskGcTest, TtlExpiresUnusedEntriesRegardlessOfCap) {
+  solve::DiskCache cache(dir_);
+  const fs::path ancient = insert_aged(cache, 51, 48);
+  const fs::path old = insert_aged(cache, 52, 40);
+  const fs::path fresh = insert_aged(cache, 53, 1);
+
+  // Unlimited byte cap: only the TTL decides.
+  const solve::DiskGcReport report =
+      cache.gc(std::numeric_limits<std::uint64_t>::max(), std::chrono::hours(36));
+
+  EXPECT_EQ(report.entries_before, 3u);
+  EXPECT_EQ(report.entries_expired, 2u);
+  EXPECT_EQ(report.entries_removed, 2u);
+  EXPECT_EQ(report.entries_kept, 1u);
+  EXPECT_FALSE(fs::exists(ancient));
+  EXPECT_FALSE(fs::exists(old));
+  EXPECT_TRUE(fs::exists(fresh));
+  EXPECT_TRUE(cache.lookup(key_for(53)).has_value());
+  EXPECT_FALSE(cache.lookup(key_for(51)).has_value());
+  EXPECT_EQ(cache.stats().evictions, 2u);
+}
+
+TEST_F(DiskGcTest, TtlZeroDisablesExpiry) {
+  solve::DiskCache cache(dir_);
+  insert_aged(cache, 61, 1000);  // ancient, but no TTL asked for
+  const solve::DiskGcReport report =
+      cache.gc(std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(report.entries_expired, 0u);
+  EXPECT_EQ(report.entries_removed, 0u);
+  EXPECT_EQ(report.entries_kept, 1u);
+}
+
+TEST_F(DiskGcTest, TtlComposesWithTheByteCap) {
+  // TTL removes by age first; the cap then trims the freshest survivors by
+  // LRU. Expired entries count in entries_expired, cap evictions do not.
+  solve::DiskCache cache(dir_);
+  insert_aged(cache, 71, 48);   // expired by TTL
+  const fs::path mid = insert_aged(cache, 72, 3);
+  const fs::path fresh = insert_aged(cache, 73, 1);
+
+  const std::uint64_t one_entry = static_cast<std::uint64_t>(fs::file_size(fresh));
+  const solve::DiskGcReport report = cache.gc(one_entry, std::chrono::hours(36));
+
+  EXPECT_EQ(report.entries_expired, 1u);
+  EXPECT_EQ(report.entries_removed, 2u);  // one by TTL, one by the cap
+  EXPECT_EQ(report.entries_kept, 1u);
+  EXPECT_FALSE(fs::exists(mid));
+  EXPECT_TRUE(fs::exists(fresh));
+}
+
+TEST_F(DiskGcTest, TtlNeverTouchesAFreshTempFile) {
+  solve::DiskCache cache(dir_);
+  insert_aged(cache, 81, 48);
+  // Even a TTL shorter than the temp file's age must not delete a temp
+  // file younger than the stale-writer threshold: entries being written
+  // are exempt from every policy.
+  const fs::path fresh_temp = dir_ / "00112233445566770011223344556677.mfc.tmp-7-0";
+  std::ofstream(fresh_temp) << "half-written entry";
+  fs::last_write_time(fresh_temp,
+                      fs::file_time_type::clock::now() - std::chrono::minutes(30));
+
+  const solve::DiskGcReport report =
+      cache.gc(std::numeric_limits<std::uint64_t>::max(), std::chrono::minutes(5));
+
+  EXPECT_EQ(report.entries_expired, 1u);
+  EXPECT_TRUE(fs::exists(fresh_temp));
+  EXPECT_EQ(report.stale_temps_removed, 0u);
+}
+
+TEST_F(DiskGcTest, GenerousCapRemovesNothingAndSurvivorsStayBitExact) {
+  solve::DiskCache cache(dir_);
+  solve::SolveResult stored;
+  stored.status = solve::Status::kFeasible;
+  stored.period = 0x1.91eb851eb851fp+9;  // a period with a full mantissa
+  cache.insert(key_for(41), stored);
+
+  const solve::DiskGcReport report = cache.gc(1ull << 30);
+  EXPECT_EQ(report.entries_removed, 0u);
+  EXPECT_EQ(report.entries_kept, 1u);
+
+  const std::optional<solve::SolveResult> restored = cache.lookup(key_for(41));
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->period, stored.period);  // bit-exact through gc
 }
 
 }  // namespace

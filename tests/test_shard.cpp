@@ -1,9 +1,12 @@
 // Tests for sharded sweep execution: the deterministic (point, trial)
 // partition, merge() reproducing the unsharded SweepResult bit for bit —
 // including under the retry protocol driven by a flaky method — the shard
-// file round-trip, and merge validation.
+// file round-trip, the parser's rejection of malformed text, and merge
+// validation.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/digest.hpp"
@@ -237,6 +240,39 @@ TEST(Shard, MergeValidatesItsInputs) {
   EXPECT_THROW((void)merge(std::move(shards)), std::invalid_argument);
   // Complete results are not merge input.
   EXPECT_THROW((void)merge({run_sweep(spec)}), std::invalid_argument);
+}
+
+TEST(Shard, MalformedShardTextIsRejected) {
+  const std::string good = to_text(run_shards(small_spec(), 2)[0]);
+  ASSERT_NO_THROW((void)sweep_shard_from_text(good));
+  const auto rejection = [](const std::string& text) -> std::string {
+    try {
+      (void)sweep_shard_from_text(text);
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "accepted";
+  };
+  const auto line_end = [&](std::size_t from) { return good.find('\n', from) + 1; };
+
+  EXPECT_NE(rejection("not-a-shard-file\n").find("header"), std::string::npos);
+
+  const std::string wrong_header = "microfactory-sweep-shard v1\n" + good.substr(line_end(0));
+  EXPECT_NE(rejection(wrong_header).find("header"), std::string::npos);
+
+  // Cut right after the first point line: its trials (and the later
+  // points) are missing.
+  const std::size_t point = good.find("\npoint ");
+  ASSERT_NE(point, std::string::npos);
+  EXPECT_NE(rejection(good.substr(0, line_end(point + 1))).find("unexpected end of input"),
+            std::string::npos);
+
+  // The first period of the first successful trial becomes a word.
+  const std::size_t trial = good.find(" ok 0x");
+  ASSERT_NE(trial, std::string::npos);
+  std::string bad_period = good;
+  bad_period.replace(trial + 4, good.find(' ', trial + 4) - (trial + 4), "fast");
+  EXPECT_NE(rejection(bad_period).find("bad number 'fast'"), std::string::npos);
 }
 
 TEST(Shard, RunSweepValidatesShardSpec) {

@@ -12,8 +12,10 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/cli.hpp"
@@ -397,6 +399,60 @@ TEST(Cli, ParsesFlagsAndPositionals) {
   EXPECT_EQ(args.get("missing", "fallback"), "fallback");
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "input.txt");
+}
+
+/// The message `get` throws, or "" when it does not throw.
+template <typename Get>
+std::string thrown_message(Get get) {
+  try {
+    (void)get();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Cli, MalformedAndPartialNumbersThrowNamingTheFlag) {
+  const char* argv[] = {"prog",     "--word",   "abc",         "--partial", "12x",
+                        "--ratio",  "0.5x",     "--huge",      "99999999999999999999",
+                        "--empty=", "--nan",    "nan",         "--negative", "-3",
+                        "--switch"};
+  CliArgs args(15, argv);
+  // A lenient parse reads these as 0, 12, 0.5 and 2^63-1, so a typo would
+  // run with a default instead of failing.
+  EXPECT_EQ(thrown_message([&] { return args.get_int("word", 1); }),
+            "--word expects a whole number, got 'abc'");
+  EXPECT_EQ(thrown_message([&] { return args.get_int("partial", 1); }),
+            "--partial expects a whole number, got '12x'");
+  EXPECT_EQ(thrown_message([&] { return args.get_int("huge", 1); }),
+            "--huge expects a whole number, got '99999999999999999999'");
+  EXPECT_EQ(thrown_message([&] { return args.get_int("empty", 1); }),
+            "--empty expects a whole number, got ''");
+  EXPECT_EQ(thrown_message([&] { return args.get_int("ratio", 1); }),
+            "--ratio expects a whole number, got '0.5x'");
+  EXPECT_EQ(thrown_message([&] { return args.get_double("ratio", 1.0); }),
+            "--ratio expects a number, got '0.5x'");
+  EXPECT_EQ(thrown_message([&] { return args.get_double("nan", 1.0); }),
+            "--nan expects a number, got 'nan'");
+  // A bare switch holds "true", which is no number either.
+  EXPECT_EQ(thrown_message([&] { return args.get_int("switch", 1); }),
+            "--switch expects a whole number, got 'true'");
+  EXPECT_EQ(thrown_message([&] { return args.get_double("switch", 1.0); }),
+            "--switch expects a number, got 'true'");
+  // Well-formed values and absent flags still read normally; the sign is
+  // the caller's to police.
+  EXPECT_EQ(args.get_int("negative", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("negative", 0.0), -3.0);
+  EXPECT_EQ(args.get_int("missing", 7), 7);
+  EXPECT_DOUBLE_EQ(args.get_double("missing", 0.25), 0.25);
+}
+
+TEST(Cli, NamesListsEveryParsedFlagOnce) {
+  const char* argv[] = {"prog", "--scale", "10", "--figure=fig06", "in.txt", "--scale", "2",
+                        "--cache-stats"};
+  CliArgs args(8, argv);
+  EXPECT_EQ(args.names(), (std::vector<std::string>{"cache-stats", "figure", "scale"}));
+  EXPECT_EQ(args.get_int("scale", 0), 2);  // the last spelling wins
 }
 
 }  // namespace
