@@ -274,11 +274,14 @@ void save_sweep_shard(const SweepResult& result, const std::string& path) {
   // scheduler collecting shard files) can never observe a half-written
   // file, even when a killed shard process races its rerun on the same
   // path.
+  // Serialize first: a complete result throws here, before there is a
+  // temp file to leave behind.
+  const std::string text = to_text(result);
   const std::string temp = path + ".tmp-" + std::to_string(::getpid());
   {
     std::ofstream out(temp);
     MF_REQUIRE(out.good(), "cannot open '" + temp + "' for writing");
-    out << to_text(result);
+    out << text;
     // Flush before checking: a failure on the buffered tail (e.g. a full
     // disk) would otherwise only surface in the destructor and be swallowed.
     out.flush();
