@@ -31,7 +31,13 @@ void Application::finalize() {
 
   // Types must be dense 0..p-1 so tasks_by_type_ is directly indexable.
   type_count_ = 0;
-  for (TypeIndex t : types_) type_count_ = std::max(type_count_, t + 1);
+  for (TypeIndex t : types_) {
+    // Checked before sizing the per-type lists from it: dense types are all
+    // below the task count.
+    MF_REQUIRE(t < n, "task types must be dense (type " + std::to_string(t) +
+                          " with only " + std::to_string(n) + " tasks)");
+    type_count_ = std::max(type_count_, t + 1);
+  }
   tasks_by_type_.assign(type_count_, {});
   for (TaskIndex i = 0; i < n; ++i) tasks_by_type_[types_[i]].push_back(i);
   for (TypeIndex t = 0; t < type_count_; ++t) {

@@ -56,7 +56,9 @@ double parse_double(const std::string& token, std::size_t line) {
 
 std::size_t parse_index(const std::string& token, std::size_t line) {
   const double value = parse_double(token, line);
-  if (value < 0 || value != static_cast<double>(static_cast<std::size_t>(value))) {
+  // 0x1p64 first: casting a double outside size_t's range is undefined.
+  if (!(value >= 0 && value < 0x1p64) ||
+      value != static_cast<double>(static_cast<std::size_t>(value))) {
     parse_error(line, "expected a non-negative integer, got '" + token + "'");
   }
   return static_cast<std::size_t>(value);
@@ -124,6 +126,14 @@ Problem problem_from_text(const std::string& text) {
   const std::size_t m = parse_index(dims[3], line_number);
   const std::size_t p = parse_index(dims[5], line_number);
   if (n == 0 || m == 0) parse_error(line_number, "n and m must be positive");
+  // The w and f rows hold 2·n·m values of at least two bytes each (a space
+  // and a digit), so a text of S bytes declares at most S/4 cells. The
+  // bound is checked by division, so n·m cannot overflow, and before the
+  // matrices are allocated from the declared sizes.
+  if (m > text.size() / 4 / n) {
+    parse_error(line_number, "n=" + std::to_string(n) + " m=" + std::to_string(m) +
+                                 " needs more w and f values than the input holds");
+  }
 
   if (!next_line(in, line, line_number)) parse_error(line_number, "missing types");
   auto type_tokens = tokens_of(line);

@@ -52,6 +52,12 @@ Scenario scenario_for(const SweepSpec& spec, std::size_t value) {
   return scenario;
 }
 
+/// A trial seed packs the trial index into its low kTrialBits bits, so a
+/// point may draw at most kMaxTrials instances before its seeds would run
+/// into the next point's.
+constexpr unsigned kTrialBits = 20;
+constexpr std::size_t kMaxTrials = std::size_t{1} << kTrialBits;
+
 /// The content-addressed seed hierarchy: a trial's instance seed depends
 /// only on (base_seed, point, trial), and each (trial, method) pair derives
 /// its solver seed from the trial seed and a *stable* hash of the method
@@ -59,7 +65,7 @@ Scenario scenario_for(const SweepSpec& spec, std::size_t value) {
 /// libraries), so adding or reordering methods never perturbs another
 /// column, and no seed depends on batch composition or shard assignment.
 std::uint64_t trial_seed(const SweepSpec& spec, std::size_t point_index, std::size_t trial) {
-  return support::mix_seed(spec.base_seed, (point_index << 20) | trial);
+  return support::mix_seed(spec.base_seed, (point_index << kTrialBits) | trial);
 }
 
 std::uint64_t method_seed(std::uint64_t trial_seed, const Method& method) {
@@ -185,6 +191,9 @@ void validate_spec(const SweepSpec& spec) {
   MF_REQUIRE(!spec.methods.empty(), "sweep needs at least one method");
   MF_REQUIRE(!spec.values.empty(), "sweep needs at least one point");
   MF_REQUIRE(spec.max_trials >= spec.trials, "max_trials must cover trials");
+  MF_REQUIRE(spec.max_trials <= kMaxTrials,
+             "max_trials must be at most 2^" + std::to_string(kTrialBits) +
+                 ": trial seeds keep the trial index in that many bits");
   // Unknown scenario ids fail the whole sweep up front (with the list of
   // registered ids) instead of mid-flight in a pool thread.
   (void)ScenarioRegistry::instance().resolve(spec.scenario_id);

@@ -2,14 +2,13 @@
 
 #include <unistd.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <system_error>
 
 #include "support/check.hpp"
+#include "support/record.hpp"
 
 namespace mf::exp {
 
@@ -29,55 +28,19 @@ std::string variable_token(SweepVariable variable) {
   return "?";
 }
 
-SweepVariable variable_from_token(const std::string& token) {
+SweepVariable read_variable(support::RecordReader& in) {
+  const std::string_view token = in.word();
   if (token == "tasks") return SweepVariable::kTasks;
   if (token == "types") return SweepVariable::kTypes;
-  if (token == "machines") return SweepVariable::kMachines;
-  MF_REQUIRE(false, "unknown sweep variable '" + token + "'");
-  return SweepVariable::kTasks;  // unreachable
+  if (token != "machines") in.fail("unknown sweep variable '" + std::string(token) + "'");
+  return SweepVariable::kMachines;
 }
 
-std::string hex_double(double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
-}
-
-double parse_double(const std::string& token, int line_number) {
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  MF_REQUIRE(end != nullptr && *end == '\0' && !token.empty(),
-             "line " + std::to_string(line_number) + ": bad number '" + token + "'");
-  return value;
-}
-
-/// Pulls the next line, tracking line numbers for error messages.
-bool next_line(std::istringstream& in, std::string& line, int& line_number) {
-  if (!std::getline(in, line)) return false;
-  ++line_number;
-  return true;
-}
-
-/// Requires a line starting with `keyword` and returns a stream over the
-/// remainder.
-std::istringstream expect_line(std::istringstream& in, const std::string& keyword,
-                               int& line_number) {
-  std::string line;
-  MF_REQUIRE(next_line(in, line, line_number),
-             "unexpected end of input, expected '" + keyword + "'");
-  std::istringstream fields(line);
-  std::string head;
-  fields >> head;
-  MF_REQUIRE(head == keyword, "line " + std::to_string(line_number) + ": expected '" +
-                                  keyword + "', got '" + head + "'");
-  return fields;
-}
-
-std::string rest_of_line(std::istringstream& fields) {
-  std::string rest;
-  std::getline(fields, rest);
-  const std::size_t start = rest.find_first_not_of(' ');
-  return start == std::string::npos ? std::string{} : rest.substr(start);
+FailureAttachment read_attachment(support::RecordReader& in) {
+  const std::string_view token = in.word();
+  if (token == "task") return FailureAttachment::kTaskOnly;
+  if (token != "type-machine") in.fail("unknown failure attachment '" + std::string(token) + "'");
+  return FailureAttachment::kTypeMachine;
 }
 
 }  // namespace
@@ -85,6 +48,7 @@ std::string rest_of_line(std::istringstream& fields) {
 std::string to_text(const SweepResult& result) {
   MF_REQUIRE(result.is_partial(),
              "only sharded partial results serialize; complete results print tables");
+  using support::hexfloat;
   const SweepSpec& spec = result.spec;
   std::ostringstream out;
   out << kHeader << "\n";
@@ -102,14 +66,14 @@ std::string to_text(const SweepResult& result) {
   out << "scenario-id " << spec.scenario_id << "\n";
   const Scenario& base = spec.base;
   out << "scenario " << base.tasks << ' ' << base.machines << ' ' << base.types << ' '
-      << hex_double(base.time_min_ms) << ' ' << hex_double(base.time_max_ms) << ' '
-      << hex_double(base.failure_min) << ' ' << hex_double(base.failure_max) << ' '
+      << hexfloat(base.time_min_ms) << ' ' << hexfloat(base.time_max_ms) << ' '
+      << hexfloat(base.failure_min) << ' ' << hexfloat(base.failure_max) << ' '
       << (base.failure_attachment == FailureAttachment::kTaskOnly ? "task" : "type-machine")
       << ' ' << (base.integer_times ? 1 : 0) << "\n";
-  out << "model " << hex_double(base.shock_min) << ' ' << hex_double(base.shock_max) << ' '
-      << base.window_count << ' ' << hex_double(base.window_ms) << ' '
-      << hex_double(base.factor_min) << ' ' << hex_double(base.factor_max) << ' '
-      << hex_double(base.mean_uptime_ms) << ' ' << hex_double(base.mean_repair_ms) << "\n";
+  out << "model " << hexfloat(base.shock_min) << ' ' << hexfloat(base.shock_max) << ' '
+      << base.window_count << ' ' << hexfloat(base.window_ms) << ' '
+      << hexfloat(base.factor_min) << ' ' << hexfloat(base.factor_max) << ' '
+      << hexfloat(base.mean_uptime_ms) << ' ' << hexfloat(base.mean_repair_ms) << "\n";
   out << "shard " << result.shard.index << ' ' << result.shard.count << "\n";
   out << "methods " << spec.methods.size() << "\n";
   for (const Method& method : spec.methods) {
@@ -126,7 +90,7 @@ std::string to_text(const SweepResult& result) {
       out << "trial " << trial;
       if (outcome.success) {
         out << " ok";
-        for (const double period : outcome.periods) out << ' ' << hex_double(period);
+        for (const double period : outcome.periods) out << ' ' << hexfloat(period);
       } else {
         out << " fail";
       }
@@ -138,134 +102,89 @@ std::string to_text(const SweepResult& result) {
 }
 
 SweepResult sweep_shard_from_text(const std::string& text) {
-  std::istringstream in(text);
-  int line_number = 0;
-  std::string line;
-  MF_REQUIRE(next_line(in, line, line_number) && line == kHeader,
-             "missing '" + std::string(kHeader) + "' header");
+  support::RecordReader in(text);
+  in.header(kHeader);
 
   SweepResult result;
   SweepSpec& spec = result.spec;
-  {
-    auto fields = expect_line(in, "name", line_number);
-    fields >> spec.name;
+  spec.name = in.line("name").rest();
+  spec.description = in.line("description").rest();
+  spec.variable = read_variable(in.line("variable"));
+  in.line("values");
+  while (!in.line_done()) spec.values.push_back(in.u64());
+  if (spec.values.empty()) in.fail("no values");
+  in.line("protocol");
+  spec.trials = in.u64();
+  spec.max_trials = in.u64();
+  spec.base_seed = in.u64();
+  spec.scenario_id = in.line("scenario-id").word();
+
+  Scenario& base = spec.base;
+  in.line("scenario");
+  base.tasks = in.u64();
+  base.machines = in.u64();
+  base.types = in.u64();
+  base.time_min_ms = in.real();
+  base.time_max_ms = in.real();
+  base.failure_min = in.real();
+  base.failure_max = in.real();
+  base.failure_attachment = read_attachment(in);
+  base.integer_times = in.flag();
+  in.line("model");
+  base.shock_min = in.real();
+  base.shock_max = in.real();
+  base.window_count = in.u64();
+  base.window_ms = in.real();
+  base.factor_min = in.real();
+  base.factor_max = in.real();
+  base.mean_uptime_ms = in.real();
+  base.mean_repair_ms = in.real();
+
+  in.line("shard");
+  result.shard.index = in.u64();
+  result.shard.count = in.u64();
+  if (result.shard.count < 2 || result.shard.index >= result.shard.count) {
+    in.fail("bad shard index/count");
   }
-  {
-    auto fields = expect_line(in, "description", line_number);
-    spec.description = rest_of_line(fields);
-  }
-  {
-    auto fields = expect_line(in, "variable", line_number);
-    std::string token;
-    fields >> token;
-    spec.variable = variable_from_token(token);
-  }
-  {
-    auto fields = expect_line(in, "values", line_number);
-    std::size_t value = 0;
-    while (fields >> value) spec.values.push_back(value);
-    MF_REQUIRE(!spec.values.empty(), "line " + std::to_string(line_number) + ": no values");
-  }
-  {
-    auto fields = expect_line(in, "protocol", line_number);
-    MF_REQUIRE(static_cast<bool>(fields >> spec.trials >> spec.max_trials >> spec.base_seed),
-               "line " + std::to_string(line_number) + ": bad protocol line");
-  }
-  {
-    auto fields = expect_line(in, "scenario-id", line_number);
-    MF_REQUIRE(static_cast<bool>(fields >> spec.scenario_id),
-               "line " + std::to_string(line_number) + ": bad scenario-id line");
-  }
-  {
-    auto fields = expect_line(in, "scenario", line_number);
-    std::string time_min, time_max, failure_min, failure_max, attachment;
-    int integer_times = 0;
-    MF_REQUIRE(static_cast<bool>(fields >> spec.base.tasks >> spec.base.machines >>
-                                 spec.base.types >> time_min >> time_max >> failure_min >>
-                                 failure_max >> attachment >> integer_times),
-               "line " + std::to_string(line_number) + ": bad scenario line");
-    spec.base.time_min_ms = parse_double(time_min, line_number);
-    spec.base.time_max_ms = parse_double(time_max, line_number);
-    spec.base.failure_min = parse_double(failure_min, line_number);
-    spec.base.failure_max = parse_double(failure_max, line_number);
-    spec.base.failure_attachment = attachment == "task" ? FailureAttachment::kTaskOnly
-                                                        : FailureAttachment::kTypeMachine;
-    spec.base.integer_times = integer_times != 0;
-  }
-  {
-    auto fields = expect_line(in, "model", line_number);
-    std::string shock_min, shock_max, window_ms, factor_min, factor_max, uptime, repair;
-    MF_REQUIRE(static_cast<bool>(fields >> shock_min >> shock_max >> spec.base.window_count >>
-                                 window_ms >> factor_min >> factor_max >> uptime >> repair),
-               "line " + std::to_string(line_number) + ": bad model line");
-    spec.base.shock_min = parse_double(shock_min, line_number);
-    spec.base.shock_max = parse_double(shock_max, line_number);
-    spec.base.window_ms = parse_double(window_ms, line_number);
-    spec.base.factor_min = parse_double(factor_min, line_number);
-    spec.base.factor_max = parse_double(factor_max, line_number);
-    spec.base.mean_uptime_ms = parse_double(uptime, line_number);
-    spec.base.mean_repair_ms = parse_double(repair, line_number);
-  }
-  {
-    auto fields = expect_line(in, "shard", line_number);
-    MF_REQUIRE(static_cast<bool>(fields >> result.shard.index >> result.shard.count),
-               "line " + std::to_string(line_number) + ": bad shard line");
-    MF_REQUIRE(result.shard.count > 1 && result.shard.index < result.shard.count,
-               "line " + std::to_string(line_number) + ": bad shard index/count");
-  }
-  std::size_t method_count = 0;
-  {
-    auto fields = expect_line(in, "methods", line_number);
-    MF_REQUIRE(static_cast<bool>(fields >> method_count) && method_count > 0,
-               "line " + std::to_string(line_number) + ": bad method count");
-  }
-  for (std::size_t k = 0; k < method_count; ++k) {
-    auto fields = expect_line(in, "method", line_number);
-    int require_proof = 0;
+  const std::uint64_t method_count = in.line("methods").u64();
+  if (method_count == 0) in.fail("bad method count");
+  for (std::uint64_t k = 0; k < method_count; ++k) {
+    in.line("method");
     Method method;
-    MF_REQUIRE(static_cast<bool>(fields >> require_proof >> method.solver_id),
-               "line " + std::to_string(line_number) + ": bad method line");
-    method.require_proof = require_proof != 0;
-    method.name = rest_of_line(fields);
-    MF_REQUIRE(!method.name.empty(),
-               "line " + std::to_string(line_number) + ": method needs a display name");
+    method.require_proof = in.flag();
+    method.solver_id = in.word();
+    method.name = in.rest();
+    if (method.name.empty()) in.fail("method needs a display name");
     spec.methods.push_back(std::move(method));
   }
 
   result.points.resize(spec.values.size());
   for (std::size_t p = 0; p < spec.values.size(); ++p) {
-    auto fields = expect_line(in, "point", line_number);
-    std::size_t index = 0;
-    std::size_t outcome_count = 0;
+    in.line("point");
     PointResult& point = result.points[p];
-    MF_REQUIRE(static_cast<bool>(fields >> index >> point.sweep_value >> outcome_count) &&
-                   index == p,
-               "line " + std::to_string(line_number) + ": bad point line");
-    for (std::size_t o = 0; o < outcome_count; ++o) {
-      auto trial_fields = expect_line(in, "trial", line_number);
-      std::size_t trial = 0;
-      std::string verdict;
-      MF_REQUIRE(static_cast<bool>(trial_fields >> trial >> verdict),
-                 "line " + std::to_string(line_number) + ": bad trial line");
+    if (in.u64() != p) in.fail("bad point index");
+    point.sweep_value = in.u64();
+    const std::uint64_t outcome_count = in.u64();
+    for (std::uint64_t o = 0; o < outcome_count; ++o) {
+      in.line("trial");
+      const std::uint64_t trial = in.u64();
+      const std::string_view verdict = in.word();
       TrialOutcome outcome;
       if (verdict == "ok") {
         outcome.success = true;
-        std::string token;
-        while (trial_fields >> token) {
-          outcome.periods.push_back(parse_double(token, line_number));
+        while (!in.line_done()) outcome.periods.push_back(in.real());
+        if (outcome.periods.size() != method_count) {
+          in.fail("trial period count does not match method count");
         }
-        MF_REQUIRE(outcome.periods.size() == method_count,
-                   "line " + std::to_string(line_number) +
-                       ": trial period count does not match method count");
-      } else {
-        MF_REQUIRE(verdict == "fail",
-                   "line " + std::to_string(line_number) + ": bad trial verdict");
+      } else if (verdict != "fail") {
+        in.fail("bad trial verdict '" + std::string(verdict) + "'");
       }
-      MF_REQUIRE(point.trial_outcomes.emplace(trial, std::move(outcome)).second,
-                 "line " + std::to_string(line_number) + ": duplicate trial index");
+      if (!point.trial_outcomes.emplace(trial, std::move(outcome)).second) {
+        in.fail("duplicate trial index");
+      }
     }
   }
-  (void)expect_line(in, "end", line_number);
+  in.finish();
   return result;
 }
 

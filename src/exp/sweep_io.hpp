@@ -2,11 +2,11 @@
 //
 // Sharded figure sweeps run as separate processes (`mfsched --figure fig10
 // --shard 0/4`), so each shard's raw trial outcomes must travel to the
-// process that merges them. The format is line-oriented like core/io.hpp;
-// every period is written as a C hexadecimal float (printf "%a"), which
-// round-trips the IEEE-754 bits exactly — merged results must be
-// bit-identical to the unsharded run, so decimal shortening is not an
-// option.
+// process that merges them. A shard file is a record in the one codec of
+// support/record.hpp, which also sets the reader's rules: every period is a
+// hexfloat, which round-trips the IEEE-754 bits exactly — merged results
+// must be bit-identical to the unsharded run, so decimal shortening is not
+// an option.
 //
 //   microfactory-sweep-shard v2
 //   name fig10

@@ -3,126 +3,21 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/io.hpp"
+#include "support/record.hpp"
 
 namespace mf::serve {
 
 namespace {
 
+using support::hexfloat;
+using support::one_line;
+
 constexpr const char* kRequestHeader = "mf-serve-request v1";
 constexpr const char* kStatsHeader = "mf-serve-stats v1";
-
-std::string hex_double(double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
-}
-
-bool parse_double_token(const std::string& token, double& value) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  value = std::strtod(token.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
-bool parse_u64_token(const std::string& token, std::uint64_t& value) {
-  if (token.empty() || token[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  value = std::strtoull(token.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && errno != ERANGE;
-}
-
-/// Folds line breaks out of free-text fields so one field stays one line.
-std::string one_line(std::string text) {
-  for (char& c : text) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  return text;
-}
-
-/// Line-oriented pull parser (the disk-cache entry parser's sibling):
-/// every accessor reports failure through its return value and the caller
-/// bails to "malformed".
-class BodyReader {
- public:
-  explicit BodyReader(const std::string& text) : text_(text) {}
-
-  /// Consumes the next line, requires it to start with `keyword`, and
-  /// leaves a token stream over the remaining fields.
-  bool expect(const std::string& keyword) {
-    std::string line;
-    if (!next_line(line)) return false;
-    fields_ = std::istringstream(line);
-    std::string head;
-    fields_ >> head;
-    return head == keyword;
-  }
-
-  template <typename T>
-  bool read(T& value) {
-    return static_cast<bool>(fields_ >> value);
-  }
-
-  bool read_u64(std::uint64_t& value) {
-    std::string token;
-    if (!(fields_ >> token)) return false;
-    return parse_u64_token(token, value);
-  }
-
-  bool read_double(double& value) {
-    std::string token;
-    if (!(fields_ >> token)) return false;
-    return parse_double_token(token, value);
-  }
-
-  bool read_bool(bool& value) {
-    int flag = 0;
-    if (!(fields_ >> flag) || (flag != 0 && flag != 1)) return false;
-    value = flag != 0;
-    return true;
-  }
-
-  /// Remainder of the current line, leading space stripped ("" when empty).
-  std::string rest_of_line() {
-    std::string rest;
-    std::getline(fields_, rest);
-    const std::size_t start = rest.find_first_not_of(' ');
-    return start == std::string::npos ? std::string{} : rest.substr(start);
-  }
-
-  /// Takes the next `count` raw bytes (the embedded problem blob — it
-  /// contains newlines, so it cannot travel line-by-line).
-  bool read_blob(std::size_t count, std::string& out) {
-    if (count > text_.size() - pos_) return false;
-    out.assign(text_, pos_, count);
-    pos_ += count;
-    // The blob is followed by exactly one separator newline.
-    if (pos_ >= text_.size() || text_[pos_] != '\n') return false;
-    ++pos_;
-    return true;
-  }
-
-  [[nodiscard]] bool at_end() const { return pos_ == text_.size(); }
-
- private:
-  bool next_line(std::string& line) {
-    if (pos_ >= text_.size()) return false;
-    const std::size_t nl = text_.find('\n', pos_);
-    if (nl == std::string::npos) return false;  // strict: every line terminated
-    line.assign(text_, pos_, nl - pos_);
-    pos_ = nl + 1;
-    return true;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::istringstream fields_;
-};
 
 /// Blocking read of exactly `size` bytes; false on EOF or error.
 bool read_all(int fd, char* data, std::size_t size) {
@@ -257,10 +152,12 @@ HeaderParse parse_frame_header(const std::string& header,
     result.detail = "unknown frame type '" + one_line(type_token) + "'";
     return result;
   }
-  if (!parse_u64_token(length_token, result.length)) {
+  const std::optional<std::uint64_t> length = support::parse_u64(length_token);
+  if (!length.has_value()) {
     result.detail = "unparsable content length '" + one_line(length_token) + "'";
     return result;
   }
+  result.length = *length;
   result.type = *type;
   if (result.length > max_body_bytes) {
     result.status = ReadStatus::kTooLarge;
@@ -285,12 +182,12 @@ std::string request_to_text(const WireRequest& wire) {
   out << "seed " << params.seed << "\n";
   out << "budget " << (params.max_nodes.has_value() ? 1 : 0) << ' '
       << params.max_nodes.value_or(0) << "\n";
-  out << "limit " << hex_double(params.time_limit_ms) << "\n";
+  out << "limit " << hexfloat(params.time_limit_ms) << "\n";
   out << "local-search " << (params.local_search ? 1 : 0) << "\n";
   out << "refine " << params.refinement.max_passes << ' '
       << (params.refinement.allow_swaps ? 1 : 0) << ' '
       << (params.refinement.first_improvement ? 1 : 0) << ' '
-      << hex_double(params.refinement.min_relative_gain) << "\n";
+      << hexfloat(params.refinement.min_relative_gain) << "\n";
   out << "cache " << solve::to_string(params.cache) << "\n";
   out << "problem " << problem_text.size() << "\n";
   out << problem_text << "\n";
@@ -299,75 +196,45 @@ std::string request_to_text(const WireRequest& wire) {
 }
 
 std::optional<WireRequest> request_from_text(const std::string& text) {
-  BodyReader reader(text);
-  if (!reader.expect("mf-serve-request") ||
-      "mf-serve-request " + reader.rest_of_line() != kRequestHeader) {
-    return std::nullopt;
-  }
-
-  WireRequest wire;
-  solve::SolveParams& params = wire.request.params;
-  if (!reader.expect("client")) return std::nullopt;
-  wire.client_id = reader.rest_of_line();
-  if (wire.client_id.empty()) return std::nullopt;
-  if (!reader.expect("solver")) return std::nullopt;
-  wire.request.solver_id = reader.rest_of_line();
-  if (wire.request.solver_id.empty()) return std::nullopt;
-  if (!reader.expect("scenario")) return std::nullopt;
-  params.scenario = reader.rest_of_line();
-  if (!reader.expect("seed") || !reader.read_u64(params.seed)) return std::nullopt;
-  {
-    bool has_budget = false;
-    std::uint64_t budget = 0;
-    if (!reader.expect("budget") || !reader.read_bool(has_budget) ||
-        !reader.read_u64(budget)) {
-      return std::nullopt;
-    }
+  try {
+    support::RecordReader in(text);
+    in.header(kRequestHeader);
+    WireRequest wire;
+    solve::SolveParams& params = wire.request.params;
+    wire.client_id = in.line("client").rest();
+    if (wire.client_id.empty()) in.fail("empty client id");
+    wire.request.solver_id = in.line("solver").rest();
+    if (wire.request.solver_id.empty()) in.fail("empty solver id");
+    params.scenario = in.line("scenario").rest();
+    params.seed = in.line("seed").u64();
+    in.line("budget");
+    const bool has_budget = in.flag();
+    const std::uint64_t budget = in.u64();
     if (has_budget) params.max_nodes = budget;
-  }
-  if (!reader.expect("limit") || !reader.read_double(params.time_limit_ms)) {
+    params.time_limit_ms = in.line("limit").real();
+    params.local_search = in.line("local-search").flag();
+    in.line("refine");
+    params.refinement.max_passes = in.u64();
+    params.refinement.allow_swaps = in.flag();
+    params.refinement.first_improvement = in.flag();
+    params.refinement.min_relative_gain = in.real();
+    const std::string_view policy = in.line("cache").word();
+    const std::optional<solve::CachePolicy> cache =
+        solve::cache_policy_from_string(std::string(policy));
+    if (!cache.has_value()) in.fail("unknown cache policy '" + std::string(policy) + "'");
+    params.cache = *cache;
+    in.line("problem");
+    const std::string problem_text(in.blob(in.u64()));
+    wire.request.problem =
+        std::make_shared<const core::Problem>(core::problem_from_text(problem_text));
+    // Nothing may follow `end`: a concatenated or padded body is refused,
+    // the frame length is the whole truth.
+    in.finish();
+    wire.request.derive_stream_seed = false;  // wire requests are final
+    return wire;
+  } catch (const std::invalid_argument&) {
     return std::nullopt;
   }
-  if (!reader.expect("local-search") || !reader.read_bool(params.local_search)) {
-    return std::nullopt;
-  }
-  {
-    std::uint64_t passes = 0;
-    if (!reader.expect("refine") || !reader.read_u64(passes) ||
-        !reader.read_bool(params.refinement.allow_swaps) ||
-        !reader.read_bool(params.refinement.first_improvement) ||
-        !reader.read_double(params.refinement.min_relative_gain)) {
-      return std::nullopt;
-    }
-    params.refinement.max_passes = static_cast<std::size_t>(passes);
-  }
-  {
-    if (!reader.expect("cache")) return std::nullopt;
-    std::string token;
-    if (!reader.read(token)) return std::nullopt;
-    const std::optional<solve::CachePolicy> policy = solve::cache_policy_from_string(token);
-    if (!policy.has_value()) return std::nullopt;
-    params.cache = *policy;
-  }
-  {
-    std::uint64_t problem_bytes = 0;
-    if (!reader.expect("problem") || !reader.read_u64(problem_bytes)) return std::nullopt;
-    std::string problem_text;
-    if (!reader.read_blob(static_cast<std::size_t>(problem_bytes), problem_text)) {
-      return std::nullopt;
-    }
-    try {
-      wire.request.problem =
-          std::make_shared<const core::Problem>(core::problem_from_text(problem_text));
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-  }
-  // Trailing sentinel plus nothing after it: a concatenated or padded body
-  // is rejected, the frame length is the whole truth.
-  if (!reader.expect("end") || !reader.at_end()) return std::nullopt;
-  wire.request.derive_stream_seed = false;  // wire requests are final
-  return wire;
 }
 
 std::string error_body(const std::string& code, const std::string& detail) {
@@ -406,85 +273,57 @@ std::string stats_to_text(const DaemonStatsSnapshot& stats) {
   out << "gc " << stats.gc_runs << ' ' << stats.gc_entries_removed << ' '
       << stats.gc_bytes_removed << "\n";
   out << "latency-count " << stats.latency_count << "\n";
-  out << "latency-p50 " << hex_double(stats.latency_p50_ms) << "\n";
-  out << "latency-p90 " << hex_double(stats.latency_p90_ms) << "\n";
-  out << "latency-p99 " << hex_double(stats.latency_p99_ms) << "\n";
+  out << "latency-p50 " << hexfloat(stats.latency_p50_ms) << "\n";
+  out << "latency-p90 " << hexfloat(stats.latency_p90_ms) << "\n";
+  out << "latency-p99 " << hexfloat(stats.latency_p99_ms) << "\n";
   out << "end\n";
   return out.str();
 }
 
 std::optional<DaemonStatsSnapshot> stats_from_text(const std::string& text) {
-  BodyReader reader(text);
-  if (!reader.expect("mf-serve-stats") ||
-      "mf-serve-stats " + reader.rest_of_line() != kStatsHeader) {
+  try {
+    support::RecordReader in(text);
+    in.header(kStatsHeader);
+    DaemonStatsSnapshot stats;
+    stats.service.submitted = in.line("submitted").u64();
+    stats.service.completed = in.line("completed").u64();
+    stats.service.solved = in.line("solved").u64();
+    stats.service.cache_hits = in.line("cache-hits").u64();
+    stats.service.dedup_joined = in.line("dedup-joined").u64();
+    stats.service.rejected_queue_full = in.line("rejected-queue-full").u64();
+    stats.service.rejected_rate_limited = in.line("rejected-rate-limited").u64();
+    in.line("cache");
+    stats.cache.hits = in.u64();
+    stats.cache.misses = in.u64();
+    stats.cache.insertions = in.u64();
+    stats.cache.evictions = in.u64();
+    stats.cache.size = in.u64();
+    stats.cache.bytes = in.u64();
+    in.line("connections");
+    stats.connections_active = in.u64();
+    stats.connections_total = in.u64();
+    stats.pending = in.line("pending").u64();
+    in.line("pool");
+    stats.pool_queue_depth = in.u64();
+    stats.pool_in_flight = in.u64();
+    in.line("loop");
+    stats.loop_wakeups = in.u64();
+    stats.loop_timers_fired = in.u64();
+    stats.idle_closes = in.u64();
+    stats.backpressure_bytes = in.u64();
+    in.line("gc");
+    stats.gc_runs = in.u64();
+    stats.gc_entries_removed = in.u64();
+    stats.gc_bytes_removed = in.u64();
+    stats.latency_count = in.line("latency-count").u64();
+    stats.latency_p50_ms = in.line("latency-p50").real();
+    stats.latency_p90_ms = in.line("latency-p90").real();
+    stats.latency_p99_ms = in.line("latency-p99").real();
+    in.finish();
+    return stats;
+  } catch (const std::invalid_argument&) {
     return std::nullopt;
   }
-  DaemonStatsSnapshot stats;
-  if (!reader.expect("submitted") || !reader.read_u64(stats.service.submitted)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("completed") || !reader.read_u64(stats.service.completed)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("solved") || !reader.read_u64(stats.service.solved)) return std::nullopt;
-  if (!reader.expect("cache-hits") || !reader.read_u64(stats.service.cache_hits)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("dedup-joined") || !reader.read_u64(stats.service.dedup_joined)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("rejected-queue-full") ||
-      !reader.read_u64(stats.service.rejected_queue_full)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("rejected-rate-limited") ||
-      !reader.read_u64(stats.service.rejected_rate_limited)) {
-    return std::nullopt;
-  }
-  {
-    std::uint64_t size = 0;
-    if (!reader.expect("cache") || !reader.read_u64(stats.cache.hits) ||
-        !reader.read_u64(stats.cache.misses) || !reader.read_u64(stats.cache.insertions) ||
-        !reader.read_u64(stats.cache.evictions) || !reader.read_u64(size) ||
-        !reader.read_u64(stats.cache.bytes)) {
-      return std::nullopt;
-    }
-    stats.cache.size = static_cast<std::size_t>(size);
-  }
-  if (!reader.expect("connections") || !reader.read_u64(stats.connections_active) ||
-      !reader.read_u64(stats.connections_total)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("pending") || !reader.read_u64(stats.pending)) return std::nullopt;
-  if (!reader.expect("pool") || !reader.read_u64(stats.pool_queue_depth) ||
-      !reader.read_u64(stats.pool_in_flight)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("loop") || !reader.read_u64(stats.loop_wakeups) ||
-      !reader.read_u64(stats.loop_timers_fired) ||
-      !reader.read_u64(stats.idle_closes) ||
-      !reader.read_u64(stats.backpressure_bytes)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("gc") || !reader.read_u64(stats.gc_runs) ||
-      !reader.read_u64(stats.gc_entries_removed) ||
-      !reader.read_u64(stats.gc_bytes_removed)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("latency-count") || !reader.read_u64(stats.latency_count)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("latency-p50") || !reader.read_double(stats.latency_p50_ms)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("latency-p90") || !reader.read_double(stats.latency_p90_ms)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("latency-p99") || !reader.read_double(stats.latency_p99_ms)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("end")) return std::nullopt;
-  return stats;
 }
 
 }  // namespace mf::serve

@@ -13,8 +13,8 @@
 // `rate-limited`, `draining`, `internal`) — admission control and rate
 // limiting are explicit protocol outcomes, never silent buffering.
 //
-// Bodies are the canonical hexfloat text forms the rest of the system
-// already trusts:
+// Bodies are records in the one text codec of support/record.hpp, the
+// hexfloat form shard files and cache entries already use:
 //
 //   * A solve request body (`request_to_text`/`request_from_text`) carries
 //     the client id, the full `SolveParams` (doubles as C99 hexfloats), and
@@ -28,8 +28,9 @@
 //     robustness tests.
 //
 // Parsing is strict everywhere: a malformed header, an oversized declared
-// length, a truncated body, or an unparsable field is rejected (nullopt /
-// error response), never guessed at.
+// length, a truncated body, or a body the record reader refuses (unknown,
+// missing or unparsable field, trailing bytes) is rejected (nullopt / error
+// response), never guessed at.
 #pragma once
 
 #include <cstdint>

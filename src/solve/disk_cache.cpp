@@ -4,14 +4,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <system_error>
 #include <vector>
 
 #include "support/check.hpp"
+#include "support/record.hpp"
 
 namespace mf::solve {
 
@@ -22,101 +22,78 @@ namespace {
 // entry layout or to what a stored field means.
 constexpr const char* kEntryHeader = "mf-cache-entry v1";
 
-std::string hex_double(double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
-}
-
-std::string hex_u64(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof buffer, "%016llx", static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-/// Folds line breaks out of free-text fields (notes) so one field is always
-/// one line; the entry stays parseable at the cost of whitespace fidelity.
-std::string one_line(std::string text) {
-  for (char& c : text) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  return text;
-}
-
-std::string status_token(Status status) { return to_string(status); }
-
-std::optional<Status> status_from_token(const std::string& token) {
+Status read_status(support::RecordReader& in) {
+  const std::string_view token = in.word();
   for (const Status status : {Status::kOptimal, Status::kFeasible, Status::kInfeasible,
                               Status::kBudgetExhausted, Status::kError}) {
     if (token == to_string(status)) return status;
   }
-  return std::nullopt;
+  in.fail("unknown status '" + std::string(token) + "'");
 }
 
-/// Line-oriented pull parser that never throws: every accessor reports
-/// failure through its return value, and the caller bails to "miss".
-class EntryReader {
- public:
-  explicit EntryReader(const std::string& text) : in_(text) {}
+std::pair<CacheKey, SolveResult> read_entry(std::string_view text) {
+  support::RecordReader in(text);
+  // The version is matched exactly: a bumped writer's "v2" fails here and
+  // the stale entry is simply re-solved and overwritten.
+  in.header(kEntryHeader);
 
-  /// Consumes the next line, requires it to start with `keyword`, and
-  /// leaves a stream over the remaining fields; false on mismatch or EOF.
-  bool expect(const std::string& keyword) {
-    std::string line;
-    if (!std::getline(in_, line)) return false;
-    fields_ = std::istringstream(line);
-    std::string head;
-    fields_ >> head;
-    return head == keyword;
+  CacheKey key;
+  in.line("problem");
+  key.problem.hi = in.hex64();
+  key.problem.lo = in.hex64();
+  key.solver_id = in.line("solver").rest();
+  if (key.solver_id.empty()) in.fail("empty solver id");
+  key.scenario = in.line("scenario").rest();
+  key.seed = in.line("seed").u64();
+  in.line("budget");
+  key.has_max_nodes = in.flag();
+  key.max_nodes = in.u64();
+  key.time_limit_ms_bits = in.line("limit").u64();
+  in.line("refine");
+  key.refine_max_passes = in.u64();
+  key.refine_allow_swaps = in.flag();
+  key.refine_first_improvement = in.flag();
+  key.refine_min_relative_gain_bits = in.u64();
+
+  SolveResult result;
+  result.status = read_status(in.line("status"));
+  result.period = in.line("period").real();
+  const std::string_view count = in.line("mapping").word();
+  if (count != "-") {
+    std::vector<core::MachineIndex> assignment;
+    while (!in.line_done()) assignment.push_back(in.u64());
+    if (support::parse_u64(count) != assignment.size()) {
+      in.fail("mapping lists " + std::to_string(assignment.size()) + " machines, declares '" +
+              std::string(count) + "'");
+    }
+    result.mapping = core::Mapping(std::move(assignment));
   }
-
-  template <typename T>
-  bool read(T& value) {
-    return static_cast<bool>(fields_ >> value);
-  }
-
-  bool read_hex_u64(std::uint64_t& value) {
-    std::string token;
-    if (!(fields_ >> token) || token.size() != 16) return false;
-    char* end = nullptr;
-    value = std::strtoull(token.c_str(), &end, 16);
-    return end != nullptr && *end == '\0';
-  }
-
-  bool read_double(double& value) {
-    std::string token;
-    if (!(fields_ >> token)) return false;
-    char* end = nullptr;
-    value = std::strtod(token.c_str(), &end);
-    return end != nullptr && *end == '\0' && !token.empty();
-  }
-
-  bool read_bool(bool& value) {
-    int flag = 0;
-    if (!(fields_ >> flag) || (flag != 0 && flag != 1)) return false;
-    value = flag != 0;
-    return true;
-  }
-
-  /// Remainder of the current line, leading space stripped ("" when empty).
-  std::string rest_of_line() {
-    std::string rest;
-    std::getline(fields_, rest);
-    const std::size_t start = rest.find_first_not_of(' ');
-    return start == std::string::npos ? std::string{} : rest.substr(start);
-  }
-
- private:
-  std::istringstream in_;
-  std::istringstream fields_;
-};
+  auto& diag = result.diagnostics;
+  diag.solver_id = in.line("diag-solver").rest();
+  diag.nodes_explored = in.line("nodes").u64();
+  diag.wall_time_ms = in.line("wall").real();
+  in.line("refinement");
+  diag.refined = in.flag();
+  diag.refiner_improvement_ms = in.real();
+  diag.refiner_moves = in.u64();
+  diag.refiner_converged = in.flag();
+  diag.scenario = in.line("diag-scenario").rest();
+  diag.note = in.line("note").rest();
+  // The trailing sentinel proves the file was written to completion; a
+  // truncated entry (crash or torn copy) fails here.
+  in.finish();
+  return {std::move(key), std::move(result)};
+}
 
 }  // namespace
 
 std::string entry_to_text(const CacheKey& key, const SolveResult& result) {
+  using support::hex64;
+  using support::hexfloat;
+  using support::one_line;
   std::ostringstream out;
   out << kEntryHeader << "\n";
-  out << "problem " << hex_u64(key.problem.hi) << ' ' << hex_u64(key.problem.lo) << "\n";
+  out << "problem " << hex64(key.problem.hi) << ' ' << hex64(key.problem.lo) << "\n";
   out << "solver " << one_line(key.solver_id) << "\n";
   out << "scenario " << one_line(key.scenario) << "\n";
   out << "seed " << key.seed << "\n";
@@ -125,8 +102,8 @@ std::string entry_to_text(const CacheKey& key, const SolveResult& result) {
   out << "refine " << key.refine_max_passes << ' ' << (key.refine_allow_swaps ? 1 : 0)
       << ' ' << (key.refine_first_improvement ? 1 : 0) << ' '
       << key.refine_min_relative_gain_bits << "\n";
-  out << "status " << status_token(result.status) << "\n";
-  out << "period " << hex_double(result.period) << "\n";
+  out << "status " << to_string(result.status) << "\n";
+  out << "period " << hexfloat(result.period) << "\n";
   if (result.mapping.has_value()) {
     const auto& assignment = result.mapping->assignment();
     out << "mapping " << assignment.size();
@@ -138,9 +115,9 @@ std::string entry_to_text(const CacheKey& key, const SolveResult& result) {
   const auto& diag = result.diagnostics;
   out << "diag-solver " << one_line(diag.solver_id) << "\n";
   out << "nodes " << diag.nodes_explored << "\n";
-  out << "wall " << hex_double(diag.wall_time_ms) << "\n";
+  out << "wall " << hexfloat(diag.wall_time_ms) << "\n";
   out << "refinement " << (diag.refined ? 1 : 0) << ' '
-      << hex_double(diag.refiner_improvement_ms) << ' ' << diag.refiner_moves << ' '
+      << hexfloat(diag.refiner_improvement_ms) << ' ' << diag.refiner_moves << ' '
       << (diag.refiner_converged ? 1 : 0) << "\n";
   out << "diag-scenario " << one_line(diag.scenario) << "\n";
   out << "note " << one_line(diag.note) << "\n";
@@ -149,79 +126,11 @@ std::string entry_to_text(const CacheKey& key, const SolveResult& result) {
 }
 
 std::optional<std::pair<CacheKey, SolveResult>> entry_from_text(const std::string& text) {
-  EntryReader reader(text);
-  // The version is matched exactly: a bumped writer's "v2" fails here and
-  // the stale entry is simply re-solved and overwritten.
-  if (!reader.expect("mf-cache-entry") || "mf-cache-entry " + reader.rest_of_line() != kEntryHeader) {
+  try {
+    return read_entry(text);
+  } catch (const std::invalid_argument&) {
     return std::nullopt;
   }
-
-  CacheKey key;
-  SolveResult result;
-  if (!reader.expect("problem") || !reader.read_hex_u64(key.problem.hi) ||
-      !reader.read_hex_u64(key.problem.lo)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("solver")) return std::nullopt;
-  key.solver_id = reader.rest_of_line();
-  if (key.solver_id.empty()) return std::nullopt;
-  if (!reader.expect("scenario")) return std::nullopt;
-  key.scenario = reader.rest_of_line();
-  if (!reader.expect("seed") || !reader.read(key.seed)) return std::nullopt;
-  if (!reader.expect("budget") || !reader.read_bool(key.has_max_nodes) ||
-      !reader.read(key.max_nodes)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("limit") || !reader.read(key.time_limit_ms_bits)) return std::nullopt;
-  if (!reader.expect("refine") || !reader.read(key.refine_max_passes) ||
-      !reader.read_bool(key.refine_allow_swaps) ||
-      !reader.read_bool(key.refine_first_improvement) ||
-      !reader.read(key.refine_min_relative_gain_bits)) {
-    return std::nullopt;
-  }
-
-  if (!reader.expect("status")) return std::nullopt;
-  {
-    std::string token;
-    if (!reader.read(token)) return std::nullopt;
-    const std::optional<Status> status = status_from_token(token);
-    if (!status.has_value()) return std::nullopt;
-    result.status = *status;
-  }
-  if (!reader.expect("period") || !reader.read_double(result.period)) return std::nullopt;
-  if (!reader.expect("mapping")) return std::nullopt;
-  {
-    std::string first;
-    if (!reader.read(first)) return std::nullopt;
-    if (first != "-") {
-      char* end = nullptr;
-      const unsigned long long count = std::strtoull(first.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') return std::nullopt;
-      std::vector<core::MachineIndex> assignment(static_cast<std::size_t>(count));
-      for (core::MachineIndex& machine : assignment) {
-        if (!reader.read(machine)) return std::nullopt;
-      }
-      result.mapping = core::Mapping(std::move(assignment));
-    }
-  }
-  auto& diag = result.diagnostics;
-  if (!reader.expect("diag-solver")) return std::nullopt;
-  diag.solver_id = reader.rest_of_line();
-  if (!reader.expect("nodes") || !reader.read(diag.nodes_explored)) return std::nullopt;
-  if (!reader.expect("wall") || !reader.read_double(diag.wall_time_ms)) return std::nullopt;
-  if (!reader.expect("refinement") || !reader.read_bool(diag.refined) ||
-      !reader.read_double(diag.refiner_improvement_ms) || !reader.read(diag.refiner_moves) ||
-      !reader.read_bool(diag.refiner_converged)) {
-    return std::nullopt;
-  }
-  if (!reader.expect("diag-scenario")) return std::nullopt;
-  diag.scenario = reader.rest_of_line();
-  if (!reader.expect("note")) return std::nullopt;
-  diag.note = reader.rest_of_line();
-  // The trailing sentinel proves the file was written to completion; a
-  // truncated entry (crash or torn copy) fails here.
-  if (!reader.expect("end")) return std::nullopt;
-  return std::make_pair(std::move(key), std::move(result));
 }
 
 DiskCache::DiskCache(std::filesystem::path directory) : dir_(std::move(directory)) {
@@ -232,7 +141,7 @@ DiskCache::DiskCache(std::filesystem::path directory) : dir_(std::move(directory
 }
 
 std::string DiskCache::entry_filename(const CacheKey& key) {
-  return hex_u64(key.hash_hi) + hex_u64(key.hash) + ".mfc";
+  return support::hex64(key.hash_hi) + support::hex64(key.hash) + ".mfc";
 }
 
 std::optional<SolveResult> DiskCache::lookup(const CacheKey& key) {

@@ -6,9 +6,10 @@
 // (32 hex chars + ".mfc"), holding a version header, the *full* canonical
 // `CacheKey` (so lookups verify identity field-by-field — a filename
 // collision degrades to a miss, never a wrong result), and the
-// `SolveResult` with every double serialized as a C99 hexfloat — the same
-// bit-exact convention the shard files use, so a restored result is
-// bit-for-bit the result that was stored.
+// `SolveResult`. The entry is a record in the one codec of
+// support/record.hpp, which shard files and the daemon's bodies share:
+// every double is a hexfloat, so a restored result is bit-for-bit the
+// result that was stored.
 //
 // Robustness over cleverness: a corrupt, truncated, or version-mismatched
 // entry file is treated as a miss (re-solve and overwrite), never a crash.
@@ -49,8 +50,9 @@ struct DiskGcReport {
 /// Serializes one entry (key + result) into the on-disk text format.
 [[nodiscard]] std::string entry_to_text(const CacheKey& key, const SolveResult& result);
 
-/// Parses an entry file's content; nullopt on any malformation (bad header,
-/// truncation, unparsable field) — the caller treats that as a miss.
+/// Parses an entry file's content; nullopt on any malformation the record
+/// reader refuses (bad header, truncation, unparsable or unread field,
+/// bytes after `end`) — the caller treats that as a miss.
 [[nodiscard]] std::optional<std::pair<CacheKey, SolveResult>> entry_from_text(
     const std::string& text);
 

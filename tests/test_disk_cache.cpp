@@ -156,6 +156,20 @@ TEST_F(DiskCacheTest, CorruptEntryIsAMissNotACrash) {
     out << "not a cache entry at all\x01\x02 garbage";
   }
   EXPECT_FALSE(cache.lookup(stored.key).has_value());
+
+  // A mapping count no machine list could fill: still just a miss, and
+  // nothing is sized from the declared count.
+  std::string huge = entry_to_text(stored.key, stored.result);
+  const std::size_t mapping = huge.find("\nmapping ");
+  ASSERT_NE(mapping, std::string::npos);
+  huge.replace(mapping + 9, huge.find(' ', mapping + 9) - (mapping + 9), "4611686018427387904");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << huge;
+  }
+  std::optional<SolveResult> looked_up;
+  EXPECT_NO_THROW(looked_up = cache.lookup(stored.key));
+  EXPECT_FALSE(looked_up.has_value());
 }
 
 TEST_F(DiskCacheTest, TruncatedEntryIsAMiss) {

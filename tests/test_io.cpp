@@ -71,6 +71,11 @@ TEST(ProblemIo, RejectsDimensionMismatch) {
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, 3, "p 7");
   EXPECT_THROW(problem_from_text(text), std::invalid_argument);
+  // A machine count far beyond what the rows hold is refused before the
+  // matrices are sized from it.
+  std::string huge = to_text(original);
+  huge.replace(huge.find("m 3"), 3, "m 100000000000000");
+  EXPECT_THROW(problem_from_text(huge), std::invalid_argument);
 }
 
 TEST(ProblemIo, RejectsTruncatedMatrix) {

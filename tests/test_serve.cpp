@@ -220,6 +220,12 @@ TEST(ServeProtocol, MalformedRequestBodiesAreRejected) {
   ASSERT_NE(cache_at, std::string::npos);
   bad_cache.replace(cache_at, 16, "cache sometimes!");
   EXPECT_FALSE(request_from_text(bad_cache).has_value());
+  // A line with a field nobody reads.
+  std::string extra_field = good;
+  const std::size_t seed_at = extra_field.find("\nseed 42\n");
+  ASSERT_NE(seed_at, std::string::npos);
+  extra_field.replace(seed_at + 1, 7, "seed 1 2");
+  EXPECT_FALSE(request_from_text(extra_field).has_value());
 }
 
 TEST(ServeProtocol, MalformedFramesAreRejectedAtTheReader) {

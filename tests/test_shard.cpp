@@ -229,6 +229,16 @@ TEST(Shard, SerializingACompleteResultIsAnError) {
   EXPECT_THROW((void)to_text(run_sweep(small_spec())), std::invalid_argument);
 }
 
+/// The message merge() throws, or "merged" when it accepts its input.
+std::string merge_error(std::vector<SweepResult> shards) {
+  try {
+    (void)merge(std::move(shards));
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "merged";
+}
+
 TEST(Shard, MergeValidatesItsInputs) {
   const SweepSpec spec = small_spec();
   // Missing shard.
@@ -249,6 +259,20 @@ TEST(Shard, MergeValidatesItsInputs) {
   EXPECT_THROW((void)merge(std::move(shards)), std::invalid_argument);
   // Complete results are not merge input.
   EXPECT_THROW((void)merge({run_sweep(spec)}), std::invalid_argument);
+  // Shard files that claim more trials per point than a trial seed can
+  // number (2^20): refused up front, before any per-trial buffer is sized.
+  for (const std::string max_trials : {"1048577", "18446744073709551615"}) {
+    std::vector<SweepResult> claimed;
+    for (const SweepResult& shard : run_shards(spec, 2)) {
+      std::string text = to_text(shard);
+      const std::size_t at = text.find("protocol 4 4 ");
+      ASSERT_NE(at, std::string::npos);
+      text.replace(at, 12, "protocol 4 " + max_trials);
+      claimed.push_back(sweep_shard_from_text(text));
+    }
+    EXPECT_NE(merge_error(std::move(claimed)).find("max_trials"), std::string::npos)
+        << max_trials;
+  }
 }
 
 TEST(Shard, MalformedShardTextIsRejected) {
@@ -282,6 +306,18 @@ TEST(Shard, MalformedShardTextIsRejected) {
   std::string bad_period = good;
   bad_period.replace(trial + 4, good.find(' ', trial + 4) - (trial + 4), "fast");
   EXPECT_NE(rejection(bad_period).find("bad number 'fast'"), std::string::npos);
+
+  // A negative count is not read as 2^64 - 1.
+  std::string negative = good;
+  const std::size_t protocol = negative.find("\nprotocol 4 4 ");
+  ASSERT_NE(protocol, std::string::npos);
+  negative.replace(protocol + 1, 13, "protocol 3 -1 ");
+  EXPECT_NE(rejection(negative).find("line 6: bad number '-1'"), std::string::npos)
+      << rejection(negative);
+
+  // Nothing may follow the end line.
+  EXPECT_NE(rejection(good + "garbage after end\n").find("line "), std::string::npos);
+  EXPECT_NE(rejection(good + "garbage after end\n").find("after 'end'"), std::string::npos);
 }
 
 TEST(Shard, RunSweepValidatesShardSpec) {
@@ -290,16 +326,6 @@ TEST(Shard, RunSweepValidatesShardSpec) {
   EXPECT_THROW((void)run_sweep(small_spec(), options), std::invalid_argument);
   options.shard = {0, 0};
   EXPECT_THROW((void)run_sweep(small_spec(), options), std::invalid_argument);
-}
-
-/// The message merge() throws, or "merged" when it accepts its input.
-std::string merge_error(std::vector<SweepResult> shards) {
-  try {
-    (void)merge(std::move(shards));
-  } catch (const std::invalid_argument& error) {
-    return error.what();
-  }
-  return "merged";
 }
 
 TEST(Shard, MergeIsIndependentOfInputOrder) {
