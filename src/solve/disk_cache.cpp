@@ -31,60 +31,6 @@ Status read_status(support::RecordReader& in) {
   in.fail("unknown status '" + std::string(token) + "'");
 }
 
-std::pair<CacheKey, SolveResult> read_entry(std::string_view text) {
-  support::RecordReader in(text);
-  // The version is matched exactly: a bumped writer's "v2" fails here and
-  // the stale entry is simply re-solved and overwritten.
-  in.header(kEntryHeader);
-
-  CacheKey key;
-  in.line("problem");
-  key.problem.hi = in.hex64();
-  key.problem.lo = in.hex64();
-  key.solver_id = in.line("solver").rest();
-  if (key.solver_id.empty()) in.fail("empty solver id");
-  key.scenario = in.line("scenario").rest();
-  key.seed = in.line("seed").u64();
-  in.line("budget");
-  key.has_max_nodes = in.flag();
-  key.max_nodes = in.u64();
-  key.time_limit_ms_bits = in.line("limit").u64();
-  in.line("refine");
-  key.refine_max_passes = in.u64();
-  key.refine_allow_swaps = in.flag();
-  key.refine_first_improvement = in.flag();
-  key.refine_min_relative_gain_bits = in.u64();
-
-  SolveResult result;
-  result.status = read_status(in.line("status"));
-  result.period = in.line("period").real();
-  const std::string_view count = in.line("mapping").word();
-  if (count != "-") {
-    std::vector<core::MachineIndex> assignment;
-    while (!in.line_done()) assignment.push_back(in.u64());
-    if (support::parse_u64(count) != assignment.size()) {
-      in.fail("mapping lists " + std::to_string(assignment.size()) + " machines, declares '" +
-              std::string(count) + "'");
-    }
-    result.mapping = core::Mapping(std::move(assignment));
-  }
-  auto& diag = result.diagnostics;
-  diag.solver_id = in.line("diag-solver").rest();
-  diag.nodes_explored = in.line("nodes").u64();
-  diag.wall_time_ms = in.line("wall").real();
-  in.line("refinement");
-  diag.refined = in.flag();
-  diag.refiner_improvement_ms = in.real();
-  diag.refiner_moves = in.u64();
-  diag.refiner_converged = in.flag();
-  diag.scenario = in.line("diag-scenario").rest();
-  diag.note = in.line("note").rest();
-  // The trailing sentinel proves the file was written to completion; a
-  // truncated entry (crash or torn copy) fails here.
-  in.finish();
-  return {std::move(key), std::move(result)};
-}
-
 }  // namespace
 
 std::string entry_to_text(const CacheKey& key, const SolveResult& result) {
@@ -127,7 +73,57 @@ std::string entry_to_text(const CacheKey& key, const SolveResult& result) {
 
 std::optional<std::pair<CacheKey, SolveResult>> entry_from_text(const std::string& text) {
   try {
-    return read_entry(text);
+    support::RecordReader in(text);
+    // The version is matched exactly: a bumped writer's "v2" fails here and
+    // the stale entry is simply re-solved and overwritten.
+    in.header(kEntryHeader);
+
+    CacheKey key;
+    in.line("problem");
+    key.problem.hi = in.hex64();
+    key.problem.lo = in.hex64();
+    key.solver_id = in.line("solver").rest();
+    if (key.solver_id.empty()) in.fail("empty solver id");
+    key.scenario = in.line("scenario").rest();
+    key.seed = in.line("seed").u64();
+    in.line("budget");
+    key.has_max_nodes = in.flag();
+    key.max_nodes = in.u64();
+    key.time_limit_ms_bits = in.line("limit").u64();
+    in.line("refine");
+    key.refine_max_passes = in.u64();
+    key.refine_allow_swaps = in.flag();
+    key.refine_first_improvement = in.flag();
+    key.refine_min_relative_gain_bits = in.u64();
+
+    SolveResult result;
+    result.status = read_status(in.line("status"));
+    result.period = in.line("period").real();
+    const std::string_view count = in.line("mapping").word();
+    if (count != "-") {
+      std::vector<core::MachineIndex> assignment;
+      while (!in.line_done()) assignment.push_back(in.u64());
+      if (support::parse_u64(count) != assignment.size()) {
+        in.fail("mapping lists " + std::to_string(assignment.size()) +
+                " machines, declares '" + std::string(count) + "'");
+      }
+      result.mapping = core::Mapping(std::move(assignment));
+    }
+    auto& diag = result.diagnostics;
+    diag.solver_id = in.line("diag-solver").rest();
+    diag.nodes_explored = in.line("nodes").u64();
+    diag.wall_time_ms = in.line("wall").real();
+    in.line("refinement");
+    diag.refined = in.flag();
+    diag.refiner_improvement_ms = in.real();
+    diag.refiner_moves = in.u64();
+    diag.refiner_converged = in.flag();
+    diag.scenario = in.line("diag-scenario").rest();
+    diag.note = in.line("note").rest();
+    // The trailing sentinel proves the file was written to completion; a
+    // truncated entry (crash or torn copy) fails here.
+    in.finish();
+    return std::make_pair(std::move(key), std::move(result));
   } catch (const std::invalid_argument&) {
     return std::nullopt;
   }

@@ -65,7 +65,7 @@ std::string_view RecordReader::next_line(std::string_view expected) {
   return line;
 }
 
-std::string_view RecordReader::field() {
+std::string_view RecordReader::word() {
   const std::size_t start = fields_.find_first_not_of(' ');
   if (start == std::string_view::npos) fail("missing field in " + quoted(keyword_) + " line");
   fields_.remove_prefix(start);
@@ -96,14 +96,14 @@ RecordReader& RecordReader::line(std::string_view keyword) {
 }
 
 std::uint64_t RecordReader::u64() {
-  const std::string_view token = field();
+  const std::string_view token = word();
   const std::optional<std::uint64_t> value = parse_u64(token);
   if (!value.has_value()) fail("bad number " + quoted(token));
   return *value;
 }
 
 std::uint64_t RecordReader::hex64() {
-  const std::string_view token = field();
+  const std::string_view token = word();
   const std::optional<std::uint64_t> value = parse_digits(token, 16);
   if (token.size() != 16 || !value.has_value()) fail("bad hex number " + quoted(token));
   return *value;
@@ -111,7 +111,7 @@ std::uint64_t RecordReader::hex64() {
 
 double RecordReader::real() {
   // strtod needs a terminated string; the token is a view into the record.
-  const std::string token(field());
+  const std::string token(word());
   char* stop = nullptr;
   const double value = std::strtod(token.c_str(), &stop);
   if (stop != token.c_str() + token.size()) fail("bad number " + quoted(token));
@@ -119,12 +119,10 @@ double RecordReader::real() {
 }
 
 bool RecordReader::flag() {
-  const std::string_view token = field();
+  const std::string_view token = word();
   if (token != "0" && token != "1") fail("bad flag " + quoted(token));
   return token == "1";
 }
-
-std::string_view RecordReader::word() { return field(); }
 
 std::string RecordReader::rest() {
   const std::size_t start = fields_.find_first_not_of(' ');

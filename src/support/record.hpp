@@ -70,6 +70,7 @@ class RecordReader {
   [[nodiscard]] std::uint64_t hex64();
   [[nodiscard]] double real();
   [[nodiscard]] bool flag();
+  /// The next field: a run of non-space bytes, viewed in the record text.
   [[nodiscard]] std::string_view word();
   /// The rest of the line as free text, leading spaces stripped.
   [[nodiscard]] std::string rest();
@@ -86,7 +87,6 @@ class RecordReader {
 
  private:
   std::string_view next_line(std::string_view expected);
-  std::string_view field();
 
   std::string_view text_;
   std::size_t next_ = 0;         ///< offset of the first unread line
