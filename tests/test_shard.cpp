@@ -316,8 +316,11 @@ TEST(Shard, MalformedShardTextIsRejected) {
       << rejection(negative);
 
   // Nothing may follow the end line.
-  EXPECT_NE(rejection(good + "garbage after end\n").find("line "), std::string::npos);
-  EXPECT_NE(rejection(good + "garbage after end\n").find("after 'end'"), std::string::npos);
+  const std::string after_end = "line " +
+                                std::to_string(std::count(good.begin(), good.end(), '\n') + 1) +
+                                ": unexpected bytes after 'end'";
+  EXPECT_NE(rejection(good + "garbage after end\n").find(after_end), std::string::npos)
+      << rejection(good + "garbage after end\n");
 }
 
 TEST(Shard, RunSweepValidatesShardSpec) {
