@@ -25,6 +25,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "exp/figures.hpp"
 #include "exp/runner.hpp"
@@ -46,13 +47,21 @@ double run_timed_ms(const mf::exp::SweepSpec& spec, const mf::exp::SweepOptions&
       .count();
 }
 
-/// Solver invocations across the process since the last call — how the
+/// One disk-section pass: a fresh memory layer over a fresh `DiskCache` on
+/// `dir` (a simulated process start), solved through a service of its own.
+/// Returns the wall time and that service's solver invocations — how the
 /// disk-warm pass proves it re-solved nothing.
-std::uint64_t solved_delta(std::uint64_t& last) {
-  const std::uint64_t now = mf::solve::SolveService::process_stats().solved;
-  const std::uint64_t delta = now - last;
-  last = now;
-  return delta;
+std::pair<double, std::uint64_t> disk_pass(const mf::exp::SweepSpec& spec,
+                                           mf::exp::SweepOptions options,
+                                           mf::support::ThreadPool& pool,
+                                           const std::filesystem::path& dir) {
+  mf::solve::ResultCache memory(mf::solve::ResultCache::kDefaultCapacity);
+  mf::solve::DiskCache disk(dir);
+  mf::solve::TieredCache tiered(memory, disk);
+  mf::solve::SolveService service(&pool, &tiered);
+  options.executor = &service;
+  const double ms = run_timed_ms(spec, options, pool);
+  return {ms, service.stats().solved};
 }
 
 }  // namespace
@@ -100,25 +109,8 @@ int main(int argc, char** argv) {
   // process restart (fresh memory layer, fresh DiskCache over the same
   // directory) must complete with zero solver invocations ----------------
   std::filesystem::remove_all(disk_dir);
-  std::uint64_t solved_marker = mf::solve::SolveService::process_stats().solved;
-  double disk_cold_ms = 0.0;
-  {
-    mf::solve::ResultCache memory(mf::solve::ResultCache::kDefaultCapacity);
-    mf::solve::DiskCache disk(disk_dir);
-    mf::solve::TieredCache tiered(memory, disk);
-    options.backend = &tiered;
-    disk_cold_ms = run_timed_ms(spec, options, pool);
-  }
-  const std::uint64_t disk_cold_solves = solved_delta(solved_marker);
-  double disk_warm_ms = 0.0;
-  {
-    mf::solve::ResultCache memory(mf::solve::ResultCache::kDefaultCapacity);
-    mf::solve::DiskCache disk(disk_dir);
-    mf::solve::TieredCache tiered(memory, disk);
-    options.backend = &tiered;
-    disk_warm_ms = run_timed_ms(spec, options, pool);
-  }
-  const std::uint64_t disk_warm_solves = solved_delta(solved_marker);
+  const auto [disk_cold_ms, disk_cold_solves] = disk_pass(spec, options, pool, disk_dir);
+  const auto [disk_warm_ms, disk_warm_solves] = disk_pass(spec, options, pool, disk_dir);
   const double disk_speedup = disk_warm_ms > 0.0 ? disk_cold_ms / disk_warm_ms : 0.0;
   std::filesystem::remove_all(disk_dir);
 

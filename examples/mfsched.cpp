@@ -350,8 +350,9 @@ void print_service_line(const mf::solve::ServiceStats& delta) {
 
 /// Builds the cache backend a run solves against — the process-wide
 /// in-memory cache, optionally layered over a persistent --cache-dir store
-/// — and prints counter deltas for it. One scope spans one logical run, so
-/// `print_delta` reports what THIS run did, not process history.
+/// — and prints counter deltas for it and for the service the run solved
+/// through. One scope spans one logical run, so `print_delta` reports what
+/// THIS run did, not process history.
 class CacheScope {
  public:
   explicit CacheScope(const mf::support::CliArgs& args) {
@@ -363,7 +364,7 @@ class CacheScope {
     } else {
       backend_ = &mf::solve::ResultCache::global();
     }
-    reset_baseline();
+    cache_before_ = backend_->stats();
   }
 
   [[nodiscard]] mf::solve::CacheBackend* backend() noexcept { return backend_; }
@@ -374,15 +375,16 @@ class CacheScope {
     return disk_.has_value() ? &*disk_ : nullptr;
   }
 
-  /// Re-anchors the deltas (e.g. between --repeat rounds).
-  void reset_baseline() {
+  /// Re-anchors the deltas on the cache and on `service`, the run's one
+  /// service (e.g. between --repeat rounds).
+  void reset_baseline(const mf::solve::SolveService& service) {
     cache_before_ = backend_->stats();
-    service_before_ = mf::solve::SolveService::process_stats();
+    service_before_ = service.stats();
   }
 
-  void print_delta() const {
+  void print_delta(const mf::solve::SolveService& service_now) const {
     const mf::solve::CacheStats now = backend_->stats();
-    const mf::solve::ServiceStats service = mf::solve::SolveService::process_stats();
+    const mf::solve::ServiceStats service = service_now.stats();
     std::printf(
         "cache [%s]: %llu hits / %llu misses (%.1f%% hit rate), %llu evictions, "
         "%zu resident",
@@ -499,7 +501,11 @@ int run_figure(const mf::support::CliArgs& args) {
   mf::exp::SweepOptions options;
   options.cache = parse_cache_flag(args);
   CacheScope cache_scope(args);
-  options.backend = cache_scope.backend();
+  // One service for the whole run: every sweep (and every --repeat round)
+  // solves through it, and --cache-stats prints its counters.
+  mf::support::ThreadPool pool;
+  mf::solve::SolveService service(&pool, cache_scope.backend());
+  options.executor = &service;
   // --connect reroutes every solve of the sweep to a scheduler daemon; the
   // table is bit-identical either way (content-addressed seeds, canonical
   // wire round-trip), so remote is purely an execution choice.
@@ -530,7 +536,6 @@ int run_figure(const mf::support::CliArgs& args) {
     options.shard = {static_cast<std::size_t>(index), static_cast<std::size_t>(count)};
   }
 
-  mf::support::ThreadPool pool;
   if (options.shard.is_sharded()) {
     if (args.get_int("repeat", 1) != 1) {
       std::fprintf(stderr, "error: --repeat cannot be combined with --shard\n");
@@ -558,7 +563,7 @@ int run_figure(const mf::support::CliArgs& args) {
                 options.shard.index, options.shard.count, outcomes, result.points.size(),
                 out.c_str());
     if (wants_cache_stats(args, options.cache) && !remote.has_value()) {
-      cache_scope.print_delta();
+      cache_scope.print_delta(service);
     }
     return 0;
   }
@@ -568,7 +573,7 @@ int run_figure(const mf::support::CliArgs& args) {
   if (report.has_value()) std::printf("=== %s: %s ===\n", name.c_str(), report->title);
   for (std::size_t round = 0; round < repeat; ++round) {
     if (repeat > 1) std::printf("--- run %zu of %zu ---\n", round + 1, repeat);
-    cache_scope.reset_baseline();
+    cache_scope.reset_baseline(service);
     std::vector<mf::exp::SweepResult> results;
     for (const mf::exp::SweepSpec& spec : specs) {
       print_header(spec, options.cache);
@@ -582,7 +587,7 @@ int run_figure(const mf::support::CliArgs& args) {
     // Remote runs execute in the daemon, where the cache and its counters
     // live; the local scope would read all-zero. --serve-stats reports them.
     if (wants_cache_stats(args, options.cache) && !remote.has_value()) {
-      cache_scope.print_delta();
+      cache_scope.print_delta(service);
     }
     if (!out.empty() && !write_out(text, out)) return 1;
   }
@@ -806,7 +811,7 @@ int run_serve(const mf::support::CliArgs& args) {
                 static_cast<unsigned long long>(stats.gc_entries_removed),
                 static_cast<unsigned long long>(stats.gc_bytes_removed));
   }
-  cache_scope.print_delta();
+  cache_scope.print_delta(daemon.service());
   return 0;
 }
 
@@ -960,6 +965,7 @@ int main(int argc, char** argv) {
   // --connect, the identical request goes to a daemon instead — admission
   // rejections (queue-full, rate-limited) surface as errors, not retries.
   CacheScope cache_scope(args);
+  mf::solve::SolveService service(nullptr, cache_scope.backend());
   const mf::solve::SolveResult result = [&] {
     mf::solve::SolveRequest request;
     request.problem = std::make_shared<const mf::core::Problem>(problem);
@@ -990,14 +996,15 @@ int main(int argc, char** argv) {
       }
     }
     try {
-      mf::solve::SolveService service(nullptr, cache_scope.backend());
       return service.submit(std::move(request)).get();
     } catch (const std::invalid_argument& error) {
       std::fprintf(stderr, "error: %s\n", error.what());
       std::exit(usage(args.program().c_str()));
     }
   }();
-  if (args.has("cache-stats")) cache_scope.print_delta();
+  // A remote solve ran in the daemon (--serve-stats reports it); the local
+  // service never ran, so its all-zero counters would mislead.
+  if (args.has("cache-stats") && !args.has("connect")) cache_scope.print_delta(service);
 
   const auto& diag = result.diagnostics;
   if (!result.has_mapping()) {

@@ -7,7 +7,7 @@
 
 #include "core/evaluation.hpp"
 #include "exp/scenario_registry.hpp"
-#include "solve/batch.hpp"
+#include "solve/service.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -72,7 +72,7 @@ std::uint64_t method_seed(std::uint64_t trial_seed, const Method& method) {
   return support::mix_seed(trial_seed, support::fnv1a64(method.name));
 }
 
-/// Evaluates the listed trials of one point through the batch engine: one
+/// Evaluates the listed trials of one point through `executor`: one
 /// SolveRequest per (trial, method), all methods of a trial sharing one
 /// generated instance — the paired design. Returns one outcome per listed
 /// trial, in listing order; a trial succeeds only when every method counts
@@ -81,6 +81,7 @@ std::vector<TrialOutcome> evaluate_trials(const SweepSpec& spec, const Scenario&
                                           std::size_t point_index,
                                           const std::vector<std::size_t>& trials,
                                           const SweepOptions& options,
+                                          solve::SolveExecutor& executor,
                                           support::ThreadPool* pool) {
   const std::size_t method_count = spec.methods.size();
   const std::shared_ptr<const ScenarioGenerator> generator =
@@ -120,14 +121,6 @@ std::vector<TrialOutcome> evaluate_trials(const SweepSpec& spec, const Scenario&
     }
   }
 
-  // The executor seam: a sweep does not care where solving happens. The
-  // default is the in-process batch engine; `options.executor` reroutes the
-  // same requests (content-addressed seeds and all) to, e.g., a scheduler
-  // daemon — the outcomes, and therefore the table, are bit-identical.
-  solve::BatchSolver local(pool, options.backend);
-  solve::SolveExecutor& executor =
-      options.executor != nullptr ? static_cast<solve::SolveExecutor&>(*options.executor)
-                                  : local;
   const std::vector<solve::SolveResult> results = executor.solve_all(requests);
 
   std::vector<TrialOutcome> outcomes(trials.size());
@@ -206,7 +199,8 @@ void validate_spec(const SweepSpec& spec) {
 /// (a round of size `needed` can at most reach the target on its last
 /// trial), so `attempts` matches it exactly.
 PointResult run_point(const SweepSpec& spec, std::size_t point_index, std::size_t value,
-                      const SweepOptions& options, support::ThreadPool* pool) {
+                      const SweepOptions& options, solve::SolveExecutor& executor,
+                      support::ThreadPool* pool) {
   const Scenario scenario = scenario_for(spec, value);
   std::vector<TrialOutcome> outcomes;
   outcomes.reserve(spec.trials);
@@ -220,8 +214,9 @@ PointResult run_point(const SweepSpec& spec, std::size_t point_index, std::size_
       round = std::min(spec.trials - successes, spec.max_trials - drawn);
     }
     if (round == 0) break;
-    std::vector<TrialOutcome> fresh = evaluate_trials(
-        spec, scenario, point_index, iota_trials(drawn, drawn + round), options, pool);
+    std::vector<TrialOutcome> fresh =
+        evaluate_trials(spec, scenario, point_index, iota_trials(drawn, drawn + round),
+                        options, executor, pool);
     for (TrialOutcome& outcome : fresh) {
       successes += outcome.success ? 1 : 0;
       outcomes.push_back(std::move(outcome));
@@ -234,14 +229,15 @@ PointResult run_point(const SweepSpec& spec, std::size_t point_index, std::size_
 /// record the raw outcomes for merge(). The shard cannot stop early — how
 /// far the global retry protocol reaches depends on other shards' failures.
 PointResult run_point_shard(const SweepSpec& spec, std::size_t point_index, std::size_t value,
-                            const SweepOptions& options, support::ThreadPool* pool) {
+                            const SweepOptions& options, solve::SolveExecutor& executor,
+                            support::ThreadPool* pool) {
   const Scenario scenario = scenario_for(spec, value);
   std::vector<std::size_t> owned;
   for (std::size_t trial = 0; trial < spec.max_trials; ++trial) {
     if (options.shard.owns(point_index, trial)) owned.push_back(trial);
   }
   std::vector<TrialOutcome> outcomes =
-      evaluate_trials(spec, scenario, point_index, owned, options, pool);
+      evaluate_trials(spec, scenario, point_index, owned, options, executor, pool);
 
   PointResult point;
   point.sweep_value = value;
@@ -348,6 +344,14 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
   MF_REQUIRE(options.shard.index < options.shard.count,
              "shard index must be below shard count");
 
+  // The executor seam: a sweep does not care where solving happens. The
+  // default is one in-process service for the whole sweep; a caller's
+  // executor takes the same requests (content-addressed seeds and all) —
+  // the outcomes, and therefore the table, are bit-identical.
+  solve::SolveService local(pool);
+  solve::SolveExecutor& executor =
+      options.executor != nullptr ? *options.executor : local;
+
   SweepResult result;
   result.spec = spec;
   result.shard = options.shard;
@@ -356,8 +360,8 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
     const std::size_t value = spec.values[point_index];
     result.points.push_back(
         options.shard.is_sharded()
-            ? run_point_shard(spec, point_index, value, options, pool)
-            : run_point(spec, point_index, value, options, pool));
+            ? run_point_shard(spec, point_index, value, options, executor, pool)
+            : run_point(spec, point_index, value, options, executor, pool));
   }
   return result;
 }

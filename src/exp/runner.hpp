@@ -14,9 +14,10 @@
 // reproduce that protocol.
 //
 // Execution goes through one engine: every (trial, method) pair becomes a
-// `solve::SolveRequest` and `solve::BatchSolver` fans the requests over the
-// thread pool — the same path the CLI and examples use, so sweeps inherit
-// result caching and per-request error isolation for free. Seeds are
+// `solve::SolveRequest` and one `solve::SolveService` per sweep fans the
+// requests over the thread pool — the same path the CLI and examples use,
+// so sweeps inherit result caching and per-request error isolation for
+// free. Seeds are
 // content-addressed: a request's seed depends only on (base_seed,
 // point, trial, method name), never on batch composition — which is what
 // makes sharded execution exact. A `ShardSpec` deterministically partitions
@@ -38,7 +39,6 @@
 #include "support/thread_pool.hpp"
 
 namespace mf::solve {
-class CacheBackend;
 class SolveExecutor;
 }
 
@@ -91,19 +91,16 @@ struct SweepOptions {
   /// Cache policy stamped on every request (solve/cache_backend.hpp):
   /// kReadWrite makes a repeated figure run re-solve nothing.
   solve::CachePolicy cache = solve::CachePolicy::kOff;
-  /// Cache backend every solve consults; null means the process-wide
-  /// in-memory `ResultCache::global()`. Point it at a `TieredCache` over a
-  /// `DiskCache` (mfsched --cache-dir) and the warm-sweep guarantee
-  /// survives the process: a fresh run re-solves nothing a prior run
-  /// stored. Must outlive the sweep.
-  solve::CacheBackend* backend = nullptr;
-  /// Where the sweep's solve batches execute; null means a local
-  /// `BatchSolver` over `pool`/`backend`. Point it at a
-  /// `serve::RemoteExecutor` and every (trial, method) solve ships to a
-  /// scheduler daemon instead — the table is bit-identical either way,
-  /// because requests carry content-addressed seeds and the wire round-trip
-  /// is hexfloat-exact. Must outlive the sweep; `pool`/`backend` are
-  /// ignored for solving when set.
+  /// Where the sweep's solve batches execute; null means one local
+  /// `SolveService` for the whole sweep, over `pool` and the process-wide
+  /// `ResultCache::global()`. Pass a `SolveService` of your own to pick the
+  /// cache backend — over a `TieredCache` on a `DiskCache` (mfsched
+  /// --cache-dir) the warm-sweep guarantee survives the process — or to
+  /// read its counters afterwards. Point it at a `serve::RemoteExecutor`
+  /// and every (trial, method) solve ships to a scheduler daemon instead —
+  /// the table is bit-identical either way, because requests carry
+  /// content-addressed seeds and the wire round-trip is hexfloat-exact.
+  /// Must outlive the sweep; `pool` then only generates instances.
   solve::SolveExecutor* executor = nullptr;
 };
 

@@ -368,10 +368,11 @@ struct EpollServer {
     try {
       // The response body needs the canonical key even when the request's
       // cache policy is kOff (submit builds none then) — compute it here,
-      // from exactly the fields the service would use.
+      // from exactly the fields the service would use, and hand the service
+      // the digest so the problem is hashed once.
+      const core::Digest digest = core::digest(*wire->request.problem);
       const solve::CacheKey key = solve::make_cache_key(
-          core::digest(*wire->request.problem),
-          solve::effective_solver_id(wire->request.solver_id, wire->request.params),
+          digest, solve::effective_solver_id(wire->request.solver_id, wire->request.params),
           wire->request.params);
       daemon_.service_->submit_async(
           std::move(wire->request),
@@ -392,7 +393,8 @@ struct EpollServer {
                         started]() mutable {
               finish_solve(conn_id, std::move(response), started);
             });
-          });
+          },
+          digest);
     } catch (const std::invalid_argument& error) {
       finish_solve(conn_id,
                    {FrameType::kError, error_body(kErrBadRequest, error.what())},

@@ -97,7 +97,9 @@ Setup make_setup(const std::string& scenario_id, Topology topology,
 
   const solve::SolveResult solved = solve::run(*setup.effective, config.solver_id);
   MF_CHECK(solved.ok() && solved.has_mapping(),
-           "validation solve failed for scenario " + scenario_id);
+           "validation solve failed for scenario " + scenario_id + ": " +
+               solve::to_string(solved.status) +
+               (solved.diagnostics.note.empty() ? "" : " (" + solved.diagnostics.note + ")"));
   setup.mapping = *solved.mapping;
   setup.analytic_period = setup.model->period(*setup.problem, *setup.effective, setup.mapping);
   return setup;

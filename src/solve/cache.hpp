@@ -11,10 +11,12 @@
 //
 // Concurrency: the cache is sharded — kShardCount independent
 // (mutex, LRU list, hash map) triples selected by key hash — so a
-// BatchSolver fan hitting the cache from every pool thread contends only
+// SolveService fan hitting the cache from every pool thread contends only
 // per shard. Each shard evicts least-recently-used entries beyond its slice
-// of the capacity. Hit/miss/insert/evict counters are process-wide atomics
-// surfaced through `stats()` and, per result, `diagnostics.cache_hit`.
+// of the capacity. Hit/miss/insert/evict counters are atomics of the cache
+// instance, surfaced through `stats()` and, per result,
+// `diagnostics.cache_hit`; request counters live on the `SolveService` the
+// caller holds (solve/service.hpp).
 //
 // For entries that must survive the process, layer this over a `DiskCache`
 // with `TieredCache` (solve/tiered_cache.hpp).
@@ -58,8 +60,9 @@ class ResultCache final : public CacheBackend {
   void clear() override;
   [[nodiscard]] std::string describe() const override;
 
-  /// The process-wide cache `run()` and `BatchSolver` consult. Sized at
-  /// kDefaultCapacity; dedicated instances are for tests and tools.
+  /// The process-wide cache `run()` and every `SolveService` built without
+  /// a backend consult. Sized at kDefaultCapacity; dedicated instances are
+  /// for tests and tools.
   [[nodiscard]] static ResultCache& global();
 
  private:

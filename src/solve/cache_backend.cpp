@@ -1,7 +1,6 @@
 #include "solve/cache_backend.hpp"
 
 #include <bit>
-#include <utility>
 
 namespace mf::solve {
 
@@ -55,25 +54,6 @@ CacheKey make_cache_key(const core::Digest& problem_digest, const std::string& e
   key.hash = digest.lo;
   key.hash_hi = digest.hi;
   return key;
-}
-
-SolveResult cached_solve(const Solver& solver, const core::Problem& problem,
-                         const SolveParams& params, CacheBackend& cache,
-                         const std::optional<core::Digest>& problem_digest) {
-  if (params.cache == CachePolicy::kOff) return timed_solve(solver, problem, params);
-
-  const CacheKey key = make_cache_key(
-      problem_digest.has_value() ? *problem_digest : core::digest(problem), solver.id(),
-      params);
-  if (std::optional<SolveResult> hit = cache.lookup(key)) {
-    hit->diagnostics.cache_hit = true;
-    return *std::move(hit);
-  }
-  const SolveResult result = timed_solve(solver, problem, params);
-  if (params.cache == CachePolicy::kReadWrite && result.status != Status::kError) {
-    cache.insert(key, result);
-  }
-  return result;
 }
 
 }  // namespace mf::solve

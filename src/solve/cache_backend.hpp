@@ -1,5 +1,5 @@
-// The cache contract of the solve layer: one canonical key, one backend
-// interface, one cache-aware solve primitive.
+// The cache contract of the solve layer: one canonical key and one backend
+// interface.
 //
 // A `CacheKey` is the full identity of a solve — the 128-bit problem
 // digest, the effective solver id, the scenario provenance label, and the
@@ -8,9 +8,9 @@
 // implementations are the sharded-mutex in-memory LRU (`ResultCache`,
 // solve/cache.hpp), the persistent on-disk store (`DiskCache`,
 // solve/disk_cache.hpp), and the memory-over-disk composite (`TieredCache`,
-// solve/tiered_cache.hpp). `cached_solve` applies a request's `CachePolicy`
-// against any backend; `SolveService` adds single-flight deduplication on
-// top (solve/service.hpp).
+// solve/tiered_cache.hpp). `SolveService` (solve/service.hpp) is the one
+// code path that applies a request's `CachePolicy` against a backend, with
+// single-flight deduplication on top; `run()` is a one-request service.
 #pragma once
 
 #include <cstdint>
@@ -97,8 +97,8 @@ struct CacheStats {
   }
 };
 
-/// What the execution layer (cached_solve, SolveService, BatchSolver)
-/// requires of a result store. Implementations must be safe for concurrent
+/// What the execution layer (`SolveService`, alias `BatchSolver`) requires
+/// of a result store. Implementations must be safe for concurrent
 /// lookup/insert from pool threads, and a lookup hit must return exactly
 /// the result the solver would recompute for that key — backends that
 /// cannot guarantee an entry's integrity (e.g. a torn on-disk file) must
@@ -119,14 +119,5 @@ class CacheBackend {
   /// One-line backend description for logs, e.g. "memory-lru(65536)".
   [[nodiscard]] virtual std::string describe() const = 0;
 };
-
-/// The cache-aware solve primitive the execution layers share: applies
-/// `params.cache` against `cache`, solving through `timed_solve` on a miss.
-/// Pass the problem's digest when the caller already computed it (the batch
-/// engine digests each distinct problem once); kError results are never
-/// stored.
-[[nodiscard]] SolveResult cached_solve(const Solver& solver, const core::Problem& problem,
-                                       const SolveParams& params, CacheBackend& cache,
-                                       const std::optional<core::Digest>& problem_digest = {});
 
 }  // namespace mf::solve

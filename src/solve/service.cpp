@@ -13,22 +13,37 @@ namespace mf::solve {
 
 namespace {
 
-/// Process-wide accumulators behind `SolveService::process_stats()`: sweeps
-/// build one short-lived service per batch, so per-instance counters alone
-/// would vanish with the batch.
-struct ProcessCounters {
-  std::atomic<std::uint64_t> submitted{0};
-  std::atomic<std::uint64_t> completed{0};
-  std::atomic<std::uint64_t> solved{0};
-  std::atomic<std::uint64_t> cache_hits{0};
-  std::atomic<std::uint64_t> dedup_joined{0};
-  std::atomic<std::uint64_t> rejected_queue_full{0};
-  std::atomic<std::uint64_t> rejected_rate_limited{0};
-};
+/// The kError result for a request whose solve threw `error` or never ran.
+SolveResult error_result(const std::string& solver_id, const std::string& scenario,
+                         const std::exception_ptr& error) {
+  SolveResult failed;
+  failed.status = Status::kError;
+  failed.diagnostics.solver_id = solver_id;
+  failed.diagnostics.scenario = scenario;
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    failed.diagnostics.note = e.what();
+  } catch (...) {
+    failed.diagnostics.note = "unknown exception";
+  }
+  return failed;
+}
 
-ProcessCounters& process_counters() {
-  static ProcessCounters counters;
-  return counters;
+/// Resolves on the caller's thread: an unknown solver id throws (with the
+/// list of known ids) before any work is queued, never inside a future.
+std::shared_ptr<const Solver> resolve(const SolveRequest& request) {
+  MF_REQUIRE(request.problem != nullptr, "solve request needs a problem");
+  return SolverRegistry::instance().resolve(
+      effective_solver_id(request.solver_id, request.params));
+}
+
+/// The future face of the one submit path: `done` fulfils the returned
+/// future. std::function needs a copyable target, so the promise is shared.
+std::future<SolveResult> future_completion(std::function<void(SolveResult)>& done) {
+  auto promise = std::make_shared<std::promise<SolveResult>>();
+  done = [promise](SolveResult result) { promise->set_value(std::move(result)); };
+  return promise->get_future();
 }
 
 }  // namespace
@@ -72,58 +87,24 @@ void SolveService::finish_task() {
 }
 
 SolveResult SolveService::execute(const Solver& solver, const core::Problem& problem,
-                                  const SolveParams& params,
-                                  const std::optional<CacheKey>& key) {
+                                  const SolveParams& params) {
   try {
-    if (key.has_value()) {
-      if (std::optional<SolveResult> hit = cache_->lookup(*key)) {
-        hit->diagnostics.cache_hit = true;
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        process_counters().cache_hits.fetch_add(1, std::memory_order_relaxed);
-        return *std::move(hit);
-      }
-    }
     SolveResult result = timed_solve(solver, problem, params);
     solved_.fetch_add(1, std::memory_order_relaxed);
-    process_counters().solved.fetch_add(1, std::memory_order_relaxed);
     return result;
-  } catch (const std::exception& error) {
-    SolveResult failed;
-    failed.status = Status::kError;
-    failed.diagnostics.solver_id = solver.id();
-    failed.diagnostics.scenario = params.scenario;
-    failed.diagnostics.note = error.what();
-    return failed;
   } catch (...) {
-    SolveResult failed;
-    failed.status = Status::kError;
-    failed.diagnostics.solver_id = solver.id();
-    failed.diagnostics.scenario = params.scenario;
-    failed.diagnostics.note = "unknown exception";
-    return failed;
+    return error_result(solver.id(), params.scenario, std::current_exception());
   }
 }
 
-void SolveService::deliver(Waiter& waiter, SolveResult result) {
-  if (waiter.callback) {
-    waiter.callback(std::move(result));
-  } else {
-    waiter.promise.set_value(std::move(result));
-  }
+void SolveService::deliver(const Completion& done, SolveResult result) {
+  // Counted first: a caller woken by its answer must already see it.
   completed_.fetch_add(1, std::memory_order_relaxed);
-  process_counters().completed.fetch_add(1, std::memory_order_relaxed);
+  done(std::move(result));
 }
 
-void SolveService::run_flight(const CacheKey& key, const SolveRequest& request,
-                              const Solver& solver) {
-  // No cache probe here: submit_with_waiter already looked the key up on
-  // the calling thread and only registers a flight on a miss, so a second
-  // lookup would double-count every cold miss in the backend's stats. An
-  // entry inserted in the tiny probe-to-here window just gets recomputed
-  // bit-identically and overwritten with itself.
-  SolveResult result =
-      execute(solver, *request.problem, request.params, std::nullopt);
-
+void SolveService::finish_flight(const std::optional<CacheKey>& key, Flight& flight,
+                                 SolveResult result) {
   // Populate the backend BEFORE detaching the flight — the order is what
   // upholds "at most one solve per identity": a twin arriving during the
   // insert still joins the flight, and one arriving after the detach finds
@@ -131,22 +112,19 @@ void SolveService::run_flight(const CacheKey& key, const SolveRequest& request,
   // for read-write (a kRead leader must not veto a kReadWrite joiner), and
   // `write_through` only ever flips false→true under the mutex, so the
   // re-check below settles in at most two rounds.
-  const bool storable =
-      !result.diagnostics.cache_hit && result.status != Status::kError;
-  std::vector<Waiter> waiters;
+  const bool storable = key.has_value() && result.status != Status::kError;
+  std::vector<Completion> waiters;
   bool stored = false;
   for (;;) {
     {
       std::lock_guard lock(flights_mutex_);
-      const auto it = flights_.find(key);
-      MF_CHECK(it != flights_.end(), "flight vanished before completion");
-      if (!(storable && it->second->write_through && !stored)) {
-        waiters = std::move(it->second->waiters);
-        flights_.erase(it);
+      if (!(storable && flight.write_through && !stored)) {
+        waiters = std::move(flight.waiters);
+        if (key.has_value()) flights_.erase(*key);
         break;
       }
     }
-    cache_->insert(key, result);
+    cache_->insert(*key, result);
     stored = true;
   }
   for (std::size_t w = 0; w < waiters.size(); ++w) {
@@ -164,164 +142,97 @@ void SolveService::run_flight(const CacheKey& key, const SolveRequest& request,
   }
 }
 
-void SolveService::submit_with_waiter(SolveRequest request,
-                                      std::shared_ptr<const Solver> solver,
-                                      std::optional<core::Digest> digest,
-                                      Waiter waiter) {
-  MF_REQUIRE(request.problem != nullptr, "solve request needs a problem");
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  process_counters().submitted.fetch_add(1, std::memory_order_relaxed);
-
-  if (request.params.cache == CachePolicy::kOff) {
-    // No key, no dedup: an uncacheable request demands its own solve.
-    enqueue([this, request = std::move(request), solver = std::move(solver),
-             waiter = std::move(waiter)]() mutable {
-      deliver(waiter,
-              execute(*solver, *request.problem, request.params, std::nullopt));
-    });
-    return;
-  }
-
-  CacheKey key = make_cache_key(
-      digest.has_value() ? *digest : core::digest(*request.problem), solver->id(),
-      request.params);
-  const bool write_through = request.params.cache == CachePolicy::kReadWrite;
-  // Single-flight: attach to an identical in-flight solve when there is
-  // one. The shared result is bit-for-bit what this request would compute
-  // — the key is the full solve identity.
-  const auto try_join_flight = [&]() -> bool {
-    std::lock_guard lock(flights_mutex_);
-    if (const auto it = flights_.find(key); it != flights_.end()) {
-      it->second->waiters.push_back(std::move(waiter));
-      it->second->write_through |= write_through;
-      dedup_joined_.fetch_add(1, std::memory_order_relaxed);
-      process_counters().dedup_joined.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
+bool SolveService::join_flight(const CacheKey& key, Completion& done, bool write_through,
+                               const std::shared_ptr<Flight>& lead) {
+  std::lock_guard lock(flights_mutex_);
+  auto it = flights_.find(key);
+  const bool joined = it != flights_.end();
+  if (joined) {
+    dedup_joined_.fetch_add(1, std::memory_order_relaxed);
+  } else if (lead != nullptr) {
+    it = flights_.emplace(key, lead).first;
+  } else {
     return false;
-  };
-
-  // Warm-identity fast path: probe the cache on the calling thread before
-  // paying for a flight and a pool round-trip. This is the serving steady
-  // state — a cache-hit request costs a map lookup and an inline delivery,
-  // no task queue, no future wakeup, no thread handoff. Flights are
-  // consulted first (and re-checked after the probe): while an identical
-  // solve is in flight the entry may not be inserted yet, and joining is
-  // both correct and cheaper.
-  if (try_join_flight()) return;
-  std::optional<SolveResult> hit;
-  try {
-    hit = cache_->lookup(key);
-  } catch (...) {
-    hit.reset();  // a misbehaving backend degrades to the solve path
   }
-  if (hit.has_value()) {
-    hit->diagnostics.cache_hit = true;
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    process_counters().cache_hits.fetch_add(1, std::memory_order_relaxed);
-    deliver(waiter, *std::move(hit));
-    return;
-  }
-
-  // Miss: register the flight, unless one appeared while we probed.
-  {
-    std::lock_guard lock(flights_mutex_);
-    if (const auto it = flights_.find(key); it != flights_.end()) {
-      it->second->waiters.push_back(std::move(waiter));
-      it->second->write_through |= write_through;
-      dedup_joined_.fetch_add(1, std::memory_order_relaxed);
-      process_counters().dedup_joined.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    auto flight = std::make_shared<Flight>();
-    flight->waiters.push_back(std::move(waiter));
-    flight->write_through = write_through;
-    flights_.emplace(key, std::move(flight));
-  }
-  try {
-    // `key` is captured by copy: the catch block below still needs it to
-    // retract the flight when the enqueue itself fails.
-    enqueue([this, key, request = std::move(request),
-             solver = std::move(solver)]() mutable {
-      run_flight(key, request, *solver);
-    });
-  } catch (...) {
-    // The leader's task never got queued: retract the flight and deliver
-    // the failure through every waiter (a twin may have joined between the
-    // emplace and here) instead of leaving them to hang. Promise waiters
-    // get the exception; callback waiters get a kError result — a callback
-    // has no exception channel.
-    std::vector<Waiter> waiters;
-    {
-      std::lock_guard lock(flights_mutex_);
-      // enqueue() can only throw before the task runs, so the flight is
-      // still registered — run_flight is what removes it.
-      const auto it = flights_.find(key);
-      MF_CHECK(it != flights_.end(), "failed flight vanished before retraction");
-      waiters = std::move(it->second->waiters);
-      flights_.erase(it);
-    }
-    const std::exception_ptr error = std::current_exception();
-    for (Waiter& failed : waiters) {
-      if (failed.callback) {
-        SolveResult result;
-        result.status = Status::kError;
-        result.diagnostics.solver_id = solver ? solver->id() : std::string();
-        try {
-          std::rethrow_exception(error);
-        } catch (const std::exception& e) {
-          result.diagnostics.note = e.what();
-        } catch (...) {
-          result.diagnostics.note = "unknown exception";
-        }
-        deliver(failed, std::move(result));
-      } else {
-        failed.promise.set_exception(error);
-      }
-    }
-  }
+  it->second->waiters.push_back(std::move(done));
+  it->second->write_through |= write_through;
+  return joined;
 }
 
-std::future<SolveResult> SolveService::submit_resolved(
-    SolveRequest request, std::shared_ptr<const Solver> solver,
-    std::optional<core::Digest> digest) {
-  Waiter waiter;
-  std::future<SolveResult> future = waiter.promise.get_future();
-  submit_with_waiter(std::move(request), std::move(solver), std::move(digest),
-                     std::move(waiter));
-  return future;
+void SolveService::start(SolveRequest request, std::shared_ptr<const Solver> solver,
+                         std::optional<core::Digest> digest, Completion done) {
+  submitted_.fetch_add(1, std::memory_order_relaxed);
+  const bool write_through = request.params.cache == CachePolicy::kReadWrite;
+  std::optional<CacheKey> key;
+  if (request.params.cache != CachePolicy::kOff) {
+    key = make_cache_key(digest.has_value() ? *digest : core::digest(*request.problem),
+                         solver->id(), request.params);
+    // Warm-identity fast path: join an identical solve in flight (the
+    // shared result is bit-for-bit this request's — the key is the full
+    // solve identity), else probe the cache on the calling thread. A hit
+    // costs a map lookup and an inline delivery: no task queue, no thread
+    // handoff. The flight table comes first because while a twin is in
+    // flight its entry may not be stored yet.
+    if (join_flight(*key, done, write_through, nullptr)) return;
+    std::optional<SolveResult> hit;
+    try {
+      hit = cache_->lookup(*key);
+    } catch (...) {
+      hit.reset();  // a misbehaving backend degrades to the solve path
+    }
+    if (hit.has_value()) {
+      hit->diagnostics.cache_hit = true;
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      deliver(done, *std::move(hit));
+      return;
+    }
+  }
+
+  // Miss (or kOff: no key, no twins, a flight of one): lead a flight —
+  // unless an identical one was registered while we probed. (One that also
+  // finished meanwhile left its entry stored; this flight then recomputes
+  // it bit-identically and overwrites it with itself.)
+  auto flight = std::make_shared<Flight>();
+  if (!key.has_value()) {
+    flight->waiters.push_back(std::move(done));
+  } else if (join_flight(*key, done, write_through, flight)) {
+    return;
+  }
+  try {
+    enqueue([this, key, flight, solver, request = std::move(request)] {
+      finish_flight(key, *flight, execute(*solver, *request.problem, request.params));
+    });
+  } catch (...) {
+    // The pool refused the leader's task: retract the flight and answer
+    // every waiter (a twin may have joined meanwhile) with one kError
+    // result, futures and callbacks alike.
+    finish_flight(key, *flight, error_result(solver->id(), {}, std::current_exception()));
+  }
 }
 
 std::future<SolveResult> SolveService::submit(SolveRequest request) {
-  MF_REQUIRE(request.problem != nullptr, "solve request needs a problem");
-  // Resolve before queueing anything: an unknown solver id throws (with the
-  // list of known ids) on the caller's thread, not inside a future.
-  std::shared_ptr<const Solver> solver = SolverRegistry::instance().resolve(
-      effective_solver_id(request.solver_id, request.params));
-  return submit_resolved(std::move(request), std::move(solver), std::nullopt);
+  std::shared_ptr<const Solver> solver = resolve(request);
+  Completion done;
+  std::future<SolveResult> future = future_completion(done);
+  start(std::move(request), std::move(solver), std::nullopt, std::move(done));
+  return future;
 }
 
-void SolveService::submit_async(SolveRequest request,
-                                std::function<void(SolveResult)> on_complete) {
-  MF_REQUIRE(request.problem != nullptr, "solve request needs a problem");
+void SolveService::submit_async(SolveRequest request, Completion on_complete,
+                                std::optional<core::Digest> digest) {
   MF_REQUIRE(on_complete != nullptr, "submit_async needs a completion callback");
-  std::shared_ptr<const Solver> solver = SolverRegistry::instance().resolve(
-      effective_solver_id(request.solver_id, request.params));
-  Waiter waiter;
-  waiter.callback = std::move(on_complete);
-  submit_with_waiter(std::move(request), std::move(solver), std::nullopt,
-                     std::move(waiter));
+  std::shared_ptr<const Solver> solver = resolve(request);
+  start(std::move(request), std::move(solver), std::move(digest), std::move(on_complete));
 }
 
 std::vector<SolveResult> SolveService::solve_all(
     const std::vector<SolveRequest>& requests) {
-  const SolverRegistry& registry = SolverRegistry::instance();
-
   // Resolve everything before launching work: an unknown solver id or a
   // null problem fails the whole batch up front instead of mid-flight.
   // Resolution is deduped by effective id — a sweep batch has thousands of
   // requests but a handful of distinct ids, and each resolve takes the
   // registry mutex (and allocates a fresh wrapper for "+ls" composites).
+  const SolverRegistry& registry = SolverRegistry::instance();
   std::map<std::string, std::shared_ptr<const Solver>> resolved;
   std::vector<std::shared_ptr<const Solver>> solvers;
   solvers.reserve(requests.size());
@@ -354,7 +265,9 @@ std::vector<SolveResult> SolveService::solve_all(
     if (request.params.cache != CachePolicy::kOff) {
       digest = digests.at(request.problem.get());
     }
-    futures.push_back(submit_resolved(std::move(request), solvers[i], std::move(digest)));
+    Completion done;
+    futures.push_back(future_completion(done));
+    start(std::move(request), solvers[i], std::move(digest), std::move(done));
   }
 
   std::vector<SolveResult> results;
@@ -365,12 +278,10 @@ std::vector<SolveResult> SolveService::solve_all(
 
 void SolveService::note_rejected_queue_full() noexcept {
   rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
-  process_counters().rejected_queue_full.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SolveService::note_rejected_rate_limited() noexcept {
   rejected_rate_limited_.fetch_add(1, std::memory_order_relaxed);
-  process_counters().rejected_rate_limited.fetch_add(1, std::memory_order_relaxed);
 }
 
 ServiceStats SolveService::stats() const {
@@ -382,21 +293,6 @@ ServiceStats SolveService::stats() const {
   stats.dedup_joined = dedup_joined_.load(std::memory_order_relaxed);
   stats.rejected_queue_full = rejected_queue_full_.load(std::memory_order_relaxed);
   stats.rejected_rate_limited = rejected_rate_limited_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-ServiceStats SolveService::process_stats() {
-  const ProcessCounters& counters = process_counters();
-  ServiceStats stats;
-  stats.submitted = counters.submitted.load(std::memory_order_relaxed);
-  stats.completed = counters.completed.load(std::memory_order_relaxed);
-  stats.solved = counters.solved.load(std::memory_order_relaxed);
-  stats.cache_hits = counters.cache_hits.load(std::memory_order_relaxed);
-  stats.dedup_joined = counters.dedup_joined.load(std::memory_order_relaxed);
-  stats.rejected_queue_full =
-      counters.rejected_queue_full.load(std::memory_order_relaxed);
-  stats.rejected_rate_limited =
-      counters.rejected_rate_limited.load(std::memory_order_relaxed);
   return stats;
 }
 

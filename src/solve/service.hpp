@@ -1,15 +1,17 @@
-// The async solve service: every execution path in the library — batch
-// sweeps, shards, the CLI, and any long-running scheduler server — rides
-// this one engine.
+// The async solve service: every execution path in the library — `run()`,
+// batch sweeps, shards, the CLI, and any long-running scheduler server —
+// rides this one engine. It is the only code that applies a request's
+// `CachePolicy`, and each instance owns the counters of the requests it
+// served: callers read `stats()` on the service they hold.
 //
 // `submit()` returns a std::future immediately and runs the solve on the
-// shared thread pool. Two guarantees distinguish the service from bare
-// `pool.submit(cached_solve)`:
+// shared thread pool. Two guarantees distinguish the service from a bare
+// `pool.submit(timed_solve)`:
 //
 //   * Single-flight deduplication — concurrent requests with identical
 //     cache keys share ONE in-flight solve instead of racing: the first
-//     submission becomes the leader, later identical submissions attach a
-//     waiter promise to the leader's flight and are fulfilled when it
+//     submission becomes the leader, later identical submissions attach
+//     their completion to the leader's flight and are answered when it
 //     completes (their results carry `diagnostics.dedup_joined`). Because
 //     the cache key is the full solve identity, a shared result is
 //     bit-for-bit the result each request would have computed alone.
@@ -20,12 +22,13 @@
 // Requests with CachePolicy::kOff have no key and therefore no
 // deduplication — they run independently, as demanded.
 //
-// `solve_all` is the synchronous batch face over the same machinery
-// (solve/batch.hpp's `BatchSolver` is an alias of this class): resolve
-// every solver id up front, digest each distinct problem once, derive
-// per-index stream seeds, submit everything, wait. Per-request failures
-// become Status::kError results — an exception never crosses a future out
-// of the service.
+// `submit()`, `submit_async()` and `solve_all()` are three faces of one
+// private submit path that answers through a completion callback.
+// `solve_all` is the synchronous batch face (solve/batch.hpp's
+// `BatchSolver` is an alias of this class): resolve every solver id up
+// front, digest each distinct problem once, derive per-index stream seeds,
+// submit everything, wait. Per-request failures become Status::kError
+// results — an exception never crosses a future out of the service.
 #pragma once
 
 #include <atomic>
@@ -68,7 +71,8 @@ struct SolveRequest {
 /// describe requests, the backend's describe entries.
 struct ServiceStats {
   std::uint64_t submitted = 0;     ///< requests accepted
-  std::uint64_t completed = 0;     ///< futures fulfilled
+  std::uint64_t completed = 0;     ///< requests answered (counted before the
+                                   ///< answer is delivered)
   std::uint64_t solved = 0;        ///< actual Solver::solve invocations
   std::uint64_t cache_hits = 0;    ///< requests answered from the backend
   std::uint64_t dedup_joined = 0;  ///< requests attached to an in-flight twin
@@ -97,9 +101,9 @@ class SolveExecutor {
 
 class SolveService : public SolveExecutor {
  public:
-  /// `pool` may be null: submit() then completes the solve synchronously
-  /// before returning its (already-ready) future, which is the serial
-  /// execution mode sweeps use in tests. `cache` overrides the process-wide
+  /// `pool` may be null: every request is then answered synchronously,
+  /// before submit() returns its (already-ready) future — `run()` and the
+  /// serial sweeps use this mode. `cache` overrides the process-wide
   /// `ResultCache::global()` (point it at a `TieredCache` for persistence).
   explicit SolveService(support::ThreadPool* pool = nullptr,
                         CacheBackend* cache = nullptr);
@@ -114,23 +118,24 @@ class SolveService : public SolveExecutor {
   /// Async facade. Resolves the solver id immediately (throws
   /// std::invalid_argument listing the known ids when unknown — before any
   /// work is queued); everything after that is delivered through the
-  /// future, including solver failures (as Status::kError results, never
-  /// exceptions). The request is taken as final: no stream-seed derivation.
+  /// future, including solver failures and a pool that refuses the task
+  /// (as Status::kError results, never exceptions). The request is taken
+  /// as final: no stream-seed derivation.
   [[nodiscard]] std::future<SolveResult> submit(SolveRequest request);
 
   /// Continuation-style twin of `submit()` for callers that must not block
   /// a thread per outstanding solve — the daemon's event-loop backend runs
   /// hundreds of connections on one thread and re-enters its reactor from
   /// this callback. `on_complete` runs exactly once, on the pool thread
-  /// that finished the flight (or inline, serial mode), with the same
-  /// result the future would have carried; dedup/caching semantics are
-  /// identical to `submit()` because both paths share one flight table.
-  /// Failures that `submit()` would deliver as a future exception (the
-  /// pool rejecting the task) arrive as a Status::kError result instead —
-  /// a callback has no exception channel. Unknown solver ids still throw
-  /// on the caller's thread before any work is queued.
-  void submit_async(SolveRequest request,
-                    std::function<void(SolveResult)> on_complete);
+  /// that finished the flight (or inline: serial mode and cache hits), with
+  /// the same result the future would have carried, and must not throw.
+  /// Dedup/caching semantics are identical to `submit()` because both
+  /// faces share one submit path. Pass `digest` when the caller already
+  /// digested the problem (the daemon does, for its response key).
+  /// Unknown solver ids throw on the caller's thread before any work is
+  /// queued.
+  void submit_async(SolveRequest request, std::function<void(SolveResult)> on_complete,
+                    std::optional<core::Digest> digest = std::nullopt);
 
   /// Synchronous batch face: solves every request; `results[i]` corresponds
   /// to `requests[i]`. All solver ids are resolved up front, distinct
@@ -141,18 +146,15 @@ class SolveService : public SolveExecutor {
   [[nodiscard]] std::vector<SolveResult> solve_all(
       const std::vector<SolveRequest>& requests) override;
 
-  /// Records an admission-control rejection against this service (and the
-  /// process totals). Called by the front end that refused the request —
-  /// the request never reached submit(), so nothing else counts it.
+  /// Records an admission-control rejection against this service. Called
+  /// by the front end that refused the request — the request never reached
+  /// submit(), so nothing else counts it.
   void note_rejected_queue_full() noexcept;
   void note_rejected_rate_limited() noexcept;
 
-  /// This instance's counters.
+  /// The counters of every request this instance served. A caller that
+  /// wants to report what a run did holds one service for the run.
   [[nodiscard]] ServiceStats stats() const;
-  /// Accumulated counters over every service instance in the process — what
-  /// `mfsched --cache-stats` reports, since sweeps build one service per
-  /// batch.
-  [[nodiscard]] static ServiceStats process_stats();
 
   [[nodiscard]] CacheBackend& backend() const noexcept { return *cache_; }
 
@@ -165,16 +167,14 @@ class SolveService : public SolveExecutor {
   }
 
  private:
-  /// One request attached to a flight: either a promise (submit) or a
-  /// completion callback (submit_async). Exactly one side is active —
-  /// `callback` non-null means callback delivery.
-  struct Waiter {
-    std::promise<SolveResult> promise;
-    std::function<void(SolveResult)> callback;
-  };
+  using Completion = std::function<void(SolveResult)>;
+  /// One solve and the requests waiting on it, leader's first; all are
+  /// answered together when it completes. A keyed flight is registered in
+  /// `flights_` so identical requests can join it; a kOff request is a
+  /// flight of one that nobody else sees.
   struct Flight {
-    /// Waiters, leader's first; fulfilled together on completion.
-    std::vector<Waiter> waiters;
+    /// Guarded by flights_mutex_ while the flight is registered.
+    std::vector<Completion> waiters;
     /// True when any waiter requested kReadWrite: the policy is not part
     /// of the key, so a kRead leader and a kReadWrite twin share a flight
     /// — and the twin's write-through wish must still be honoured.
@@ -187,24 +187,25 @@ class SolveService : public SolveExecutor {
     }
   };
 
-  [[nodiscard]] std::future<SolveResult> submit_resolved(
-      SolveRequest request, std::shared_ptr<const Solver> solver,
-      std::optional<core::Digest> digest);
-  /// The shared admission path under submit()/submit_async: dedup against
-  /// the flight table or launch a leader, delivering through `waiter`.
-  void submit_with_waiter(SolveRequest request,
-                          std::shared_ptr<const Solver> solver,
-                          std::optional<core::Digest> digest, Waiter waiter);
-  /// Fulfills one waiter (promise or callback) and bumps the completion
-  /// counters.
-  void deliver(Waiter& waiter, SolveResult result);
-  /// Leader body: cache lookup → solve; exceptions to kError. Backend
-  /// population is the flight's job (run_flight) — whether to write
-  /// through depends on every waiter's policy, not just the leader's.
+  /// The one submit path under submit(), submit_async() and solve_all():
+  /// answer from a flight in progress or from the cache, or lead a new
+  /// flight. `digest` spares a second digest of the problem when the
+  /// caller has one.
+  void start(SolveRequest request, std::shared_ptr<const Solver> solver,
+             std::optional<core::Digest> digest, Completion done);
+  /// Single-flight: attaches `done` to the flight already registered for
+  /// `key` and returns true. Otherwise, when `lead` is given, registers it
+  /// for `key` with `done` as its first waiter; returns false either way.
+  bool join_flight(const CacheKey& key, Completion& done, bool write_through,
+                   const std::shared_ptr<Flight>& lead);
+  /// Leader body: solve, with exceptions turned into kError results.
   [[nodiscard]] SolveResult execute(const Solver& solver, const core::Problem& problem,
-                                    const SolveParams& params,
-                                    const std::optional<CacheKey>& key);
-  void run_flight(const CacheKey& key, const SolveRequest& request, const Solver& solver);
+                                    const SolveParams& params);
+  /// Stores the result when a waiter asked for write-through, detaches the
+  /// flight, and answers every waiter.
+  void finish_flight(const std::optional<CacheKey>& key, Flight& flight, SolveResult result);
+  /// Counts the completion, then runs the waiter's callback.
+  void deliver(const Completion& done, SolveResult result);
   void enqueue(support::UniqueFunction task);
   void finish_task();
 

@@ -1,9 +1,11 @@
 #include "solve/solver.hpp"
 
 #include <chrono>
+#include <memory>
+#include <utility>
 
 #include "solve/cache.hpp"
-#include "solve/registry.hpp"
+#include "solve/service.hpp"
 
 namespace mf::solve {
 
@@ -54,9 +56,15 @@ SolveResult timed_solve(const Solver& solver, const core::Problem& problem,
 
 SolveResult run(const core::Problem& problem, const std::string& solver_id,
                 const SolveParams& params) {
-  const auto solver =
-      SolverRegistry::instance().resolve(effective_solver_id(solver_id, params));
-  return cached_solve(*solver, problem, params, ResultCache::global());
+  SolveRequest request;
+  // Borrowed, not copied: the aliasing constructor with no owner makes a
+  // pointer that never deletes, and a serial service answers before
+  // submit() returns, while the caller's problem is still alive.
+  request.problem = std::shared_ptr<const core::Problem>(
+      std::shared_ptr<const core::Problem>(), &problem);
+  request.solver_id = solver_id;
+  request.params = params;
+  return SolveService(nullptr, &ResultCache::global()).submit(std::move(request)).get();
 }
 
 }  // namespace mf::solve

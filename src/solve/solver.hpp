@@ -2,8 +2,9 @@
 // constructive heuristics, the polynomial one-to-one solvers, the
 // combinatorial branch-and-bound, the Section 6.1 MIP and the brute-force
 // trust anchor — is exposed behind one `Solver` interface, discovered
-// through the `SolverRegistry` and executed through `run()` (one request)
-// or `BatchSolver` (a fan of requests over a thread pool).
+// through the `SolverRegistry` and executed through `SolveService`
+// (solve/service.hpp; `run()` is a one-request service, `BatchSolver` a fan
+// of requests over a thread pool).
 //
 // A solve is described by a problem instance plus a `SolveParams` bag
 // (seed, node budget, local-search refinement, time limit) and yields a
@@ -29,17 +30,19 @@ enum class Status {
   kInfeasible,       ///< no mapping exists (p > m) or solver inapplicable
   kBudgetExhausted,  ///< node/time budget ran out before a proof; a best
                      ///< incumbent may still be attached
-  kError,            ///< the solver threw; diagnostics.note carries the
-                     ///< message. Produced by BatchSolver, which converts
-                     ///< per-request exceptions so one bad request cannot
-                     ///< kill a 10k-request sweep (run() still propagates).
+  kError,            ///< the solver threw (or never ran); diagnostics.note
+                     ///< carries the message. Every execution path, run()
+                     ///< included, converts per-request exceptions this
+                     ///< way, so one bad request cannot kill a 10k-request
+                     ///< sweep.
 };
 
 [[nodiscard]] std::string to_string(Status status);
 
-/// How a solve interacts with the process-wide `ResultCache`
-/// (solve/cache.hpp). The cache key is (problem digest, effective solver
-/// id, canonicalized params), so a hit is guaranteed to be the result the
+/// How a solve interacts with the cache backend of the `SolveService` that
+/// runs it (solve/service.hpp; `run()` uses the process-wide `ResultCache`,
+/// solve/cache.hpp). The cache key is (problem digest, effective solver id,
+/// canonicalized params), so a hit is guaranteed to be the result the
 /// solver would recompute.
 enum class CachePolicy {
   kOff,        ///< never touch the cache (the default)
@@ -60,8 +63,8 @@ struct SolveParams {
   /// unlimited search for both bnb and mip.
   std::optional<std::uint64_t> max_nodes;
   /// Append a local-search refinement stage (the "+ls" composite) to
-  /// whatever the solver produces. Interpreted by `run()`/`BatchSolver`;
-  /// equivalent to suffixing the solver id with "+ls".
+  /// whatever the solver produces. Interpreted by `SolveService` (and so
+  /// by `run()`); equivalent to suffixing the solver id with "+ls".
   bool local_search = false;
   /// Options for the refinement stage when `local_search` is on (or the id
   /// carries "+ls").
@@ -71,10 +74,10 @@ struct SolveParams {
   /// 0 means unlimited. Solvers do not interrupt mid-search; use
   /// `max_nodes` to bound the search itself.
   double time_limit_ms = 0.0;
-  /// Result-cache interaction for this solve; `run()` and `BatchSolver`
-  /// consult the process-wide cache when it is not kOff. The policy itself
-  /// is execution advice, not problem content — it is never part of the
-  /// cache key.
+  /// Result-cache interaction for this solve; the `SolveService` that runs
+  /// it consults its backend when it is not kOff (`run()`: the process-wide
+  /// cache). The policy itself is execution advice, not problem content —
+  /// it is never part of the cache key.
   CachePolicy cache = CachePolicy::kOff;
   /// Provenance label: the scenario/failure-model id that produced the
   /// problem (empty for problems built or loaded directly). Stamped into
@@ -135,16 +138,18 @@ class Solver {
 [[nodiscard]] std::string effective_solver_id(std::string solver_id, const SolveParams& params);
 
 /// Runs `solver` and stamps `diagnostics.solver_id` and
-/// `diagnostics.wall_time_ms` into the result. The entry point `run()` and
-/// `BatchSolver` both funnel through this.
+/// `diagnostics.wall_time_ms` into the result. Every solve `SolveService`
+/// runs funnels through this.
 [[nodiscard]] SolveResult timed_solve(const Solver& solver, const core::Problem& problem,
                                       const SolveParams& params);
 
-/// The facade: resolves `solver_id` in the global `SolverRegistry`
-/// (composites like "H4w+ls" included; `params.local_search` appends the
-/// refinement stage for you), solves, and times it. Honours `params.cache`
-/// against the process-wide result cache (solve/cache.hpp). Throws
-/// std::invalid_argument listing the known ids when the id is unknown.
+/// The facade: one request through a serial `SolveService` over the
+/// process-wide result cache (solve/cache.hpp), honouring `params.cache`.
+/// Resolves `solver_id` in the global `SolverRegistry` (composites like
+/// "H4w+ls" included; `params.local_search` appends the refinement stage
+/// for you), solves, and times it. Throws std::invalid_argument listing the
+/// known ids when the id is unknown; a solver that throws comes back as a
+/// Status::kError result with its message in `diagnostics.note`.
 [[nodiscard]] SolveResult run(const core::Problem& problem, const std::string& solver_id,
                               const SolveParams& params = {});
 

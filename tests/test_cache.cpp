@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "core/digest.hpp"
 #include "exp/figures.hpp"
@@ -13,7 +15,7 @@
 #include "exp/scenario.hpp"
 #include "solve/batch.hpp"
 #include "solve/cache.hpp"
-#include "solve/registry.hpp"
+#include "solve/service.hpp"
 #include "solve/solver.hpp"
 
 namespace mf::solve {
@@ -25,6 +27,18 @@ core::Problem small_problem(std::uint64_t seed = 7) {
   scenario.machines = 4;
   scenario.types = 2;
   return exp::generate(scenario, seed);
+}
+
+/// One solve through a serial `SolveService` over `cache` — the path every
+/// production caller takes.
+SolveResult solve_through(CacheBackend& cache, const std::string& solver_id,
+                          const core::Problem& problem, const SolveParams& params) {
+  SolveService service(nullptr, &cache);
+  SolveRequest request;
+  request.problem = std::make_shared<const core::Problem>(problem);
+  request.solver_id = solver_id;
+  request.params = params;
+  return service.submit(std::move(request)).get();
 }
 
 TEST(CacheKey, CanonicalizesLocalSearchSpelling) {
@@ -73,22 +87,21 @@ TEST(CacheKey, ScenarioProvenanceIsPartOfTheKey) {
 
 TEST(Cache, ScenarioLabelSeparatesEntriesAndSurfacesInDiagnostics) {
   ResultCache cache(64);
-  const auto problem = std::make_shared<const core::Problem>(small_problem());
-  const Solver& h2 = *SolverRegistry::instance().find("H2");
+  const core::Problem problem = small_problem();
   SolveParams params;
   params.cache = CachePolicy::kReadWrite;
   params.scenario = "iid";
-  const SolveResult first = cached_solve(h2, *problem, params, cache);
+  const SolveResult first = solve_through(cache, "H2", problem, params);
   EXPECT_EQ(first.diagnostics.scenario, "iid");
   EXPECT_FALSE(first.diagnostics.cache_hit);
   // Same problem, same solver, different provenance: a miss, not a hit.
   params.scenario = "downtime";
-  const SolveResult other = cached_solve(h2, *problem, params, cache);
+  const SolveResult other = solve_through(cache, "H2", problem, params);
   EXPECT_FALSE(other.diagnostics.cache_hit);
   EXPECT_EQ(other.diagnostics.scenario, "downtime");
   // Same provenance again: a hit carrying its regime in the diagnostics.
   params.scenario = "iid";
-  const SolveResult hit = cached_solve(h2, *problem, params, cache);
+  const SolveResult hit = solve_through(cache, "H2", problem, params);
   EXPECT_TRUE(hit.diagnostics.cache_hit);
   EXPECT_EQ(hit.diagnostics.scenario, "iid");
   EXPECT_EQ(hit.period, first.period);
@@ -97,14 +110,13 @@ TEST(Cache, ScenarioLabelSeparatesEntriesAndSurfacesInDiagnostics) {
 TEST(Cache, HitReturnsTheResultTheSolverWouldRecompute) {
   ResultCache cache(64);
   const core::Problem problem = small_problem();
-  const auto solver = SolverRegistry::instance().resolve("H1");
   SolveParams params;
   params.seed = 99;
   params.cache = CachePolicy::kReadWrite;
 
-  const SolveResult fresh = cached_solve(*solver, problem, params, cache);
+  const SolveResult fresh = solve_through(cache, "H1", problem, params);
   EXPECT_FALSE(fresh.diagnostics.cache_hit);
-  const SolveResult cached = cached_solve(*solver, problem, params, cache);
+  const SolveResult cached = solve_through(cache, "H1", problem, params);
   EXPECT_TRUE(cached.diagnostics.cache_hit);
 
   EXPECT_EQ(cached.status, fresh.status);
@@ -122,13 +134,12 @@ TEST(Cache, HitReturnsTheResultTheSolverWouldRecompute) {
 TEST(Cache, DifferentSeedsAreDifferentEntries) {
   ResultCache cache(64);
   const core::Problem problem = small_problem();
-  const auto solver = SolverRegistry::instance().resolve("H1");
   SolveParams params;
   params.cache = CachePolicy::kReadWrite;
   params.seed = 1;
-  (void)cached_solve(*solver, problem, params, cache);
+  (void)solve_through(cache, "H1", problem, params);
   params.seed = 2;
-  const SolveResult other = cached_solve(*solver, problem, params, cache);
+  const SolveResult other = solve_through(cache, "H1", problem, params);
   EXPECT_FALSE(other.diagnostics.cache_hit);
   EXPECT_EQ(cache.stats().size, 2u);
 }
@@ -136,11 +147,10 @@ TEST(Cache, DifferentSeedsAreDifferentEntries) {
 TEST(Cache, ReadPolicyNeverStores) {
   ResultCache cache(64);
   const core::Problem problem = small_problem();
-  const auto solver = SolverRegistry::instance().resolve("H2");
   SolveParams params;
   params.cache = CachePolicy::kRead;
-  (void)cached_solve(*solver, problem, params, cache);
-  (void)cached_solve(*solver, problem, params, cache);
+  (void)solve_through(cache, "H2", problem, params);
+  (void)solve_through(cache, "H2", problem, params);
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 2u);
@@ -148,28 +158,26 @@ TEST(Cache, ReadPolicyNeverStores) {
 
   // But kRead serves entries someone else stored.
   params.cache = CachePolicy::kReadWrite;
-  (void)cached_solve(*solver, problem, params, cache);
+  (void)solve_through(cache, "H2", problem, params);
   params.cache = CachePolicy::kRead;
-  EXPECT_TRUE(cached_solve(*solver, problem, params, cache).diagnostics.cache_hit);
+  EXPECT_TRUE(solve_through(cache, "H2", problem, params).diagnostics.cache_hit);
 }
 
 TEST(Cache, OffPolicyNeverTouchesTheCache) {
   ResultCache cache(64);
   const core::Problem problem = small_problem();
-  const auto solver = SolverRegistry::instance().resolve("H2");
   SolveParams params;  // cache = kOff
-  (void)cached_solve(*solver, problem, params, cache);
+  (void)solve_through(cache, "H2", problem, params);
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses + stats.insertions, 0u);
 }
 
 TEST(Cache, BoundedByCapacityWithLruEviction) {
   ResultCache cache(ResultCache::kShardCount);  // one entry per shard
-  const auto solver = SolverRegistry::instance().resolve("H2");
   SolveParams params;
   params.cache = CachePolicy::kReadWrite;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
-    (void)cached_solve(*solver, small_problem(seed), params, cache);
+    (void)solve_through(cache, "H2", small_problem(seed), params);
   }
   const CacheStats stats = cache.stats();
   EXPECT_LE(stats.size, cache.capacity());
@@ -179,14 +187,13 @@ TEST(Cache, BoundedByCapacityWithLruEviction) {
 
 TEST(Cache, ClearDropsEntriesButKeepsCounters) {
   ResultCache cache(64);
-  const auto solver = SolverRegistry::instance().resolve("H2");
   SolveParams params;
   params.cache = CachePolicy::kReadWrite;
-  (void)cached_solve(*solver, small_problem(), params, cache);
+  (void)solve_through(cache, "H2", small_problem(), params);
   cache.clear();
   EXPECT_EQ(cache.stats().size, 0u);
   EXPECT_EQ(cache.stats().insertions, 1u);
-  EXPECT_FALSE(cached_solve(*solver, small_problem(), params, cache).diagnostics.cache_hit);
+  EXPECT_FALSE(solve_through(cache, "H2", small_problem(), params).diagnostics.cache_hit);
 }
 
 TEST(Cache, BatchSolverPopulatesAndServesAnIsolatedCache) {

@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/digest.hpp"
@@ -26,6 +27,7 @@
 #include "solve/cache.hpp"
 #include "solve/disk_cache.hpp"
 #include "solve/registry.hpp"
+#include "solve/service.hpp"
 #include "solve/tiered_cache.hpp"
 
 namespace mf::solve {
@@ -62,14 +64,25 @@ struct StoredEntry {
   SolveResult result;
 };
 
+/// One solve through a serial `SolveService` over `cache` — the path every
+/// production caller takes.
+SolveResult solve_through(CacheBackend& cache, const std::string& solver_id,
+                          const core::Problem& problem, const SolveParams& params) {
+  SolveService service(nullptr, &cache);
+  SolveRequest request;
+  request.problem = std::make_shared<const core::Problem>(problem);
+  request.solver_id = solver_id;
+  request.params = params;
+  return service.submit(std::move(request)).get();
+}
+
 StoredEntry solve_and_store(DiskCache& cache, std::uint64_t seed = 3) {
   const core::Problem problem = small_problem();
-  const auto solver = SolverRegistry::instance().resolve("H1");
   SolveParams params;
   params.seed = seed;
   params.cache = CachePolicy::kReadWrite;
-  const SolveResult result = cached_solve(*solver, problem, params, cache);
-  return {make_cache_key(core::digest(problem), solver->id(), params), result};
+  const SolveResult result = solve_through(cache, "H1", problem, params);
+  return {make_cache_key(core::digest(problem), "H1", params), result};
 }
 
 TEST_F(DiskCacheTest, EntryTextRoundTripsBitForBit) {
@@ -114,7 +127,6 @@ TEST_F(DiskCacheTest, FreshInstanceServesAPriorInstancesEntries) {
 
 TEST_F(DiskCacheTest, CachedSolveThroughFreshInstanceIsACrossProcessWarmHit) {
   const core::Problem problem = small_problem();
-  const auto solver = SolverRegistry::instance().resolve("H1");
   SolveParams params;
   params.seed = 11;
   params.cache = CachePolicy::kReadWrite;
@@ -122,11 +134,11 @@ TEST_F(DiskCacheTest, CachedSolveThroughFreshInstanceIsACrossProcessWarmHit) {
   SolveResult cold;
   {
     DiskCache first_process(dir_);
-    cold = cached_solve(*solver, problem, params, first_process);
+    cold = solve_through(first_process, "H1", problem, params);
     EXPECT_FALSE(cold.diagnostics.cache_hit);
   }
   DiskCache second_process(dir_);
-  const SolveResult warm = cached_solve(*solver, problem, params, second_process);
+  const SolveResult warm = solve_through(second_process, "H1", problem, params);
   EXPECT_TRUE(warm.diagnostics.cache_hit);
   EXPECT_EQ(warm.status, cold.status);
   EXPECT_EQ(warm.mapping, cold.mapping);
@@ -335,10 +347,9 @@ TEST_F(DiskCacheTest, TieredInsertWritesThroughToBothLayers) {
   TieredCache tiered(memory, disk);
 
   const core::Problem problem = small_problem();
-  const auto solver = SolverRegistry::instance().resolve("H2");
   SolveParams params;
   params.cache = CachePolicy::kReadWrite;
-  const SolveResult result = cached_solve(*solver, problem, params, tiered);
+  const SolveResult result = solve_through(tiered, "H2", problem, params);
   EXPECT_FALSE(result.diagnostics.cache_hit);
   EXPECT_EQ(memory.stats().size, 1u);
   EXPECT_EQ(disk.stats().size, 1u);
@@ -348,7 +359,7 @@ TEST_F(DiskCacheTest, TieredInsertWritesThroughToBothLayers) {
   ResultCache fresh_memory(64);
   DiskCache fresh_disk(dir_);
   TieredCache restarted(fresh_memory, fresh_disk);
-  const SolveResult warm = cached_solve(*solver, problem, params, restarted);
+  const SolveResult warm = solve_through(restarted, "H2", problem, params);
   EXPECT_TRUE(warm.diagnostics.cache_hit);
   EXPECT_EQ(warm.mapping, result.mapping);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.period),

@@ -363,6 +363,24 @@ TEST(SolveService, SubmitAsyncSurfacesSolverFailuresAsErrorResults) {
   EXPECT_NE(result.diagnostics.note.find("deliberate test failure"), std::string::npos);
 }
 
+TEST(SolveService, CompletionIsCountedBeforeItsWaiterRuns) {
+  // A caller woken by its answer must already see that answer counted —
+  // otherwise a caller holding every result can read `completed` short.
+  ensure_test_solvers();
+  GateGuard gate;
+  GatedCountingSolver::state().release();
+  ResultCache cache(64);
+  SolveService service(nullptr, &cache);  // serial: callbacks run inline
+  const auto problem = std::make_shared<const core::Problem>(small_problem());
+  std::vector<std::uint64_t> seen;
+  for (int i = 0; i < 2; ++i) {  // a miss, then a hit
+    service.submit_async(gated_request(problem, CachePolicy::kReadWrite),
+                         [&](SolveResult) { seen.push_back(service.stats().completed); });
+  }
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(service.stats().cache_hits, 1u);
+}
+
 TEST(SolveService, PooledAndSerialBatchesAgreeBitForBit) {
   ResultCache pooled_cache(1024);
   ResultCache serial_cache(1024);

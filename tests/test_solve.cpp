@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 
@@ -148,6 +150,20 @@ TEST(Facade, BudgetExhaustedWhenNodeBudgetTooSmall) {
 
   const SolveResult mip = run(problem, "mip", {.max_nodes = 1});
   EXPECT_EQ(mip.status, Status::kBudgetExhausted);
+}
+
+TEST(Facade, ReadWriteCacheServesTheSecondCallFromTheCache) {
+  // A problem no other test solves, so the process-wide cache starts cold.
+  const core::Problem problem = medium_problem(0xFACADE);
+  const SolveParams params{.seed = 3, .cache = CachePolicy::kReadWrite};
+  const SolveResult first = run(problem, "H4w", params);
+  const SolveResult second = run(problem, "H4w", params);
+  EXPECT_FALSE(first.diagnostics.cache_hit);
+  EXPECT_TRUE(second.diagnostics.cache_hit);
+  ASSERT_TRUE(second.has_mapping());
+  EXPECT_EQ(second.mapping, first.mapping);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(second.period),
+            std::bit_cast<std::uint64_t>(first.period));
 }
 
 TEST(Facade, ExactSolversAgreeOnTinyInstance) {
@@ -294,8 +310,12 @@ TEST(Batch, SolverExceptionBecomesPerRequestErrorResult) {
     }
   }
 
-  // The single-solve facade still propagates, as its contract says.
-  EXPECT_THROW((void)run(*problem, "throws"), std::runtime_error);
+  // The single-solve facade is a one-request service: the same kError
+  // result, not an exception.
+  const SolveResult single = run(*problem, "throws");
+  EXPECT_EQ(single.status, Status::kError);
+  EXPECT_FALSE(single.has_mapping());
+  EXPECT_NE(single.diagnostics.note.find("deliberate kaboom"), std::string::npos);
 }
 
 TEST(Batch, UnknownSolverFailsTheBatchUpFront) {
