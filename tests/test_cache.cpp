@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
-#include <utility>
 
 #include "core/digest.hpp"
 #include "exp/figures.hpp"
@@ -15,8 +13,8 @@
 #include "exp/scenario.hpp"
 #include "solve/batch.hpp"
 #include "solve/cache.hpp"
-#include "solve/service.hpp"
 #include "solve/solver.hpp"
+#include "test_helpers.hpp"
 
 namespace mf::solve {
 namespace {
@@ -27,18 +25,6 @@ core::Problem small_problem(std::uint64_t seed = 7) {
   scenario.machines = 4;
   scenario.types = 2;
   return exp::generate(scenario, seed);
-}
-
-/// One solve through a serial `SolveService` over `cache` — the path every
-/// production caller takes.
-SolveResult solve_through(CacheBackend& cache, const std::string& solver_id,
-                          const core::Problem& problem, const SolveParams& params) {
-  SolveService service(nullptr, &cache);
-  SolveRequest request;
-  request.problem = std::make_shared<const core::Problem>(problem);
-  request.solver_id = solver_id;
-  request.params = params;
-  return service.submit(std::move(request)).get();
 }
 
 TEST(CacheKey, CanonicalizesLocalSearchSpelling) {
@@ -91,17 +77,17 @@ TEST(Cache, ScenarioLabelSeparatesEntriesAndSurfacesInDiagnostics) {
   SolveParams params;
   params.cache = CachePolicy::kReadWrite;
   params.scenario = "iid";
-  const SolveResult first = solve_through(cache, "H2", problem, params);
+  const SolveResult first = test::solve_through(cache, "H2", problem, params);
   EXPECT_EQ(first.diagnostics.scenario, "iid");
   EXPECT_FALSE(first.diagnostics.cache_hit);
   // Same problem, same solver, different provenance: a miss, not a hit.
   params.scenario = "downtime";
-  const SolveResult other = solve_through(cache, "H2", problem, params);
+  const SolveResult other = test::solve_through(cache, "H2", problem, params);
   EXPECT_FALSE(other.diagnostics.cache_hit);
   EXPECT_EQ(other.diagnostics.scenario, "downtime");
   // Same provenance again: a hit carrying its regime in the diagnostics.
   params.scenario = "iid";
-  const SolveResult hit = solve_through(cache, "H2", problem, params);
+  const SolveResult hit = test::solve_through(cache, "H2", problem, params);
   EXPECT_TRUE(hit.diagnostics.cache_hit);
   EXPECT_EQ(hit.diagnostics.scenario, "iid");
   EXPECT_EQ(hit.period, first.period);
@@ -114,9 +100,9 @@ TEST(Cache, HitReturnsTheResultTheSolverWouldRecompute) {
   params.seed = 99;
   params.cache = CachePolicy::kReadWrite;
 
-  const SolveResult fresh = solve_through(cache, "H1", problem, params);
+  const SolveResult fresh = test::solve_through(cache, "H1", problem, params);
   EXPECT_FALSE(fresh.diagnostics.cache_hit);
-  const SolveResult cached = solve_through(cache, "H1", problem, params);
+  const SolveResult cached = test::solve_through(cache, "H1", problem, params);
   EXPECT_TRUE(cached.diagnostics.cache_hit);
 
   EXPECT_EQ(cached.status, fresh.status);
@@ -137,9 +123,9 @@ TEST(Cache, DifferentSeedsAreDifferentEntries) {
   SolveParams params;
   params.cache = CachePolicy::kReadWrite;
   params.seed = 1;
-  (void)solve_through(cache, "H1", problem, params);
+  (void)test::solve_through(cache, "H1", problem, params);
   params.seed = 2;
-  const SolveResult other = solve_through(cache, "H1", problem, params);
+  const SolveResult other = test::solve_through(cache, "H1", problem, params);
   EXPECT_FALSE(other.diagnostics.cache_hit);
   EXPECT_EQ(cache.stats().size, 2u);
 }
@@ -149,8 +135,8 @@ TEST(Cache, ReadPolicyNeverStores) {
   const core::Problem problem = small_problem();
   SolveParams params;
   params.cache = CachePolicy::kRead;
-  (void)solve_through(cache, "H2", problem, params);
-  (void)solve_through(cache, "H2", problem, params);
+  (void)test::solve_through(cache, "H2", problem, params);
+  (void)test::solve_through(cache, "H2", problem, params);
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 2u);
@@ -158,16 +144,16 @@ TEST(Cache, ReadPolicyNeverStores) {
 
   // But kRead serves entries someone else stored.
   params.cache = CachePolicy::kReadWrite;
-  (void)solve_through(cache, "H2", problem, params);
+  (void)test::solve_through(cache, "H2", problem, params);
   params.cache = CachePolicy::kRead;
-  EXPECT_TRUE(solve_through(cache, "H2", problem, params).diagnostics.cache_hit);
+  EXPECT_TRUE(test::solve_through(cache, "H2", problem, params).diagnostics.cache_hit);
 }
 
 TEST(Cache, OffPolicyNeverTouchesTheCache) {
   ResultCache cache(64);
   const core::Problem problem = small_problem();
   SolveParams params;  // cache = kOff
-  (void)solve_through(cache, "H2", problem, params);
+  (void)test::solve_through(cache, "H2", problem, params);
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses + stats.insertions, 0u);
 }
@@ -177,7 +163,7 @@ TEST(Cache, BoundedByCapacityWithLruEviction) {
   SolveParams params;
   params.cache = CachePolicy::kReadWrite;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
-    (void)solve_through(cache, "H2", small_problem(seed), params);
+    (void)test::solve_through(cache, "H2", small_problem(seed), params);
   }
   const CacheStats stats = cache.stats();
   EXPECT_LE(stats.size, cache.capacity());
@@ -189,11 +175,11 @@ TEST(Cache, ClearDropsEntriesButKeepsCounters) {
   ResultCache cache(64);
   SolveParams params;
   params.cache = CachePolicy::kReadWrite;
-  (void)solve_through(cache, "H2", small_problem(), params);
+  (void)test::solve_through(cache, "H2", small_problem(), params);
   cache.clear();
   EXPECT_EQ(cache.stats().size, 0u);
   EXPECT_EQ(cache.stats().insertions, 1u);
-  EXPECT_FALSE(solve_through(cache, "H2", small_problem(), params).diagnostics.cache_hit);
+  EXPECT_FALSE(test::solve_through(cache, "H2", small_problem(), params).diagnostics.cache_hit);
 }
 
 TEST(Cache, BatchSolverPopulatesAndServesAnIsolatedCache) {

@@ -19,7 +19,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/digest.hpp"
@@ -27,8 +26,8 @@
 #include "solve/cache.hpp"
 #include "solve/disk_cache.hpp"
 #include "solve/registry.hpp"
-#include "solve/service.hpp"
 #include "solve/tiered_cache.hpp"
+#include "test_helpers.hpp"
 
 namespace mf::solve {
 namespace {
@@ -64,24 +63,12 @@ struct StoredEntry {
   SolveResult result;
 };
 
-/// One solve through a serial `SolveService` over `cache` — the path every
-/// production caller takes.
-SolveResult solve_through(CacheBackend& cache, const std::string& solver_id,
-                          const core::Problem& problem, const SolveParams& params) {
-  SolveService service(nullptr, &cache);
-  SolveRequest request;
-  request.problem = std::make_shared<const core::Problem>(problem);
-  request.solver_id = solver_id;
-  request.params = params;
-  return service.submit(std::move(request)).get();
-}
-
 StoredEntry solve_and_store(DiskCache& cache, std::uint64_t seed = 3) {
   const core::Problem problem = small_problem();
   SolveParams params;
   params.seed = seed;
   params.cache = CachePolicy::kReadWrite;
-  const SolveResult result = solve_through(cache, "H1", problem, params);
+  const SolveResult result = test::solve_through(cache, "H1", problem, params);
   return {make_cache_key(core::digest(problem), "H1", params), result};
 }
 
@@ -134,11 +121,11 @@ TEST_F(DiskCacheTest, CachedSolveThroughFreshInstanceIsACrossProcessWarmHit) {
   SolveResult cold;
   {
     DiskCache first_process(dir_);
-    cold = solve_through(first_process, "H1", problem, params);
+    cold = test::solve_through(first_process, "H1", problem, params);
     EXPECT_FALSE(cold.diagnostics.cache_hit);
   }
   DiskCache second_process(dir_);
-  const SolveResult warm = solve_through(second_process, "H1", problem, params);
+  const SolveResult warm = test::solve_through(second_process, "H1", problem, params);
   EXPECT_TRUE(warm.diagnostics.cache_hit);
   EXPECT_EQ(warm.status, cold.status);
   EXPECT_EQ(warm.mapping, cold.mapping);
@@ -349,7 +336,7 @@ TEST_F(DiskCacheTest, TieredInsertWritesThroughToBothLayers) {
   const core::Problem problem = small_problem();
   SolveParams params;
   params.cache = CachePolicy::kReadWrite;
-  const SolveResult result = solve_through(tiered, "H2", problem, params);
+  const SolveResult result = test::solve_through(tiered, "H2", problem, params);
   EXPECT_FALSE(result.diagnostics.cache_hit);
   EXPECT_EQ(memory.stats().size, 1u);
   EXPECT_EQ(disk.stats().size, 1u);
@@ -359,7 +346,7 @@ TEST_F(DiskCacheTest, TieredInsertWritesThroughToBothLayers) {
   ResultCache fresh_memory(64);
   DiskCache fresh_disk(dir_);
   TieredCache restarted(fresh_memory, fresh_disk);
-  const SolveResult warm = solve_through(restarted, "H2", problem, params);
+  const SolveResult warm = test::solve_through(restarted, "H2", problem, params);
   EXPECT_TRUE(warm.diagnostics.cache_hit);
   EXPECT_EQ(warm.mapping, result.mapping);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.period),

@@ -1,11 +1,15 @@
 // Shared fixtures and builders for the microfactory test suite.
 #pragma once
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/application.hpp"
 #include "core/mapping.hpp"
 #include "core/platform.hpp"
+#include "solve/service.hpp"
 #include "support/matrix.hpp"
 
 namespace mf::test {
@@ -49,6 +53,20 @@ inline core::Problem uniform_problem(std::vector<core::TypeIndex> types, std::si
   support::Matrix times(n, machines, w);
   support::Matrix failures(n, machines, f);
   return core::Problem{std::move(app), core::Platform{std::move(times), std::move(failures)}};
+}
+
+/// One solve through a serial `SolveService` over `cache` — the path every
+/// production caller takes.
+inline solve::SolveResult solve_through(solve::CacheBackend& cache,
+                                        const std::string& solver_id,
+                                        const core::Problem& problem,
+                                        const solve::SolveParams& params) {
+  solve::SolveService service(nullptr, &cache);
+  solve::SolveRequest request;
+  request.problem = std::make_shared<const core::Problem>(problem);
+  request.solver_id = solver_id;
+  request.params = params;
+  return service.submit(std::move(request)).get();
 }
 
 }  // namespace mf::test
