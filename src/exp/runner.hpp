@@ -17,13 +17,13 @@
 // `solve::SolveRequest` and one `solve::SolveService` per sweep fans the
 // requests over the thread pool — the same path the CLI and examples use,
 // so sweeps inherit result caching and per-request error isolation for
-// free. Seeds are
-// content-addressed: a request's seed depends only on (base_seed,
-// point, trial, method name), never on batch composition — which is what
-// makes sharded execution exact. A `ShardSpec` deterministically partitions
-// (point, trial) pairs across processes; each shard records raw per-trial
-// outcomes and `merge()` replays the success-counting protocol over them,
-// reproducing the unsharded `SweepResult` bit for bit.
+// free. Seeds are content-addressed: a request's seed depends only on
+// (base_seed, point, trial, method name), never on batch composition —
+// which is what makes sharded execution exact. A `ShardSpec`
+// deterministically partitions (point, trial) pairs across processes; each
+// shard records raw per-trial outcomes and `merge()` replays the
+// success-counting protocol over them, reproducing the unsharded
+// `SweepResult` bit for bit.
 #pragma once
 
 #include <cstdint>
