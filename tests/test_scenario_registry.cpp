@@ -4,6 +4,7 @@
 // generator, and per-scenario sweeps through the runner.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 
@@ -65,6 +66,45 @@ TEST(ScenarioRegistry, IidInstanceIsBitIdenticalToLegacyGenerate) {
   EXPECT_TRUE(instance.model_is_identity());
   EXPECT_EQ(instance.problem.get(), instance.effective.get());
   EXPECT_EQ(instance.content_digest(), core::digest(legacy));
+}
+
+TEST(ScenarioRegistry, InstancesMatchPreTableCapture) {
+  // Digests captured before the regimes became one fixed table: every
+  // regime's draws (base problem and model parameters) must stay put.
+  struct Row {
+    const char* id;
+    std::uint64_t seed;
+    const char* content;
+    const char* effective;
+  };
+  const Row rows[] = {
+      {"correlated", 1, "05c831720e82014e1827272ca2488ac5", "3e02f79f8a182eab77c39ec20fe85242"},
+      {"correlated", 77, "6da2b738e51508f12f57dbf9f6004192", "6eee51803b4d724ab526b81bb1b36883"},
+      {"correlated", 123456789, "57385086947b765753e3e5687722e768",
+       "a464c9538dd75e40845b9e88097418f1"},
+      {"downtime", 1, "3bb264de20bdad2e03861574e500a6f7", "8f1014feddf3c1ece635ab736530d175"},
+      {"downtime", 77, "e24f23ddb05c1d5b661ece383424a982", "a3a4965a0c2254067608a596787f3b0f"},
+      {"downtime", 123456789, "2d62fee15cde071b57589453c93c2236",
+       "518bd9652ac1b512e3677e9235a2bcaf"},
+      {"iid", 1, "2819f02b0f255969d7004c0dc4ec98e8", "2819f02b0f255969d7004c0dc4ec98e8"},
+      {"iid", 77, "958660c2295996cee9de81dfae4e0e47", "958660c2295996cee9de81dfae4e0e47"},
+      {"iid", 123456789, "dabfdda3ef91df535a9e9c66d35eeafe", "dabfdda3ef91df535a9e9c66d35eeafe"},
+      {"time-varying", 1, "823fad1ab4f9635b9d2b4c23433eb652",
+       "627b048f74767d35fb246f54233ea3b8"},
+      {"time-varying", 77, "a8ecd7a29b6d7ac9c9abf1b3587df3e8",
+       "722759fba5663f66d5fe0bc543bbdd4f"},
+      {"time-varying", 123456789, "010447f1e1b385a7cf6a4bb1aaf45902",
+       "1f6d25777ca9952d059abbf43fc176b4"},
+  };
+  const Scenario scenario = small_scenario();
+  for (const Row& row : rows) {
+    const Instance instance =
+        ScenarioRegistry::instance().resolve(row.id)->generate(scenario, row.seed);
+    EXPECT_EQ(core::to_string(instance.content_digest()), row.content)
+        << row.id << " seed " << row.seed;
+    EXPECT_EQ(core::to_string(core::digest(*instance.effective)), row.effective)
+        << row.id << " seed " << row.seed;
+  }
 }
 
 TEST(ScenarioRegistry, GenerationIsDeterministicPerId) {
