@@ -102,8 +102,7 @@ Shape make_shape(const std::string& name, bool gated, const std::string& scenari
   scenario.tasks = 16;
   scenario.machines = 8;
   scenario.types = 4;
-  mf::exp::Instance instance =
-      mf::exp::ScenarioRegistry::instance().resolve(scenario_id)->generate(scenario, 11);
+  mf::exp::Instance instance = mf::exp::generate_instance(scenario_id, scenario, 11);
   mf::support::Rng rng(1);
   const auto mapping =
       mf::heuristics::heuristic_by_name("H4w")->run(*instance.effective, rng);

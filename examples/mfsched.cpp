@@ -139,6 +139,15 @@ std::optional<Report> report_by_name(const std::string& name) {
 /// Every name `--figure` accepts: the sweeps, then the reports.
 std::string figure_names() { return mf::exp::figure_spec_names() + " fig11 summary"; }
 
+/// Space-separated failure-regime ids, for --help and the unknown-id error.
+std::string scenario_names() {
+  std::string names;
+  for (const std::string& id : mf::exp::scenario_ids()) {
+    names += (names.empty() ? "" : " ") + id;
+  }
+  return names;
+}
+
 /// A report needs its sweeps' complete results, so it cannot be split
 /// across shards; name the sweeps that can be.
 int refuse_split_report(const std::string& name, const Report& report) {
@@ -191,7 +200,7 @@ const Flag kFlags[] = {
     {"types", "P", FlagValue::kCount, "demo problem size (default 3 task types)"},
     {"figure", "NAME", FlagValue::kUnchecked, "runs a figure sweep or report:", figure_names},
     {"scenario", "ID", FlagValue::kUnchecked, "draws the sweep's instances under this failure model:",
-     mf::exp::scenario_ids},
+     scenario_names},
     {"scale", "K", FlagValue::kInt, "divides the trials per point by K (below 1 reads as 1)"},
     {"repeat", "R", FlagValue::kInt, "runs the sweep R times in-process (below 1 reads as 1)"},
     {"shard", "i/N", FlagValue::kUnchecked, "runs only slice i of N and writes a shard file"},
@@ -306,10 +315,9 @@ int list_solvers() {
 }
 
 int list_scenarios() {
-  const auto& registry = mf::exp::ScenarioRegistry::instance();
   std::printf("registered failure-model scenarios (use with --figure NAME --scenario ID):\n");
-  for (const std::string& id : registry.ids()) {
-    std::printf("  %-13s %s\n", id.c_str(), registry.resolve(id)->description().c_str());
+  for (const std::string& id : mf::exp::scenario_ids()) {
+    std::printf("  %-13s %s\n", id.c_str(), mf::exp::scenario_description(id).c_str());
   }
   return 0;
 }
@@ -473,9 +481,9 @@ int run_figure(const mf::support::CliArgs& args) {
   // --scenario re-draws the figure's instances under another failure model;
   // all shards of one campaign must share the id (merge() enforces it).
   const std::string scenario = args.get("scenario", "");
-  if (args.has("scenario") && !mf::exp::ScenarioRegistry::instance().contains(scenario)) {
+  if (args.has("scenario") && std::ranges::count(mf::exp::scenario_ids(), scenario) == 0) {
     std::fprintf(stderr, "error: unknown scenario '%s' (%s)\n", scenario.c_str(),
-                 mf::exp::scenario_ids().c_str());
+                 scenario_names().c_str());
     return 2;
   }
   const std::size_t scale = get_positive(args, "scale");

@@ -54,7 +54,7 @@ class FailureModel {
  public:
   virtual ~FailureModel() = default;
 
-  /// Registry-facing id, e.g. "iid", "correlated".
+  /// Scenario id (exp/scenario_registry.hpp), e.g. "iid", "correlated".
   [[nodiscard]] virtual std::string id() const = 0;
   /// One-line human description (parameters included).
   [[nodiscard]] virtual std::string describe() const = 0;

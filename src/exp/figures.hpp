@@ -40,7 +40,7 @@ inline constexpr std::uint64_t kFigureExactNodeBudget = 5'000'000;
 
 /// Figure-style sweeps beyond the paper: Figure 6's geometry (m=10, p=2,
 /// n=10..100, the four strong heuristics) re-run under each non-iid failure
-/// model of the scenario registry. Named "scn-<scenario id>"; any other
+/// regime of the scenario table. Named "scn-<scenario id>"; any other
 /// (figure, scenario) pairing is reachable via `mfsched --figure NAME
 /// --scenario ID`, which overrides the spec's scenario id.
 [[nodiscard]] SweepSpec scenario_correlated_spec();
@@ -53,7 +53,7 @@ inline constexpr std::uint64_t kFigureExactNodeBudget = 5'000'000;
 
 /// Lookup by spec name ("fig05".."fig12"); nullopt when unknown. The
 /// single source of truth for tools that take a figure by name (mfsched
-/// --figure, bench_cache).
+/// --figure).
 [[nodiscard]] std::optional<SweepSpec> figure_spec_by_name(const std::string& name);
 
 /// Space-separated known figure names, for usage/error messages.

@@ -84,15 +84,14 @@ std::vector<TrialOutcome> evaluate_trials(const SweepSpec& spec, const Scenario&
                                           solve::SolveExecutor& executor,
                                           support::ThreadPool* pool) {
   const std::size_t method_count = spec.methods.size();
-  const std::shared_ptr<const ScenarioGenerator> generator =
-      ScenarioRegistry::instance().resolve(spec.scenario_id);
 
   // Instance generation is deterministic in (scenario, seed), so it fans
   // out over the pool like the solves do — a serial generation prefix
   // would cap the speedup of sweeps with cheap solvers (Amdahl).
   std::vector<Instance> instances(trials.size());
   const auto generate_trial = [&](std::size_t t) {
-    instances[t] = generator->generate(scenario, trial_seed(spec, point_index, trials[t]));
+    instances[t] =
+        generate_instance(spec.scenario_id, scenario, trial_seed(spec, point_index, trials[t]));
   };
   if (pool != nullptr) {
     support::parallel_for(*pool, trials.size(), generate_trial);
@@ -188,8 +187,8 @@ void validate_spec(const SweepSpec& spec) {
              "max_trials must be at most 2^" + std::to_string(kTrialBits) +
                  ": trial seeds keep the trial index in that many bits");
   // Unknown scenario ids fail the whole sweep up front (with the list of
-  // registered ids) instead of mid-flight in a pool thread.
-  (void)ScenarioRegistry::instance().resolve(spec.scenario_id);
+  // known ids) instead of mid-flight in a pool thread.
+  (void)scenario_description(spec.scenario_id);
 }
 
 /// One complete (unsharded) point: draw `trials` instances, then — while

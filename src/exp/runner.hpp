@@ -3,11 +3,11 @@
 // A sweep varies one scenario dimension (n for Figures 5-8 and 10-12, p for
 // Figure 9) over a list of values. For every point it draws `trials`
 // random instances (all methods see the *same* instance — the paired design
-// the paper uses) and averages each method's period. Instances are drawn by
-// the sweep's named scenario generator (scenario_registry.hpp): solvers see
-// the failure model's *effective* problem, and recorded periods are the
+// the paper uses) and averages each method's period. Instances are drawn
+// under the sweep's named failure regime (scenario_registry.hpp): solvers
+// see the failure model's *effective* problem, and recorded periods are the
 // model's analytic periods of the produced mappings — so one spec sweeps
-// any failure regime the registry knows. When an exact method
+// any failure regime of the table. When an exact method
 // is present, the paper only reports points with enough successful exact
 // solves ("results are reported only if 30 successful experiments over 60
 // trials are obtained with the MIP"); `max_trials`/`target_successes`
@@ -52,9 +52,9 @@ struct SweepSpec {
   std::string name;         ///< e.g. "fig05"
   std::string description;  ///< one-line figure caption
   Scenario base;            ///< sweep variable overridden per point
-  /// Scenario-generator id (scenario_registry.hpp): which failure regime
-  /// instances are drawn under. "iid" is the paper's model and reproduces
-  /// the pre-registry sweeps bit for bit; other ids solve the model's
+  /// Scenario id (scenario_registry.hpp): which failure regime instances
+  /// are drawn under. "iid" is the paper's model and reproduces the
+  /// pre-registry sweeps bit for bit; other ids solve the model's
   /// *effective* problem and record model-adjusted analytic periods.
   std::string scenario_id = "iid";
   SweepVariable variable = SweepVariable::kTasks;

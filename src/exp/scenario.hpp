@@ -39,9 +39,9 @@ struct Scenario {
   bool integer_times = true;
 
   // --- Failure-model parameters (scenario_registry.hpp) ---------------------
-  // Consumed only by the named generator whose model they parameterize; the
-  // "iid" generator ignores all of them, so default scenarios stay
-  // bit-identical to the pre-registry behavior.
+  // Consumed only by the regime whose model they parameterize; "iid"
+  // ignores all of them, so default scenarios stay bit-identical to the
+  // pre-registry behavior.
 
   /// "correlated": machine shock s_u ~ U[shock_min, shock_max] per machine.
   double shock_min = 0.005;

@@ -1,8 +1,8 @@
 #include "exp/scenario_registry.hpp"
 
-#include <cctype>
-#include <sstream>
+#include <algorithm>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "support/check.hpp"
@@ -12,188 +12,117 @@ namespace mf::exp {
 
 namespace {
 
-std::string join_ids(const std::vector<std::string>& ids) {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << ids[i];
-  }
-  return out.str();
+using ModelPtr = std::shared_ptr<const core::FailureModel>;
+
+ModelPtr draw_iid(const Scenario& /*scenario*/, support::Rng& /*rng*/) {
+  return std::make_shared<const core::IidFailureModel>();
 }
 
-/// The model-parameter stream: independent of the base-problem stream (which
-/// is keyed on the seed alone) and of every other generator's stream.
-support::Rng model_rng(std::uint64_t seed, const std::string& generator_id) {
-  return support::Rng(support::mix_seed(seed, support::fnv1a64(generator_id)));
+ModelPtr draw_correlated(const Scenario& scenario, support::Rng& rng) {
+  MF_REQUIRE(scenario.shock_min >= 0.0 && scenario.shock_max < 1.0 &&
+                 scenario.shock_max >= scenario.shock_min,
+             "bad machine-shock range");
+  std::vector<double> shock(scenario.machines);
+  for (double& s : shock) s = rng.uniform(scenario.shock_min, scenario.shock_max);
+  return std::make_shared<const core::CorrelatedFailureModel>(std::move(shock));
 }
 
-Instance make_instance(core::Problem base, std::shared_ptr<const core::FailureModel> model) {
-  Instance instance;
-  instance.problem = std::make_shared<const core::Problem>(std::move(base));
-  instance.effective = model->is_identity()
-                           ? instance.problem
-                           : std::make_shared<const core::Problem>(
-                                 model->effective_problem(*instance.problem));
-  instance.model = std::move(model);
-  return instance;
+ModelPtr draw_time_varying(const Scenario& scenario, support::Rng& rng) {
+  MF_REQUIRE(scenario.window_count >= 1, "time-varying scenario needs at least one window");
+  MF_REQUIRE(scenario.window_ms > 0.0, "window duration must be positive");
+  MF_REQUIRE(scenario.factor_min >= 0.0 && scenario.factor_max >= scenario.factor_min,
+             "bad window-factor range");
+  std::vector<double> factors(scenario.window_count);
+  for (double& factor : factors) {
+    factor = rng.uniform(scenario.factor_min, scenario.factor_max);
+  }
+  return std::make_shared<const core::TimeVaryingFailureModel>(std::move(factors),
+                                                               scenario.window_ms);
 }
 
-class IidGenerator final : public ScenarioGenerator {
- public:
-  [[nodiscard]] std::string id() const override { return "iid"; }
-  [[nodiscard]] std::string description() const override {
-    return "i.i.d. per-(task, machine) transient losses — the paper's Section 3.3 model";
+ModelPtr draw_downtime(const Scenario& scenario, support::Rng& rng) {
+  MF_REQUIRE(scenario.mean_uptime_ms > 0.0, "mean uptime must be positive");
+  MF_REQUIRE(scenario.mean_repair_ms >= 0.0, "mean repair must be non-negative");
+  std::vector<double> uptime(scenario.machines);
+  std::vector<double> repair(scenario.machines);
+  // Per-machine jitter around the scenario means: machines differ (the
+  // per-machine plumbing is exercised) while the fleet average is pinned.
+  for (std::size_t u = 0; u < scenario.machines; ++u) {
+    uptime[u] = scenario.mean_uptime_ms * rng.uniform(0.5, 1.5);
+    repair[u] = scenario.mean_repair_ms * rng.uniform(0.5, 1.5);
   }
-  [[nodiscard]] Instance generate(const Scenario& scenario, std::uint64_t seed) const override {
-    return make_instance(exp::generate(scenario, seed),
-                         std::make_shared<const core::IidFailureModel>());
-  }
+  return std::make_shared<const core::DowntimeFailureModel>(std::move(uptime),
+                                                            std::move(repair));
+}
+
+/// One failure regime: its id, its `--list-scenarios` line, and how it draws
+/// the model's parameters from (scenario, model-parameter stream).
+struct Regime {
+  std::string_view id;
+  std::string_view description;
+  ModelPtr (*draw_model)(const Scenario& scenario, support::Rng& rng);
 };
 
-class CorrelatedGenerator final : public ScenarioGenerator {
- public:
-  [[nodiscard]] std::string id() const override { return "correlated"; }
-  [[nodiscard]] std::string description() const override {
-    return "machine-level shock shared by every task on a machine (NHPP-style common cause)";
-  }
-  [[nodiscard]] Instance generate(const Scenario& scenario, std::uint64_t seed) const override {
-    MF_REQUIRE(scenario.shock_min >= 0.0 && scenario.shock_max < 1.0 &&
-                   scenario.shock_max >= scenario.shock_min,
-               "bad machine-shock range");
-    support::Rng rng = model_rng(seed, id());
-    std::vector<double> shock(scenario.machines);
-    for (double& s : shock) s = rng.uniform(scenario.shock_min, scenario.shock_max);
-    return make_instance(exp::generate(scenario, seed),
-                         std::make_shared<const core::CorrelatedFailureModel>(std::move(shock)));
-  }
+constexpr Regime kRegimes[] = {
+    {"correlated",
+     "machine-level shock shared by every task on a machine (NHPP-style common cause)",
+     draw_correlated},
+    {"downtime",
+     "exponential up/repair machine phases; repairs stall the line and inflate "
+     "effective processing times by 1/availability",
+     draw_downtime},
+    {"iid", "i.i.d. per-(task, machine) transient losses — the paper's Section 3.3 model",
+     draw_iid},
+    {"time-varying",
+     "piecewise-constant f_i(t) rate windows (Section 7.2 generalization); "
+     "solvers plan for the worst window",
+     draw_time_varying},
 };
+// scenario_ids(), --list-scenarios and every unknown-id message list the
+// rows in table order.
+static_assert(std::ranges::is_sorted(kRegimes, {}, &Regime::id), "keep kRegimes sorted by id");
 
-class TimeVaryingGenerator final : public ScenarioGenerator {
- public:
-  [[nodiscard]] std::string id() const override { return "time-varying"; }
-  [[nodiscard]] std::string description() const override {
-    return "piecewise-constant f_i(t) rate windows (Section 7.2 generalization); "
-           "solvers plan for the worst window";
+const Regime& find_regime(const std::string& id) {
+  for (const Regime& regime : kRegimes) {
+    if (regime.id == id) return regime;
   }
-  [[nodiscard]] Instance generate(const Scenario& scenario, std::uint64_t seed) const override {
-    MF_REQUIRE(scenario.window_count >= 1, "time-varying scenario needs at least one window");
-    MF_REQUIRE(scenario.window_ms > 0.0, "window duration must be positive");
-    MF_REQUIRE(scenario.factor_min >= 0.0 && scenario.factor_max >= scenario.factor_min,
-               "bad window-factor range");
-    support::Rng rng = model_rng(seed, id());
-    std::vector<double> factors(scenario.window_count);
-    for (double& factor : factors) {
-      factor = rng.uniform(scenario.factor_min, scenario.factor_max);
-    }
-    return make_instance(exp::generate(scenario, seed),
-                         std::make_shared<const core::TimeVaryingFailureModel>(
-                             std::move(factors), scenario.window_ms));
+  std::string available;
+  for (const std::string& known : scenario_ids()) {
+    available += (available.empty() ? "" : ", ") + known;
   }
-};
-
-class DowntimeGenerator final : public ScenarioGenerator {
- public:
-  [[nodiscard]] std::string id() const override { return "downtime"; }
-  [[nodiscard]] std::string description() const override {
-    return "exponential up/repair machine phases; repairs stall the line and inflate "
-           "effective processing times by 1/availability";
-  }
-  [[nodiscard]] Instance generate(const Scenario& scenario, std::uint64_t seed) const override {
-    MF_REQUIRE(scenario.mean_uptime_ms > 0.0, "mean uptime must be positive");
-    MF_REQUIRE(scenario.mean_repair_ms >= 0.0, "mean repair must be non-negative");
-    support::Rng rng = model_rng(seed, id());
-    std::vector<double> uptime(scenario.machines);
-    std::vector<double> repair(scenario.machines);
-    // Per-machine jitter around the scenario means: machines differ (the
-    // per-machine plumbing is exercised) while the fleet average is pinned.
-    for (std::size_t u = 0; u < scenario.machines; ++u) {
-      uptime[u] = scenario.mean_uptime_ms * rng.uniform(0.5, 1.5);
-      repair[u] = scenario.mean_repair_ms * rng.uniform(0.5, 1.5);
-    }
-    return make_instance(exp::generate(scenario, seed),
-                         std::make_shared<const core::DowntimeFailureModel>(std::move(uptime),
-                                                                            std::move(repair)));
-  }
-};
-
-void register_builtin_generators(ScenarioRegistry& registry) {
-  registry.register_generator(std::make_shared<IidGenerator>());
-  registry.register_generator(std::make_shared<CorrelatedGenerator>());
-  registry.register_generator(std::make_shared<TimeVaryingGenerator>());
-  registry.register_generator(std::make_shared<DowntimeGenerator>());
+  throw std::invalid_argument("unknown scenario '" + id +
+                              "'; available scenarios: " + available);
 }
 
 }  // namespace
 
-ScenarioRegistry& ScenarioRegistry::instance() {
-  // Leaked singleton, same lifetime rationale as SolverRegistry::instance().
-  static ScenarioRegistry* registry = [] {
-    auto* r = new ScenarioRegistry;
-    register_builtin_generators(*r);
-    return r;
+const std::vector<std::string>& scenario_ids() {
+  static const std::vector<std::string> ids = [] {
+    std::vector<std::string> all;
+    for (const Regime& regime : kRegimes) all.emplace_back(regime.id);
+    return all;
   }();
-  return *registry;
+  return ids;
 }
 
-void ScenarioRegistry::register_generator(std::shared_ptr<const ScenarioGenerator> generator) {
-  if (generator == nullptr) throw std::invalid_argument("cannot register a null generator");
-  const std::string id = generator->id();
-  if (id.empty()) {
-    throw std::invalid_argument("cannot register a scenario generator with an empty id");
-  }
-  for (const char c : id) {
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
-      throw std::invalid_argument("scenario id '" + id +
-                                  "' is invalid: ids travel through line-oriented shard "
-                                  "files and must not contain whitespace");
-    }
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!generators_.emplace(id, std::move(generator)).second) {
-    throw std::invalid_argument("scenario id '" + id + "' is already registered");
-  }
+std::string scenario_description(const std::string& id) {
+  return std::string(find_regime(id).description);
 }
 
-std::shared_ptr<const ScenarioGenerator> ScenarioRegistry::find(const std::string& id) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = generators_.find(id);
-  return it == generators_.end() ? nullptr : it->second;
-}
-
-std::shared_ptr<const ScenarioGenerator> ScenarioRegistry::resolve(
-    const std::string& id) const {
-  std::shared_ptr<const ScenarioGenerator> generator = find(id);
-  if (generator == nullptr) {
-    throw std::invalid_argument("unknown scenario '" + id +
-                                "'; available scenarios: " + join_ids(ids()));
-  }
-  return generator;
-}
-
-bool ScenarioRegistry::contains(const std::string& id) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return generators_.count(id) > 0;
-}
-
-std::vector<std::string> ScenarioRegistry::ids() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> ids;
-  ids.reserve(generators_.size());
-  for (const auto& [id, generator] : generators_) ids.push_back(id);
-  return ids;  // std::map iteration is already sorted
-}
-
-ScenarioRegistration::ScenarioRegistration(std::shared_ptr<const ScenarioGenerator> generator) {
-  ScenarioRegistry::instance().register_generator(std::move(generator));
-}
-
-std::string scenario_ids() {
-  std::string names;
-  for (const std::string& id : ScenarioRegistry::instance().ids()) {
-    if (!names.empty()) names += ' ';
-    names += id;
-  }
-  return names;
+Instance generate_instance(const std::string& id, const Scenario& scenario,
+                           std::uint64_t seed) {
+  const Regime& regime = find_regime(id);
+  // The model-parameter stream: independent of the base-problem stream
+  // (keyed on the seed alone) and of every other regime's stream.
+  support::Rng rng(support::mix_seed(seed, support::fnv1a64(regime.id)));
+  ModelPtr model = regime.draw_model(scenario, rng);
+  Instance instance;
+  instance.problem = std::make_shared<const core::Problem>(generate(scenario, seed));
+  instance.effective = model->is_identity() ? instance.problem
+                                            : std::make_shared<const core::Problem>(
+                                                  model->effective_problem(*instance.problem));
+  instance.model = std::move(model);
+  return instance;
 }
 
 }  // namespace mf::exp

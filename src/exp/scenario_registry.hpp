@@ -1,29 +1,26 @@
-// Named scenario generators — the experiment-side face of the pluggable
-// failure models (core/failure_model.hpp), mirroring what the
-// SolverRegistry does for mapping methods.
+// Named failure regimes — the experiment-side face of the failure models
+// (core/failure_model.hpp).
 //
-// A `ScenarioGenerator` turns (Scenario parameters, seed) into an
-// `Instance`: the base problem, the failure model that governs it, and the
-// effective problem every solver consumes. Generators are discovered by id
-// through the process-wide `ScenarioRegistry` ("iid", "correlated",
-// "time-varying", "downtime" are built in; more can self-register at
-// runtime), so sweeps, the CLI and the benches select a failure regime the
-// same way they select a solver.
+// One fixed, sorted table holds the four regimes: "correlated", "downtime",
+// "iid" and "time-varying". `generate_instance(id, scenario, seed)` turns
+// (regime, Scenario parameters, seed) into an `Instance`: the base problem,
+// the failure model that governs it, and the effective problem every solver
+// consumes. Sweeps, the simulator's statistical gates, the CLI and the
+// benches all select a regime by id through these three functions. A new
+// regime is a `core::FailureModel` subclass plus one row in the table.
 //
-// Determinism contract: an instance is a pure function of (scenario, seed).
-// Every generator draws the *base* problem through the legacy
-// `generate(scenario, seed)` stream — so all scenarios of one seed share
-// one base instance (a paired design across failure regimes, like the
-// paired design across methods within a sweep) and "iid" stays
-// bit-identical to the pre-registry generator, digests included. Model
-// parameters draw from a separate stream keyed on (seed, generator id),
-// so adding a model never perturbs another's draws.
+// Determinism contract: an instance is a pure function of (id, scenario,
+// seed). Every regime draws the *base* problem through the legacy
+// `generate(scenario, seed)` stream — so all regimes of one seed share one
+// base instance (a paired design across failure regimes, like the paired
+// design across methods within a sweep) and "iid" stays bit-identical to
+// the plain generator, digests included. Model parameters draw from a
+// separate stream keyed on (seed, regime id), so adding a regime never
+// perturbs another's draws.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -51,59 +48,18 @@ struct Instance {
   }
 };
 
-/// Interface every scenario family implements. Implementations are
-/// stateless and thread-safe: the sweep runner generates instances from
-/// every pool thread.
-class ScenarioGenerator {
- public:
-  virtual ~ScenarioGenerator() = default;
+/// Every regime id, sorted: correlated, downtime, iid, time-varying.
+[[nodiscard]] const std::vector<std::string>& scenario_ids();
 
-  /// Registry id, e.g. "iid", "correlated".
-  [[nodiscard]] virtual std::string id() const = 0;
-  /// One-line human description for `--list-scenarios` output.
-  [[nodiscard]] virtual std::string description() const = 0;
+/// One-line human description for `--list-scenarios` output. Throws
+/// std::invalid_argument listing every id when `id` is unknown.
+[[nodiscard]] std::string scenario_description(const std::string& id);
 
-  /// Deterministic in (scenario, seed); never returns null members.
-  [[nodiscard]] virtual Instance generate(const Scenario& scenario,
-                                          std::uint64_t seed) const = 0;
-};
-
-class ScenarioRegistry {
- public:
-  /// The process-wide registry, with the built-in generators ("iid",
-  /// "correlated", "time-varying", "downtime") already registered.
-  [[nodiscard]] static ScenarioRegistry& instance();
-
-  /// Registers a generator under `generator->id()`. Throws
-  /// std::invalid_argument on a null generator, an empty or duplicate id,
-  /// or an id containing whitespace (ids travel through the line-oriented
-  /// shard files).
-  void register_generator(std::shared_ptr<const ScenarioGenerator> generator);
-
-  /// Resolves an id; throws std::invalid_argument listing every registered
-  /// id when unknown.
-  [[nodiscard]] std::shared_ptr<const ScenarioGenerator> resolve(const std::string& id) const;
-
-  /// Lookup without the throwing contract; nullptr when unknown.
-  [[nodiscard]] std::shared_ptr<const ScenarioGenerator> find(const std::string& id) const;
-
-  [[nodiscard]] bool contains(const std::string& id) const;
-
-  /// All registered ids, sorted.
-  [[nodiscard]] std::vector<std::string> ids() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::shared_ptr<const ScenarioGenerator>> generators_;
-};
-
-/// RAII helper for static self-registration of out-of-tree generators:
-///   static exp::ScenarioRegistration my_scenario{std::make_shared<MyGen>()};
-struct ScenarioRegistration {
-  explicit ScenarioRegistration(std::shared_ptr<const ScenarioGenerator> generator);
-};
-
-/// Space-separated registered scenario ids, for usage/error messages.
-[[nodiscard]] std::string scenario_ids();
+/// Deterministic in (id, scenario, seed); never returns null members.
+/// Throws std::invalid_argument listing every id when `id` is unknown.
+/// Thread-safe: the sweep runner generates instances from every pool
+/// thread.
+[[nodiscard]] Instance generate_instance(const std::string& id, const Scenario& scenario,
+                                         std::uint64_t seed);
 
 }  // namespace mf::exp

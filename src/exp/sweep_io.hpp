@@ -14,7 +14,7 @@
 //   variable tasks                      # tasks | types | machines
 //   values <v_0> ... <v_{k-1}>
 //   protocol <trials> <max_trials> <base_seed>
-//   scenario-id <registry id, e.g. iid>
+//   scenario-id <scenario id, e.g. iid>
 //   scenario <tasks> <machines> <types> <time_min> <time_max>
 //            <failure_min> <failure_max> <attachment> <integer_times>
 //   model <shock_min> <shock_max> <window_count> <window_ms>

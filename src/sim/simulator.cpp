@@ -167,20 +167,12 @@ SimulationReport Simulator::run(const SimulationConfig& config, const TraceHook&
   std::vector<double> busy_since(m, 0.0);
   std::vector<double> down_since(m, 0.0);
 
-  // Phase means come from the failure model when it covers the machine,
-  // falling back to the config's global pair; a mean uptime of 0 disables
-  // downtime for that machine.
+  // Phase means come from the failure model alone; without a model, or for
+  // a machine whose mean uptime is 0, the machine never breaks down.
   const core::FailureModel* model = config.failure_model;
-  std::vector<double> mean_uptime(m, config.mean_uptime_ms);
-  std::vector<double> mean_repair(m, config.mean_repair_ms);
+  std::vector<core::FailureModel::MachineDowntime> phases(m);
   if (model != nullptr) {
-    for (MachineIndex u = 0; u < m; ++u) {
-      const core::FailureModel::MachineDowntime phases = model->downtime(u);
-      if (phases.mean_uptime_ms > 0.0) {
-        mean_uptime[u] = phases.mean_uptime_ms;
-        mean_repair[u] = phases.mean_repair_ms;
-      }
-    }
+    for (MachineIndex u = 0; u < m; ++u) phases[u] = model->downtime(u);
   }
 
   // The factory-wide common-mode shock process (ShockMode::kArrivalProcess
@@ -228,8 +220,9 @@ SimulationReport Simulator::run(const SimulationConfig& config, const TraceHook&
   double warmup_end_time = 0.0;
 
   for (MachineIndex u = 0; u < m; ++u) {
-    if (mean_uptime[u] > 0.0) {
-      events.push(phase_rng.exponential(mean_uptime[u]), {EventKind::kMachineFail, u, kNoTask});
+    if (phases[u].mean_uptime_ms > 0.0) {
+      events.push(phase_rng.exponential(phases[u].mean_uptime_ms),
+                  {EventKind::kMachineFail, u, kNoTask});
     }
   }
   if (shock_process) {
@@ -276,7 +269,7 @@ SimulationReport Simulator::run(const SimulationConfig& config, const TraceHook&
   auto begin_repair = [&](MachineIndex u) {
     machine_down[u] = true;
     down_since[u] = now;
-    events.push(now + phase_rng.exponential(mean_repair[u]),
+    events.push(now + phase_rng.exponential(phases[u].mean_repair_ms),
                 {EventKind::kMachineRepair, u, kNoTask});
   };
 
@@ -313,7 +306,7 @@ SimulationReport Simulator::run(const SimulationConfig& config, const TraceHook&
         if (trace) trace({TraceEvent::Kind::kMachineRepair, now, kNoTask, u});
         // The next up phase starts now — every cycle is its own pair of
         // scheduled events, so idle stretches play out each breakdown.
-        events.push(now + phase_rng.exponential(mean_uptime[u]),
+        events.push(now + phase_rng.exponential(phases[u].mean_uptime_ms),
                     {EventKind::kMachineFail, u, kNoTask});
         try_start(u);
         break;

@@ -38,8 +38,9 @@
 // Loss draws default to the base f_{i,u}; setting
 // `SimulationConfig::failure_model` samples any `core::FailureModel`
 // instead — time-varying rates are evaluated at each attempt's start time,
-// and availability models drive per-machine up/down phases — so every
-// model's analytic reduction (worst-window planning, availability-inflated
+// and availability models drive per-machine up/down phases (the model is
+// the simulator's only source of machine downtime) — so every model's
+// analytic reduction (worst-window planning, availability-inflated
 // times, shock-folded rates) is validated against an empirical Monte-Carlo
 // period.
 #pragma once
@@ -96,22 +97,18 @@ struct SimulationConfig {
   /// the regime that validates the x_i recursion (attempts per output).
   std::uint64_t source_supply = 0;
 
-  /// Optional transient machine downtime (an extension beyond the paper's
-  /// model, which attaches transient failures to products only): machines
-  /// alternate exponentially distributed up/down phases, scheduled as
-  /// kMachineFail/kMachineRepair events. A breakdown never interrupts the
-  /// product in progress — it delays the *next* start, so downtime stalls
-  /// the line without destroying products.
-  double mean_uptime_ms = 0.0;  ///< 0 disables downtime
-  double mean_repair_ms = 0.0;
-
   /// Failure model to *sample* instead of the problem's base rates: each
   /// attempt's loss draw uses the model's loss probability at the attempt's
-  /// start time, and machines take the model's per-machine up/repair phases
-  /// (which override the two global fields above for machines the model
-  /// covers). Null keeps the base-rate behavior. The caller owns the model
-  /// and must keep it alive across `run()` — scenario-registry instances
-  /// hold it in a shared_ptr.
+  /// start time, and each machine alternates the model's exponentially
+  /// distributed up/repair phases (`downtime(u)`; a mean uptime of 0 keeps
+  /// it always up), scheduled as kMachineFail/kMachineRepair events. The
+  /// model is the only source of machine downtime (an extension beyond the
+  /// paper's model, which attaches transient failures to products only). A
+  /// breakdown never interrupts the product in progress — it delays the
+  /// *next* start, so downtime stalls the line without destroying products.
+  /// Null keeps the base rates and every machine always up. The caller owns
+  /// the model and must keep it alive across `run()` — an `exp::Instance`
+  /// holds it in a shared_ptr.
   const core::FailureModel* failure_model = nullptr;
 
   /// How the model's machine-shock component is sampled (no effect for

@@ -74,12 +74,10 @@ Setup make_setup(const std::string& scenario_id, Topology topology,
   scenario.machines = config.machines;
   scenario.types = config.types;
 
-  // The registry generator owns the model-parameter stream; its chain
-  // instance supplies the model. Model parameters are per-machine (never
-  // per-graph), so the in-tree variant reuses the same model over an
-  // in-tree base drawn at the same seed.
-  exp::Instance instance =
-      exp::ScenarioRegistry::instance().resolve(scenario_id)->generate(scenario, config.seed);
+  // The regime's chain instance supplies the model. Model parameters are
+  // per-machine (never per-graph), so the in-tree variant reuses the same
+  // model over an in-tree base drawn at the same seed.
+  exp::Instance instance = exp::generate_instance(scenario_id, scenario, config.seed);
 
   Setup setup;
   setup.model = instance.model;
@@ -164,7 +162,7 @@ ValidationResult validate_scenario(const std::string& scenario_id, Topology topo
 
 std::vector<ValidationResult> validate_registered_scenarios(const ValidationConfig& config) {
   std::vector<ValidationResult> results;
-  for (const std::string& id : exp::ScenarioRegistry::instance().ids()) {
+  for (const std::string& id : exp::scenario_ids()) {
     for (const Topology topology : {Topology::kChain, Topology::kInTree}) {
       results.push_back(validate_scenario(id, topology, config));
     }

@@ -3,12 +3,13 @@
 // simulator and the analytic period reductions.
 //
 // The claim under test is the contract of the whole repo: for every
-// registered scenario family (iid, correlated, time-varying, downtime) and
-// topology (chain, in-tree), the simulator's steady-state period converges
-// to the failure model's analytic `period()` reduction. One point estimate
-// per scenario cannot *gate* that claim — a tolerance wide enough to absorb
-// Monte-Carlo noise also absorbs real regressions. The batch-means method
-// turns one long trajectory into an estimator with an error bar:
+// failure regime of the fixed table in exp/scenario_registry.hpp
+// (correlated, downtime, iid, time-varying) and topology (chain, in-tree),
+// the simulator's steady-state period converges to the failure model's
+// analytic `period()` reduction. One point estimate per scenario cannot
+// *gate* that claim — a tolerance wide enough to absorb Monte-Carlo noise
+// also absorbs real regressions. The batch-means method turns one long
+// trajectory into an estimator with an error bar:
 //
 //   1. run one campaign to `warmup + batch_count * batch_size` outputs;
 //   2. discard the warm-up window (transient);
@@ -121,7 +122,7 @@ struct ValidationResult {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Runs the full agreement check for one registered scenario family on one
+/// Runs the full agreement check for one failure regime on one
 /// topology: generate the instance at `config.seed`, solve a mapping with
 /// `config.solver_id`, simulate one long trajectory sampling the scenario's
 /// failure model, and gate the batch-means period against the model's
@@ -130,7 +131,7 @@ struct ValidationResult {
                                                  Topology topology,
                                                  const ValidationConfig& config);
 
-/// validate_scenario for every id in the ScenarioRegistry, on both
+/// validate_scenario for every id of exp::scenario_ids(), on both
 /// topologies — the full gate matrix CI runs at pinned seeds.
 [[nodiscard]] std::vector<ValidationResult> validate_registered_scenarios(
     const ValidationConfig& config);

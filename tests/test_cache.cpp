@@ -2,7 +2,7 @@
 // determinism (a cached result is the result the solver would recompute),
 // the off/read/read-write policies, LRU eviction, and the warm-sweep
 // guarantee — a repeated figure sweep with a read-write cache re-solves
-// zero instances.
+// zero instances, under every failure regime.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,6 +11,7 @@
 #include "exp/figures.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "exp/scenario_registry.hpp"
 #include "solve/batch.hpp"
 #include "solve/cache.hpp"
 #include "solve/solver.hpp"
@@ -210,33 +211,37 @@ TEST(Cache, BatchSolverPopulatesAndServesAnIsolatedCache) {
 }
 
 /// The acceptance-criterion scenario: a warm-cache repeat of a figure sweep
-/// re-solves zero instances and produces identical output. Uses the global
-/// cache — exactly what `mfsched --figure fig06 --cache rw --repeat 2`
-/// exercises — so hits are measured as deltas.
+/// re-solves zero instances and produces identical output, under every
+/// failure regime (scenario ids are part of the cache key, so regimes never
+/// share entries). Uses the global cache — exactly what `mfsched --figure
+/// fig06 --cache rw --repeat 2` exercises — so hits are measured as deltas.
 TEST(Cache, WarmSweepRepeatResolvesNothing) {
-  exp::SweepSpec spec = exp::scaled_down(exp::figure6_spec(), 10);  // 3 trials/point
-  spec.values = {10, 20, 30};
-
   exp::SweepOptions options;
   options.cache = solve::CachePolicy::kReadWrite;
   support::ThreadPool pool(4);
 
-  const CacheStats before = ResultCache::global().stats();
-  const exp::SweepResult cold = exp::run_sweep(spec, options, &pool);
-  const CacheStats after_cold = ResultCache::global().stats();
-  const exp::SweepResult warm = exp::run_sweep(spec, options, &pool);
-  const CacheStats after_warm = ResultCache::global().stats();
+  for (const std::string& id : exp::scenario_ids()) {
+    exp::SweepSpec spec = exp::scaled_down(exp::figure6_spec(), 10);  // 3 trials/point
+    spec.values = {10, 20, 30};
+    spec.scenario_id = id;
 
-  const std::size_t solves =
-      spec.values.size() * spec.trials * spec.methods.size();
-  EXPECT_EQ(after_cold.misses - before.misses, solves) << "cold run solves everything";
-  EXPECT_EQ(after_warm.misses - after_cold.misses, 0u) << "warm run re-solves nothing";
-  EXPECT_EQ(after_warm.hits - after_cold.hits, solves);
+    const CacheStats before = ResultCache::global().stats();
+    const exp::SweepResult cold = exp::run_sweep(spec, options, &pool);
+    const CacheStats after_cold = ResultCache::global().stats();
+    const exp::SweepResult warm = exp::run_sweep(spec, options, &pool);
+    const CacheStats after_warm = ResultCache::global().stats();
 
-  EXPECT_EQ(warm.to_table().to_string(), cold.to_table().to_string());
-  for (std::size_t p = 0; p < cold.points.size(); ++p) {
-    for (const auto& [name, summary] : cold.points[p].period_by_method) {
-      EXPECT_EQ(summary.mean, warm.points[p].period_by_method.at(name).mean) << name;
+    const std::size_t solves = spec.values.size() * spec.trials * spec.methods.size();
+    EXPECT_EQ(after_cold.misses - before.misses, solves) << id << ": cold run solves everything";
+    EXPECT_EQ(after_warm.misses - after_cold.misses, 0u) << id << ": warm run re-solves nothing";
+    EXPECT_EQ(after_warm.hits - after_cold.hits, solves) << id;
+
+    EXPECT_EQ(warm.to_table().to_string(), cold.to_table().to_string()) << id;
+    for (std::size_t p = 0; p < cold.points.size(); ++p) {
+      for (const auto& [name, summary] : cold.points[p].period_by_method) {
+        EXPECT_EQ(summary.mean, warm.points[p].period_by_method.at(name).mean)
+            << id << "/" << name;
+      }
     }
   }
 }

@@ -154,14 +154,13 @@ TEST(PlatformAttemptsCache, EdgeRatesKeepSurvivalInverseSemantics) {
 }
 
 TEST(EvalWorkspace, FullEvaluationBitIdenticalToReference) {
-  for (const std::string& id : exp::ScenarioRegistry::instance().ids()) {
-    const auto generator = exp::ScenarioRegistry::instance().resolve(id);
+  for (const std::string& id : exp::scenario_ids()) {
     exp::Scenario scenario;
     scenario.tasks = 30;
     scenario.machines = 7;
     scenario.types = 3;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const exp::Instance instance = generator->generate(scenario, seed);
+      const exp::Instance instance = exp::generate_instance(id, scenario, seed);
       const core::Problem& problem = *instance.effective;
       core::EvalWorkspace workspace(problem);
       support::Rng rng(seed * 97 + 13);
@@ -216,14 +215,13 @@ TEST(EvalWorkspace, SubtreeLayoutMatchesTransitivePredecessors) {
 }
 
 TEST(IncrementalEvaluator, RandomWalkMatchesFullEvalOnEveryScenarioFamily) {
-  for (const std::string& id : exp::ScenarioRegistry::instance().ids()) {
-    const auto generator = exp::ScenarioRegistry::instance().resolve(id);
+  for (const std::string& id : exp::scenario_ids()) {
     exp::Scenario scenario;
     scenario.tasks = 26;
     scenario.machines = 6;
     scenario.types = 3;
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-      const exp::Instance instance = generator->generate(scenario, seed);
+      const exp::Instance instance = exp::generate_instance(id, scenario, seed);
       SCOPED_TRACE("scenario " + id + " seed " + std::to_string(seed));
       check_incremental_equivalence(*instance.effective, seed * 1009 + 7, 150);
     }

@@ -170,8 +170,7 @@ AgreementFixture make_fixture(const std::string& scenario_id, exp::Scenario scen
   scenario.tasks = 8;
   scenario.machines = 4;
   scenario.types = 2;
-  const exp::Instance instance =
-      exp::ScenarioRegistry::instance().resolve(scenario_id)->generate(scenario, seed);
+  const exp::Instance instance = exp::generate_instance(scenario_id, scenario, seed);
   const solve::SolveResult solved = solve::run(*instance.effective, "H4w");
   AgreementFixture fixture;
   fixture.problem = instance.problem;

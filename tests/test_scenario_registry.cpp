@@ -1,12 +1,13 @@
-// Tests for the scenario registry (exp/scenario_registry.hpp): builtin
-// discovery, deterministic generation per id, the paired base instance
+// Tests for the failure-regime table (exp/scenario_registry.hpp): the
+// sorted ids, deterministic generation per id, the paired base instance
 // across failure regimes, "iid" bit-compatibility with the legacy
 // generator, and per-scenario sweeps through the runner.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/digest.hpp"
 #include "exp/figures.hpp"
@@ -26,39 +27,32 @@ Scenario small_scenario() {
 }
 
 TEST(ScenarioRegistry, BuiltinsAreRegistered) {
-  const auto ids = ScenarioRegistry::instance().ids();
   const std::vector<std::string> expected{"correlated", "downtime", "iid", "time-varying"};
-  EXPECT_EQ(ids, expected);
-  for (const std::string& id : ids) {
-    const auto generator = ScenarioRegistry::instance().resolve(id);
-    EXPECT_EQ(generator->id(), id);
-    EXPECT_FALSE(generator->description().empty());
+  EXPECT_EQ(scenario_ids(), expected);
+  for (const std::string& id : scenario_ids()) {
+    EXPECT_FALSE(scenario_description(id).empty()) << id;
+    EXPECT_EQ(generate_instance(id, small_scenario(), 1).model->id(), id);
   }
 }
 
 TEST(ScenarioRegistry, ResolveUnknownListsTheRegisteredIds) {
-  try {
-    (void)ScenarioRegistry::instance().resolve("nope");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("available scenarios"), std::string::npos);
-    EXPECT_NE(message.find("iid"), std::string::npos);
-  }
-}
-
-TEST(ScenarioRegistry, RegistrationValidatesIds) {
-  auto& registry = ScenarioRegistry::instance();
-  EXPECT_THROW(registry.register_generator(nullptr), std::invalid_argument);
-  // Duplicate of a builtin.
-  EXPECT_THROW(registry.register_generator(registry.resolve("iid")),
-               std::invalid_argument);
+  const std::string expected =
+      "unknown scenario 'nope'; available scenarios: correlated, downtime, iid, time-varying";
+  const auto message_of = [](const auto& lookup) -> std::string {
+    try {
+      lookup();
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "no exception";
+  };
+  EXPECT_EQ(message_of([] { (void)scenario_description("nope"); }), expected);
+  EXPECT_EQ(message_of([] { (void)generate_instance("nope", small_scenario(), 1); }), expected);
 }
 
 TEST(ScenarioRegistry, IidInstanceIsBitIdenticalToLegacyGenerate) {
   const Scenario scenario = small_scenario();
-  const Instance instance =
-      ScenarioRegistry::instance().resolve("iid")->generate(scenario, 77);
+  const Instance instance = generate_instance("iid", scenario, 77);
   const core::Problem legacy = generate(scenario, 77);
   EXPECT_EQ(core::digest(*instance.problem), core::digest(legacy));
   // The identity model does not re-materialize matrices: solvers see the
@@ -69,8 +63,9 @@ TEST(ScenarioRegistry, IidInstanceIsBitIdenticalToLegacyGenerate) {
 }
 
 TEST(ScenarioRegistry, InstancesMatchPreTableCapture) {
-  // Digests captured before the regimes became one fixed table: every
-  // regime's draws (base problem and model parameters) must stay put.
+  // Every regime's instances at three seeds, pinned: a change to any
+  // regime's draws (base problem or model parameters) moves a row, and
+  // with it every cache key and figure of that regime.
   struct Row {
     const char* id;
     std::uint64_t seed;
@@ -98,8 +93,7 @@ TEST(ScenarioRegistry, InstancesMatchPreTableCapture) {
   };
   const Scenario scenario = small_scenario();
   for (const Row& row : rows) {
-    const Instance instance =
-        ScenarioRegistry::instance().resolve(row.id)->generate(scenario, row.seed);
+    const Instance instance = generate_instance(row.id, scenario, row.seed);
     EXPECT_EQ(core::to_string(instance.content_digest()), row.content)
         << row.id << " seed " << row.seed;
     EXPECT_EQ(core::to_string(core::digest(*instance.effective)), row.effective)
@@ -109,35 +103,33 @@ TEST(ScenarioRegistry, InstancesMatchPreTableCapture) {
 
 TEST(ScenarioRegistry, GenerationIsDeterministicPerId) {
   const Scenario scenario = small_scenario();
-  for (const std::string& id : ScenarioRegistry::instance().ids()) {
-    const auto generator = ScenarioRegistry::instance().resolve(id);
-    const Instance a = generator->generate(scenario, 123);
-    const Instance b = generator->generate(scenario, 123);
+  for (const std::string& id : scenario_ids()) {
+    const Instance a = generate_instance(id, scenario, 123);
+    const Instance b = generate_instance(id, scenario, 123);
     EXPECT_EQ(a.content_digest(), b.content_digest()) << id;
     EXPECT_EQ(core::digest(*a.effective), core::digest(*b.effective)) << id;
-    const Instance c = generator->generate(scenario, 124);
+    const Instance c = generate_instance(id, scenario, 124);
     EXPECT_NE(c.content_digest(), a.content_digest()) << id;
   }
 }
 
 TEST(ScenarioRegistry, AllScenariosShareOnePairedBaseInstance) {
-  // Every generator draws the base problem from the same (scenario, seed)
+  // Every regime draws the base problem from the same (scenario, seed)
   // stream, so failure regimes are compared on identical factories — the
   // cross-scenario analogue of the paper's paired design across methods.
   const Scenario scenario = small_scenario();
-  const core::Digest base =
-      core::digest(*ScenarioRegistry::instance().resolve("iid")->generate(scenario, 9).problem);
-  for (const std::string& id : ScenarioRegistry::instance().ids()) {
-    const Instance instance = ScenarioRegistry::instance().resolve(id)->generate(scenario, 9);
+  const core::Digest base = core::digest(*generate_instance("iid", scenario, 9).problem);
+  for (const std::string& id : scenario_ids()) {
+    const Instance instance = generate_instance(id, scenario, 9);
     EXPECT_EQ(core::digest(*instance.problem), base) << id;
   }
 }
 
 TEST(ScenarioRegistry, NonIidModelsTransformTheEffectiveProblem) {
   const Scenario scenario = small_scenario();
-  for (const std::string& id : ScenarioRegistry::instance().ids()) {
+  for (const std::string& id : scenario_ids()) {
     if (id == "iid") continue;
-    const Instance instance = ScenarioRegistry::instance().resolve(id)->generate(scenario, 5);
+    const Instance instance = generate_instance(id, scenario, 5);
     EXPECT_FALSE(instance.model_is_identity()) << id;
     EXPECT_NE(core::digest(*instance.effective), core::digest(*instance.problem)) << id;
     EXPECT_NE(instance.content_digest(), core::digest(*instance.problem)) << id;
@@ -146,7 +138,7 @@ TEST(ScenarioRegistry, NonIidModelsTransformTheEffectiveProblem) {
 }
 
 TEST(ScenarioRegistry, SweepRunsUnderEveryScenario) {
-  for (const std::string& id : ScenarioRegistry::instance().ids()) {
+  for (const std::string& id : scenario_ids()) {
     SweepSpec spec;
     spec.name = "tiny-" + id;
     spec.scenario_id = id;
@@ -209,7 +201,7 @@ TEST(ScenarioRegistry, ScenarioFigureSpecsAreRegistered) {
     const auto spec = figure_spec_by_name(name);
     ASSERT_TRUE(spec.has_value()) << name;
     EXPECT_EQ("scn-" + spec->scenario_id, name);
-    EXPECT_TRUE(ScenarioRegistry::instance().contains(spec->scenario_id));
+    EXPECT_NO_THROW((void)scenario_description(spec->scenario_id)) << name;
   }
 }
 

@@ -65,8 +65,7 @@ TEST_P(SimDeterminism, ReportsAreBitIdenticalAcrossRuns) {
   scenario.tasks = 8;
   scenario.machines = 4;
   scenario.types = 2;
-  const exp::Instance instance =
-      exp::ScenarioRegistry::instance().resolve(c.scenario_id)->generate(scenario, 5);
+  const exp::Instance instance = exp::generate_instance(c.scenario_id, scenario, 5);
   const Problem problem =
       c.in_tree ? exp::generate_in_tree(scenario, 0.35, 5) : *instance.problem;
   const Problem effective = instance.model->is_identity()
@@ -121,8 +120,7 @@ TEST(SimDeterminism, TraceIsBitIdenticalAcrossRuns) {
   scenario.tasks = 8;
   scenario.machines = 4;
   scenario.types = 2;
-  const exp::Instance instance =
-      exp::ScenarioRegistry::instance().resolve("correlated")->generate(scenario, 3);
+  const exp::Instance instance = exp::generate_instance("correlated", scenario, 3);
   support::Rng rng(3);
   const auto mapping =
       heuristics::heuristic_by_name("H4w")->run(*instance.effective, rng);

@@ -77,15 +77,15 @@ TEST(ZStatistics, OneAndTwoSample) {
 
 // --- The agreement gate matrix ----------------------------------------------
 
-/// The full matrix at the pinned CI seed: every registered scenario family
-/// on both topologies. This is the statistical gate of docs/simulation.md —
+/// The full matrix at the pinned CI seed: every failure regime on both
+/// topologies. This is the statistical gate of docs/simulation.md —
 /// the simulator's batch-means period must agree with the model's analytic
 /// reduction within noise + the documented bias band.
 TEST(SimStatsAgreement, EveryScenarioFamilyMatchesItsAnalyticReduction) {
   ValidationConfig config;  // pinned defaults: seed 1, 20 x 1000 outputs
   const std::vector<ValidationResult> results = validate_registered_scenarios(config);
-  // 4 built-in families x 2 topologies (out-of-tree registrations only add).
-  ASSERT_GE(results.size(), 8u);
+  // 4 regimes x 2 topologies.
+  ASSERT_EQ(results.size(), 8u);
   for (const ValidationResult& result : results) {
     EXPECT_TRUE(result.pass) << result.describe();
     EXPECT_GT(result.analytic_period, 0.0);
@@ -129,7 +129,7 @@ TEST(SimStatsAgreement, ShockComparisonRequiresCommonModeModel) {
                std::invalid_argument);
 }
 
-/// validate_scenario surfaces unknown scenario ids with the registry's
+/// validate_scenario surfaces unknown scenario ids with the table's
 /// listing error.
 TEST(SimStatsAgreement, UnknownScenarioThrows) {
   ValidationConfig config;

@@ -175,12 +175,11 @@ TEST(SimdKernels, LeqMaskMatchesScalar) {
 
 exp::Instance make_instance(const std::string& family, std::size_t tasks,
                             std::size_t machines, std::uint64_t seed) {
-  const auto generator = exp::ScenarioRegistry::instance().resolve(family);
   exp::Scenario scenario;
   scenario.tasks = tasks;
   scenario.machines = machines;
   scenario.types = 2;
-  return generator->generate(scenario, seed);
+  return exp::generate_instance(family, scenario, seed);
 }
 
 std::vector<MachineIndex> random_assignment(const core::Problem& problem,
@@ -232,7 +231,7 @@ EvalTrace run_eval_trace(const core::Problem& problem, std::uint64_t seed) {
 
 TEST(SimdDispatch, EvaluationStackBitIdenticalAcrossIsas) {
   DispatchGuard guard;
-  for (const std::string& family : exp::ScenarioRegistry::instance().ids()) {
+  for (const std::string& family : exp::scenario_ids()) {
     const exp::Instance instance = make_instance(family, 30, 7, 0x5EEDu);
     const core::Problem& problem = *instance.effective;
     ASSERT_TRUE(core::simd::force(Isa::kScalar));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/evaluation.hpp"
 #include "core/failure_model.hpp"
@@ -17,6 +18,14 @@ namespace {
 
 using core::Mapping;
 using core::Problem;
+
+/// The same mean up/repair phases on every machine: how the downtime tests
+/// drive machine breakdowns.
+core::DowntimeFailureModel uniform_downtime(std::size_t machines, double mean_uptime_ms,
+                                            double mean_repair_ms) {
+  return core::DowntimeFailureModel(std::vector<double>(machines, mean_uptime_ms),
+                                    std::vector<double>(machines, mean_repair_ms));
+}
 
 TEST(Simulator, DeterministicForSameSeed) {
   const Problem problem = test::tiny_chain_problem();
@@ -202,8 +211,9 @@ TEST(Simulator, DowntimeStallsButNeverDestroysProducts) {
   config.seed = 3;
   config.target_outputs = 3'000;
   config.warmup_outputs = 300;
-  config.mean_uptime_ms = 1'000.0;
-  config.mean_repair_ms = 1'000.0;
+  const core::DowntimeFailureModel downtime =
+      uniform_downtime(problem.machine_count(), 1'000.0, 1'000.0);
+  config.failure_model = &downtime;
   const SimulationReport report = Simulator(problem, mapping).run(config);
   ASSERT_TRUE(report.reached_target);
   EXPECT_EQ(report.per_task[0].losses, 0u);
@@ -236,8 +246,10 @@ TEST(Simulator, DowntimeOnlyDelaysTheAffectedMachine) {
   config.seed = 9;
   config.target_outputs = 2'000;
   config.warmup_outputs = 200;
-  config.mean_uptime_ms = 5'000.0;
-  config.mean_repair_ms = 100.0;  // ~2% unavailability on a 10x-fast stage
+  // ~2% unavailability on a 10x-fast stage.
+  const core::DowntimeFailureModel downtime =
+      uniform_downtime(problem.machine_count(), 5'000.0, 100.0);
+  config.failure_model = &downtime;
   const SimulationReport report = Simulator(problem, mapping).run(config);
   EXPECT_NEAR(report.measured_period, 500.0, 25.0);
 }
@@ -253,8 +265,9 @@ TEST(Simulator, TruncationClipsBusyAndDownTimeToHorizon) {
   config.seed = 11;
   config.target_outputs = 1'000'000;
   config.warmup_outputs = 0;
-  config.mean_uptime_ms = 300.0;
-  config.mean_repair_ms = 300.0;
+  const core::DowntimeFailureModel downtime =
+      uniform_downtime(problem.machine_count(), 300.0, 300.0);
+  config.failure_model = &downtime;
   config.max_time = 1'050.0;  // cuts mid-attempt or mid-repair almost surely
   const SimulationReport report = Simulator(problem, mapping).run(config);
   ASSERT_FALSE(report.reached_target);
@@ -276,8 +289,9 @@ TEST(Simulator, IdleMachinesBreakDownOnTime) {
   config.seed = 4;
   config.target_outputs = 100;
   config.warmup_outputs = 10;
-  config.mean_uptime_ms = 200.0;
-  config.mean_repair_ms = 50.0;
+  const core::DowntimeFailureModel downtime =
+      uniform_downtime(problem.machine_count(), 200.0, 50.0);
+  config.failure_model = &downtime;
   const SimulationReport report = Simulator(problem, mapping).run(config);
   ASSERT_TRUE(report.reached_target);
   EXPECT_GT(report.machine_failures, 0u);
@@ -297,8 +311,9 @@ TEST(Simulator, UptimePhasesNeverCollapse) {
   config.seed = 8;
   config.target_outputs = 0;
   config.warmup_outputs = 0;
-  config.mean_uptime_ms = 100.0;
-  config.mean_repair_ms = 100.0;
+  const core::DowntimeFailureModel downtime =
+      uniform_downtime(problem.machine_count(), 100.0, 100.0);
+  config.failure_model = &downtime;
   config.max_time = 200'000.0;  // ~1000 expected cycles
   const SimulationReport report = Simulator(problem, mapping).run(config);
   EXPECT_NEAR(static_cast<double>(report.machine_failures), 1'000.0, 150.0);
@@ -384,8 +399,9 @@ TEST(Simulator, TaxonomyCountersAreConsistent) {
   config.seed = 14;
   config.target_outputs = 300;
   config.warmup_outputs = 30;
-  config.mean_uptime_ms = 5'000.0;
-  config.mean_repair_ms = 200.0;
+  const core::DowntimeFailureModel downtime =
+      uniform_downtime(problem.machine_count(), 5'000.0, 200.0);
+  config.failure_model = &downtime;
   const SimulationReport report = Simulator(problem, mapping).run(config);
   ASSERT_TRUE(report.reached_target);
   std::uint64_t attempts = 0;
