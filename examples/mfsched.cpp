@@ -221,8 +221,8 @@ const Flag kFlags[] = {
     {"serve", "PORT", FlagValue::kInt,
      "runs the scheduler daemon on PORT (0 = ephemeral;\nloopback only); SIGTERM drains "
      "gracefully: stop\naccepting, finish in-flight solves, report counters"},
-    {"threads", "N", FlagValue::kInt, "daemon solver-pool width (default: hardware concurrency)"},
-    {"max-pending", "N", FlagValue::kInt,
+    {"threads", "N", FlagValue::kCount, "daemon solver-pool width (default: hardware concurrency)"},
+    {"max-pending", "N", FlagValue::kCount,
      "daemon admission cap: solves in flight across all\nclients before new ones are refused "
      "with queue-full"},
     {"rate-limit", "BURST", FlagValue::kNumber,
@@ -737,9 +737,8 @@ int run_serve(const mf::support::CliArgs& args) {
   CacheScope cache_scope(args);
   mf::serve::DaemonOptions options;
   options.port = static_cast<std::uint16_t>(port);
-  options.threads = static_cast<std::size_t>(std::max<std::int64_t>(0, args.get_int("threads", 0)));
-  options.max_pending =
-      static_cast<std::size_t>(std::max<std::int64_t>(0, args.get_int("max-pending", 256)));
+  options.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  options.max_pending = static_cast<std::size_t>(args.get_int("max-pending", 256));
   options.rate_capacity = args.get_double("rate-limit", 0.0);
   options.rate_refill_per_sec = args.get_double("rate-refill", 1.0);
   options.cache = cache_scope.backend();
