@@ -38,9 +38,8 @@
 // Loss draws default to the base f_{i,u}; setting
 // `SimulationConfig::failure_model` samples any `core::FailureModel`
 // instead — time-varying rates are evaluated at each attempt's start time,
-// and availability models drive per-machine up/down phases (the model is
-// the simulator's only source of machine downtime) — so every model's
-// analytic reduction (worst-window planning, availability-inflated
+// and availability models drive per-machine up/down phases — so every
+// model's analytic reduction (worst-window planning, availability-inflated
 // times, shock-folded rates) is validated against an empirical Monte-Carlo
 // period.
 #pragma once
