@@ -6,6 +6,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/evaluation.hpp"
@@ -14,6 +15,8 @@
 #include "heuristics/h1_random.hpp"
 #include "heuristics/h4_family.hpp"
 #include "heuristics/heuristic.hpp"
+#include "support/matrix.hpp"
+#include "support/rng.hpp"
 #include "test_helpers.hpp"
 
 namespace mf::heuristics {
@@ -272,8 +275,35 @@ enum Topology { kChain, kInTree };
 
 /// Generator settings of a golden row: the paper's defaults, Figure 8's
 /// high failure rates, Figure 9's per-task rates, tie-heavy integer times
-/// (w in [100, 102], so ranks and then w tie often) and non-integer times.
-enum Shape { kPaper, kHighFailure, kTaskFailure, kTies, kFractional };
+/// (w in [100, 102], so ranks and then w tie often), non-integer times, and
+/// the paper's defaults with one type's tasks split across two w rows
+/// (kSplitType, see split_type_times).
+enum Shape { kPaper, kHighFailure, kTaskFailure, kTies, kFractional, kSplitType };
+
+/// `base` rebuilt from task x machine matrices, with every second task of
+/// type 0 given a second w row drawn in [100, 1000]. Platform documents
+/// type-uniform times but does not enforce them, so H2 and H3 must not
+/// assume that tasks of one type share a row.
+Problem split_type_times(const Problem& base, std::uint64_t seed) {
+  const std::size_t n = base.task_count();
+  const std::size_t m = base.machine_count();
+  support::Matrix times(n, m);
+  support::Matrix failures(n, m);
+  for (core::TaskIndex i = 0; i < n; ++i) {
+    for (core::MachineIndex u = 0; u < m; ++u) {
+      times.at(i, u) = base.platform.time(i, u);
+      failures.at(i, u) = base.platform.failure(i, u);
+    }
+  }
+  support::Rng rng(seed);
+  std::vector<double> second_row(m);
+  for (double& w : second_row) w = static_cast<double>(rng.uniform_u64(100, 1000));
+  const std::vector<core::TaskIndex>& tasks = base.app.tasks_of_type(0);
+  for (std::size_t k = 1; k < tasks.size(); k += 2) {
+    for (core::MachineIndex u = 0; u < m; ++u) times.at(tasks[k], u) = second_row[u];
+  }
+  return Problem{base.app, core::Platform{std::move(times), std::move(failures)}};
+}
 
 struct GoldenBinarySearch {
   Topology topology;
@@ -299,9 +329,10 @@ TEST(BinarySearchGolden, SameMappingsAndPeriodsAsPreRewriteCapture) {
   // probe. The figure tables print one decimal, so only a bit-exact table
   // proves a rewrite still takes the same probes to the same mappings.
   // Chains and in-trees at the Figure 5/6/7/8/9/12 shapes, plus tie-heavy
-  // and non-integer times, two seeds each, for H2 and H3.
+  // and non-integer times and one type split across two w rows, two seeds
+  // each, for H2 and H3.
   const auto& entries = golden_binary_search_entries();
-  ASSERT_EQ(entries.size(), 92u);
+  ASSERT_EQ(entries.size(), 104u);
   for (const GoldenBinarySearch& entry : entries) {
     SCOPED_TRACE(entry.heuristic + (entry.topology == kChain ? " chain" : " in-tree") +
                  " shape=" + std::to_string(entry.shape) + " n=" + std::to_string(entry.tasks) +
@@ -328,10 +359,17 @@ TEST(BinarySearchGolden, SameMappingsAndPeriodsAsPreRewriteCapture) {
       case kFractional:
         scenario.integer_times = false;
         break;
+      case kSplitType:
+        break;
     }
-    const Problem problem = entry.topology == kChain
-                                ? exp::generate(scenario, entry.seed)
-                                : exp::generate_in_tree(scenario, 0.4, entry.seed);
+    const Problem generated = entry.topology == kChain
+                                  ? exp::generate(scenario, entry.seed)
+                                  : exp::generate_in_tree(scenario, 0.4, entry.seed);
+    const Problem problem =
+        entry.shape == kSplitType ? split_type_times(generated, entry.seed) : generated;
+    if (entry.shape == kSplitType) {
+      ASSERT_FALSE(problem.platform.has_type_uniform_times(problem.app));
+    }
     support::Rng rng(0);
     const auto mapping = heuristic_by_name(entry.heuristic)->run(problem, rng);
     ASSERT_TRUE(mapping.has_value());

@@ -1,14 +1,21 @@
 // Tests for Hopcroft-Karp maximum matching and the bottleneck assignment
-// solver built on top of it.
+// solver built on top of it, including a golden table of exact thresholds
+// and matchings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/failure.hpp"
 #include "exact/bottleneck_assignment.hpp"
 #include "exact/hopcroft_karp.hpp"
+#include "exp/scenario.hpp"
 #include "support/rng.hpp"
 
 namespace mf::exact {
@@ -143,6 +150,141 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(2, 3, 4, 5),
                        ::testing::Values<std::size_t>(5, 6, 7),
                        ::testing::Values<std::uint64_t>(1, 2, 3)));
+
+/// Cost generators of a golden row. The kOto* kinds are oto's own costs
+/// x_i * w_{i,u} on Figure 9's generator (f_{i,u} = f_i): integer w in
+/// [100, 1000], tie-heavy integer w in [100, 102] and non-integer w. The
+/// rest are hand-built: every row's minimum is the answer (kAtBound), over
+/// a thousand distinct costs between the row-min bound and the answer
+/// (kWide), and one cost everywhere (kAllEqual).
+enum BottleneckKind { kOtoPaper, kOtoTies, kOtoFractional, kAtBound, kWide, kAllEqual };
+
+struct GoldenBottleneck {
+  BottleneckKind kind;
+  std::size_t rows;
+  std::size_t cols;
+  std::size_t types;  // kOto* kinds only
+  std::uint64_t seed;
+  double bottleneck_cost;  // hexfloat-captured, compared bit-exactly
+  std::vector<std::size_t> row_to_col;
+};
+
+/// The cost matrix optimal_one_to_one_task_failures hands the solver.
+support::Matrix oto_cost(const core::Problem& problem) {
+  std::vector<double> x(problem.task_count(), 0.0);
+  for (core::TaskIndex i : problem.app.backward_order()) {
+    const core::TaskIndex succ = problem.app.successor(i);
+    const double downstream = succ == core::kNoTask ? 1.0 : x[succ];
+    x[i] = downstream * core::survival_inverse(problem.platform.failure(i, 0));
+  }
+  support::Matrix cost(problem.task_count(), problem.machine_count());
+  for (core::TaskIndex i = 0; i < problem.task_count(); ++i) {
+    for (core::MachineIndex u = 0; u < problem.machine_count(); ++u) {
+      cost.at(i, u) = x[i] * problem.platform.time(i, u);
+    }
+  }
+  return cost;
+}
+
+/// A uniformly random arrangement of 0..size-1 (Fisher-Yates).
+std::vector<std::size_t> shuffled(std::size_t size, support::Rng& rng) {
+  std::vector<std::size_t> order(size);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t k = size; k > 1; --k) {
+    std::swap(order[k - 1], order[rng.uniform_u64(0, k - 1)]);
+  }
+  return order;
+}
+
+support::Matrix golden_bottleneck_cost(const GoldenBottleneck& entry) {
+  const std::size_t rows = entry.rows;
+  const std::size_t cols = entry.cols;
+  if (entry.kind == kOtoPaper || entry.kind == kOtoTies || entry.kind == kOtoFractional) {
+    exp::Scenario scenario;
+    scenario.tasks = rows;
+    scenario.machines = cols;
+    scenario.types = entry.types;
+    scenario.failure_attachment = exp::FailureAttachment::kTaskOnly;
+    if (entry.kind == kOtoTies) {
+      scenario.time_min_ms = 100.0;
+      scenario.time_max_ms = 102.0;
+    }
+    if (entry.kind == kOtoFractional) scenario.integer_times = false;
+    return oto_cost(exp::generate(scenario, entry.seed));
+  }
+  support::Rng rng(entry.seed);
+  support::Matrix cost(rows, cols, 2.5);
+  if (entry.kind == kAtBound) {
+    // Integers 4..9 everywhere and a 4 at (r, sigma(r)): every row's
+    // minimum is 4, and sigma already matches every row within it.
+    const std::vector<std::size_t> sigma = shuffled(cols, rng);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        cost.at(r, c) = static_cast<double>(rng.uniform_u64(4, 9));
+      }
+      cost.at(r, sigma[r]) = 4.0;
+    }
+  } else if (entry.kind == kWide) {
+    // Column 0 holds each row's minimum, 1..rows, but only one row can take
+    // it; every other cost is distinct and above 1000. Rows and columns are
+    // then shuffled.
+    const std::vector<std::size_t> row_of = shuffled(rows, rng);
+    const std::vector<std::size_t> col_of = shuffled(cols, rng);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        cost.at(row_of[r], col_of[c]) = c == 0 ? static_cast<double>(r + 1)
+                                               : 1000.0 + static_cast<double>(r * cols + c);
+      }
+    }
+  }
+  return cost;
+}
+
+/// max_r min_c cost(r, c): no threshold below it leaves every row an edge.
+double row_min_bound(const support::Matrix& cost) {
+  double bound = -std::numeric_limits<double>::infinity();
+  for (std::size_t r = 0; r < cost.rows(); ++r) {
+    const std::span<const double> row = cost.row_data(r);
+    bound = std::max(bound, *std::min_element(row.begin(), row.end()));
+  }
+  return bound;
+}
+
+TEST(BottleneckGolden, SameThresholdAndMatchingAsPreRewriteCapture) {
+  // Captured from the solver that sorted all n*m costs and bisected over
+  // them. The threshold is unique, but the matching is whichever one
+  // Hopcroft-Karp finds on that threshold's graph, so only the exact
+  // matching shows that a rewrite still ends with the same final probe.
+  static const std::vector<GoldenBottleneck> entries{
+#include "golden_bottleneck.inc"
+  };
+  ASSERT_EQ(entries.size(), 34u);
+  for (const GoldenBottleneck& entry : entries) {
+    SCOPED_TRACE("kind=" + std::to_string(entry.kind) + " rows=" + std::to_string(entry.rows) +
+                 " cols=" + std::to_string(entry.cols) + " types=" +
+                 std::to_string(entry.types) + " seed=" + std::to_string(entry.seed));
+    const support::Matrix cost = golden_bottleneck_cost(entry);
+    const double bound = row_min_bound(cost);
+    // Each hand-built row covers the case it is named for.
+    if (entry.kind == kAtBound || entry.kind == kAllEqual) {
+      EXPECT_EQ(entry.bottleneck_cost, bound);
+    }
+    if (entry.kind == kWide) {
+      std::vector<double> between;
+      for (std::size_t r = 0; r < cost.rows(); ++r) {
+        for (double c : cost.row_data(r)) {
+          if (c >= bound && c < entry.bottleneck_cost) between.push_back(c);
+        }
+      }
+      std::sort(between.begin(), between.end());
+      between.erase(std::unique(between.begin(), between.end()), between.end());
+      EXPECT_GT(between.size(), 1000u);
+    }
+    const BottleneckResult result = solve_bottleneck_assignment(cost);
+    EXPECT_EQ(result.bottleneck_cost, entry.bottleneck_cost);
+    EXPECT_EQ(result.row_to_col, entry.row_to_col);
+  }
+}
 
 }  // namespace
 }  // namespace mf::exact
