@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -48,35 +49,69 @@ BottleneckResult solve_bottleneck_assignment(const support::Matrix& cost) {
   MF_REQUIRE(n >= 1, "bottleneck assignment needs at least one row");
   MF_REQUIRE(n <= m, "bottleneck assignment requires rows <= cols");
 
-  std::vector<double> values;
-  values.reserve(n * m);
+  // Every row needs an edge, so no threshold below the largest row minimum
+  // admits a perfect matching: the answer is a cost at or above it.
+  double bound = -std::numeric_limits<double>::infinity();
   for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < m; ++c) {
-      MF_REQUIRE(std::isfinite(cost.at(r, c)), "costs must be finite");
-      values.push_back(cost.at(r, c));
+    double row_min = std::numeric_limits<double>::infinity();
+    for (const double c : cost.row_data(r)) {
+      MF_REQUIRE(std::isfinite(c), "costs must be finite");
+      row_min = std::min(row_min, c);
     }
+    bound = std::max(bound, row_min);
   }
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-
-  // Binary search the smallest threshold admitting a perfect matching.
-  std::size_t lo = 0;
-  std::size_t hi = values.size() - 1;
-  MF_REQUIRE(probe(cost, values[hi]).size == n,
-             "no perfect matching even with all edges (should be impossible)");
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (probe(cost, values[mid]).size == n) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
+  std::vector<double> candidates;
+  candidates.reserve(n * m);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (const double c : cost.row_data(r)) {
+      if (c >= bound) candidates.push_back(c);
     }
   }
 
-  const MatchingResult matching = probe(cost, values[lo]);
+  // The answer is the smallest candidate whose probe matches every row, and
+  // it usually lies close to the bound. So search upward: move the next
+  // batch of smallest candidates (64, then four times more each round) to
+  // the front, sort and dedupe that batch alone, and probe its largest
+  // value. The first batch that passes holds the answer; bisect inside it.
+  // The last batch ends at the largest cost, whose probe takes every edge.
+  const auto values = candidates.begin();
+  double infeasible = -std::numeric_limits<double>::infinity();  // largest failed value
+  double threshold = 0.0;
+  std::size_t begin = 0;
+  std::size_t batch = 64;
+  for (;;) {
+    const std::size_t end = std::min(candidates.size(), begin + batch);
+    if (end < candidates.size()) {
+      std::nth_element(values + begin, values + (end - 1), candidates.end());
+    }
+    std::sort(values + begin, values + end);
+    const auto last = std::unique(values + begin, values + end);
+    // A batch may restart with copies of the previous batch's largest value.
+    auto lo = std::upper_bound(values + begin, last, infeasible);
+    if (lo != last && probe(cost, *(last - 1)).size == n) {
+      auto hi = last - 1;
+      while (lo < hi) {
+        const auto mid = lo + (hi - lo) / 2;
+        if (probe(cost, *mid).size == n) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      threshold = *lo;
+      break;
+    }
+    MF_REQUIRE(end < candidates.size(),
+               "no perfect matching even with all edges (should be impossible)");
+    infeasible = *(last - 1);
+    begin = end;
+    batch *= 4;
+  }
+
+  const MatchingResult matching = probe(cost, threshold);
   MF_CHECK(matching.size == n, "threshold search lost feasibility");
   BottleneckResult result;
-  result.bottleneck_cost = values[lo];
+  result.bottleneck_cost = threshold;
   result.row_to_col.assign(n, 0);
   for (std::size_t r = 0; r < n; ++r) {
     MF_CHECK(matching.left_match[r] != MatchingResult::npos, "row left unmatched");

@@ -5,8 +5,12 @@
 // failure rates do not depend on the machine (f_{i,u} = f_i, the Section 7.2
 // setting): the x_i are then mapping-independent and the period of a
 // one-to-one mapping is max_i x_i * w_{i,a(i)} — a bottleneck assignment on
-// costs c(i,u) = x_i * w_{i,u}. Solved by binary search on the sorted
-// distinct costs with a Hopcroft-Karp feasibility probe per step.
+// costs c(i,u) = x_i * w_{i,u}. The answer is the smallest cost whose
+// threshold graph has a perfect matching, so the solver searches upward
+// from the row-min lower bound max_r min_c c(r,c): it sorts growing batches
+// of the smallest costs at or above it, probes each batch's largest value
+// with Hopcroft-Karp, and bisects inside the first batch that passes. The
+// returned matching is the one Hopcroft-Karp finds at that threshold.
 #pragma once
 
 #include "exact/hungarian.hpp"
