@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -106,16 +107,35 @@ class RankSelector final : public MachineSelector {
   void prepare(const core::Problem& problem) override {
     const std::size_t n = problem.task_count();
     const std::size_t m = problem.machine_count();
+    // A task's order depends only on its w row, and tasks of one type share
+    // a row (Section 3.2). Platform documents that but does not enforce it,
+    // so each row is compared with its type's first row: a task whose row
+    // equals it copies that task's order, and every other task owns one.
+    std::vector<TaskIndex> owners;     // tasks whose order is built here
+    std::vector<TaskIndex> source(n);  // the owner whose order task i gets
+    owners.reserve(n);
+    for (TaskIndex i = 0; i < n; ++i) {
+      const TaskIndex first = problem.app.tasks_of_type(problem.app.type_of(i)).front();
+      const std::span<const double> row = problem.platform.time_row(i);
+      const std::span<const double> first_row = problem.platform.time_row(first);
+      const bool copies = first != i && std::equal(row.begin(), row.end(), first_row.begin());
+      source[i] = copies ? first : i;
+      if (!copies) owners.push_back(i);
+    }
     // Dense ranking: tasks with equal w share a rank, matching the paper's
     // "rank of T_i in the ordered set" (sets collapse ties). A rank counts
-    // the distinct smaller w, so the order among equal w does not matter.
+    // the distinct smaller w, so the order among equal w does not matter,
+    // and the owners' rows hold every w a column has, so ranking them alone
+    // gives the ranks all n rows give.
     std::vector<std::size_t> ranks(n * m);
-    std::vector<std::pair<double, TaskIndex>> by_time(n);
+    std::vector<std::pair<double, TaskIndex>> by_time(owners.size());
     for (MachineIndex u = 0; u < m; ++u) {
-      for (TaskIndex i = 0; i < n; ++i) by_time[i] = {problem.platform.time_row(i)[u], i};
+      for (std::size_t k = 0; k < owners.size(); ++k) {
+        by_time[k] = {problem.platform.time_row(owners[k])[u], owners[k]};
+      }
       std::sort(by_time.begin(), by_time.end());
       std::size_t rank = 0;
-      for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t k = 0; k < by_time.size(); ++k) {
         if (k > 0 && by_time[k].first > by_time[k - 1].first) ++rank;
         ranks[by_time[k].second * m + u] = rank;
       }
@@ -137,11 +157,15 @@ class RankSelector final : public MachineSelector {
     tasks_ = n;
     machines_ = m;
     order_.resize(n * m);
-    for (TaskIndex i = 0; i < n; ++i) {
+    for (TaskIndex i : owners) {
       const std::span<const double> times = problem.platform.time_row(i);
       for (MachineIndex u = 0; u < m; ++u) keys[u] = {ranks[i * m + u], times[u], u};
       std::sort(keys.begin(), keys.end());
       for (MachineIndex k = 0; k < m; ++k) order_[i * m + k] = keys[k].machine;
+    }
+    for (TaskIndex i = 0; i < n; ++i) {
+      if (source[i] == i) continue;
+      for (MachineIndex k = 0; k < m; ++k) order_[i * m + k] = order_[source[i] * m + k];
     }
   }
 
