@@ -2,11 +2,14 @@
 //
 // A binary min-heap on event time with FIFO tie-breaking via a monotone
 // sequence number, so simultaneous events are processed in insertion order
-// and runs are bit-deterministic.
+// and runs are bit-deterministic. Simulated time never runs backwards: a
+// push earlier than the last popped event is refused, so a model bug that
+// schedules into the past fails loudly instead of reordering history.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "support/check.hpp"
@@ -23,7 +26,8 @@ class EventQueue {
   };
 
   void push(double time, Payload payload) {
-    MF_REQUIRE(time >= 0.0, "event time must be non-negative");
+    // Time starts at 0, so this also refuses negative times (and NaN).
+    MF_REQUIRE(time >= now_, "event time must not precede the last popped event");
     heap_.push_back({time, next_sequence_++, std::move(payload)});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
@@ -48,6 +52,7 @@ class EventQueue {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     Entry entry = std::move(heap_.back());
     heap_.pop_back();
+    now_ = entry.time;
     return entry;
   }
 
@@ -61,6 +66,7 @@ class EventQueue {
 
   std::vector<Entry> heap_;
   std::uint64_t next_sequence_ = 0;
+  double now_ = 0.0;  ///< time of the last popped event, the earliest a push may use
 };
 
 }  // namespace mf::sim

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -35,6 +37,27 @@ TEST(EventQueue, Validation) {
   // Zero is a legal event time (the simulator schedules starts at t = 0).
   queue.push(0.0, 7);
   EXPECT_EQ(queue.top().payload, 7);
+}
+
+TEST(EventQueue, RefusesTimeBeforeTheLastPop) {
+  // Simulations cannot move backward: once an event at t = 5 has run, a
+  // model that schedules at t = 3 has a bug, and reordering history around
+  // it would hide that bug.
+  EventQueue<int> queue;
+  queue.push(5.0, 1);
+  queue.push(8.0, 2);
+  EXPECT_EQ(queue.pop().payload, 1);
+  EXPECT_THROW(queue.push(3.0, 3), std::invalid_argument);
+  EXPECT_THROW(queue.push(std::nextafter(5.0, 0.0), 3), std::invalid_argument);
+  // The refused pushes left the queue as it was; the current time itself
+  // and later times are accepted.
+  EXPECT_EQ(queue.size(), 1u);
+  queue.push(5.0, 4);
+  queue.push(6.0, 5);
+  EXPECT_EQ(queue.pop().payload, 4);
+  EXPECT_EQ(queue.pop().payload, 5);
+  EXPECT_EQ(queue.pop().payload, 2);
+  EXPECT_THROW(queue.push(7.0, 6), std::invalid_argument);
 }
 
 TEST(EventQueue, FifoAmongEqualTimesUnderAdversarialInterleaving) {
@@ -75,8 +98,9 @@ TEST(EventQueue, FifoAmongEqualTimesUnderAdversarialInterleaving) {
 TEST(EventQueue, MixedPushPopMatchesReferenceOrdering) {
   // Randomized mixed push/pop sequence checked live against a brute-force
   // reference: at every pop, the queue must return exactly the pending
-  // event with the smallest (time, insertion index). Times are drawn from a
-  // small integer set so ties are frequent and occur at many heap depths.
+  // event with the smallest (time, insertion index). Times are small integer
+  // offsets from the last popped time, so ties are frequent and occur at
+  // many heap depths.
   support::Rng rng(2024);
   EventQueue<std::uint64_t> queue;
   struct Ref {
@@ -86,9 +110,11 @@ TEST(EventQueue, MixedPushPopMatchesReferenceOrdering) {
   std::vector<Ref> pending;  // brute-force mirror of the queue's contents
   std::uint64_t next_id = 0;
   std::size_t pops_checked = 0;
+  double now = 0.0;
 
   auto pop_and_check = [&] {
     const auto entry = queue.pop();
+    now = entry.time;
     const auto min_it =
         std::min_element(pending.begin(), pending.end(), [](const Ref& a, const Ref& b) {
           if (a.time != b.time) return a.time < b.time;
@@ -103,7 +129,7 @@ TEST(EventQueue, MixedPushPopMatchesReferenceOrdering) {
 
   for (int step = 0; step < 2'000; ++step) {
     if (queue.empty() || rng.uniform() < 0.6) {
-      const double time = static_cast<double>(rng.uniform_u64(0, 7));
+      const double time = now + static_cast<double>(rng.uniform_u64(0, 7));
       pending.push_back({time, next_id});
       queue.push(time, next_id++);
     } else {
@@ -147,13 +173,14 @@ TEST(EventQueue, HeapOrderSurvivesMixedPushPop) {
 TEST(EventQueue, ReserveMakesPushesAllocationFree) {
   // Capacity established by reserve() must survive a full cycle of pushes
   // and pops up to that capacity (the saturation mode's no-allocation
-  // contract rides on std::vector's capacity guarantee).
+  // contract rides on std::vector's capacity guarantee). Each round starts
+  // where the last one's pops left the clock.
   EventQueue<int> queue;
   queue.reserve(64);
   const std::size_t capacity = queue.capacity();
   EXPECT_GE(capacity, 64u);
   for (int round = 0; round < 10; ++round) {
-    for (int k = 0; k < 64; ++k) queue.push(static_cast<double>(k % 5), k);
+    for (int k = 0; k < 64; ++k) queue.push(static_cast<double>(5 * round + k % 5), k);
     while (!queue.empty()) queue.pop();
     EXPECT_EQ(queue.capacity(), capacity);
   }
