@@ -1,7 +1,11 @@
 #include "core/io.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/matrix.hpp"
@@ -10,148 +14,224 @@ namespace mf::core {
 
 namespace {
 
-constexpr const char* kProblemHeader = "microfactory-problem v1";
-constexpr const char* kMappingHeader = "microfactory-mapping v1";
+constexpr std::string_view kProblemHeader = "microfactory-problem v1";
+constexpr std::string_view kMappingHeader = "microfactory-mapping v1";
 
 [[noreturn]] void parse_error(std::size_t line, const std::string& message) {
   throw std::invalid_argument("parse error at line " + std::to_string(line) + ": " + message);
 }
 
-/// Reads the next non-empty, non-comment line.
-bool next_line(std::istream& in, std::string& line, std::size_t& line_number) {
-  while (std::getline(in, line)) {
-    ++line_number;
-    const auto start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos) continue;
-    if (line[start] == '#') continue;
-    return true;
-  }
-  return false;
-}
+/// The six bytes C-locale isspace matches: ' ', '\t', '\n', '\v', '\f', '\r'.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
-std::vector<std::string> tokens_of(const std::string& line) {
-  std::istringstream stream(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (stream >> token) {
-    if (token.rfind('#', 0) == 0) break;  // trailing comment
-    tokens.push_back(token);
-  }
-  return tokens;
-}
+/// One pass over a text, line by line, with the format's rules: lines split
+/// on '\n' as std::getline splits them; a line that is blank in " \t\r", or
+/// whose first such non-blank byte is '#', is skipped but counted; tokens
+/// split on C-locale whitespace, and a token that starts with '#' ends the
+/// line.
+class LineReader {
+ public:
+  explicit LineReader(std::string_view text) : text_(text) {}
 
-double parse_double(const std::string& token, std::size_t line) {
+  /// Tokenizes the next line that is neither blank nor a comment; false at
+  /// the end of the text.
+  bool next() {
+    while (next_ < text_.size()) {
+      const std::size_t end = std::min(text_.find('\n', next_), text_.size());
+      const std::string_view line = text_.substr(next_, end - next_);
+      next_ = end + 1;
+      ++line_number_;
+      const std::size_t start = line.find_first_not_of(" \t\r");
+      if (start == std::string_view::npos || line[start] == '#') continue;
+      tokens_.clear();
+      for (std::size_t i = 0;;) {
+        while (i < line.size() && is_space(line[i])) ++i;
+        if (i == line.size() || line[i] == '#') break;
+        const std::size_t token_start = i;
+        while (i < line.size() && !is_space(line[i])) ++i;
+        tokens_.push_back(line.substr(token_start, i - token_start));
+      }
+      return true;
+    }
+    return false;
+  }
+
+  /// True when the current line's tokens are `header`'s two words.
+  [[nodiscard]] bool is_header(std::string_view header) const {
+    const std::size_t space = header.find(' ');
+    return tokens_.size() == 2 && tokens_[0] == header.substr(0, space) &&
+           tokens_[1] == header.substr(space + 1);
+  }
+
+  [[nodiscard]] const std::vector<std::string_view>& tokens() const { return tokens_; }
+  [[nodiscard]] std::size_t line_number() const { return line_number_; }
+
+ private:
+  std::string_view text_;
+  std::size_t next_ = 0;
+  std::size_t line_number_ = 0;
+  std::vector<std::string_view> tokens_;
+};
+
+/// The stod rules and messages for every token the fast paths pass on. An
+/// overflow or underflow is out of range even with bytes after it; any
+/// other token stod does not consume whole is not a number.
+double parse_double_with_stod(const std::string& token, std::size_t line) {
+  std::size_t used = 0;
+  double value = 0;
   try {
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    if (used != token.size()) parse_error(line, "trailing garbage in number '" + token + "'");
-    return value;
+    value = std::stod(token, &used);
   } catch (const std::invalid_argument&) {
-    parse_error(line, "expected a number, got '" + token + "'");
+    used = 0;
   } catch (const std::out_of_range&) {
     parse_error(line, "number out of range: '" + token + "'");
   }
-  __builtin_unreachable();  // both catch branches throw
+  if (used != token.size()) parse_error(line, "expected a number, got '" + token + "'");
+  return value;
 }
 
-std::size_t parse_index(const std::string& token, std::size_t line) {
+double parse_double(std::string_view token, std::size_t line) {
+  // from_chars and stod round alike, but from_chars refuses '+' and hex and
+  // treats underflow differently, so it decides only whole tokens whose
+  // magnitude keeps well clear of zero, subnormals and overflow.
+  double value = 0;
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (error == std::errc{} && stop == end && std::fabs(value) >= 0x1p-1000 &&
+      std::fabs(value) <= 0x1p1000) {
+    return value;
+  }
+  return parse_double_with_stod(std::string(token), line);
+}
+
+std::size_t parse_index(std::string_view token, std::size_t line) {
+  // Up to 15 digits is below 2^53, where stod's double holds the integer
+  // exactly; from_chars on size_t takes digits only.
+  if (token.size() <= 15) {
+    std::size_t value = 0;
+    const char* end = token.data() + token.size();
+    const auto [stop, error] = std::from_chars(token.data(), end, value);
+    if (error == std::errc{} && stop == end) return value;
+  }
   const double value = parse_double(token, line);
   // 0x1p64 first: casting a double outside size_t's range is undefined.
   if (!(value >= 0 && value < 0x1p64) ||
       value != static_cast<double>(static_cast<std::size_t>(value))) {
-    parse_error(line, "expected a non-negative integer, got '" + token + "'");
+    parse_error(line, "expected a non-negative integer, got '" + std::string(token) + "'");
   }
   return static_cast<std::size_t>(value);
 }
 
+void append_index(std::string& out, std::size_t value) {
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
+  out += ' ';
+  out.append(buffer, result.ptr);
+}
+
+/// printf("%.17g"), which is what the stream writer printed at precision 17.
+void append_real(std::string& out, double value) {
+  char buffer[32];
+  const auto result =
+      std::to_chars(buffer, buffer + sizeof buffer, value, std::chars_format::general, 17);
+  out += ' ';
+  out.append(buffer, result.ptr);
+}
+
 }  // namespace
 
-std::string to_text(const Problem& problem) {
-  std::ostringstream os;
+void append_text(std::string& out, const Problem& problem) {
   const std::size_t n = problem.task_count();
   const std::size_t m = problem.machine_count();
-  os << kProblemHeader << '\n';
-  os << "n " << n << " m " << m << " p " << problem.type_count() << '\n';
-  os << "types";
-  for (TaskIndex i = 0; i < n; ++i) os << ' ' << problem.app.type_of(i);
-  os << '\n';
-  os << "successors";
+  // At most 25 bytes per value (" -1.2345678901234567e-308") and 21 per index.
+  out.reserve(out.size() + 128 + n * (2 * 21 + 2 * (m * 25 + 2)));
+  out += kProblemHeader;
+  out += "\nn";
+  append_index(out, n);
+  out += " m";
+  append_index(out, m);
+  out += " p";
+  append_index(out, problem.type_count());
+  out += "\ntypes";
+  for (TaskIndex i = 0; i < n; ++i) append_index(out, problem.app.type_of(i));
+  out += "\nsuccessors";
   for (TaskIndex i = 0; i < n; ++i) {
     const TaskIndex succ = problem.app.successor(i);
     if (succ == kNoTask) {
-      os << " -";
+      out += " -";
     } else {
-      os << ' ' << succ;
+      append_index(out, succ);
     }
   }
-  os << '\n';
-  os.precision(17);
+  out += '\n';
   for (TaskIndex i = 0; i < n; ++i) {
-    os << "w";
-    for (MachineIndex u = 0; u < m; ++u) os << ' ' << problem.platform.time(i, u);
-    os << '\n';
+    out += 'w';
+    for (MachineIndex u = 0; u < m; ++u) append_real(out, problem.platform.time(i, u));
+    out += '\n';
   }
   for (TaskIndex i = 0; i < n; ++i) {
-    os << "f";
-    for (MachineIndex u = 0; u < m; ++u) os << ' ' << problem.platform.failure(i, u);
-    os << '\n';
+    out += 'f';
+    for (MachineIndex u = 0; u < m; ++u) append_real(out, problem.platform.failure(i, u));
+    out += '\n';
   }
-  return os.str();
+}
+
+std::string to_text(const Problem& problem) {
+  std::string out;
+  append_text(out, problem);
+  return out;
 }
 
 std::string to_text(const Mapping& mapping) {
-  std::ostringstream os;
-  os << kMappingHeader << '\n';
-  os << "a";
-  for (MachineIndex u : mapping.assignment()) os << ' ' << u;
-  os << '\n';
-  return os.str();
+  std::string out(kMappingHeader);
+  out += "\na";
+  for (MachineIndex u : mapping.assignment()) append_index(out, u);
+  out += '\n';
+  return out;
 }
 
-Problem problem_from_text(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_number = 0;
-
-  if (!next_line(in, line, line_number) || tokens_of(line) != tokens_of(kProblemHeader)) {
-    parse_error(line_number, std::string("expected header '") + kProblemHeader + "'");
+Problem problem_from_text(std::string_view text) {
+  LineReader in(text);
+  if (!in.next() || !in.is_header(kProblemHeader)) {
+    parse_error(in.line_number(), "expected header '" + std::string(kProblemHeader) + "'");
   }
 
-  if (!next_line(in, line, line_number)) parse_error(line_number, "missing dimensions");
-  const auto dims = tokens_of(line);
+  if (!in.next()) parse_error(in.line_number(), "missing dimensions");
+  const auto& dims = in.tokens();
   if (dims.size() != 6 || dims[0] != "n" || dims[2] != "m" || dims[4] != "p") {
-    parse_error(line_number, "expected 'n <n> m <m> p <p>'");
+    parse_error(in.line_number(), "expected 'n <n> m <m> p <p>'");
   }
-  const std::size_t n = parse_index(dims[1], line_number);
-  const std::size_t m = parse_index(dims[3], line_number);
-  const std::size_t p = parse_index(dims[5], line_number);
-  if (n == 0 || m == 0) parse_error(line_number, "n and m must be positive");
+  const std::size_t n = parse_index(dims[1], in.line_number());
+  const std::size_t m = parse_index(dims[3], in.line_number());
+  const std::size_t p = parse_index(dims[5], in.line_number());
+  if (n == 0 || m == 0) parse_error(in.line_number(), "n and m must be positive");
   // The w and f rows hold 2·n·m values of at least two bytes each (a space
   // and a digit), so a text of S bytes declares at most S/4 cells. The
   // bound is checked by division, so n·m cannot overflow, and before the
   // matrices are allocated from the declared sizes.
   if (m > text.size() / 4 / n) {
-    parse_error(line_number, "n=" + std::to_string(n) + " m=" + std::to_string(m) +
-                                 " needs more w and f values than the input holds");
+    parse_error(in.line_number(), "n=" + std::to_string(n) + " m=" + std::to_string(m) +
+                                      " needs more w and f values than the input holds");
   }
 
-  if (!next_line(in, line, line_number)) parse_error(line_number, "missing types");
-  auto type_tokens = tokens_of(line);
+  if (!in.next()) parse_error(in.line_number(), "missing types");
+  const auto& type_tokens = in.tokens();
   if (type_tokens.size() != n + 1 || type_tokens[0] != "types") {
-    parse_error(line_number, "expected 'types' with " + std::to_string(n) + " entries");
+    parse_error(in.line_number(), "expected 'types' with " + std::to_string(n) + " entries");
   }
   std::vector<TypeIndex> types(n);
-  for (std::size_t i = 0; i < n; ++i) types[i] = parse_index(type_tokens[i + 1], line_number);
+  for (std::size_t i = 0; i < n; ++i) types[i] = parse_index(type_tokens[i + 1], in.line_number());
 
-  if (!next_line(in, line, line_number)) parse_error(line_number, "missing successors");
-  auto succ_tokens = tokens_of(line);
+  if (!in.next()) parse_error(in.line_number(), "missing successors");
+  const auto& succ_tokens = in.tokens();
   if (succ_tokens.size() != n + 1 || succ_tokens[0] != "successors") {
-    parse_error(line_number, "expected 'successors' with " + std::to_string(n) + " entries");
+    parse_error(in.line_number(),
+                "expected 'successors' with " + std::to_string(n) + " entries");
   }
   std::vector<TaskIndex> successors(n);
   for (std::size_t i = 0; i < n; ++i) {
-    successors[i] =
-        succ_tokens[i + 1] == "-" ? kNoTask : parse_index(succ_tokens[i + 1], line_number);
+    successors[i] = succ_tokens[i + 1] == "-" ? kNoTask
+                                              : parse_index(succ_tokens[i + 1], in.line_number());
   }
 
   support::Matrix w(n, m);
@@ -159,43 +239,41 @@ Problem problem_from_text(const std::string& text) {
   for (auto* matrix : {&w, &f}) {
     const char* tag = matrix == &w ? "w" : "f";
     for (std::size_t i = 0; i < n; ++i) {
-      if (!next_line(in, line, line_number)) {
-        parse_error(line_number, std::string("missing '") + tag + "' row for task " +
-                                     std::to_string(i));
+      if (!in.next()) {
+        parse_error(in.line_number(), std::string("missing '") + tag + "' row for task " +
+                                          std::to_string(i));
       }
-      const auto row = tokens_of(line);
+      const auto& row = in.tokens();
       if (row.size() != m + 1 || row[0] != tag) {
-        parse_error(line_number, std::string("expected '") + tag + "' row with " +
-                                     std::to_string(m) + " values");
+        parse_error(in.line_number(), std::string("expected '") + tag + "' row with " +
+                                          std::to_string(m) + " values");
       }
       for (std::size_t u = 0; u < m; ++u) {
-        matrix->at(i, u) = parse_double(row[u + 1], line_number);
+        matrix->at(i, u) = parse_double(row[u + 1], in.line_number());
       }
     }
   }
 
   Application app = Application::from_successors(std::move(types), std::move(successors));
   if (app.type_count() != p) {
-    parse_error(line_number, "declared p=" + std::to_string(p) + " but types imply p=" +
-                                 std::to_string(app.type_count()));
+    parse_error(in.line_number(), "declared p=" + std::to_string(p) + " but types imply p=" +
+                                      std::to_string(app.type_count()));
   }
   return Problem{std::move(app), Platform{std::move(w), std::move(f)}};
 }
 
-Mapping mapping_from_text(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_number = 0;
-  if (!next_line(in, line, line_number) || tokens_of(line) != tokens_of(kMappingHeader)) {
-    parse_error(line_number, std::string("expected header '") + kMappingHeader + "'");
+Mapping mapping_from_text(std::string_view text) {
+  LineReader in(text);
+  if (!in.next() || !in.is_header(kMappingHeader)) {
+    parse_error(in.line_number(), "expected header '" + std::string(kMappingHeader) + "'");
   }
-  if (!next_line(in, line, line_number)) parse_error(line_number, "missing assignment");
-  const auto tokens = tokens_of(line);
-  if (tokens.empty() || tokens[0] != "a") parse_error(line_number, "expected 'a' line");
+  if (!in.next()) parse_error(in.line_number(), "missing assignment");
+  const auto& tokens = in.tokens();
+  if (tokens.empty() || tokens[0] != "a") parse_error(in.line_number(), "expected 'a' line");
   std::vector<MachineIndex> assignment;
   assignment.reserve(tokens.size() - 1);
   for (std::size_t k = 1; k < tokens.size(); ++k) {
-    assignment.push_back(parse_index(tokens[k], line_number));
+    assignment.push_back(parse_index(tokens[k], in.line_number()));
   }
   return Mapping{std::move(assignment)};
 }

@@ -172,27 +172,29 @@ HeaderParse parse_frame_header(const std::string& header,
 std::string request_to_text(const WireRequest& wire) {
   const solve::SolveRequest& request = wire.request;
   const solve::SolveParams& params = request.params;
-  const std::string problem_text = core::to_text(*request.problem);
-
-  std::ostringstream out;
-  out << kRequestHeader << "\n";
-  out << "client " << one_line(wire.client_id) << "\n";
-  out << "solver " << one_line(request.solver_id) << "\n";
-  out << "scenario " << one_line(params.scenario) << "\n";
-  out << "seed " << params.seed << "\n";
-  out << "budget " << (params.max_nodes.has_value() ? 1 : 0) << ' '
-      << params.max_nodes.value_or(0) << "\n";
-  out << "limit " << hexfloat(params.time_limit_ms) << "\n";
-  out << "local-search " << (params.local_search ? 1 : 0) << "\n";
-  out << "refine " << params.refinement.max_passes << ' '
-      << (params.refinement.allow_swaps ? 1 : 0) << ' '
-      << (params.refinement.first_improvement ? 1 : 0) << ' '
-      << hexfloat(params.refinement.min_relative_gain) << "\n";
-  out << "cache " << solve::to_string(params.cache) << "\n";
-  out << "problem " << problem_text.size() << "\n";
-  out << problem_text << "\n";
-  out << "end\n";
-  return out.str();
+  std::string out = std::string(kRequestHeader) + "\n";
+  out += "client " + one_line(wire.client_id) + "\n";
+  out += "solver " + one_line(request.solver_id) + "\n";
+  out += "scenario " + one_line(params.scenario) + "\n";
+  out += "seed " + std::to_string(params.seed) + "\n";
+  out += params.max_nodes.has_value() ? "budget 1 " : "budget 0 ";
+  out += std::to_string(params.max_nodes.value_or(0)) + "\n";
+  out += "limit " + hexfloat(params.time_limit_ms) + "\n";
+  out += params.local_search ? "local-search 1\n" : "local-search 0\n";
+  out += "refine " + std::to_string(params.refinement.max_passes);
+  out += params.refinement.allow_swaps ? " 1" : " 0";
+  out += params.refinement.first_improvement ? " 1 " : " 0 ";
+  out += hexfloat(params.refinement.min_relative_gain) + "\n";
+  out += "cache " + solve::to_string(params.cache) + "\n";
+  out += "problem ";
+  // The problem text is written into the body in place; its byte count,
+  // which comes first, goes in front of it once it is known.
+  const std::size_t count_at = out.size();
+  out += '\n';
+  core::append_text(out, *request.problem);
+  out.insert(count_at, std::to_string(out.size() - count_at - 1));
+  out += "\nend\n";
+  return out;
 }
 
 std::optional<WireRequest> request_from_text(const std::string& text) {
@@ -224,9 +226,8 @@ std::optional<WireRequest> request_from_text(const std::string& text) {
     if (!cache.has_value()) in.fail("unknown cache policy '" + std::string(policy) + "'");
     params.cache = *cache;
     in.line("problem");
-    const std::string problem_text(in.blob(in.u64()));
     wire.request.problem =
-        std::make_shared<const core::Problem>(core::problem_from_text(problem_text));
+        std::make_shared<const core::Problem>(core::problem_from_text(in.blob(in.u64())));
     // Nothing may follow `end`: a concatenated or padded body is refused,
     // the frame length is the whole truth.
     in.finish();

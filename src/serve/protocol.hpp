@@ -18,9 +18,10 @@
 //
 //   * A solve request body (`request_to_text`/`request_from_text`) carries
 //     the client id, the full `SolveParams` (doubles as C99 hexfloats), and
-//     the problem in the core/io.hpp v1 format — the round-trip preserves
-//     the problem's 128-bit digest, so the daemon computes the same cache
-//     key the client would in-process.
+//     the problem in the core/io.hpp v1 format (doubles as decimal "%.17g",
+//     which reads back to the same bits) — the round-trip preserves the
+//     problem's 128-bit digest, so the daemon computes the same cache key
+//     the client would in-process.
 //   * A solve response body IS a disk-cache entry (`entry_to_text` /
 //     `entry_from_text`, solve/disk_cache.hpp): the full `CacheKey` plus
 //     the bit-exact `SolveResult`. One serialized form for "result at
