@@ -1,6 +1,7 @@
 #include "support/record.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -112,6 +113,11 @@ std::uint64_t RecordReader::hex64() {
 double RecordReader::real() {
   // strtod needs a terminated string; the token is a view into the record.
   const std::string token(word());
+  // Fields split on ' ' only, so a token can start with the whitespace
+  // strtod skips ('\t', '\v', '\f', '\r'); u64() refuses it, and so does this.
+  if (std::isspace(static_cast<unsigned char>(token.front())) != 0) {
+    fail("bad number " + quoted(token));
+  }
   char* stop = nullptr;
   const double value = std::strtod(token.c_str(), &stop);
   if (stop != token.c_str() + token.size()) fail("bad number " + quoted(token));

@@ -20,7 +20,8 @@
 //     the next line fails while the current one has an unread field;
 //   * an unsigned integer is decimal digits only: a sign or an overflow is
 //     an error;
-//   * a double is one whole strtod token (hexfloat, decimal, inf or nan);
+//   * a double is one whole strtod token (hexfloat, decimal, inf or nan)
+//     with no whitespace in front, which strtod alone would skip;
 //   * a flag is `0` or `1`;
 //   * the record ends with an `end` line and then the end of the input.
 // A violation throws std::invalid_argument naming the line, e.g.

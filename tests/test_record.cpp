@@ -100,6 +100,11 @@ TEST(RecordReader, RealsFlagsAndHexWordsAreWholeTokens) {
   EXPECT_EQ(error("key 1.5e3\n", real), "accepted");
   EXPECT_EQ(error("key 1.5x\n", real), "line 1: bad number '1.5x'");
   EXPECT_EQ(error("key 0x1p\n", real), "line 1: bad number '0x1p'");
+  // Fields split on ' ' only, and strtod would skip the other whitespace.
+  for (const char* token : {"\t0x1.8p+1", "\r0x1.8p+1", "\v0x1.8p+1", "\f0x1.8p+1"}) {
+    EXPECT_EQ(error(std::string("key ") + token + "\n", real),
+              std::string("line 1: bad number '") + token + "'");
+  }
   EXPECT_EQ(error("key\n", real), "line 1: missing field in 'key' line");
   EXPECT_EQ(error("key 1\n", flag), "accepted");
   EXPECT_EQ(error("key 2\n", flag), "line 1: bad flag '2'");
