@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/io.hpp"
+#include "exp/scenario.hpp"
 #include "exp/sweep_io.hpp"
 #include "serve/protocol.hpp"
 #include "solve/disk_cache.hpp"
@@ -183,9 +184,32 @@ TEST(ParserFuzz, StatsBodies) {
 }
 
 TEST(ParserFuzz, ProblemTexts) {
+  // An in-tree with non-integer w and f, so the number parser meets 17-digit
+  // decimals; and a hand-written text with the comment lines, blank lines,
+  // tabs and CRLF line ends the line reader skips or splits on.
+  exp::Scenario scenario;
+  scenario.tasks = 20;
+  scenario.machines = 6;
+  scenario.types = 3;
+  scenario.integer_times = false;
   const std::vector<std::string> seeds = {
       core::to_text(test::tiny_chain_problem()),
-      core::to_text(test::uniform_problem({0, 1, 1, 0, 2}, 4, 120.5, 0.01))};
+      core::to_text(test::uniform_problem({0, 1, 1, 0, 2}, 4, 120.5, 0.01)),
+      core::to_text(exp::generate_in_tree(scenario, 0.5, 7)),
+      "# calibration export\r\n"
+      "\r\n"
+      "microfactory-problem v1\r\n"
+      "n\t3 m 2\tp 2   # dimensions\r\n"
+      "types 0 1 0\r\n"
+      "\t# the last task is the sink\r\n"
+      "successors 1\t2 -\r\n"
+      "w 100.5 200\r\n"
+      "\r\n"
+      "w\t150 120.25\r\n"
+      "w 100.5 200 # same type as task 0\r\n"
+      "f 0.01 0.02\r\n"
+      "f 0.02\t0.01\r\n"
+      "f 0.01 0.02\r\n"};
   fuzz("problem_from_text", problem_round_trip, seeds, 5);
 }
 
