@@ -63,6 +63,8 @@ class LineReader {
            tokens_[1] == header.substr(space + 1);
   }
 
+  /// The current line's tokens, views into the text; the next call to
+  /// next() replaces them.
   [[nodiscard]] const std::vector<std::string_view>& tokens() const { return tokens_; }
   [[nodiscard]] std::size_t line_number() const { return line_number_; }
 

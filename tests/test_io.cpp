@@ -15,6 +15,7 @@
 #include <random>
 #include <string_view>
 #include <tuple>
+#include <utility>
 
 #include "core/digest.hpp"
 #include "core/evaluation.hpp"
@@ -253,7 +254,7 @@ Problem raw_bits_problem(std::uint64_t seed) {
 TEST(ProblemIo, WriterMatchesPrintfReference) {
   std::vector<Problem> problems;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    for (const auto [tasks, machines, types, integer] :
+    for (const auto& [tasks, machines, types, integer] :
          {std::tuple{1, 1, 1, true}, std::tuple{3, 2, 2, true}, std::tuple{10, 5, 3, false},
           std::tuple{50, 10, 2, true}, std::tuple{20, 6, 3, false}}) {
       exp::Scenario scenario;
@@ -308,25 +309,22 @@ struct GoldenText {
 /// Small texts the mutation pass starts from: a chain, an in-tree with
 /// non-integer w and f, a text with comments, blank lines, tabs and CRLF
 /// line ends, and two mappings.
-constexpr std::array<GoldenText, 5> kMutationSeeds = {{
+constexpr std::array<std::pair<TextKind, std::string_view>, 5> kMutationSeeds = {{
     {kProblemText,
      "microfactory-problem v1\nn 3 m 2 p 2\ntypes 0 1 0\nsuccessors 1 2 -\n"
-     "w 100 200\nw 150 120\nw 100 200\nf 0.01 0.02\nf 0.02 0.01\nf 0.01 0.02\n",
-     ""},
+     "w 100 200\nw 150 120\nw 100 200\nf 0.01 0.02\nf 0.02 0.01\nf 0.01 0.02\n"},
     {kProblemText,
      "microfactory-problem v1\nn 5 m 3 p 2\ntypes 0 1 0 1 1\nsuccessors 2 2 4 4 -\n"
      "w 123.456 780.25 0.125\nw 1e-05 2.5e+300 99.999999999999986\nw 321.5 100 0.001\n"
      "w 7 8.5 9.25\nw 1.0000000000000002 3.3333333333333335 6\n"
      "f 0.012345678901234568 0 0.019999999999999999\nf 0.0050000000000000001 0.5 0.75\n"
-     "f 0 1e-300 0.015\nf 0.02 0.01 0.0080000000000000002\nf 0.99999999999999989 0.1 0.2\n",
-     ""},
+     "f 0 1e-300 0.015\nf 0.02 0.01 0.0080000000000000002\nf 0.99999999999999989 0.1 0.2\n"},
     {kProblemText,
      "# calibration export\r\n\r\nmicrofactory-problem v1\r\nn\t2 m 2\tp 1 # dims\r\n"
      "types 0 0\r\n\t# one sink\r\nsuccessors 1\t-\r\nw 100.5 200\r\n\r\n"
-     "w\t150 120.25\r\nf 0.01 0.02 # rates\r\nf 0.02\t0.01\r\n",
-     ""},
-    {kMappingText, "microfactory-mapping v1\na 2 0 1 3\n", ""},
-    {kMappingText, "# mapping\r\nmicrofactory-mapping v1\r\n\ta 0\t1 # done\r\n", ""},
+     "w\t150 120.25\r\nf 0.01 0.02 # rates\r\nf 0.02\t0.01\r\n"},
+    {kMappingText, "microfactory-mapping v1\na 2 0 1 3\n"},
+    {kMappingText, "# mapping\r\nmicrofactory-mapping v1\r\n\ta 0\t1 # done\r\n"},
 }};
 
 bool is_c_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
@@ -406,11 +404,11 @@ TEST(ProblemTextGolden, SameOutcomesAsPreRewriteCapture) {
   std::size_t accepted = 0;
   std::size_t refused = 0;
   for (std::size_t i = 0; i < kMutations; ++i) {
-    const GoldenText& seed = kMutationSeeds[rng() % kMutationSeeds.size()];
-    std::string input(seed.input);
+    const auto& [kind, seed] = kMutationSeeds[rng() % kMutationSeeds.size()];
+    std::string input(seed);
     const std::size_t steps = 1 + rng() % 3;
     for (std::size_t step = 0; step < steps; ++step) mutate_text(input, rng);
-    const std::string outcome = outcome_of(seed.kind, input);
+    const std::string outcome = outcome_of(kind, input);
     outcomes.add_bytes(outcome);
     ++(outcome.starts_with("ok") ? accepted : refused);
   }
