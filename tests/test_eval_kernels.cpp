@@ -13,7 +13,10 @@
 //   * the refactored local search vs pre-refactor golden mappings
 //     (tests/golden_local_search.inc, captured from the
 //     copy-and-recompute implementation): byte-identical assignments and
-//     bit-equal periods for pinned seeds across H1..H4f;
+//     bit-equal periods for pinned seeds across H1..H4f; and
+//     tests/golden_local_search_shapes.inc, captured before the probes
+//     took a cutoff, which also pins move and pass counts on in-trees,
+//     m > 64 and every refinement option;
 //   * the Platform's construction-time attempts cache vs survival_inverse.
 #include <gtest/gtest.h>
 
@@ -297,6 +300,82 @@ TEST(LocalSearchGolden, RefinedMappingsByteIdenticalToPreRefactorCapture) {
     ASSERT_TRUE(start.has_value());
     const ext::RefinementResult refined = ext::refine_mapping(problem, *start);
     EXPECT_EQ(refined.period, entry.period);
+    ASSERT_EQ(refined.mapping.task_count(), entry.assignment.size());
+    for (TaskIndex i = 0; i < entry.assignment.size(); ++i) {
+      EXPECT_EQ(refined.mapping.machine_of(i), entry.assignment[i])
+          << "assignment[" << i << "]";
+    }
+  }
+}
+
+struct ShapeGoldenEntry {
+  const char* topology;  // chain, tree, chain-ties, tree-ties
+  std::size_t tasks;
+  std::size_t machines;
+  std::size_t types;
+  std::uint64_t seed;
+  const char* start;
+  const char* options;  // default, first, noswap, gain0, pass3
+  double initial_period;
+  double period;
+  std::size_t moves_applied;
+  std::size_t passes;
+  bool converged;
+  std::vector<MachineIndex> assignment;
+};
+
+const std::vector<ShapeGoldenEntry>& shape_golden_entries() {
+  static const std::vector<ShapeGoldenEntry> entries{
+#include "golden_local_search_shapes.inc"
+  };
+  return entries;
+}
+
+ext::RefinementOptions refinement_options_named(const std::string& name) {
+  ext::RefinementOptions options;
+  if (name == "first") options.first_improvement = true;
+  if (name == "noswap") options.allow_swaps = false;
+  if (name == "gain0") options.min_relative_gain = 0.0;
+  if (name == "pass3") options.max_passes = 3;
+  return options;
+}
+
+TEST(LocalSearchGolden, ShapesAndOptionsMatchPreCutoffCapture) {
+  // Pins every output of refine_mapping on the shapes and options the
+  // bounded probes branch on: serve-mixed's n=50, m=10, p=2 chain from
+  // H4w, in-trees (the generic subtree walk) from H1 and H4w, m = 66 (two
+  // mask words), tie-heavy platforms (the tie-breaks), and each option
+  // that changes which moves a pass takes or when it stops.
+  const auto& entries = shape_golden_entries();
+  ASSERT_EQ(entries.size(), 36u);
+  for (const ShapeGoldenEntry& entry : entries) {
+    const std::string topology = entry.topology;
+    SCOPED_TRACE(topology + " n=" + std::to_string(entry.tasks) + " m=" +
+                 std::to_string(entry.machines) + " seed=" + std::to_string(entry.seed) + " " +
+                 entry.start + " " + entry.options);
+    exp::Scenario scenario;
+    scenario.tasks = entry.tasks;
+    scenario.machines = entry.machines;
+    scenario.types = entry.types;
+    if (topology.ends_with("-ties")) {
+      scenario.time_min_ms = 100.0;
+      scenario.time_max_ms = 102.0;
+      scenario.failure_min = 0.0;
+      scenario.failure_max = 0.0;
+    }
+    const core::Problem problem = topology.starts_with("tree")
+                                      ? exp::generate_in_tree(scenario, 0.4, entry.seed)
+                                      : exp::generate(scenario, entry.seed);
+    support::Rng rng(entry.seed);
+    const auto start = heuristics::heuristic_by_name(entry.start)->run(problem, rng);
+    ASSERT_TRUE(start.has_value());
+    const ext::RefinementResult refined =
+        ext::refine_mapping(problem, *start, refinement_options_named(entry.options));
+    EXPECT_EQ(refined.initial_period, entry.initial_period);
+    EXPECT_EQ(refined.period, entry.period);
+    EXPECT_EQ(refined.moves_applied, entry.moves_applied);
+    EXPECT_EQ(refined.passes, entry.passes);
+    EXPECT_EQ(refined.converged, entry.converged);
     ASSERT_EQ(refined.mapping.task_count(), entry.assignment.size());
     for (TaskIndex i = 0; i < entry.assignment.size(); ++i) {
       EXPECT_EQ(refined.mapping.machine_of(i), entry.assignment[i])
