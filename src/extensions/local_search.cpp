@@ -99,6 +99,10 @@ RefinementResult refine_mapping(const core::Problem& problem, const core::Mappin
                                    problem.machine_count()),
              "local search requires a valid specialized mapping");
   MF_REQUIRE(options.max_passes > 0, "max_passes must be positive");
+  // A negative (or NaN) gain accepts moves that do not lower the period, so
+  // a pass always finds one and the search runs until max_passes.
+  MF_REQUIRE(options.min_relative_gain >= 0.0 && options.min_relative_gain < 1.0,
+             "min_relative_gain must lie in [0, 1)");
 
   State state(problem, initial);
   RefinementResult result;

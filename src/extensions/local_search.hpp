@@ -33,7 +33,7 @@ struct RefinementOptions {
   /// one (steepest descent).
   bool first_improvement = false;
   /// Minimum relative period gain for a move to count as an improvement;
-  /// guards against floating-point ping-pong.
+  /// guards against floating-point ping-pong. Must lie in [0, 1).
   double min_relative_gain = 1e-9;
 };
 
@@ -49,7 +49,8 @@ struct RefinementResult {
 };
 
 /// Refines a valid specialized mapping; throws std::invalid_argument when
-/// the input violates the specialized rule.
+/// the input violates the specialized rule, `max_passes` is 0 or
+/// `min_relative_gain` lies outside [0, 1).
 [[nodiscard]] RefinementResult refine_mapping(const core::Problem& problem,
                                               const core::Mapping& initial,
                                               const RefinementOptions& options = {});

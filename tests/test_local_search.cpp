@@ -2,6 +2,8 @@
 // preservation, convergence reporting and closing of the optimality gap.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/evaluation.hpp"
 #include "exact/specialized_bnb.hpp"
 #include "exp/scenario.hpp"
@@ -23,6 +25,18 @@ TEST(LocalSearch, RejectsInvalidInput) {
   RefinementOptions options;
   options.max_passes = 0;
   EXPECT_THROW(refine_mapping(problem, Mapping{{0, 1, 0}}, options), std::invalid_argument);
+  // The gain must lie in [0, 1): below 0 every pass takes a move that
+  // does not lower the period, and NaN fails every comparison.
+  for (const double gain : {-1e-9, -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(), 1.0}) {
+    RefinementOptions bad_gain;
+    bad_gain.min_relative_gain = gain;
+    EXPECT_THROW(refine_mapping(problem, Mapping{{0, 1, 0}}, bad_gain), std::invalid_argument)
+        << "min_relative_gain " << gain;
+  }
+  RefinementOptions zero_gain;
+  zero_gain.min_relative_gain = 0.0;
+  EXPECT_NO_THROW(refine_mapping(problem, Mapping{{0, 1, 0}}, zero_gain));
 }
 
 TEST(LocalSearch, AlreadyOptimalStaysPut) {

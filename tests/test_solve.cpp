@@ -218,6 +218,34 @@ TEST(Composition, LocalSearchParamEqualsSuffixId) {
   EXPECT_EQ(by_param.diagnostics.solver_id, "H3+ls");
 }
 
+TEST(Composition, NegativeRefinementGainIsAnErrorNotAPassBudget) {
+  // On serve-mixed's shape this instance converges in 17 passes with a
+  // gain of 0; a gain of -1e-9 took a move in every one of 2,000 passes.
+  // The wire carries both values, so the refiner refuses the gain before
+  // its first pass, and the error result is never cached.
+  exp::Scenario scenario;
+  scenario.tasks = 50;
+  scenario.machines = 10;
+  scenario.types = 2;
+  const core::Problem problem = exp::generate(scenario, 7);
+  SolveParams params;
+  params.refinement.max_passes = 2000;
+  params.refinement.min_relative_gain = -1e-9;
+  params.cache = CachePolicy::kReadWrite;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const SolveResult result = run(problem, "H4w+ls", params);
+    EXPECT_EQ(result.status, Status::kError);
+    EXPECT_FALSE(result.has_mapping());
+    EXPECT_FALSE(result.diagnostics.cache_hit);
+    EXPECT_NE(result.diagnostics.note.find("min_relative_gain"), std::string::npos)
+        << result.diagnostics.note;
+  }
+  params.refinement.min_relative_gain = 0.0;
+  const SolveResult converged = run(problem, "H4w+ls", params);
+  ASSERT_EQ(converged.status, Status::kFeasible);
+  EXPECT_TRUE(converged.diagnostics.refiner_converged);
+}
+
 TEST(Composition, EffectiveSolverIdAppendsSuffixOnce) {
   SolveParams params;
   params.local_search = true;
