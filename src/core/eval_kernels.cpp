@@ -1,7 +1,6 @@
 #include "core/eval_kernels.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "core/simd.hpp"
@@ -92,12 +91,13 @@ IncrementalEvaluator::IncrementalEvaluator(EvalWorkspace& workspace,
       F_cur_(workspace.task_count(), 0.0),
       xw_(workspace.task_count(), 0.0),
       member_begin_(workspace.machine_count() + 1, 0),
+      mask_words_((workspace.machine_count() + 63) / 64),
+      subtree_machines_(workspace.task_count() * mask_words_, 0),
+      load_order_(workspace.machine_count(), 0),
+      all_machines_(workspace.machine_count(), 0),
       x_probe_(workspace.task_count(), 0.0),
       xw_probe_(workspace.task_count(), 0.0),
-      touched_words_((workspace.machine_count() + 63) / 64, 0),
-      resum_queue_(workspace.machine_count(), 0),
-      probe_loads_(workspace.machine_count(), 0.0),
-      all_machines_(workspace.machine_count(), 0) {
+      touched_words_(mask_words_, 0) {
   members_.resize(workspace.task_count());
   for (MachineIndex u = 0; u < all_machines_.size(); ++u) all_machines_[u] = u;
   reset(assignment);
@@ -153,6 +153,26 @@ void IncrementalEvaluator::rebuild() {
   kernels.resum_machines(xw_.data(), members_.data(), member_begin_.data(),
                          all_machines_.data(), m, loads_.data());
   period_ = kernels.row_max(loads_.data(), m);
+
+  // Bound tables. Reverse backward order visits every predecessor before
+  // its successor, so each task's mask is complete when it is folded into
+  // its successor's.
+  const std::size_t words = mask_words_;
+  std::fill(subtree_machines_.begin(), subtree_machines_.end(), 0);
+  const std::vector<TaskIndex>& backward = problem.app.backward_order();
+  for (auto it = backward.rbegin(); it != backward.rend(); ++it) {
+    const TaskIndex t = *it;
+    std::uint64_t* mask = subtree_machines_.data() + t * words;
+    mask[assignment_[t] >> 6] |= std::uint64_t{1} << (assignment_[t] & 63);
+    if (succ[t] != kNoTask) {
+      std::uint64_t* into = subtree_machines_.data() + succ[t] * words;
+      for (std::size_t w = 0; w < words; ++w) into[w] |= mask[w];
+    }
+  }
+  std::copy(all_machines_.begin(), all_machines_.end(), load_order_.begin());
+  std::sort(load_order_.begin(), load_order_.end(), [&](MachineIndex a, MachineIndex b) {
+    return loads_[a] > loads_[b] || (loads_[a] == loads_[b] && a < b);
+  });
 }
 
 void IncrementalEvaluator::probe_subtree_x(TaskIndex root) {
@@ -201,8 +221,44 @@ void IncrementalEvaluator::probe_subtree_x(TaskIndex root) {
   touched_words_[0] = touched0;
 }
 
-double IncrementalEvaluator::probe(std::size_t moved_count) {
+double IncrementalEvaluator::committed_bound(std::size_t moved_count,
+                                             const double* candidate_F,
+                                             double cutoff) const {
+  // A machine qualifies unless a moved task leaves or joins it, or it owns
+  // a task under a moved task whose F drops (those x may shrink). Loads
+  // are scanned highest first, so the scan stops at the first load below
+  // the cutoff; in local search that is after one or two machines.
+  const std::uint64_t* shrinking[2] = {nullptr, nullptr};
+  for (std::size_t k = 0; k < moved_count; ++k) {
+    if (candidate_F[k] < F_cur_[moved_task_[k]]) {
+      shrinking[k] = subtree_machines_.data() + moved_task_[k] * mask_words_;
+    }
+  }
+  for (const MachineIndex q : load_order_) {
+    if (!(loads_[q] >= cutoff)) break;
+    bool qualifies = true;
+    for (std::size_t k = 0; k < moved_count; ++k) {
+      qualifies &= assignment_[moved_task_[k]] != q && moved_to_[k] != q;
+      if (shrinking[k] != nullptr) qualifies &= ((shrinking[k][q >> 6] >> (q & 63)) & 1) == 0;
+    }
+    if (qualifies) return loads_[q];
+  }
+  return -1.0;
+}
+
+double IncrementalEvaluator::probe(std::size_t moved_count, double cutoff) {
   const std::size_t n = ws_->task_count();
+
+  double candidate_F[2] = {0.0, 0.0};
+  for (std::size_t k = 0; k < moved_count; ++k) {
+    candidate_F[k] = ws_->attempts_row(moved_task_[k])[moved_to_[k]];
+  }
+  // period_ is the highest committed load: below the cutoff, no bound can
+  // reach it and the scan is skipped.
+  if (period_ >= cutoff) {
+    const double bound = committed_bound(moved_count, candidate_F, cutoff);
+    if (bound >= cutoff) return bound;
+  }
 
   // x: start from the committed values and recompute only the tasks whose
   // value can change — the moved tasks and their transitive predecessors.
@@ -215,7 +271,7 @@ double IncrementalEvaluator::probe(std::size_t moved_count) {
   double saved_F[2];
   for (std::size_t k = 0; k < moved_count; ++k) {
     saved_F[k] = F_cur_[moved_task_[k]];
-    F_cur_[moved_task_[k]] = ws_->attempts_row(moved_task_[k])[moved_to_[k]];
+    F_cur_[moved_task_[k]] = candidate_F[k];
   }
   std::fill(touched_words_.begin(), touched_words_.end(), 0);
   if (ws_->is_chain()) {
@@ -266,71 +322,46 @@ double IncrementalEvaluator::probe(std::size_t moved_count) {
   // it (membership edit) or one of its members' x was recomputed (it owns
   // a task in a walked subtree). Everything else keeps its committed sum,
   // so loads_[q] is reused verbatim — that reuse IS bit-identity, since a
-  // resum over unchanged operands would reproduce it exactly. The final
-  // max is order-independent, so machines are visited by popping mask
-  // bits word by word rather than scanning all m. Every from-machine is in
-  // touched_words_ already (a moved task is always walked), so only the
-  // to-machines need to be merged into the resum set. The <= 4 machines
-  // with a membership edit take the scalar merge in resum_machine; the
-  // rest — plain member-list refolds — are queued and re-summed through
-  // the SIMD table, several machine sums per instruction, each lane
-  // folding its own list in the reference order.
-  const std::size_t m = ws_->machine_count();
+  // resum over unchanged operands would reproduce it exactly. Every
+  // from-machine is in touched_words_ already (a moved task is always
+  // walked), so only the to-machines need to be added. The maximum is
+  // order-independent, so it starts from the highest untouched committed
+  // load, then folds the touched machines' sums highest committed load
+  // first, stopping once it reaches the cutoff.
   for (std::size_t k = 0; k < moved_count; ++k) {
     touched_words_[moved_to_[k] >> 6] |= std::uint64_t{1} << (moved_to_[k] & 63);
   }
+  auto touched = [this](MachineIndex q) {
+    return ((touched_words_[q >> 6] >> (q & 63)) & 1) != 0;
+  };
   double best = -1.0;  // loads are non-negative
-  std::size_t queue_count = 0;
-  for (std::size_t w = 0; w < touched_words_.size(); ++w) {
-    const std::size_t base = w << 6;
-    const std::size_t width = std::min<std::size_t>(64, m - base);
-    const std::uint64_t all =
-        width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - std::uint64_t{1};
-    const std::uint64_t need = touched_words_[w];
-    std::uint64_t keep = all & ~need;
-    while (keep != 0) {
-      const auto q = static_cast<MachineIndex>(base + std::countr_zero(keep));
-      keep &= keep - 1;
-      if (loads_[q] > best) best = loads_[q];
-    }
-    std::uint64_t pending = need;
-    while (pending != 0) {
-      const auto q = static_cast<MachineIndex>(base + std::countr_zero(pending));
-      pending &= pending - 1;
-      bool involved = false;
-      for (std::size_t k = 0; k < moved_count; ++k) {
-        involved |= assignment_[moved_task_[k]] == q || moved_to_[k] == q;
-      }
-      if (involved) {
-        const double sum = resum_machine(q, moved_count);
-        if (sum > best) best = sum;
-      } else {
-        resum_queue_[queue_count++] = q;
-      }
+  for (const MachineIndex q : load_order_) {
+    if (!touched(q)) {
+      best = loads_[q];
+      break;
     }
   }
-  if (queue_count > 0) {
-    const simd::KernelTable& kernels = simd::active();
-    kernels.resum_machines(xw_probe_.data(), members_.data(), member_begin_.data(),
-                           resum_queue_.data(), queue_count, probe_loads_.data());
-    for (std::size_t c = 0; c < queue_count; ++c) {
-      const double sum = probe_loads_[resum_queue_[c]];
-      if (sum > best) best = sum;
+  if (best >= cutoff) return best;
+  for (const MachineIndex q : load_order_) {
+    if (!touched(q)) continue;
+    const double sum = resum_machine(q, moved_count);
+    if (sum > best) {
+      best = sum;
+      if (best >= cutoff) break;
     }
   }
   return best;
 }
 
 double IncrementalEvaluator::resum_machine(MachineIndex q, std::size_t moved_count) const {
-  // Rebuilds machine q's sum from the CSR member list, tasks ascending —
-  // the operand order core::machine_periods uses — with the accumulator
-  // in a register. Regular members contribute their fused xw_probe_
-  // product (the identical multiply the reference performs); only the
-  // machines a moved task leaves or joins need membership edits. probe()
-  // routes uninvolved machines through the batched SIMD resum instead, so
-  // this scalar path now runs only for the <= 4 involved machines (and
-  // keeps the uninvolved branch as the readable reference of what the
-  // batched kernel computes).
+  // Rebuilds machine q's exact sum from the CSR member list, tasks
+  // ascending — the operand order core::machine_periods uses — with the
+  // accumulator in a register. Regular members contribute their fused
+  // xw_probe_ product (the identical multiply the reference performs);
+  // only the <= 4 machines a moved task leaves or joins need membership
+  // edits. probe() calls it once per touched machine until its running
+  // maximum reaches the cutoff, so a probe stops after the first sum
+  // that proves the candidate is no better than the cutoff.
   bool involved = false;
   for (std::size_t k = 0; k < moved_count; ++k) {
     involved |= assignment_[moved_task_[k]] == q || moved_to_[k] == q;
@@ -368,24 +399,24 @@ double IncrementalEvaluator::resum_machine(MachineIndex q, std::size_t moved_cou
   return sum;
 }
 
-double IncrementalEvaluator::period_if_relocated(TaskIndex i, MachineIndex v) {
+double IncrementalEvaluator::period_if_relocated(TaskIndex i, MachineIndex v, double cutoff) {
   MF_REQUIRE(i < assignment_.size() && v < ws_->machine_count(),
              "relocate probe out of range");
   moved_task_[0] = i;
   moved_to_[0] = v;
   moved_task_[1] = kNoTask;
   moved_to_[1] = kUnassigned;
-  return probe(1);
+  return probe(1, cutoff);
 }
 
-double IncrementalEvaluator::period_if_swapped(TaskIndex i, TaskIndex j) {
+double IncrementalEvaluator::period_if_swapped(TaskIndex i, TaskIndex j, double cutoff) {
   MF_REQUIRE(i < assignment_.size() && j < assignment_.size(), "swap probe out of range");
   MF_REQUIRE(i != j, "swap probe needs distinct tasks");
   moved_task_[0] = i;
   moved_to_[0] = assignment_[j];
   moved_task_[1] = j;
   moved_to_[1] = assignment_[i];
-  return probe(2);
+  return probe(2, cutoff);
 }
 
 void IncrementalEvaluator::apply_relocate(TaskIndex i, MachineIndex v) {

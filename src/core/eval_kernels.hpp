@@ -17,10 +17,10 @@
 //
 //   * IncrementalEvaluator — maintains the assignment, every x_i, every
 //     machine load and the running period, and answers
-//     period_if_relocated(i, v) / period_if_swapped(i, j) by recomputing
-//     x only over the affected ancestor chain (the moved tasks' DFS
-//     subtrees), then re-scattering loads in one branch-predictable dense
-//     pass over gathered per-task w/F arrays — no mapping copy, no
+//     period_if_relocated(i, v, cutoff) / period_if_swapped(i, j, cutoff)
+//     by recomputing x only over the affected ancestor chain (the moved
+//     tasks' DFS subtrees), then re-summing only the machines that chain
+//     touches, from gathered per-task w/F arrays — no mapping copy, no
 //     allocation, no per-candidate Mapping construction.
 //
 // Bit-identity contract: every number either class produces is the exact
@@ -29,14 +29,21 @@
 // (subtracting from a float sum is inexact) but by re-running the exact
 // reference operand sequence: x values are the same multiply chains
 // (recomputed only where the move can change them, reused verbatim
-// elsewhere), machine loads are re-scattered over tasks in ascending
+// elsewhere), machine loads are re-summed over tasks in ascending
 // order — precisely how core::machine_periods accumulates them — from
 // gathered per-task table entries. Local search on top of this layer is
 // therefore move-for-move identical to the copy-and-recompute original,
 // which the pinned-mapping tests in tests/test_eval_kernels.cpp enforce.
+//
+// Cutoff contract: a probe's optional `cutoff` (default +infinity) lets
+// it stop once it has proven the answer is at or above the cutoff. Below
+// the cutoff a probe returns the exact double above; at or above it, it
+// returns some value that is also at or above the cutoff (a proven lower
+// bound, or the exact period). With no cutoff every probe is exact.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -121,7 +128,7 @@ class EvalWorkspace {
 /// Incremental move evaluation for local search: O(|ancestors| + touched
 /// machines) probes instead of O(n + m) full re-evaluations, with zero
 /// heap allocations per probe and results bit-identical to
-/// core::period on the mutated mapping.
+/// core::period on the mutated mapping (below the probe's cutoff).
 class IncrementalEvaluator {
  public:
   /// Binds to a workspace (which outlives the evaluator) and a complete
@@ -140,10 +147,14 @@ class IncrementalEvaluator {
   }
   [[nodiscard]] MachineIndex machine_of(TaskIndex i) const noexcept { return assignment_[i]; }
 
-  /// Exact period if task i moved to machine v; the mapping is unchanged.
-  double period_if_relocated(TaskIndex i, MachineIndex v);
-  /// Exact period if tasks i and j exchanged machines; mapping unchanged.
-  double period_if_swapped(TaskIndex i, TaskIndex j);
+  /// Period if task i moved to machine v; the mapping is unchanged. Exact
+  /// when below `cutoff`, otherwise some value at or above `cutoff`.
+  double period_if_relocated(TaskIndex i, MachineIndex v,
+                             double cutoff = std::numeric_limits<double>::infinity());
+  /// Period if tasks i and j exchanged machines; mapping unchanged. Exact
+  /// when below `cutoff`, otherwise some value at or above `cutoff`.
+  double period_if_swapped(TaskIndex i, TaskIndex j,
+                           double cutoff = std::numeric_limits<double>::infinity());
 
   /// Commits a move and restores the full-evaluation invariants.
   void apply_relocate(TaskIndex i, MachineIndex v);
@@ -155,13 +166,26 @@ class IncrementalEvaluator {
  private:
   void rebuild();
   /// Shared probe core: tasks `moved_task_[0..moved_count)` take machine
-  /// `moved_to_[k]`; everything else keeps its machine. Returns the exact
-  /// period of that candidate mapping. x is recomputed only over the
-  /// moved tasks' subtrees (into the x_probe_ mirror); machine sums are
-  /// then rebuilt per machine from the CSR member lists — each in
-  /// ascending task order, the reference accumulation order — folding the
-  /// running max as machines complete.
-  double probe(std::size_t moved_count);
+  /// `moved_to_[k]`; everything else keeps its machine. Returns the period
+  /// of that candidate mapping under the cutoff contract.
+  ///
+  /// First a bound from committed loads alone: a machine the move neither
+  /// leaves nor joins, with no member under a moved task whose F drops,
+  /// keeps its members and sums the same multiply chains over operands
+  /// that are equal or larger, so (all operands non-negative, rounding
+  /// monotone) its new load is at least its committed one. If such a
+  /// machine's committed load reaches the cutoff, that load is returned.
+  /// Otherwise x is recomputed over the moved tasks' subtrees (into the
+  /// x_probe_ mirror), the untouched machines' maximum is taken from
+  /// their committed loads, and the touched machines are re-summed one at
+  /// a time in committed-load order until the running maximum reaches the
+  /// cutoff or every touched machine is summed.
+  double probe(std::size_t moved_count, double cutoff);
+  /// The highest committed load at or above `cutoff` that is a lower bound
+  /// on the candidate's period (see probe()), or -1 when there is none.
+  /// `candidate_F[k]` is F of moved task k on its target machine.
+  double committed_bound(std::size_t moved_count, const double* candidate_F,
+                         double cutoff) const;
   void probe_subtree_x(TaskIndex root);
   double resum_machine(MachineIndex q, std::size_t moved_count) const;
 
@@ -186,25 +210,25 @@ class IncrementalEvaluator {
   std::vector<std::size_t> member_begin_;  // m + 1
   std::vector<std::size_t> csr_cursor_;    // m, rebuild scratch
 
+  // Bound tables, rebuilt with the assignment: subtree_machines_ holds,
+  // for each task, a ceil(m/64)-word mask of the machines that own a task
+  // in its subtree; load_order_ lists the machines by committed load,
+  // highest first (ties by index).
+  std::size_t mask_words_ = 0;
+  std::vector<std::uint64_t> subtree_machines_;  // n * mask_words_
+  std::vector<MachineIndex> load_order_;         // m
+  std::vector<MachineIndex> all_machines_;       // m: identity list for rebuild
+
   // Per-probe scratch (no allocation per probe): x_probe_/xw_probe_ start
   // as copies of x_/xw_ and get the affected subtrees overwritten;
   // touched_words_ is a ceil(m/64)-word bitmask marking EXACTLY the
-  // machines owning a recomputed task (one bit per machine, however large
-  // m is), so the probe resums only the truly touched ones.
+  // machines owning a recomputed task or receiving a moved one (one bit
+  // per machine, however large m is), so the probe resums only those.
   std::vector<double> x_probe_;               // n
   std::vector<double> xw_probe_;              // n
   std::vector<std::uint64_t> touched_words_;  // ceil(m/64)
   TaskIndex moved_task_[2] = {kNoTask, kNoTask};
   MachineIndex moved_to_[2] = {kUnassigned, kUnassigned};
-
-  // Batched-resum scratch: uninvolved touched machines are queued here and
-  // re-summed through the SIMD kernel table (several machines per
-  // instruction), results landing in probe_loads_. Machines with a
-  // membership edit (a moved task left or joined) take the scalar merge
-  // path in resum_machine.
-  std::vector<MachineIndex> resum_queue_;  // m
-  std::vector<double> probe_loads_;        // m
-  std::vector<MachineIndex> all_machines_; // m: identity queue for rebuild
 };
 
 }  // namespace mf::core

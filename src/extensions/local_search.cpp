@@ -1,6 +1,8 @@
 #include "extensions/local_search.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -116,11 +118,18 @@ RefinementResult refine_mapping(const core::Problem& problem, const core::Mappin
     std::optional<Move> best;
     const double threshold = state.period() * (1.0 - options.min_relative_gain);
 
+    // The probes' cutoff: the smallest period that could no longer change
+    // `best`. A move at or above it is either no improvement or strictly
+    // worse than `best`, so the probe may stop once it proves that; a tie
+    // with `best` is still computed exactly, for the tie-breaks below.
+    double cutoff = threshold;
     auto consider = [&](Move move) -> bool {
       if (move.new_period >= threshold) return false;
       if (!best.has_value() || move.new_period < best->new_period ||
           (move.new_period == best->new_period && move.target_load < best->target_load)) {
         best = move;
+        cutoff = std::min(threshold,
+                          std::nextafter(move.new_period, std::numeric_limits<double>::infinity()));
       }
       return options.first_improvement;
     };
@@ -134,14 +143,15 @@ RefinementResult refine_mapping(const core::Problem& problem, const core::Mappin
       for (MachineIndex v = 0; v < m && !stop_scan; ++v) {
         if (!state.relocate_valid(i, v)) continue;
         stop_scan = consider({Move::Kind::kRelocate, i, v,
-                              state.eval.period_if_relocated(i, v), loads[v]});
+                              state.eval.period_if_relocated(i, v, cutoff), loads[v]});
       }
     }
     if (options.allow_swaps) {
       for (TaskIndex i = 0; i < n && !stop_scan; ++i) {
         for (TaskIndex j = i + 1; j < n && !stop_scan; ++j) {
           if (!state.swap_valid(i, j)) continue;
-          stop_scan = consider({Move::Kind::kSwap, i, j, state.eval.period_if_swapped(i, j),
+          stop_scan = consider({Move::Kind::kSwap, i, j,
+                                state.eval.period_if_swapped(i, j, cutoff),
                                 std::max(loads[state.eval.machine_of(i)],
                                          loads[state.eval.machine_of(j)])});
         }

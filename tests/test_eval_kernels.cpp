@@ -9,7 +9,9 @@
 //     machine_periods / period, over every registered scenario family
 //     (chains) and random in-trees (joins exercise the subtree walks);
 //   * IncrementalEvaluator probes vs copy-mutate-and-fully-reevaluate,
-//     over long random relocate/swap sequences with interleaved applies;
+//     over long random relocate/swap sequences with interleaved applies,
+//     and the probes' cutoff contract (exact below the cutoff, at least
+//     the cutoff otherwise) on the same walks;
 //   * the refactored local search vs pre-refactor golden mappings
 //     (tests/golden_local_search.inc, captured from the
 //     copy-and-recompute implementation): byte-identical assignments and
@@ -20,8 +22,11 @@
 //   * the Platform's construction-time attempts cache vs survival_inverse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -240,6 +245,112 @@ TEST(IncrementalEvaluator, RandomWalkMatchesFullEvalOnInTrees) {
     const core::Problem problem = exp::generate_in_tree(scenario, 0.35, seed);
     SCOPED_TRACE("in-tree seed " + std::to_string(seed));
     check_incremental_equivalence(problem, seed * 271 + 3, 200);
+  }
+}
+
+/// Drives a random probe/apply walk and calls every probe again under a
+/// spread of cutoffs: the exact value and one ulp either side, half and
+/// twice it, just under the committed period, and committed loads. Below
+/// the cutoff the result must be the exact probe's bits; at or above it,
+/// any value at or above the cutoff. Counts the probes that stopped short
+/// of the exact value in `stopped_short`, so callers can check that the
+/// bounds engaged.
+void check_cutoff_contract(const core::Problem& problem, std::uint64_t seed, std::size_t steps,
+                           std::size_t& stopped_short) {
+  support::Rng rng(seed);
+  core::EvalWorkspace workspace(problem);
+  std::vector<MachineIndex> assignment = random_assignment(problem, rng);
+  core::IncrementalEvaluator eval(workspace, assignment);
+  const double inf = std::numeric_limits<double>::infinity();
+
+  for (std::size_t step = 0; step < steps; ++step) {
+    const TaskIndex i = rng.uniform_u64(0, problem.task_count() - 1);
+    const bool relocate = rng.uniform_u64(0, 1) == 0;
+    MachineIndex v = 0;
+    TaskIndex j = 0;
+    if (relocate) {
+      v = rng.uniform_u64(0, problem.machine_count() - 1);
+    } else {
+      j = rng.uniform_u64(0, problem.task_count() - 1);
+      if (j == i) j = (j + 1) % problem.task_count();  // probes need i != j
+    }
+    auto probe = [&](double cutoff) {
+      return relocate ? eval.period_if_relocated(i, v, cutoff)
+                      : eval.period_if_swapped(i, j, cutoff);
+    };
+    const double exact = probe(inf);
+    const std::span<const double> loads = eval.loads();
+    const double cutoffs[] = {exact,
+                              std::nextafter(exact, -inf),
+                              std::nextafter(exact, inf),
+                              exact / 2.0,
+                              exact * 2.0,
+                              eval.period() * (1.0 - 1e-9),
+                              loads[eval.machine_of(i)],
+                              loads[rng.uniform_u64(0, problem.machine_count() - 1)],
+                              *std::min_element(loads.begin(), loads.end())};
+    for (const double cutoff : cutoffs) {
+      const double got = probe(cutoff);
+      if (exact < cutoff) {
+        ASSERT_EQ(got, exact) << (relocate ? "relocate" : "swap") << " below cutoff "
+                              << cutoff << " at step " << step;
+      } else {
+        ASSERT_GE(got, cutoff) << (relocate ? "relocate" : "swap") << " at or above cutoff "
+                               << cutoff << " at step " << step;
+        if (got != exact) ++stopped_short;
+      }
+    }
+    if (rng.uniform_u64(0, 3) == 0) {
+      if (relocate) {
+        eval.apply_relocate(i, v);
+        assignment[i] = v;
+      } else {
+        eval.apply_swap(i, j);
+        std::swap(assignment[i], assignment[j]);
+      }
+    }
+    // Cutoff probes leave the committed state alone.
+    ASSERT_EQ(eval.period(), core::period(problem, core::Mapping{assignment}))
+        << "committed period diverged at step " << step;
+  }
+}
+
+TEST(IncrementalEvaluator, CutoffProbesExactBelowAndBoundedAtOrAbove) {
+  for (const std::string& id : exp::scenario_ids()) {
+    exp::Scenario scenario;
+    scenario.tasks = 26;
+    scenario.machines = 6;
+    scenario.types = 3;
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const exp::Instance instance = exp::generate_instance(id, scenario, seed);
+      SCOPED_TRACE("scenario " + id + " seed " + std::to_string(seed));
+      std::size_t stopped_short = 0;
+      check_cutoff_contract(*instance.effective, seed * 613 + 5, 150, stopped_short);
+      EXPECT_GT(stopped_short, 0u);
+    }
+  }
+  exp::Scenario tree;
+  tree.tasks = 32;
+  tree.machines = 8;
+  tree.types = 4;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("in-tree seed " + std::to_string(seed));
+    std::size_t stopped_short = 0;
+    check_cutoff_contract(exp::generate_in_tree(tree, 0.35, seed), seed * 89 + 1, 200,
+                          stopped_short);
+    EXPECT_GT(stopped_short, 0u);
+  }
+  // m > 64: the machine masks take two words.
+  exp::Scenario wide;
+  wide.tasks = 70;
+  wide.machines = 66;
+  wide.types = 8;
+  for (const bool in_tree : {false, true}) {
+    SCOPED_TRACE(in_tree ? "n=70 m=66 in-tree" : "n=70 m=66 chain");
+    std::size_t stopped_short = 0;
+    check_cutoff_contract(in_tree ? exp::generate_in_tree(wide, 0.4, 3) : exp::generate(wide, 3),
+                          in_tree ? 4243 : 4242, 200, stopped_short);
+    EXPECT_GT(stopped_short, 0u);
   }
 }
 
