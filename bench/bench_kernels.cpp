@@ -22,9 +22,10 @@
 // nothing per op, the B&B nothing per node (two solves that exhaust
 // budgets 10x apart allocate the same count), H2 and H3 nothing per
 // bisection probe (a solve allocates the same count when every w is
-// scaled x1024 and the search takes more probes), and the harness exits
-// non-zero if they do — that is the zero-allocation guarantee CI
-// enforces, independent of timer noise.
+// scaled x1024 and the search takes more probes), local search nothing
+// per pass (refining to convergence allocates what one pass does), and
+// the harness exits non-zero if they do — that is the zero-allocation
+// guarantee CI enforces, independent of timer noise.
 //
 // The SIMD kernel groups time every compiled-and-runnable ISA variant of
 // the dispatched kernels (core/simd.hpp) against the scalar table in the
@@ -58,6 +59,7 @@
 #include <fstream>
 #include <functional>
 #include <new>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -70,7 +72,9 @@
 #include "exact/hungarian.hpp"
 #include "exact/specialized_bnb.hpp"
 #include "exp/scenario.hpp"
+#include "extensions/local_search.hpp"
 #include "heuristics/binary_search.hpp"
+#include "heuristics/heuristic.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/matrix.hpp"
@@ -458,7 +462,7 @@ int main(int argc, char** argv) {
           "\n"
           "Times the evaluation kernels on a fixed problem grid and fails if a\n"
           "zero-allocation kernel allocates, if the exact B&B allocates per node,\n"
-          "if H2 or H3 allocates per bisection probe,\n"
+          "if H2 or H3 allocates per bisection probe, if local search allocates per pass,\n"
           "if the (n=100, m=20) relocate probe is below 3.5x over the pre-kernel\n"
           "evaluation path, if any SIMD kernel variant is not bit-identical to\n"
           "the scalar table, if the widest-ISA machine-load re-summation\n"
@@ -874,6 +878,60 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- Local search: zero allocations per pass ------------------------------
+  // serve-mixed's n=50, m=10, p=2 chain and an n=70, m=66, p=8 in-tree (two
+  // mask words per task), each refined from its H4w mapping twice: one
+  // pass, then to convergence. Per-solve set-up (the workspace, the
+  // evaluator's tables, the result mapping) allocates; a pass, its probes
+  // and the rebuild after each applied move must not, so both refinements
+  // of an instance must allocate the same count.
+  struct RefineRun {
+    const char* shape = "";
+    std::size_t passes = 0;
+    std::size_t moves = 0;
+    bool converged = false;
+    std::uint64_t allocs = 0;
+  };
+  std::vector<RefineRun> refine_runs;
+  {
+    mf::exp::Scenario chain;
+    chain.tasks = 50;
+    chain.machines = 10;
+    chain.types = 2;
+    mf::exp::Scenario wide;
+    wide.tasks = 70;
+    wide.machines = 66;
+    wide.types = 8;
+    const struct {
+      const char* shape;
+      mf::core::Problem problem;
+    } instances[] = {{"chain n=50 m=10", mf::exp::generate(chain, 7)},
+                     {"in-tree n=70 m=66", mf::exp::generate_in_tree(wide, 0.4, 7)}};
+    for (const auto& instance : instances) {
+      mf::support::Rng rng(7);
+      const std::optional<mf::core::Mapping> start =
+          mf::heuristics::heuristic_by_name("H4w")->run(instance.problem, rng);
+      MF_CHECK(start.has_value(), "H4w must map the local-search allocation instance");
+      for (const std::size_t max_passes : {std::size_t{1}, std::size_t{1000}}) {
+        mf::ext::RefinementOptions options;
+        options.max_passes = max_passes;
+        const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+        const mf::ext::RefinementResult result =
+            mf::ext::refine_mapping(instance.problem, *start, options);
+        refine_runs.push_back({instance.shape, result.passes, result.moves_applied,
+                               result.converged,
+                               g_alloc_count.load(std::memory_order_relaxed) - allocs_before});
+      }
+    }
+    std::printf("\nlocal search (H4w start, generator seed 7; allocs gate)\n");
+    std::printf("| instance          | passes | moves | allocs |\n");
+    std::printf("|-------------------|--------|-------|--------|\n");
+    for (const RefineRun& run : refine_runs) {
+      std::printf("| %-17s | %6zu | %5zu | %6llu |\n", run.shape, run.passes, run.moves,
+                  static_cast<unsigned long long>(run.allocs));
+    }
+  }
+
   write_json(out_path, calib, kernels, speedups, simd_speedups);
   std::printf("\nwrote %s\n", out_path.c_str());
 
@@ -881,8 +939,8 @@ int main(int argc, char** argv) {
 
   // Gate 1: the zero-allocation guarantee. Probes, workspace evaluations,
   // the hoisted-workspace Hungarian solver and every dispatched SIMD
-  // kernel must not touch the heap, on any grid point, and the B&B must
-  // not touch it per node.
+  // kernel must not touch the heap, on any grid point, the B&B must not
+  // touch it per node, H2/H3 per bisection probe, or local search per pass.
   for (const KernelResult& r : kernels) {
     const bool must_be_clean = r.name == "relocate_probe_incremental" ||
                                r.name == "swap_probe_incremental" ||
@@ -925,6 +983,28 @@ int main(int argc, char** argv) {
                    "w x1024\n",
                    unscaled.name, static_cast<unsigned long long>(unscaled.allocs),
                    static_cast<unsigned long long>(scaled.allocs));
+      ++failures;
+    }
+  }
+
+  // The local-search half of gate 1: refining to convergence must allocate
+  // what one pass does (runs come in one-pass/converged pairs per shape).
+  for (std::size_t k = 0; k + 1 < refine_runs.size(); k += 2) {
+    const RefineRun& one_pass = refine_runs[k];
+    const RefineRun& converged = refine_runs[k + 1];
+    if (!converged.converged || converged.passes <= one_pass.passes) {
+      std::fprintf(stderr,
+                   "FAIL: the %s local-search instance must take more than one pass to "
+                   "converge\n",
+                   one_pass.shape);
+      ++failures;
+    } else if (one_pass.allocs != converged.allocs) {
+      std::fprintf(stderr,
+                   "FAIL: local search allocates per pass on the %s instance: %llu allocs "
+                   "in %zu pass, %llu in %zu\n",
+                   one_pass.shape, static_cast<unsigned long long>(one_pass.allocs),
+                   one_pass.passes, static_cast<unsigned long long>(converged.allocs),
+                   converged.passes);
       ++failures;
     }
   }
