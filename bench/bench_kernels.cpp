@@ -912,6 +912,8 @@ int main(int argc, char** argv) {
       const std::optional<mf::core::Mapping> start =
           mf::heuristics::heuristic_by_name("H4w")->run(instance.problem, rng);
       MF_CHECK(start.has_value(), "H4w must map the local-search allocation instance");
+      // Warm-up: the first refinement in a process may pay one-time set-up.
+      (void)mf::ext::refine_mapping(instance.problem, *start);
       for (const std::size_t max_passes : {std::size_t{1}, std::size_t{1000}}) {
         mf::ext::RefinementOptions options;
         options.max_passes = max_passes;

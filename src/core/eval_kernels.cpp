@@ -224,10 +224,9 @@ void IncrementalEvaluator::probe_subtree_x(TaskIndex root) {
 double IncrementalEvaluator::committed_bound(std::size_t moved_count,
                                              const double* candidate_F,
                                              double cutoff) const {
-  // A machine qualifies unless a moved task leaves or joins it, or it owns
-  // a task under a moved task whose F drops (those x may shrink). Loads
-  // are scanned highest first, so the scan stops at the first load below
-  // the cutoff; in local search that is after one or two machines.
+  // Loads are scanned highest first, so the scan stops at the first load
+  // below the cutoff; in local search that is usually after one or two
+  // machines.
   const std::uint64_t* shrinking[2] = {nullptr, nullptr};
   for (std::size_t k = 0; k < moved_count; ++k) {
     if (candidate_F[k] < F_cur_[moved_task_[k]]) {

@@ -167,23 +167,18 @@ class IncrementalEvaluator {
   void rebuild();
   /// Shared probe core: tasks `moved_task_[0..moved_count)` take machine
   /// `moved_to_[k]`; everything else keeps its machine. Returns the period
-  /// of that candidate mapping under the cutoff contract.
-  ///
-  /// First a bound from committed loads alone: a machine the move neither
-  /// leaves nor joins, with no member under a moved task whose F drops,
-  /// keeps its members and sums the same multiply chains over operands
-  /// that are equal or larger, so (all operands non-negative, rounding
-  /// monotone) its new load is at least its committed one. If such a
-  /// machine's committed load reaches the cutoff, that load is returned.
-  /// Otherwise x is recomputed over the moved tasks' subtrees (into the
-  /// x_probe_ mirror), the untouched machines' maximum is taken from
-  /// their committed loads, and the touched machines are re-summed one at
-  /// a time in committed-load order until the running maximum reaches the
-  /// cutoff or every touched machine is summed.
+  /// of that candidate mapping under the cutoff contract: committed_bound()
+  /// first, then x over the moved tasks' subtrees (into the x_probe_
+  /// mirror) and the touched machines' sums, until the running maximum
+  /// reaches the cutoff.
   double probe(std::size_t moved_count, double cutoff);
-  /// The highest committed load at or above `cutoff` that is a lower bound
-  /// on the candidate's period (see probe()), or -1 when there is none.
-  /// `candidate_F[k]` is F of moved task k on its target machine.
+  /// A machine the move neither leaves nor joins, with no member under a
+  /// moved task whose F drops, keeps its members and sums the same
+  /// multiply chains over operands that are equal or larger; all operands
+  /// are non-negative and rounding is monotone, so its new load is at
+  /// least its committed one. Returns the highest such committed load at
+  /// or above `cutoff`, or -1 when there is none. `candidate_F[k]` is F of
+  /// moved task k on its target machine.
   double committed_bound(std::size_t moved_count, const double* candidate_F,
                          double cutoff) const;
   void probe_subtree_x(TaskIndex root);
