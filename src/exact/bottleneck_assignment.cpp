@@ -16,30 +16,50 @@ namespace mf::exact {
 
 namespace {
 
-/// Perfect matching on rows using only edges with cost <= threshold?
-MatchingResult probe(const support::Matrix& cost, double threshold) {
-  const core::simd::KernelTable& kernels = core::simd::active();
-  BipartiteGraph graph(cost.rows(), cost.cols());
-  std::vector<std::uint64_t> words((cost.cols() + 63) / 64, 0);
-  for (std::size_t r = 0; r < cost.rows(); ++r) {
-    // Each binary-search step rescans the whole matrix: compare the row
-    // wide into a bitmask, then walk the set bits. Bit order is column
-    // order, so edges enter the adjacency lists in exactly the sequence
-    // the scalar scan produced — the matching is identical, not merely
-    // equivalent.
-    const std::span<const double> row = cost.row_data(r);
-    kernels.leq_mask(row.data(), threshold, row.size(), words.data());
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      std::uint64_t bits = words[w];
-      while (bits != 0) {
-        const std::size_t c = (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        graph.add_edge(r, c);
+/// The threshold graphs of one solve. Every probe rebuilds the graph into
+/// the same buffers and runs Hopcroft-Karp with the same workspace and
+/// result, so probes after the first allocate nothing.
+class ThresholdProbe {
+ public:
+  explicit ThresholdProbe(const support::Matrix& cost)
+      : cost_(cost), graph_(cost.rows(), cost.cols()), words_((cost.cols() + 63) / 64, 0) {
+    // The densest graph takes every edge; reserving it once means a later,
+    // denser probe never reallocates.
+    graph_.reserve_edges(cost.rows() * cost.cols());
+  }
+
+  /// Maximum matching on rows using only edges with cost <= threshold. The
+  /// view stays valid until the next call.
+  const MatchingResult& operator()(double threshold) {
+    const core::simd::KernelTable& kernels = core::simd::active();
+    graph_.reset(cost_.rows(), cost_.cols());
+    for (std::size_t r = 0; r < cost_.rows(); ++r) {
+      // Each probe rescans the whole matrix: compare the row wide into a
+      // bitmask, then walk the set bits. Bit order is column order, so
+      // edges enter each row in exactly the sequence the scalar scan
+      // produced — the matching is identical, not merely equivalent.
+      const std::span<const double> row = cost_.row_data(r);
+      kernels.leq_mask(row.data(), threshold, row.size(), words_.data());
+      for (std::size_t w = 0; w < words_.size(); ++w) {
+        std::uint64_t bits = words_[w];
+        while (bits != 0) {
+          const std::size_t c = (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+          bits &= bits - 1;
+          graph_.add_edge(r, c);
+        }
       }
     }
+    maximum_matching(graph_, workspace_, matching_);
+    return matching_;
   }
-  return maximum_matching(graph);
-}
+
+ private:
+  const support::Matrix& cost_;
+  BipartiteGraph graph_;
+  std::vector<std::uint64_t> words_;
+  MatchingWorkspace workspace_;
+  MatchingResult matching_;
+};
 
 }  // namespace
 
@@ -74,6 +94,7 @@ BottleneckResult solve_bottleneck_assignment(const support::Matrix& cost) {
   // the front, sort and dedupe that batch alone, and probe its largest
   // value. The first batch that passes holds the answer; bisect inside it.
   // The last batch ends at the largest cost, whose probe takes every edge.
+  ThresholdProbe probe(cost);
   const auto values = candidates.begin();
   double infeasible = -std::numeric_limits<double>::infinity();  // largest failed value
   double threshold = 0.0;
@@ -88,11 +109,11 @@ BottleneckResult solve_bottleneck_assignment(const support::Matrix& cost) {
     const auto last = std::unique(values + begin, values + end);
     // A batch may restart with copies of the previous batch's largest value.
     auto lo = std::upper_bound(values + begin, last, infeasible);
-    if (lo != last && probe(cost, *(last - 1)).size == n) {
+    if (lo != last && probe(*(last - 1)).size == n) {
       auto hi = last - 1;
       while (lo < hi) {
         const auto mid = lo + (hi - lo) / 2;
-        if (probe(cost, *mid).size == n) {
+        if (probe(*mid).size == n) {
           hi = mid;
         } else {
           lo = mid + 1;
@@ -108,7 +129,7 @@ BottleneckResult solve_bottleneck_assignment(const support::Matrix& cost) {
     batch *= 4;
   }
 
-  const MatchingResult matching = probe(cost, threshold);
+  const MatchingResult& matching = probe(threshold);
   MF_CHECK(matching.size == n, "threshold search lost feasibility");
   BottleneckResult result;
   result.bottleneck_cost = threshold;

@@ -10,6 +10,7 @@
 // from the row-min lower bound max_r min_c c(r,c): it sorts growing batches
 // of the smallest costs at or above it, probes each batch's largest value
 // with Hopcroft-Karp, and bisects inside the first batch that passes. The
+// probes of one solve share one graph and one set of matching buffers. The
 // returned matching is the one Hopcroft-Karp finds at that threshold.
 #pragma once
 

@@ -21,18 +21,26 @@
 namespace mf::exact {
 namespace {
 
+/// One maximum matching from fresh buffers.
+MatchingResult match(const BipartiteGraph& graph) {
+  MatchingWorkspace workspace;
+  MatchingResult result;
+  maximum_matching(graph, workspace, result);
+  return result;
+}
+
 TEST(HopcroftKarp, PerfectMatchingOnCompleteGraph) {
   BipartiteGraph graph(4, 4);
   for (std::size_t l = 0; l < 4; ++l) {
     for (std::size_t r = 0; r < 4; ++r) graph.add_edge(l, r);
   }
-  const MatchingResult result = maximum_matching(graph);
+  const MatchingResult result = match(graph);
   EXPECT_EQ(result.size, 4u);
 }
 
 TEST(HopcroftKarp, EmptyGraphHasNoMatching) {
   BipartiteGraph graph(3, 3);
-  EXPECT_EQ(maximum_matching(graph).size, 0u);
+  EXPECT_EQ(match(graph).size, 0u);
 }
 
 TEST(HopcroftKarp, AugmentingPathNeeded) {
@@ -41,7 +49,7 @@ TEST(HopcroftKarp, AugmentingPathNeeded) {
   graph.add_edge(0, 0);
   graph.add_edge(1, 0);
   graph.add_edge(1, 1);
-  const MatchingResult result = maximum_matching(graph);
+  const MatchingResult result = match(graph);
   EXPECT_EQ(result.size, 2u);
   EXPECT_EQ(result.left_match[0], 0u);
   EXPECT_EQ(result.left_match[1], 1u);
@@ -53,7 +61,7 @@ TEST(HopcroftKarp, BottleneckStructure) {
   graph.add_edge(0, 0);
   graph.add_edge(1, 0);
   graph.add_edge(2, 0);
-  EXPECT_EQ(maximum_matching(graph).size, 1u);
+  EXPECT_EQ(match(graph).size, 1u);
 }
 
 TEST(HopcroftKarp, MatchingIsConsistent) {
@@ -64,7 +72,7 @@ TEST(HopcroftKarp, MatchingIsConsistent) {
       if (rng.bernoulli(0.3)) graph.add_edge(l, r);
     }
   }
-  const MatchingResult result = maximum_matching(graph);
+  const MatchingResult result = match(graph);
   std::size_t matched = 0;
   for (std::size_t l = 0; l < 8; ++l) {
     if (result.left_match[l] == MatchingResult::npos) continue;
@@ -78,6 +86,38 @@ TEST(HopcroftKarp, EdgeValidation) {
   BipartiteGraph graph(2, 2);
   EXPECT_THROW(graph.add_edge(2, 0), std::invalid_argument);
   EXPECT_THROW(graph.add_edge(0, 2), std::invalid_argument);
+  // Edges enter row by row: none may go below the last left vertex.
+  graph.add_edge(1, 0);
+  EXPECT_THROW(graph.add_edge(0, 1), std::invalid_argument);
+}
+
+TEST(HopcroftKarp, ResetGraphMatchesFreshGraph) {
+  // One graph, workspace and result reused across graphs that grow and
+  // shrink on both sides must match exactly what fresh buffers find.
+  support::Rng rng(11);
+  BipartiteGraph reused(1, 1);
+  MatchingWorkspace workspace;
+  MatchingResult result;
+  for (int round = 0; round < 60; ++round) {
+    const std::size_t left = rng.uniform_u64(1, 40);
+    const std::size_t right = rng.uniform_u64(1, 40);
+    const double density = rng.uniform(0.02, 0.5);
+    reused.reset(left, right);
+    BipartiteGraph fresh(left, right);
+    for (std::size_t l = 0; l < left; ++l) {
+      for (std::size_t r = 0; r < right; ++r) {
+        if (!rng.bernoulli(density)) continue;
+        reused.add_edge(l, r);
+        fresh.add_edge(l, r);
+      }
+    }
+    maximum_matching(reused, workspace, result);
+    const MatchingResult expected = match(fresh);
+    SCOPED_TRACE("round " + std::to_string(round));
+    EXPECT_EQ(result.size, expected.size);
+    EXPECT_EQ(result.left_match, expected.left_match);
+    EXPECT_EQ(result.right_match, expected.right_match);
+  }
 }
 
 double brute_force_bottleneck(const support::Matrix& cost) {
