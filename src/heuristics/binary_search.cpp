@@ -19,15 +19,49 @@ using core::TaskIndex;
 
 namespace {
 
-/// One greedy pass at `period_bound` onto a freshly reset `state`: each
-/// task, in backward order, takes the first machine of its order that is
-/// type-feasible and keeps that machine's load within the bound. Returns
-/// false as soon as a task fits nowhere.
-bool place_all_within(const core::Problem& problem, const MachineSelector& selector,
-                      AssignmentState& state, double period_bound) {
+/// What one greedy pass decided at each backward-order position it reached
+/// (position k places task backward_order()[k]):
+///   machine[k]  — the machine it took;
+///   accepted[k] — the load that machine reached;
+///   rejected[k] — the smallest load among the allowed machines ahead of it
+///                 in the order, which the bound turned away (+inf if none).
+/// A failed pass decided `decided` positions and stopped at the next one,
+/// where rejected[decided] is the smallest load any allowed machine would
+/// have reached.
+struct PassRecord {
+  explicit PassRecord(std::size_t tasks) : machine(tasks), accepted(tasks), rejected(tasks) {}
+
+  /// Leading positions at which a pass at `bound` decides as this one did.
+  /// Position k sees the same state when every earlier decision is the
+  /// same, so it compares the same doubles, and it then keeps its machine
+  /// exactly when the bound still lets accepted[k] through and still turns
+  /// every rejected load away.
+  [[nodiscard]] std::size_t shared_prefix(double bound) const {
+    std::size_t k = 0;
+    while (k < decided && !(accepted[k] > bound) && rejected[k] > bound) ++k;
+    return k;
+  }
+
+  std::vector<MachineIndex> machine;
+  std::vector<double> accepted;
+  std::vector<double> rejected;
+  std::size_t decided = 0;  ///< a passed record decided every position
+  bool failed = false;
+};
+
+/// The greedy pass at `period_bound` from backward-order position `start`
+/// on: each task takes the first machine of its order that is type-feasible
+/// and keeps that machine's load within the bound. `state` must hold the
+/// pass's first `start` placements. Writes the decisions into `record` and
+/// returns false as soon as a task fits nowhere.
+bool place_from(const core::Problem& problem, const MachineSelector& selector,
+                AssignmentState& state, double period_bound, std::size_t start,
+                PassRecord& record) {
   const std::size_t m = problem.machine_count();
   const SpecializationTracker& tracker = state.tracker();
-  for (TaskIndex i : problem.app.backward_order()) {
+  const std::vector<TaskIndex>& backward = problem.app.backward_order();
+  for (std::size_t k = start; k < backward.size(); ++k) {
+    const TaskIndex i = backward[k];
     const std::span<const MachineIndex> order = selector.machines_for(i);
     MF_CHECK(order.size() == m, "selector must order all machines");
     const core::TypeIndex type = problem.app.type_of(i);
@@ -36,17 +70,31 @@ bool place_all_within(const core::Problem& problem, const MachineSelector& selec
     const std::span<const double> times = problem.platform.time_row(i);
     const std::span<const double> loads = state.loads();
     MachineIndex chosen = core::kUnassigned;
+    double rejected = std::numeric_limits<double>::infinity();
     for (MachineIndex u : order) {
       if (!tracker.allowed(type, u)) continue;
       // The very doubles load_if(i, u) computes.
-      if (loads[u] + (x * attempts[u]) * times[u] > period_bound) continue;
+      const double load = loads[u] + (x * attempts[u]) * times[u];
+      if (load > period_bound) {
+        rejected = std::min(rejected, load);
+        continue;
+      }
       chosen = u;
+      record.accepted[k] = load;
       break;
     }
-    if (chosen == core::kUnassigned) return false;
+    record.rejected[k] = rejected;
+    if (chosen == core::kUnassigned) {
+      record.decided = k;
+      record.failed = true;
+      return false;
+    }
+    record.machine[k] = chosen;
     state.assign(i, chosen);
   }
   MF_CHECK(state.all_assigned(), "assignment pass incomplete");
+  record.decided = backward.size();
+  record.failed = false;
   return true;
 }
 
@@ -56,7 +104,8 @@ std::optional<core::Mapping> assign_within_period(const core::Problem& problem,
                                                   const MachineSelector& selector,
                                                   double period_bound) {
   AssignmentState state(problem);
-  if (!place_all_within(problem, selector, state, period_bound)) return std::nullopt;
+  PassRecord record(problem.task_count());
+  if (!place_from(problem, selector, state, period_bound, 0, record)) return std::nullopt;
   return state.mapping();
 }
 
@@ -65,16 +114,38 @@ std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem
   if (problem.type_count() > problem.machine_count()) return std::nullopt;
   selector.prepare(problem);
 
-  // One state for every probe and one buffer for the best assignment, so a
-  // probe allocates nothing.
+  // One state and three records serve every probe, so a probe allocates
+  // nothing: the last passing probe, the last failing probe, and the one
+  // being written. An unwritten record has decided nothing and failed
+  // nowhere, so it offers no prefix.
+  const std::vector<TaskIndex>& backward = problem.app.backward_order();
+  const std::size_t n = backward.size();
   AssignmentState state(problem);
-  std::vector<MachineIndex> best;
+  PassRecord records[3] = {PassRecord(n), PassRecord(n), PassRecord(n)};
+  PassRecord* passed = &records[0];
+  PassRecord* failed = &records[1];
+  PassRecord* current = &records[2];
   auto probe = [&](double period_bound) {
+    const std::size_t from_passed = passed->shared_prefix(period_bound);
+    if (from_passed == n) return true;  // the last passing probe's mapping again
+    const std::size_t from_failed = failed->shared_prefix(period_bound);
+    if (failed->failed && from_failed == failed->decided &&
+        failed->rejected[from_failed] > period_bound) {
+      return false;  // the last failing probe's failure again
+    }
+    // Replay the longer shared prefix, then scan the rest.
+    const PassRecord& source = from_failed > from_passed ? *failed : *passed;
+    const std::size_t start = std::max(from_passed, from_failed);
     state.reset();
-    if (!place_all_within(problem, selector, state, period_bound)) return false;
-    const std::span<const MachineIndex> assignment = state.assignment();
-    best.assign(assignment.begin(), assignment.end());
-    return true;
+    for (std::size_t k = 0; k < start; ++k) {
+      current->machine[k] = source.machine[k];
+      current->accepted[k] = source.accepted[k];
+      current->rejected[k] = source.rejected[k];
+      state.assign(backward[k], source.machine[k]);
+    }
+    const bool passes = place_from(problem, selector, state, period_bound, start, *current);
+    std::swap(current, passes ? passed : failed);
+    return passes;
   };
 
   // Integer millisecond bounds, exactly as Algorithms 2-3.
@@ -94,6 +165,8 @@ std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem
       lo = mid;
     }
   }
+  std::vector<MachineIndex> best(n);
+  for (std::size_t k = 0; k < n; ++k) best[backward[k]] = passed->machine[k];
   return core::Mapping{std::move(best)};
 }
 
@@ -140,28 +213,33 @@ class RankSelector final : public MachineSelector {
         ranks[by_time[k].second * m + u] = rank;
       }
     }
-    // (rank, w, index) keys are distinct, so a plain sort gives the order a
-    // stable sort by (rank, w) of the ascending indices gives.
-    struct Key {
-      std::size_t rank;
-      double time;
-      MachineIndex machine;
-      bool operator<(const Key& other) const {
-        if (rank != other.rank) return rank < other.rank;
-        // Tie on rank: "machines are sorted by non-decreasing values of w".
-        if (time != other.time) return time < other.time;
-        return machine < other.machine;
-      }
-    };
-    std::vector<Key> keys(m);
+    // An owner's order is its machines by (rank, w, index). Its ranks lie in
+    // [0, d) for d owner rows, so a counting sort by rank groups the
+    // machines into one run per rank, and sorting each run by (w, index)
+    // ("machines are sorted by non-decreasing values of w") finishes the
+    // order. Runs are short on generated instances; sorting them, rather
+    // than insertion-sorting, keeps a row that holds one rank on many
+    // machines at O(m log m).
+    std::vector<std::size_t> run_end(owners.size());
     tasks_ = n;
     machines_ = m;
     order_.resize(n * m);
     for (TaskIndex i : owners) {
       const std::span<const double> times = problem.platform.time_row(i);
-      for (MachineIndex u = 0; u < m; ++u) keys[u] = {ranks[i * m + u], times[u], u};
-      std::sort(keys.begin(), keys.end());
-      for (MachineIndex k = 0; k < m; ++k) order_[i * m + k] = keys[k].machine;
+      const std::size_t* rank_of = ranks.data() + i * m;
+      MachineIndex* order = order_.data() + i * m;
+      std::fill(run_end.begin(), run_end.end(), std::size_t{0});
+      for (MachineIndex u = 0; u < m; ++u) ++run_end[rank_of[u]];
+      // Exclusive prefix sums: each rank's first slot, which placing the
+      // machines in index order advances to the end of that rank's run.
+      std::exclusive_scan(run_end.begin(), run_end.end(), run_end.begin(), std::size_t{0});
+      for (MachineIndex u = 0; u < m; ++u) order[run_end[rank_of[u]]++] = u;
+      const auto by_w = [times](MachineIndex a, MachineIndex b) {
+        return times[a] != times[b] ? times[a] < times[b] : a < b;
+      };
+      for (std::size_t rank = 0, begin = 0; begin < m; begin = run_end[rank++]) {
+        if (run_end[rank] - begin > 1) std::sort(order + begin, order + run_end[rank], by_w);
+      }
     }
     for (TaskIndex i = 0; i < n; ++i) {
       if (source[i] == i) continue;
@@ -186,14 +264,16 @@ class HeterogeneitySelector final : public MachineSelector {
  public:
   void prepare(const core::Problem& problem) override {
     const std::size_t m = problem.machine_count();
-    heterogeneity_.assign(m, 0.0);
-    for (MachineIndex u = 0; u < m; ++u) {
-      support::RunningStats stats;
-      for (TaskIndex i = 0; i < problem.task_count(); ++i) {
-        stats.add(problem.platform.time(i, u));
-      }
-      heterogeneity_[u] = stats.stddev();
+    // One accumulator per column, filled row by row: each column still gets
+    // its w in task order, so every standard deviation keeps its bits, and
+    // the columns' division chains no longer wait on one another.
+    std::vector<support::RunningStats> columns(m);
+    for (TaskIndex i = 0; i < problem.task_count(); ++i) {
+      const std::span<const double> row = problem.platform.time_row(i);
+      for (MachineIndex u = 0; u < m; ++u) columns[u].add(row[u]);
     }
+    heterogeneity_.resize(m);
+    for (MachineIndex u = 0; u < m; ++u) heterogeneity_[u] = columns[u].stddev();
     static_order_.resize(m);
     std::iota(static_order_.begin(), static_order_.end(), MachineIndex{0});
     std::stable_sort(static_order_.begin(), static_order_.end(),

@@ -9,7 +9,11 @@
 // machine] and stops when max - min <= 1.
 //
 // The orders depend only on the instance, so the selector builds them once
-// per solve and a probe is one greedy scan over a reused AssignmentState.
+// per solve. A probe at a new bound repeats the decisions it shares with
+// the last passing or the last failing probe by replaying them into one
+// reused AssignmentState, and scans only from the first position where it
+// may decide otherwise. It makes every decision, and compares every double,
+// that a fresh pass at its bound makes.
 #pragma once
 
 #include <cstdint>

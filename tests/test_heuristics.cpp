@@ -3,7 +3,12 @@
 // qualitative ordering properties.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <numeric>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -146,6 +151,124 @@ TEST(BinarySearchEngine, PeriodBoundPastInt64StillYieldsMapping) {
         << name;
     EXPECT_LE(core::period(problem, *mapping), core::period_upper_bound(problem)) << name;
   }
+}
+
+/// A test order policy: a seeded random machine order for every task, or
+/// one random order that every task shares (as H3's static order is).
+class ShuffledSelector final : public MachineSelector {
+ public:
+  ShuffledSelector(std::uint64_t seed, bool per_task) : seed_(seed), per_task_(per_task) {}
+
+  void prepare(const Problem& problem) override {
+    const std::size_t m = problem.machine_count();
+    support::Rng rng(seed_);
+    machines_ = m;
+    orders_.resize(per_task_ ? problem.task_count() * m : m);
+    for (std::size_t begin = 0; begin < orders_.size(); begin += m) {
+      const auto row = orders_.begin() + static_cast<std::ptrdiff_t>(begin);
+      std::iota(row, row + static_cast<std::ptrdiff_t>(m), core::MachineIndex{0});
+      for (std::size_t k = m; k > 1; --k) {
+        std::swap(row[static_cast<std::ptrdiff_t>(k - 1)],
+                  row[static_cast<std::ptrdiff_t>(rng.uniform_u64(0, k - 1))]);
+      }
+    }
+  }
+
+  [[nodiscard]] std::span<const core::MachineIndex> machines_for(
+      core::TaskIndex task) const override {
+    return std::span<const core::MachineIndex>(orders_).subspan(
+        (per_task_ ? task : 0) * machines_, machines_);
+  }
+
+ private:
+  std::uint64_t seed_;
+  bool per_task_;
+  std::size_t machines_ = 0;
+  std::vector<core::MachineIndex> orders_;
+};
+
+/// binary_search_schedule's bisection with one fresh greedy pass per probe:
+/// no probe reuses anything an earlier one computed.
+std::optional<Mapping> fresh_pass_bisection(const Problem& problem, MachineSelector& selector) {
+  if (problem.type_count() > problem.machine_count()) return std::nullopt;
+  selector.prepare(problem);
+  const double upper = std::ceil(core::period_upper_bound(problem));
+  std::optional<Mapping> best = assign_within_period(problem, selector, upper);
+  if (!best.has_value()) return std::nullopt;
+  std::int64_t lo = 0;
+  std::int64_t hi = upper < 0x1p63 ? static_cast<std::int64_t>(upper)
+                                   : std::numeric_limits<std::int64_t>::max();
+  while (hi - lo > 1) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    std::optional<Mapping> mapping =
+        assign_within_period(problem, selector, static_cast<double>(mid));
+    if (mapping.has_value()) {
+      hi = mid;
+      best = std::move(mapping);
+    } else {
+      lo = mid;
+    }
+  }
+  return best;
+}
+
+TEST(BinarySearchEngine, ReplayedProbesMatchFreshPasses) {
+  // Probes that replay an earlier probe's placements must reach the very
+  // mappings that fresh passes reach, and fail on the same inputs.
+  std::vector<Problem> problems;
+  problems.push_back(
+      test::uniform_problem({0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}, 4, 100.0, 0.99));  // bound > 2^63
+  problems.push_back(test::uniform_problem({0, 1, 2}, 2));  // p > m: both refuse
+  problems.push_back(test::tiny_chain_problem());
+  support::Rng draw(2024);
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    exp::Scenario scenario;
+    scenario.machines = draw.uniform_u64(1, 14);
+    scenario.tasks = draw.uniform_u64(1, 36);
+    scenario.types = draw.uniform_u64(1, std::min(scenario.tasks, scenario.machines));
+    switch (seed % 5) {
+      case 0:  // tie-heavy: machines tie on their loads often
+        scenario.time_min_ms = 100.0;
+        scenario.time_max_ms = 102.0;
+        break;
+      case 4:  // no failures and w in [1, 4]: small integer loads that the
+               // probes' integer bounds meet exactly
+        scenario.time_min_ms = 1.0;
+        scenario.time_max_ms = 4.0;
+        scenario.failure_min = 0.0;
+        scenario.failure_max = 0.0;
+        break;
+      case 1:
+        scenario.integer_times = false;
+        break;
+      case 2:  // high failure rates: x grows fast along the chain
+        scenario.failure_min = 0.1;
+        scenario.failure_max = 0.6;
+        break;
+      default:
+        scenario.failure_attachment = exp::FailureAttachment::kTaskOnly;
+        break;
+    }
+    problems.push_back(seed % 2 == 0 ? exp::generate(scenario, seed)
+                                     : exp::generate_in_tree(scenario, 0.4, seed));
+  }
+  std::size_t mapped = 0;
+  for (std::size_t k = 0; k < problems.size(); ++k) {
+    const Problem& problem = problems[k];
+    for (const bool per_task : {true, false}) {
+      SCOPED_TRACE("problem " + std::to_string(k) + (per_task ? " per-task" : " static") +
+                   " order");
+      ShuffledSelector replaying(k, per_task);
+      ShuffledSelector fresh(k, per_task);
+      const std::optional<Mapping> expected = fresh_pass_bisection(problem, fresh);
+      const std::optional<Mapping> actual = binary_search_schedule(problem, replaying);
+      ASSERT_EQ(actual.has_value(), expected.has_value());
+      if (!expected.has_value()) continue;
+      EXPECT_EQ(actual->assignment(), expected->assignment());
+      ++mapped;
+    }
+  }
+  EXPECT_EQ(mapped, 2 * (problems.size() - 1)) << "only the p > m problem goes unmapped";
 }
 
 TEST(H4Family, PrefersFastMachineWhenFailuresEqual) {
