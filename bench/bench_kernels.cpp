@@ -14,16 +14,18 @@
 //   * the dense core scans max_expected_products / period_upper_bound;
 //   * one whole Hungarian solve (n=m=40), whose reused workspace must
 //     not allocate;
-//   * the exact B&B's cost per node and the H2/H3 cost per solve (notes,
-//     not gated).
+//   * the exact B&B's cost per node and the H2/H3 and oto cost per solve
+//     (notes, not gated).
 //
 // A global operator-new hook counts heap allocations inside each timed
 // region; the incremental probes and workspace evaluations must allocate
 // nothing per op, the B&B nothing per node (two solves that exhaust
 // budgets 10x apart allocate the same count), H2 and H3 nothing per
 // bisection probe (a solve allocates the same count when every w is
-// scaled x1024 and the search takes more probes), local search nothing
-// per pass (refining to convergence allocates what one pass does), and
+// scaled x1024 and the search takes more probes), oto nothing per
+// threshold probe (a matrix whose answer is its row-min bound and one
+// whose search takes more probes allocate the same count), local search
+// nothing per pass (refining to convergence allocates what one pass does), and
 // the harness exits non-zero if they do — that is the zero-allocation
 // guarantee CI enforces, independent of timer noise.
 //
@@ -69,6 +71,7 @@
 #include "core/evaluation.hpp"
 #include "core/failure.hpp"
 #include "core/simd.hpp"
+#include "exact/bottleneck_assignment.hpp"
 #include "exact/hungarian.hpp"
 #include "exact/specialized_bnb.hpp"
 #include "exp/scenario.hpp"
@@ -462,7 +465,8 @@ int main(int argc, char** argv) {
           "\n"
           "Times the evaluation kernels on a fixed problem grid and fails if a\n"
           "zero-allocation kernel allocates, if the exact B&B allocates per node,\n"
-          "if H2 or H3 allocates per bisection probe, if local search allocates per pass,\n"
+          "if H2 or H3 allocates per bisection probe, if oto allocates per threshold\n"
+          "probe, if local search allocates per pass,\n"
           "if the (n=100, m=20) relocate probe is below 3.5x over the pre-kernel\n"
           "evaluation path, if any SIMD kernel variant is not bit-identical to\n"
           "the scalar table, if the widest-ISA machine-load re-summation\n"
@@ -878,6 +882,75 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- oto: zero allocations per threshold probe ---------------------------
+  // Two n = m = 100 cost matrices built like BottleneckGolden's kAtBound and
+  // kWide rows. In the first every row's minimum is the answer, the row-min
+  // bound, so the first batch passes. In the second the answer lies more
+  // than 1,000 distinct costs above the bound, so the first batches fail
+  // and the search takes more probes. Per-solve set-up (the candidates, the
+  // graph, the matching buffers, the result) allocates; the probes must
+  // not, so both solves must allocate the same count.
+  struct BottleneckRun {
+    const char* matrix = "";
+    std::uint64_t allocs = 0;
+    double us_per_solve = 0.0;
+  };
+  std::vector<BottleneckRun> bottleneck_runs;
+  {
+    constexpr std::size_t kSide = 100;
+    mf::support::Rng rng(20003);
+    auto shuffled = [&rng] {
+      std::vector<std::size_t> order(kSide);
+      for (std::size_t k = 0; k < kSide; ++k) order[k] = k;
+      for (std::size_t k = kSide; k > 1; --k) std::swap(order[k - 1], order[rng.uniform_u64(0, k - 1)]);
+      return order;
+    };
+    // Integers 4..9 everywhere and a 4 at (r, sigma(r)): sigma matches
+    // every row within the bound 4.
+    mf::support::Matrix at_bound(kSide, kSide);
+    const std::vector<std::size_t> sigma = shuffled();
+    for (std::size_t r = 0; r < kSide; ++r) {
+      for (std::size_t c = 0; c < kSide; ++c) {
+        at_bound.at(r, c) = static_cast<double>(rng.uniform_u64(4, 9));
+      }
+      at_bound.at(r, sigma[r]) = 4.0;
+    }
+    // Column 0 holds each row's minimum, 1..100, but only one row can take
+    // it; every other cost is distinct and above 1000.
+    mf::support::Matrix wide(kSide, kSide);
+    const std::vector<std::size_t> row_of = shuffled();
+    const std::vector<std::size_t> col_of = shuffled();
+    for (std::size_t r = 0; r < kSide; ++r) {
+      for (std::size_t c = 0; c < kSide; ++c) {
+        wide.at(row_of[r], col_of[c]) =
+            c == 0 ? static_cast<double>(r + 1) : 1000.0 + static_cast<double>(r * kSide + c);
+      }
+    }
+    constexpr int kTimedSolves = 20;
+    const struct {
+      const char* name;
+      const mf::support::Matrix* cost;
+    } matrices[] = {{"at bound", &at_bound}, {"wide", &wide}};
+    (void)mf::exact::solve_bottleneck_assignment(at_bound);  // warm-up
+    for (const auto& matrix : matrices) {
+      const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+      (void)mf::exact::solve_bottleneck_assignment(*matrix.cost);
+      const std::uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+      const double start = now_ns();
+      for (int k = 0; k < kTimedSolves; ++k) (void)mf::exact::solve_bottleneck_assignment(*matrix.cost);
+      bottleneck_runs.push_back(
+          {matrix.name, allocs, (now_ns() - start) / 1000.0 / kTimedSolves});
+    }
+    std::printf("\noto's bottleneck assignment (n=m=100, BottleneckGolden's kAtBound and kWide "
+                "shapes; us/solve is a note, allocs gate)\n");
+    std::printf("| matrix   | allocs | us/solve |\n");
+    std::printf("|----------|--------|----------|\n");
+    for (const BottleneckRun& run : bottleneck_runs) {
+      std::printf("| %-8s | %6llu | %8.1f |\n", run.matrix,
+                  static_cast<unsigned long long>(run.allocs), run.us_per_solve);
+    }
+  }
+
   // --- Local search: zero allocations per pass ------------------------------
   // serve-mixed's n=50, m=10, p=2 chain and an n=70, m=66, p=8 in-tree (two
   // mask words per task), each refined from its H4w mapping twice: one
@@ -942,7 +1015,8 @@ int main(int argc, char** argv) {
   // Gate 1: the zero-allocation guarantee. Probes, workspace evaluations,
   // the hoisted-workspace Hungarian solver and every dispatched SIMD
   // kernel must not touch the heap, on any grid point, the B&B must not
-  // touch it per node, H2/H3 per bisection probe, or local search per pass.
+  // touch it per node, H2/H3 per bisection probe, oto per threshold probe,
+  // or local search per pass.
   for (const KernelResult& r : kernels) {
     const bool must_be_clean = r.name == "relocate_probe_incremental" ||
                                r.name == "swap_probe_incremental" ||
@@ -987,6 +1061,16 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(scaled.allocs));
       ++failures;
     }
+  }
+
+  // The oto half of gate 1: the wide matrix's extra probes must not allocate.
+  if (bottleneck_runs[0].allocs != bottleneck_runs[1].allocs) {
+    std::fprintf(stderr,
+                 "FAIL: oto allocates per threshold probe: %llu allocs on the at-bound "
+                 "matrix, %llu on the wide one\n",
+                 static_cast<unsigned long long>(bottleneck_runs[0].allocs),
+                 static_cast<unsigned long long>(bottleneck_runs[1].allocs));
+    ++failures;
   }
 
   // The local-search half of gate 1: refining to convergence must allocate
