@@ -25,9 +25,9 @@
 // scaled x1024 and the search takes more probes), oto nothing per
 // threshold probe (a matrix whose answer is its row-min bound and one
 // whose search takes more probes allocate the same count), local search
-// nothing per pass (refining to convergence allocates what one pass does), and
-// the harness exits non-zero if they do — that is the zero-allocation
-// guarantee CI enforces, independent of timer noise.
+// nothing per pass (refining to convergence allocates what one pass
+// does), and the harness exits non-zero if they do — that is the
+// zero-allocation guarantee CI enforces, independent of timer noise.
 //
 // The SIMD kernel groups time every compiled-and-runnable ISA variant of
 // the dispatched kernels (core/simd.hpp) against the scalar table in the
@@ -902,7 +902,9 @@ int main(int argc, char** argv) {
     auto shuffled = [&rng] {
       std::vector<std::size_t> order(kSide);
       for (std::size_t k = 0; k < kSide; ++k) order[k] = k;
-      for (std::size_t k = kSide; k > 1; --k) std::swap(order[k - 1], order[rng.uniform_u64(0, k - 1)]);
+      for (std::size_t k = kSide; k > 1; --k) {
+        std::swap(order[k - 1], order[rng.uniform_u64(0, k - 1)]);
+      }
       return order;
     };
     // Integers 4..9 everywhere and a 4 at (r, sigma(r)): sigma matches
@@ -937,7 +939,9 @@ int main(int argc, char** argv) {
       (void)mf::exact::solve_bottleneck_assignment(*matrix.cost);
       const std::uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
       const double start = now_ns();
-      for (int k = 0; k < kTimedSolves; ++k) (void)mf::exact::solve_bottleneck_assignment(*matrix.cost);
+      for (int k = 0; k < kTimedSolves; ++k) {
+        (void)mf::exact::solve_bottleneck_assignment(*matrix.cost);
+      }
       bottleneck_runs.push_back(
           {matrix.name, allocs, (now_ns() - start) / 1000.0 / kTimedSolves});
     }

@@ -165,12 +165,9 @@ class ShuffledSelector final : public MachineSelector {
     machines_ = m;
     orders_.resize(per_task_ ? problem.task_count() * m : m);
     for (std::size_t begin = 0; begin < orders_.size(); begin += m) {
-      const auto row = orders_.begin() + static_cast<std::ptrdiff_t>(begin);
-      std::iota(row, row + static_cast<std::ptrdiff_t>(m), core::MachineIndex{0});
-      for (std::size_t k = m; k > 1; --k) {
-        std::swap(row[static_cast<std::ptrdiff_t>(k - 1)],
-                  row[static_cast<std::ptrdiff_t>(rng.uniform_u64(0, k - 1))]);
-      }
+      core::MachineIndex* row = orders_.data() + begin;
+      std::iota(row, row + m, core::MachineIndex{0});
+      for (std::size_t k = m; k > 1; --k) std::swap(row[k - 1], row[rng.uniform_u64(0, k - 1)]);
     }
   }
 
@@ -231,13 +228,6 @@ TEST(BinarySearchEngine, ReplayedProbesMatchFreshPasses) {
         scenario.time_min_ms = 100.0;
         scenario.time_max_ms = 102.0;
         break;
-      case 4:  // no failures and w in [1, 4]: small integer loads that the
-               // probes' integer bounds meet exactly
-        scenario.time_min_ms = 1.0;
-        scenario.time_max_ms = 4.0;
-        scenario.failure_min = 0.0;
-        scenario.failure_max = 0.0;
-        break;
       case 1:
         scenario.integer_times = false;
         break;
@@ -245,8 +235,15 @@ TEST(BinarySearchEngine, ReplayedProbesMatchFreshPasses) {
         scenario.failure_min = 0.1;
         scenario.failure_max = 0.6;
         break;
-      default:
+      case 3:
         scenario.failure_attachment = exp::FailureAttachment::kTaskOnly;
+        break;
+      default:  // no failures and w in [1, 4]: small integer loads that the
+                // probes' integer bounds meet exactly
+        scenario.time_min_ms = 1.0;
+        scenario.time_max_ms = 4.0;
+        scenario.failure_min = 0.0;
+        scenario.failure_max = 0.0;
         break;
     }
     problems.push_back(seed % 2 == 0 ? exp::generate(scenario, seed)
