@@ -237,8 +237,10 @@ class RankSelector final : public MachineSelector {
       const auto by_w = [times](MachineIndex a, MachineIndex b) {
         return times[a] != times[b] ? times[a] < times[b] : a < b;
       };
-      for (std::size_t rank = 0, begin = 0; begin < m; begin = run_end[rank++]) {
-        if (run_end[rank] - begin > 1) std::sort(order + begin, order + run_end[rank], by_w);
+      std::size_t begin = 0;
+      for (const std::size_t end : run_end) {
+        if (end - begin > 1) std::sort(order + begin, order + end, by_w);
+        begin = end;
       }
     }
     for (TaskIndex i = 0; i < n; ++i) {

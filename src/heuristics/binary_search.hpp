@@ -12,8 +12,8 @@
 // per solve. A probe at a new bound repeats the decisions it shares with
 // the last passing or the last failing probe by replaying them into one
 // reused AssignmentState, and scans only from the first position where it
-// may decide otherwise. It makes every decision, and compares every double,
-// that a fresh pass at its bound makes.
+// may decide otherwise. It makes the decisions a fresh pass at its bound
+// makes and leaves the same loads, bit for bit.
 #pragma once
 
 #include <cstdint>
