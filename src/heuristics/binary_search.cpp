@@ -266,9 +266,10 @@ class HeterogeneitySelector final : public MachineSelector {
  public:
   void prepare(const core::Problem& problem) override {
     const std::size_t m = problem.machine_count();
-    // One accumulator per column, filled row by row: each column still gets
-    // its w in task order, so every standard deviation keeps its bits, and
-    // the columns' division chains no longer wait on one another.
+    // One accumulator per column, filled row by row: each column gets its w
+    // in task order, as a column walk would add them, so every standard
+    // deviation has the same bits, and the columns' division chains do not
+    // wait on one another.
     std::vector<support::RunningStats> columns(m);
     for (TaskIndex i = 0; i < problem.task_count(); ++i) {
       const std::span<const double> row = problem.platform.time_row(i);
