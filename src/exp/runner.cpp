@@ -72,14 +72,54 @@ std::uint64_t method_seed(std::uint64_t trial_seed, const Method& method) {
   return support::mix_seed(trial_seed, support::fnv1a64(method.name));
 }
 
-/// Evaluates the listed trials of one point through `executor`: one
-/// SolveRequest per (trial, method), all methods of a trial sharing one
-/// generated instance — the paired design. Returns one outcome per listed
-/// trial, in listing order; a trial succeeds only when every method counts
-/// its result (the paper's common-success protocol).
-std::vector<TrialOutcome> evaluate_trials(const SweepSpec& spec, const Scenario& scenario,
-                                          std::size_t point_index,
-                                          const std::vector<std::size_t>& trials,
+/// A wave hands its rounds' instances to one solve_all while they hold at
+/// most this many w-matrix cells (the sum of n·m); a round that holds more
+/// goes alone. One fig09 point (100 instances of 100 × 100 cells) is the
+/// largest batch a point-by-point runner made, and it already sets the
+/// process's peak memory, so fig09 keeps one point per wave while a whole
+/// fig10 or fig12 round fits in one.
+constexpr std::size_t kWaveCells = std::size_t{1} << 20;
+
+/// The size of a point's next protocol round after `drawn` instances gave
+/// `successes` common successes: `trials` first, then exactly as many as
+/// successes are missing, up to max_trials; 0 once the point is done. A
+/// round that draws exactly the missing successes can reach the target
+/// only on its last trial, so the rounds draw the same trial sequence the
+/// paper's one-at-a-time protocol draws, and `attempts` matches it
+/// exactly. The runner's waves and merge()'s replay both follow it.
+std::size_t round_size(const SweepSpec& spec, std::size_t drawn, std::size_t successes) {
+  if (drawn == 0) return spec.trials;
+  if (successes >= spec.trials || drawn >= spec.max_trials) return 0;
+  return std::min(spec.trials - successes, spec.max_trials - drawn);
+}
+
+std::vector<std::size_t> iota_trials(std::size_t from, std::size_t to) {
+  std::vector<std::size_t> trials(to - from);
+  for (std::size_t t = from; t < to; ++t) trials[t - from] = t;
+  return trials;
+}
+
+/// One instance of a wave: a trial of some point's current round.
+struct Draw {
+  std::size_t point_index;
+  std::size_t trial;
+};
+
+/// One point's way through the protocol.
+struct PointProgress {
+  std::vector<std::size_t> round;      ///< trials of its next round; empty once done
+  std::vector<TrialOutcome> outcomes;  ///< complete runs: every drawn trial, in trial order
+  std::size_t successes = 0;
+};
+
+/// Evaluates one wave through `executor` in one solve_all: one
+/// SolveRequest per (draw, method), in draw then method order, all methods
+/// of a draw sharing one generated instance — the paired design. Returns
+/// one outcome per draw, in wave order; a trial succeeds only when every
+/// method counts its result (the paper's common-success protocol).
+std::vector<TrialOutcome> evaluate_trials(const SweepSpec& spec,
+                                          const std::vector<Scenario>& scenarios,
+                                          const std::vector<Draw>& wave,
                                           const SweepOptions& options,
                                           solve::SolveExecutor& executor,
                                           support::ThreadPool* pool) {
@@ -88,22 +128,22 @@ std::vector<TrialOutcome> evaluate_trials(const SweepSpec& spec, const Scenario&
   // Instance generation is deterministic in (scenario, seed), so it fans
   // out over the pool like the solves do — a serial generation prefix
   // would cap the speedup of sweeps with cheap solvers (Amdahl).
-  std::vector<Instance> instances(trials.size());
+  std::vector<Instance> instances(wave.size());
   const auto generate_trial = [&](std::size_t t) {
-    instances[t] =
-        generate_instance(spec.scenario_id, scenario, trial_seed(spec, point_index, trials[t]));
+    const Draw& draw = wave[t];
+    instances[t] = generate_instance(spec.scenario_id, scenarios[draw.point_index],
+                                     trial_seed(spec, draw.point_index, draw.trial));
   };
   if (pool != nullptr) {
-    support::parallel_for(*pool, trials.size(), generate_trial);
+    support::parallel_for(*pool, wave.size(), generate_trial);
   } else {
-    for (std::size_t t = 0; t < trials.size(); ++t) generate_trial(t);
+    for (std::size_t t = 0; t < wave.size(); ++t) generate_trial(t);
   }
 
   std::vector<solve::SolveRequest> requests;
-  requests.reserve(trials.size() * method_count);
-  for (std::size_t t = 0; t < trials.size(); ++t) {
-    const std::size_t trial = trials[t];
-    const std::uint64_t seed = trial_seed(spec, point_index, trial);
+  requests.reserve(wave.size() * method_count);
+  for (std::size_t t = 0; t < wave.size(); ++t) {
+    const std::uint64_t seed = trial_seed(spec, wave[t].point_index, wave[t].trial);
     for (const Method& method : spec.methods) {
       solve::SolveRequest request;
       // Solvers consume the model's effective problem — the heuristics'
@@ -122,8 +162,8 @@ std::vector<TrialOutcome> evaluate_trials(const SweepSpec& spec, const Scenario&
 
   const std::vector<solve::SolveResult> results = executor.solve_all(requests);
 
-  std::vector<TrialOutcome> outcomes(trials.size());
-  for (std::size_t t = 0; t < trials.size(); ++t) {
+  std::vector<TrialOutcome> outcomes(wave.size());
+  for (std::size_t t = 0; t < wave.size(); ++t) {
     const Instance& instance = instances[t];
     TrialOutcome& outcome = outcomes[t];
     outcome.success = true;
@@ -146,12 +186,6 @@ std::vector<TrialOutcome> evaluate_trials(const SweepSpec& spec, const Scenario&
     }
   }
   return outcomes;
-}
-
-std::vector<std::size_t> iota_trials(std::size_t from, std::size_t to) {
-  std::vector<std::size_t> trials(to - from);
-  for (std::size_t t = from; t < to; ++t) trials[t - from] = t;
-  return trials;
 }
 
 /// Aggregates trial outcomes indexed [0, drawn) into a PointResult: the
@@ -189,61 +223,6 @@ void validate_spec(const SweepSpec& spec) {
   // Unknown scenario ids fail the whole sweep up front (with the list of
   // known ids) instead of mid-flight in a pool thread.
   (void)scenario_description(spec.scenario_id);
-}
-
-/// One complete (unsharded) point: draw `trials` instances, then — while
-/// short of `trials` common successes — draw exactly as many extra
-/// instances as successes are missing, up to max_trials. The rounds draw
-/// the same trial sequence the paper's one-at-a-time protocol draws
-/// (a round of size `needed` can at most reach the target on its last
-/// trial), so `attempts` matches it exactly.
-PointResult run_point(const SweepSpec& spec, std::size_t point_index, std::size_t value,
-                      const SweepOptions& options, solve::SolveExecutor& executor,
-                      support::ThreadPool* pool) {
-  const Scenario scenario = scenario_for(spec, value);
-  std::vector<TrialOutcome> outcomes;
-  outcomes.reserve(spec.trials);
-  std::size_t successes = 0;
-  while (true) {
-    const std::size_t drawn = outcomes.size();
-    std::size_t round = 0;
-    if (drawn == 0) {
-      round = spec.trials;
-    } else if (successes < spec.trials && drawn < spec.max_trials) {
-      round = std::min(spec.trials - successes, spec.max_trials - drawn);
-    }
-    if (round == 0) break;
-    std::vector<TrialOutcome> fresh =
-        evaluate_trials(spec, scenario, point_index, iota_trials(drawn, drawn + round),
-                        options, executor, pool);
-    for (TrialOutcome& outcome : fresh) {
-      successes += outcome.success ? 1 : 0;
-      outcomes.push_back(std::move(outcome));
-    }
-  }
-  return aggregate_point(spec, value, outcomes, outcomes.size());
-}
-
-/// One sharded point: evaluate every owned trial in [0, max_trials) and
-/// record the raw outcomes for merge(). The shard cannot stop early — how
-/// far the global retry protocol reaches depends on other shards' failures.
-PointResult run_point_shard(const SweepSpec& spec, std::size_t point_index, std::size_t value,
-                            const SweepOptions& options, solve::SolveExecutor& executor,
-                            support::ThreadPool* pool) {
-  const Scenario scenario = scenario_for(spec, value);
-  std::vector<std::size_t> owned;
-  for (std::size_t trial = 0; trial < spec.max_trials; ++trial) {
-    if (options.shard.owns(point_index, trial)) owned.push_back(trial);
-  }
-  std::vector<TrialOutcome> outcomes =
-      evaluate_trials(spec, scenario, point_index, owned, options, executor, pool);
-
-  PointResult point;
-  point.sweep_value = value;
-  for (std::size_t t = 0; t < owned.size(); ++t) {
-    point.trial_outcomes.emplace(owned[t], std::move(outcomes[t]));
-  }
-  return point;
 }
 
 /// The reference's mean period at `point`, or nullopt when the reference
@@ -351,16 +330,77 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
   solve::SolveExecutor& executor =
       options.executor != nullptr ? *options.executor : local;
 
+  // Every point starts at its first round. A complete run follows the
+  // protocol from there; a shard evaluates every trial it owns in
+  // [0, max_trials) in one round, because how far the protocol reaches
+  // depends on other shards' failures.
+  const bool sharded = options.shard.is_sharded();
+  const std::size_t point_count = spec.values.size();
   SweepResult result;
   result.spec = spec;
   result.shard = options.shard;
-  result.points.reserve(spec.values.size());
-  for (std::size_t point_index = 0; point_index < spec.values.size(); ++point_index) {
-    const std::size_t value = spec.values[point_index];
-    result.points.push_back(
-        options.shard.is_sharded()
-            ? run_point_shard(spec, point_index, value, options, executor, pool)
-            : run_point(spec, point_index, value, options, executor, pool));
+  result.points.resize(point_count);
+  std::vector<Scenario> scenarios;
+  scenarios.reserve(point_count);
+  std::vector<PointProgress> progress(point_count);
+  for (std::size_t p = 0; p < point_count; ++p) {
+    result.points[p].sweep_value = spec.values[p];
+    scenarios.push_back(scenario_for(spec, spec.values[p]));
+    if (!sharded) {
+      progress[p].round = iota_trials(0, round_size(spec, 0, 0));
+      continue;
+    }
+    for (std::size_t trial = 0; trial < spec.max_trials; ++trial) {
+      if (options.shard.owns(p, trial)) progress[p].round.push_back(trial);
+    }
+  }
+
+  // One wave per pass: the next round of every unfinished point, in point
+  // order, while its instances hold at most kWaveCells cells (a round that
+  // holds more goes alone), solved under one solve_all barrier. Seeds and
+  // aggregation do not depend on which wave a trial lands in.
+  while (true) {
+    std::vector<Draw> wave;
+    std::vector<std::size_t> taken;
+    std::size_t cells = 0;
+    for (std::size_t p = 0; p < point_count; ++p) {
+      const std::vector<std::size_t>& round = progress[p].round;
+      if (round.empty()) continue;
+      const std::size_t round_cells =
+          round.size() * scenarios[p].tasks * scenarios[p].machines;
+      if (!taken.empty() && cells + round_cells > kWaveCells) break;
+      cells += round_cells;
+      taken.push_back(p);
+      for (const std::size_t trial : round) wave.push_back({p, trial});
+    }
+    if (taken.empty()) break;
+
+    std::vector<TrialOutcome> outcomes =
+        evaluate_trials(spec, scenarios, wave, options, executor, pool);
+    for (std::size_t k = 0; k < wave.size(); ++k) {
+      const Draw& draw = wave[k];
+      if (sharded) {
+        result.points[draw.point_index].trial_outcomes.emplace(draw.trial,
+                                                                std::move(outcomes[k]));
+        continue;
+      }
+      PointProgress& point = progress[draw.point_index];
+      point.successes += outcomes[k].success ? 1 : 0;
+      point.outcomes.push_back(std::move(outcomes[k]));
+    }
+    for (const std::size_t p : taken) {
+      PointProgress& point = progress[p];
+      const std::size_t drawn = point.outcomes.size();
+      point.round = sharded ? std::vector<std::size_t>{}
+                            : iota_trials(drawn, drawn + round_size(spec, drawn, point.successes));
+    }
+  }
+
+  if (!sharded) {
+    for (std::size_t p = 0; p < point_count; ++p) {
+      const std::vector<TrialOutcome>& outcomes = progress[p].outcomes;
+      result.points[p] = aggregate_point(spec, spec.values[p], outcomes, outcomes.size());
+    }
   }
   return result;
 }
@@ -429,8 +469,7 @@ SweepResult merge(std::vector<SweepResult> shards) {
   result.points.reserve(spec.values.size());
   for (std::size_t point_index = 0; point_index < spec.values.size(); ++point_index) {
     // Reassemble the full outcome sequence from each owner shard, then
-    // replay the retry protocol: draw `trials`, extend one trial at a time
-    // while short of `trials` successes, stop at max_trials.
+    // replay the retry protocol's rounds over it.
     std::vector<TrialOutcome> outcomes;
     outcomes.reserve(spec.max_trials);
     for (std::size_t trial = 0; trial < spec.max_trials; ++trial) {
@@ -442,12 +481,12 @@ SweepResult merge(std::vector<SweepResult> shards) {
                  "shard result is missing an owned trial outcome");
       outcomes.push_back(it->second);
     }
-    std::size_t drawn = spec.trials;
+    std::size_t drawn = 0;
     std::size_t successes = 0;
-    for (std::size_t t = 0; t < drawn; ++t) successes += outcomes[t].success ? 1 : 0;
-    while (successes < spec.trials && drawn < spec.max_trials) {
-      successes += outcomes[drawn].success ? 1 : 0;
-      ++drawn;
+    while (const std::size_t round = round_size(spec, drawn, successes)) {
+      for (const std::size_t end = drawn + round; drawn < end; ++drawn) {
+        successes += outcomes[drawn].success ? 1 : 0;
+      }
     }
     result.points.push_back(
         aggregate_point(spec, spec.values[point_index], outcomes, drawn));

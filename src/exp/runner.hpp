@@ -17,13 +17,18 @@
 // `solve::SolveRequest` and one `solve::SolveService` per sweep fans the
 // requests over the thread pool — the same path the CLI and examples use,
 // so sweeps inherit result caching and per-request error isolation for
-// free. Seeds are content-addressed: a request's seed depends only on
-// (base_seed, point, trial, method name), never on batch composition —
-// which is what makes sharded execution exact. A `ShardSpec`
-// deterministically partitions (point, trial) pairs across processes; each
-// shard records raw per-trial outcomes and `merge()` replays the
-// success-counting protocol over them, reproducing the unsharded
-// `SweepResult` bit for bit.
+// free. The runner works in *waves*: one wave is the next protocol round
+// of every unfinished point, in point order, solved under one
+// `SolveExecutor::solve_all`, so the pool waits at one barrier per round
+// of the longest point instead of one per round of every point. A wave
+// takes whole rounds while its instances hold at most 2^20 w-matrix cells
+// (the sum of n·m); a round larger than that goes alone. Seeds are
+// content-addressed: a request's seed depends only on (base_seed, point,
+// trial, method name), never on batch composition — which is what makes
+// waves and sharded execution exact. A `ShardSpec` deterministically
+// partitions (point, trial) pairs across processes; each shard records raw
+// per-trial outcomes and `merge()` replays the success-counting protocol
+// over them, reproducing the unsharded `SweepResult` bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -150,9 +155,9 @@ struct SweepResult {
 [[nodiscard]] SweepResult run_sweep(const SweepSpec& spec, support::ThreadPool* pool = nullptr);
 
 /// Runs the sweep with execution options. Sharded runs (shard.count > 1)
-/// evaluate every owned (point, trial) pair up to max_trials — a shard
-/// cannot know how far the global retry protocol will reach — and return a
-/// partial result for `merge()`.
+/// evaluate every owned (point, trial) pair up to max_trials, one round per
+/// point in the same waves — a shard cannot know how far the global retry
+/// protocol will reach — and return a partial result for `merge()`.
 [[nodiscard]] SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
                                     support::ThreadPool* pool = nullptr);
 

@@ -1,7 +1,12 @@
 // Tests for the sweep runner and figure specifications: paired trials,
-// aggregation, failure protocol, tables/charts/ratios, and that each figure
-// spec encodes the paper's parameters.
+// aggregation, failure protocol, waves (one solve_all per protocol round
+// across points, under a cap on cells), tables/charts/ratios, and that each
+// figure spec encodes the paper's parameters.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <set>
 
 #include "core/evaluation.hpp"
 #include "exp/figures.hpp"
@@ -9,6 +14,8 @@
 #include "exp/runner.hpp"
 #include "solve/adapters.hpp"
 #include "solve/registry.hpp"
+#include "solve/service.hpp"
+#include "sweep_helpers.hpp"
 
 namespace mf::exp {
 namespace {
@@ -42,24 +49,91 @@ TEST(Runner, ProducesOnePointPerValue) {
 }
 
 TEST(Runner, DeterministicAcrossRuns) {
-  const SweepResult a = run_sweep(tiny_spec());
-  const SweepResult b = run_sweep(tiny_spec());
-  for (std::size_t p = 0; p < a.points.size(); ++p) {
-    for (const auto& [name, summary] : a.points[p].period_by_method) {
-      EXPECT_DOUBLE_EQ(summary.mean, b.points[p].period_by_method.at(name).mean) << name;
-    }
-  }
+  test::expect_identical(run_sweep(test::flaky_spec()), run_sweep(test::flaky_spec()));
 }
 
 TEST(Runner, ParallelMatchesSerial) {
-  const SweepResult serial = run_sweep(tiny_spec());
+  const SweepResult serial = run_sweep(test::flaky_spec());
   support::ThreadPool pool(4);
-  const SweepResult parallel = run_sweep(tiny_spec(), &pool);
-  for (std::size_t p = 0; p < serial.points.size(); ++p) {
-    for (const auto& [name, summary] : serial.points[p].period_by_method) {
-      EXPECT_DOUBLE_EQ(summary.mean, parallel.points[p].period_by_method.at(name).mean);
+  test::expect_identical(serial, run_sweep(test::flaky_spec(), &pool));
+}
+
+TEST(Runner, OneBarrierPerProtocolRound) {
+  // Round r of every unfinished point goes to one solve_all, so a sweep
+  // waits at as many barriers as its longest point has rounds.
+  const SweepSpec spec = test::flaky_spec();
+  solve::SolveService service;
+  test::CountingExecutor counting(service);
+  SweepOptions options;
+  options.executor = &counting;
+  const SweepResult waves = run_sweep(spec, options);
+
+  // Each point's rounds, replayed over the merged shards' outcomes: round 0
+  // draws `trials`, each later one the missing successes, up to max_trials.
+  const std::vector<SweepResult> shards = test::run_shards(spec, 3);
+  std::size_t longest = 0;
+  std::size_t total = 0;
+  for (std::size_t p = 0; p < spec.values.size(); ++p) {
+    std::map<std::size_t, TrialOutcome> outcomes;
+    for (const SweepResult& shard : shards) {
+      outcomes.insert(shard.points[p].trial_outcomes.begin(),
+                      shard.points[p].trial_outcomes.end());
     }
+    ASSERT_EQ(outcomes.size(), spec.max_trials);
+    std::size_t drawn = 0;
+    std::size_t successes = 0;
+    std::size_t rounds = 0;
+    for (std::size_t round = spec.trials; round > 0;) {
+      ++rounds;
+      for (const std::size_t end = drawn + round; drawn < end; ++drawn) {
+        successes += outcomes.at(drawn).success ? 1 : 0;
+      }
+      round = successes >= spec.trials
+                  ? 0
+                  : std::min(spec.trials - successes, spec.max_trials - drawn);
+    }
+    longest = std::max(longest, rounds);
+    total += rounds;
   }
+  EXPECT_GT(longest, 1u) << "fixture never exercised the retry protocol";
+  EXPECT_EQ(counting.calls.size(), longest) << total << " rounds over all points";
+  test::expect_identical(merge(shards), waves);
+}
+
+TEST(Runner, WavesStayWithinTheCellCap) {
+  // Each point's one round holds 50 instances of 128 x 64 = 409,600
+  // w-matrix cells. A wave takes whole rounds while it holds at most 2^20
+  // cells, so two rounds share a call and a third does not fit.
+  constexpr std::size_t kWaveCells = std::size_t{1} << 20;
+  SweepSpec spec;
+  spec.name = "wide";
+  spec.base.tasks = 128;
+  spec.base.machines = 64;
+  spec.variable = SweepVariable::kTypes;
+  spec.values = {2, 3, 4, 5};
+  spec.methods = heuristic_methods({"H4w"});
+  spec.trials = 50;
+  spec.max_trials = 50;
+  spec.base_seed = 7;
+  solve::SolveService service;
+  test::CountingExecutor counting(service);
+  SweepOptions options;
+  options.executor = &counting;
+  const SweepResult result = run_sweep(spec, options);
+
+  EXPECT_LT(counting.calls.size(), spec.values.size());
+  for (const auto& call : counting.calls) {
+    std::set<std::size_t> rounds;  // the points differ in p, one round each
+    std::size_t cells = 0;
+    for (const test::CountingExecutor::Shape& shape : call) {
+      rounds.insert(shape.types);
+      cells += shape.tasks * shape.machines;
+    }
+    cells /= spec.methods.size();
+    EXPECT_TRUE(cells <= kWaveCells || rounds.size() == 1)
+        << cells << " cells in " << rounds.size() << " rounds";
+  }
+  for (const PointResult& point : result.points) EXPECT_EQ(point.successes, 50u);
 }
 
 TEST(Runner, PairedDesignGivesIdenticalPeriodsForIdenticalMethods) {

@@ -18,86 +18,18 @@
 #include <string>
 #include <vector>
 
-#include "core/digest.hpp"
-#include "exp/method.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep_io.hpp"
-#include "solve/adapters.hpp"
-#include "solve/registry.hpp"
+#include "solve/service.hpp"
+#include "sweep_helpers.hpp"
 
 namespace mf::exp {
 namespace {
 
-/// A deterministic sometimes-failing method: infeasible on instances whose
-/// digest has an odd low word, H2's answer otherwise. Instance-addressed
-/// flakiness exercises the 30-of-60 retry protocol identically in sharded
-/// and unsharded runs.
-void ensure_flaky_solver() {
-  auto& registry = solve::SolverRegistry::instance();
-  if (registry.contains("flaky")) return;
-  registry.register_solver(solve::make_function_solver(
-      "flaky", "test solver failing on half the instances",
-      [](const core::Problem& problem, const solve::SolveParams& params) {
-        if ((core::digest(problem).lo & 1) != 0) return solve::SolveResult{};
-        return solve::SolverRegistry::instance().find("H2")->solve(problem, params);
-      }));
-}
-
-SweepSpec small_spec() {
-  SweepSpec spec;
-  spec.name = "tiny-shard";
-  spec.description = "sharding equivalence fixture";
-  spec.base.machines = 4;
-  spec.base.types = 2;
-  spec.variable = SweepVariable::kTasks;
-  spec.values = {4, 6, 8};
-  spec.methods = heuristic_methods({"H1", "H4w"});
-  spec.trials = 4;
-  spec.max_trials = 4;
-  spec.base_seed = 2024;
-  return spec;
-}
-
-SweepSpec flaky_spec() {
-  ensure_flaky_solver();
-  SweepSpec spec = small_spec();
-  spec.name = "flaky-shard";
-  spec.methods.push_back(method_for("flaky"));
-  spec.trials = 3;
-  spec.max_trials = 12;  // the retry protocol has room to chase successes
-  return spec;
-}
-
-void expect_identical(const SweepResult& a, const SweepResult& b) {
-  ASSERT_EQ(a.points.size(), b.points.size());
-  for (std::size_t p = 0; p < a.points.size(); ++p) {
-    EXPECT_EQ(a.points[p].sweep_value, b.points[p].sweep_value);
-    EXPECT_EQ(a.points[p].successes, b.points[p].successes) << "point " << p;
-    EXPECT_EQ(a.points[p].attempts, b.points[p].attempts) << "point " << p;
-    ASSERT_EQ(a.points[p].period_by_method.size(), b.points[p].period_by_method.size());
-    for (const auto& [name, summary] : a.points[p].period_by_method) {
-      const support::Summary& other = b.points[p].period_by_method.at(name);
-      // Bit-for-bit: content-addressed seeds and trial-order aggregation
-      // make sharded and unsharded floating point identical, not just close.
-      EXPECT_EQ(summary.count, other.count) << name;
-      EXPECT_EQ(summary.mean, other.mean) << name;
-      EXPECT_EQ(summary.stddev, other.stddev) << name;
-      EXPECT_EQ(summary.min, other.min) << name;
-      EXPECT_EQ(summary.max, other.max) << name;
-    }
-  }
-  EXPECT_EQ(a.to_table().to_string(), b.to_table().to_string());
-}
-
-std::vector<SweepResult> run_shards(const SweepSpec& spec, std::size_t count) {
-  std::vector<SweepResult> shards;
-  for (std::size_t index = 0; index < count; ++index) {
-    SweepOptions options;
-    options.shard = {index, count};
-    shards.push_back(run_sweep(spec, options));
-  }
-  return shards;
-}
+using test::expect_identical;
+using test::flaky_spec;
+using test::run_shards;
+using test::small_spec;
 
 TEST(Shard, OwnerPartitionsEveryPair) {
   for (const std::size_t count : {2u, 3u, 5u}) {
@@ -157,6 +89,24 @@ TEST(Shard, MergeReplaysTheRetryProtocolExactly) {
   }
   EXPECT_TRUE(extended) << "fixture never exercised the retry protocol";
   expect_identical(unsharded, merge(run_shards(spec, 3)));
+}
+
+TEST(Shard, ShardedRunBatchesAcrossPoints) {
+  // A shard evaluates every trial it owns in one round per point, and the
+  // rounds of all three points fit in one wave: one solve_all, not one per
+  // point.
+  const SweepSpec spec = small_spec();
+  solve::SolveService service;
+  test::CountingExecutor counting(service);
+  SweepOptions options;
+  options.shard = {0, 2};
+  options.executor = &counting;
+  const SweepResult partial = run_sweep(spec, options);
+  ASSERT_EQ(counting.calls.size(), 1u);
+  std::size_t outcomes = 0;
+  for (const PointResult& point : partial.points) outcomes += point.trial_outcomes.size();
+  EXPECT_EQ(counting.calls.front().size(), outcomes * spec.methods.size());
+  EXPECT_EQ(to_text(partial), to_text(run_shards(spec, 2)[0]));
 }
 
 TEST(Shard, PooledShardsMatchSerialShards) {
