@@ -36,9 +36,14 @@ struct Searcher {
   std::vector<TaskIndex> successor;  // kNoTask for sinks
   std::vector<TypeIndex> task_type;
 
-  // Per-task minima over machines (optimistic completion ingredients).
-  std::vector<double> min_attempts;  // min_u 1/(1-f_{i,u})
+  // Minima over machines of the task at each backward-order position
+  // (optimistic completion ingredients), read by lower_bound in order.
+  std::vector<double> min_attempts;  // min_u 1/(1-f_{i,u}), i = order[d]
   std::vector<double> min_time;      // min_u w_{i,u}
+  /// True when the application is a chain in backward order: the sink
+  /// first, then each task's predecessor, so position d feeds position
+  /// d - 1.
+  bool chain = false;
 
   // Mutable search state.
   std::vector<MachineIndex> assignment;
@@ -54,10 +59,10 @@ struct Searcher {
   double incumbent = std::numeric_limits<double>::infinity();
   std::vector<MachineIndex> incumbent_assignment;
   bool budget_exhausted = false;
-  /// Scratch for lower_bound, sized once: every entry read is written
-  /// earlier in the same call (successors precede predecessors in the
-  /// backward order), so stale values are never observed and the search
-  /// allocates nothing per node.
+  /// Scratch for lower_bound's in-tree loop, sized once: every entry read
+  /// is written earlier in the same call (successors precede predecessors
+  /// in the backward order), so stale values are never observed and the
+  /// search allocates nothing per node.
   std::vector<double> opt_x_scratch;
   /// Depth-major candidate lists: depth d owns slots [d*m, d*m + m), so a
   /// node's sorted branches stay intact while its subtree runs below it.
@@ -83,6 +88,9 @@ struct Searcher {
     for (TaskIndex i = 0; i < p.task_count(); ++i) {
       successor[i] = p.app.successor(i);
       task_type[i] = p.app.type_of(i);
+    }
+    for (std::size_t d = 0; d < order.size(); ++d) {
+      const TaskIndex i = order[d];
       double best_f = std::numeric_limits<double>::infinity();
       double best_w = std::numeric_limits<double>::infinity();
       // Row reductions over the cached F table and the w row (span idiom):
@@ -93,8 +101,12 @@ struct Searcher {
         best_f = std::min(best_f, attempts_row[u]);
         best_w = std::min(best_w, time_row[u]);
       }
-      min_attempts[i] = best_f;
-      min_time[i] = best_w;
+      min_attempts[d] = best_f;
+      min_time[d] = best_w;
+    }
+    chain = !order.empty() && successor[order[0]] == core::kNoTask;
+    for (std::size_t d = 1; d < order.size() && chain; ++d) {
+      chain = successor[order[d]] == order[d - 1];
     }
   }
 
@@ -119,18 +131,31 @@ struct Searcher {
     // either assigned (exact x) or computed earlier in this very loop.
     double optimistic_work = 0.0;
     double best_single = 0.0;
-    std::vector<double>& opt_x = opt_x_scratch;
-    for (std::size_t d = depth; d < order.size(); ++d) {
-      const TaskIndex i = order[d];
-      const TaskIndex succ = successor[i];
-      double downstream = 1.0;
-      if (succ != core::kNoTask) {
-        downstream = assignment[succ] == core::kUnassigned ? opt_x[succ] : x[succ];
+    if (chain) {
+      // The first remaining task feeds the last assigned one, and each
+      // later one the task just before it, so the downstream product stays
+      // in a register: the same products, in the same order, as below.
+      double downstream = depth == 0 ? 1.0 : x[order[depth - 1]];
+      for (std::size_t d = depth; d < order.size(); ++d) {
+        downstream *= min_attempts[d];
+        const double increment = downstream * min_time[d];
+        optimistic_work += increment;
+        best_single = std::max(best_single, increment);
       }
-      opt_x[i] = downstream * min_attempts[i];
-      const double increment = opt_x[i] * min_time[i];
-      optimistic_work += increment;
-      best_single = std::max(best_single, increment);
+    } else {
+      std::vector<double>& opt_x = opt_x_scratch;
+      for (std::size_t d = depth; d < order.size(); ++d) {
+        const TaskIndex i = order[d];
+        const TaskIndex succ = successor[i];
+        double downstream = 1.0;
+        if (succ != core::kNoTask) {
+          downstream = assignment[succ] == core::kUnassigned ? opt_x[succ] : x[succ];
+        }
+        opt_x[i] = downstream * min_attempts[d];
+        const double increment = opt_x[i] * min_time[d];
+        optimistic_work += increment;
+        best_single = std::max(best_single, increment);
+      }
     }
     // Average bound: even perfectly balanced, the max load is at least the
     // mean of total committed + optimistic remaining work.

@@ -2,6 +2,9 @@
 // force, dominance over every heuristic, budget behaviour and edge cases.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -140,6 +143,80 @@ TEST(SpecializedBnB, PaperScaleInstanceSolves) {
   ASSERT_TRUE(result.mapping.has_value());
   EXPECT_TRUE(result.proven_optimal);
   EXPECT_GT(result.nodes, 0u);
+}
+
+/// The same chain under other task labels: task i becomes task
+/// (13·i + 5) mod n, with its type, successor and platform rows moved along.
+/// n must be coprime to 13 for that to be a permutation.
+struct Relabelled {
+  Problem problem;
+  std::vector<core::TaskIndex> label;  ///< label[i]: task i's new index
+};
+
+Relabelled relabel_chain(const Problem& chain) {
+  const std::size_t n = chain.task_count();
+  const std::size_t m = chain.machine_count();
+  std::vector<core::TaskIndex> label(n);
+  for (std::size_t i = 0; i < n; ++i) label[i] = (13 * i + 5) % n;
+  std::vector<core::TypeIndex> types(n);
+  std::vector<core::TaskIndex> successor(n, core::kNoTask);
+  support::Matrix w(n, m);
+  support::Matrix f(n, m);
+  for (core::TaskIndex i = 0; i < n; ++i) {
+    types[label[i]] = chain.app.type_of(i);
+    const core::TaskIndex next = chain.app.successor(i);
+    if (next != core::kNoTask) successor[label[i]] = label[next];
+    for (core::MachineIndex u = 0; u < m; ++u) {
+      w.at(label[i], u) = chain.platform.time_row(i)[u];
+      f.at(label[i], u) = chain.platform.failure_row(i)[u];
+    }
+  }
+  return {Problem{core::Application::from_successors(std::move(types), std::move(successor)),
+                  core::Platform{std::move(w), std::move(f)}},
+          std::move(label)};
+}
+
+TEST(SpecializedBnB, ChainSearchDoesNotDependOnTaskLabels) {
+  // The golden table's chains number their tasks along the path. A chain
+  // built from successors under shuffled labels is the same problem, so
+  // the search must visit the same nodes and end on the same mapping,
+  // relabelled, with the same period bits. Failure rates up to 30% spread
+  // the downstream products far apart, so a bound that read another
+  // task's product would prune differently.
+  for (const auto& [n, m, p] : {std::array<std::size_t, 3>{10, 5, 2}, {14, 9, 4}, {20, 9, 4}}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      for (const bool warm : {true, false}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m) +
+                     " seed=" + std::to_string(seed) + (warm ? " warm" : " cold"));
+        exp::Scenario scenario;
+        scenario.tasks = n;
+        scenario.machines = m;
+        scenario.types = p;
+        scenario.failure_min = 0.05;
+        scenario.failure_max = 0.3;
+        const Problem chain = exp::generate(scenario, seed);
+        const Relabelled shuffled = relabel_chain(chain);
+        ASSERT_TRUE(shuffled.problem.app.is_linear_chain());
+        ASSERT_NE(shuffled.problem.app.backward_order(), chain.app.backward_order());
+
+        BnBOptions options;
+        options.max_nodes = 20'000;
+        options.seed_with_heuristics = warm;
+        const BnBResult expected = solve_specialized_optimal(chain, options);
+        const BnBResult result = solve_specialized_optimal(shuffled.problem, options);
+        EXPECT_EQ(result.nodes, expected.nodes);
+        EXPECT_EQ(result.proven_optimal, expected.proven_optimal);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(result.period),
+                  std::bit_cast<std::uint64_t>(expected.period));
+        ASSERT_TRUE(result.mapping.has_value());
+        ASSERT_TRUE(expected.mapping.has_value());
+        for (core::TaskIndex i = 0; i < n; ++i) {
+          EXPECT_EQ(result.mapping->machine_of(shuffled.label[i]), expected.mapping->machine_of(i))
+              << "task " << i;
+        }
+      }
+    }
+  }
 }
 
 // --- Pinned-seed node-for-node identity ------------------------------------
