@@ -59,6 +59,7 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -68,6 +69,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/evaluation.hpp"
@@ -474,6 +477,24 @@ void print_header(const mf::exp::SweepSpec& spec, mf::solve::CachePolicy cache) 
               mf::solve::to_string(cache).c_str());
 }
 
+/// Parses `--shard i/N`: two plain decimal numbers around one slash, with
+/// no sign, blank or trailing text; nullopt on anything else.
+std::optional<mf::exp::ShardSpec> parse_shard(std::string_view text) {
+  const auto number = [](std::string_view digits) -> std::optional<std::size_t> {
+    std::size_t value = 0;
+    const char* const end = digits.data() + digits.size();
+    const auto [stop, error] = std::from_chars(digits.data(), end, value);
+    if (error != std::errc{} || stop != end) return std::nullopt;
+    return value;
+  };
+  const std::size_t slash = text.find('/');
+  if (slash == std::string_view::npos) return std::nullopt;
+  const std::optional<std::size_t> index = number(text.substr(0, slash));
+  const std::optional<std::size_t> count = number(text.substr(slash + 1));
+  if (!index.has_value() || !count.has_value()) return std::nullopt;
+  return mf::exp::ShardSpec{*index, *count};
+}
+
 int run_figure(const mf::support::CliArgs& args) {
   const std::string name = args.get("figure", "");
   const std::optional<Report> report = report_by_name(name);
@@ -532,16 +553,13 @@ int run_figure(const mf::support::CliArgs& args) {
     remote.emplace(std::move(remote_options));
     options.executor = &*remote;
   }
-  const std::string shard_text = args.get("shard", "");
-  if (!shard_text.empty()) {
-    unsigned long long index = 0;
-    unsigned long long count = 0;
-    if (std::sscanf(shard_text.c_str(), "%llu/%llu", &index, &count) != 2 || count < 2 ||
-        index >= count) {
+  if (args.has("shard")) {
+    const std::optional<mf::exp::ShardSpec> shard = parse_shard(args.get("shard", ""));
+    if (!shard.has_value() || shard->count < 2 || shard->index >= shard->count) {
       std::fprintf(stderr, "error: --shard expects i/N with 0 <= i < N and N >= 2\n");
       return 2;
     }
-    options.shard = {static_cast<std::size_t>(index), static_cast<std::size_t>(count)};
+    options.shard = *shard;
   }
 
   if (options.shard.is_sharded()) {
