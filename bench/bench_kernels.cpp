@@ -9,16 +9,12 @@
 //     layer landed), the current full re-evaluation (core::period, which
 //     now reads the Platform's cached attempts table), and the
 //     IncrementalEvaluator probes that replaced both;
-//   * one full evaluation through EvalWorkspace (zero-allocation span
-//     walk) vs the allocating core::period reference;
 //   * the dense core scans max_expected_products / period_upper_bound;
-//   * one whole Hungarian solve (n=m=40), whose reused workspace must
-//     not allocate;
 //   * the exact B&B's cost per node and the H2/H3 and oto cost per solve
 //     (notes, not gated).
 //
 // A global operator-new hook counts heap allocations inside each timed
-// region; the incremental probes and workspace evaluations must allocate
+// region; the incremental probes and the SIMD kernels must allocate
 // nothing per op, the B&B nothing per node (two solves that exhaust
 // budgets 10x apart allocate the same count), H2 and H3 nothing per
 // bisection probe (a solve allocates the same count when every w is
@@ -31,11 +27,9 @@
 //
 // The SIMD kernel groups time every compiled-and-runnable ISA variant of
 // the dispatched kernels (core/simd.hpp) against the scalar table in the
-// same interleaved group, verify each variant's output is bit-identical
-// to scalar on the bench inputs (a hard gate), and gate the machine-load
-// re-summation kernel's widest-ISA paired speedup at >= 1.5x on a
-// long-member-list stress shape — the shape where the scalar chain is
-// add-latency-bound and vector lanes genuinely pay off.
+// same interleaved group and verify each variant's output is
+// bit-identical to scalar on the bench inputs (a hard gate); their
+// speedups are printed, not gated.
 //
 //   bench_kernels [--out BENCH_kernels.json] [--reps 15] [--probes 256]
 //                 [--check BASELINE.json] [--tolerance 0.25] [--print-isa]
@@ -72,7 +66,6 @@
 #include "core/failure.hpp"
 #include "core/simd.hpp"
 #include "exact/bottleneck_assignment.hpp"
-#include "exact/hungarian.hpp"
 #include "exact/specialized_bnb.hpp"
 #include "exp/scenario.hpp"
 #include "extensions/local_search.hpp"
@@ -469,8 +462,7 @@ int main(int argc, char** argv) {
           "probe, if local search allocates per pass,\n"
           "if the (n=100, m=20) relocate probe is below 3.5x over the pre-kernel\n"
           "evaluation path, if any SIMD kernel variant is not bit-identical to\n"
-          "the scalar table, if the widest-ISA machine-load re-summation\n"
-          "speedup is below 1.5x on the stress shape,\n"
+          "the scalar table,\n"
           "or (with --check) if any paired speedup ratio fell more than\n"
           "--tolerance below the committed baseline's (absolute medians are\n"
           "reported, not gated: paired ratios are immune to host-state drift,\n"
@@ -531,7 +523,6 @@ int main(int argc, char** argv) {
 
     mf::core::EvalWorkspace workspace(problem);
     mf::core::IncrementalEvaluator eval(workspace, assignment);
-    const mf::core::Mapping mapping{assignment};
 
     auto record = [&](const std::vector<KernelResult>& results) {
       for (const KernelResult& r : results) {
@@ -592,12 +583,6 @@ int main(int argc, char** argv) {
         &summary.swap_speedup, &summary.swap_vs_full);
     speedups.push_back(summary);
 
-    record(measure_group(point.n, point.m, reps, probes,
-                         {{"full_eval_reference",
-                           [&](std::size_t) { return mf::core::period(problem, mapping); }},
-                          {"full_eval_workspace",
-                           [&](std::size_t) { return workspace.period(assignment); }}})
-               .results);
     record(measure_group(point.n, point.m, reps, 64,
                          {{"max_expected_products",
                            [&](std::size_t) {
@@ -610,42 +595,15 @@ int main(int argc, char** argv) {
                .results);
   }
 
-  {
-    // The whole Hungarian solver, which has no SIMD path: the zero-allocation
-    // assertion for its reused thread-local workspace. After warm-up,
-    // solve_assignment_into must never touch the heap.
-    const std::size_t hn = 40;
-    mf::support::Rng rng(5150);
-    mf::support::Matrix cost(hn, hn);
-    for (std::size_t r = 0; r < hn; ++r) {
-      for (std::size_t c = 0; c < hn; ++c) {
-        cost.at(r, c) = 0.5 * static_cast<double>(rng.uniform_u64(0, 127));
-      }
-    }
-    std::vector<std::size_t> out_cols(hn);
-    const KernelResult r =
-        measure_group(hn, hn, reps, 64,
-                      {{"hungarian_solve",
-                        [&](std::size_t) {
-                          return mf::exact::solve_assignment_into(cost, out_cols);
-                        }}})
-            .results.front();
-    std::printf("| %-27s | %4zu | %3zu | %12.1f | %9.2f |\n", r.name.c_str(), r.n, r.m,
-                r.median_ns, r.allocs_per_op);
-    kernels.push_back(r);
-  }
-
   // --- SIMD kernel variant groups ------------------------------------------
   // Every compiled-and-runnable ISA variant of each dispatched kernel runs
   // against the scalar table inside one interleaved group, after a hard
   // bit-equality check of its outputs on the same inputs. Speedups are
-  // paired per-rep ratios vs the scalar kernel, best of kPasses.
+  // paired per-rep ratios vs the scalar kernel.
   const std::span<const mf::core::simd::KernelTable* const> isa_tables =
       mf::core::simd::available();
   std::vector<SimdSpeedup> simd_speedups;
   int simd_equality_failures = 0;
-  double widest_resum_speedup = -1.0;
-  const char* widest_isa = mf::core::simd::isa_name(isa_tables.back()->isa);
 
   std::printf("\nSIMD kernel variants (dispatch default: %s)\n",
               mf::core::simd::isa_name(mf::core::simd::active().isa));
@@ -664,73 +622,6 @@ int main(int argc, char** argv) {
       }
     }
   };
-
-  {
-    // Machine-load re-summation over a CSR membership layout: the probe
-    // grid's largest point (informational) and a long-member-list stress
-    // shape (gated). At ~128 tasks per machine the scalar sum is an
-    // add-latency-bound serial chain per machine — the shape the
-    // lane-per-machine SIMD kernel exists to overlap. The short ragged
-    // lists of the paper-scale shapes stay latency-friendly for scalar
-    // and are protected by the --check regression gate instead.
-    struct ResumShape {
-      std::size_t n, m;
-      bool gated;
-    };
-    const ResumShape shapes[] = {{200, 40, false}, {2048, 16, true}};
-    for (const ResumShape& shape : shapes) {
-      mf::support::Rng rng(31 * shape.n + shape.m);
-      std::vector<MachineIndex> assign(shape.n);
-      for (MachineIndex& a : assign) a = rng.uniform_u64(0, shape.m - 1);
-      std::vector<std::size_t> begin(shape.m + 1, 0);
-      for (MachineIndex a : assign) ++begin[a + 1];
-      for (std::size_t u = 0; u < shape.m; ++u) begin[u + 1] += begin[u];
-      std::vector<std::size_t> cursor(begin.begin(), begin.end() - 1);
-      std::vector<TaskIndex> members(shape.n);
-      for (TaskIndex i = 0; i < shape.n; ++i) members[cursor[assign[i]]++] = i;
-      std::vector<double> xw(shape.n);
-      for (double& v : xw) v = rng.uniform(0.05, 2.0);
-      std::vector<MachineIndex> queue(shape.m);
-      for (std::size_t q = 0; q < shape.m; ++q) queue[q] = q;
-
-      std::vector<double> ref_loads(shape.m, 0.0);
-      isa_tables.front()->resum_machines(xw.data(), members.data(), begin.data(),
-                                         queue.data(), shape.m, ref_loads.data());
-      std::vector<double> scratch(shape.m, 0.0);
-      std::vector<Kernel> group;
-      for (const mf::core::simd::KernelTable* table : isa_tables) {
-        std::fill(scratch.begin(), scratch.end(), -1.0);
-        table->resum_machines(xw.data(), members.data(), begin.data(), queue.data(),
-                              shape.m, scratch.data());
-        if (std::memcmp(scratch.data(), ref_loads.data(), shape.m * sizeof(double)) != 0) {
-          std::fprintf(stderr, "FAIL: resum_machines %s differs from scalar bit-wise\n",
-                       mf::core::simd::isa_name(table->isa));
-          ++simd_equality_failures;
-        }
-        group.push_back(Kernel{
-            std::string("resum_") + mf::core::simd::isa_name(table->isa),
-            [table, &xw, &members, &begin, &queue, &scratch, &shape](std::size_t) {
-              table->resum_machines(xw.data(), members.data(), begin.data(),
-                                    queue.data(), shape.m, scratch.data());
-              return scratch.back();
-            }});
-      }
-      // Best of kPasses on the widest variant's paired ratio, same policy
-      // as the probe trios: interference only deflates a paired ratio.
-      GroupResult best;
-      double best_ratio = -1.0;
-      for (std::size_t pass = 0; pass < kPasses; ++pass) {
-        GroupResult g = measure_group(shape.n, shape.m, reps, 64, group);
-        const double ratio = paired_ratio(g, 0, group.size() - 1);
-        if (ratio > best_ratio) {
-          best_ratio = ratio;
-          best = std::move(g);
-        }
-      }
-      record_simd("resum_machines", shape.n, shape.m, best);
-      if (shape.gated && isa_tables.size() > 1) widest_resum_speedup = best_ratio;
-    }
-  }
 
   {
     // Dense row reduction and threshold mask at a row length that gives
@@ -1016,17 +907,13 @@ int main(int argc, char** argv) {
 
   int failures = 0;
 
-  // Gate 1: the zero-allocation guarantee. Probes, workspace evaluations,
-  // the hoisted-workspace Hungarian solver and every dispatched SIMD
-  // kernel must not touch the heap, on any grid point, the B&B must not
-  // touch it per node, H2/H3 per bisection probe, oto per threshold probe,
-  // or local search per pass.
+  // Gate 1: the zero-allocation guarantee. Probes and every dispatched
+  // SIMD kernel must not touch the heap, on any grid point, the B&B must
+  // not touch it per node, H2/H3 per bisection probe, oto per threshold
+  // probe, or local search per pass.
   for (const KernelResult& r : kernels) {
     const bool must_be_clean = r.name == "relocate_probe_incremental" ||
                                r.name == "swap_probe_incremental" ||
-                               r.name == "full_eval_workspace" ||
-                               r.name == "hungarian_solve" ||
-                               r.name.rfind("resum_", 0) == 0 ||
                                r.name.rfind("row_max_", 0) == 0 ||
                                r.name.rfind("leq_mask_", 0) == 0;
     if (must_be_clean && r.allocs_per_op != 0.0) {
@@ -1126,26 +1013,15 @@ int main(int argc, char** argv) {
   // table on the bench inputs (failures were counted during measurement).
   failures += simd_equality_failures;
 
-  // Gate 4: the machine-load re-summation kernel must be at least 1.5x
-  // faster than scalar on the widest runnable ISA (AVX2 on x86-64, NEON
-  // on aarch64) at the stress shape. Skipped on a host where scalar is
-  // the only runnable table — there is no variant to gate.
-  if (isa_tables.size() > 1) {
-    std::printf("\nSIMD speedups vs scalar (median paired ratio):\n");
+  if (!simd_speedups.empty()) {
+    std::printf("\nSIMD speedups vs scalar (median paired ratio, not gated):\n");
     for (const SimdSpeedup& s : simd_speedups) {
       std::printf("  %-20s %-7s (n=%4zu, m=%3zu)  %5.2fx\n", s.kernel.c_str(),
                   s.isa.c_str(), s.n, s.m, s.speedup);
     }
-    if (widest_resum_speedup < 1.5) {
-      std::fprintf(stderr,
-                   "FAIL: resum_machines %s speedup %.2fx at the stress shape "
-                   "(n=2048, m=16), need >= 1.5x\n",
-                   widest_isa, widest_resum_speedup);
-      ++failures;
-    }
   }
 
-  // Gate 5 (--check): regression against the committed baseline. The
+  // Gate 4 (--check): regression against the committed baseline. The
   // gating comparison is the PAIRED speedup ratios, not the absolute
   // medians: each ratio compares a probe kernel to frozen reference code
   // measured back to back in the same process, so host-state drift that

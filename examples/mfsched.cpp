@@ -23,7 +23,7 @@
 // campaigns can point every worker at one directory indefinitely.
 //
 // `--method` accepts every registered solver id (try `--list`): the paper
-// heuristics H1..H4f, the exact solvers bnb / mip / brute, the one-to-one
+// heuristics H1..H4f, the exact solvers bnb / brute, the one-to-one
 // solver oto, and "+ls" composites such as H4w+ls. `exact` stays as an
 // alias for bnb. `--refine` is shorthand for appending "+ls".
 //
@@ -188,7 +188,7 @@ const Flag kFlags[] = {
      "registered solver id (--list) or +ls composite\n(default H4w)"},
     {"refine", "", FlagValue::kUnchecked, "appends +ls (local-search refinement) to --method"},
     {"simulate", "N", FlagValue::kCount, "validates the mapping with N simulated products"},
-    {"budget", "NODES", FlagValue::kCount, "node budget for tree-search solvers (bnb, mip)"},
+    {"budget", "NODES", FlagValue::kCount, "node budget for the tree-search solver (bnb)"},
     {"seed", "S", FlagValue::kInt,
      "RNG seed (default 1); with --figure, overrides the\nsweep's base seed"},
     {"out", "FILE", FlagValue::kUnchecked,
@@ -651,7 +651,8 @@ std::optional<std::uint64_t> parse_size_bytes(const std::string& text) {
 
 /// Parses "90s", "30m", "36h", "7d" (bare digits = seconds) into a
 /// duration; nullopt on anything else, including multiplications that
-/// overflow (a wrapped TTL would expire everything).
+/// overflow 64 bits. DiskCache::gc expires nothing for an age beyond its
+/// file clock's range.
 std::optional<std::chrono::seconds> parse_age_seconds(const std::string& text) {
   if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
     return std::nullopt;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "core/simd.hpp"
 #include "support/check.hpp"
@@ -17,11 +18,7 @@ EvalWorkspace::EvalWorkspace(const Problem& problem)
       chain_(problem.app.is_linear_chain()),
       dfs_pos_(n_, 0),
       subtree_size_(n_, 0),
-      succ_(n_, kNoTask),
-      x_(n_, 0.0),
-      loads_(m_, 0.0),
-      wsel_(n_, 0.0),
-      xw_(n_, 0.0) {
+      succ_(n_, kNoTask) {
   for (TaskIndex t = 0; t < n_; ++t) succ_[t] = problem.app.successor(t);
   // Predecessor-forest DFS from the sinks: every task's subtree (itself
   // plus its transitive predecessors) occupies a contiguous slice of
@@ -50,38 +47,6 @@ EvalWorkspace::EvalWorkspace(const Problem& problem)
   }
 }
 
-std::span<const double> EvalWorkspace::expected_products(
-    std::span<const MachineIndex> assignment) {
-  MF_REQUIRE(assignment.size() == n_, "assignment size mismatch");
-  for (TaskIndex i : problem_->app.backward_order()) {
-    const TaskIndex succ = succ_[i];
-    const double downstream = succ == kNoTask ? 1.0 : x_[succ];
-    x_[i] = downstream * attempts_[i * m_ + assignment[i]];
-  }
-  return x_;
-}
-
-std::span<const double> EvalWorkspace::machine_periods(
-    std::span<const MachineIndex> assignment) {
-  expected_products(assignment);
-  // Split the reference loop `loads[a(i)] += x_i * w_{i,a(i)}` into its
-  // independent-lane half (the per-task products, SIMD) and its
-  // order-defining half (the ascending-i scatter-adds, kept scalar): the
-  // products are the exact same doubles either way, and the adds run in
-  // the exact reference sequence, so every load bit matches.
-  const simd::KernelTable& kernels = simd::active();
-  for (TaskIndex i = 0; i < n_; ++i) wsel_[i] = times_[i * m_ + assignment[i]];
-  kernels.mul(x_.data(), wsel_.data(), n_, xw_.data());
-  std::fill(loads_.begin(), loads_.end(), 0.0);
-  for (TaskIndex i = 0; i < n_; ++i) loads_[assignment[i]] += xw_[i];
-  return loads_;
-}
-
-double EvalWorkspace::period(std::span<const MachineIndex> assignment) {
-  machine_periods(assignment);
-  return simd::active().row_max(loads_.data(), loads_.size());
-}
-
 IncrementalEvaluator::IncrementalEvaluator(EvalWorkspace& workspace,
                                            std::span<const MachineIndex> assignment)
     : ws_(&workspace),
@@ -94,12 +59,10 @@ IncrementalEvaluator::IncrementalEvaluator(EvalWorkspace& workspace,
       mask_words_((workspace.machine_count() + 63) / 64),
       subtree_machines_(workspace.task_count() * mask_words_, 0),
       load_order_(workspace.machine_count(), 0),
-      all_machines_(workspace.machine_count(), 0),
       x_probe_(workspace.task_count(), 0.0),
       xw_probe_(workspace.task_count(), 0.0),
       touched_words_(mask_words_, 0) {
   members_.resize(workspace.task_count());
-  for (MachineIndex u = 0; u < all_machines_.size(); ++u) all_machines_[u] = u;
   reset(assignment);
 }
 
@@ -144,15 +107,18 @@ void IncrementalEvaluator::rebuild() {
   csr_cursor_.assign(member_begin_.begin(), member_begin_.end() - 1);
   for (TaskIndex i = 0; i < n; ++i) members_[csr_cursor_[assignment_[i]]++] = i;
 
-  // Independent-lane work goes through the SIMD table: the fused products
-  // are exact per-element multiplies, each machine load folds its own CSR
-  // list in ascending task order (the reference scatter-add sequence for
-  // that machine), and the period max is order-independent.
-  const simd::KernelTable& kernels = simd::active();
-  kernels.mul(x_.data(), w_cur_.data(), n, xw_.data());
-  kernels.resum_machines(xw_.data(), members_.data(), member_begin_.data(),
-                         all_machines_.data(), m, loads_.data());
-  period_ = kernels.row_max(loads_.data(), m);
+  // Fused products, then each machine's load folded over its CSR list in
+  // ascending task order: the operand order of core::machine_periods, so
+  // every load bit matches. The period max is order-independent.
+  for (TaskIndex i = 0; i < n; ++i) xw_[i] = x_[i] * w_cur_[i];
+  for (MachineIndex u = 0; u < m; ++u) {
+    double sum = 0.0;
+    for (std::size_t k = member_begin_[u]; k < member_begin_[u + 1]; ++k) {
+      sum += xw_[members_[k]];
+    }
+    loads_[u] = sum;
+  }
+  period_ = simd::active().row_max(loads_.data(), m);
 
   // Bound tables. Reverse backward order visits every predecessor before
   // its successor, so each task's mask is complete when it is folded into
@@ -169,7 +135,7 @@ void IncrementalEvaluator::rebuild() {
       for (std::size_t w = 0; w < words; ++w) into[w] |= mask[w];
     }
   }
-  std::copy(all_machines_.begin(), all_machines_.end(), load_order_.begin());
+  std::iota(load_order_.begin(), load_order_.end(), MachineIndex{0});
   std::sort(load_order_.begin(), load_order_.end(), [&](MachineIndex a, MachineIndex b) {
     return loads_[a] > loads_[b] || (loads_[a] == loads_[b] && a < b);
   });

@@ -1,19 +1,17 @@
-// Data-oriented evaluation kernels: the allocation-free fast path under
-// every solver, heuristic and local-search pass.
+// Data-oriented evaluation kernels for local search's move probes.
 //
 // core/evaluation.hpp is the readable reference implementation of the
-// Section 4.1/6.1 period formulas; it allocates fresh x/period vectors per
-// call and re-evaluates the whole mapping. That is fine for scoring one
-// final mapping, but the probe-heavy consumers (local search scans
-// O(n·m + n²) candidate moves per pass) need two stronger tools:
+// Section 4.1/6.1 period formulas and the only full evaluation; it
+// allocates fresh x/period vectors per call and re-evaluates the whole
+// mapping. That is fine for scoring one final mapping, but local search
+// scans O(n·m + n²) candidate moves per pass, so it probes through two
+// classes instead:
 //
-//   * EvalWorkspace — precomputed structure-of-arrays views over the
-//     platform tables (w rows, cached F = 1/(1-f) rows from
-//     Platform::attempts_row) plus reusable x/load buffers, so a full
-//     evaluation runs zero-allocation with unchecked span indexing in a
-//     form the auto-vectorizer can chew on. It also precomputes the
-//     predecessor-forest DFS layout (subtree of task i = the tasks whose
-//     x_j depend on x_i) that the incremental evaluator walks.
+//   * EvalWorkspace — the incremental evaluator's read-only tables:
+//     structure-of-arrays views over the platform rows (w rows, cached
+//     F = 1/(1-f) rows from Platform::attempts_row), the successor array,
+//     the chain flag and the predecessor-forest DFS layout (subtree of
+//     task i = the tasks whose x_j depend on x_i) that the probes walk.
 //
 //   * IncrementalEvaluator — maintains the assignment, every x_i, every
 //     machine load and the running period, and answers
@@ -23,17 +21,17 @@
 //     touches, from gathered per-task w/F arrays — no mapping copy, no
 //     allocation, no per-candidate Mapping construction.
 //
-// Bit-identity contract: every number either class produces is the exact
+// Bit-identity contract: every number the evaluator produces is the exact
 // double core::period / core::machine_periods would produce for the same
-// mapping. The incremental probes achieve this not by delta arithmetic
-// (subtracting from a float sum is inexact) but by re-running the exact
-// reference operand sequence: x values are the same multiply chains
-// (recomputed only where the move can change them, reused verbatim
-// elsewhere), machine loads are re-summed over tasks in ascending
-// order — precisely how core::machine_periods accumulates them — from
-// gathered per-task table entries. Local search on top of this layer is
-// therefore move-for-move identical to the copy-and-recompute original,
-// which the pinned-mapping tests in tests/test_eval_kernels.cpp enforce.
+// mapping. The probes achieve this not by delta arithmetic (subtracting
+// from a float sum is inexact) but by re-running the exact reference
+// operand sequence: x values are the same multiply chains (recomputed
+// only where the move can change them, reused verbatim elsewhere),
+// machine loads are re-summed over tasks in ascending order — precisely
+// how core::machine_periods accumulates them — from gathered per-task
+// table entries. Local search on top of this layer is therefore
+// move-for-move identical to the copy-and-recompute original, which the
+// pinned-mapping tests in tests/test_eval_kernels.cpp enforce.
 //
 // Cutoff contract: a probe's optional `cutoff` (default +infinity) lets
 // it stop once it has proven the answer is at or above the cutoff. Below
@@ -53,8 +51,8 @@
 
 namespace mf::core {
 
-/// Precomputed tables + reusable buffers for zero-allocation evaluation.
-/// Construct once per problem; not thread-safe (one workspace per thread).
+/// Precomputed read-only tables the incremental evaluator probes through.
+/// Construct once per problem; evaluators bound to it must not outlive it.
 class EvalWorkspace {
  public:
   explicit EvalWorkspace(const Problem& problem);
@@ -70,14 +68,6 @@ class EvalWorkspace {
   [[nodiscard]] std::span<const double> attempts_row(TaskIndex i) const noexcept {
     return {attempts_ + i * m_, m_};
   }
-
-  /// Zero-allocation full evaluation into internal buffers. Bit-identical
-  /// to core::expected_products / core::machine_periods / core::period.
-  /// The returned spans alias workspace storage and are invalidated by the
-  /// next call.
-  std::span<const double> expected_products(std::span<const MachineIndex> assignment);
-  std::span<const double> machine_periods(std::span<const MachineIndex> assignment);
-  double period(std::span<const MachineIndex> assignment);
 
   /// Predecessor-forest DFS layout: `subtree(i)` is the DFS-contiguous
   /// range of tasks whose x depends on x_i — i itself first, then every
@@ -117,12 +107,6 @@ class EvalWorkspace {
   std::vector<std::size_t> dfs_pos_;       // n: position of task i in dfs_order_
   std::vector<std::size_t> subtree_size_;  // n: |subtree rooted at i|
   std::vector<TaskIndex> succ_;            // n: successor of each task
-
-  // Reusable evaluation buffers.
-  std::vector<double> x_;      // n
-  std::vector<double> loads_;  // m
-  std::vector<double> wsel_;   // n: gathered w_{i, a(i)} for the last call
-  std::vector<double> xw_;     // n: fused x * w products
 };
 
 /// Incremental move evaluation for local search: O(|ancestors| + touched
@@ -212,7 +196,6 @@ class IncrementalEvaluator {
   std::size_t mask_words_ = 0;
   std::vector<std::uint64_t> subtree_machines_;  // n * mask_words_
   std::vector<MachineIndex> load_order_;         // m
-  std::vector<MachineIndex> all_machines_;       // m: identity list for rebuild
 
   // Per-probe scratch (no allocation per probe): x_probe_/xw_probe_ start
   // as copies of x_/xw_ and get the affected subtrees overwritten;

@@ -41,19 +41,11 @@ struct VScalar {
   using reg = double;
   using mask = bool;
   static reg load(const double* p) { return *p; }
-  static void store(double* p, reg v) { *p = v; }
   static reg broadcast(double v) { return v; }
-  static reg zero() { return 0.0; }
-  static reg add(reg a, reg b) { return a + b; }
-  static reg mul(reg a, reg b) { return a * b; }
   static reg max(reg a, reg b) { return a < b ? b : a; }
   static mask le(reg a, reg b) { return a <= b; }
   static unsigned to_bits(mask m) { return m ? 1u : 0u; }
   static double reduce_max(reg v) { return v; }
-  template <typename Idx>
-  static reg gather_lanes(const double* base, const Idx* const* lanes, std::size_t k) {
-    return base[lanes[0][k]];
-  }
 };
 
 }  // namespace

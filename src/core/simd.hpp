@@ -1,27 +1,20 @@
-// Explicit SIMD kernels for the independent-lane hot loops, behind a
+// Explicit SIMD kernels for the independent-lane dense scans, behind a
 // runtime-dispatched function-pointer table.
 //
-// Everything hot in this codebase falls into one of two categories. The
-// serial x recurrence (x_i = x_succ(i) * F_i) is a loop-carried multiply
-// chain whose operand ORDER defines the bit-identity contract — it cannot
-// be vectorized without reassociating, so it stays scalar forever. The
-// rest of the hot loops are *independent-lane*: each lane (a machine sum,
-// a matrix entry, a per-task product) computes a value no other lane
-// reads, so running W of them per instruction changes nothing about any
-// individual lane's operand sequence. Those are the loops this layer
-// ports, each on a path the paper's figures or the daemon run:
+// The serial x recurrence (x_i = x_succ(i) * F_i) is a loop-carried
+// multiply chain whose operand ORDER defines the bit-identity contract —
+// it cannot be vectorized without reassociating, so it stays scalar
+// forever. The two loops this layer ports are *independent-lane*: each
+// lane (a row entry) computes a value no other lane reads, and the only
+// cross-lane fold is an exact one. Each runs on a path the paper's
+// figures or the daemon take:
 //
-//   * resum_machines — per-machine load re-summation in the evaluators
-//                      (lanes are machines; each lane folds ITS member
-//                      list in ascending task order, the exact reference
-//                      accumulation; no cross-lane adds, ever)
-//   * row_max        — row reductions for the evaluators' period and for
-//                      max_expected_products / period_upper_bound (max is
-//                      exact in any order)
-//   * mul            — the fused x·w product table (independent per-task
-//                      multiplies)
-//   * leq_mask       — the bottleneck assignment's threshold row scan
-//                      (exact comparisons to a bitmask)
+//   * row_max   — row reductions for max_expected_products /
+//                 period_upper_bound (every H2/H3 solve) and the
+//                 incremental evaluator's rebuild (max is exact in any
+//                 order)
+//   * leq_mask  — the bottleneck assignment's threshold row scan (every
+//                 oto probe; exact comparisons to a bitmask)
 //
 // Variants: a mandatory scalar reference, AVX2 on x86-64, NEON on
 // aarch64. Each ISA lives in its own translation unit (simd_<isa>.cpp)
@@ -43,8 +36,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-
-#include "core/types.hpp"
 
 namespace mf::core::simd {
 
@@ -69,20 +60,6 @@ struct KernelTable {
   /// max of values[0..count); requires count >= 1. Max of doubles is the
   /// same value in any association order, so wide folds are exact.
   double (*row_max)(const double* values, std::size_t count);
-
-  /// out[i] = a[i] * b[i] for i in [0, count): the exact per-i product
-  /// (lanes independent; never contracted into an FMA).
-  void (*mul)(const double* a, const double* b, std::size_t count, double* out);
-
-  /// For each q in queue[0..queue_count): loads[q] = sum over
-  /// k in [begin[q], begin[q+1]) of xw[members[k]], accumulated in
-  /// ascending k — the reference operand order of core::machine_periods.
-  /// Lanes are MACHINES: a wide variant folds one machine's sum per
-  /// vector lane, but each machine's partial sum only ever combines with
-  /// its own members, in order. There is no cross-lane add.
-  void (*resum_machines)(const double* xw, const TaskIndex* members,
-                         const std::size_t* begin, const MachineIndex* queue,
-                         std::size_t queue_count, double* loads);
 
   /// words[j / 64] bit (j % 64) = (row[j] <= threshold) for j in
   /// [0, count); all (count + 63) / 64 words are fully written (tail bits

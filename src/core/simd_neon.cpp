@@ -18,11 +18,7 @@ struct VNeon {
   using reg = float64x2_t;
   using mask = uint64x2_t;
   static reg load(const double* p) { return vld1q_f64(p); }
-  static void store(double* p, reg v) { vst1q_f64(p, v); }
   static reg broadcast(double v) { return vdupq_n_f64(v); }
-  static reg zero() { return vdupq_n_f64(0.0); }
-  static reg add(reg a, reg b) { return vaddq_f64(a, b); }
-  static reg mul(reg a, reg b) { return vmulq_f64(a, b); }
   static reg max(reg a, reg b) { return vmaxq_f64(a, b); }
   static mask le(reg a, reg b) { return vcleq_f64(a, b); }
   static unsigned to_bits(mask m) {
@@ -33,12 +29,6 @@ struct VNeon {
     const double a = vgetq_lane_f64(v, 0);
     const double b = vgetq_lane_f64(v, 1);
     return a < b ? b : a;
-  }
-  template <typename Idx>
-  static reg gather_lanes(const double* base, const Idx* const* lanes, std::size_t k) {
-    const float64x1_t lo = vld1_f64(base + lanes[0][k]);
-    const float64x1_t hi = vld1_f64(base + lanes[1][k]);
-    return vcombine_f64(lo, hi);
   }
 };
 

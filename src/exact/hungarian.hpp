@@ -6,11 +6,12 @@
 // that matching. The implementation is the O(n^2 m) shortest-augmenting-path
 // formulation with dual potentials (Jonker-Volgenant style), supporting
 // rectangular instances with rows <= cols (every row is matched, columns may
-// stay free).
+// stay free). Each solve allocates its own O(n + m) scratch: the one library
+// caller, exact::optimal_one_to_one_homogeneous, is not on any figure or
+// daemon path.
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "support/matrix.hpp"
@@ -27,12 +28,5 @@ struct AssignmentResult {
 /// Requires cost.rows() >= 1 and cost.rows() <= cost.cols(); all costs must
 /// be finite.
 [[nodiscard]] AssignmentResult solve_assignment(const support::Matrix& cost);
-
-/// Allocation-free variant for hot callers: writes the matching into
-/// `row_to_col` (size cost.rows()) and returns the total cost. The solver
-/// scratch lives in a reusable thread-local workspace, so repeated calls
-/// with same-or-smaller shapes perform no heap allocations at all.
-double solve_assignment_into(const support::Matrix& cost,
-                             std::span<std::size_t> row_to_col);
 
 }  // namespace mf::exact

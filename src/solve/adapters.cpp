@@ -1,14 +1,12 @@
 #include "solve/adapters.hpp"
 
 #include <chrono>
-#include <limits>
 #include <utility>
 
 #include "core/evaluation.hpp"
 #include "exact/brute_force.hpp"
 #include "exact/one_to_one.hpp"
 #include "exact/specialized_bnb.hpp"
-#include "lp/specialized_mip.hpp"
 #include "solve/registry.hpp"
 #include "support/rng.hpp"
 
@@ -103,46 +101,6 @@ class BnBSolver final : public Solver {
       result.diagnostics.note = "node budget exhausted before any incumbent";
     }
     result.diagnostics.nodes_explored = bnb.nodes;
-    return result;
-  }
-};
-
-class MipSolver final : public Solver {
- public:
-  [[nodiscard]] std::string id() const override { return "mip"; }
-  [[nodiscard]] std::string description() const override {
-    return "Section 6.1 MIP solved with the in-repo simplex branch-and-bound";
-  }
-
-  [[nodiscard]] SolveResult solve(const core::Problem& problem,
-                                  const SolveParams& params) const override {
-    lp::MipOptions options;
-    if (params.max_nodes.has_value()) {
-      // The lp branch-and-bound has no unlimited sentinel; a saturated
-      // budget keeps "0 = unlimited" uniform across the parameter bag.
-      options.max_nodes = *params.max_nodes == 0
-                              ? std::numeric_limits<std::uint64_t>::max()
-                              : *params.max_nodes;
-    }
-    const lp::MipScheduleResult mip = lp::solve_specialized_mip(problem, options);
-    SolveResult result;
-    switch (mip.status) {
-      case lp::MipStatus::kOptimal:
-        result = with_mapping(problem, *mip.mapping, Status::kOptimal);
-        break;
-      case lp::MipStatus::kFeasible:
-        result = with_mapping(problem, *mip.mapping, Status::kBudgetExhausted);
-        result.diagnostics.note = "node budget exhausted; best incumbent attached";
-        break;
-      case lp::MipStatus::kInfeasible:
-        result = infeasible("the MIP has no integer-feasible point");
-        break;
-      case lp::MipStatus::kBudgetExceeded:
-        result.status = Status::kBudgetExhausted;
-        result.diagnostics.note = "node budget exhausted before any incumbent";
-        break;
-    }
-    result.diagnostics.nodes_explored = mip.nodes;
     return result;
   }
 };
@@ -245,8 +203,6 @@ std::shared_ptr<const Solver> make_one_to_one_solver() {
 
 std::shared_ptr<const Solver> make_bnb_solver() { return std::make_shared<BnBSolver>(); }
 
-std::shared_ptr<const Solver> make_mip_solver() { return std::make_shared<MipSolver>(); }
-
 std::shared_ptr<const Solver> make_brute_force_solver() {
   return std::make_shared<BruteForceSolver>();
 }
@@ -267,8 +223,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
       registry.register_solver(make_heuristic_solver(std::move(heuristic)));
     }
   }
-  for (auto& solver : {make_one_to_one_solver(), make_bnb_solver(), make_mip_solver(),
-                       make_brute_force_solver()}) {
+  for (auto& solver : {make_one_to_one_solver(), make_bnb_solver(), make_brute_force_solver()}) {
     if (!registry.contains(solver->id())) registry.register_solver(solver);
   }
 }

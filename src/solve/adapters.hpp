@@ -1,4 +1,4 @@
-// Adapters exposing the four solver families behind the unified `Solver`
+// Adapters exposing the solver families behind the unified `Solver`
 // interface, plus the composition helpers the registry uses:
 //
 //   id        family                                     status semantics
@@ -10,12 +10,13 @@
 //   bnb       exact::solve_specialized_optimal           kOptimal with proof,
 //             (the paper's CPLEX stand-in)               kBudgetExhausted
 //                                                        otherwise
-//   mip       lp::solve_specialized_mip (Section 6.1     same as bnb
-//             model on the in-repo simplex B&B)
 //   brute     exact::brute_force_optimal                 kOptimal (tiny n, m)
 //
 // `make_refined_solver` wraps any of them with the local-search stage,
-// which the registry surfaces as the "+ls" id suffix.
+// which the registry surfaces as the "+ls" id suffix. The Section 6.1 MIP
+// (lp::solve_specialized_mip) is not a registered solver: no figure runs
+// it, and a daemon client could start solves of it that do not finish.
+// Tests call it directly as the oracle for bnb.
 #pragma once
 
 #include <functional>
@@ -31,7 +32,6 @@ namespace mf::solve {
     std::shared_ptr<const heuristics::Heuristic> heuristic);
 [[nodiscard]] std::shared_ptr<const Solver> make_one_to_one_solver();
 [[nodiscard]] std::shared_ptr<const Solver> make_bnb_solver();
-[[nodiscard]] std::shared_ptr<const Solver> make_mip_solver();
 [[nodiscard]] std::shared_ptr<const Solver> make_brute_force_solver();
 
 /// Wraps `base` with a local-search refinement stage: the base mapping (if

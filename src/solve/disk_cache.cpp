@@ -254,8 +254,12 @@ DiskGcReport DiskCache::gc(std::uint64_t max_bytes, std::chrono::seconds max_age
   // matter how much room the byte cap leaves. mtime tracks last *use*
   // (lookups refresh it), so a hot entry never expires under a TTL longer
   // than its access interval. Runs before the cap so expired bytes don't
-  // crowd live entries out of the recency prefix below.
-  if (max_age > std::chrono::seconds::zero()) {
+  // crowd live entries out of the recency prefix below. An age the file
+  // clock cannot represent (about 292 years) expires nothing; comparing it
+  // against a file-time difference would overflow the conversion.
+  const auto clock_range = std::chrono::duration_cast<std::chrono::seconds>(
+      std::filesystem::file_time_type::duration::max());
+  if (max_age > std::chrono::seconds::zero() && max_age < clock_range) {
     std::vector<Entry> live;
     live.reserve(entries.size());
     for (Entry& entry : entries) {

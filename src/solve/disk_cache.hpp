@@ -78,13 +78,14 @@ class DiskCache final : public CacheBackend {
   /// least-recently-used entries first (LRU by file mtime; lookups refresh
   /// it). A nonzero `max_age` adds the TTL sweep: entries not used for
   /// longer than `max_age` are deleted regardless of how much room the cap
-  /// leaves (pass `max_bytes = UINT64_MAX` for a pure-TTL pass). Deletion
-  /// is per-file atomic, so a concurrent reader of an evicted entry
-  /// degrades to a miss — the same contract as crash-safe writes. An entry
-  /// *being written* lives in a temp file and is never touched by either
-  /// policy; abandoned temp files (older than an hour — a crashed writer,
-  /// not a live one) are swept as a side effect. Safe to run while workers
-  /// share the directory.
+  /// leaves (pass `max_bytes = UINT64_MAX` for a pure-TTL pass); an age
+  /// beyond the file clock's range (about 292 years) expires nothing.
+  /// Deletion is per-file atomic, so a concurrent reader of an evicted
+  /// entry degrades to a miss — the same contract as crash-safe writes. An
+  /// entry *being written* lives in a temp file and is never touched by
+  /// either policy; abandoned temp files (older than an hour — a crashed
+  /// writer, not a live one) are swept as a side effect. Safe to run while
+  /// workers share the directory.
   DiskGcReport gc(std::uint64_t max_bytes,
                   std::chrono::seconds max_age = std::chrono::seconds::zero());
   /// Removes every entry file (and stale temp files) in the directory.

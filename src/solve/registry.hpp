@@ -22,7 +22,7 @@ namespace mf::solve {
 class SolverRegistry {
  public:
   /// The process-wide registry, with the built-in solvers ("H1".."H4f",
-  /// "oto", "bnb", "mip", "brute") already registered.
+  /// "oto", "bnb", "brute") already registered.
   [[nodiscard]] static SolverRegistry& instance();
 
   /// Registers a solver under `solver->id()`. Throws std::invalid_argument

@@ -1,7 +1,7 @@
-// The unified solver API: every mapping method in the library — the six
-// constructive heuristics, the polynomial one-to-one solvers, the
-// combinatorial branch-and-bound, the Section 6.1 MIP and the brute-force
-// trust anchor — is exposed behind one `Solver` interface, discovered
+// The unified solver API: every mapping method the library serves — the
+// six constructive heuristics, the polynomial one-to-one solver, the
+// combinatorial branch-and-bound and the brute-force trust anchor — is
+// exposed behind one `Solver` interface, discovered
 // through the `SolverRegistry` and executed through `SolveService`
 // (solve/service.hpp; `run()` is a one-request service, `BatchSolver` a fan
 // of requests over a thread pool).
@@ -58,9 +58,9 @@ struct SolveParams {
   /// Seed for the solver's private RNG stream. Only randomized solvers
   /// (H1) consume it; deterministic solvers ignore it.
   std::uint64_t seed = 1;
-  /// Node budget for tree-search solvers (bnb, mip). Unset keeps each
-  /// solver's own default; a set value bounds the search, and 0 means
-  /// unlimited search for both bnb and mip.
+  /// Node budget for the tree-search solver (bnb). Unset keeps its own
+  /// default; a set value bounds the search, and 0 means unlimited
+  /// search.
   std::optional<std::uint64_t> max_nodes;
   /// Append a local-search refinement stage (the "+ls" composite) to
   /// whatever the solver produces. Interpreted by `SolveService` (and so
@@ -124,7 +124,7 @@ class Solver {
  public:
   virtual ~Solver() = default;
 
-  /// Registry id, e.g. "H2", "oto", "bnb", "mip", "brute".
+  /// Registry id, e.g. "H2", "oto", "bnb", "brute".
   [[nodiscard]] virtual std::string id() const = 0;
   /// One-line human description for `--list` style output.
   [[nodiscard]] virtual std::string description() const = 0;

@@ -40,14 +40,6 @@ class Matrix {
     return {data_.data() + r * cols_, cols_};
   }
 
-  void swap_rows(std::size_t a, std::size_t b) {
-    MF_REQUIRE(a < rows_ && b < rows_, "row index out of range");
-    if (a == b) return;
-    for (std::size_t c = 0; c < cols_; ++c) {
-      std::swap(data_[a * cols_ + c], data_[b * cols_ + c]);
-    }
-  }
-
   [[nodiscard]] bool operator==(const Matrix&) const = default;
 
  private:

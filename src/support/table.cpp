@@ -56,36 +56,6 @@ std::string Table::to_string() const {
   return os.str();
 }
 
-namespace {
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char ch : cell) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
-
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  for (std::size_t c = 0; c < header_.size(); ++c) {
-    if (c) os << ',';
-    os << csv_escape(header_[c]);
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << csv_escape(row[c]);
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
 AsciiChart::AsciiChart(std::string x_label, std::string y_label, int width, int height)
     : x_label_(std::move(x_label)), y_label_(std::move(y_label)), width_(width), height_(height) {
   MF_REQUIRE(width_ >= 16 && height_ >= 4, "chart canvas too small");

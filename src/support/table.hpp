@@ -20,8 +20,6 @@ class Table {
   void add_row(const std::vector<double>& row, int precision = 1);
 
   [[nodiscard]] std::string to_string() const;
-  /// RFC-4180-ish CSV (quotes cells containing commas/quotes/newlines).
-  [[nodiscard]] std::string to_csv() const;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
   [[nodiscard]] std::size_t columns() const noexcept { return header_.size(); }

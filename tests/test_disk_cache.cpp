@@ -570,6 +570,23 @@ TEST_F(DiskGcTest, TtlNeverTouchesAFreshTempFile) {
   EXPECT_EQ(report.stale_temps_removed, 0u);
 }
 
+TEST_F(DiskGcTest, TtlBeyondTheClockRangeExpiresNothing) {
+  // A TTL the file clock cannot represent (it holds about 292 years of
+  // nanoseconds) must keep every entry, not overflow into a negative age
+  // that expires them all.
+  solve::DiskCache cache(dir_);
+  const fs::path fresh = insert_aged(cache, 91, 0);
+  for (const std::chrono::seconds ttl :
+       {std::chrono::seconds(10'000'000'000), std::chrono::seconds::max()}) {
+    const solve::DiskGcReport report =
+        cache.gc(std::numeric_limits<std::uint64_t>::max(), ttl);
+    EXPECT_EQ(report.entries_expired, 0u) << ttl.count();
+    EXPECT_EQ(report.entries_removed, 0u) << ttl.count();
+    EXPECT_EQ(report.entries_kept, 1u) << ttl.count();
+    EXPECT_TRUE(fs::exists(fresh));
+  }
+}
+
 TEST_F(DiskGcTest, GenerousCapRemovesNothingAndSurvivorsStayBitExact) {
   solve::DiskCache cache(dir_);
   solve::SolveResult stored;

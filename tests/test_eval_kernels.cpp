@@ -1,13 +1,11 @@
 // Equivalence suite for the data-oriented evaluation kernels
-// (core/eval_kernels.hpp). The whole point of EvalWorkspace and
-// IncrementalEvaluator is that they are *bit-identical* to the readable
-// reference implementation in core/evaluation.hpp — not approximately
-// equal, EXPECT_EQ-on-doubles equal — so every test here compares exact
-// doubles:
+// (core/eval_kernels.hpp). The whole point of IncrementalEvaluator is
+// that it is *bit-identical* to the readable reference implementation in
+// core/evaluation.hpp — not approximately equal, EXPECT_EQ-on-doubles
+// equal — so every test here compares exact doubles:
 //
-//   * EvalWorkspace full evaluations vs core::expected_products /
-//     machine_periods / period, over every registered scenario family
-//     (chains) and random in-trees (joins exercise the subtree walks);
+//   * EvalWorkspace's DFS layout vs the transitive predecessor sets the
+//     probes' subtree walks rely on;
 //   * IncrementalEvaluator probes vs copy-mutate-and-fully-reevaluate,
 //     over long random relocate/swap sequences with interleaved applies,
 //     and the probes' cutoff contract (exact below the cutoff, at least
@@ -159,34 +157,6 @@ TEST(PlatformAttemptsCache, EdgeRatesKeepSurvivalInverseSemantics) {
   const core::Platform platform(std::move(times), std::move(failures));
   EXPECT_EQ(platform.attempts_per_success(0, 0), 1.0);
   EXPECT_EQ(platform.attempts_per_success(0, 1), core::survival_inverse(near_one));
-}
-
-TEST(EvalWorkspace, FullEvaluationBitIdenticalToReference) {
-  for (const std::string& id : exp::scenario_ids()) {
-    exp::Scenario scenario;
-    scenario.tasks = 30;
-    scenario.machines = 7;
-    scenario.types = 3;
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const exp::Instance instance = exp::generate_instance(id, scenario, seed);
-      const core::Problem& problem = *instance.effective;
-      core::EvalWorkspace workspace(problem);
-      support::Rng rng(seed * 97 + 13);
-      for (int trial = 0; trial < 8; ++trial) {
-        const std::vector<MachineIndex> assignment = random_assignment(problem, rng);
-        const core::Mapping mapping{assignment};
-        const std::vector<double> ref_x = core::expected_products(problem, mapping);
-        const std::vector<double> ref_loads = core::machine_periods(problem, mapping);
-        const std::span<const double> x = workspace.expected_products(assignment);
-        for (TaskIndex i = 0; i < ref_x.size(); ++i) EXPECT_EQ(x[i], ref_x[i]);
-        const std::span<const double> loads = workspace.machine_periods(assignment);
-        for (MachineIndex u = 0; u < ref_loads.size(); ++u) {
-          EXPECT_EQ(loads[u], ref_loads[u]);
-        }
-        EXPECT_EQ(workspace.period(assignment), core::period(problem, mapping));
-      }
-    }
-  }
 }
 
 TEST(EvalWorkspace, SubtreeLayoutMatchesTransitivePredecessors) {

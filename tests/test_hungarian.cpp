@@ -9,7 +9,6 @@
 #include <limits>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -111,47 +110,6 @@ TEST(Hungarian, TieRuleKeepsFirstMinimalColumn) {
 
   const support::Matrix flat(2, 3, 1.0);
   EXPECT_EQ(solve_assignment(flat).row_to_col, (std::vector<std::size_t>{0, 1}));
-}
-
-TEST(Hungarian, IntoReusesWorkspaceAcrossShapes) {
-  // solve_assignment_into keeps its scratch in a thread-local workspace
-  // that only grows. Each shape below is solved once on a new thread (a
-  // workspace nobody used before) and then in sequence on this one, large
-  // and small interleaved: no potential, back-pointer or used flag may
-  // leak from one solve into the next.
-  struct Shape {
-    std::size_t rows;
-    std::size_t cols;
-    std::uint64_t seed;
-  };
-  const std::vector<Shape> shapes{{12, 15, 1}, {3, 4, 2}, {1, 1, 3}, {20, 26, 4},
-                                  {5, 5, 5},   {12, 15, 6}, {2, 7, 7}};
-  std::vector<support::Matrix> costs;
-  for (const Shape& shape : shapes) {
-    support::Rng rng(shape.seed);
-    support::Matrix cost(shape.rows, shape.cols);
-    for (std::size_t r = 0; r < shape.rows; ++r) {
-      for (std::size_t c = 0; c < shape.cols; ++c) {
-        cost.at(r, c) = static_cast<double>(rng.uniform_u64(0, 9));  // ties likely
-      }
-    }
-    costs.push_back(std::move(cost));
-  }
-
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t k = 0; k < costs.size(); ++k) {
-      SCOPED_TRACE("pass=" + std::to_string(pass) + " shape=" + std::to_string(k));
-      const support::Matrix& cost = costs[k];
-      std::vector<std::size_t> want(cost.rows());
-      double want_cost = 0.0;
-      std::thread([&] { want_cost = solve_assignment_into(cost, want); }).join();
-
-      std::vector<std::size_t> got(cost.rows());
-      const double got_cost = solve_assignment_into(cost, got);
-      EXPECT_EQ(got, want);
-      EXPECT_EQ(got_cost, want_cost);
-    }
-  }
 }
 
 class HungarianRandomTest

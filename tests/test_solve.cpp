@@ -14,6 +14,7 @@
 #include "exp/method.hpp"
 #include "exp/scenario.hpp"
 #include "heuristics/heuristic.hpp"
+#include "lp/specialized_mip.hpp"
 #include "solve/adapters.hpp"
 #include "solve/batch.hpp"
 #include "solve/registry.hpp"
@@ -33,8 +34,19 @@ core::Problem medium_problem(std::uint64_t seed = 7) {
 
 TEST(Registry, ListsAllBuiltinSolvers) {
   const auto ids = SolverRegistry::instance().ids();
-  for (const char* id : {"H1", "H2", "H3", "H4", "H4w", "H4f", "oto", "bnb", "mip", "brute"}) {
+  for (const char* id : {"H1", "H2", "H3", "H4", "H4w", "H4f", "oto", "bnb", "brute"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
+  }
+  // The Section 6.1 MIP is a test oracle, not a service: a request for it
+  // is refused with the list of ids that are served.
+  EXPECT_EQ(std::find(ids.begin(), ids.end(), "mip"), ids.end());
+  try {
+    (void)SolverRegistry::instance().resolve("mip");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("unknown solver 'mip'"), std::string::npos) << message;
+    EXPECT_NE(message.find("bnb"), std::string::npos) << "should list the known ids";
   }
 }
 
@@ -147,9 +159,6 @@ TEST(Facade, BudgetExhaustedWhenNodeBudgetTooSmall) {
   // even a one-node budget.
   EXPECT_TRUE(bnb.has_mapping());
   EXPECT_GT(bnb.diagnostics.nodes_explored, 0u);
-
-  const SolveResult mip = run(problem, "mip", {.max_nodes = 1});
-  EXPECT_EQ(mip.status, Status::kBudgetExhausted);
 }
 
 TEST(Facade, ReadWriteCacheServesTheSecondCallFromTheCache) {
@@ -170,10 +179,10 @@ TEST(Facade, ExactSolversAgreeOnTinyInstance) {
   const core::Problem problem = test::tiny_chain_problem();
   const SolveResult bnb = run(problem, "bnb");
   const SolveResult brute = run(problem, "brute");
-  const SolveResult mip = run(problem, "mip");
+  const lp::MipScheduleResult mip = lp::solve_specialized_mip(problem);
   ASSERT_EQ(bnb.status, Status::kOptimal);
   ASSERT_EQ(brute.status, Status::kOptimal);
-  ASSERT_EQ(mip.status, Status::kOptimal);
+  ASSERT_EQ(mip.status, lp::MipStatus::kOptimal);
   EXPECT_DOUBLE_EQ(bnb.period, brute.period);
   EXPECT_DOUBLE_EQ(mip.period, brute.period);
   EXPECT_GT(bnb.diagnostics.nodes_explored, 0u);

@@ -5,8 +5,6 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
-#include <filesystem>
-#include <fstream>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -19,7 +17,6 @@
 
 #include "support/check.hpp"
 #include "support/cli.hpp"
-#include "support/csv.hpp"
 #include "support/matrix.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -213,15 +210,6 @@ TEST(Matrix, BasicAccessAndBounds) {
   EXPECT_THROW(m.at(0, 3), std::invalid_argument);
 }
 
-TEST(Matrix, SwapRows) {
-  Matrix m(2, 2);
-  m.at(0, 0) = 1.0;
-  m.at(1, 0) = 2.0;
-  m.swap_rows(0, 1);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 0), 1.0);
-}
-
 TEST(ThreadPool, ParallelForVisitsEveryIndexOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> visits(1000);
@@ -349,14 +337,6 @@ TEST(Table, RowWidthValidated) {
   EXPECT_THROW(table.add_row({"only-one"}), std::invalid_argument);
 }
 
-TEST(Table, CsvEscapesSpecialCells) {
-  Table table({"a", "b"});
-  table.add_row(std::vector<std::string>{"x,y", "he said \"hi\""});
-  const std::string csv = table.to_csv();
-  EXPECT_NE(csv.find("\"x,y\""), std::string::npos);
-  EXPECT_NE(csv.find("\"he said \"\"hi\"\"\""), std::string::npos);
-}
-
 TEST(AsciiChart, RendersSeriesAndLegend) {
   AsciiChart chart("n", "period");
   chart.add_series("H1", {1, 2, 3}, {10, 20, 30});
@@ -369,23 +349,6 @@ TEST(AsciiChart, RendersSeriesAndLegend) {
 TEST(AsciiChart, MismatchedSeriesRejected) {
   AsciiChart chart("x", "y");
   EXPECT_THROW(chart.add_series("bad", {1, 2}, {1}), std::invalid_argument);
-}
-
-TEST(Csv, WritesHeaderAndRows) {
-  const std::string path = (std::filesystem::temp_directory_path() / "mf_test.csv").string();
-  {
-    CsvWriter writer(path, {"a", "b"});
-    writer.write_row(std::vector<std::string>{"1", "2"});
-    writer.write_row(std::vector<double>{3.5, 4.5}, 1);
-    EXPECT_EQ(writer.rows_written(), 2u);
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,2");
-  std::filesystem::remove(path);
 }
 
 TEST(Cli, ParsesFlagsAndPositionals) {
