@@ -587,6 +587,23 @@ TEST_F(DiskGcTest, TtlBeyondTheClockRangeExpiresNothing) {
   }
 }
 
+TEST_F(DiskGcTest, TtlBeyondTheClockRangeStillAppliesTheByteCap) {
+  // Skipping the TTL sweep for an age the clock cannot represent must not
+  // skip the byte cap: the older of two entries still goes, counted as an
+  // eviction, not an expiry.
+  solve::DiskCache cache(dir_);
+  // Seeds share a digit count so both entry files have the same size.
+  const fs::path old = insert_aged(cache, 95, 2);
+  const fs::path fresh = insert_aged(cache, 96, 1);
+  const std::uint64_t one_entry = static_cast<std::uint64_t>(fs::file_size(fresh));
+  const solve::DiskGcReport report = cache.gc(one_entry, std::chrono::seconds(10'000'000'000));
+  EXPECT_EQ(report.entries_expired, 0u);
+  EXPECT_EQ(report.entries_removed, 1u);
+  EXPECT_EQ(report.entries_kept, 1u);
+  EXPECT_FALSE(fs::exists(old));
+  EXPECT_TRUE(fs::exists(fresh));
+}
+
 TEST_F(DiskGcTest, GenerousCapRemovesNothingAndSurvivorsStayBitExact) {
   solve::DiskCache cache(dir_);
   solve::SolveResult stored;

@@ -4,8 +4,11 @@
 // core/evaluation.hpp — not approximately equal, EXPECT_EQ-on-doubles
 // equal — so every test here compares exact doubles:
 //
-//   * EvalWorkspace's DFS layout vs the transitive predecessor sets the
-//     probes' subtree walks rely on;
+//   * EvalWorkspace's tables vs the problem, and its DFS layout vs the
+//     transitive predecessor sets the probes' subtree walks rely on;
+//   * IncrementalEvaluator's full evaluation (construction, reset, apply)
+//     vs core's x, loads and period, emptied machines included, and the
+//     state applied moves leave vs one built fresh;
 //   * IncrementalEvaluator probes vs copy-mutate-and-fully-reevaluate,
 //     over long random relocate/swap sequences with interleaved applies,
 //     and the probes' cutoff contract (exact below the cutoff, at least
@@ -188,6 +191,187 @@ TEST(EvalWorkspace, SubtreeLayoutMatchesTransitivePredecessors) {
     for (TaskIndex j = 0; j < problem.task_count(); ++j) {
       EXPECT_EQ(workspace.in_subtree(i, j), expected[j] && j != i)
           << "in_subtree(" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(EvalWorkspace, TablesMirrorTheProblem) {
+  // The probes read the workspace in place of the problem: its w and F
+  // rows must be the platform's doubles, its successors the application's,
+  // and its chain flag the application's topology.
+  exp::Scenario scenario;
+  scenario.tasks = 20;
+  scenario.machines = 6;
+  scenario.types = 3;
+  for (const bool in_tree : {false, true}) {
+    SCOPED_TRACE(in_tree ? "in-tree" : "chain");
+    const core::Problem problem =
+        in_tree ? exp::generate_in_tree(scenario, 0.4, 8) : exp::generate(scenario, 8);
+    const core::EvalWorkspace workspace(problem);
+    ASSERT_EQ(workspace.task_count(), problem.task_count());
+    ASSERT_EQ(workspace.machine_count(), problem.machine_count());
+    EXPECT_EQ(workspace.is_chain(), problem.app.is_linear_chain());
+    ASSERT_EQ(workspace.successors().size(), problem.task_count());
+    for (TaskIndex i = 0; i < problem.task_count(); ++i) {
+      EXPECT_EQ(workspace.successors()[i], problem.app.successor(i)) << "task " << i;
+      ASSERT_EQ(workspace.time_row(i).size(), problem.machine_count());
+      ASSERT_EQ(workspace.attempts_row(i).size(), problem.machine_count());
+      for (MachineIndex u = 0; u < problem.machine_count(); ++u) {
+        EXPECT_EQ(workspace.time_row(i)[u], problem.platform.time(i, u))
+            << "w(" << i << ", " << u << ")";
+        EXPECT_EQ(workspace.attempts_row(i)[u], problem.platform.attempts_per_success(i, u))
+            << "F(" << i << ", " << u << ")";
+      }
+    }
+  }
+}
+
+/// rebuild() is the one full evaluation local search runs: on
+/// construction, on every reset and after every applied move. Checks that
+/// x, every machine load and the period it leaves are core's doubles, for
+/// the constructor and then for `resets` random assignments.
+void check_fresh_evaluation(const core::Problem& problem, std::uint64_t seed, int resets) {
+  core::EvalWorkspace workspace(problem);
+  support::Rng rng(seed);
+  std::vector<MachineIndex> assignment = random_assignment(problem, rng);
+  core::IncrementalEvaluator eval(workspace, assignment);
+  for (int trial = 0; trial <= resets; ++trial) {
+    if (trial > 0) {
+      assignment = random_assignment(problem, rng);
+      eval.reset(assignment);
+    }
+    const core::Mapping mapping{assignment};
+    const std::vector<double> ref_x = core::expected_products(problem, mapping);
+    const std::vector<double> ref_loads = core::machine_periods(problem, mapping);
+    ASSERT_EQ(eval.expected_products().size(), ref_x.size());
+    for (TaskIndex i = 0; i < ref_x.size(); ++i) {
+      EXPECT_EQ(eval.expected_products()[i], ref_x[i]) << "trial " << trial << " x[" << i << "]";
+    }
+    ASSERT_EQ(eval.loads().size(), ref_loads.size());
+    for (MachineIndex u = 0; u < ref_loads.size(); ++u) {
+      EXPECT_EQ(eval.loads()[u], ref_loads[u]) << "trial " << trial << " load[" << u << "]";
+    }
+    EXPECT_EQ(eval.period(), core::period(problem, mapping)) << "trial " << trial;
+  }
+}
+
+TEST(IncrementalEvaluator, FreshEvaluationBitIdenticalOnEveryScenarioFamily) {
+  for (const std::string& id : exp::scenario_ids()) {
+    exp::Scenario scenario;
+    scenario.tasks = 30;
+    scenario.machines = 7;
+    scenario.types = 3;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const exp::Instance instance = exp::generate_instance(id, scenario, seed);
+      SCOPED_TRACE("scenario " + id + " seed " + std::to_string(seed));
+      check_fresh_evaluation(*instance.effective, seed * 97 + 13, 7);
+    }
+  }
+}
+
+TEST(IncrementalEvaluator, FreshEvaluationBitIdenticalOnInTrees) {
+  exp::Scenario scenario;
+  scenario.tasks = 32;
+  scenario.machines = 8;
+  scenario.types = 4;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("in-tree seed " + std::to_string(seed));
+    check_fresh_evaluation(exp::generate_in_tree(scenario, 0.35, seed), seed * 53 + 29, 7);
+  }
+}
+
+TEST(IncrementalEvaluator, EmptiedMachinesLoadExactlyZero) {
+  // With more machines than tasks most machines own nothing, and moving a
+  // machine's last task away empties its member list: its load must fall
+  // to exactly 0.0, as core::machine_periods gives an idle machine. m = 70
+  // also takes the bound tables' machine masks past one word.
+  exp::Scenario scenario;
+  scenario.tasks = 12;
+  scenario.machines = 70;
+  scenario.types = 4;
+  for (const bool in_tree : {false, true}) {
+    SCOPED_TRACE(in_tree ? "in-tree" : "chain");
+    const core::Problem problem =
+        in_tree ? exp::generate_in_tree(scenario, 0.4, 5) : exp::generate(scenario, 5);
+    core::EvalWorkspace workspace(problem);
+    support::Rng rng(in_tree ? 77 : 76);
+    std::vector<MachineIndex> assignment = random_assignment(problem, rng);
+    core::IncrementalEvaluator eval(workspace, assignment);
+    std::size_t emptied = 0;
+    for (int step = 0; step < 40; ++step) {
+      const TaskIndex i = rng.uniform_u64(0, problem.task_count() - 1);
+      const MachineIndex from = assignment[i];
+      MachineIndex to = rng.uniform_u64(0, problem.machine_count() - 1);
+      if (to == from) to = (to + 1) % problem.machine_count();
+      eval.apply_relocate(i, to);
+      assignment[i] = to;
+      if (std::find(assignment.begin(), assignment.end(), from) == assignment.end()) {
+        EXPECT_EQ(eval.loads()[from], 0.0) << "step " << step;
+        ++emptied;
+      }
+      const core::Mapping mapping{assignment};
+      const std::vector<double> ref = core::machine_periods(problem, mapping);
+      for (MachineIndex u = 0; u < ref.size(); ++u) {
+        ASSERT_EQ(eval.loads()[u], ref[u]) << "step " << step << " load[" << u << "]";
+      }
+      ASSERT_EQ(eval.period(), core::period(problem, mapping)) << "step " << step;
+    }
+    EXPECT_GT(emptied, 0u);
+  }
+}
+
+TEST(IncrementalEvaluator, AppliedMovesLeaveTheStateAFreshEvaluatorBuilds) {
+  // An applied move rebuilds every table from the new assignment: the
+  // loads, and the bound tables (per-task machine masks, machines by
+  // load) that let a cutoff probe stop early. A stale bound table still
+  // honours the cutoff contract, so only a comparison with an evaluator
+  // built fresh on the same assignment shows it: both must answer every
+  // probe, with and without a cutoff, with the same bits.
+  exp::Scenario scenario;
+  scenario.tasks = 32;
+  scenario.machines = 8;
+  scenario.types = 4;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const bool in_tree : {false, true}) {
+    SCOPED_TRACE(in_tree ? "in-tree" : "chain");
+    const core::Problem problem =
+        in_tree ? exp::generate_in_tree(scenario, 0.35, 6) : exp::generate(scenario, 6);
+    core::EvalWorkspace workspace(problem);
+    support::Rng rng(in_tree ? 313 : 311);
+    std::vector<MachineIndex> assignment = random_assignment(problem, rng);
+    core::IncrementalEvaluator walked(workspace, assignment);
+    auto random_task = [&] { return rng.uniform_u64(0, problem.task_count() - 1); };
+    auto other_task = [&](TaskIndex i) {
+      TaskIndex j = random_task();
+      return j == i ? (j + 1) % problem.task_count() : j;  // probes need i != j
+    };
+    for (int step = 0; step < 30; ++step) {
+      const TaskIndex i = random_task();
+      if (rng.uniform_u64(0, 1) == 0) {
+        const MachineIndex v = rng.uniform_u64(0, problem.machine_count() - 1);
+        walked.apply_relocate(i, v);
+        assignment[i] = v;
+      } else {
+        const TaskIndex j = other_task(i);
+        walked.apply_swap(i, j);
+        std::swap(assignment[i], assignment[j]);
+      }
+      core::IncrementalEvaluator fresh(workspace, assignment);
+      ASSERT_EQ(walked.period(), fresh.period()) << "step " << step;
+      for (int probe = 0; probe < 8; ++probe) {
+        const TaskIndex a = random_task();
+        const MachineIndex v = rng.uniform_u64(0, problem.machine_count() - 1);
+        const TaskIndex b = other_task(a);
+        const std::span<const double> loads = fresh.loads();
+        for (const double cutoff :
+             {inf, fresh.period(), loads[rng.uniform_u64(0, problem.machine_count() - 1)]}) {
+          EXPECT_EQ(walked.period_if_relocated(a, v, cutoff),
+                    fresh.period_if_relocated(a, v, cutoff))
+              << "step " << step << " relocate " << a << "->" << v << " cutoff " << cutoff;
+          EXPECT_EQ(walked.period_if_swapped(a, b, cutoff), fresh.period_if_swapped(a, b, cutoff))
+              << "step " << step << " swap " << a << "<->" << b << " cutoff " << cutoff;
+        }
+      }
     }
   }
 }

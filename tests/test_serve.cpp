@@ -676,6 +676,24 @@ TEST(ServeDaemon, MalformedBytesGetErrorResponsesAndTheDaemonSurvives) {
   EXPECT_TRUE(client.solve(wire).ok);
 }
 
+TEST(ServeDaemon, MipIsRefusedAsAnUnknownSolver) {
+  // The Section 6.1 MIP is a test oracle, not a served solver: a client
+  // asking for it gets bad-request naming the id, nothing reaches the
+  // service, and the connection still serves.
+  TestDaemon server;
+  Client client("127.0.0.1", server.daemon->port());
+  WireRequest wire = sample_request();
+  wire.request.solver_id = "mip";
+  const Client::Outcome outcome = client.solve(wire);
+  ASSERT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.error_code, kErrBadRequest);
+  EXPECT_NE(outcome.detail.find("unknown solver 'mip'"), std::string::npos) << outcome.detail;
+  EXPECT_TRUE(client.ping());
+  const std::optional<DaemonStatsSnapshot> stats = client.stats();
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->service.submitted, 0u);
+}
+
 TEST(ServeDaemon, QueueFullRejectionIsExplicit) {
   DaemonOptions options;
   options.max_pending = 0;  // reject every solve
