@@ -323,6 +323,37 @@ TEST(Simulator, UptimePhasesNeverCollapse) {
   EXPECT_NEAR(report.machine_down_time[0], 100'000.0, 15'000.0);
 }
 
+TEST(Simulator, CorrelatedLossesFollowTheComposedRate) {
+  // One loss coin per attempt at the correlated model's composed rate: on a
+  // lossy chain, each task's empirical loss ratio lies within 4 sigma of
+  // 1 - (1 - f)(1 - s) for its task rate f and its machine's shock s.
+  core::Application app = core::Application::linear_chain({0, 1, 2});
+  core::Platform platform = test::make_platform(
+      {{100, 100, 100}, {120, 120, 120}, {80, 80, 80}},
+      {{0.05, 0.05, 0.05}, {0.10, 0.10, 0.10}, {0.02, 0.02, 0.02}});
+  const Problem problem{std::move(app), std::move(platform)};
+  const Mapping mapping{{0, 1, 2}};
+  const std::vector<double> shock{0.10, 0.05, 0.20};
+  const core::CorrelatedFailureModel model(shock);
+  SimulationConfig config;
+  config.seed = 31;
+  config.target_outputs = 20'000;
+  config.warmup_outputs = 100;
+  config.failure_model = &model;
+  const SimulationReport report = Simulator(problem, mapping).run(config);
+  ASSERT_TRUE(report.reached_target);
+  for (core::TaskIndex i = 0; i < problem.task_count(); ++i) {
+    const TaskCounters& counters = report.per_task[i];
+    ASSERT_GT(counters.attempts, 10'000u);
+    const double f = problem.platform.failure(i, i);
+    const double composed = 1.0 - (1.0 - f) * (1.0 - shock[i]);
+    const double attempts = static_cast<double>(counters.attempts);
+    const double sigma = std::sqrt(composed * (1.0 - composed) / attempts);
+    EXPECT_NEAR(static_cast<double>(counters.losses) / attempts, composed, 4.0 * sigma)
+        << "task " << i;
+  }
+}
+
 TEST(Simulator, ShockArrivalsHitEveryInFlightProductAtOnce) {
   // Two parallel single-task chains is not expressible (one sink), so use a
   // join: T0 -> T2 <- T1 on three machines with a large common-mode shock
