@@ -4,13 +4,10 @@
 // The discrete-event simulator is the statistical referee of this repo —
 // sim::stats replays every scenario family against its analytic reduction,
 // and those gates only stay cheap if the event loop sustains saturation
-// throughput. This bench runs three long-horizon shapes:
+// throughput. This bench runs two long-horizon shapes:
 //
 //   chain_saturation — a 16-task chain in saturation mode (the statistical
 //                      gate's regime), iid losses; the events/sec GATE;
-//   shock_arrival    — the same chain under a correlated model with the
-//                      common-mode shock played as a factory-wide arrival
-//                      process (kShockArrival ticks in the hot loop);
 //   downtime_phases  — per-machine up/repair cycling (kMachineFail /
 //                      kMachineRepair events interleaved with attempts).
 //
@@ -74,7 +71,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace {
 
 using mf::core::Problem;
-using mf::sim::ShockMode;
 using mf::sim::SimulationConfig;
 using mf::sim::SimulationReport;
 using mf::sim::Simulator;
@@ -85,19 +81,17 @@ double now_sec() {
       .count();
 }
 
-/// One benchmarked campaign shape: a prepared simulator plus the config
-/// knobs that distinguish it (model, shock mode, downtime phases).
+/// One benchmarked campaign shape: a prepared simulator plus the failure
+/// model that distinguishes it (iid losses, downtime phases).
 struct Shape {
   std::string name;
   bool gated = false;  ///< participates in the events/sec floor gate
   std::shared_ptr<const Problem> problem;
   std::shared_ptr<const mf::core::FailureModel> model;
   mf::core::Mapping mapping;
-  ShockMode shock_mode = ShockMode::kPerAttempt;
 };
 
-Shape make_shape(const std::string& name, bool gated, const std::string& scenario_id,
-                 ShockMode shock_mode) {
+Shape make_shape(const std::string& name, bool gated, const std::string& scenario_id) {
   mf::exp::Scenario scenario;
   scenario.tasks = 16;
   scenario.machines = 8;
@@ -110,7 +104,7 @@ Shape make_shape(const std::string& name, bool gated, const std::string& scenari
     std::fprintf(stderr, "FATAL: no mapping for shape %s\n", name.c_str());
     std::exit(2);
   }
-  return Shape{name, gated, instance.problem, instance.model, *mapping, shock_mode};
+  return Shape{name, gated, instance.problem, instance.model, *mapping};
 }
 
 struct ShapeResult {
@@ -127,7 +121,6 @@ SimulationConfig config_for(const Shape& shape, std::uint64_t outputs) {
   config.target_outputs = outputs;
   config.warmup_outputs = outputs / 10;
   config.failure_model = shape.model.get();
-  config.shock_mode = shape.shock_mode;
   return config;
 }
 
@@ -218,9 +211,8 @@ int main(int argc, char** argv) {
   const double floor = args.get_double("floor", 1'000'000.0);
 
   const Shape shapes[] = {
-      make_shape("chain_saturation", true, "iid", ShockMode::kPerAttempt),
-      make_shape("shock_arrival", false, "correlated", ShockMode::kArrivalProcess),
-      make_shape("downtime_phases", false, "downtime", ShockMode::kPerAttempt),
+      make_shape("chain_saturation", true, "iid"),
+      make_shape("downtime_phases", false, "downtime"),
   };
 
   std::printf("simulator saturation bench (outputs=%llu, reps=%zu)\n",

@@ -49,11 +49,6 @@ double FailureModel::loss_probability(const Problem& base, TaskIndex i, MachineI
   return effective_failure(base, i, u);
 }
 
-double FailureModel::residual_loss_probability(const Problem& base, TaskIndex i, MachineIndex u,
-                                               double time_ms) const {
-  return loss_probability(base, i, u, time_ms);
-}
-
 Digest digest(const Problem& base, const FailureModel& model) {
   const Digest base_digest = digest(base);
   if (model.is_identity()) return base_digest;
@@ -120,13 +115,6 @@ double CorrelatedFailureModel::effective_time(const Problem& base, TaskIndex i,
   return base.platform.time(i, u);
 }
 
-double CorrelatedFailureModel::residual_loss_probability(const Problem& base, TaskIndex i,
-                                                         MachineIndex u,
-                                                         double /*time_ms*/) const {
-  MF_REQUIRE(u < shock_.size(), "machine index beyond the shock vector");
-  return base.platform.failure(i, u);
-}
-
 void CorrelatedFailureModel::add_to_digest(DigestBuilder& builder) const {
   builder.add_u64(shock_.size());
   for (const double s : shock_) builder.add_double(s);
@@ -134,9 +122,8 @@ void CorrelatedFailureModel::add_to_digest(DigestBuilder& builder) const {
 
 // --- time-varying -----------------------------------------------------------
 
-TimeVaryingFailureModel::TimeVaryingFailureModel(std::vector<double> window_factors,
-                                                 double window_ms)
-    : factors_(std::move(window_factors)), window_ms_(window_ms) {
+TimeVaryingFailureModel::TimeVaryingFailureModel(std::vector<double> factors, double window_ms)
+    : factors_(std::move(factors)), window_ms_(window_ms) {
   MF_REQUIRE(!factors_.empty(), "time-varying model needs at least one window");
   MF_REQUIRE(window_ms_ > 0.0 && std::isfinite(window_ms_),
              "window duration must be positive and finite");

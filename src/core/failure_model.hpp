@@ -96,26 +96,6 @@ class FailureModel {
   };
   [[nodiscard]] virtual MachineDowntime downtime(MachineIndex /*u*/) const { return {}; }
 
-  /// The machine-level common-mode shock component, for simulators that
-  /// play shocks out as a factory-wide *arrival process* instead of folding
-  /// them into per-attempt coins: element u is the per-attempt probability
-  /// s_u that an attempt on machine M_u is destroyed by a machine shock
-  /// (each in [0, 1)). Empty means the model has no common-mode component
-  /// — the default for every model whose losses are attempt-local.
-  ///
-  /// Contract with residual_loss_probability(): playing a calibrated
-  /// arrival process with these s_u on top of the residual rates must
-  /// reproduce loss_probability()'s marginal per attempt, so the two
-  /// simulation paths agree statistically (sim::stats tests enforce it).
-  [[nodiscard]] virtual std::vector<double> shock_per_attempt() const { return {}; }
-
-  /// Loss probability with the common-mode shock factored *out*: what the
-  /// simulator samples at attempt completion when shocks arrive as events.
-  /// Defaults to loss_probability — correct for every model that reports
-  /// no shock process.
-  [[nodiscard]] virtual double residual_loss_probability(const Problem& base, TaskIndex i,
-                                                         MachineIndex u, double time_ms) const;
-
   /// True for models whose effective problem is the base problem unchanged
   /// (the iid identity) — lets callers skip re-deriving matrices and keep
   /// bit-identical legacy behavior.
@@ -165,15 +145,7 @@ class CorrelatedFailureModel final : public FailureModel {
                                          MachineIndex u) const override;
   [[nodiscard]] double effective_time(const Problem& base, TaskIndex i,
                                       MachineIndex u) const override;
-  /// The shock is the common-mode component: s_u per machine, verbatim.
-  [[nodiscard]] std::vector<double> shock_per_attempt() const override { return shock_; }
-  /// With shocks played as arrivals, only the task's own transient failure
-  /// remains to be sampled at completion.
-  [[nodiscard]] double residual_loss_probability(const Problem& base, TaskIndex i,
-                                                 MachineIndex u, double time_ms) const override;
   void add_to_digest(DigestBuilder& builder) const override;
-
-  [[nodiscard]] const std::vector<double>& machine_shock() const noexcept { return shock_; }
 
  private:
   std::vector<double> shock_;
@@ -187,7 +159,7 @@ class CorrelatedFailureModel final : public FailureModel {
 /// sum_k window_ms / P_k, with P_k the window-k analytic period.
 class TimeVaryingFailureModel final : public FailureModel {
  public:
-  TimeVaryingFailureModel(std::vector<double> window_factors, double window_ms);
+  TimeVaryingFailureModel(std::vector<double> factors, double window_ms);
 
   [[nodiscard]] std::string id() const override { return "time-varying"; }
   [[nodiscard]] std::string describe() const override;
@@ -201,8 +173,6 @@ class TimeVaryingFailureModel final : public FailureModel {
                                         double time_ms) const override;
   void add_to_digest(DigestBuilder& builder) const override;
 
-  [[nodiscard]] const std::vector<double>& window_factors() const noexcept { return factors_; }
-  [[nodiscard]] double window_ms() const noexcept { return window_ms_; }
   /// The rate factor active at simulated time t (cycling).
   [[nodiscard]] double factor_at(double time_ms) const;
 

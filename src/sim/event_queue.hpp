@@ -33,9 +33,9 @@ class EventQueue {
   }
 
   /// Pre-sizes the backing heap. The simulator's pending set is bounded by
-  /// the machine count (one attempt + one fail/repair per machine, plus the
-  /// factory shock clock), so reserving once up front makes every later
-  /// push allocation-free — the long-horizon saturation mode relies on it.
+  /// the machine count (one attempt + one fail/repair per machine), so
+  /// reserving once up front makes every later push allocation-free — the
+  /// long-horizon saturation mode relies on it.
   void reserve(std::size_t capacity) { heap_.reserve(capacity); }
   [[nodiscard]] std::size_t capacity() const noexcept { return heap_.capacity(); }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 
 #include "sim/event_queue.hpp"
 #include "support/check.hpp"
@@ -60,9 +59,8 @@ Simulator::Simulator(const core::Problem& problem, const core::Mapping& mapping)
 
 namespace {
 
-/// One pending-heap entry. `machine` identifies the affected machine for
-/// every kind except kShockArrival (factory-wide); `task` is meaningful for
-/// kAttemptComplete only.
+/// One pending-heap entry. `machine` identifies the affected machine; `task`
+/// is meaningful for kAttemptComplete only.
 struct Event {
   EventKind kind;
   MachineIndex machine;
@@ -109,14 +107,13 @@ SimulationReport Simulator::run(const SimulationConfig& config, const TraceHook&
   MF_REQUIRE(config.warmup_outputs < config.target_outputs || config.target_outputs == 0,
              "warmup must be smaller than the output target");
 
-  // Independent RNG substreams per stochastic component: loss coins, phase
-  // durations, and the shock process never contend for draws, so adding a
-  // breakdown to one machine can never perturb another machine's losses,
-  // and each stream can be sampled in batches.
+  // Independent RNG substreams per stochastic component: loss coins and
+  // phase durations never contend for draws, so adding a breakdown to one
+  // machine can never perturb another machine's losses, and the coins can be
+  // drawn in batches.
   support::Rng root(config.seed);
   BatchedCoins loss_coins(root.split(1));
   support::Rng phase_rng = root.split(2);
-  support::Rng shock_rng = root.split(3);
 
   // edge_buffer[i][k]: products waiting at task i coming from its k-th
   // predecessor. Source tasks have no predecessors and unlimited input.
@@ -162,7 +159,6 @@ SimulationReport Simulator::run(const SimulationConfig& config, const TraceHook&
   std::vector<bool> machine_busy(m, false);
   std::vector<bool> machine_down(m, false);
   std::vector<bool> fail_pending(m, false);  // up phase ended while busy
-  std::vector<bool> doomed(m, false);        // in-flight product hit by a shock
   std::vector<TaskIndex> in_flight(m, kNoTask);
   std::vector<double> busy_since(m, 0.0);
   std::vector<double> down_since(m, 0.0);
@@ -175,35 +171,6 @@ SimulationReport Simulator::run(const SimulationConfig& config, const TraceHook&
     for (MachineIndex u = 0; u < m; ++u) phases[u] = model->downtime(u);
   }
 
-  // The factory-wide common-mode shock process (ShockMode::kArrivalProcess
-  // and a model that reports one). Calibration: shocks tick as one Poisson
-  // clock of rate lambda; a tick destroys machine M_u's in-flight attempt
-  // of task i with severity q_{i,u} = -ln(1 - s_u) / (lambda * w_{i,u}).
-  // Kills thin the tick stream into a Poisson kill process of rate
-  // lambda * q, so an attempt of duration w survives with probability
-  // exp(-lambda * q * w) = 1 - s_u *exactly*, independent of duration —
-  // the marginal per attempt matches the per-attempt path while every tick
-  // hits all machines at the same instant (the common mode). lambda is the
-  // smallest rate that keeps every severity <= 1: the max of
-  // -ln(1 - s_u) / w_{i,u} over mapped (task, machine) pairs.
-  const bool arrival_mode = config.shock_mode == ShockMode::kArrivalProcess;
-  std::vector<double> shock_hazard(m, 0.0);  // -ln(1 - s_u); 0 = shock-free
-  double shock_rate = 0.0;                   // lambda, ticks per ms
-  if (arrival_mode && model != nullptr) {
-    const std::vector<double> shock = model->shock_per_attempt();
-    MF_REQUIRE(shock.empty() || shock.size() >= m,
-               "shock_per_attempt must cover every machine");
-    for (MachineIndex u = 0; u < m && u < shock.size(); ++u) {
-      MF_REQUIRE(shock[u] >= 0.0 && shock[u] < 1.0, "per-attempt shock out of [0, 1)");
-      if (shock[u] <= 0.0) continue;
-      shock_hazard[u] = -std::log1p(-shock[u]);
-      for (TaskIndex i : machine_tasks_[u]) {
-        shock_rate = std::max(shock_rate, shock_hazard[u] / problem.platform.time(i, u));
-      }
-    }
-  }
-  const bool shock_process = shock_rate > 0.0;
-
   // Machines whose blocked producers may have been released by a buffer
   // consumption; drained after every start to propagate wake-ups without
   // recursion.
@@ -211,11 +178,10 @@ SimulationReport Simulator::run(const SimulationConfig& config, const TraceHook&
   wake_queue.reserve(n + m);
 
   // The pending set is bounded: at most one attempt-complete plus one
-  // fail-or-repair per machine, plus the shock clock. Reserving it (and the
-  // wake queue) up front makes the event loop allocation-free — bench_sim
-  // gates that.
+  // fail-or-repair per machine. Reserving it (and the wake queue) up front
+  // makes the event loop allocation-free — bench_sim gates that.
   EventQueue<Event> events;
-  events.reserve(2 * m + 2);
+  events.reserve(2 * m);
   double now = 0.0;
   double warmup_end_time = 0.0;
 
@@ -224,10 +190,6 @@ SimulationReport Simulator::run(const SimulationConfig& config, const TraceHook&
       events.push(phase_rng.exponential(phases[u].mean_uptime_ms),
                   {EventKind::kMachineFail, u, kNoTask});
     }
-  }
-  if (shock_process) {
-    events.push(shock_rng.exponential(1.0 / shock_rate),
-                {EventKind::kShockArrival, 0, kNoTask});
   }
 
   // Starts the next ready, non-blocked task on an idle machine
@@ -246,7 +208,6 @@ SimulationReport Simulator::run(const SimulationConfig& config, const TraceHook&
       machine_busy[u] = true;
       in_flight[u] = i;
       busy_since[u] = now;
-      doomed[u] = false;
       events.push(now + problem.platform.time(i, u), {EventKind::kAttemptComplete, u, i});
       if (trace) trace({TraceEvent::Kind::kStart, now, i, u});
       // Consuming inputs may unblock the producers feeding this task.
@@ -312,42 +273,18 @@ SimulationReport Simulator::run(const SimulationConfig& config, const TraceHook&
         break;
       }
 
-      case EventKind::kShockArrival: {
-        ++report.shock_arrivals;
-        if (trace) trace({TraceEvent::Kind::kShock, now, kNoTask, kNoMachineTrace});
-        for (MachineIndex v = 0; v < m; ++v) {
-          if (!machine_busy[v] || doomed[v] || shock_hazard[v] <= 0.0) continue;
-          const double severity =
-              shock_hazard[v] / (shock_rate * problem.platform.time(in_flight[v], v));
-          if (shock_rng.bernoulli(severity)) doomed[v] = true;
-        }
-        events.push(now + shock_rng.exponential(1.0 / shock_rate),
-                    {EventKind::kShockArrival, 0, kNoTask});
-        break;
-      }
-
       case EventKind::kAttemptComplete: {
         machine_busy[u] = false;
         in_flight[u] = kNoTask;
         report.machine_busy_time[u] += now - busy_since[u];
 
-        // The loss draw samples the failure model at the attempt's *start*
-        // time — for time-varying models the window that was active when
-        // processing began is the one that applies. When the common-mode
-        // shock runs as an arrival process, the completion coin covers only
-        // the residual (attempt-local) losses; shock kills arrived already.
-        bool lost;
-        if (doomed[u]) {
-          lost = true;
-          ++report.shock_losses;
-          doomed[u] = false;
-        } else {
-          const double loss_probability =
-              model == nullptr ? problem.platform.failure(i, u)
-              : shock_process  ? model->residual_loss_probability(problem, i, u, busy_since[u])
-                               : model->loss_probability(problem, i, u, busy_since[u]);
-          lost = loss_coins.bernoulli(loss_probability);
-        }
+        // One loss coin per attempt, drawn at the failure model's rate at the
+        // attempt's *start* time — for time-varying models the window that
+        // was active when processing began is the one that applies.
+        const double loss_probability =
+            model == nullptr ? problem.platform.failure(i, u)
+                             : model->loss_probability(problem, i, u, busy_since[u]);
+        const bool lost = loss_coins.bernoulli(loss_probability);
 
         bool reached_target = false;
         if (lost) {

@@ -24,10 +24,7 @@
 //   kMachineRepair   — a repair completes; the next up phase is scheduled
 //                      and the machine resumes work. Every up/down cycle is
 //                      played out individually — consecutive phases never
-//                      collapse, no matter how long a machine idles;
-//   kShockArrival    — one tick of the factory-wide common-mode shock
-//                      process (ShockMode::kArrivalProcess): every machine
-//                      with a product in flight is hit at the same instant.
+//                      collapse, no matter how long a machine idles.
 //
 // The measured steady-state period converges to the analytic one, and
 // per-task attempt counts divided by finished products converge to the x_i
@@ -37,11 +34,11 @@
 //
 // Loss draws default to the base f_{i,u}; setting
 // `SimulationConfig::failure_model` samples any `core::FailureModel`
-// instead — time-varying rates are evaluated at each attempt's start time,
-// and availability models drive per-machine up/down phases — so every
-// model's analytic reduction (worst-window planning, availability-inflated
-// times, shock-folded rates) is validated against an empirical Monte-Carlo
-// period.
+// instead — one loss coin per attempt at the model's loss_probability
+// (time-varying rates evaluated at the attempt's start time), and
+// availability models drive per-machine up/down phases — so every model's
+// analytic reduction (worst-window planning, availability-inflated times,
+// shock-folded rates) is validated against an empirical Monte-Carlo period.
 #pragma once
 
 #include <cstdint>
@@ -62,23 +59,6 @@ enum class EventKind : std::uint8_t {
   kAttemptComplete,
   kMachineFail,
   kMachineRepair,
-  kShockArrival,
-};
-
-/// How a model's machine-level common-mode shock (e.g.
-/// `core::CorrelatedFailureModel`) is sampled.
-enum class ShockMode : std::uint8_t {
-  /// Fold the shock into each attempt's loss coin (the model's composed
-  /// loss_probability). Attempt outcomes are independent across machines.
-  kPerAttempt,
-  /// Play the shock as a factory-wide Poisson arrival process: one shock
-  /// clock for the whole factory; each tick hits every in-flight product
-  /// at the same instant (common mode), destroying the product on machine
-  /// M_u with a per-arrival severity calibrated so the *marginal* loss per
-  /// attempt is exactly the model's s_u — the two modes agree statistically
-  /// on every per-machine marginal, and sim::stats tests enforce it.
-  /// Models without a shock process behave identically in both modes.
-  kArrivalProcess,
 };
 
 struct SimulationConfig {
@@ -109,10 +89,6 @@ struct SimulationConfig {
   /// the model and must keep it alive across `run()` — an `exp::Instance`
   /// holds it in a shared_ptr.
   const core::FailureModel* failure_model = nullptr;
-
-  /// How the model's machine-shock component is sampled (no effect for
-  /// models without one, or without a failure_model at all).
-  ShockMode shock_mode = ShockMode::kPerAttempt;
 
   /// Work-in-progress cap per dependency edge (0 = unbounded). A task may
   /// only start when its successor's buffer for it holds fewer than this
@@ -156,8 +132,6 @@ struct SimulationReport {
   std::uint64_t events_processed = 0;  ///< heap pops handled (all kinds)
   std::uint64_t machine_failures = 0;  ///< kMachineFail events
   std::uint64_t machine_repairs = 0;   ///< kMachineRepair events
-  std::uint64_t shock_arrivals = 0;    ///< kShockArrival ticks
-  std::uint64_t shock_losses = 0;      ///< products destroyed by a shock tick
 
   /// attempts[i] / finished_products: the empirical x_i.
   [[nodiscard]] std::vector<double> empirical_products_per_output() const;
@@ -165,9 +139,8 @@ struct SimulationReport {
 
 /// Observable simulator events, for tracing examples and tests. kStart /
 /// kSuccess / kLoss / kOutput follow one product through one attempt;
-/// kMachineFail / kMachineRepair / kShock mirror the machine- and
-/// factory-level taxonomy events (task is kNoTask unless a product was in
-/// flight; kShock reports machine == kNoMachineTrace, it hits the factory).
+/// kMachineFail / kMachineRepair mirror the machine-level taxonomy events
+/// (task is kNoTask unless a product was in flight).
 struct TraceEvent {
   enum class Kind {
     kStart,
@@ -176,16 +149,11 @@ struct TraceEvent {
     kOutput,
     kMachineFail,
     kMachineRepair,
-    kShock,
   } kind;
   double time;
   core::TaskIndex task;
   core::MachineIndex machine;
 };
-
-/// TraceEvent::machine value for factory-wide (machine-less) events.
-inline constexpr core::MachineIndex kNoMachineTrace =
-    std::numeric_limits<core::MachineIndex>::max();
 
 using TraceHook = std::function<void(const TraceEvent&)>;
 
@@ -194,9 +162,9 @@ class Simulator {
   Simulator(const core::Problem& problem, const core::Mapping& mapping);
 
   /// Runs one campaign. Deterministic in (config, problem, mapping): the
-  /// loss draws, the up/repair phase draws and the shock process each
-  /// consume an independent RNG substream of config.seed, so reports are
-  /// bit-identical across repeated runs and across hosts.
+  /// loss draws and the up/repair phase draws each consume an independent
+  /// RNG substream of config.seed, so reports are bit-identical across
+  /// repeated runs and across hosts.
   [[nodiscard]] SimulationReport run(const SimulationConfig& config,
                                      const TraceHook& trace = {}) const;
 

@@ -45,12 +45,6 @@ double one_sample_z(const BatchMeans& sample, double reference) {
   return (sample.mean - reference) / sample.std_error;
 }
 
-double two_sample_z(const BatchMeans& a, const BatchMeans& b) {
-  const double pooled = std::sqrt(a.std_error * a.std_error + b.std_error * b.std_error);
-  MF_REQUIRE(pooled > 0.0, "z statistic needs a positive standard error");
-  return (a.mean - b.mean) / pooled;
-}
-
 std::string topology_name(Topology topology) {
   return topology == Topology::kChain ? "chain" : "in-tree";
 }
@@ -103,18 +97,15 @@ Setup make_setup(const std::string& scenario_id, Topology topology,
   return setup;
 }
 
-/// One long trajectory; returns the batch-means period estimate and the
-/// campaign report.
+/// One long trajectory at config.seed; returns the batch-means period
+/// estimate and the campaign report.
 std::pair<BatchMeans, SimulationReport> run_trajectory(const Setup& setup,
-                                                       const ValidationConfig& config,
-                                                       ShockMode shock_mode,
-                                                       std::uint64_t seed) {
+                                                       const ValidationConfig& config) {
   SimulationConfig sim;
-  sim.seed = seed;
+  sim.seed = config.seed;
   sim.warmup_outputs = config.warmup_outputs;
   sim.target_outputs = config.warmup_outputs + config.batch_count * config.batch_size;
   sim.failure_model = setup.model.get();
-  sim.shock_mode = shock_mode;
 
   std::vector<double> output_times;
   output_times.reserve(sim.target_outputs);
@@ -151,7 +142,7 @@ ValidationResult validate_scenario(const std::string& scenario_id, Topology topo
   result.scenario_id = scenario_id;
   result.topology = topology;
   result.analytic_period = setup.analytic_period;
-  auto [estimate, report] = run_trajectory(setup, config, config.shock_mode, config.seed);
+  auto [estimate, report] = run_trajectory(setup, config);
   result.empirical = estimate;
   result.report = std::move(report);
   result.z = one_sample_z(result.empirical, result.analytic_period);
@@ -168,48 +159,6 @@ std::vector<ValidationResult> validate_registered_scenarios(const ValidationConf
     }
   }
   return results;
-}
-
-std::string ShockComparison::describe() const {
-  std::ostringstream os;
-  os << scenario_id << '/' << topology_name(topology)
-     << ": per-attempt=" << per_attempt.mean << "±" << per_attempt.ci95_half_width()
-     << " arrival=" << arrival_process.mean << "±" << arrival_process.ci95_half_width()
-     << " z=" << z << " arrivals=" << shock_arrivals << " kills=" << shock_losses
-     << (pass ? " (pass)" : " (FAIL)");
-  return os.str();
-}
-
-ShockComparison compare_shock_paths(const std::string& scenario_id, Topology topology,
-                                    const ValidationConfig& config) {
-  const Setup setup = make_setup(scenario_id, topology, config);
-  MF_REQUIRE(!setup.model->shock_per_attempt().empty(),
-             "shock-path comparison needs a model with a common-mode component");
-
-  ShockComparison result;
-  result.scenario_id = scenario_id;
-  result.topology = topology;
-  result.analytic_period = setup.analytic_period;
-  // Independent seeds: the two paths consume their RNG streams in different
-  // orders anyway, but distinct seeds make the two-sample independence the
-  // z-test assumes explicit.
-  auto [per_attempt, per_attempt_report] =
-      run_trajectory(setup, config, ShockMode::kPerAttempt, config.seed);
-  auto [arrival, arrival_report] =
-      run_trajectory(setup, config, ShockMode::kArrivalProcess, config.seed + 1);
-  result.per_attempt = per_attempt;
-  result.arrival_process = arrival;
-  result.shock_arrivals = arrival_report.shock_arrivals;
-  result.shock_losses = arrival_report.shock_losses;
-  result.z = two_sample_z(result.per_attempt, result.arrival_process);
-  const double pooled = std::sqrt(per_attempt.std_error * per_attempt.std_error +
-                                  arrival.std_error * arrival.std_error);
-  result.pass = std::abs(per_attempt.mean - arrival.mean) <=
-                std::max(config.z_critical * pooled,
-                         config.bias_tolerance * result.analytic_period);
-  MF_CHECK(arrival_report.shock_arrivals > 0,
-           "arrival path processed no shock ticks — the process never started");
-  return result;
 }
 
 }  // namespace mf::sim::stats

@@ -31,11 +31,6 @@
 // blocking bias the saturation formula ignores. Both bands are pinned tight
 // (defaults: z = 4, bias = 2%) so a broken reduction or simulator
 // regression trips the gate while honest approximation error does not.
-//
-// The same machinery compares the *two shock sampling paths* of
-// ShockMode (per-attempt coins vs the common-mode arrival process) with a
-// two-sample z-test — the calibration proof in simulator.cpp says their
-// period marginals are equal, and compare_shock_paths() checks it.
 #pragma once
 
 #include <cstdint>
@@ -71,9 +66,6 @@ struct BatchMeans {
 /// Signed: positive when the sample mean exceeds the reference.
 [[nodiscard]] double one_sample_z(const BatchMeans& sample, double reference);
 
-/// Two-sample z statistic between two independent batch-means estimates.
-[[nodiscard]] double two_sample_z(const BatchMeans& a, const BatchMeans& b);
-
 /// Application graph shape to validate on.
 enum class Topology : std::uint8_t {
   kChain,   ///< linear chain (the paper's Section 7 instances)
@@ -95,9 +87,6 @@ struct ValidationConfig {
   std::size_t warmup_outputs = 2'000;
   std::size_t batch_count = 20;
   std::size_t batch_size = 1'000;  ///< outputs per batch
-
-  /// How machine-shock models are sampled (see ShockMode).
-  ShockMode shock_mode = ShockMode::kPerAttempt;
 
   /// Agreement gate: pass when |empirical - analytic| <=
   /// max(z_critical * std_error, bias_tolerance * analytic).
@@ -135,27 +124,5 @@ struct ValidationResult {
 /// topologies — the full gate matrix CI runs at pinned seeds.
 [[nodiscard]] std::vector<ValidationResult> validate_registered_scenarios(
     const ValidationConfig& config);
-
-/// Two-path shock agreement: simulates the same instance and mapping twice —
-/// ShockMode::kPerAttempt vs ShockMode::kArrivalProcess — at independent
-/// seeds and two-sample-z-tests the period estimates. `scenario_id` must
-/// resolve to a model with a common-mode shock component ("correlated").
-struct ShockComparison {
-  std::string scenario_id;
-  Topology topology = Topology::kChain;
-  double analytic_period = 0.0;
-  BatchMeans per_attempt;
-  BatchMeans arrival_process;
-  double z = 0.0;  ///< two-sample z between the paths
-  bool pass = false;
-  std::uint64_t shock_arrivals = 0;  ///< ticks processed on the arrival path
-  std::uint64_t shock_losses = 0;    ///< products they destroyed
-
-  [[nodiscard]] std::string describe() const;
-};
-
-[[nodiscard]] ShockComparison compare_shock_paths(const std::string& scenario_id,
-                                                  Topology topology,
-                                                  const ValidationConfig& config);
 
 }  // namespace mf::sim::stats

@@ -2,11 +2,9 @@
 // Unit tests pin the batch-means and z-statistic math on hand-checkable
 // inputs; the agreement suite then runs the real gate matrix: every
 // registered scenario family × topology validated against its analytic
-// period reduction at pinned seeds, plus the two-path shock comparison
-// (per-attempt coins vs the common-mode arrival process).
+// period reduction at pinned seeds.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "exp/scenario_registry.hpp"
@@ -58,18 +56,12 @@ TEST(BatchMeans, RejectsDegenerateInputs) {
   EXPECT_THROW(batch_means_period(times, 3, 2), std::invalid_argument);   // too short
 }
 
-TEST(ZStatistics, OneAndTwoSample) {
+TEST(ZStatistics, OneSample) {
   BatchMeans sample;
   sample.mean = 105.0;
   sample.std_error = 2.5;
   EXPECT_DOUBLE_EQ(one_sample_z(sample, 100.0), 2.0);
   EXPECT_DOUBLE_EQ(one_sample_z(sample, 110.0), -2.0);
-
-  BatchMeans other;
-  other.mean = 100.0;
-  other.std_error = 2.5;
-  // Pooled se = sqrt(2.5^2 + 2.5^2); z = 5 / that.
-  EXPECT_NEAR(two_sample_z(sample, other), 5.0 / std::sqrt(12.5), 1e-12);
 
   sample.std_error = 0.0;
   EXPECT_THROW(one_sample_z(sample, 100.0), std::invalid_argument);
@@ -94,39 +86,6 @@ TEST(SimStatsAgreement, EveryScenarioFamilyMatchesItsAnalyticReduction) {
     // The campaign really ran to its target.
     EXPECT_TRUE(result.report.reached_target) << result.describe();
   }
-}
-
-/// The arrival-process path must pass the same analytic gate as the
-/// per-attempt path: the calibrated common-mode process preserves every
-/// per-attempt loss marginal, so the period agrees with the reduction too.
-TEST(SimStatsAgreement, ArrivalProcessShockPassesAnalyticGate) {
-  ValidationConfig config;
-  config.shock_mode = ShockMode::kArrivalProcess;
-  for (const Topology topology : {Topology::kChain, Topology::kInTree}) {
-    const ValidationResult result = validate_scenario("correlated", topology, config);
-    EXPECT_TRUE(result.pass) << result.describe();
-    EXPECT_GT(result.report.shock_arrivals, 0u) << "the shock clock never ticked";
-  }
-}
-
-/// Two-path shock agreement: per-attempt coins vs the arrival process give
-/// statistically indistinguishable periods (the simulator.cpp calibration
-/// contract), while only the arrival path produces common-mode kills.
-TEST(SimStatsAgreement, ShockPathsAgreeStatistically) {
-  ValidationConfig config;
-  for (const Topology topology : {Topology::kChain, Topology::kInTree}) {
-    const ShockComparison comparison = compare_shock_paths("correlated", topology, config);
-    EXPECT_TRUE(comparison.pass) << comparison.describe();
-    EXPECT_GT(comparison.shock_arrivals, 0u);
-    EXPECT_GT(comparison.shock_losses, 0u);
-  }
-}
-
-/// compare_shock_paths refuses models without a common-mode component.
-TEST(SimStatsAgreement, ShockComparisonRequiresCommonModeModel) {
-  ValidationConfig config;
-  EXPECT_THROW((void)compare_shock_paths("iid", Topology::kChain, config),
-               std::invalid_argument);
 }
 
 /// validate_scenario surfaces unknown scenario ids with the table's

@@ -354,73 +354,6 @@ TEST(Simulator, CorrelatedLossesFollowTheComposedRate) {
   }
 }
 
-TEST(Simulator, ShockArrivalsHitEveryInFlightProductAtOnce) {
-  // Two parallel single-task chains is not expressible (one sink), so use a
-  // join: T0 -> T2 <- T1 on three machines with a large common-mode shock
-  // and no base losses. In arrival mode, shock kills on M0 and M1 must be
-  // simultaneous events — the trace shows both losses at one shock time.
-  core::Application app = core::Application::from_successors({0, 1, 2}, {2, 2, core::kNoTask});
-  core::Platform platform = test::make_platform(
-      {{100, 100, 100}, {100, 100, 100}, {100, 100, 100}},
-      {{0, 0, 0}, {0, 0, 0}, {0, 0, 0}});
-  const Problem problem{std::move(app), std::move(platform)};
-  const Mapping mapping{{0, 1, 2}};
-  const core::CorrelatedFailureModel model({0.3, 0.3, 0.3});
-  SimulationConfig config;
-  config.seed = 21;
-  config.target_outputs = 2'000;
-  config.warmup_outputs = 100;
-  config.failure_model = &model;
-  config.shock_mode = ShockMode::kArrivalProcess;
-  std::vector<double> shock_times;
-  std::vector<double> loss_times;
-  const SimulationReport report =
-      Simulator(problem, mapping).run(config, [&](const TraceEvent& event) {
-        if (event.kind == TraceEvent::Kind::kShock) {
-          EXPECT_EQ(event.machine, kNoMachineTrace);  // factory-wide event
-          shock_times.push_back(event.time);
-        }
-        if (event.kind == TraceEvent::Kind::kLoss) loss_times.push_back(event.time);
-      });
-  ASSERT_TRUE(report.reached_target);
-  EXPECT_GT(report.shock_arrivals, 0u);
-  EXPECT_GT(report.shock_losses, 0u);
-  EXPECT_EQ(report.shock_arrivals, shock_times.size());
-  EXPECT_EQ(report.shock_losses, loss_times.size());
-  // With all three stages in lockstep (equal times, no residual losses),
-  // doomed products complete — and are counted lost — at the same instant,
-  // so simultaneous kills show up as duplicate loss timestamps. A severity
-  // of 0.3 per tick makes multi-kills common; require at least one.
-  std::sort(loss_times.begin(), loss_times.end());
-  bool simultaneous = false;
-  for (std::size_t k = 1; k < loss_times.size(); ++k) {
-    if (loss_times[k] == loss_times[k - 1]) simultaneous = true;
-  }
-  EXPECT_TRUE(simultaneous) << "common-mode shocks should kill in-flight products together";
-}
-
-TEST(Simulator, ShockModeIgnoredWithoutCommonModeComponent) {
-  // Models without a shock process behave identically in both modes —
-  // bit-identical reports, no shock events.
-  const Problem problem = test::uniform_problem({0, 1}, 2, 100.0, 0.01);
-  const Mapping mapping{{0, 1}};
-  const core::IidFailureModel model;
-  SimulationConfig config;
-  config.seed = 6;
-  config.target_outputs = 500;
-  config.warmup_outputs = 50;
-  config.failure_model = &model;
-  const Simulator simulator(problem, mapping);
-  const SimulationReport per_attempt = simulator.run(config);
-  config.shock_mode = ShockMode::kArrivalProcess;
-  const SimulationReport arrival = simulator.run(config);
-  EXPECT_EQ(arrival.shock_arrivals, 0u);
-  EXPECT_EQ(arrival.shock_losses, 0u);
-  EXPECT_DOUBLE_EQ(per_attempt.end_time, arrival.end_time);
-  EXPECT_DOUBLE_EQ(per_attempt.measured_period, arrival.measured_period);
-  EXPECT_EQ(per_attempt.events_processed, arrival.events_processed);
-}
-
 TEST(Simulator, TaxonomyCountersAreConsistent) {
   // events_processed covers every processed pop; attempts equal the number
   // of kAttemptComplete events when the run ends on its output target.
@@ -440,7 +373,7 @@ TEST(Simulator, TaxonomyCountersAreConsistent) {
   // Started attempts whose completion never popped (run ended) are the only
   // shortfall, bounded by the machine count.
   EXPECT_LE(attempts - (report.events_processed - report.machine_failures -
-                        report.machine_repairs - report.shock_arrivals),
+                        report.machine_repairs),
             problem.machine_count());
   EXPECT_GT(report.machine_failures, 0u);
   EXPECT_GE(report.machine_failures, report.machine_repairs);
