@@ -70,11 +70,6 @@ TypeIndex SpecializationTracker::type_of_machine(MachineIndex u) const {
   return machine_type_[u];
 }
 
-bool SpecializationTracker::type_has_machine(TypeIndex t) const {
-  MF_REQUIRE(t < type_machines_.size(), "type index out of range");
-  return !type_machines_[t].empty();
-}
-
 const std::vector<MachineIndex>& SpecializationTracker::machines_of_type(TypeIndex t) const {
   MF_REQUIRE(t < type_machines_.size(), "type index out of range");
   return type_machines_[t];

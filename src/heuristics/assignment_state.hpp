@@ -42,7 +42,6 @@ class SpecializationTracker {
   [[nodiscard]] std::size_t free_machines() const noexcept { return free_machines_; }
   /// Types that still have unseen tasks and no dedicated machine.
   [[nodiscard]] std::size_t types_to_go() const noexcept { return types_to_go_; }
-  [[nodiscard]] bool type_has_machine(core::TypeIndex t) const;
   /// Machines already dedicated to type t, in dedication order.
   [[nodiscard]] const std::vector<core::MachineIndex>& machines_of_type(
       core::TypeIndex t) const;

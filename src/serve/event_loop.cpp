@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -120,8 +121,12 @@ int EventLoop::next_timeout_ms() const {
   if (timer_order_.empty()) return -1;
   const double delta = timer_order_.begin()->first - now_seconds();
   if (delta <= 0.0) return 0;
-  // Round up so we never wake a hair early and spin.
-  return static_cast<int>(std::ceil(delta * 1000.0));
+  // Round up so we never wake a hair early and spin. A timer beyond int's
+  // range of milliseconds (about 24.8 days, or an infinite delay) waits
+  // INT_MAX ms instead: waking early is harmless, the loop recomputes.
+  const double ms = std::ceil(delta * 1000.0);
+  constexpr int kMaxWaitMs = std::numeric_limits<int>::max();
+  return ms >= static_cast<double>(kMaxWaitMs) ? kMaxWaitMs : static_cast<int>(ms);
 }
 
 void EventLoop::fire_due_timers() {

@@ -2,12 +2,22 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "solve/adapters.hpp"
 
 namespace mf::solve {
 
 namespace {
+
+/// Quotes at most the first 64 bytes of a client-supplied id: the daemon
+/// returns resolve errors in its error body, which must not echo an
+/// unbounded id back.
+std::string clipped(std::string_view text) {
+  constexpr std::size_t kMax = 64;
+  if (text.size() <= kMax) return std::string(text);
+  return std::string(text.substr(0, kMax)) + "...";
+}
 
 std::string join_ids(const std::vector<std::string>& ids) {
   std::ostringstream out;
@@ -57,24 +67,18 @@ std::shared_ptr<const Solver> SolverRegistry::resolve(const std::string& id) con
   const std::string base_id = id.substr(0, plus);
   std::shared_ptr<const Solver> solver = find(base_id);
   if (solver == nullptr) {
-    throw std::invalid_argument("unknown solver '" + base_id + "'; available solvers: " +
-                                join_ids(ids()) + " (append \"+ls\" for local-search refinement)");
+    throw std::invalid_argument("unknown solver '" + clipped(base_id) +
+                                "'; available solvers: " + join_ids(ids()) +
+                                " (append \"+ls\" for local-search refinement)");
   }
-  std::size_t cursor = plus;
-  while (cursor != std::string::npos) {
-    const std::size_t next = id.find('+', cursor + 1);
-    const std::string suffix = id.substr(cursor + 1, next == std::string::npos
-                                                         ? std::string::npos
-                                                         : next - cursor - 1);
-    if (suffix == "ls") {
-      solver = make_refined_solver(std::move(solver));
-    } else {
-      throw std::invalid_argument("unknown solver suffix '+" + suffix + "' in '" + id +
-                                  "'; supported suffixes: +ls (local-search refinement)");
-    }
-    cursor = next;
+  if (plus == std::string::npos) return solver;
+  const std::string_view suffix = std::string_view(id).substr(plus);
+  if (suffix != "+ls") {
+    throw std::invalid_argument("unsupported solver suffix '" + clipped(suffix) +
+                                "'; an id takes at most one suffix, +ls (local-search "
+                                "refinement)");
   }
-  return solver;
+  return make_refined_solver(std::move(solver));
 }
 
 bool SolverRegistry::contains(const std::string& id) const {
@@ -88,10 +92,6 @@ std::vector<std::string> SolverRegistry::ids() const {
   ids.reserve(solvers_.size());
   for (const auto& [id, solver] : solvers_) ids.push_back(id);
   return ids;  // std::map iteration is already sorted
-}
-
-SolverRegistration::SolverRegistration(std::shared_ptr<const Solver> solver) {
-  SolverRegistry::instance().register_solver(std::move(solver));
 }
 
 }  // namespace mf::solve

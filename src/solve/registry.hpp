@@ -4,9 +4,9 @@
 // access; additional solvers (experimental heuristics, test doubles) can be
 // registered at runtime and become first-class citizens everywhere.
 //
-// Ids compose: a trailing "+ls" suffix (e.g. "H4w+ls", "bnb+ls") resolves
-// to the base solver wrapped in the local-search refinement stage of
-// extensions/local_search.hpp.
+// Ids compose: at most one trailing "+ls" suffix (e.g. "H4w+ls", "bnb+ls")
+// resolves to the base solver wrapped in the local-search refinement stage
+// of extensions/local_search.hpp.
 #pragma once
 
 #include <map>
@@ -33,9 +33,9 @@ class SolverRegistry {
   /// Base-id lookup without composition; nullptr when unknown.
   [[nodiscard]] std::shared_ptr<const Solver> find(const std::string& id) const;
 
-  /// Resolves an id, applying composition suffixes ("+ls"). Throws
-  /// std::invalid_argument listing every registered id when the base id is
-  /// unknown or a suffix is unsupported.
+  /// Resolves `<base>` or `<base>+ls`. Throws std::invalid_argument listing
+  /// every registered id when the base id is unknown, and naming the suffix
+  /// when it is anything but one "+ls" (a repeated "+ls" included).
   [[nodiscard]] std::shared_ptr<const Solver> resolve(const std::string& id) const;
 
   [[nodiscard]] bool contains(const std::string& id) const;
@@ -46,12 +46,6 @@ class SolverRegistry {
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<const Solver>> solvers_;
-};
-
-/// RAII helper for static self-registration of out-of-tree solvers:
-///   static solve::SolverRegistration my_solver{std::make_shared<MySolver>()};
-struct SolverRegistration {
-  explicit SolverRegistration(std::shared_ptr<const Solver> solver);
 };
 
 }  // namespace mf::solve

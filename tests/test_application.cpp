@@ -41,7 +41,7 @@ TEST(Application, TypeBucketsAreComplete) {
   EXPECT_EQ(app.tasks_of_type(0), (std::vector<TaskIndex>{0, 2}));
   EXPECT_EQ(app.tasks_of_type(1), (std::vector<TaskIndex>{1, 3}));
   EXPECT_EQ(app.tasks_of_type(2), (std::vector<TaskIndex>{4}));
-  EXPECT_THROW(app.tasks_of_type(3), std::invalid_argument);
+  EXPECT_THROW((void)app.tasks_of_type(3), std::invalid_argument);
 }
 
 TEST(Application, DenseTypesEnforced) {
@@ -106,9 +106,9 @@ TEST(Application, SizeMismatchDetected) {
 
 TEST(Application, AccessorsValidateIndices) {
   const Application app = Application::linear_chain({0, 0});
-  EXPECT_THROW(app.type_of(2), std::invalid_argument);
-  EXPECT_THROW(app.successor(2), std::invalid_argument);
-  EXPECT_THROW(app.predecessors(2), std::invalid_argument);
+  EXPECT_THROW((void)app.type_of(2), std::invalid_argument);
+  EXPECT_THROW((void)app.successor(2), std::invalid_argument);
+  EXPECT_THROW((void)app.predecessors(2), std::invalid_argument);
 }
 
 TEST(Application, DescribeMentionsShape) {

@@ -95,7 +95,7 @@ TEST(AssignmentState, BackwardOrderViolationDetected) {
   const Problem problem = test::tiny_chain_problem();
   AssignmentState state(problem);
   // Asking for T1's downstream products before T2 is assigned is a bug.
-  EXPECT_THROW(state.downstream_products(1), std::logic_error);
+  EXPECT_THROW((void)state.downstream_products(1), std::logic_error);
 }
 
 TEST(AssignmentState, DoubleAssignRejected) {

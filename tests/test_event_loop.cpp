@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <functional>
 #include <future>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -271,6 +272,28 @@ TEST(ServeEventLoop, CancelledTimerNeverFiresAndIsNotCounted) {
   loop.run();
   EXPECT_FALSE(cancelled_ran);
   EXPECT_EQ(loop.timers_fired(), 2u);
+}
+
+TEST(ServeEventLoop, FarTimerAloneDoesNotOverflowTheWaitTimeout) {
+  // The nearest timer is 30 days out: its wait in milliseconds is beyond
+  // int's range, and the loop must clamp it, not overflow the cast. No
+  // watchdog here: a nearer timer would hide the far one. A worker stops the
+  // loop once it has computed that wait at least once.
+  EventLoop loop;
+  int fired = 0;
+  loop.add_timer_after(30.0 * 24 * 3600, [&] { ++fired; });
+  loop.add_timer_after(std::numeric_limits<double>::infinity(), [&] { ++fired; });
+  std::promise<void> running;
+  loop.post([&] { running.set_value(); });
+  std::thread stopper([&] {
+    running.get_future().wait();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    loop.stop();
+  });
+  loop.run();
+  stopper.join();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(loop.timers_fired(), 0u);
 }
 
 TEST(ServeEventLoop, TimerReArmingItselfRunsPeriodically) {

@@ -32,7 +32,7 @@ TEST(EventQueue, OrdersByTimeThenInsertion) {
 TEST(EventQueue, Validation) {
   EventQueue<int> queue;
   EXPECT_THROW(queue.pop(), std::invalid_argument);
-  EXPECT_THROW(queue.top(), std::invalid_argument);
+  EXPECT_THROW((void)queue.top(), std::invalid_argument);
   EXPECT_THROW(queue.push(-1.0, 0), std::invalid_argument);
   // Zero is a legal event time (the simulator schedules starts at t = 0).
   queue.push(0.0, 7);

@@ -80,13 +80,13 @@ TEST(Mapping, TasksPerMachineRejectsIncomplete) {
 TEST(Mapping, SizeMismatchRejected) {
   const Application app = three_task_app();
   const Mapping mapping{{0, 1}};
-  EXPECT_THROW(mapping.complies_with(MappingRule::kGeneral, app, 3), std::invalid_argument);
+  EXPECT_THROW((void)mapping.complies_with(MappingRule::kGeneral, app, 3), std::invalid_argument);
 }
 
 TEST(Mapping, MachineOfValidates) {
   const Mapping mapping{{0, 1}};
   EXPECT_EQ(mapping.machine_of(1), 1u);
-  EXPECT_THROW(mapping.machine_of(2), std::invalid_argument);
+  EXPECT_THROW((void)mapping.machine_of(2), std::invalid_argument);
 }
 
 TEST(Mapping, DescribeIsHumanReadable) {

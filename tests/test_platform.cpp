@@ -73,7 +73,7 @@ TEST(Failure, SurvivalInverse) {
   EXPECT_DOUBLE_EQ(survival_inverse(0.0), 1.0);
   EXPECT_DOUBLE_EQ(survival_inverse(0.5), 2.0);
   EXPECT_TRUE(std::isinf(survival_inverse(1.0)));
-  EXPECT_THROW(survival_inverse(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)survival_inverse(-0.1), std::invalid_argument);
 }
 
 TEST(Failure, RatioRepresentation) {
@@ -88,7 +88,7 @@ TEST(Failure, ChainSurvivalAccumulates) {
   acc = chain_survival(acc, 0.1);
   acc = chain_survival(acc, 0.2);
   EXPECT_NEAR(acc, 0.9 * 0.8, 1e-12);
-  EXPECT_THROW(chain_survival(1.0, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)chain_survival(1.0, 1.5), std::invalid_argument);
 }
 
 }  // namespace

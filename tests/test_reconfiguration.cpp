@@ -53,7 +53,7 @@ TEST(Reconfiguration, PeriodGrowsLinearlyInCost) {
 
 TEST(Reconfiguration, NegativeCostRejected) {
   const Problem problem = test::tiny_chain_problem();
-  EXPECT_THROW(period_with_reconfiguration(problem, Mapping{{0, 1, 0}}, -1.0),
+  EXPECT_THROW((void)period_with_reconfiguration(problem, Mapping{{0, 1, 0}}, -1.0),
                std::invalid_argument);
 }
 
@@ -128,7 +128,7 @@ TEST(Crossover, ThresholdMakesPeriodsCross) {
 TEST(Crossover, RequiresSpecializedFirstArgument) {
   const Problem problem = test::tiny_chain_problem();
   const Mapping not_specialized{{0, 0, 1}};
-  EXPECT_THROW(reconfiguration_crossover(problem, not_specialized, not_specialized),
+  EXPECT_THROW((void)reconfiguration_crossover(problem, not_specialized, not_specialized),
                std::invalid_argument);
 }
 

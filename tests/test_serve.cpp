@@ -694,6 +694,30 @@ TEST(ServeDaemon, MipIsRefusedAsAnUnknownSolver) {
   EXPECT_EQ(stats->service.submitted, 0u);
 }
 
+TEST(ServeDaemon, RepeatedLsSuffixIsRefusedAndTheDaemonKeepsServing) {
+  // An id takes at most one "+ls". One frame repeating it 100,000 times
+  // (300,003 bytes, well under the frame cap) would otherwise nest as many
+  // refinement stages, which recurse on every solve; it gets bad-request,
+  // naming the suffix without echoing the whole id, and the next solve is
+  // answered.
+  TestDaemon server;
+  Client client("127.0.0.1", server.daemon->port());
+  WireRequest wire = sample_request();
+  wire.request.solver_id = "H4w";
+  for (int k = 0; k < 100'000; ++k) wire.request.solver_id += "+ls";
+  const Client::Outcome refused = client.solve(wire);
+  ASSERT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error_code, kErrBadRequest);
+  EXPECT_NE(refused.detail.find("unsupported solver suffix '+ls+ls"), std::string::npos)
+      << refused.detail.substr(0, 200);
+  EXPECT_LT(refused.detail.size(), 1'000u) << "the error body echoes the unbounded id";
+
+  wire.request.solver_id = "H4w+ls";
+  const Client::Outcome answered = client.solve(wire);
+  ASSERT_TRUE(answered.ok) << answered.error_code << ": " << answered.detail;
+  EXPECT_TRUE(answered.result.has_mapping());
+}
+
 TEST(ServeDaemon, QueueFullRejectionIsExplicit) {
   DaemonOptions options;
   options.max_pending = 0;  // reject every solve

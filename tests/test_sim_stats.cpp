@@ -51,9 +51,9 @@ TEST(BatchMeans, DropsTrailingPartialBatch) {
 
 TEST(BatchMeans, RejectsDegenerateInputs) {
   const std::vector<double> times{1.0, 2.0, 3.0, 4.0};
-  EXPECT_THROW(batch_means_period(times, 0, 2), std::invalid_argument);   // no anchor
-  EXPECT_THROW(batch_means_period(times, 1, 1), std::invalid_argument);   // one batch
-  EXPECT_THROW(batch_means_period(times, 3, 2), std::invalid_argument);   // too short
+  EXPECT_THROW((void)batch_means_period(times, 0, 2), std::invalid_argument);   // no anchor
+  EXPECT_THROW((void)batch_means_period(times, 1, 1), std::invalid_argument);   // one batch
+  EXPECT_THROW((void)batch_means_period(times, 3, 2), std::invalid_argument);   // too short
 }
 
 TEST(ZStatistics, OneSample) {
@@ -64,7 +64,7 @@ TEST(ZStatistics, OneSample) {
   EXPECT_DOUBLE_EQ(one_sample_z(sample, 110.0), -2.0);
 
   sample.std_error = 0.0;
-  EXPECT_THROW(one_sample_z(sample, 100.0), std::invalid_argument);
+  EXPECT_THROW((void)one_sample_z(sample, 100.0), std::invalid_argument);
 }
 
 // --- The agreement gate matrix ----------------------------------------------

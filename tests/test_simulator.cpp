@@ -136,7 +136,7 @@ TEST(Simulator, TraceHookSeesLifecycle) {
   config.target_outputs = 3;
   config.warmup_outputs = 0;
   std::vector<TraceEvent::Kind> kinds;
-  Simulator(problem, mapping).run(config, [&](const TraceEvent& event) {
+  (void)Simulator(problem, mapping).run(config, [&](const TraceEvent& event) {
     kinds.push_back(event.kind);
   });
   // start, success, output repeated three times.

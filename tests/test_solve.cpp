@@ -64,6 +64,7 @@ TEST(Registry, UnknownSolverErrorListsAvailableIds) {
 
 TEST(Registry, UnknownSuffixIsRejected) {
   EXPECT_THROW((void)SolverRegistry::instance().resolve("H4w+anneal"), std::invalid_argument);
+  EXPECT_THROW((void)SolverRegistry::instance().resolve("H4w+ls+ls"), std::invalid_argument);
 }
 
 TEST(Registry, RejectsDuplicateAndReservedIds) {

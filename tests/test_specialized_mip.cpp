@@ -69,6 +69,10 @@ TEST_P(MipAgreementTest, LpMipAgreesWithCombinatorialBnB) {
   ASSERT_TRUE(bnb.mapping.has_value());
   EXPECT_NEAR(lp_result.period, bnb.period, 1e-6 * bnb.period)
       << "the two exact paths must agree on the optimal period";
+  // K is the one number here that does not pass through core::period: the
+  // MIP's own optimum, which the big-M linearization must not distort.
+  EXPECT_NEAR(lp_result.mip_objective, bnb.period, 1e-9 * bnb.period)
+      << "the MIP objective K must equal bnb's optimal period";
 }
 
 INSTANTIATE_TEST_SUITE_P(TinyInstances, MipAgreementTest,

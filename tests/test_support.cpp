@@ -195,8 +195,8 @@ TEST(Stats, QuantileInterpolates) {
 }
 
 TEST(Stats, QuantileValidation) {
-  EXPECT_THROW(quantile({}, 0.5), std::invalid_argument);
-  EXPECT_THROW(quantile({1.0}, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile({}, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile({1.0}, 1.5), std::invalid_argument);
 }
 
 TEST(Matrix, BasicAccessAndBounds) {
@@ -206,8 +206,8 @@ TEST(Matrix, BasicAccessAndBounds) {
   EXPECT_DOUBLE_EQ(m.at(1, 2), 1.5);
   m.at(0, 0) = 7.0;
   EXPECT_DOUBLE_EQ(m.at(0, 0), 7.0);
-  EXPECT_THROW(m.at(2, 0), std::invalid_argument);
-  EXPECT_THROW(m.at(0, 3), std::invalid_argument);
+  EXPECT_THROW((void)m.at(2, 0), std::invalid_argument);
+  EXPECT_THROW((void)m.at(0, 3), std::invalid_argument);
 }
 
 TEST(ThreadPool, ParallelForVisitsEveryIndexOnce) {

@@ -93,8 +93,8 @@ TEST(RequiredInputs, ZeroTargetNeedsNothing) {
 TEST(RequiredInputs, Validation) {
   const Problem problem = test::tiny_chain_problem();
   const Mapping mapping{{0, 1, 0}};
-  EXPECT_THROW(required_inputs(problem, mapping, 10, 0.0), std::invalid_argument);
-  EXPECT_THROW(required_inputs(problem, mapping, 10, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)required_inputs(problem, mapping, 10, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)required_inputs(problem, mapping, 10, 1.0), std::invalid_argument);
 }
 
 TEST(WindowLoss, PerfectLineLosesNothing) {
@@ -117,8 +117,8 @@ TEST(WindowLoss, BoundGrowsWithWindow) {
 TEST(WindowLoss, Validation) {
   const Problem problem = test::tiny_chain_problem();
   const Mapping mapping{{0, 1, 0}};
-  EXPECT_THROW(window_loss_bound(problem, mapping, 0, 0.9), std::invalid_argument);
-  EXPECT_THROW(window_loss_bound(problem, mapping, 10, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)window_loss_bound(problem, mapping, 0, 0.9), std::invalid_argument);
+  EXPECT_THROW((void)window_loss_bound(problem, mapping, 10, 1.0), std::invalid_argument);
 }
 
 TEST(Survival, RequiresLinearChain) {
@@ -127,7 +127,7 @@ TEST(Survival, RequiresLinearChain) {
       {{100, 100, 100}, {100, 100, 100}, {100, 100, 100}},
       {{0.01, 0.01, 0.01}, {0.01, 0.01, 0.01}, {0.01, 0.01, 0.01}});
   const Problem problem{std::move(app), std::move(platform)};
-  EXPECT_THROW(chain_survival_probability(problem, Mapping{{0, 1, 2}}),
+  EXPECT_THROW((void)chain_survival_probability(problem, Mapping{{0, 1, 2}}),
                std::invalid_argument);
 }
 
