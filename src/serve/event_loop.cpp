@@ -121,12 +121,12 @@ int EventLoop::next_timeout_ms() const {
   if (timer_order_.empty()) return -1;
   const double delta = timer_order_.begin()->first - now_seconds();
   if (delta <= 0.0) return 0;
-  // Round up so we never wake a hair early and spin. A timer beyond int's
-  // range of milliseconds (about 24.8 days, or an infinite delay) waits
-  // INT_MAX ms instead: waking early is harmless, the loop recomputes.
-  const double ms = std::ceil(delta * 1000.0);
-  constexpr int kMaxWaitMs = std::numeric_limits<int>::max();
-  return ms >= static_cast<double>(kMaxWaitMs) ? kMaxWaitMs : static_cast<int>(ms);
+  // Round up so we never wake a hair early and spin. Cap the wait at
+  // INT_MAX ms (about 24.8 days), the most epoll_wait takes, so a farther or
+  // infinite deadline never overflows the cast: waking early is harmless,
+  // the loop recomputes.
+  return static_cast<int>(
+      std::min(std::ceil(delta * 1000.0), static_cast<double>(std::numeric_limits<int>::max())));
 }
 
 void EventLoop::fire_due_timers() {

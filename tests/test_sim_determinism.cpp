@@ -104,10 +104,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{"downtime", true}),
     case_name);
 
-/// Same instance as the report test, traced: stronger than report equality,
-/// the full event trace (every kind, time, task and machine) must repeat
-/// exactly. One case per failure regime, so the downtime case also covers
-/// the fail/repair events and the phase substream at trace level.
+/// Stronger than report equality: the full event trace (every kind, time,
+/// task and machine) of a chain campaign must repeat exactly. One case per
+/// failure regime, so the downtime case also covers the fail/repair events
+/// and the phase substream at trace level.
 class SimTraceDeterminism : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SimTraceDeterminism, TraceIsBitIdenticalAcrossRuns) {
