@@ -1,12 +1,14 @@
 // Sweep fixtures shared by the runner and shard tests: a deterministic
 // sometimes-failing method that drives the retry protocol, small
 // multi-point specs, a bit-for-bit comparison of sweep results, and an
-// executor that records what each solve_all call asked for.
+// executor that records what each solve_all call asked for and how much
+// the exact search explored.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/digest.hpp"
@@ -94,7 +96,7 @@ inline std::vector<exp::SweepResult> run_shards(const exp::SweepSpec& spec, std:
 }
 
 /// Forwards every solve_all to another executor and records, per call, the
-/// shape of each request's problem.
+/// shape of each request's problem, and sums the nodes of every bnb solve.
 class CountingExecutor final : public solve::SolveExecutor {
  public:
   struct Shape {
@@ -112,10 +114,18 @@ class CountingExecutor final : public solve::SolveExecutor {
       call.push_back({request.problem->task_count(), request.problem->machine_count(),
                       request.problem->type_count()});
     }
-    return inner_.solve_all(requests);
+    std::vector<solve::SolveResult> results = inner_.solve_all(requests);
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+      if (requests[k].solver_id != "bnb") continue;
+      ++bnb_solves;
+      bnb_nodes += results[k].diagnostics.nodes_explored;
+    }
+    return results;
   }
 
   std::vector<std::vector<Shape>> calls;
+  std::uint64_t bnb_solves = 0;
+  std::uint64_t bnb_nodes = 0;
 
  private:
   solve::SolveExecutor& inner_;

@@ -300,6 +300,22 @@ TEST(Figures, SummaryTableMarksMethodsMissingFromASweep) {
   EXPECT_EQ(summary_table(fig09, fig10).to_string(), expected.to_string());
 }
 
+TEST(Figures, Fig10SearchCountsArePinned) {
+  // fig10's table prints one decimal at m=5, p=2, so a B&B that searched
+  // another tree could print the same table; its counts would move. Every
+  // point proves its 30 trials in the first round.
+  solve::SolveService service;
+  test::CountingExecutor counting(service);
+  SweepOptions options;
+  options.executor = &counting;
+  const SweepResult result = run_sweep(figure10_spec(), options);
+  std::size_t drawn = 0;
+  for (const PointResult& point : result.points) drawn += point.attempts;
+  EXPECT_EQ(drawn, 240u);
+  EXPECT_EQ(counting.bnb_solves, 240u);
+  EXPECT_EQ(counting.bnb_nodes, 6'513'590u);
+}
+
 /// Smoke-run a miniature version of a heuristics-only figure end to end.
 TEST(Figures, MiniatureFigure6RunsEndToEnd) {
   SweepSpec spec = scaled_down(figure6_spec(), 10);  // 3 trials

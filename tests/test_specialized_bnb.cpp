@@ -4,6 +4,7 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -283,6 +284,81 @@ TEST(SpecializedBnBGolden, SameNodesPeriodsAndMappingsAsPreRewriteCapture) {
   // Both outcomes stay covered: the budget cut and a completed proof.
   EXPECT_GT(exhausted, 0u);
   EXPECT_LT(exhausted, entries.size());
+}
+
+// --- Edge shapes: several mask words, extreme w and F ------------------------
+
+/// kWideRates draws every f from [0.5%, 1 - 2^-52]; kSteepRates sets every
+/// odd machine's f to 1 - 2^-52 (F = 2^52), so on a 20-task chain the
+/// product of each task's largest F overflows.
+enum Rates { kPaperRates, kWideRates, kSteepRates };
+
+struct GoldenBnBEdge {
+  Topology topology;
+  std::size_t tasks;
+  std::size_t machines;
+  std::size_t types;
+  std::uint64_t seed;
+  int scale;  // every w multiplied by 2^scale
+  Rates rates;
+  bool seed_with_heuristics;
+  std::uint64_t nodes;
+  bool proven_optimal;
+  double period;
+  std::vector<core::MachineIndex> assignment;
+};
+
+Problem edge_problem(const GoldenBnBEdge& entry) {
+  exp::Scenario scenario;
+  scenario.tasks = entry.tasks;
+  scenario.machines = entry.machines;
+  scenario.types = entry.types;
+  if (entry.rates == kWideRates) scenario.failure_max = 1.0 - 0x1p-52;
+  const Problem base = entry.topology == kChain
+                           ? exp::generate(scenario, entry.seed)
+                           : exp::generate_in_tree(scenario, 0.4, entry.seed);
+  support::Matrix w(entry.tasks, entry.machines);
+  support::Matrix f(entry.tasks, entry.machines);
+  for (core::TaskIndex i = 0; i < entry.tasks; ++i) {
+    for (core::MachineIndex u = 0; u < entry.machines; ++u) {
+      w.at(i, u) = std::ldexp(base.platform.time_row(i)[u], entry.scale);
+      f.at(i, u) = entry.rates == kSteepRates && u % 2 == 1 ? 1.0 - 0x1p-52
+                                                             : base.platform.failure_row(i)[u];
+    }
+  }
+  return Problem{base.app, core::Platform{std::move(w), std::move(f)}};
+}
+
+TEST(SpecializedBnBGolden, SameNodesOnWidePlatformsAndExtremeInputs) {
+  // Captured with the golden table's rules on the shapes it does not
+  // reach: m = 64, 65 and 130 (one, two and three mask words); chains
+  // and in-trees with every w scaled by 2^-960 or 2^960, which the search
+  // treats like the unscaled instance but the chain screen must not run
+  // on; and failure rates up to 1 - 2^-52, where x spans many binades.
+  static const std::vector<GoldenBnBEdge> entries{
+#include "golden_bnb_edges.inc"
+  };
+  ASSERT_EQ(entries.size(), 60u);
+  for (const GoldenBnBEdge& entry : entries) {
+    SCOPED_TRACE(std::string(entry.topology == kChain ? "chain" : "in-tree") +
+                 " n=" + std::to_string(entry.tasks) + " m=" + std::to_string(entry.machines) +
+                 " seed=" + std::to_string(entry.seed) + " scale=" + std::to_string(entry.scale) +
+                 " rates=" + std::to_string(entry.rates) +
+                 (entry.seed_with_heuristics ? " warm" : " cold"));
+    BnBOptions options;
+    options.max_nodes = 20'000;
+    options.seed_with_heuristics = entry.seed_with_heuristics;
+    const BnBResult result = solve_specialized_optimal(edge_problem(entry), options);
+    EXPECT_EQ(result.nodes, entry.nodes);
+    EXPECT_EQ(result.proven_optimal, entry.proven_optimal);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.period),
+              std::bit_cast<std::uint64_t>(entry.period));
+    ASSERT_TRUE(result.mapping.has_value());
+    ASSERT_EQ(result.mapping->task_count(), entry.assignment.size());
+    for (core::TaskIndex i = 0; i < entry.assignment.size(); ++i) {
+      EXPECT_EQ(result.mapping->machine_of(i), entry.assignment[i]) << "assignment[" << i << "]";
+    }
+  }
 }
 
 }  // namespace
