@@ -21,6 +21,7 @@
 #include "solve/cache_backend.hpp"
 #include "solve/disk_cache.hpp"
 #include "solve/solver.hpp"
+#include "support/record.hpp"
 
 namespace mf::serve {
 
@@ -641,7 +642,8 @@ std::optional<WireRequest> Daemon::admit_solve(const std::string& body, Frame& r
     service_->note_rejected_rate_limited();
     refusal = {FrameType::kError,
                error_body(kErrRateLimited,
-                          "client '" + wire->client_id + "' exceeded its request budget")};
+                          "client '" + support::clipped(wire->client_id) +
+                              "' exceeded its request budget")};
     return std::nullopt;
   }
 

@@ -5,19 +5,11 @@
 #include <string_view>
 
 #include "solve/adapters.hpp"
+#include "support/record.hpp"
 
 namespace mf::solve {
 
 namespace {
-
-/// Quotes at most the first 64 bytes of a client-supplied id: the daemon
-/// returns resolve errors in its error body, which must not echo an
-/// unbounded id back.
-std::string clipped(std::string_view text) {
-  constexpr std::size_t kMax = 64;
-  if (text.size() <= kMax) return std::string(text);
-  return std::string(text.substr(0, kMax)) + "...";
-}
 
 std::string join_ids(const std::vector<std::string>& ids) {
   std::ostringstream out;
@@ -67,14 +59,14 @@ std::shared_ptr<const Solver> SolverRegistry::resolve(const std::string& id) con
   const std::string base_id = id.substr(0, plus);
   std::shared_ptr<const Solver> solver = find(base_id);
   if (solver == nullptr) {
-    throw std::invalid_argument("unknown solver '" + clipped(base_id) +
+    throw std::invalid_argument("unknown solver '" + support::clipped(base_id) +
                                 "'; available solvers: " + join_ids(ids()) +
                                 " (append \"+ls\" for local-search refinement)");
   }
   if (plus == std::string::npos) return solver;
   const std::string_view suffix = std::string_view(id).substr(plus);
   if (suffix != "+ls") {
-    throw std::invalid_argument("unsupported solver suffix '" + clipped(suffix) +
+    throw std::invalid_argument("unsupported solver suffix '" + support::clipped(suffix) +
                                 "'; an id takes at most one suffix, +ls (local-search "
                                 "refinement)");
   }

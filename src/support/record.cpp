@@ -47,6 +47,12 @@ std::string one_line(std::string text) {
   return text;
 }
 
+std::string clipped(std::string_view text) {
+  constexpr std::size_t kMax = 64;
+  if (text.size() <= kMax) return std::string(text);
+  return std::string(text.substr(0, kMax)) + "...";
+}
+
 std::optional<std::uint64_t> parse_u64(std::string_view token) {
   return parse_digits(token, 10);
 }

@@ -51,6 +51,11 @@ namespace mf::support {
 /// stays on its one line.
 [[nodiscard]] std::string one_line(std::string text);
 
+/// At most the first 64 bytes of client-supplied `text`, then "..." if
+/// it was longer: an error body quotes an id this way, so it never echoes
+/// an unbounded one back.
+[[nodiscard]] std::string clipped(std::string_view text);
+
 /// A decimal unsigned integer: digits only, no sign, no overflow.
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view token);
 

@@ -71,6 +71,13 @@ TEST(RecordReader, HexfloatsRoundTripEveryBit) {
   EXPECT_EQ(one_line("a\nb\r\nc"), "a b  c");
 }
 
+TEST(RecordReader, ClippedQuotesAtMost64Bytes) {
+  const std::string exact(64, 'a');
+  EXPECT_EQ(clipped(exact), exact);
+  EXPECT_EQ(clipped(exact + "b"), exact + "...");
+  EXPECT_EQ(clipped(""), "");
+}
+
 TEST(RecordReader, IntegersAreDecimalDigitsOnly) {
   EXPECT_EQ(u64_error("key 18446744073709551615\nend\n"), "accepted");
   for (const char* token : {"-1", "+1", "18446744073709551616", "1x", "0x10", "1.0", "fast"}) {

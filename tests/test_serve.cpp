@@ -758,6 +758,30 @@ TEST(ServeDaemon, RateLimitRejectionIsPerClient) {
   EXPECT_EQ(stats->service.rejected_rate_limited, 1u);
 }
 
+TEST(ServeDaemon, RateLimitRefusalQuotesAtMost64BytesOfTheClientId) {
+  // A client id has no length limit below the frame cap, so the refusal
+  // names the client by the first 64 bytes of its id, like resolve errors
+  // quote a solver id.
+  DaemonOptions options;
+  options.rate_capacity = 1.0;
+  options.rate_refill_per_sec = 0.0;
+  TestDaemon server(options);
+
+  WireRequest wire = sample_request();
+  wire.request.params.local_search = false;
+  wire.client_id.assign(std::size_t{1} << 20, 'x');
+  for (std::size_t k = 0; k < 80; ++k) wire.client_id[k] = static_cast<char>('a' + k % 26);
+  Client client("127.0.0.1", server.daemon->port());
+  ASSERT_TRUE(client.solve(wire).ok);
+  const Client::Outcome second = client.solve(wire);
+  ASSERT_FALSE(second.ok);
+  EXPECT_EQ(second.error_code, kErrRateLimited);
+  EXPECT_LT(second.detail.size(), 1'000u) << "the error body echoes the unbounded id";
+  EXPECT_NE(second.detail.find("client '" + wire.client_id.substr(0, 64) + "...'"),
+            std::string::npos)
+      << second.detail.substr(0, 200);
+}
+
 TEST(ServeDaemon, DrainRefusesNewWorkAndStopsAccepting) {
   TestDaemon server;
   const std::uint16_t port = server.daemon->port();
