@@ -15,14 +15,14 @@
 //
 // A global operator-new hook counts heap allocations inside each timed
 // region; the incremental probes and the SIMD kernels must allocate
-// nothing per op, the B&B nothing per node (two solves that exhaust
-// budgets 10x apart allocate the same count), H2 and H3 nothing per
-// bisection probe (a solve allocates the same count when every w is
-// scaled x1024 and the search takes more probes), oto nothing per
-// threshold probe (a matrix whose answer is its row-min bound and one
-// whose search takes more probes allocate the same count), local search
-// nothing per pass (refining to convergence allocates what one pass
-// does), and the harness exits non-zero if they do — that is the
+// nothing per op, the B&B nothing per node (on each of three instances,
+// two solves that exhaust budgets 10x apart allocate the same count), H2
+// and H3 nothing per bisection probe (a solve allocates the same count
+// when every w is scaled x1024 and the search takes more probes), oto
+// nothing per threshold probe (a matrix whose answer is its row-min bound
+// and one whose search takes more probes allocate the same count), local
+// search nothing per pass (refining to convergence allocates what one
+// pass does), and the harness exits non-zero if they do — that is the
 // zero-allocation guarantee CI enforces, independent of timer noise.
 //
 // The SIMD kernel groups time every compiled-and-runnable ISA variant of
@@ -669,44 +669,60 @@ int main(int argc, char** argv) {
   }
 
   // --- Exact B&B: zero allocations per node --------------------------------
-  // A Figure 12 shape instance that runs out of both budgets, so the
-  // second solve visits ten times the nodes of the first. Per-solve set-up
-  // (the Searcher's arrays, the H2/H4w warm start) allocates; the nodes
-  // must not, so both solves must allocate the same count.
+  // Three instances that run out of both budgets, so each one's second
+  // solve visits ten times the nodes of its first: a Figure 12 shape chain
+  // (the chain screen's path), an in-tree of that shape (the bound's
+  // scratch loop) and an m=70 chain (two words per machine mask).
+  // Per-solve set-up (the Searcher's arrays, the H2/H4w warm start)
+  // allocates; the nodes must not, so both solves of an instance must
+  // allocate the same count.
   struct BnBRun {
+    const char* instance = "";
     std::uint64_t budget = 0;
     std::uint64_t nodes = 0;
     std::uint64_t allocs = 0;
     bool proven = false;
     double ns_per_node = 0.0;
   };
-  std::vector<BnBRun> bnb_runs;
+  std::vector<BnBRun> bnb_runs;  // pairs: budget 200k, then 2M
   {
-    mf::exp::Scenario scenario;
-    scenario.tasks = 20;
-    scenario.machines = 9;
-    scenario.types = 4;
-    const mf::core::Problem problem = mf::exp::generate(scenario, 20003);
-    auto solve = [&problem](std::uint64_t budget) {
+    mf::exp::Scenario fig12;
+    fig12.tasks = 20;
+    fig12.machines = 9;
+    fig12.types = 4;
+    mf::exp::Scenario wide = fig12;
+    wide.machines = 70;
+    struct BnBInstance {
+      const char* label;
+      mf::core::Problem problem;
+    };
+    const std::vector<BnBInstance> instances{
+        {"chain n=20 m=9 seed 20003", mf::exp::generate(fig12, 20003)},
+        {"in-tree n=20 m=9 seed 20004", mf::exp::generate_in_tree(fig12, 0.4, 20004)},
+        {"chain n=20 m=70 seed 20003", mf::exp::generate(wide, 20003)}};
+    auto solve = [](const BnBInstance& instance, std::uint64_t budget) {
       mf::exact::BnBOptions options;
       options.max_nodes = budget;
       const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
       const double start = now_ns();
-      const mf::exact::BnBResult result = mf::exact::solve_specialized_optimal(problem, options);
+      const mf::exact::BnBResult result =
+          mf::exact::solve_specialized_optimal(instance.problem, options);
       const double elapsed = now_ns() - start;
-      return BnBRun{budget, result.nodes,
+      return BnBRun{instance.label, budget, result.nodes,
                     g_alloc_count.load(std::memory_order_relaxed) - allocs_before,
                     result.proven_optimal, elapsed / static_cast<double>(result.nodes)};
     };
     // Warm-up: the first solve in a process also pays one-time set-up.
-    (void)solve(1'000);
-    bnb_runs = {solve(200'000), solve(2'000'000)};
-    std::printf("\nexact B&B (n=20, m=9, p=4, generator seed 20003; ns/node is a note, "
-                "allocs gate)\n");
-    std::printf("| budget  |   nodes | proven |  allocs | ns/node |\n");
-    std::printf("|---------|---------|--------|---------|---------|\n");
+    (void)solve(instances.front(), 1'000);
+    for (const BnBInstance& instance : instances) {
+      bnb_runs.push_back(solve(instance, 200'000));
+      bnb_runs.push_back(solve(instance, 2'000'000));
+    }
+    std::printf("\nexact B&B (p=4; ns/node is a note, allocs gate)\n");
+    std::printf("| instance                    | budget  |   nodes | proven | allocs | ns/node |\n");
+    std::printf("|-----------------------------|---------|---------|--------|--------|---------|\n");
     for (const BnBRun& run : bnb_runs) {
-      std::printf("| %7llu | %7llu | %6s | %7llu | %7.1f |\n",
+      std::printf("| %-27s | %7llu | %7llu | %6s | %6llu | %7.1f |\n", run.instance,
                   static_cast<unsigned long long>(run.budget),
                   static_cast<unsigned long long>(run.nodes), run.proven ? "yes" : "no",
                   static_cast<unsigned long long>(run.allocs), run.ns_per_node);
@@ -922,21 +938,25 @@ int main(int argc, char** argv) {
       ++failures;
     }
   }
-  // The B&B half of gate 1: both solves must stop on their budgets (or the
-  // comparison says nothing about nodes) and allocate the same count.
-  const BnBRun& bnb_small = bnb_runs[0];
-  const BnBRun& bnb_large = bnb_runs[1];
-  if (bnb_small.proven || bnb_large.proven) {
-    std::fprintf(stderr, "FAIL: the B&B allocation instance no longer exhausts its budgets\n");
-    ++failures;
-  } else if (bnb_small.allocs != bnb_large.allocs) {
-    std::fprintf(stderr,
-                 "FAIL: B&B allocates per node: %llu allocs at %llu nodes, %llu at %llu\n",
-                 static_cast<unsigned long long>(bnb_small.allocs),
-                 static_cast<unsigned long long>(bnb_small.nodes),
-                 static_cast<unsigned long long>(bnb_large.allocs),
-                 static_cast<unsigned long long>(bnb_large.nodes));
-    ++failures;
+  // The B&B half of gate 1: both solves of an instance must stop on their
+  // budgets (or the comparison says nothing about nodes) and allocate the
+  // same count.
+  for (std::size_t k = 0; k + 1 < bnb_runs.size(); k += 2) {
+    const BnBRun& small = bnb_runs[k];
+    const BnBRun& large = bnb_runs[k + 1];
+    if (small.proven || large.proven) {
+      std::fprintf(stderr, "FAIL: the B&B allocation instance %s no longer exhausts its budgets\n",
+                   small.instance);
+      ++failures;
+    } else if (small.allocs != large.allocs) {
+      std::fprintf(stderr,
+                   "FAIL: B&B allocates per node on %s: %llu allocs at %llu nodes, %llu at %llu\n",
+                   small.instance, static_cast<unsigned long long>(small.allocs),
+                   static_cast<unsigned long long>(small.nodes),
+                   static_cast<unsigned long long>(large.allocs),
+                   static_cast<unsigned long long>(large.nodes));
+      ++failures;
+    }
   }
 
   // The H2/H3 half of gate 1: the 1024x instance's extra probes must not
