@@ -12,6 +12,14 @@
 // and the processing time — an underestimate of any completion. The
 // incumbent starts from the best of H2/H4w, so pruning bites immediately.
 //
+// A node's cost is kept low without changing which nodes are visited: on
+// chains an O(1) screen from per-solve suffix sums rules out most bound
+// prunes before the O(n) walk for (2) and (3) runs, a branch whose load
+// already reaches the incumbent is dropped when the node lists its
+// branches, and the machines a task may take are read from bit masks of
+// the free and dedicated machines (docs/performance.md, "Exact
+// branch-and-bound").
+//
 // A node budget mirrors the paper's observation that the exact approach
 // stops being usable past ~15 tasks: when the budget is exhausted the best
 // incumbent is returned with proven_optimal = false.
