@@ -280,7 +280,8 @@ struct Searcher {
         // would be an optimization, but loads differ once tasks are placed.
         // We only collapse the exactly-equivalent case: several *empty*
         // machines with equal w and f for this task. A dropped empty
-        // machine's twin reaches the same load and is dropped too.
+        // machine's twin reaches the same load and is dropped too. `open`
+        // holds u's bit exactly when u is free.
         if ((open & bit) != 0 && loads[u] == 0.0) {
           bool duplicate = false;
           if (considered_free) {
