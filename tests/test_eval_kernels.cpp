@@ -19,16 +19,21 @@
 //     bit-equal periods for pinned seeds across H1..H4f; and
 //     tests/golden_local_search_shapes.inc, captured before the probes
 //     took a cutoff, which also pins move and pass counts on in-trees,
-//     m > 64 and every refinement option;
+//     m > 64 and every refinement option; and
+//     tests/golden_local_search_edges.inc, captured before the chain
+//     probes decided from prefix sums, on m = 64, 65 and 130, w scaled by
+//     2^-960 and 2^960, F up to 2^52 and f up to 0.9;
 //   * the Platform's construction-time attempts cache vs survival_inverse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/eval_kernels.hpp"
@@ -70,6 +75,36 @@ double full_eval_swap_period(const core::Problem& problem,
                              TaskIndex j) {
   std::swap(assignment[i], assignment[j]);
   return core::period(problem, core::Mapping{assignment});
+}
+
+enum Topology { kChain, kInTree };
+
+/// kWideRates draws every f from [0.5%, 90%], so a move's F ratio is far
+/// from 1; kSteepRates sets every odd machine's f to 1 - 2^-52 (F = 2^52),
+/// so the product of each task's largest F overflows.
+enum Rates { kPaperRates, kWideRates, kSteepRates };
+
+/// An n-task, m-machine, p-type chain or in-tree (join probability 0.4)
+/// with every w multiplied by 2^scale and the failure rates `rates` names.
+core::Problem edge_problem(Topology topology, std::size_t n, std::size_t m, std::size_t p,
+                           std::uint64_t seed, int scale, Rates rates) {
+  exp::Scenario scenario;
+  scenario.tasks = n;
+  scenario.machines = m;
+  scenario.types = p;
+  if (rates == kWideRates) scenario.failure_max = 0.9;
+  const core::Problem base = topology == kChain ? exp::generate(scenario, seed)
+                                                : exp::generate_in_tree(scenario, 0.4, seed);
+  support::Matrix w(n, m);
+  support::Matrix f(n, m);
+  for (TaskIndex i = 0; i < n; ++i) {
+    for (MachineIndex u = 0; u < m; ++u) {
+      w.at(i, u) = std::ldexp(base.platform.time_row(i)[u], scale);
+      f.at(i, u) = rates == kSteepRates && u % 2 == 1 ? 1.0 - 0x1p-52
+                                                       : base.platform.failure_row(i)[u];
+    }
+  }
+  return core::Problem{base.app, core::Platform{std::move(w), std::move(f)}};
 }
 
 /// Drives a long random probe/apply sequence and checks every number the
@@ -404,11 +439,15 @@ TEST(IncrementalEvaluator, RandomWalkMatchesFullEvalOnInTrees) {
 
 /// Drives a random probe/apply walk and calls every probe again under a
 /// spread of cutoffs: the exact value and one ulp either side, half and
-/// twice it, just under the committed period, and committed loads. Below
-/// the cutoff the result must be the exact probe's bits; at or above it,
-/// any value at or above the cutoff. Counts the probes that stopped short
-/// of the exact value in `stopped_short`, so callers can check that the
-/// bounds engaged.
+/// twice it, the exact value scaled by 1 - (8n+16)·2^-52 (how far below
+/// the exact load a rounding-bounded screen may read) and one ulp either
+/// side, just under the committed period, and committed loads. Below the
+/// cutoff the result must be the exact probe's bits; at or above it, any
+/// value at or above the cutoff and at or below the exact period. Each
+/// step also probes the two no-op moves of task i: relocating it to its
+/// own machine, and swapping it with another task on that machine. Counts
+/// the probes that stopped short of the exact value in `stopped_short`, so
+/// callers can check that the bounds engaged.
 void check_cutoff_contract(const core::Problem& problem, std::uint64_t seed, std::size_t steps,
                            std::size_t& stopped_short) {
   support::Rng rng(seed);
@@ -416,6 +455,8 @@ void check_cutoff_contract(const core::Problem& problem, std::uint64_t seed, std
   std::vector<MachineIndex> assignment = random_assignment(problem, rng);
   core::IncrementalEvaluator eval(workspace, assignment);
   const double inf = std::numeric_limits<double>::infinity();
+  const std::size_t n = problem.task_count();
+  const double screen_scale = 1.0 - static_cast<double>(8 * n + 16) * 0x1p-52;
 
   for (std::size_t step = 0; step < steps; ++step) {
     const TaskIndex i = rng.uniform_u64(0, problem.task_count() - 1);
@@ -428,32 +469,58 @@ void check_cutoff_contract(const core::Problem& problem, std::uint64_t seed, std
       j = rng.uniform_u64(0, problem.task_count() - 1);
       if (j == i) j = (j + 1) % problem.task_count();  // probes need i != j
     }
-    auto probe = [&](double cutoff) {
-      return relocate ? eval.period_if_relocated(i, v, cutoff)
-                      : eval.period_if_swapped(i, j, cutoff);
-    };
-    const double exact = probe(inf);
     const std::span<const double> loads = eval.loads();
-    const double cutoffs[] = {exact,
-                              std::nextafter(exact, -inf),
-                              std::nextafter(exact, inf),
-                              exact / 2.0,
-                              exact * 2.0,
-                              eval.period() * (1.0 - 1e-9),
-                              loads[eval.machine_of(i)],
-                              loads[rng.uniform_u64(0, problem.machine_count() - 1)],
-                              *std::min_element(loads.begin(), loads.end())};
-    for (const double cutoff : cutoffs) {
-      const double got = probe(cutoff);
-      if (exact < cutoff) {
-        ASSERT_EQ(got, exact) << (relocate ? "relocate" : "swap") << " below cutoff "
-                              << cutoff << " at step " << step;
-      } else {
-        ASSERT_GE(got, cutoff) << (relocate ? "relocate" : "swap") << " at or above cutoff "
-                               << cutoff << " at step " << step;
-        if (got != exact) ++stopped_short;
+    const double some_load = loads[rng.uniform_u64(0, problem.machine_count() - 1)];
+    auto check = [&](const char* kind, const auto& probe) {
+      const double exact = probe(inf);
+      const double edge = exact * screen_scale;
+      const double cutoffs[] = {exact,
+                                std::nextafter(exact, -inf),
+                                std::nextafter(exact, inf),
+                                exact / 2.0,
+                                exact * 2.0,
+                                edge,
+                                std::nextafter(edge, -inf),
+                                std::nextafter(edge, inf),
+                                eval.period() * (1.0 - 1e-9),
+                                loads[eval.machine_of(i)],
+                                some_load,
+                                *std::min_element(loads.begin(), loads.end())};
+      for (const double cutoff : cutoffs) {
+        const double got = probe(cutoff);
+        if (exact < cutoff) {
+          ASSERT_EQ(got, exact) << kind << " below cutoff " << cutoff << " at step " << step;
+        } else {
+          ASSERT_GE(got, cutoff) << kind << " at or above cutoff " << cutoff << " at step "
+                                 << step;
+          ASSERT_LE(got, exact) << kind << " at or above cutoff " << cutoff << " at step "
+                                << step;
+          if (got != exact) ++stopped_short;
+        }
       }
+    };
+    if (relocate) {
+      check("relocate", [&](double cutoff) { return eval.period_if_relocated(i, v, cutoff); });
+    } else {
+      check("swap", [&](double cutoff) { return eval.period_if_swapped(i, j, cutoff); });
     }
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+    // A no-op move leaves the period as it is.
+    const MachineIndex own = eval.machine_of(i);
+    ASSERT_EQ(eval.period_if_relocated(i, own), eval.period()) << "no-op relocate, step " << step;
+    check("no-op relocate",
+          [&](double cutoff) { return eval.period_if_relocated(i, own, cutoff); });
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    for (TaskIndex k = 1; k < n; ++k) {
+      const TaskIndex mate = (i + k) % n;
+      if (eval.machine_of(mate) != own) continue;
+      ASSERT_EQ(eval.period_if_swapped(i, mate), eval.period()) << "no-op swap, step " << step;
+      check("no-op swap", [&](double cutoff) { return eval.period_if_swapped(i, mate, cutoff); });
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+      break;
+    }
+
     if (rng.uniform_u64(0, 3) == 0) {
       if (relocate) {
         eval.apply_relocate(i, v);
@@ -505,6 +572,21 @@ TEST(IncrementalEvaluator, CutoffProbesExactBelowAndBoundedAtOrAbove) {
     check_cutoff_contract(in_tree ? exp::generate_in_tree(wide, 0.4, 3) : exp::generate(wide, 3),
                           in_tree ? 4243 : 4242, 200, stopped_short);
     EXPECT_GT(stopped_short, 0u);
+  }
+  // f up to 90% (F ratios far from 1), and the inputs a rounding-bounded
+  // screen must refuse: every w scaled by 2^-960 or 2^960, or every odd
+  // machine at F = 2^52.
+  const std::pair<int, Rates> extremes[] = {
+      {0, kWideRates}, {-960, kPaperRates}, {960, kPaperRates}, {0, kSteepRates}};
+  for (const Topology topology : {kChain, kInTree}) {
+    for (const auto& [scale, rates] : extremes) {
+      SCOPED_TRACE(std::string(topology == kChain ? "chain" : "in-tree") + " n=30 m=65 scale=" +
+                   std::to_string(scale) + " rates=" + std::to_string(rates));
+      std::size_t stopped_short = 0;
+      check_cutoff_contract(edge_problem(topology, 30, 65, 4, 2, scale, rates), 977, 150,
+                            stopped_short);
+      EXPECT_GT(stopped_short, 0u);
+    }
   }
 }
 
@@ -638,6 +720,72 @@ TEST(LocalSearchGolden, ShapesAndOptionsMatchPreCutoffCapture) {
         ext::refine_mapping(problem, *start, refinement_options_named(entry.options));
     EXPECT_EQ(refined.initial_period, entry.initial_period);
     EXPECT_EQ(refined.period, entry.period);
+    EXPECT_EQ(refined.moves_applied, entry.moves_applied);
+    EXPECT_EQ(refined.passes, entry.passes);
+    EXPECT_EQ(refined.converged, entry.converged);
+    ASSERT_EQ(refined.mapping.task_count(), entry.assignment.size());
+    for (TaskIndex i = 0; i < entry.assignment.size(); ++i) {
+      EXPECT_EQ(refined.mapping.machine_of(i), entry.assignment[i])
+          << "assignment[" << i << "]";
+    }
+  }
+}
+
+
+// --- Edge shapes: wide platforms, extreme w and F ---------------------------
+
+/// A period in the table whose loads overflowed.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+struct EdgeGoldenEntry {
+  Topology topology;
+  std::size_t tasks;
+  std::size_t machines;
+  std::size_t types;
+  std::uint64_t seed;
+  int scale;  // every w multiplied by 2^scale
+  Rates rates;
+  const char* start;
+  const char* options;  // default, first, noswap, noswap-first
+  double initial_period;
+  double period;
+  std::size_t moves_applied;
+  std::size_t passes;
+  bool converged;
+  std::vector<MachineIndex> assignment;
+};
+
+TEST(LocalSearchGolden, EdgeShapesAndExtremeInputsMatchPreScreenCapture) {
+  // Chains and in-trees at m = 64, 65 and 130 (one, two and three mask
+  // words) and n = 30 and 100, with f up to 90% under every combination
+  // of allow_swaps and first_improvement, and with every w scaled by
+  // 2^-960 or 2^960 or every odd machine at F = 2^52: inputs a screen
+  // built on rounding bounds must not run on. Every row refines without
+  // throwing.
+  static const std::vector<EdgeGoldenEntry> entries{
+#include "golden_local_search_edges.inc"
+  };
+  ASSERT_EQ(entries.size(), 132u);
+  for (const EdgeGoldenEntry& entry : entries) {
+    SCOPED_TRACE(std::string(entry.topology == kChain ? "chain" : "in-tree") +
+                 " n=" + std::to_string(entry.tasks) + " m=" + std::to_string(entry.machines) +
+                 " scale=" + std::to_string(entry.scale) + " rates=" +
+                 std::to_string(entry.rates) + " " + entry.start + " " + entry.options);
+    const core::Problem problem = edge_problem(entry.topology, entry.tasks, entry.machines,
+                                               entry.types, entry.seed, entry.scale, entry.rates);
+    support::Rng rng(entry.seed);
+    const auto start = heuristics::heuristic_by_name(entry.start)->run(problem, rng);
+    ASSERT_TRUE(start.has_value());
+    ext::RefinementOptions options;
+    options.first_improvement =
+        std::string(entry.options) == "first" || std::string(entry.options) == "noswap-first";
+    options.allow_swaps =
+        std::string(entry.options) != "noswap" && std::string(entry.options) != "noswap-first";
+    const ext::RefinementResult refined = ext::refine_mapping(problem, *start, options);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(refined.initial_period),
+              std::bit_cast<std::uint64_t>(entry.initial_period));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(refined.period),
+              std::bit_cast<std::uint64_t>(entry.period));
     EXPECT_EQ(refined.moves_applied, entry.moves_applied);
     EXPECT_EQ(refined.passes, entry.passes);
     EXPECT_EQ(refined.converged, entry.converged);
