@@ -20,6 +20,9 @@ EvalWorkspace::EvalWorkspace(const Problem& problem)
       subtree_size_(n_, 0),
       succ_(n_, kNoTask) {
   for (TaskIndex t = 0; t < n_; ++t) succ_[t] = problem.app.successor(t);
+  // The chain fast path walks tasks by label, so it also needs the labels
+  // to follow the path; a chain listed in another order takes the DFS path.
+  for (TaskIndex t = 0; chain_ && t + 1 < n_; ++t) chain_ = succ_[t] == t + 1;
   // Predecessor-forest DFS from the sinks: every task's subtree (itself
   // plus its transitive predecessors) occupies a contiguous slice of
   // dfs_order_, and within a slice every task appears after its successor.

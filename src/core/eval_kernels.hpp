@@ -89,9 +89,10 @@ class EvalWorkspace {
   /// Application's adjacency structure.
   [[nodiscard]] std::span<const TaskIndex> successors() const noexcept { return succ_; }
 
-  /// True for the paper's linear-chain topology (T_0 -> ... -> T_{n-1}),
-  /// where subtree(i) is exactly the task range [0, i] and the probes take
-  /// a branch-free fast path.
+  /// True for the paper's linear-chain topology labelled along the path
+  /// (T_t feeds T_{t+1}), where subtree(i) is exactly the task range
+  /// [0, i] and the probes take a branch-free fast path. A chain whose
+  /// labels follow another order is not one here.
   [[nodiscard]] bool is_chain() const noexcept { return chain_; }
 
  private:

@@ -107,6 +107,39 @@ core::Problem edge_problem(Topology topology, std::size_t n, std::size_t m, std:
   return core::Problem{base.app, core::Platform{std::move(w), std::move(f)}};
 }
 
+/// The same problem with old task i renamed label[i]: an application built
+/// from successors, whose rows move with the tasks.
+core::Problem relabelled(const core::Problem& problem, const std::vector<TaskIndex>& label) {
+  const std::size_t n = problem.task_count();
+  const std::size_t m = problem.machine_count();
+  std::vector<core::TypeIndex> types(n);
+  std::vector<TaskIndex> successor(n, core::kNoTask);
+  support::Matrix w(n, m);
+  support::Matrix f(n, m);
+  for (TaskIndex i = 0; i < n; ++i) {
+    types[label[i]] = problem.app.type_of(i);
+    const TaskIndex next = problem.app.successor(i);
+    if (next != core::kNoTask) successor[label[i]] = label[next];
+    for (MachineIndex u = 0; u < m; ++u) {
+      w.at(label[i], u) = problem.platform.time_row(i)[u];
+      f.at(label[i], u) = problem.platform.failure_row(i)[u];
+    }
+  }
+  return core::Problem{core::Application::from_successors(std::move(types), std::move(successor)),
+                       core::Platform{std::move(w), std::move(f)}};
+}
+
+/// Reversed labels (the sink becomes task 0) and a shuffle.
+std::vector<std::vector<TaskIndex>> off_path_labels(std::size_t n) {
+  std::vector<TaskIndex> reversed(n);
+  std::vector<TaskIndex> shuffled(n);
+  for (TaskIndex i = 0; i < n; ++i) {
+    reversed[i] = n - 1 - i;
+    shuffled[i] = (13 * i + 5) % n;  // a permutation while gcd(13, n) = 1
+  }
+  return {reversed, shuffled};
+}
+
 /// Drives a long random probe/apply sequence and checks every number the
 /// incremental evaluator produces against the reference implementation.
 void check_incremental_equivalence(const core::Problem& problem, std::uint64_t seed,
@@ -586,6 +619,55 @@ TEST(IncrementalEvaluator, CutoffProbesExactBelowAndBoundedAtOrAbove) {
       check_cutoff_contract(edge_problem(topology, 30, 65, 4, 2, scale, rates), 977, 150,
                             stopped_short);
       EXPECT_GT(stopped_short, 0u);
+    }
+  }
+}
+
+TEST(IncrementalEvaluator, ChainsLabelledOffThePathProbeLikeFullEval) {
+  // A problem text may list a chain's tasks in any order. The chain fast
+  // path walks tasks by label, so such a chain must take the DFS path,
+  // and every probe must still equal core::period on the moved mapping.
+  for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{12, 5}, {50, 10}}) {
+    exp::Scenario scenario;
+    scenario.tasks = n;
+    scenario.machines = m;
+    scenario.types = 2;
+    scenario.failure_max = 0.3;
+    const core::Problem chain = exp::generate(scenario, 5);
+    ASSERT_TRUE(core::EvalWorkspace(chain).is_chain());
+    for (const std::vector<TaskIndex>& label : off_path_labels(n)) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " label[0]=" + std::to_string(label[0]));
+      const core::Problem problem = relabelled(chain, label);
+      ASSERT_TRUE(problem.app.is_linear_chain());
+      EXPECT_FALSE(core::EvalWorkspace(problem).is_chain());
+      check_incremental_equivalence(problem, 31 * n + label[0], 200);
+      std::size_t stopped_short = 0;
+      check_cutoff_contract(problem, 37 * n + label[0], 100, stopped_short);
+      EXPECT_GT(stopped_short, 0u);
+    }
+  }
+}
+
+TEST(LocalSearch, ChainsLabelledOffThePathRefineWithoutThrowing) {
+  // serve-mixed's n=50, m=10, p=2 chain from H4w under reversed and
+  // shuffled labels: refinement stays monotone (it checks that itself and
+  // throws otherwise) and reports the period of the mapping it returns.
+  exp::Scenario scenario;
+  scenario.tasks = 50;
+  scenario.machines = 10;
+  scenario.types = 2;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const core::Problem chain = exp::generate(scenario, seed);
+    for (const std::vector<TaskIndex>& label : off_path_labels(scenario.tasks)) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " label[0]=" + std::to_string(label[0]));
+      const core::Problem problem = relabelled(chain, label);
+      support::Rng rng(seed);
+      const auto start = heuristics::heuristic_by_name("H4w")->run(problem, rng);
+      ASSERT_TRUE(start.has_value());
+      ext::RefinementResult refined;
+      ASSERT_NO_THROW(refined = ext::refine_mapping(problem, *start));
+      EXPECT_LE(refined.period, refined.initial_period);
+      EXPECT_EQ(refined.period, core::period(problem, refined.mapping));
     }
   }
 }
