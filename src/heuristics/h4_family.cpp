@@ -41,6 +41,12 @@ std::optional<core::Mapping> run_greedy(const core::Problem& problem,
         best_machine = u;
       }
     }
+    // Once x·w overflows every allowed machine scores +inf, and none is
+    // kept: the task then takes the first allowed machine.
+    for (MachineIndex u = 0; best_machine == core::kUnassigned && u < problem.machine_count();
+         ++u) {
+      if (state.allowed(i, u)) best_machine = u;
+    }
     MF_CHECK(best_machine != core::kUnassigned,
              "greedy found no feasible machine despite p <= m");
     state.assign(i, best_machine);

@@ -309,6 +309,50 @@ TEST(H4Family, RawRatePolicyStillProducesValidMappings) {
       mapping->complies_with(MappingRule::kSpecialized, problem.app, problem.machine_count()));
 }
 
+TEST(H4Family, OverflowingScoresTakeTheFirstAllowedMachine) {
+  // Every w scaled by 2^960 and every odd machine at F = 2^52 (f = 1 -
+  // 2^-52): once x·w overflows, every allowed machine scores +inf and the
+  // scan keeps none, so the task takes the first allowed machine. H4w and
+  // H4f threw on these inputs; the pinned mappings are the ones the
+  // fallback gives, each a valid specialized mapping.
+  struct Row {
+    bool in_tree;
+    const char* heuristic;
+    std::vector<core::MachineIndex> assignment;
+  };
+  const Row rows[] = {
+      {false, "H4w", {0, 1, 1, 0, 1, 0, 1, 1, 0, 2, 1, 1, 0, 0, 2, 1, 3, 0, 4, 5}},
+      {false, "H4f", {2, 0, 0, 2, 0, 2, 0, 0, 2, 4, 6, 7, 5, 3, 1, 0, 6, 2, 4, 8}},
+      {true, "H4w", {5, 4, 7, 2, 0, 2, 1, 0, 0, 1, 0, 1, 2, 0, 0, 1, 0, 0, 0, 0}},
+      {true, "H4f", {4, 0, 8, 7, 0, 1, 6, 0, 2, 4, 2, 8, 3, 2, 5, 6, 2, 2, 2, 0}},
+  };
+  exp::Scenario scenario;
+  scenario.tasks = 20;
+  scenario.machines = 9;
+  scenario.types = 3;
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.in_tree ? "in-tree " : "chain ") + row.heuristic);
+    const Problem base = row.in_tree ? exp::generate_in_tree(scenario, 0.4, 1)
+                                     : exp::generate(scenario, 1);
+    support::Matrix w(scenario.tasks, scenario.machines);
+    support::Matrix f(scenario.tasks, scenario.machines);
+    for (core::TaskIndex i = 0; i < scenario.tasks; ++i) {
+      for (core::MachineIndex u = 0; u < scenario.machines; ++u) {
+        w.at(i, u) = std::ldexp(base.platform.time_row(i)[u], 960);
+        f.at(i, u) = u % 2 == 1 ? 1.0 - 0x1p-52 : base.platform.failure_row(i)[u];
+      }
+    }
+    const Problem problem{base.app, core::Platform{std::move(w), std::move(f)}};
+    support::Rng rng(1);
+    const auto mapping = heuristic_by_name(row.heuristic)->run(problem, rng);
+    ASSERT_TRUE(mapping.has_value());
+    EXPECT_TRUE(
+        mapping->complies_with(MappingRule::kSpecialized, problem.app, problem.machine_count()));
+    EXPECT_EQ(mapping->assignment(), row.assignment);
+    EXPECT_TRUE(std::isinf(core::period(problem, *mapping)));
+  }
+}
+
 struct SweepCase {
   std::size_t tasks;
   std::size_t machines;

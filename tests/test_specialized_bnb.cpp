@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -358,6 +359,47 @@ TEST(SpecializedBnBGolden, SameNodesOnWidePlatformsAndExtremeInputs) {
     for (core::TaskIndex i = 0; i < entry.assignment.size(); ++i) {
       EXPECT_EQ(result.mapping->machine_of(i), entry.assignment[i]) << "assignment[" << i << "]";
     }
+  }
+}
+
+
+TEST(SpecializedBnBGolden, OverflowingLoadsStillYieldAMapping) {
+  // Every w scaled by 2^960 and every odd machine at F = 2^52. The warm
+  // start threw here (H4w found no machine once every score was +inf);
+  // it now searches the same nodes as the cold search and ends on the
+  // same mapping. On the n=14 in-tree every branch's bound or load
+  // overflows, so the search keeps no mapping: it now answers with H4w's
+  // mapping and its +inf period instead of "infeasible".
+  const double inf = std::numeric_limits<double>::infinity();
+  static const std::vector<GoldenBnBEdge> entries{
+      {kChain, 10, 9, 3, 1ULL, 960, kSteepRates, true, 479ULL, true, 0x1.d3d387ceb7531p+969,
+       {2, 2, 8, 4, 2, 0, 0, 0, 6, 6}},
+      {kChain, 14, 9, 3, 1ULL, 960, kSteepRates, true, 3257ULL, true, 0x1.1d39c7c3730efp+970,
+       {8, 8, 2, 8, 4, 8, 6, 2, 6, 0, 8, 6, 8, 0}},
+      {kChain, 14, 9, 3, 1ULL, 960, kSteepRates, false, 3257ULL, true, 0x1.1d39c7c3730efp+970,
+       {8, 8, 2, 8, 4, 8, 6, 2, 6, 0, 8, 6, 8, 0}},
+      {kInTree, 10, 9, 3, 1ULL, 960, kSteepRates, true, 402ULL, true, 0x1.c50cc32ea075cp+969,
+       {6, 8, 8, 2, 2, 6, 0, 6, 4, 2}},
+      {kInTree, 14, 9, 3, 1ULL, 960, kSteepRates, true, 150ULL, true, inf,
+       {7, 1, 1, 1, 2, 2, 3, 1, 0, 0, 0, 2, 0, 1}},
+      {kInTree, 14, 9, 3, 1ULL, 960, kSteepRates, false, 150ULL, true, inf,
+       {7, 1, 1, 1, 2, 2, 3, 1, 0, 0, 0, 2, 0, 1}},
+  };
+  for (const GoldenBnBEdge& entry : entries) {
+    SCOPED_TRACE(std::string(entry.topology == kChain ? "chain" : "in-tree") +
+                 " n=" + std::to_string(entry.tasks) +
+                 (entry.seed_with_heuristics ? " warm" : " cold"));
+    BnBOptions options;
+    options.max_nodes = 20'000;
+    options.seed_with_heuristics = entry.seed_with_heuristics;
+    BnBResult result;
+    ASSERT_NO_THROW(result = solve_specialized_optimal(edge_problem(entry), options));
+    EXPECT_EQ(result.nodes, entry.nodes);
+    EXPECT_EQ(result.proven_optimal, entry.proven_optimal);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.period),
+              std::bit_cast<std::uint64_t>(entry.period));
+    ASSERT_TRUE(result.mapping.has_value());
+    EXPECT_EQ(result.mapping->assignment(), entry.assignment);
   }
 }
 
