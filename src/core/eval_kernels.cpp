@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "core/simd.hpp"
@@ -23,6 +24,25 @@ EvalWorkspace::EvalWorkspace(const Problem& problem)
   // The chain fast path walks tasks by label, so it also needs the labels
   // to follow the path; a chain listed in another order takes the DFS path.
   for (TaskIndex t = 0; chain_ && t + 1 < n_; ++t) chain_ = succ_[t] == t + 1;
+  // The screen's guard, from the input only. Every F is at least 1, so
+  // every x lies in [1, product] and every x·w in [2^-900, 2^900 / n].
+  if (chain_) {
+    double product = 1.0;
+    double w_min = std::numeric_limits<double>::infinity();
+    double w_max = 0.0;
+    for (TaskIndex t = 0; t < n_; ++t) {
+      double F_max = 1.0;
+      for (MachineIndex u = 0; u < m_; ++u) {
+        F_max = std::max(F_max, attempts_[t * m_ + u]);
+        w_min = std::min(w_min, times_[t * m_ + u]);
+        w_max = std::max(w_max, times_[t * m_ + u]);
+      }
+      product *= F_max;
+    }
+    prefix_screen_ = product < 0x1p900 && w_min >= 0x1p-900 &&
+                     static_cast<double>(n_) * product * w_max < 0x1p900;
+    screen_scale_ = 1.0 - static_cast<double>(8 * n_ + 16) * 0x1p-52;
+  }
   // Predecessor-forest DFS from the sinks: every task's subtree (itself
   // plus its transitive predecessors) occupies a contiguous slice of
   // dfs_order_, and within a slice every task appears after its successor.
@@ -62,6 +82,9 @@ IncrementalEvaluator::IncrementalEvaluator(EvalWorkspace& workspace,
       mask_words_((workspace.machine_count() + 63) / 64),
       subtree_machines_(workspace.task_count() * mask_words_, 0),
       load_order_(workspace.machine_count(), 0),
+      prefix_(workspace.prefix_screen() ? (workspace.task_count() + 1) * workspace.machine_count()
+                                        : 0),
+      suffix_(prefix_.size()),
       x_probe_(workspace.task_count(), 0.0),
       xw_probe_(workspace.task_count(), 0.0),
       touched_words_(mask_words_, 0) {
@@ -142,6 +165,21 @@ void IncrementalEvaluator::rebuild() {
   std::sort(load_order_.begin(), load_order_.end(), [&](MachineIndex a, MachineIndex b) {
     return loads_[a] > loads_[b] || (loads_[a] == loads_[b] && a < b);
   });
+
+  // Screen tables: each row copies its neighbour and adds the one task
+  // between them to that task's machine.
+  if (!prefix_.empty()) {
+    std::fill_n(prefix_.begin(), m, 0.0);
+    for (TaskIndex t = 0; t < n; ++t) {
+      std::copy_n(prefix_.data() + t * m, m, prefix_.data() + (t + 1) * m);
+      prefix_[(t + 1) * m + assignment_[t]] += xw_[t];
+    }
+    std::fill_n(suffix_.begin() + n * m, m, 0.0);
+    for (TaskIndex t = n; t-- > 0;) {
+      std::copy_n(suffix_.data() + (t + 1) * m, m, suffix_.data() + t * m);
+      suffix_[t * m + assignment_[t]] += xw_[t];
+    }
+  }
 }
 
 void IncrementalEvaluator::probe_subtree_x(TaskIndex root) {
@@ -214,6 +252,77 @@ double IncrementalEvaluator::committed_bound(std::size_t moved_count,
   return -1.0;
 }
 
+double IncrementalEvaluator::prefix_screen(std::size_t moved_count, const double* candidate_F,
+                                           double cutoff) const {
+  // Moving chain task i from F_old to F_new multiplies x of every task at
+  // or before i by rho = F_new / F_old and leaves the rest alone, so a
+  // machine's new load is rho·(its xw before i+1) + (its xw from i+1 on),
+  // with the moved task's own term taken off the machine it leaves and
+  // x'_i·w added on the one it joins. A swap of lo < hi multiplies up to
+  // lo by rho_lo·rho_hi and (lo, hi] by rho_hi; min of the two on the
+  // whole prefix is a lower bound, and a machine either task leaves drops
+  // its prefix terms from that task on (all terms are non-negative).
+  // Each bound is within 2n+7 roundings above its real value and
+  // core::period's load within 2n-1 below it, so scaling by
+  // 1 - (8n+16)·2^-52 puts the bound at or below the computed load.
+  const std::size_t n = ws_->task_count();
+  const std::size_t m = ws_->machine_count();
+  const std::size_t h = moved_count == 2 && moved_task_[1] > moved_task_[0] ? 1 : 0;
+  const TaskIndex hi = moved_task_[h];
+  const MachineIndex from_hi = assignment_[hi];
+  const MachineIndex to_hi = moved_to_[h];
+  const double rho_hi = candidate_F[h] / F_cur_[hi];
+  const double join_hi =
+      (hi + 1 < n ? x_[hi + 1] : 1.0) * candidate_F[h] * ws_->time_row(hi)[to_hi];
+  // A relocate has no lo: its machines match no q.
+  TaskIndex lo = 0;
+  MachineIndex from_lo = kUnassigned;
+  MachineIndex to_lo = kUnassigned;
+  double rho_min = rho_hi;
+  double rho_max = std::max(rho_hi, 1.0);
+  double join_lo = 0.0;
+  if (moved_count == 2) {
+    lo = moved_task_[1 - h];
+    from_lo = assignment_[lo];
+    to_lo = moved_to_[1 - h];
+    const double rho_both = candidate_F[1 - h] / F_cur_[lo] * rho_hi;
+    rho_min = std::min(rho_both, rho_hi);
+    rho_max = std::max(rho_max, rho_both);
+    join_lo = rho_both * x_[lo] * ws_->time_row(lo)[to_lo];
+  }
+  const double* suffix_row = suffix_.data() + (hi + 1) * m;
+  const double scale = ws_->screen_scale();
+  auto bound = [&](MachineIndex q) {
+    std::size_t end = hi + 1;
+    if (q == from_lo) {
+      end = lo;
+    } else if (q == from_hi) {
+      end = hi;
+    }
+    double sum = rho_min * prefix_[end * m + q] + suffix_row[q];
+    if (q == to_hi) sum += join_hi;
+    if (q == to_lo) sum += join_lo;
+    return sum * scale;
+  };
+
+  // The machines a task joins first: the join term can lift a light one
+  // over the cutoff. Then the rest by committed load, highest first, until
+  // even rho_max times the load falls under the cutoff.
+  double best = bound(to_hi);
+  if (best >= cutoff) return best;
+  if (moved_count == 2) {
+    best = bound(to_lo);
+    if (best >= cutoff) return best;
+  }
+  for (const MachineIndex q : load_order_) {
+    if (rho_max * loads_[q] < cutoff) break;
+    if (q == to_hi || q == to_lo) continue;
+    best = bound(q);
+    if (best >= cutoff) return best;
+  }
+  return -1.0;
+}
+
 double IncrementalEvaluator::probe(std::size_t moved_count, double cutoff) {
   const std::size_t n = ws_->task_count();
 
@@ -225,6 +334,11 @@ double IncrementalEvaluator::probe(std::size_t moved_count, double cutoff) {
   // reach it and the scan is skipped.
   if (period_ >= cutoff) {
     const double bound = committed_bound(moved_count, candidate_F, cutoff);
+    if (bound >= cutoff) return bound;
+  }
+  // No finite bound reaches an infinite cutoff, so exact probes skip it.
+  if (!prefix_.empty() && cutoff < std::numeric_limits<double>::infinity()) {
+    const double bound = prefix_screen(moved_count, candidate_F, cutoff);
     if (bound >= cutoff) return bound;
   }
 

@@ -38,6 +38,14 @@
 // the cutoff a probe returns the exact double above; at or above it, it
 // returns some value that is also at or above the cutoff (a proven lower
 // bound, or the exact period). With no cutoff every probe is exact.
+//
+// A probe with a finite cutoff tries two bounds before it walks. The
+// committed bound reads a machine the move cannot lower. On a chain
+// labelled along the path whose input passes the workspace's guard, the
+// prefix-sum screen then bounds the machines the move can change from
+// per-machine prefix and suffix sums of x·w, in O(1) each, scaled down
+// by 1 - (8n+16)·2^-52 so that rounding can never lift a bound above the
+// load core::period computes. Only the close calls walk.
 #pragma once
 
 #include <cstdint>
@@ -95,6 +103,17 @@ class EvalWorkspace {
   /// labels follow another order is not one here.
   [[nodiscard]] bool is_chain() const noexcept { return chain_; }
 
+  /// True on a chain (is_chain()) whose input lies inside the prefix-sum
+  /// screen's guard: the product over tasks of each task's largest F is
+  /// below 2^900, every w is at least 2^-900, and n times that product
+  /// times the largest w is below 2^900. Then no value a probe or
+  /// core::period computes overflows or leaves the normal range, and
+  /// every one is within a known number of roundings of its real value.
+  [[nodiscard]] bool prefix_screen() const noexcept { return prefix_screen_; }
+  /// 1 - (8n+16)·2^-52: a screen bound scaled by it never exceeds the
+  /// load core::period computes for the same machine (see probe()).
+  [[nodiscard]] double screen_scale() const noexcept { return screen_scale_; }
+
  private:
   const Problem* problem_;
   std::size_t n_;
@@ -102,6 +121,8 @@ class EvalWorkspace {
   const double* times_;     // problem_->platform row-major n x m
   const double* attempts_;  // cached F table, same shape
   bool chain_ = false;
+  bool prefix_screen_ = false;
+  double screen_scale_ = 1.0;
 
   // Predecessor-forest DFS layout.
   std::vector<TaskIndex> dfs_order_;       // n: tasks in DFS entry order
@@ -166,6 +187,15 @@ class IncrementalEvaluator {
   /// moved task k on its target machine.
   double committed_bound(std::size_t moved_count, const double* candidate_F,
                          double cutoff) const;
+  /// On a chain inside the workspace's guard, a move multiplies x of every
+  /// task up to the moved one by one F ratio, so a lower bound on each
+  /// machine's new load follows from prefix_ and suffix_ in O(1). Returns
+  /// the first such bound, scaled by screen_scale(), that reaches `cutoff`
+  /// (tried on the machines the move joins, then by committed load), or -1
+  /// when none does. A returned value never exceeds core::period of the
+  /// moved mapping.
+  double prefix_screen(std::size_t moved_count, const double* candidate_F,
+                       double cutoff) const;
   void probe_subtree_x(TaskIndex root);
   double resum_machine(MachineIndex q, std::size_t moved_count) const;
 
@@ -197,6 +227,13 @@ class IncrementalEvaluator {
   std::size_t mask_words_ = 0;
   std::vector<std::uint64_t> subtree_machines_;  // n * mask_words_
   std::vector<MachineIndex> load_order_;         // m
+
+  // Screen tables, rebuilt with the assignment, only when the workspace's
+  // prefix_screen() holds (empty otherwise): prefix_[t * m + q] sums xw_
+  // over machine q's members before chain position t, ascending, and
+  // suffix_[t * m + q] over its members from t on, descending.
+  std::vector<double> prefix_;  // (n + 1) * m
+  std::vector<double> suffix_;  // (n + 1) * m
 
   // Per-probe scratch (no allocation per probe): x_probe_/xw_probe_ start
   // as copies of x_/xw_ and get the affected subtrees overwritten;
