@@ -866,15 +866,17 @@ int main(int argc, char** argv) {
   // serve-mixed's n=50, m=10, p=2 chain and an n=70, m=66, p=8 in-tree (two
   // mask words per task), each refined from its H4w mapping twice: one
   // pass, then to convergence. Per-solve set-up (the workspace, the
-  // evaluator's tables, the result mapping) allocates; a pass, its probes
-  // and the rebuild after each applied move must not, so both refinements
-  // of an instance must allocate the same count.
+  // evaluator's tables, the chain's two prefix-sum screen tables, the
+  // result mapping) allocates; a pass, its probes and the rebuild after
+  // each applied move must not, so both refinements of an instance must
+  // allocate the same count. ms/refine is printed, not gated.
   struct RefineRun {
     const char* shape = "";
     std::size_t passes = 0;
     std::size_t moves = 0;
     bool converged = false;
     std::uint64_t allocs = 0;
+    double ms_per_refine = 0.0;
   };
   std::vector<RefineRun> refine_runs;
   {
@@ -904,17 +906,24 @@ int main(int argc, char** argv) {
         const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
         const mf::ext::RefinementResult result =
             mf::ext::refine_mapping(instance.problem, *start, options);
+        const std::uint64_t allocs =
+            g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+        constexpr int kTimedRefines = 20;
+        const double started = now_ns();
+        for (int k = 0; k < kTimedRefines; ++k) {
+          (void)mf::ext::refine_mapping(instance.problem, *start, options);
+        }
         refine_runs.push_back({instance.shape, result.passes, result.moves_applied,
-                               result.converged,
-                               g_alloc_count.load(std::memory_order_relaxed) - allocs_before});
+                               result.converged, allocs,
+                               (now_ns() - started) / kTimedRefines / 1e6});
       }
     }
-    std::printf("\nlocal search (H4w start, generator seed 7; allocs gate)\n");
-    std::printf("| instance          | passes | moves | allocs |\n");
-    std::printf("|-------------------|--------|-------|--------|\n");
+    std::printf("\nlocal search (H4w start, generator seed 7; ms/refine is a note, allocs gate)\n");
+    std::printf("| instance          | passes | moves | allocs | ms/refine |\n");
+    std::printf("|-------------------|--------|-------|--------|-----------|\n");
     for (const RefineRun& run : refine_runs) {
-      std::printf("| %-17s | %6zu | %5zu | %6llu |\n", run.shape, run.passes, run.moves,
-                  static_cast<unsigned long long>(run.allocs));
+      std::printf("| %-17s | %6zu | %5zu | %6llu | %9.3f |\n", run.shape, run.passes, run.moves,
+                  static_cast<unsigned long long>(run.allocs), run.ms_per_refine);
     }
   }
 
