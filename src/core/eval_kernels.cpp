@@ -41,7 +41,6 @@ EvalWorkspace::EvalWorkspace(const Problem& problem)
     }
     prefix_screen_ = product < 0x1p900 && w_min >= 0x1p-900 &&
                      static_cast<double>(n_) * product * w_max < 0x1p900;
-    screen_scale_ = 1.0 - static_cast<double>(8 * n_ + 16) * 0x1p-52;
   }
   // Predecessor-forest DFS from the sinks: every task's subtree (itself
   // plus its transitive predecessors) occupies a contiguous slice of
@@ -82,8 +81,9 @@ IncrementalEvaluator::IncrementalEvaluator(EvalWorkspace& workspace,
       mask_words_((workspace.machine_count() + 63) / 64),
       subtree_machines_(workspace.task_count() * mask_words_, 0),
       load_order_(workspace.machine_count(), 0),
-      prefix_(workspace.prefix_screen() ? (workspace.task_count() + 1) * workspace.machine_count()
-                                        : 0),
+      prefix_(workspace.has_prefix_screen()
+                  ? (workspace.task_count() + 1) * workspace.machine_count()
+                  : 0),
       suffix_(prefix_.size()),
       x_probe_(workspace.task_count(), 0.0),
       xw_probe_(workspace.task_count(), 0.0),
@@ -291,7 +291,7 @@ double IncrementalEvaluator::prefix_screen(std::size_t moved_count, const double
     join_lo = rho_both * x_[lo] * ws_->time_row(lo)[to_lo];
   }
   const double* suffix_row = suffix_.data() + (hi + 1) * m;
-  const double scale = ws_->screen_scale();
+  const double scale = 1.0 - static_cast<double>(8 * n + 16) * 0x1p-52;  // exact
   auto bound = [&](MachineIndex q) {
     std::size_t end = hi + 1;
     if (q == from_lo) {

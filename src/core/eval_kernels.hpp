@@ -10,8 +10,9 @@
 //   * EvalWorkspace — the incremental evaluator's read-only tables:
 //     structure-of-arrays views over the platform rows (w rows, cached
 //     F = 1/(1-f) rows from Platform::attempts_row), the successor array,
-//     the chain flag and the predecessor-forest DFS layout (subtree of
-//     task i = the tasks whose x_j depend on x_i) that the probes walk.
+//     the chain flag, the prefix-sum screen's guard and the
+//     predecessor-forest DFS layout (subtree of task i = the tasks whose
+//     x_j depend on x_i) that the probes walk.
 //
 //   * IncrementalEvaluator — maintains the assignment, every x_i, every
 //     machine load and the running period, and answers
@@ -109,10 +110,7 @@ class EvalWorkspace {
   /// times the largest w is below 2^900. Then no value a probe or
   /// core::period computes overflows or leaves the normal range, and
   /// every one is within a known number of roundings of its real value.
-  [[nodiscard]] bool prefix_screen() const noexcept { return prefix_screen_; }
-  /// 1 - (8n+16)·2^-52: a screen bound scaled by it never exceeds the
-  /// load core::period computes for the same machine (see probe()).
-  [[nodiscard]] double screen_scale() const noexcept { return screen_scale_; }
+  [[nodiscard]] bool has_prefix_screen() const noexcept { return prefix_screen_; }
 
  private:
   const Problem* problem_;
@@ -122,7 +120,6 @@ class EvalWorkspace {
   const double* attempts_;  // cached F table, same shape
   bool chain_ = false;
   bool prefix_screen_ = false;
-  double screen_scale_ = 1.0;
 
   // Predecessor-forest DFS layout.
   std::vector<TaskIndex> dfs_order_;       // n: tasks in DFS entry order
@@ -190,10 +187,10 @@ class IncrementalEvaluator {
   /// On a chain inside the workspace's guard, a move multiplies x of every
   /// task up to the moved one by one F ratio, so a lower bound on each
   /// machine's new load follows from prefix_ and suffix_ in O(1). Returns
-  /// the first such bound, scaled by screen_scale(), that reaches `cutoff`
-  /// (tried on the machines the move joins, then by committed load), or -1
-  /// when none does. A returned value never exceeds core::period of the
-  /// moved mapping.
+  /// the first such bound, scaled by 1 - (8n+16)·2^-52, that reaches
+  /// `cutoff` (tried on the machines the move joins, then by committed
+  /// load), or -1 when none does. A returned value never exceeds
+  /// core::period of the moved mapping.
   double prefix_screen(std::size_t moved_count, const double* candidate_F,
                        double cutoff) const;
   void probe_subtree_x(TaskIndex root);
@@ -229,7 +226,7 @@ class IncrementalEvaluator {
   std::vector<MachineIndex> load_order_;         // m
 
   // Screen tables, rebuilt with the assignment, only when the workspace's
-  // prefix_screen() holds (empty otherwise): prefix_[t * m + q] sums xw_
+  // has_prefix_screen() holds (empty otherwise): prefix_[t * m + q] sums xw_
   // over machine q's members before chain position t, ascending, and
   // suffix_[t * m + q] over its members from t on, descending.
   std::vector<double> prefix_;  // (n + 1) * m

@@ -294,6 +294,27 @@ TEST(EvalWorkspace, TablesMirrorTheProblem) {
   }
 }
 
+TEST(EvalWorkspace, PrefixScreenGuardReadsTheInputOnly) {
+  // The screen runs on path-labelled chains whose every x, x·w and load
+  // stays normal: the product of each task's largest F below 2^900, every
+  // w at least 2^-900, and n times that product times the largest w below
+  // 2^900. Each extreme input fails one of the three.
+  EXPECT_TRUE(core::EvalWorkspace(edge_problem(kChain, 100, 65, 4, 1, 0, kPaperRates))
+                  .has_prefix_screen());
+  EXPECT_TRUE(core::EvalWorkspace(edge_problem(kChain, 100, 65, 4, 1, 0, kWideRates))
+                  .has_prefix_screen());
+  EXPECT_FALSE(core::EvalWorkspace(edge_problem(kInTree, 100, 65, 4, 1, 0, kPaperRates))
+                   .has_prefix_screen());
+  for (const auto& [scale, rates] :
+       {std::pair{-960, kPaperRates}, {960, kPaperRates}, {0, kSteepRates}}) {
+    EXPECT_FALSE(core::EvalWorkspace(edge_problem(kChain, 30, 65, 4, 1, scale, rates))
+                     .has_prefix_screen())
+        << "scale " << scale << " rates " << rates;
+  }
+  const core::Problem chain = edge_problem(kChain, 12, 5, 2, 1, 0, kPaperRates);
+  EXPECT_FALSE(core::EvalWorkspace(relabelled(chain, off_path_labels(12)[0])).has_prefix_screen());
+}
+
 /// rebuild() is the one full evaluation local search runs: on
 /// construction, on every reset and after every applied move. Checks that
 /// x, every machine load and the period it leaves are core's doubles, for
