@@ -44,6 +44,7 @@
 #include "extensions/local_search.hpp"
 #include "heuristics/heuristic.hpp"
 #include "support/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace mf {
 namespace {
@@ -105,28 +106,6 @@ core::Problem edge_problem(Topology topology, std::size_t n, std::size_t m, std:
     }
   }
   return core::Problem{base.app, core::Platform{std::move(w), std::move(f)}};
-}
-
-/// The same problem with old task i renamed label[i]: an application built
-/// from successors, whose rows move with the tasks.
-core::Problem relabelled(const core::Problem& problem, const std::vector<TaskIndex>& label) {
-  const std::size_t n = problem.task_count();
-  const std::size_t m = problem.machine_count();
-  std::vector<core::TypeIndex> types(n);
-  std::vector<TaskIndex> successor(n, core::kNoTask);
-  support::Matrix w(n, m);
-  support::Matrix f(n, m);
-  for (TaskIndex i = 0; i < n; ++i) {
-    types[label[i]] = problem.app.type_of(i);
-    const TaskIndex next = problem.app.successor(i);
-    if (next != core::kNoTask) successor[label[i]] = label[next];
-    for (MachineIndex u = 0; u < m; ++u) {
-      w.at(label[i], u) = problem.platform.time_row(i)[u];
-      f.at(label[i], u) = problem.platform.failure_row(i)[u];
-    }
-  }
-  return core::Problem{core::Application::from_successors(std::move(types), std::move(successor)),
-                       core::Platform{std::move(w), std::move(f)}};
 }
 
 /// Reversed labels (the sink becomes task 0) and a shuffle.
@@ -312,7 +291,8 @@ TEST(EvalWorkspace, PrefixScreenGuardReadsTheInputOnly) {
         << "scale " << scale << " rates " << rates;
   }
   const core::Problem chain = edge_problem(kChain, 12, 5, 2, 1, 0, kPaperRates);
-  EXPECT_FALSE(core::EvalWorkspace(relabelled(chain, off_path_labels(12)[0])).has_prefix_screen());
+  EXPECT_FALSE(
+      core::EvalWorkspace(test::relabelled(chain, off_path_labels(12)[0])).has_prefix_screen());
 }
 
 /// rebuild() is the one full evaluation local search runs: on
@@ -658,7 +638,7 @@ TEST(IncrementalEvaluator, ChainsLabelledOffThePathProbeLikeFullEval) {
     ASSERT_TRUE(core::EvalWorkspace(chain).is_chain());
     for (const std::vector<TaskIndex>& label : off_path_labels(n)) {
       SCOPED_TRACE("n=" + std::to_string(n) + " label[0]=" + std::to_string(label[0]));
-      const core::Problem problem = relabelled(chain, label);
+      const core::Problem problem = test::relabelled(chain, label);
       ASSERT_TRUE(problem.app.is_linear_chain());
       EXPECT_FALSE(core::EvalWorkspace(problem).is_chain());
       check_incremental_equivalence(problem, 31 * n + label[0], 200);
@@ -681,7 +661,7 @@ TEST(LocalSearch, ChainsLabelledOffThePathRefineWithoutThrowing) {
     const core::Problem chain = exp::generate(scenario, seed);
     for (const std::vector<TaskIndex>& label : off_path_labels(scenario.tasks)) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " label[0]=" + std::to_string(label[0]));
-      const core::Problem problem = relabelled(chain, label);
+      const core::Problem problem = test::relabelled(chain, label);
       support::Rng rng(seed);
       const auto start = heuristics::heuristic_by_name("H4w")->run(problem, rng);
       ASSERT_TRUE(start.has_value());

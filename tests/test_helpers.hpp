@@ -31,6 +31,30 @@ inline core::Platform make_platform(const std::vector<std::vector<double>>& time
   return core::Platform{std::move(w), std::move(f)};
 }
 
+/// The same problem with old task i renamed label[i] (a permutation): an
+/// application built from successors, whose w and f rows move with the
+/// tasks.
+inline core::Problem relabelled(const core::Problem& problem,
+                                const std::vector<core::TaskIndex>& label) {
+  const std::size_t n = problem.task_count();
+  const std::size_t m = problem.machine_count();
+  std::vector<core::TypeIndex> types(n);
+  std::vector<core::TaskIndex> successor(n, core::kNoTask);
+  support::Matrix w(n, m);
+  support::Matrix f(n, m);
+  for (core::TaskIndex i = 0; i < n; ++i) {
+    types[label[i]] = problem.app.type_of(i);
+    const core::TaskIndex next = problem.app.successor(i);
+    if (next != core::kNoTask) successor[label[i]] = label[next];
+    for (core::MachineIndex u = 0; u < m; ++u) {
+      w.at(label[i], u) = problem.platform.time_row(i)[u];
+      f.at(label[i], u) = problem.platform.failure_row(i)[u];
+    }
+  }
+  return core::Problem{core::Application::from_successors(std::move(types), std::move(successor)),
+                       core::Platform{std::move(w), std::move(f)}};
+}
+
 /// A 3-task chain (types 0,1,0) on 3 machines with distinct speeds and
 /// failure rates; small enough to verify by hand, rich enough to exercise
 /// specialization.

@@ -157,25 +157,9 @@ struct Relabelled {
 
 Relabelled relabel_chain(const Problem& chain) {
   const std::size_t n = chain.task_count();
-  const std::size_t m = chain.machine_count();
   std::vector<core::TaskIndex> label(n);
   for (std::size_t i = 0; i < n; ++i) label[i] = (13 * i + 5) % n;
-  std::vector<core::TypeIndex> types(n);
-  std::vector<core::TaskIndex> successor(n, core::kNoTask);
-  support::Matrix w(n, m);
-  support::Matrix f(n, m);
-  for (core::TaskIndex i = 0; i < n; ++i) {
-    types[label[i]] = chain.app.type_of(i);
-    const core::TaskIndex next = chain.app.successor(i);
-    if (next != core::kNoTask) successor[label[i]] = label[next];
-    for (core::MachineIndex u = 0; u < m; ++u) {
-      w.at(label[i], u) = chain.platform.time_row(i)[u];
-      f.at(label[i], u) = chain.platform.failure_row(i)[u];
-    }
-  }
-  return {Problem{core::Application::from_successors(std::move(types), std::move(successor)),
-                  core::Platform{std::move(w), std::move(f)}},
-          std::move(label)};
+  return {test::relabelled(chain, label), std::move(label)};
 }
 
 TEST(SpecializedBnB, ChainSearchDoesNotDependOnTaskLabels) {
