@@ -19,9 +19,12 @@
 
 namespace mf::serve {
 
-Client::Client(const std::string& host, std::uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) throw std::runtime_error("serve: socket() failed");
+namespace {
+
+/// A blocking TCP connection to `host:port`; throws when there is none.
+int connect_to(const std::string& host, std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) throw std::runtime_error("serve: socket() failed");
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -30,22 +33,24 @@ Client::Client(const std::string& host, std::uint16_t port) {
   // resolve it without dragging in a resolver.
   const std::string numeric = host == "localhost" ? "127.0.0.1" : host;
   if (::inet_pton(AF_INET, numeric.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd_);
-    fd_ = -1;
+    ::close(fd);
     throw std::runtime_error("serve: '" + host + "' is not an IPv4 address");
   }
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
     const std::string detail = std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
+    ::close(fd);
     throw std::runtime_error("serve: cannot connect to " + host + ":" +
                              std::to_string(port) + ": " + detail);
   }
+  return fd;
 }
 
-Client::~Client() {
-  if (fd_ >= 0) ::close(fd_);
-}
+}  // namespace
+
+Client::Client(const std::string& host, std::uint16_t port)
+    : fd_(connect_to(host, port)), reader_(fd_) {}
+
+Client::~Client() { ::close(fd_); }
 
 ReadResult Client::roundtrip(const Frame& frame) {
   return roundtrip_raw(frame_to_bytes(frame));
@@ -65,9 +70,7 @@ ReadResult Client::roundtrip_raw(const std::string& bytes) {
     if (wrote == 0) return failure;
     sent += static_cast<std::size_t>(wrote);
   }
-  // Responses from a daemon can carry a whole solve result; accept more
-  // than the request-side default.
-  return read_frame(fd_, kDefaultMaxFrameBytes);
+  return reader_.next();
 }
 
 Client::Outcome Client::solve(const WireRequest& request) {

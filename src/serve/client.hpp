@@ -63,7 +63,8 @@ class Client {
   [[nodiscard]] ReadResult roundtrip_raw(const std::string& bytes);
 
  private:
-  int fd_ = -1;
+  int fd_;
+  FrameReader reader_;
 };
 
 /// `host:port` → (host, port); nullopt when the port is absent/unparsable.

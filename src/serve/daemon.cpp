@@ -45,12 +45,12 @@ constexpr double kAcceptRetrySeconds = 0.1;
 // ---------------------------------------------------------------------------
 // The reactor: one loop thread multiplexing every connection.
 //
-// Each connection is a small frame state machine. kHeader accumulates the
-// header line byte-for-byte (bounded by kMaxHeaderBytes); kBody fills the
-// declared body; a complete frame dispatches on its type. A solve leaves
-// the connection in kSolveWait with the socket deregistered from epoll —
-// the daemon reads nothing more from that client until its answer is on
-// the wire (one request at a time per connection).
+// Each connection feeds the bytes it reads to its FrameDecoder, which holds
+// the frame stream's rules; a complete frame dispatches on its type, and a
+// refused one is answered before the daemon hangs up. A solve marks the
+// connection `solving` with the socket deregistered from epoll — the
+// daemon reads nothing more from that client until its answer is on the
+// wire (one request at a time per connection).
 // Responses are written immediately; a short write parks the remainder in
 // `out` and arms EPOLLOUT (the backpressure_bytes gauge counts those
 // bytes). Solve completion happens on a pool thread, which serializes the
@@ -63,16 +63,13 @@ struct EpollServer {
   struct Connection {
     int fd = -1;
     std::uint64_t id = 0;
-    enum class Phase { kHeader, kBody, kSolveWait };
-    Phase phase = Phase::kHeader;
-    std::string header;        ///< header line being accumulated
-    Frame frame;               ///< type/body of the frame being assembled
-    std::size_t body_read = 0;
+    FrameDecoder decoder;      ///< the frame being assembled
     std::string in_carry;      ///< bytes read but not yet consumed
     std::string out;           ///< response bytes not yet written
     std::size_t out_pos = 0;
     std::int64_t gauge_bytes = 0;  ///< this conn's backpressure_bytes share
     std::uint32_t events = 0;  ///< interest set currently registered (0 = off)
+    bool solving = false;      ///< a solve is in flight; nothing is read
     bool close_after_flush = false;
     bool closed = false;
     bool consuming = false;    ///< re-entrancy guard for consume_input
@@ -117,8 +114,7 @@ struct EpollServer {
         // A solving connection is never idle — its silence is ours. Frame
         // activity (not byte activity) is what resets the clock, so a
         // slow-loris dribbler ages out on schedule.
-        if (conn->phase != Connection::Phase::kSolveWait &&
-            now - conn->last_activity > timeout) {
+        if (!conn->solving && now - conn->last_activity > timeout) {
           idle.push_back(conn);
         }
       }
@@ -175,6 +171,7 @@ struct EpollServer {
       auto conn = std::make_shared<Connection>();
       conn->fd = fd;
       conn->id = next_conn_id_++;
+      conn->decoder = FrameDecoder(daemon_.options_.max_frame_bytes);
       conn->last_activity = EventLoop::now_seconds();
       connections_.emplace(conn->id, conn);
       set_events(conn, EPOLLIN);
@@ -201,10 +198,9 @@ struct EpollServer {
   /// flight wants nothing, otherwise we read.
   void update_interest(const std::shared_ptr<Connection>& conn) {
     if (conn->closed) return;
-    const std::uint32_t want =
-        conn->out_pos < conn->out.size() ? EPOLLOUT
-        : conn->phase == Connection::Phase::kSolveWait ? 0u
-                                                       : EPOLLIN;
+    const std::uint32_t want = conn->out_pos < conn->out.size() ? EPOLLOUT
+                               : conn->solving                 ? 0u
+                                                               : EPOLLIN;
     set_events(conn, want);
   }
 
@@ -246,92 +242,43 @@ struct EpollServer {
   }
 
   void on_eof(const std::shared_ptr<Connection>& conn) {
-    if (conn->phase == Connection::Phase::kHeader && conn->header.empty() &&
-        conn->in_carry.empty()) {
-      destroy(conn);  // clean EOF between frames
+    // consume_input leaves no bytes behind while the connection reads, so
+    // the decoder alone knows whether EOF fell between frames.
+    const ReadResult eof = conn->decoder.at_eof();
+    if (eof.status == ReadStatus::kClosed) {
+      destroy(conn);
       return;
     }
-    // EOF mid-frame: answer like the blocking reader would, then hang up.
-    const std::string detail =
-        conn->phase == Connection::Phase::kBody
-            ? "truncated body (declared " +
-                  std::to_string(conn->frame.body.size()) + " bytes)"
-            : "EOF inside frame header";
     conn->close_after_flush = true;
-    respond(conn, {FrameType::kError, error_body(kErrBadRequest, detail)});
+    respond(conn, {FrameType::kError, error_body(kErrBadRequest, eof.detail)});
   }
 
-  /// Runs the frame state machine over `in_carry`. Stops when input runs
-  /// out, a solve takes the connection to kSolveWait, or the connection is
-  /// destroyed.
+  /// Feeds `in_carry` to the decoder and dispatches each frame it
+  /// completes. Stops when input runs out, a solve is in flight, the
+  /// stream is refused, or the connection is destroyed.
   void consume_input(const std::shared_ptr<Connection>& conn) {
     conn->consuming = true;
-    std::string& buf = conn->in_carry;
-    std::size_t pos = 0;
-    while (!conn->closed && conn->phase != Connection::Phase::kSolveWait &&
-           pos < buf.size()) {
-      if (conn->phase == Connection::Phase::kHeader) {
-        const std::size_t nl = buf.find('\n', pos);
-        const std::size_t line_end = nl == std::string::npos ? buf.size() : nl;
-        if (conn->header.size() + (line_end - pos) > kMaxHeaderBytes) {
-          conn->close_after_flush = true;
-          respond(conn,
-                  {FrameType::kError,
-                   error_body(kErrBadRequest,
-                              "frame header exceeds " +
-                                  std::to_string(kMaxHeaderBytes) + " bytes")});
-          break;
-        }
-        if (nl == std::string::npos) {
-          conn->header.append(buf, pos, buf.size() - pos);
-          pos = buf.size();
-          break;
-        }
-        conn->header.append(buf, pos, nl - pos);
-        pos = nl + 1;
-        const HeaderParse parsed =
-            parse_frame_header(conn->header, daemon_.options_.max_frame_bytes);
-        conn->header.clear();
-        if (parsed.status != ReadStatus::kOk) {
-          // kTooLarge refuses on the declared length alone — no body byte
-          // is ever buffered. Either way the stream is out of sync: answer
-          // and hang up, exactly like the blocking reader.
-          conn->close_after_flush = true;
-          const char* code =
-              parsed.status == ReadStatus::kTooLarge ? kErrTooLarge : kErrBadRequest;
-          respond(conn, {FrameType::kError, error_body(code, parsed.detail)});
-          break;
-        }
-        conn->frame.type = parsed.type;
-        conn->frame.body.assign(static_cast<std::size_t>(parsed.length), '\0');
-        conn->body_read = 0;
-        if (parsed.length == 0) {
-          dispatch_frame(conn);
-          continue;
-        }
-        conn->phase = Connection::Phase::kBody;
-      } else {  // kBody
-        const std::size_t need = conn->frame.body.size() - conn->body_read;
-        const std::size_t take = std::min(need, buf.size() - pos);
-        conn->frame.body.replace(conn->body_read, take, buf, pos, take);
-        conn->body_read += take;
-        pos += take;
-        if (conn->body_read < conn->frame.body.size()) break;
-        conn->phase = Connection::Phase::kHeader;
-        dispatch_frame(conn);
+    std::string_view input = conn->in_carry;
+    while (!conn->closed && !conn->solving && !input.empty()) {
+      std::optional<ReadResult> read = conn->decoder.feed(input);
+      if (!read.has_value()) break;
+      if (read->status != ReadStatus::kOk) {
+        // The stream is out of sync past a refused header: answer and hang up.
+        conn->close_after_flush = true;
+        const char* code = read->status == ReadStatus::kTooLarge ? kErrTooLarge : kErrBadRequest;
+        respond(conn, {FrameType::kError, error_body(code, read->detail)});
+        break;
       }
+      dispatch_frame(conn, read->frame);
     }
     if (!conn->closed) {
-      buf.erase(0, pos);
+      conn->in_carry.erase(0, conn->in_carry.size() - input.size());
       conn->consuming = false;
       update_interest(conn);
     }
   }
 
-  void dispatch_frame(const std::shared_ptr<Connection>& conn) {
-    const Frame request = std::move(conn->frame);
-    conn->frame = Frame{};
-    conn->body_read = 0;
+  void dispatch_frame(const std::shared_ptr<Connection>& conn, const Frame& request) {
     conn->last_activity = EventLoop::now_seconds();  // a full frame arrived
     switch (request.type) {
       case FrameType::kPing:
@@ -364,7 +311,7 @@ struct EpollServer {
     }
     // Admitted: a pending slot is held until finish_solve releases it.
     const auto started = std::chrono::steady_clock::now();
-    conn->phase = Connection::Phase::kSolveWait;
+    conn->solving = true;
     const std::uint64_t conn_id = conn->id;
     try {
       // The response body needs the canonical key even when the request's
@@ -406,11 +353,11 @@ struct EpollServer {
                    started);
     }
     // Only park the socket when the solve is genuinely in flight — an
-    // inline completion above has already reset the phase (and possibly
+    // inline completion above has already cleared `solving` (and possibly
     // destroyed the connection). Deregistering while quiet is what gives
     // one-request-at-a-time backpressure: the daemon reads nothing more
     // from this client until its answer is on the wire.
-    if (!conn->closed && conn->phase == Connection::Phase::kSolveWait) {
+    if (!conn->closed && conn->solving) {
       set_events(conn, 0);
     }
   }
@@ -424,7 +371,7 @@ struct EpollServer {
     const auto it = connections_.find(conn_id);
     if (it == connections_.end()) return;  // client left; the result is cached
     const std::shared_ptr<Connection> conn = it->second;
-    conn->phase = Connection::Phase::kHeader;
+    conn->solving = false;
     respond(conn, response);
   }
 
@@ -460,8 +407,7 @@ struct EpollServer {
     }
     update_interest(conn);
     // A pipelining client may have the next request already buffered.
-    if (!conn->consuming && !conn->in_carry.empty() &&
-        conn->phase != Connection::Phase::kSolveWait) {
+    if (!conn->consuming && !conn->in_carry.empty() && !conn->solving) {
       consume_input(conn);
     }
   }
@@ -505,8 +451,7 @@ struct EpollServer {
     ::shutdown(daemon_.listen_fd_, SHUT_RDWR);
     std::vector<std::shared_ptr<Connection>> idle;
     for (const auto& [id, conn] : connections_) {
-      if (conn->phase != Connection::Phase::kSolveWait &&
-          conn->out_pos >= conn->out.size()) {
+      if (!conn->solving && conn->out_pos >= conn->out.size()) {
         idle.push_back(conn);
       }
     }

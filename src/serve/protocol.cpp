@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/io.hpp"
 #include "support/record.hpp"
@@ -18,21 +20,6 @@ using support::one_line;
 
 constexpr const char* kRequestHeader = "mf-serve-request v1";
 constexpr const char* kStatsHeader = "mf-serve-stats v1";
-
-/// Blocking read of exactly `size` bytes; false on EOF or error.
-bool read_all(int fd, char* data, std::size_t size) {
-  while (size > 0) {
-    const ::ssize_t got = ::read(fd, data, size);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (got == 0) return false;
-    data += got;
-    size -= static_cast<std::size_t>(got);
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -70,62 +57,6 @@ std::string frame_to_bytes(const Frame& frame) {
   bytes += '\n';
   bytes += frame.body;
   return bytes;
-}
-
-ReadResult read_frame(int fd, std::size_t max_body_bytes) {
-  ReadResult result;
-
-  // Header: byte-at-a-time up to the newline. Headers are ~25 bytes, so
-  // the syscall-per-byte cost is noise next to a solve; what it buys is a
-  // reader with no lookahead buffer to desynchronize.
-  std::string header;
-  for (;;) {
-    char c = 0;
-    const ::ssize_t got = ::read(fd, &c, 1);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      result.status = header.empty() ? ReadStatus::kClosed : ReadStatus::kMalformed;
-      result.detail = "read error before header end";
-      return result;
-    }
-    if (got == 0) {
-      if (header.empty()) {
-        result.status = ReadStatus::kClosed;  // clean EOF between frames
-        result.detail = "connection closed";
-      } else {
-        result.status = ReadStatus::kMalformed;
-        result.detail = "EOF inside frame header";
-      }
-      return result;
-    }
-    if (c == '\n') break;
-    header += c;
-    if (header.size() > kMaxHeaderBytes) {
-      result.status = ReadStatus::kMalformed;
-      result.detail = "frame header exceeds " + std::to_string(kMaxHeaderBytes) + " bytes";
-      return result;
-    }
-  }
-
-  const HeaderParse parsed = parse_frame_header(header, max_body_bytes);
-  if (parsed.status != ReadStatus::kOk) {
-    result.status = parsed.status;
-    result.detail = parsed.detail;
-    return result;
-  }
-
-  result.frame.type = parsed.type;
-  result.frame.body.resize(static_cast<std::size_t>(parsed.length));
-  if (parsed.length > 0 &&
-      !read_all(fd, result.frame.body.data(), result.frame.body.size())) {
-    result.status = ReadStatus::kMalformed;
-    result.detail =
-        "truncated body (declared " + std::to_string(parsed.length) + " bytes)";
-    result.frame.body.clear();
-    return result;
-  }
-  result.status = ReadStatus::kOk;
-  return result;
 }
 
 HeaderParse parse_frame_header(const std::string& header,
@@ -167,6 +98,79 @@ HeaderParse parse_frame_header(const std::string& header,
   }
   result.status = ReadStatus::kOk;
   return result;
+}
+
+std::optional<ReadResult> FrameDecoder::feed(std::string_view& input) {
+  ReadResult result;
+  if (!in_body_) {
+    const std::size_t newline = input.find('\n');
+    const std::size_t line = std::min(newline, input.size());
+    if (header_.size() + line > kMaxHeaderBytes) {
+      header_.clear();
+      result.detail = "frame header exceeds " + std::to_string(kMaxHeaderBytes) + " bytes";
+      return result;
+    }
+    header_.append(input.substr(0, line));
+    if (newline == std::string_view::npos) {
+      input = {};
+      return std::nullopt;
+    }
+    input.remove_prefix(newline + 1);
+    HeaderParse parsed = parse_frame_header(header_, max_body_bytes_);
+    header_.clear();
+    if (parsed.status != ReadStatus::kOk) {
+      // kTooLarge refuses on the declared length alone: no body byte is kept.
+      result.status = parsed.status;
+      result.detail = std::move(parsed.detail);
+      return result;
+    }
+    frame_.type = parsed.type;
+    body_length_ = static_cast<std::size_t>(parsed.length);
+    frame_.body.reserve(body_length_);
+    in_body_ = true;
+  }
+  const std::size_t take = std::min(body_length_ - frame_.body.size(), input.size());
+  frame_.body.append(input.substr(0, take));
+  input.remove_prefix(take);
+  if (frame_.body.size() < body_length_) return std::nullopt;
+  in_body_ = false;
+  result.status = ReadStatus::kOk;
+  result.frame = std::exchange(frame_, Frame{});
+  return result;
+}
+
+ReadResult FrameDecoder::at_eof() const {
+  ReadResult result;
+  if (in_body_) {
+    result.detail = "truncated body (declared " + std::to_string(body_length_) + " bytes)";
+  } else if (!header_.empty()) {
+    result.detail = "EOF inside frame header";
+  } else {
+    result.status = ReadStatus::kClosed;
+    result.detail = "connection closed";
+  }
+  return result;
+}
+
+ReadResult FrameReader::next() {
+  for (;;) {
+    std::string_view input = pending_;
+    std::optional<ReadResult> result = decoder_.feed(input);
+    pending_.erase(0, pending_.size() - input.size());
+    if (result.has_value()) return std::move(*result);
+
+    char chunk[65536];
+    const ::ssize_t got = ::read(fd_, chunk, sizeof chunk);
+    if (got > 0) {
+      pending_.assign(chunk, static_cast<std::size_t>(got));
+    } else if (got == 0) {
+      return decoder_.at_eof();
+    } else if (errno != EINTR) {
+      ReadResult failed = decoder_.at_eof();
+      if (!decoder_.in_body()) failed.detail = "read error before header end";
+      return failed;
+    }
+  }
 }
 
 std::string request_to_text(const WireRequest& wire) {

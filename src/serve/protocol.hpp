@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "solve/cache_backend.hpp"
 #include "solve/service.hpp"
@@ -51,8 +52,8 @@ inline constexpr const char* kProtocolMagic = "mf-serve/1";
 inline constexpr std::size_t kDefaultMaxFrameBytes = 4u << 20;
 
 /// A frame header line may not exceed this many bytes (newline excluded);
-/// both the blocking reader and the epoll state machine enforce it, so a
-/// client dribbling garbage cannot grow an unbounded header buffer.
+/// `FrameDecoder` enforces it, so a client dribbling garbage cannot grow an
+/// unbounded header buffer.
 inline constexpr std::size_t kMaxHeaderBytes = 128;
 
 /// Machine-readable error codes carried as the first token of an `error`
@@ -77,8 +78,8 @@ struct Frame {
 /// Serializes a frame (header line + body) into wire bytes.
 [[nodiscard]] std::string frame_to_bytes(const Frame& frame);
 
-/// Outcome of reading one frame from a file descriptor. `kClosed` is a
-/// clean EOF before any header byte (the peer hung up between requests);
+/// Outcome of reading one frame from a byte stream. `kClosed` is a clean
+/// EOF before any header byte (the peer hung up between requests);
 /// everything else mid-frame is a `kMalformed`/`kTooLarge` protocol error.
 enum class ReadStatus { kOk, kClosed, kMalformed, kTooLarge };
 
@@ -87,12 +88,6 @@ struct ReadResult {
   Frame frame;          ///< valid only when status == kOk
   std::string detail;   ///< human-readable reason for non-kOk
 };
-
-/// Reads exactly one frame from `fd` (blocking). Strict: the header must be
-/// `mf-serve/1 <known-type> <decimal-length>` within `kMaxHeaderBytes`, and
-/// the body must deliver exactly `length` bytes before EOF. `max_body_bytes`
-/// caps the declared length (kTooLarge beyond it).
-[[nodiscard]] ReadResult read_frame(int fd, std::size_t max_body_bytes = kDefaultMaxFrameBytes);
 
 /// Result of validating one complete header line (newline stripped).
 /// kOk means `type`/`length` are usable; kTooLarge means the declared
@@ -105,12 +100,57 @@ struct HeaderParse {
   std::string detail;
 };
 
-/// The one strict header parser both the blocking reader and the daemon's
-/// frame state machine share — strictly three tokens
-/// (`mf-serve/1 <type> <len>`), so both reject malformed headers with
-/// byte-identical details.
+/// The strict header parser `FrameDecoder` runs on each header line:
+/// strictly three tokens (`mf-serve/1 <type> <len>`).
 [[nodiscard]] HeaderParse parse_frame_header(const std::string& header,
                                              std::size_t max_body_bytes);
+
+/// The frame stream's rules, for both ends of the wire: the daemon's
+/// reactor and `FrameReader` feed it bytes as they arrive. It refuses a
+/// header line over `kMaxHeaderBytes`, runs `parse_frame_header`, refuses a
+/// declared length over `max_body_bytes` before it keeps any body byte, and
+/// fills the body.
+class FrameDecoder {
+ public:
+  explicit FrameDecoder(std::size_t max_body_bytes = kDefaultMaxFrameBytes)
+      : max_body_bytes_(max_body_bytes) {}
+
+  /// Takes bytes from the front of `input` until a frame completes or is
+  /// refused (kMalformed/kTooLarge), and returns that; nullopt once it has
+  /// taken all of `input` and needs more. After a result it starts afresh.
+  [[nodiscard]] std::optional<ReadResult> feed(std::string_view& input);
+
+  /// EOF here: kClosed between frames, kMalformed inside a header or body.
+  [[nodiscard]] ReadResult at_eof() const;
+
+  [[nodiscard]] bool in_body() const { return in_body_; }
+
+ private:
+  std::size_t max_body_bytes_;
+  std::string header_;  ///< header line so far, newline excluded
+  bool in_body_ = false;
+  std::size_t body_length_ = 0;
+  Frame frame_;
+};
+
+/// Reads frames off a blocking file descriptor, which the caller owns. It
+/// reads in chunks and keeps the bytes past a frame for the next call, so
+/// a response costs one or two `read()` calls.
+class FrameReader {
+ public:
+  explicit FrameReader(int fd, std::size_t max_body_bytes = kDefaultMaxFrameBytes)
+      : fd_(fd), decoder_(max_body_bytes) {}
+
+  /// Blocks until the next frame completes, is refused, or meets EOF
+  /// (`FrameDecoder::at_eof`). A read error reads kClosed between frames
+  /// and kMalformed inside one.
+  [[nodiscard]] ReadResult next();
+
+ private:
+  int fd_;
+  FrameDecoder decoder_;
+  std::string pending_;  ///< bytes read past the last frame
+};
 
 /// A solve request as it travels: the client's identity (the rate-limiter
 /// key) plus the `SolveRequest` itself. The wire form is final — stream

@@ -92,7 +92,7 @@ ReadResult frame_through_pipe(const std::string& bytes,
     written += static_cast<std::size_t>(wrote);
   }
   ::close(fds[1]);
-  const ReadResult result = read_frame(fds[0], max_body);
+  const ReadResult result = FrameReader(fds[0], max_body).next();
   ::close(fds[0]);
   return result;
 }
@@ -437,26 +437,31 @@ struct TestDaemon {
   std::unique_ptr<Daemon> daemon;
 };
 
+/// A loopback TCP socket connected to `port`; throws when there is none.
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) throw std::runtime_error("raw socket() failed");
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    throw std::runtime_error("raw connect() failed");
+  }
+  return fd;
+}
+
 /// A bare client socket for byte-level protocol abuse: partial writes,
 /// dribbled headers, half-closes. MSG_NOSIGNAL everywhere — a test poking
-/// a daemon that hung up must see an error, not SIGPIPE.
+/// a daemon that hung up must see an error, not SIGPIPE. One FrameReader
+/// reads every response, so bytes read past one frame stay for the next.
 struct RawConn {
-  int fd = -1;
+  int fd;
+  FrameReader reader;
 
-  explicit RawConn(std::uint16_t port) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) throw std::runtime_error("raw socket() failed");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      throw std::runtime_error("raw connect() failed");
-    }
-  }
-  ~RawConn() {
-    if (fd >= 0) ::close(fd);
-  }
+  explicit RawConn(std::uint16_t port) : fd(connect_loopback(port)), reader(fd) {}
+  ~RawConn() { ::close(fd); }
   RawConn(const RawConn&) = delete;
   RawConn& operator=(const RawConn&) = delete;
 
@@ -509,7 +514,7 @@ struct WireObservation {
 };
 
 WireObservation observe_response(RawConn& conn) {
-  const ReadResult result = read_frame(conn.fd, kDefaultMaxFrameBytes);
+  const ReadResult result = conn.reader.next();
   WireObservation seen;
   seen.status = result.status;
   if (result.status == ReadStatus::kOk) {
@@ -949,28 +954,31 @@ TEST(ServeDaemon, OversizedFrameIsRefusedBeforeItsBodyArrives) {
   EXPECT_TRUE(conn.drain_until_eof(2.0));
 }
 
-TEST(ServeDaemon, RefusalsMatchGoldenWireBytes) {
-  // Every refusal the admission gauntlet and the frame reader can emit,
-  // replayed against a live daemon and compared with the exact response it
-  // must produce: status, frame type, and body, byte for byte. These
-  // literals are the wire contract. (`draining` and `internal` have no
-  // deterministic wire trigger; they come from admit_solve and the solve
-  // catch blocks.)
+/// Every refusal the admission gauntlet and the frame reader can emit: the
+/// bytes a client sends, whether it then half-closes, and the exact `error`
+/// bodies a daemon run with `refusal_options()` answers. These literals are
+/// the wire contract. (`draining` and `internal` have no deterministic wire
+/// trigger; they come from admit_solve and the solve catch blocks.)
+struct RefusalProbe {
+  const char* name;
+  std::string bytes;
+  bool half_close;
+  std::vector<std::string> error_bodies;
+};
+
+DaemonOptions refusal_options() {
   DaemonOptions options;
   options.max_pending = 0;      // any admitted solve → queue-full
   options.rate_capacity = 1.0;  // second solve from one client → rate-limited
   options.rate_refill_per_sec = 0.0;
+  return options;
+}
 
+std::vector<RefusalProbe> refusal_probes() {
+  const DaemonOptions options = refusal_options();
   const std::string solve_bytes =
       frame_to_bytes({FrameType::kSolve, request_to_text(sample_request())});
-  // Every response is a complete `error` frame; the bodies are the golden bytes.
-  struct Probe {
-    const char* name;
-    std::string bytes;
-    bool half_close;
-    std::vector<std::string> error_bodies;
-  };
-  const std::vector<Probe> probes = {
+  return {
       {"bad-magic", "GET / HTTP/1.1\r\n", false,
        {"bad-request bad magic 'GET' (want mf-serve/1)\n"}},
       {"unknown-type", "mf-serve/1 shout 0\n", false,
@@ -998,9 +1006,14 @@ TEST(ServeDaemon, RefusalsMatchGoldenWireBytes) {
        {"queue-full pending queue at capacity (0)\n",
         "rate-limited client 'test-client' exceeded its request budget\n"}},
   };
+}
 
-  TestDaemon server(options);
-  for (const Probe& probe : probes) {
+TEST(ServeDaemon, RefusalsMatchGoldenWireBytes) {
+  // Every refusal probe, replayed against a live daemon and compared with
+  // the exact response it must produce: status, frame type, and body, byte
+  // for byte.
+  TestDaemon server(refusal_options());
+  for (const RefusalProbe& probe : refusal_probes()) {
     RawConn conn(server.daemon->port());
     EXPECT_TRUE(conn.send_all(probe.bytes)) << probe.name;
     if (probe.half_close) conn.finish_writing();
@@ -1010,6 +1023,118 @@ TEST(ServeDaemon, RefusalsMatchGoldenWireBytes) {
       EXPECT_EQ(seen.type, FrameType::kError) << probe.name;
       EXPECT_EQ(seen.body, body) << probe.name;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FrameDecoder: one set of frame rules for the daemon and FrameReader
+// ---------------------------------------------------------------------------
+
+/// One decoder outcome as text, so sequences of them compare with EXPECT_EQ.
+std::string describe(const ReadResult& result) {
+  return std::to_string(static_cast<int>(result.status)) + " " +
+         (result.status == ReadStatus::kOk
+              ? to_string(result.frame.type) + " [" + result.frame.body + "]"
+              : result.detail);
+}
+
+/// Feeds `chunks` in order through one decoder and lists what it yields:
+/// every frame, then what EOF means there. A refusal ends the list, since
+/// the stream is out of sync past it.
+std::vector<std::string> decode(const std::vector<std::string_view>& chunks,
+                                std::size_t max_body = kDefaultMaxFrameBytes) {
+  FrameDecoder decoder(max_body);
+  std::vector<std::string> yielded;
+  for (std::string_view input : chunks) {
+    while (!input.empty()) {
+      const std::optional<ReadResult> read = decoder.feed(input);
+      if (!read.has_value()) break;
+      yielded.push_back(describe(*read));
+      if (read->status != ReadStatus::kOk) return yielded;
+    }
+  }
+  yielded.push_back(describe(decoder.at_eof()));
+  return yielded;
+}
+
+TEST(FrameDecoder, EveryChunkingYieldsTheSameFrames) {
+  // Each refusal probe's bytes and a pipelined ping+ping+stats+solve
+  // stream, fed whole, one byte at a time, and split in two at every
+  // offset: each way must yield the same frames, refusal and EOF, in order.
+  const std::string ping = frame_to_bytes({FrameType::kPing, ""});
+  const std::string solve_body = request_to_text(sample_request());
+  const std::string pipelined = ping + ping + frame_to_bytes({FrameType::kStats, ""}) +
+                                frame_to_bytes({FrameType::kSolve, solve_body});
+  const auto ok = [](FrameType type, const std::string& body) {
+    return describe({ReadStatus::kOk, {type, body}, ""});
+  };
+  EXPECT_EQ(decode({pipelined}),
+            (std::vector<std::string>{ok(FrameType::kPing, ""), ok(FrameType::kPing, ""),
+                                      ok(FrameType::kStats, ""), ok(FrameType::kSolve, solve_body),
+                                      describe({ReadStatus::kClosed, {}, "connection closed"})}));
+
+  std::vector<std::pair<std::string, std::string>> streams = {{"pipelined", pipelined}};
+  for (const RefusalProbe& probe : refusal_probes()) streams.emplace_back(probe.name, probe.bytes);
+  for (const auto& [name, bytes] : streams) {
+    SCOPED_TRACE(name);
+    const std::string_view view = bytes;
+    const std::vector<std::string> whole = decode({view});
+    std::vector<std::string_view> bytewise;
+    for (std::size_t k = 0; k < view.size(); ++k) bytewise.push_back(view.substr(k, 1));
+    EXPECT_EQ(decode(bytewise), whole) << "one byte at a time";
+    for (std::size_t split = 0; split <= view.size(); ++split) {
+      ASSERT_EQ(decode({view.substr(0, split), view.substr(split)}), whole) << "split at " << split;
+    }
+  }
+}
+
+TEST(FrameDecoder, MalformedInputsReadAlikeThroughDecoderReaderAndDaemon) {
+  // The malformed frames of MalformedFramesAreRejectedAtTheReader, plus EOF
+  // at every offset of a valid frame. Each reads the same status and detail
+  // through the decoder and through FrameReader over a pipe, and the
+  // daemon answers it with that detail in its refusal body (or, for EOF
+  // between frames, hangs up without one).
+  constexpr std::size_t kCap = 1024;
+  std::vector<std::string> inputs = {
+      "mf-serve/9 solve 0\n",        "mf-serve/1 shout 0\n",
+      "mf-serve/1 solve many\n",     "mf-serve/1 solve -1\n",
+      "mf-serve/1 solve 0 extra\n",  std::string(300, 'x'),
+      "mf-serve/1 solve 999999999\n", "mf-serve/1 solve 10\nabc",
+  };
+  const std::string valid = frame_to_bytes({FrameType::kSolve, "abc\n"});
+  for (std::size_t cut = 0; cut < valid.size(); ++cut) inputs.push_back(valid.substr(0, cut));
+
+  DaemonOptions options;
+  options.max_frame_bytes = kCap;
+  TestDaemon server(options);
+  const std::size_t header_end = valid.find('\n') + 1;
+  for (const std::string& input : inputs) {
+    SCOPED_TRACE("input '" + input + "'");
+    const std::vector<std::string> decoded = decode({input}, kCap);
+    ASSERT_EQ(decoded.size(), 1u);
+    const ReadResult piped = frame_through_pipe(input, kCap);
+    ASSERT_NE(piped.status, ReadStatus::kOk);
+    EXPECT_EQ(describe(piped), decoded[0]);
+
+    if (input.size() < valid.size() && valid.compare(0, input.size(), input) == 0) {
+      const std::string eof = input.empty()                  ? "connection closed"
+                              : input.size() < header_end    ? "EOF inside frame header"
+                                                             : "truncated body (declared 4 bytes)";
+      EXPECT_EQ(piped.detail, eof);
+    }
+
+    RawConn conn(server.daemon->port());
+    ASSERT_TRUE(conn.send_all(input));
+    conn.finish_writing();
+    const WireObservation seen = observe_response(conn);
+    if (piped.status == ReadStatus::kClosed) {
+      EXPECT_EQ(seen.status, ReadStatus::kClosed);
+      continue;
+    }
+    ASSERT_EQ(seen.status, ReadStatus::kOk);
+    EXPECT_EQ(seen.type, FrameType::kError);
+    const char* code = piped.status == ReadStatus::kTooLarge ? kErrTooLarge : kErrBadRequest;
+    EXPECT_EQ(seen.body, error_body(code, piped.detail));
   }
 }
 
