@@ -372,16 +372,17 @@ BnBResult solve_specialized_optimal(const core::Problem& problem, const BnBOptio
   if (searcher.result.proven_optimal && searcher.incumbent_assignment.empty()) {
     // A complete search that kept no mapping on a feasible problem pruned
     // every branch on a +inf bound or load (x·w overflowed everywhere), so
-    // no mapping has a finite period: take the greedy's, with its period.
+    // no mapping has a finite period: take the greedy's.
     support::Rng rng{0};
     if (auto mapping = heuristics::H4wFastestMachine{}.run(problem, rng)) {
-      searcher.incumbent = core::period(problem, *mapping);
       searcher.incumbent_assignment = mapping->assignment();
     }
   }
   if (!searcher.incumbent_assignment.empty()) {
+    // The incumbent's value is a maximum of running loads undone by
+    // subtraction, which drifts; report the period of the mapping itself.
     searcher.result.mapping = core::Mapping{searcher.incumbent_assignment};
-    searcher.result.period = searcher.incumbent;
+    searcher.result.period = core::period(problem, *searcher.result.mapping);
   }
   return searcher.result;
 }

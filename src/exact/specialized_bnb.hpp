@@ -41,7 +41,7 @@ struct BnBOptions {
 
 struct BnBResult {
   std::optional<core::Mapping> mapping;  ///< best mapping found (nullopt if infeasible)
-  double period = 0.0;
+  double period = 0.0;                   ///< core::period of `mapping`
   bool proven_optimal = false;  ///< search space exhausted within budget
   /// Nodes visited, leaves and pruned nodes included. A search that runs
   /// out of budget reports max_nodes + 1: the node it refused is counted.

@@ -209,6 +209,12 @@ TEST(SpecializedBnB, ChainSearchDoesNotDependOnTaskLabels) {
 
 enum Topology { kChain, kInTree };
 
+/// The reported period is core::period of the reported mapping, bit for bit.
+void expect_period_of_mapping(const Problem& problem, const BnBResult& result) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.period),
+            std::bit_cast<std::uint64_t>(core::period(problem, *result.mapping)));
+}
+
 struct GoldenBnB {
   Topology topology;
   std::size_t tasks;
@@ -231,9 +237,9 @@ const std::vector<GoldenBnB>& golden_bnb_entries() {
 
 TEST(SpecializedBnBGolden, SameNodesPeriodsAndMappingsAsPreRewriteCapture) {
   // Captured from the B&B before its per-node allocations were removed.
-  // The node count pins the visit order and every prune; the period is the
-  // search's own max of loads (when the search beat the warm start), so its
-  // bits also pin the undo-by-subtraction load arithmetic. Chains and
+  // The node count pins the visit order and every prune, and the mapping
+  // the search kept; the period is core::period of that mapping, bit for
+  // bit (the search's own running loads drift from it). Chains and
   // in-trees at the Figure 10 (m=5, p=2) and Figure 12 (m=9, p=4) shapes,
   // with and without the H2/H4w warm start; the n=14/20 rows mostly run out
   // of the 20,000-node budget.
@@ -260,6 +266,7 @@ TEST(SpecializedBnBGolden, SameNodesPeriodsAndMappingsAsPreRewriteCapture) {
     EXPECT_EQ(result.proven_optimal, entry.proven_optimal);
     EXPECT_EQ(result.period, entry.period);
     ASSERT_TRUE(result.mapping.has_value());
+    expect_period_of_mapping(problem, result);
     ASSERT_EQ(result.mapping->task_count(), entry.assignment.size());
     for (core::TaskIndex i = 0; i < entry.assignment.size(); ++i) {
       EXPECT_EQ(result.mapping->machine_of(i), entry.assignment[i]) << "assignment[" << i << "]";
@@ -333,12 +340,14 @@ TEST(SpecializedBnBGolden, SameNodesOnWidePlatformsAndExtremeInputs) {
     BnBOptions options;
     options.max_nodes = 20'000;
     options.seed_with_heuristics = entry.seed_with_heuristics;
-    const BnBResult result = solve_specialized_optimal(edge_problem(entry), options);
+    const Problem problem = edge_problem(entry);
+    const BnBResult result = solve_specialized_optimal(problem, options);
     EXPECT_EQ(result.nodes, entry.nodes);
     EXPECT_EQ(result.proven_optimal, entry.proven_optimal);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(result.period),
               std::bit_cast<std::uint64_t>(entry.period));
     ASSERT_TRUE(result.mapping.has_value());
+    expect_period_of_mapping(problem, result);
     ASSERT_EQ(result.mapping->task_count(), entry.assignment.size());
     for (core::TaskIndex i = 0; i < entry.assignment.size(); ++i) {
       EXPECT_EQ(result.mapping->machine_of(i), entry.assignment[i]) << "assignment[" << i << "]";
@@ -356,13 +365,13 @@ TEST(SpecializedBnBGolden, OverflowingLoadsStillYieldAMapping) {
   // mapping and its +inf period instead of "infeasible".
   const double inf = std::numeric_limits<double>::infinity();
   static const std::vector<GoldenBnBEdge> entries{
-      {kChain, 10, 9, 3, 1ULL, 960, kSteepRates, true, 479ULL, true, 0x1.d3d387ceb7531p+969,
+      {kChain, 10, 9, 3, 1ULL, 960, kSteepRates, true, 479ULL, true, 0x1.d3d387ceb752dp+969,
        {2, 2, 8, 4, 2, 0, 0, 0, 6, 6}},
-      {kChain, 14, 9, 3, 1ULL, 960, kSteepRates, true, 3257ULL, true, 0x1.1d39c7c3730efp+970,
+      {kChain, 14, 9, 3, 1ULL, 960, kSteepRates, true, 3257ULL, true, 0x1.1d39c7c3730fp+970,
        {8, 8, 2, 8, 4, 8, 6, 2, 6, 0, 8, 6, 8, 0}},
-      {kChain, 14, 9, 3, 1ULL, 960, kSteepRates, false, 3257ULL, true, 0x1.1d39c7c3730efp+970,
+      {kChain, 14, 9, 3, 1ULL, 960, kSteepRates, false, 3257ULL, true, 0x1.1d39c7c3730fp+970,
        {8, 8, 2, 8, 4, 8, 6, 2, 6, 0, 8, 6, 8, 0}},
-      {kInTree, 10, 9, 3, 1ULL, 960, kSteepRates, true, 402ULL, true, 0x1.c50cc32ea075cp+969,
+      {kInTree, 10, 9, 3, 1ULL, 960, kSteepRates, true, 402ULL, true, 0x1.e2bd488d79aa4p+969,
        {6, 8, 8, 2, 2, 6, 0, 6, 4, 2}},
       {kInTree, 14, 9, 3, 1ULL, 960, kSteepRates, true, 150ULL, true, inf,
        {7, 1, 1, 1, 2, 2, 3, 1, 0, 0, 0, 2, 0, 1}},
@@ -376,14 +385,16 @@ TEST(SpecializedBnBGolden, OverflowingLoadsStillYieldAMapping) {
     BnBOptions options;
     options.max_nodes = 20'000;
     options.seed_with_heuristics = entry.seed_with_heuristics;
+    const Problem problem = edge_problem(entry);
     BnBResult result;
-    ASSERT_NO_THROW(result = solve_specialized_optimal(edge_problem(entry), options));
+    ASSERT_NO_THROW(result = solve_specialized_optimal(problem, options));
     EXPECT_EQ(result.nodes, entry.nodes);
     EXPECT_EQ(result.proven_optimal, entry.proven_optimal);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(result.period),
               std::bit_cast<std::uint64_t>(entry.period));
     ASSERT_TRUE(result.mapping.has_value());
     EXPECT_EQ(result.mapping->assignment(), entry.assignment);
+    expect_period_of_mapping(problem, result);
   }
 }
 
