@@ -7,6 +7,7 @@
 #include "exact/brute_force.hpp"
 #include "exact/one_to_one.hpp"
 #include "exact/specialized_bnb.hpp"
+#include "heuristics/heuristic.hpp"
 #include "solve/registry.hpp"
 #include "support/rng.hpp"
 
@@ -192,21 +193,6 @@ class FunctionSolver final : public Solver {
 
 }  // namespace
 
-std::shared_ptr<const Solver> make_heuristic_solver(
-    std::shared_ptr<const heuristics::Heuristic> heuristic) {
-  return std::make_shared<HeuristicSolver>(std::move(heuristic));
-}
-
-std::shared_ptr<const Solver> make_one_to_one_solver() {
-  return std::make_shared<OneToOneSolver>();
-}
-
-std::shared_ptr<const Solver> make_bnb_solver() { return std::make_shared<BnBSolver>(); }
-
-std::shared_ptr<const Solver> make_brute_force_solver() {
-  return std::make_shared<BruteForceSolver>();
-}
-
 std::shared_ptr<const Solver> make_refined_solver(std::shared_ptr<const Solver> base) {
   return std::make_shared<RefinedSolver>(std::move(base));
 }
@@ -220,10 +206,13 @@ std::shared_ptr<const Solver> make_function_solver(
 void register_builtin_solvers(SolverRegistry& registry) {
   for (auto& heuristic : heuristics::all_heuristics()) {
     if (!registry.contains(heuristic->name())) {
-      registry.register_solver(make_heuristic_solver(std::move(heuristic)));
+      registry.register_solver(std::make_shared<HeuristicSolver>(std::move(heuristic)));
     }
   }
-  for (auto& solver : {make_one_to_one_solver(), make_bnb_solver(), make_brute_force_solver()}) {
+  const std::shared_ptr<const Solver> exact_solvers[] = {
+      std::make_shared<OneToOneSolver>(), std::make_shared<BnBSolver>(),
+      std::make_shared<BruteForceSolver>()};
+  for (const auto& solver : exact_solvers) {
     if (!registry.contains(solver->id())) registry.register_solver(solver);
   }
 }

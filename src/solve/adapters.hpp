@@ -1,5 +1,6 @@
-// Adapters exposing the solver families behind the unified `Solver`
-// interface, plus the composition helpers the registry uses:
+// The solver families behind the unified `Solver` interface, which
+// `register_builtin_solvers` registers, plus the composition helpers the
+// registry uses:
 //
 //   id        family                                     status semantics
 //   -------   ----------------------------------------   -----------------
@@ -23,16 +24,9 @@
 #include <memory>
 #include <string>
 
-#include "heuristics/heuristic.hpp"
 #include "solve/solver.hpp"
 
 namespace mf::solve {
-
-[[nodiscard]] std::shared_ptr<const Solver> make_heuristic_solver(
-    std::shared_ptr<const heuristics::Heuristic> heuristic);
-[[nodiscard]] std::shared_ptr<const Solver> make_one_to_one_solver();
-[[nodiscard]] std::shared_ptr<const Solver> make_bnb_solver();
-[[nodiscard]] std::shared_ptr<const Solver> make_brute_force_solver();
 
 /// Wraps `base` with a local-search refinement stage: the base mapping (if
 /// any) is improved with ext::refine_mapping and the gain is recorded in

@@ -69,10 +69,10 @@ TEST(Registry, UnknownSuffixIsRejected) {
 
 TEST(Registry, RejectsDuplicateAndReservedIds) {
   auto& registry = SolverRegistry::instance();
-  EXPECT_THROW(registry.register_solver(make_bnb_solver()), std::invalid_argument);
-  EXPECT_THROW(registry.register_solver(make_function_solver(
-                   "bad+id", "reserved character",
-                   [](const core::Problem&, const SolveParams&) { return SolveResult{}; })),
+  const auto noop = [](const core::Problem&, const SolveParams&) { return SolveResult{}; };
+  EXPECT_THROW(registry.register_solver(make_function_solver("bnb", "duplicate id", noop)),
+               std::invalid_argument);
+  EXPECT_THROW(registry.register_solver(make_function_solver("bad+id", "reserved character", noop)),
                std::invalid_argument);
   EXPECT_THROW(registry.register_solver(nullptr), std::invalid_argument);
 }
