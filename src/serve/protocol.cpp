@@ -126,7 +126,6 @@ std::optional<ReadResult> FrameDecoder::feed(std::string_view& input) {
     }
     frame_.type = parsed.type;
     body_length_ = static_cast<std::size_t>(parsed.length);
-    frame_.body.reserve(body_length_);
     in_body_ = true;
   }
   const std::size_t take = std::min(body_length_ - frame_.body.size(), input.size());
