@@ -891,6 +891,40 @@ TEST(ServeDaemon, PartialAndPipelinedFramesKeepBoundaries) {
   EXPECT_TRUE(stats_from_text(seen.body).has_value());
 }
 
+TEST(ServeDaemon, PipelinedFramesWaitForTheSolveInFlight) {
+  // A ping pipelined behind a solve is read only once the solve's answer
+  // is on the wire: the client gets its answers in request order.
+  ensure_gated_solver();
+  GateGuard gate;
+  TestDaemon server;
+  WireRequest wire = sample_request();
+  wire.request.solver_id = "serve-gated";
+  wire.request.params.local_search = false;
+  wire.request.params.cache = solve::CachePolicy::kOff;
+  RawConn conn(server.daemon->port());
+  ASSERT_TRUE(conn.send_all(frame_to_bytes({FrameType::kSolve, request_to_text(wire)}) +
+                            frame_to_bytes({FrameType::kPing, ""})));
+
+  Client stats_client("127.0.0.1", server.daemon->port());
+  for (;;) {
+    const std::optional<DaemonStatsSnapshot> stats = stats_client.stats();
+    ASSERT_TRUE(stats.has_value());
+    if (stats->service.submitted >= 1) break;
+    std::this_thread::yield();
+  }
+  ServeGatedSolver::state().release();
+
+  const WireObservation solved = observe_response(conn);
+  ASSERT_EQ(solved.status, ReadStatus::kOk);
+  ASSERT_EQ(solved.type, FrameType::kOk) << solved.body;
+  const auto entry = solve::entry_from_text(solved.body);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->second.period, 42.25);
+  const WireObservation pong = observe_response(conn);
+  ASSERT_EQ(pong.status, ReadStatus::kOk);
+  EXPECT_EQ(pong.body, "pong\n");
+}
+
 TEST(ServeDaemon, IdleTimeoutClosesAStalledConnection) {
   DaemonOptions options;
   options.idle_timeout_seconds = 0.2;
