@@ -263,7 +263,7 @@ struct EpollServer {
       std::optional<ReadResult> read = conn->decoder.feed(input);
       if (!read.has_value()) break;
       if (read->status != ReadStatus::kOk) {
-        // The stream is out of sync past a refused header: answer and hang up.
+        // Past a refusal the stream is out of sync: answer and hang up.
         conn->close_after_flush = true;
         const char* code = read->status == ReadStatus::kTooLarge ? kErrTooLarge : kErrBadRequest;
         respond(conn, {FrameType::kError, error_body(code, read->detail)});

@@ -123,6 +123,7 @@ class FrameDecoder {
   /// EOF here: kClosed between frames, kMalformed inside a header or body.
   [[nodiscard]] ReadResult at_eof() const;
 
+  /// True once a header is accepted and until its body is complete.
   [[nodiscard]] bool in_body() const { return in_body_; }
 
  private:

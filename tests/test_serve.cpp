@@ -10,7 +10,9 @@
 // A dedicated test replays every refusal against a live daemon and compares
 // the responses with golden wire bytes. Byte-level abuse — dribbled
 // headers, pipelined frames, idle timeouts, a full fd table — is exercised
-// through a raw socket, below the Client helper.
+// through a raw socket, below the Client helper. The FrameDecoder suite
+// feeds the same refusal bytes to the one decoder both ends read through,
+// split every way.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
