@@ -9,6 +9,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/digest.hpp"
@@ -96,7 +98,7 @@ inline std::vector<exp::SweepResult> run_shards(const exp::SweepSpec& spec, std:
 }
 
 /// Forwards every solve_all to another executor and records, per call, the
-/// shape of each request's problem, and sums the nodes of every bnb solve.
+/// shape of each request's problem, and every bnb solve with its nodes.
 class CountingExecutor final : public solve::SolveExecutor {
  public:
   struct Shape {
@@ -117,14 +119,14 @@ class CountingExecutor final : public solve::SolveExecutor {
     std::vector<solve::SolveResult> results = inner_.solve_all(requests);
     for (std::size_t k = 0; k < requests.size(); ++k) {
       if (requests[k].solver_id != "bnb") continue;
-      ++bnb_solves;
+      bnb.emplace_back(requests[k].problem, results[k]);
       bnb_nodes += results[k].diagnostics.nodes_explored;
     }
     return results;
   }
 
   std::vector<std::vector<Shape>> calls;
-  std::uint64_t bnb_solves = 0;
+  std::vector<std::pair<std::shared_ptr<const core::Problem>, solve::SolveResult>> bnb;
   std::uint64_t bnb_nodes = 0;
 
  private:

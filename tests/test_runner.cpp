@@ -10,9 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "core/evaluation.hpp"
@@ -319,29 +317,9 @@ TEST(Figures, Fig10SearchCountsArePinned) {
   std::size_t drawn = 0;
   for (const PointResult& point : result.points) drawn += point.attempts;
   EXPECT_EQ(drawn, 240u);
-  EXPECT_EQ(counting.bnb_solves, 240u);
+  EXPECT_EQ(counting.bnb.size(), 240u);
   EXPECT_EQ(counting.bnb_nodes, 6'513'590u);
 }
-
-/// Records the problem and reported period of every bnb solve it passes on.
-class BnBRecorder final : public solve::SolveExecutor {
- public:
-  explicit BnBRecorder(solve::SolveExecutor& inner) : inner_(inner) {}
-
-  [[nodiscard]] std::vector<solve::SolveResult> solve_all(
-      const std::vector<solve::SolveRequest>& requests) override {
-    std::vector<solve::SolveResult> results = inner_.solve_all(requests);
-    for (std::size_t k = 0; k < requests.size(); ++k) {
-      if (requests[k].solver_id == "bnb") solves.emplace_back(requests[k].problem, results[k]);
-    }
-    return results;
-  }
-
-  std::vector<std::pair<std::shared_ptr<const core::Problem>, solve::SolveResult>> solves;
-
- private:
-  solve::SolveExecutor& inner_;
-};
 
 /// The exact column's certificate: runs `spec` up to `max_tasks` and
 /// re-solves every bnb trial with brute. At these sizes every drawn trial
@@ -351,26 +329,26 @@ void certify_exact_column(SweepSpec spec, std::size_t max_tasks, std::size_t tri
   std::erase_if(spec.values, [&](std::size_t tasks) { return tasks > max_tasks; });
   support::ThreadPool pool;
   solve::SolveService service(&pool);
-  BnBRecorder recorder(service);
+  test::CountingExecutor counting(service);
   SweepOptions options;
-  options.executor = &recorder;
+  options.executor = &counting;
   const SweepResult result = run_sweep(spec, options);
   for (const PointResult& point : result.points) {
     EXPECT_EQ(point.attempts, spec.trials) << "n=" << point.sweep_value;
     EXPECT_EQ(point.successes, spec.trials) << "n=" << point.sweep_value;
   }
-  ASSERT_EQ(recorder.solves.size(), trials);
+  ASSERT_EQ(counting.bnb.size(), trials);
 
   std::vector<solve::SolveRequest> brute(trials);
   for (std::size_t k = 0; k < trials; ++k) {
-    brute[k].problem = recorder.solves[k].first;
+    brute[k].problem = counting.bnb[k].first;
     brute[k].solver_id = "brute";
     brute[k].params.cache = solve::CachePolicy::kOff;
   }
   const std::vector<solve::SolveResult> optimal = service.solve_all(brute);
   std::size_t not_bit_equal = 0;
   for (std::size_t k = 0; k < trials; ++k) {
-    const solve::SolveResult& bnb = recorder.solves[k].second;
+    const solve::SolveResult& bnb = counting.bnb[k].second;
     ASSERT_EQ(bnb.status, solve::Status::kOptimal) << "trial " << k;
     ASSERT_EQ(optimal[k].status, solve::Status::kOptimal) << "trial " << k;
     const std::int64_t ulps = std::bit_cast<std::int64_t>(bnb.period) -
