@@ -41,10 +41,10 @@
 //
 // Caching: `--cache off|read|rw` sets the result-cache policy; with rw, a
 // `--repeat`ed sweep re-solves nothing (the printed hit counters prove it).
-// `--cache-dir DIR` layers the in-memory cache over a persistent on-disk
-// store: results survive the process, so a FRESH mfsched pointed at a
-// populated directory re-solves zero instances, and shard processes on one
-// host can share a directory. `--cache-stats` prints the backend's
+// `--cache-dir DIR` gives the in-memory cache a persistent on-disk tier:
+// results survive the process, so a FRESH mfsched pointed at a populated
+// directory re-solves zero instances, and shard processes on one host can
+// share a directory. `--cache-stats` prints the cache's
 // hit/miss/eviction counters plus the solve-service counters (requests,
 // cache hits, in-flight dedup joins, actual solver invocations) after any
 // run.
@@ -71,6 +71,7 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "core/evaluation.hpp"
@@ -88,7 +89,6 @@
 #include "solve/registry.hpp"
 #include "solve/service.hpp"
 #include "solve/solver.hpp"
-#include "solve/tiered_cache.hpp"
 #include "support/cli.hpp"
 #include "support/thread_pool.hpp"
 
@@ -359,54 +359,48 @@ void print_service_line(const mf::solve::ServiceStats& delta) {
       static_cast<unsigned long long>(delta.solved));
 }
 
-/// Builds the cache backend a run solves against — the process-wide
-/// in-memory cache, optionally layered over a persistent --cache-dir store
-/// — and prints counter deltas for it and for the service the run solved
+/// Builds the cache a run solves against — the process-wide in-memory
+/// cache, or with --cache-dir a memory cache over that persistent store —
+/// and prints counter deltas for it and for the service the run solved
 /// through. One scope spans one logical run, so `print_delta` reports what
 /// THIS run did, not process history.
 class CacheScope {
  public:
+  /// Throws std::invalid_argument when --cache-dir names a path that is not
+  /// (and cannot become) a directory; `open_cache_scope` reports it.
   explicit CacheScope(const mf::support::CliArgs& args) {
     const std::string dir = args.get("cache-dir", "");
     if (!dir.empty()) {
       disk_.emplace(dir);
-      tiered_.emplace(mf::solve::ResultCache::global(), *disk_);
-      backend_ = &*tiered_;
-    } else {
-      backend_ = &mf::solve::ResultCache::global();
+      over_disk_.emplace(mf::solve::ResultCache::kDefaultCapacity, &*disk_);
     }
-    cache_before_ = backend_->stats();
+    cache_ = over_disk_.has_value() ? &*over_disk_ : &mf::solve::ResultCache::global();
+    cache_before_ = cache_->stats();
   }
 
-  [[nodiscard]] mf::solve::CacheBackend* backend() noexcept { return backend_; }
-
-  /// The persistent tier itself, when --cache-dir built one — the daemon's
-  /// GC timer needs the `DiskCache` (gc() is not part of `CacheBackend`).
-  [[nodiscard]] mf::solve::DiskCache* disk() noexcept {
-    return disk_.has_value() ? &*disk_ : nullptr;
-  }
+  [[nodiscard]] mf::solve::ResultCache* cache() noexcept { return cache_; }
 
   /// Re-anchors the deltas on the cache and on `service`, the run's one
   /// service (e.g. between --repeat rounds).
   void reset_baseline(const mf::solve::SolveService& service) {
-    cache_before_ = backend_->stats();
+    cache_before_ = cache_->stats();
     service_before_ = service.stats();
   }
 
   void print_delta(const mf::solve::SolveService& service_now) const {
-    const mf::solve::CacheStats now = backend_->stats();
+    const mf::solve::CacheStats now = cache_->stats();
     const mf::solve::ServiceStats service = service_now.stats();
     std::printf(
         "cache [%s]: %llu hits / %llu misses (%.1f%% hit rate), %llu evictions, "
         "%zu resident",
-        backend_->describe().c_str(),
+        cache_->describe().c_str(),
         static_cast<unsigned long long>(now.hits - cache_before_.hits),
         static_cast<unsigned long long>(now.misses - cache_before_.misses),
         100.0 * delta_hit_rate(now),
         static_cast<unsigned long long>(now.evictions - cache_before_.evictions),
         now.size);
-    // Entry/byte totals only exist for persistent backends; keep the
-    // memory-only line unchanged.
+    // Byte totals only exist with a disk tier; keep the memory-only line
+    // unchanged.
     if (now.bytes > 0) {
       std::printf(" (%llu bytes on disk)", static_cast<unsigned long long>(now.bytes));
     }
@@ -432,11 +426,38 @@ class CacheScope {
   }
 
   std::optional<mf::solve::DiskCache> disk_;
-  std::optional<mf::solve::TieredCache> tiered_;
-  mf::solve::CacheBackend* backend_ = nullptr;
+  std::optional<mf::solve::ResultCache> over_disk_;
+  mf::solve::ResultCache* cache_ = nullptr;
   mf::solve::CacheStats cache_before_;
   mf::solve::ServiceStats service_before_;
 };
+
+/// Builds the run's cache scope into `scope`. A --cache-dir that is not
+/// (and cannot become) a directory prints `error: ...` and returns false,
+/// and the mode exits 1, as `--cache-gc` does.
+bool open_cache_scope(std::optional<CacheScope>& scope, const mf::support::CliArgs& args) {
+  try {
+    scope.emplace(args);
+    return true;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return false;
+  }
+}
+
+using HostPort = std::pair<std::string, std::uint16_t>;
+
+/// `--connect HOST:PORT`, or nullopt without the flag; exits 2 on a
+/// malformed target.
+std::optional<HostPort> connect_flag(const mf::support::CliArgs& args) {
+  if (!args.has("connect")) return std::nullopt;
+  std::optional<HostPort> target = mf::serve::parse_host_port(args.get("connect", ""));
+  if (!target.has_value()) {
+    std::fprintf(stderr, "error: --connect expects HOST:PORT\n");
+    std::exit(2);
+  }
+  return target;
+}
 
 /// Cache counters print when the run used the cache or the user asked.
 bool wants_cache_stats(const mf::support::CliArgs& args, mf::solve::CachePolicy policy) {
@@ -529,30 +550,8 @@ int run_figure(const mf::support::CliArgs& args) {
 
   mf::exp::SweepOptions options;
   options.cache = parse_cache_flag(args);
-  CacheScope cache_scope(args);
-  // One service for the whole run: every sweep (and every --repeat round)
-  // solves through it, and --cache-stats prints its counters.
-  mf::support::ThreadPool pool;
-  mf::solve::SolveService service(&pool, cache_scope.backend());
-  options.executor = &service;
-  // --connect reroutes every solve of the sweep to a scheduler daemon; the
-  // table is bit-identical either way (content-addressed seeds, canonical
-  // wire round-trip), so remote is purely an execution choice.
-  std::optional<mf::serve::RemoteExecutor> remote;
-  if (args.has("connect")) {
-    const auto target = mf::serve::parse_host_port(args.get("connect", ""));
-    if (!target.has_value()) {
-      std::fprintf(stderr, "error: --connect expects HOST:PORT\n");
-      return 2;
-    }
-    mf::serve::RemoteExecutorOptions remote_options;
-    remote_options.host = target->first;
-    remote_options.port = target->second;
-    remote_options.connections = static_cast<std::size_t>(args.get_int("connections", 0));
-    remote_options.client_id = args.get("client-id", "mfsched");
-    remote.emplace(std::move(remote_options));
-    options.executor = &*remote;
-  }
+  // Every flag value is checked before --cache-dir is created.
+  const std::optional<HostPort> target = connect_flag(args);
   if (args.has("shard")) {
     const std::optional<mf::exp::ShardSpec> shard = parse_shard(args.get("shard", ""));
     if (!shard.has_value() || shard->count < 2 || shard->index >= shard->count) {
@@ -561,12 +560,33 @@ int run_figure(const mf::support::CliArgs& args) {
     }
     options.shard = *shard;
   }
+  if (options.shard.is_sharded() && args.get_int("repeat", 1) != 1) {
+    std::fprintf(stderr, "error: --repeat cannot be combined with --shard\n");
+    return 2;
+  }
+
+  std::optional<CacheScope> cache_scope;
+  if (!open_cache_scope(cache_scope, args)) return 1;
+  // One service for the whole run: every sweep (and every --repeat round)
+  // solves through it, and --cache-stats prints its counters.
+  mf::support::ThreadPool pool;
+  mf::solve::SolveService service(&pool, cache_scope->cache());
+  options.executor = &service;
+  // --connect reroutes every solve of the sweep to a scheduler daemon; the
+  // table is bit-identical either way (content-addressed seeds, canonical
+  // wire round-trip), so remote is purely an execution choice.
+  std::optional<mf::serve::RemoteExecutor> remote;
+  if (target.has_value()) {
+    mf::serve::RemoteExecutorOptions remote_options;
+    remote_options.host = target->first;
+    remote_options.port = target->second;
+    remote_options.connections = static_cast<std::size_t>(args.get_int("connections", 0));
+    remote_options.client_id = args.get("client-id", "mfsched");
+    remote.emplace(std::move(remote_options));
+    options.executor = &*remote;
+  }
 
   if (options.shard.is_sharded()) {
-    if (args.get_int("repeat", 1) != 1) {
-      std::fprintf(stderr, "error: --repeat cannot be combined with --shard\n");
-      return 2;
-    }
     const mf::exp::SweepSpec& spec = specs.front();
     print_header(spec, options.cache);
     const mf::exp::SweepResult result = mf::exp::run_sweep(spec, options, &pool);
@@ -589,7 +609,7 @@ int run_figure(const mf::support::CliArgs& args) {
                 options.shard.index, options.shard.count, outcomes, result.points.size(),
                 out.c_str());
     if (wants_cache_stats(args, options.cache) && !remote.has_value()) {
-      cache_scope.print_delta(service);
+      cache_scope->print_delta(service);
     }
     return 0;
   }
@@ -599,7 +619,7 @@ int run_figure(const mf::support::CliArgs& args) {
   if (report.has_value()) std::printf("=== %s: %s ===\n", name.c_str(), report->title);
   for (std::size_t round = 0; round < repeat; ++round) {
     if (repeat > 1) std::printf("--- run %zu of %zu ---\n", round + 1, repeat);
-    cache_scope.reset_baseline(service);
+    cache_scope->reset_baseline(service);
     std::vector<mf::exp::SweepResult> results;
     for (const mf::exp::SweepSpec& spec : specs) {
       print_header(spec, options.cache);
@@ -613,7 +633,7 @@ int run_figure(const mf::support::CliArgs& args) {
     // Remote runs execute in the daemon, where the cache and its counters
     // live; the local scope would read all-zero. --serve-stats reports them.
     if (wants_cache_stats(args, options.cache) && !remote.has_value()) {
-      cache_scope.print_delta(service);
+      cache_scope->print_delta(service);
     }
     if (!out.empty() && !write_out(text, out)) return 1;
   }
@@ -753,14 +773,12 @@ int run_serve(const mf::support::CliArgs& args) {
     std::fprintf(stderr, "error: --serve expects a port in [0, 65535] (0 = ephemeral)\n");
     return 2;
   }
-  CacheScope cache_scope(args);
   mf::serve::DaemonOptions options;
   options.port = static_cast<std::uint16_t>(port);
   options.threads = static_cast<std::size_t>(args.get_int("threads", 0));
   options.max_pending = static_cast<std::size_t>(args.get_int("max-pending", 256));
   options.rate_capacity = args.get_double("rate-limit", 0.0);
   options.rate_refill_per_sec = args.get_double("rate-refill", 1.0);
-  options.cache = cache_scope.backend();
   options.idle_timeout_seconds = args.get_double("idle-timeout", 0.0);
 
   if (args.has("cache-gc-interval")) {
@@ -772,15 +790,19 @@ int run_serve(const mf::support::CliArgs& args) {
                    "15m (s/m/h/d)\n");
       return 2;
     }
-    if (cache_scope.disk() == nullptr) {
+    if (args.get("cache-dir", "").empty()) {
       std::fprintf(stderr, "error: --cache-gc-interval needs --cache-dir DIR\n");
       return 2;
     }
     options.cache_gc_interval_seconds = static_cast<double>(interval->count());
-    options.gc_disk = cache_scope.disk();
     options.gc_max_bytes = gc_cap_flag(args, options.gc_max_bytes);
     options.gc_max_age_seconds = static_cast<std::uint64_t>(gc_ttl_flag(args).count());
   }
+  // Built once every flag value has been checked: a refused flag leaves no
+  // --cache-dir behind.
+  std::optional<CacheScope> cache_scope;
+  if (!open_cache_scope(cache_scope, args)) return 1;
+  options.cache = cache_scope->cache();
 
   mf::serve::Daemon daemon(options);
   try {
@@ -837,7 +859,7 @@ int run_serve(const mf::support::CliArgs& args) {
                 static_cast<unsigned long long>(stats.gc_entries_removed),
                 static_cast<unsigned long long>(stats.gc_bytes_removed));
   }
-  cache_scope.print_delta(daemon.service());
+  cache_scope->print_delta(daemon.service());
   return 0;
 }
 
@@ -990,19 +1012,16 @@ int main(int argc, char** argv) {
   // scheduler daemon use: submit one request, wait on its future. With
   // --connect, the identical request goes to a daemon instead — admission
   // rejections (queue-full, rate-limited) surface as errors, not retries.
-  CacheScope cache_scope(args);
-  mf::solve::SolveService service(nullptr, cache_scope.backend());
+  const std::optional<HostPort> target = connect_flag(args);
+  std::optional<CacheScope> cache_scope;
+  if (!open_cache_scope(cache_scope, args)) return 1;
+  mf::solve::SolveService service(nullptr, cache_scope->cache());
   const mf::solve::SolveResult result = [&] {
     mf::solve::SolveRequest request;
     request.problem = std::make_shared<const mf::core::Problem>(problem);
     request.solver_id = method;
     request.params = params;
-    if (args.has("connect")) {
-      const auto target = mf::serve::parse_host_port(args.get("connect", ""));
-      if (!target.has_value()) {
-        std::fprintf(stderr, "error: --connect expects HOST:PORT\n");
-        std::exit(2);
-      }
+    if (target.has_value()) {
       try {
         mf::serve::Client client(target->first, target->second);
         mf::serve::WireRequest wire;
@@ -1030,7 +1049,7 @@ int main(int argc, char** argv) {
   }();
   // A remote solve ran in the daemon (--serve-stats reports it); the local
   // service never ran, so its all-zero counters would mislead.
-  if (args.has("cache-stats") && !args.has("connect")) cache_scope.print_delta(service);
+  if (args.has("cache-stats") && !target.has_value()) cache_scope->print_delta(service);
 
   const auto& diag = result.diagnostics;
   if (!result.has_mapping()) {

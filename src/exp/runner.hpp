@@ -93,13 +93,13 @@ struct ShardSpec {
 /// Execution options orthogonal to what the sweep measures.
 struct SweepOptions {
   ShardSpec shard;
-  /// Cache policy stamped on every request (solve/cache_backend.hpp):
+  /// Cache policy stamped on every request (solve/solver.hpp):
   /// kReadWrite makes a repeated figure run re-solve nothing.
   solve::CachePolicy cache = solve::CachePolicy::kOff;
   /// Where the sweep's solve batches execute; null means one local
   /// `SolveService` for the whole sweep, over `pool` and the process-wide
   /// `ResultCache::global()`. Pass a `SolveService` of your own to pick the
-  /// cache backend — over a `TieredCache` on a `DiskCache` (mfsched
+  /// cache — over a `ResultCache` with a `DiskCache` tier (mfsched
   /// --cache-dir) the warm-sweep guarantee survives the process — or to
   /// read its counters afterwards. Point it at a `serve::RemoteExecutor`
   /// and every (trial, method) solve ships to a scheduler daemon instead —

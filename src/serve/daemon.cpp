@@ -18,7 +18,6 @@
 
 #include "core/digest.hpp"
 #include "serve/event_loop.hpp"
-#include "solve/cache_backend.hpp"
 #include "solve/disk_cache.hpp"
 #include "solve/solver.hpp"
 #include "support/record.hpp"
@@ -90,7 +89,7 @@ struct EpollServer {
     watch_listener();
     arm_housekeeping();
     if (daemon_.options_.cache_gc_interval_seconds > 0.0 &&
-        daemon_.options_.gc_disk != nullptr) {
+        daemon_.service_->cache().disk() != nullptr) {
       arm_gc();
     }
   }
@@ -532,7 +531,7 @@ void Daemon::wait() {
 DaemonStatsSnapshot Daemon::stats_snapshot() const {
   DaemonStatsSnapshot stats;
   stats.service = service_->stats();
-  stats.cache = service_->backend().stats();
+  stats.cache = service_->cache().stats();
   stats.connections_active = connections_active_.load(std::memory_order_relaxed);
   stats.connections_total = connections_total_.load(std::memory_order_relaxed);
   stats.pending = pending_.load(std::memory_order_relaxed);
@@ -553,18 +552,14 @@ DaemonStatsSnapshot Daemon::stats_snapshot() const {
   return stats;
 }
 
-double Daemon::now_seconds() noexcept {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 void Daemon::run_gc_once() {
-  if (options_.gc_disk == nullptr) return;
+  solve::DiskCache* const disk = service_->cache().disk();
+  if (disk == nullptr) return;
   const std::uint64_t cap = options_.gc_max_bytes == 0
                                 ? std::numeric_limits<std::uint64_t>::max()
                                 : options_.gc_max_bytes;
-  const solve::DiskGcReport report = options_.gc_disk->gc(
-      cap, std::chrono::seconds(options_.gc_max_age_seconds));
+  const solve::DiskGcReport report =
+      disk->gc(cap, std::chrono::seconds(options_.gc_max_age_seconds));
   gc_runs_.fetch_add(1, std::memory_order_relaxed);
   gc_entries_removed_.fetch_add(report.entries_removed, std::memory_order_relaxed);
   gc_bytes_removed_.fetch_add(report.bytes_removed, std::memory_order_relaxed);
@@ -583,7 +578,7 @@ std::optional<WireRequest> Daemon::admit_solve(const std::string& body, Frame& r
     return std::nullopt;
   }
 
-  if (!limiter_.try_acquire(wire->client_id, now_seconds())) {
+  if (!limiter_.try_acquire(wire->client_id, EventLoop::now_seconds())) {
     service_->note_rejected_rate_limited();
     refusal = {FrameType::kError,
                error_body(kErrRateLimited,

@@ -1,8 +1,8 @@
 // The scheduler daemon: a TCP front end over one shared `SolveService`.
 //
-// One daemon owns one thread pool, one cache backend view, and one
-// `SolveService` — every connection funnels into the same single-flight
-// table and tiered cache, so N clients asking for the same figure sweep
+// One daemon owns one thread pool and one `SolveService` over one
+// `ResultCache` — every connection funnels into the same single-flight
+// table and cache, so N clients asking for the same figure sweep
 // cost one solve per distinct identity, exactly as if they shared a
 // process.
 //
@@ -18,8 +18,9 @@
 // The reactor's timer queue also does the daemon's housekeeping:
 // idle-connection timeouts (measured frame-to-frame, so a byte-dribbling
 // slow-loris client is closed on schedule), rate-limiter bucket pruning,
-// and — when configured — periodic `DiskCache::gc` so a long-lived daemon
-// enforces its cache cap/TTL without a separate `--cache-gc` invocation.
+// and — when configured — periodic `DiskCache::gc` of the cache's disk
+// tier, so a long-lived daemon enforces its cache cap/TTL without a
+// separate `--cache-gc` invocation.
 //
 // Shutdown is a drain, not an abort: `drain()` stops accepting, marks the
 // daemon draining (new solve frames are refused with `draining`), and
@@ -39,10 +40,6 @@
 #include "serve/rate_limiter.hpp"
 #include "solve/service.hpp"
 #include "support/thread_pool.hpp"
-
-namespace mf::solve {
-class DiskCache;
-}  // namespace mf::solve
 
 namespace mf::serve {
 
@@ -69,21 +66,18 @@ struct DaemonOptions {
   /// flight are exempt. Activity is counted per *frame*, not per byte, so
   /// a slow-loris client dribbling a header cannot stay alive forever.
   double idle_timeout_seconds = 0.0;
-  /// Run `DiskCache::gc(gc_max_bytes, gc_max_age_seconds)` on the reactor's
-  /// timer every this-many seconds; <= 0 (or a null `gc_disk`) disables.
+  /// Run `DiskCache::gc(gc_max_bytes, gc_max_age_seconds)` over the
+  /// cache's disk tier on the reactor's timer every this-many seconds;
+  /// <= 0 (or a cache without a disk tier) disables.
   double cache_gc_interval_seconds = 0.0;
-  /// The disk tier the GC timer compacts. Distinct from `cache` because
-  /// the service's backend is usually a `TieredCache` wrapper that does
-  /// not expose gc().
-  solve::DiskCache* gc_disk = nullptr;
   /// Byte cap handed to the periodic gc; 0 means "no byte cap" (TTL-only).
   std::uint64_t gc_max_bytes = 0;
   /// TTL handed to the periodic gc; 0 disables age-based expiry.
   std::uint64_t gc_max_age_seconds = 0;
-  /// Cache backend the service uses; nullptr = the process-wide
-  /// `ResultCache::global()`. Point it at a `TieredCache` over a
-  /// `DiskCache` for a warm-across-restarts daemon.
-  solve::CacheBackend* cache = nullptr;
+  /// The cache the service uses; nullptr = the process-wide
+  /// `ResultCache::global()`. Give it a `DiskCache` tier for a
+  /// warm-across-restarts daemon.
+  solve::ResultCache* cache = nullptr;
 };
 
 struct EpollServer;
@@ -129,9 +123,8 @@ class Daemon {
   /// must release it after answering) or nullopt with `refusal` filled.
   [[nodiscard]] std::optional<WireRequest> admit_solve(const std::string& body,
                                                        Frame& refusal);
-  /// One periodic-GC pass over `options_.gc_disk`; updates the counters.
+  /// One periodic-GC pass over the cache's disk tier; updates the counters.
   void run_gc_once();
-  [[nodiscard]] static double now_seconds() noexcept;
 
   DaemonOptions options_;
   std::unique_ptr<support::ThreadPool> pool_;

@@ -1,79 +1,93 @@
 #include "solve/cache.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <utility>
+#include "solve/disk_cache.hpp"
 
 namespace mf::solve {
 
-std::size_t ResultCache::hash_key(const CacheKey& key) {
-  return static_cast<std::size_t>(key.hash);
-}
+ResultCache::ResultCache(std::size_t capacity, DiskCache* disk)
+    : capacity_(capacity > 0 ? capacity : 1), disk_(disk) {}
 
-ResultCache::ResultCache(std::size_t capacity)
-    : capacity_(capacity > 0 ? capacity : 1),
-      shard_capacity_(std::max<std::size_t>(1, capacity_ / kShardCount)) {}
-
-ResultCache::Shard& ResultCache::shard_for(const CacheKey& key) {
-  // The map hash picks buckets inside a shard; rotating it decorrelates the
-  // shard choice from the bucket choice.
-  return shards_[std::rotr(static_cast<std::uint64_t>(hash_key(key)), 17) % kShardCount];
+bool ResultCache::store_locked(const CacheKey& key, const SolveResult& result) {
+  if (const auto it = index_.find(key); it != index_.end()) {
+    it->second->result = result;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return false;
+  }
+  lru_.push_front(Entry{key, result});
+  index_.emplace(key, lru_.begin());
+  if (lru_.size() > capacity_) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+    ++evictions_;
+  }
+  return true;
 }
 
 std::optional<SolveResult> ResultCache::lookup(const CacheKey& key) {
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+  {
+    std::lock_guard lock(mutex_);
+    if (const auto it = index_.find(key); it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      ++hits_;
+      return it->second->result;
+    }
+    if (disk_ == nullptr) {
+      ++misses_;
+      return std::nullopt;
+    }
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->result;
+  // The disk read runs unlocked; a twin promoted meanwhile is refreshed.
+  std::optional<SolveResult> hit = disk_->lookup(key);
+  std::lock_guard lock(mutex_);
+  if (hit.has_value()) {
+    store_locked(key, *hit);
+    ++hits_;
+  } else {
+    ++misses_;
+  }
+  return hit;
 }
 
 void ResultCache::insert(const CacheKey& key, const SolveResult& result) {
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    it->second->result = result;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
+  {
+    std::lock_guard lock(mutex_);
+    if (store_locked(key, result)) ++insertions_;
   }
-  shard.lru.push_front(Entry{key, result});
-  shard.index.emplace(key, shard.lru.begin());
-  insertions_.fetch_add(1, std::memory_order_relaxed);
-  size_.fetch_add(1, std::memory_order_relaxed);
-  while (shard.lru.size() > shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    size_.fetch_sub(1, std::memory_order_relaxed);
-  }
+  if (disk_ != nullptr) disk_->insert(key, result);
 }
 
 CacheStats ResultCache::stats() const {
   CacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.insertions = insertions_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.size = size_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard lock(mutex_);
+    stats.hits = hits_;
+    stats.misses = misses_;
+    stats.insertions = insertions_;
+    stats.evictions = evictions_;
+    stats.size = lru_.size();
+  }
+  if (disk_ != nullptr) {
+    const CacheStats disk = disk_->stats();
+    stats.evictions += disk.evictions;
+    stats.size = disk.size;
+    stats.bytes = disk.bytes;
+  }
   return stats;
 }
 
 void ResultCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    size_.fetch_sub(shard.lru.size(), std::memory_order_relaxed);
-    shard.index.clear();
-    shard.lru.clear();
+  {
+    std::lock_guard lock(mutex_);
+    index_.clear();
+    lru_.clear();
   }
+  if (disk_ != nullptr) disk_->clear();
 }
 
 std::string ResultCache::describe() const {
-  return "memory-lru(" + std::to_string(capacity_) + ")";
+  std::string text = "memory-lru(" + std::to_string(capacity_) + ")";
+  if (disk_ != nullptr) text += " over " + disk_->describe();
+  return text;
 }
 
 ResultCache& ResultCache::global() {

@@ -1,4 +1,5 @@
-// The in-memory cache backend: a sharded-mutex LRU over solve results.
+// The result cache: one exact LRU over solve results, optionally written
+// through to a persistent `DiskCache`.
 //
 // The paper's figures are paired-design sweeps: every method re-solves the
 // same random instances, hundreds of times per point, and re-running a
@@ -9,21 +10,21 @@
 // canonical parameter set), so a hit is exactly the result the solver would
 // recompute; the hash only picks the bucket.
 //
-// Concurrency: the cache is sharded — kShardCount independent
-// (mutex, LRU list, hash map) triples selected by key hash — so a
-// SolveService fan hitting the cache from every pool thread contends only
-// per shard. Each shard evicts least-recently-used entries beyond its slice
-// of the capacity. Hit/miss/insert/evict counters are atomics of the cache
-// instance, surfaced through `stats()` and, per result,
-// `diagnostics.cache_hit`; request counters live on the `SolveService` the
-// caller holds (solve/service.hpp).
+// Concurrency: one mutex guards the recency list, its index and the
+// counters. Lookups run on the thread that submits a request (a sweep's
+// own thread, the CLI's main thread, the daemon's reactor) and inserts on
+// the pool threads that finish solves; each holds the lock for a map probe
+// and a list splice, and no file I/O happens under it.
 //
-// For entries that must survive the process, layer this over a `DiskCache`
-// with `TieredCache` (solve/tiered_cache.hpp).
+// Disk tier: built over a `DiskCache`, the cache writes every insert
+// through to the directory and answers a memory miss from it, promoting
+// the hit, so a restarted process — or a sibling shard process on the same
+// --cache-dir — re-solves nothing it has seen. The caller keeps the
+// `DiskCache` alive and may `gc()` it at any time (the daemon's GC timer
+// does); an entry gc removed keeps serving from memory until evicted.
 #pragma once
 
-#include <array>
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -35,34 +36,47 @@
 
 namespace mf::solve {
 
-class ResultCache final : public CacheBackend {
+class DiskCache;
+
+class ResultCache {
  public:
-  static constexpr std::size_t kShardCount = 16;
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
-  /// `capacity` bounds the total entry count; each shard holds an equal
-  /// slice (at least one entry) and evicts LRU beyond it.
-  explicit ResultCache(std::size_t capacity = kDefaultCapacity);
+  /// `capacity` bounds the in-memory entry count exactly (at least 1); the
+  /// least recently used entry is evicted beyond it. `disk`, when given, is
+  /// the persistent tier and must outlive the cache.
+  explicit ResultCache(std::size_t capacity = kDefaultCapacity, DiskCache* disk = nullptr);
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Returns the cached result and refreshes its LRU position; counts a
-  /// hit or a miss either way.
-  [[nodiscard]] std::optional<SolveResult> lookup(const CacheKey& key) override;
+  /// Returns the cached result and makes it the most recently used. A
+  /// memory miss asks the disk tier, whose hit is promoted into memory and
+  /// counted as a hit. Counts a hit or a miss either way.
+  [[nodiscard]] std::optional<SolveResult> lookup(const CacheKey& key);
 
-  /// Stores (or refreshes) a result, evicting the shard's LRU tail beyond
-  /// capacity.
-  void insert(const CacheKey& key, const SolveResult& result) override;
+  /// Stores (or refreshes) a result as the most recently used, evicting the
+  /// least recently used entry beyond capacity, then writes it through to
+  /// the disk tier (best effort: a failed write costs a future miss).
+  void insert(const CacheKey& key, const SolveResult& result);
 
-  [[nodiscard]] CacheStats stats() const override;
+  /// Hits, misses and insertions are this cache's own; evictions add the
+  /// disk tier's gc removals to the LRU's. With a disk tier, `size` and
+  /// `bytes` are the directory's (a scan: what a fresh process would find);
+  /// without one they are the in-memory entry count and 0.
+  [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  void clear() override;
-  [[nodiscard]] std::string describe() const override;
+  /// Drops every entry of both tiers; counters keep accumulating (they
+  /// describe the process, not the current contents).
+  void clear();
+  /// "memory-lru(N)", or "memory-lru(N) over disk(DIR)" with a disk tier.
+  [[nodiscard]] std::string describe() const;
+  /// The persistent tier, or nullptr for a memory-only cache.
+  [[nodiscard]] DiskCache* disk() const noexcept { return disk_; }
 
-  /// The process-wide cache `run()` and every `SolveService` built without
-  /// a backend consult. Sized at kDefaultCapacity; dedicated instances are
-  /// for tests and tools.
+  /// The process-wide memory-only cache `run()` and every `SolveService`
+  /// built without one consult. Sized at kDefaultCapacity; dedicated
+  /// instances are for tests and tools.
   [[nodiscard]] static ResultCache& global();
 
  private:
@@ -70,25 +84,21 @@ class ResultCache final : public CacheBackend {
     CacheKey key;
     SolveResult result;
   };
-  struct Shard {
-    std::mutex mutex;
-    std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<CacheKey, std::list<Entry>::iterator,
-                       std::size_t (*)(const CacheKey&)>
-        index{0, &hash_key};
-  };
 
-  [[nodiscard]] static std::size_t hash_key(const CacheKey& key);
-  [[nodiscard]] Shard& shard_for(const CacheKey& key);
+  /// Makes `key` the most recent entry, holding `result`, and evicts the
+  /// least recent beyond capacity; true when the key was not resident.
+  /// The caller holds `mutex_`.
+  bool store_locked(const CacheKey& key, const SolveResult& result);
 
-  std::size_t capacity_;
-  std::size_t shard_capacity_;
-  std::array<Shard, kShardCount> shards_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> insertions_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::size_t> size_{0};
+  const std::size_t capacity_;
+  DiskCache* const disk_;
+  mutable std::mutex mutex_;
+  std::list<Entry> lru_;  ///< front = most recently used
+  std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash> index_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t insertions_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace mf::solve

@@ -1,18 +1,17 @@
-// The cache contract of the solve layer: one canonical key and one backend
-// interface.
+// The cache vocabulary of the solve layer: one canonical key, its hash and
+// the counters every store reports.
 //
 // A `CacheKey` is the full identity of a solve — the 128-bit problem
 // digest, the effective solver id, the scenario provenance label, and the
 // canonicalized parameter set — so a hit is exactly the result the solver
-// would recompute. `CacheBackend` is what the execution layer talks to;
-// implementations are the sharded-mutex in-memory LRU (`ResultCache`,
-// solve/cache.hpp), the persistent on-disk store (`DiskCache`,
-// solve/disk_cache.hpp), and the memory-over-disk composite (`TieredCache`,
-// solve/tiered_cache.hpp). `SolveService` (solve/service.hpp) is the one
-// code path that applies a request's `CachePolicy` against a backend, with
+// would recompute. The one cache type is `ResultCache` (solve/cache.hpp),
+// an exact in-memory LRU that can write through to a persistent
+// `DiskCache` (solve/disk_cache.hpp). `SolveService` (solve/service.hpp) is
+// the one code path that applies a request's `CachePolicy` against it, with
 // single-flight deduplication on top; `run()` is a one-request service.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -32,12 +31,6 @@ namespace mf::solve {
 /// Double-valued params are stored as normalized IEEE-754 bit patterns
 /// (-0.0 folded into +0.0), keeping equality and hashing consistent for
 /// every input including NaN.
-///
-/// Caveat: a nonzero `time_limit_ms` makes the refinement-skip decision
-/// wall-clock dependent, so a result computed on a loaded machine may be
-/// the unrefined variant — a later hit returns it verbatim where a fresh
-/// solve might have refined. Time-limited requests that must re-race the
-/// clock each run should not use kReadWrite.
 struct CacheKey {
   core::Digest problem;
   std::string solver_id;  ///< effective id, e.g. "H4w+ls"
@@ -53,8 +46,8 @@ struct CacheKey {
   std::uint64_t refine_min_relative_gain_bits = 0;
   /// 128-bit digest (hash_hi, hash) over every identity field above, filled
   /// by `make_cache_key` (the only way keys are built). The low word picks
-  /// shards and hash-map buckets; both words together name on-disk entry
-  /// files, wide enough that distinct keys colliding is not a practical
+  /// hash-map buckets (`CacheKeyHash`); both words together name on-disk
+  /// entry files, wide enough that distinct keys colliding is not a practical
   /// concern (and a collision still degrades to a miss — stored entries
   /// carry their full key, which lookups verify). Not part of the identity
   /// itself.
@@ -74,6 +67,14 @@ struct CacheKey {
   }
 };
 
+/// The one hash of a `CacheKey` in an unordered container: the low word of
+/// its digest, already uniformly mixed.
+struct CacheKeyHash {
+  [[nodiscard]] std::size_t operator()(const CacheKey& key) const noexcept {
+    return static_cast<std::size_t>(key.hash);
+  }
+};
+
 /// Canonicalizes (problem digest, resolved solver id, params) into a key.
 /// `effective_id` must already include composition suffixes — pass
 /// `effective_solver_id(...)` or `Solver::id()` output.
@@ -87,37 +88,14 @@ struct CacheStats {
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
   std::size_t size = 0;  ///< entries currently resident
-  /// Bytes the resident entries occupy on persistent storage; 0 for
-  /// memory-only backends (tiers report the sum of their layers).
+  /// Bytes the resident entries occupy on persistent storage; 0 for a
+  /// memory-only cache.
   std::uint64_t bytes = 0;
 
   [[nodiscard]] double hit_rate() const noexcept {
     const std::uint64_t lookups = hits + misses;
     return lookups == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(lookups);
   }
-};
-
-/// What the execution layer (`SolveService`, alias `BatchSolver`) requires
-/// of a result store. Implementations must be safe for concurrent
-/// lookup/insert from pool threads, and a lookup hit must return exactly
-/// the result the solver would recompute for that key — backends that
-/// cannot guarantee an entry's integrity (e.g. a torn on-disk file) must
-/// report a miss, never a corrupted result.
-class CacheBackend {
- public:
-  virtual ~CacheBackend() = default;
-
-  /// Returns the stored result, or nullopt on a miss; counts either way.
-  [[nodiscard]] virtual std::optional<SolveResult> lookup(const CacheKey& key) = 0;
-  /// Stores (or refreshes) a result. Best-effort for persistent backends: a
-  /// failed write costs a future miss, never corruption.
-  virtual void insert(const CacheKey& key, const SolveResult& result) = 0;
-  [[nodiscard]] virtual CacheStats stats() const = 0;
-  /// Drops every entry; counters keep accumulating (they describe the
-  /// process, not the current contents).
-  virtual void clear() = 0;
-  /// One-line backend description for logs, e.g. "memory-lru(65536)".
-  [[nodiscard]] virtual std::string describe() const = 0;
 };
 
 }  // namespace mf::solve

@@ -1,6 +1,8 @@
-// The persistent cache backend: a directory of solve-result entries that
+// The persistent cache tier: a directory of solve-result entries that
 // survives the process, so figure campaigns restart warm and cooperating
-// shard processes on one host reuse each other's solves.
+// shard processes on one host reuse each other's solves. A `ResultCache`
+// built over one (solve/cache.hpp) writes through to it and promotes its
+// hits into memory.
 //
 // Each entry is one text file named by the key's 128-bit digest
 // (32 hex chars + ".mfc"), holding a version header, the *full* canonical
@@ -56,7 +58,7 @@ struct DiskGcReport {
 [[nodiscard]] std::optional<std::pair<CacheKey, SolveResult>> entry_from_text(
     const std::string& text);
 
-class DiskCache final : public CacheBackend {
+class DiskCache {
  public:
   /// Creates `directory` (and parents) when absent; throws when the path
   /// exists but is not a directory or cannot be created.
@@ -67,13 +69,13 @@ class DiskCache final : public CacheBackend {
 
   /// A hit refreshes the entry file's mtime (best effort), so `gc`'s
   /// LRU-by-mtime order reflects last *use*, not just last write.
-  [[nodiscard]] std::optional<SolveResult> lookup(const CacheKey& key) override;
-  void insert(const CacheKey& key, const SolveResult& result) override;
+  [[nodiscard]] std::optional<SolveResult> lookup(const CacheKey& key);
+  void insert(const CacheKey& key, const SolveResult& result);
   /// `size`/`bytes` count the entry files currently in the directory (a
   /// scan — the directory is shared with other processes, so no resident
   /// counter can be authoritative). Evictions count entries removed by
   /// this instance's `gc` passes.
-  [[nodiscard]] CacheStats stats() const override;
+  [[nodiscard]] CacheStats stats() const;
   /// Shrinks the directory to at most `max_bytes` of entry files, deleting
   /// least-recently-used entries first (LRU by file mtime; lookups refresh
   /// it). A nonzero `max_age` adds the TTL sweep: entries not used for
@@ -89,8 +91,8 @@ class DiskCache final : public CacheBackend {
   DiskGcReport gc(std::uint64_t max_bytes,
                   std::chrono::seconds max_age = std::chrono::seconds::zero());
   /// Removes every entry file (and stale temp files) in the directory.
-  void clear() override;
-  [[nodiscard]] std::string describe() const override;
+  void clear();
+  [[nodiscard]] std::string describe() const;
 
   [[nodiscard]] const std::filesystem::path& directory() const noexcept { return dir_; }
 

@@ -48,7 +48,7 @@ std::future<SolveResult> future_completion(std::function<void(SolveResult)>& don
 
 }  // namespace
 
-SolveService::SolveService(support::ThreadPool* pool, CacheBackend* cache)
+SolveService::SolveService(support::ThreadPool* pool, ResultCache* cache)
     : pool_(pool), cache_(cache != nullptr ? cache : &ResultCache::global()) {}
 
 SolveService::~SolveService() {
@@ -105,7 +105,7 @@ void SolveService::deliver(const Completion& done, SolveResult result) {
 
 void SolveService::finish_flight(const std::optional<CacheKey>& key, Flight& flight,
                                  SolveResult result) {
-  // Populate the backend BEFORE detaching the flight — the order is what
+  // Populate the cache BEFORE detaching the flight — the order is what
   // upholds "at most one solve per identity": a twin arriving during the
   // insert still joins the flight, and one arriving after the detach finds
   // the entry already stored. Write-through happens when ANY waiter asked
@@ -162,6 +162,12 @@ bool SolveService::join_flight(const CacheKey& key, Completion& done, bool write
 void SolveService::start(SolveRequest request, std::shared_ptr<const Solver> solver,
                          std::optional<core::Digest> digest, Completion done) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
+  // A time-limited refinement races the wall clock (RefinedSolver skips it
+  // once the base solve has used the limit up), so its result is not a
+  // function of its key: solve it as kOff — no probe, no twin, no store.
+  if (request.params.time_limit_ms > 0.0 && solver->id().ends_with("+ls")) {
+    request.params.cache = CachePolicy::kOff;
+  }
   const bool write_through = request.params.cache == CachePolicy::kReadWrite;
   std::optional<CacheKey> key;
   if (request.params.cache != CachePolicy::kOff) {
@@ -178,7 +184,7 @@ void SolveService::start(SolveRequest request, std::shared_ptr<const Solver> sol
     try {
       hit = cache_->lookup(*key);
     } catch (...) {
-      hit.reset();  // a misbehaving backend degrades to the solve path
+      hit.reset();  // a failing lookup degrades to the solve path
     }
     if (hit.has_value()) {
       hit->diagnostics.cache_hit = true;

@@ -15,12 +15,16 @@
 //     completes (their results carry `diagnostics.dedup_joined`). Because
 //     the cache key is the full solve identity, a shared result is
 //     bit-for-bit the result each request would have computed alone.
-//   * Shared backend population — a completed read-write solve lands in the
-//     `CacheBackend` (in-memory, on-disk, or tiered), so in-flight sharing
-//     hands off seamlessly to cache hits once the flight finishes.
+//   * Shared cache population — a completed read-write solve lands in the
+//     `ResultCache` (and, through it, in its disk tier when it has one), so
+//     in-flight sharing hands off seamlessly to cache hits once the flight
+//     finishes.
 //
 // Requests with CachePolicy::kOff have no key and therefore no
-// deduplication — they run independently, as demanded.
+// deduplication — they run independently, as demanded. So does a "+ls"
+// request with a positive `time_limit_ms`: whether its refinement runs
+// depends on the wall clock (the refiner is skipped once the base solve
+// has used up the limit), so its result is not a function of its key.
 //
 // `submit()`, `submit_async()` and `solve_all()` are three faces of one
 // private submit path that answers through a completion callback.
@@ -44,7 +48,7 @@
 #include <vector>
 
 #include "core/platform.hpp"
-#include "solve/cache_backend.hpp"
+#include "solve/cache.hpp"
 #include "solve/solver.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -67,8 +71,8 @@ struct SolveRequest {
   bool derive_stream_seed = true;
 };
 
-/// Service-level counters, distinct from any backend's `CacheStats`: these
-/// describe requests, the backend's describe entries.
+/// Service-level counters, distinct from the cache's `CacheStats`: these
+/// describe requests, the cache's describe entries.
 struct ServiceStats {
   std::uint64_t submitted = 0;     ///< requests accepted
   std::uint64_t completed = 0;     ///< requests answered (counted before the
@@ -104,9 +108,9 @@ class SolveService : public SolveExecutor {
   /// `pool` may be null: every request is then answered synchronously,
   /// before submit() returns its (already-ready) future — `run()` and the
   /// serial sweeps use this mode. `cache` overrides the process-wide
-  /// `ResultCache::global()` (point it at a `TieredCache` for persistence).
+  /// `ResultCache::global()` (give it a disk tier for persistence).
   explicit SolveService(support::ThreadPool* pool = nullptr,
-                        CacheBackend* cache = nullptr);
+                        ResultCache* cache = nullptr);
 
   SolveService(const SolveService&) = delete;
   SolveService& operator=(const SolveService&) = delete;
@@ -156,7 +160,7 @@ class SolveService : public SolveExecutor {
   /// wants to report what a run did holds one service for the run.
   [[nodiscard]] ServiceStats stats() const;
 
-  [[nodiscard]] CacheBackend& backend() const noexcept { return *cache_; }
+  [[nodiscard]] ResultCache& cache() const noexcept { return *cache_; }
 
   /// The per-request seed stream `solve_all` applies: requests sharing one
   /// base seed still get statistically independent RNG streams, and the
@@ -180,11 +184,6 @@ class SolveService : public SolveExecutor {
     /// — and the twin's write-through wish must still be honoured.
     /// Guarded by flights_mutex_.
     bool write_through = false;
-  };
-  struct KeyHash {
-    std::size_t operator()(const CacheKey& key) const noexcept {
-      return static_cast<std::size_t>(key.hash);
-    }
   };
 
   /// The one submit path under submit(), submit_async() and solve_all():
@@ -210,10 +209,10 @@ class SolveService : public SolveExecutor {
   void finish_task();
 
   support::ThreadPool* pool_;
-  CacheBackend* cache_;
+  ResultCache* cache_;
 
   std::mutex flights_mutex_;
-  std::unordered_map<CacheKey, std::shared_ptr<Flight>, KeyHash> flights_;
+  std::unordered_map<CacheKey, std::shared_ptr<Flight>, CacheKeyHash> flights_;
 
   std::mutex outstanding_mutex_;
   std::condition_variable outstanding_cv_;

@@ -39,7 +39,7 @@ enum class Status {
 
 [[nodiscard]] std::string to_string(Status status);
 
-/// How a solve interacts with the cache backend of the `SolveService` that
+/// How a solve interacts with the result cache of the `SolveService` that
 /// runs it (solve/service.hpp; `run()` uses the process-wide `ResultCache`,
 /// solve/cache.hpp). The cache key is (problem digest, effective solver id,
 /// canonicalized params), so a hit is guaranteed to be the result the

@@ -128,9 +128,4 @@ void parallel_for(ThreadPool& pool, std::size_t count,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body) {
-  ThreadPool pool;
-  parallel_for(pool, count, body);
-}
-
 }  // namespace mf::support

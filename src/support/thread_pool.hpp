@@ -113,8 +113,4 @@ class ThreadPool {
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& body);
 
-/// One-shot convenience that builds a pool of `default_thread_count()`
-/// workers. Suitable for coarse-grained work (each body call >= ~100us).
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
-
 }  // namespace mf::support

@@ -1,11 +1,12 @@
 // Tests for the content-addressed result cache: key canonicalization, hit
 // determinism (a cached result is the result the solver would recompute),
-// the off/read/read-write policies, LRU eviction, and the warm-sweep
+// the off/read/read-write policies, exact LRU eviction, and the warm-sweep
 // guarantee — a repeated figure sweep with a read-write cache re-solves
 // zero instances, under every failure regime.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "core/digest.hpp"
 #include "exp/figures.hpp"
@@ -160,16 +161,64 @@ TEST(Cache, OffPolicyNeverTouchesTheCache) {
 }
 
 TEST(Cache, BoundedByCapacityWithLruEviction) {
-  ResultCache cache(ResultCache::kShardCount);  // one entry per shard
+  ResultCache cache(16);
   SolveParams params;
   params.cache = CachePolicy::kReadWrite;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
     (void)test::solve_through(cache, "H2", small_problem(seed), params);
   }
   const CacheStats stats = cache.stats();
-  EXPECT_LE(stats.size, cache.capacity());
-  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.size, cache.capacity());
+  EXPECT_EQ(stats.evictions, 48u);
   EXPECT_EQ(stats.size + stats.evictions, stats.insertions);
+  // The 16 newest solves are resident and the 48 oldest were evicted.
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    const CacheKey key = make_cache_key(core::digest(small_problem(seed)), "H2", params);
+    EXPECT_EQ(cache.lookup(key).has_value(), seed >= 48) << seed;
+  }
+}
+
+/// A key per `n` and a result that names it, for filling caches fast.
+CacheKey numbered_key(std::uint64_t n) {
+  static const core::Digest problem = core::digest(small_problem());
+  SolveParams params;
+  params.seed = n;
+  return make_cache_key(problem, "H1", params);
+}
+
+SolveResult numbered_result(std::uint64_t n) {
+  SolveResult result;
+  result.status = Status::kFeasible;
+  result.period = static_cast<double>(n);
+  return result;
+}
+
+TEST(Cache, ExactLruHoldsCapacityEntriesAndEvictsTheLeastRecent) {
+  // The capacity is the entry count, whatever it is.
+  for (const std::size_t capacity : {1u, 4u, 17u, 40u}) {
+    ResultCache cache(capacity);
+    for (std::uint64_t n = 0; n < 2000; ++n) cache.insert(numbered_key(n), numbered_result(n));
+    EXPECT_EQ(cache.stats().size, capacity);
+    EXPECT_EQ(cache.stats().evictions, 2000 - capacity);
+  }
+
+  // The `capacity` newest inserts are all resident, the older ones gone.
+  ResultCache cache(64);
+  for (std::uint64_t n = 0; n < 80; ++n) cache.insert(numbered_key(n), numbered_result(n));
+  for (std::uint64_t n = 0; n < 80; ++n) {
+    const std::optional<SolveResult> hit = cache.lookup(numbered_key(n));
+    ASSERT_EQ(hit.has_value(), n >= 16) << n;
+    if (hit.has_value()) EXPECT_EQ(hit->period, static_cast<double>(n));
+  }
+
+  // A lookup makes an entry the most recent: the lookups above ran oldest
+  // first, so 16 is the least recent; touching it leaves 17 to evict next.
+  ASSERT_TRUE(cache.lookup(numbered_key(16)).has_value());
+  cache.insert(numbered_key(80), numbered_result(80));
+  EXPECT_TRUE(cache.lookup(numbered_key(16)).has_value());
+  EXPECT_FALSE(cache.lookup(numbered_key(17)).has_value());
+  EXPECT_TRUE(cache.lookup(numbered_key(18)).has_value());
+  EXPECT_EQ(cache.stats().size, 64u);
 }
 
 TEST(Cache, ClearDropsEntriesButKeepsCounters) {

@@ -1,5 +1,5 @@
-// Tests for the persistent on-disk cache backend and the memory-over-disk
-// tier: entry round-trips are bit-exact, a fresh DiskCache instance (the
+// Tests for the persistent on-disk cache and a `ResultCache` over it:
+// entry round-trips are bit-exact, a fresh DiskCache instance (the
 // stand-in for a fresh process) serves what a prior one stored, and the
 // robustness contract holds — corrupt, truncated, or version-mismatched
 // entry files are misses, never crashes, and concurrent writers on one
@@ -26,7 +26,6 @@
 #include "solve/cache.hpp"
 #include "solve/disk_cache.hpp"
 #include "solve/registry.hpp"
-#include "solve/tiered_cache.hpp"
 #include "test_helpers.hpp"
 
 namespace mf::solve {
@@ -68,7 +67,8 @@ StoredEntry solve_and_store(DiskCache& cache, std::uint64_t seed = 3) {
   SolveParams params;
   params.seed = seed;
   params.cache = CachePolicy::kReadWrite;
-  const SolveResult result = test::solve_through(cache, "H1", problem, params);
+  ResultCache memory(64, &cache);
+  const SolveResult result = test::solve_through(memory, "H1", problem, params);
   return {make_cache_key(core::digest(problem), "H1", params), result};
 }
 
@@ -120,11 +120,13 @@ TEST_F(DiskCacheTest, CachedSolveThroughFreshInstanceIsACrossProcessWarmHit) {
 
   SolveResult cold;
   {
-    DiskCache first_process(dir_);
+    DiskCache first_disk(dir_);
+    ResultCache first_process(64, &first_disk);
     cold = test::solve_through(first_process, "H1", problem, params);
     EXPECT_FALSE(cold.diagnostics.cache_hit);
   }
-  DiskCache second_process(dir_);
+  DiskCache second_disk(dir_);
+  ResultCache second_process(64, &second_disk);
   const SolveResult warm = test::solve_through(second_process, "H1", problem, params);
   EXPECT_TRUE(warm.diagnostics.cache_hit);
   EXPECT_EQ(warm.status, cold.status);
@@ -300,7 +302,6 @@ TEST_F(DiskCacheTest, ClearRemovesEntries) {
 }
 
 TEST_F(DiskCacheTest, TieredPromotesDiskHitsIntoMemory) {
-  ResultCache memory(64);
   DiskCache disk(dir_);
   {
     // Populate the disk layer only (a "previous process").
@@ -316,36 +317,36 @@ TEST_F(DiskCacheTest, TieredPromotesDiskHitsIntoMemory) {
     return StoredEntry{make_cache_key(core::digest(problem), solver->id(), params), {}};
   }();
 
-  TieredCache tiered(memory, disk);
-  EXPECT_EQ(memory.stats().size, 0u);
-  ASSERT_TRUE(tiered.lookup(stored.key).has_value()) << "disk layer answers";
-  EXPECT_EQ(memory.stats().size, 1u) << "hit was promoted into the memory layer";
-  // Second lookup is served by memory: the disk hit counter stays put.
-  const std::uint64_t disk_hits = disk.stats().hits;
-  ASSERT_TRUE(tiered.lookup(stored.key).has_value());
-  EXPECT_EQ(disk.stats().hits, disk_hits);
-  EXPECT_EQ(tiered.stats().hits, 2u);
-  EXPECT_EQ(tiered.stats().misses, 0u);
+  ResultCache cache(64, &disk);
+  ASSERT_TRUE(cache.lookup(stored.key).has_value()) << "disk layer answers";
+  EXPECT_EQ(disk.stats().hits, 1u);
+  // The hit was promoted into memory: with its entry file gone, the second
+  // lookup still hits, and the disk layer is not asked again.
+  ASSERT_TRUE(fs::remove(dir_ / DiskCache::entry_filename(stored.key)));
+  ASSERT_TRUE(cache.lookup(stored.key).has_value()) << "memory layer answers";
+  EXPECT_EQ(disk.stats().hits, 1u);
+  EXPECT_EQ(disk.stats().misses, 0u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 TEST_F(DiskCacheTest, TieredInsertWritesThroughToBothLayers) {
-  ResultCache memory(64);
   DiskCache disk(dir_);
-  TieredCache tiered(memory, disk);
+  ResultCache cache(64, &disk);
 
   const core::Problem problem = small_problem();
   SolveParams params;
   params.cache = CachePolicy::kReadWrite;
-  const SolveResult result = test::solve_through(tiered, "H2", problem, params);
+  const SolveResult result = test::solve_through(cache, "H2", problem, params);
   EXPECT_FALSE(result.diagnostics.cache_hit);
-  EXPECT_EQ(memory.stats().size, 1u);
+  EXPECT_EQ(cache.stats().insertions, 1u) << "memory layer stored it";
   EXPECT_EQ(disk.stats().size, 1u);
+  EXPECT_EQ(cache.stats().size, 1u) << "one entry, counted once";
 
   // A fresh memory layer over the same disk directory — the restart — still
   // answers without a solve.
-  ResultCache fresh_memory(64);
   DiskCache fresh_disk(dir_);
-  TieredCache restarted(fresh_memory, fresh_disk);
+  ResultCache restarted(64, &fresh_disk);
   const SolveResult warm = test::solve_through(restarted, "H2", problem, params);
   EXPECT_TRUE(warm.diagnostics.cache_hit);
   EXPECT_EQ(warm.mapping, result.mapping);
@@ -353,13 +354,55 @@ TEST_F(DiskCacheTest, TieredInsertWritesThroughToBothLayers) {
             std::bit_cast<std::uint64_t>(result.period));
 }
 
-TEST_F(DiskCacheTest, DescribeNamesTheLayers) {
-  ResultCache memory(128);
+TEST_F(DiskCacheTest, TieredServesConcurrentLookupsAndInserts) {
+  // Writers insert through to disk while readers miss in a small memory
+  // layer and promote from disk: every lookup counts once, every hit is
+  // the stored result, and the layers agree afterwards.
   DiskCache disk(dir_);
-  TieredCache tiered(memory, disk);
+  ResultCache cache(4, &disk);
+  const core::Digest digest = core::digest(small_problem());
+  const auto key_for = [&](std::uint64_t n) {
+    SolveParams params;
+    params.seed = n;
+    return make_cache_key(digest, "H1", params);
+  };
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint64_t kRounds = 50;
+  constexpr std::uint64_t kKeys = 16;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t round = 0; round < kRounds; ++round) {
+        const std::uint64_t n = (t * 5 + round) % kKeys;
+        if (t % 2 == 0) {
+          SolveResult result;
+          result.status = Status::kFeasible;
+          result.period = static_cast<double>(n);
+          cache.insert(key_for(n), result);
+        }
+        if (const auto hit = cache.lookup(key_for(n))) {
+          EXPECT_EQ(hit->period, static_cast<double>(n));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kRounds);
+  EXPECT_EQ(stats.size, disk.stats().size);
+  for (std::uint64_t n = 0; n < kKeys; ++n) {
+    if (const auto hit = cache.lookup(key_for(n))) EXPECT_EQ(hit->period, static_cast<double>(n));
+  }
+}
+
+TEST_F(DiskCacheTest, DescribeNamesTheLayers) {
+  DiskCache disk(dir_);
+  ResultCache cache(128, &disk);
   EXPECT_EQ(disk.describe(), "disk(" + dir_.string() + ")");
-  EXPECT_EQ(tiered.describe(),
-            "tiered(memory-lru(128) over disk(" + dir_.string() + "))");
+  EXPECT_EQ(cache.describe(), "memory-lru(128) over disk(" + dir_.string() + ")");
+  EXPECT_EQ(cache.disk(), &disk);
+  EXPECT_EQ(ResultCache(128).describe(), "memory-lru(128)");
+  EXPECT_EQ(ResultCache(128).disk(), nullptr);
 }
 
 // ---------------------------------------------------------------------------

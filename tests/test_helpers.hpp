@@ -81,7 +81,7 @@ inline core::Problem uniform_problem(std::vector<core::TypeIndex> types, std::si
 
 /// One solve through a serial `SolveService` over `cache` — the path every
 /// production caller takes.
-inline solve::SolveResult solve_through(solve::CacheBackend& cache,
+inline solve::SolveResult solve_through(solve::ResultCache& cache,
                                         const std::string& solver_id,
                                         const core::Problem& problem,
                                         const solve::SolveParams& params) {

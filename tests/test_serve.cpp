@@ -1259,9 +1259,10 @@ TEST(ServeDaemon, GcTimerCompactsTheDiskCachePeriodically) {
     }
     ASSERT_EQ(disk.stats().size, 2u);
 
+    solve::ResultCache cache(64, &disk);
     DaemonOptions options;
     options.cache_gc_interval_seconds = 0.05;
-    options.gc_disk = &disk;
+    options.cache = &cache;
     options.gc_max_bytes = 1;  // over any real entry: the timer evicts both
     TestDaemon server(options);
 

@@ -415,6 +415,31 @@ TEST(SolveService, PooledAndSerialBatchesAgreeBitForBit) {
   }
 }
 
+TEST(SolveService, TimeLimitedRefinementIsNeverCachedOrShared) {
+  // Whether a time-limited "+ls" request refines depends on the wall clock,
+  // so even kReadWrite twins each solve, and nothing is stored.
+  ResultCache cache(64);
+  support::ThreadPool pool(2);
+  SolveService service(&pool, &cache);
+  SolveRequest request;
+  request.problem = std::make_shared<const core::Problem>(small_problem());
+  request.solver_id = "H4w+ls";
+  request.params.cache = CachePolicy::kReadWrite;
+  request.params.time_limit_ms = 1e9;
+  std::future<SolveResult> first = service.submit(request);
+  std::future<SolveResult> second = service.submit(request);
+  EXPECT_TRUE(first.get().diagnostics.refined);
+  EXPECT_TRUE(second.get().diagnostics.refined);
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.solved, 2u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.dedup_joined, 0u);
+  const CacheStats cached = cache.stats();
+  EXPECT_EQ(cached.insertions, 0u);
+  EXPECT_EQ(cached.hits + cached.misses, 0u) << "not even probed";
+}
+
 TEST(SolveService, DestructorDrainsOutstandingFlights) {
   ensure_test_solvers();
   GateGuard gate;
