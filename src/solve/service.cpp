@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/digest.hpp"
-#include "solve/cache.hpp"
 #include "solve/registry.hpp"
 #include "support/check.hpp"
 

@@ -208,7 +208,9 @@ TEST(Cache, ExactLruHoldsCapacityEntriesAndEvictsTheLeastRecent) {
   for (std::uint64_t n = 0; n < 80; ++n) {
     const std::optional<SolveResult> hit = cache.lookup(numbered_key(n));
     ASSERT_EQ(hit.has_value(), n >= 16) << n;
-    if (hit.has_value()) EXPECT_EQ(hit->period, static_cast<double>(n));
+    if (hit.has_value()) {
+      EXPECT_EQ(hit->period, static_cast<double>(n));
+    }
   }
 
   // A lookup makes an entry the most recent: the lookups above ran oldest
