@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <random>
@@ -251,6 +252,83 @@ Problem raw_bits_problem(std::uint64_t seed) {
   return Problem{Application::linear_chain(std::move(types)), Platform{std::move(w), std::move(f)}};
 }
 
+/// The writer's edges, in w and (below 1) in f: each power of ten from 1e-4
+/// to 1e16 and its neighbours up to 3 ulps away, the same around 2^-13 and
+/// 2^53, 2^52 - 0.5 (the largest double with a fraction) and 2^53 - 1, exact
+/// ties at 17 digits (n/2^k with 18 significant digits, the last a 5) in
+/// every decade from 1e-4 to 1e15, and a 64-value f row drawn from
+/// [0.005, 0.02].
+Problem writer_edges_problem() {
+  constexpr std::size_t kMachines = 64;
+  std::vector<double> values;
+  const auto around = [&](double centre) {
+    values.push_back(centre);
+    double below = centre;
+    double above = centre;
+    for (int step = 0; step < 3; ++step) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, std::numeric_limits<double>::infinity());
+      values.push_back(below);
+      values.push_back(above);
+    }
+  };
+  for (int exponent = -4; exponent <= 16; ++exponent) {
+    around(std::strtod(("1e" + std::to_string(exponent)).c_str(), nullptr));
+  }
+  around(0x1p-13);
+  around(0x1p53);
+  values.push_back(0x1p52 - 0.5);
+  values.push_back(0x1p53 - 1);
+  static constexpr std::array<std::pair<std::uint64_t, int>, 22> kTies = {{
+      {991, 21},
+      {9733, 20},
+      {7143, 19},
+      {131073, 18},  // 0.500003814697265625
+      {246507, 18},
+      {239817, 17},
+      {1971125, 16},
+      {15752115, 15},
+      {142298763, 14},
+      {346675563, 13},
+      {2044942799, 12},
+      {4383435113, 11},
+      {67005422243, 10},
+      {468497322591, 9},
+      {836364754023, 8},
+      {1373936968107, 7},
+      {18116122779009, 6},
+      {143965336988659, 5},
+      {1569018472320069, 4},
+      {4251770270138675, 3},
+      {4777149845695985, 2},
+      {4938271560493827, 2},  // 1234567890123456.75
+  }};
+  for (const auto& [numerator, shift] : kTies) {
+    values.push_back(std::ldexp(static_cast<double>(numerator), -shift));
+  }
+
+  // One row more than the edges fill, so the last f row holds only draws.
+  const std::size_t tasks = (values.size() + kMachines - 1) / kMachines + 1;
+  support::Matrix w(tasks, kMachines, 1.0);
+  support::Matrix f(tasks, kMachines);
+  std::mt19937_64 rng(2718);
+  std::uniform_real_distribution<double> rate(0.005, 0.02);
+  for (std::size_t i = 0; i < tasks; ++i) {
+    for (std::size_t u = 0; u < kMachines; ++u) f.at(i, u) = rate(rng);
+  }
+  std::size_t next_f = 0;
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    w.at(k / kMachines, k % kMachines) = values[k];
+    if (values[k] < 1) {
+      f.at(next_f / kMachines, next_f % kMachines) = values[k];
+      ++next_f;
+    }
+  }
+  std::vector<TypeIndex> types(tasks);
+  for (std::size_t i = 0; i < tasks; ++i) types[i] = i % 2;
+  return Problem{Application::linear_chain(std::move(types)), Platform{std::move(w), std::move(f)}};
+}
+
 TEST(ProblemIo, WriterMatchesPrintfReference) {
   std::vector<Problem> problems;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -274,6 +352,7 @@ TEST(ProblemIo, WriterMatchesPrintfReference) {
   fig09.types = 20;
   fig09.failure_attachment = exp::FailureAttachment::kTaskOnly;
   problems.push_back(exp::generate(fig09, 1));
+  problems.push_back(writer_edges_problem());
   for (const Problem& problem : problems) ASSERT_EQ(to_text(problem), printf_text(problem));
   const Mapping mapping{{0, 7, std::numeric_limits<MachineIndex>::max(), 1234567890123456789}};
   EXPECT_EQ(to_text(mapping),
@@ -391,7 +470,7 @@ TEST(ProblemTextGolden, SameOutcomesAsPreRewriteCapture) {
   static const std::vector<GoldenText> rows{
 #include "golden_problem_text.inc"
   };
-  ASSERT_EQ(rows.size(), 167u);
+  ASSERT_EQ(rows.size(), 207u);
   for (const GoldenText& row : rows) {
     EXPECT_EQ(outcome_of(row.kind, row.input), row.outcome) << "input:\n" << row.input;
   }
