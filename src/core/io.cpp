@@ -1,9 +1,13 @@
 #include "core/io.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -36,25 +40,39 @@ class LineReader {
   /// Tokenizes the next line that is neither blank nor a comment; false at
   /// the end of the text.
   bool next() {
+    if (!next_line()) return false;
+    tokenize();
+    return true;
+  }
+
+  /// Moves to the next line that is neither blank nor a comment and leaves
+  /// it untokenized; false at the end of the text.
+  bool next_line() {
     while (next_ < text_.size()) {
       const std::size_t end = std::min(text_.find('\n', next_), text_.size());
-      const std::string_view line = text_.substr(next_, end - next_);
+      line_ = text_.substr(next_, end - next_);
       next_ = end + 1;
       ++line_number_;
-      const std::size_t start = line.find_first_not_of(" \t\r");
-      if (start == std::string_view::npos || line[start] == '#') continue;
-      tokens_.clear();
-      for (std::size_t i = 0;;) {
-        while (i < line.size() && is_space(line[i])) ++i;
-        if (i == line.size() || line[i] == '#') break;
-        const std::size_t token_start = i;
-        while (i < line.size() && !is_space(line[i])) ++i;
-        tokens_.push_back(line.substr(token_start, i - token_start));
-      }
-      return true;
+      const std::size_t start = line_.find_first_not_of(" \t\r");
+      if (start != std::string_view::npos && line_[start] != '#') return true;
     }
     return false;
   }
+
+  /// Splits the current line into tokens.
+  void tokenize() {
+    tokens_.clear();
+    for (std::size_t i = 0;;) {
+      while (i < line_.size() && is_space(line_[i])) ++i;
+      if (i == line_.size() || line_[i] == '#') break;
+      const std::size_t token_start = i;
+      while (i < line_.size() && !is_space(line_[i])) ++i;
+      tokens_.push_back(line_.substr(token_start, i - token_start));
+    }
+  }
+
+  /// The current line as the text holds it, without its '\n'.
+  [[nodiscard]] std::string_view line() const { return line_; }
 
   /// True when the current line's tokens are `header`'s two words.
   [[nodiscard]] bool is_header(std::string_view header) const {
@@ -70,6 +88,7 @@ class LineReader {
 
  private:
   std::string_view text_;
+  std::string_view line_;
   std::size_t next_ = 0;
   std::size_t line_number_ = 0;
   std::vector<std::string_view> tokens_;
@@ -92,18 +111,57 @@ double parse_double_with_stod(const std::string& token, std::size_t line) {
   return value;
 }
 
+/// Where from_chars and stod give a double the same value: from_chars
+/// refuses '+' and hex and treats underflow differently, so it decides only
+/// magnitudes well clear of zero, subnormals and overflow.
+bool in_fast_domain(double value) {
+  return std::fabs(value) >= 0x1p-1000 && std::fabs(value) <= 0x1p1000;
+}
+
 double parse_double(std::string_view token, std::size_t line) {
-  // from_chars and stod round alike, but from_chars refuses '+' and hex and
-  // treats underflow differently, so it decides only whole tokens whose
-  // magnitude keeps well clear of zero, subnormals and overflow.
   double value = 0;
   const char* end = token.data() + token.size();
   const auto [stop, error] = std::from_chars(token.data(), end, value);
-  if (error == std::errc{} && stop == end && std::fabs(value) >= 0x1p-1000 &&
-      std::fabs(value) <= 0x1p1000) {
-    return value;
-  }
+  if (error == std::errc{} && stop == end && in_fast_domain(value)) return value;
   return parse_double_with_stod(std::string(token), line);
+}
+
+/// Reads a w or f row in one pass: the tag, then exactly `values.size()`
+/// numbers, each a whole token that parse_double would take from from_chars,
+/// then only blanks or a '#' token. A run of 1 to 15 digits is below 2^53,
+/// so its integer is the double from_chars would give. False on any other
+/// line; `values` may then hold part of the row, and the caller re-reads it.
+bool read_row(std::string_view line, char tag, std::span<double> values) {
+  const char* at = line.data();
+  const char* const end = at + line.size();
+  const auto skip_blanks = [&] {
+    while (at != end && is_space(*at)) ++at;
+  };
+  skip_blanks();
+  if (at == end || *at != tag) return false;
+  ++at;
+  for (double& value : values) {
+    if (at == end || !is_space(*at)) return false;  // a glued byte, or too few values
+    skip_blanks();
+    if (at == end) return false;
+    const char* digit = at;
+    std::uint64_t integer = 0;
+    while (digit != end && digit - at < 16 && *digit >= '0' && *digit <= '9') {
+      integer = integer * 10 + static_cast<std::uint64_t>(*digit - '0');
+      ++digit;
+    }
+    if (digit != at && digit - at <= 15 && integer != 0 && (digit == end || is_space(*digit))) {
+      value = static_cast<double>(integer);
+      at = digit;
+      continue;
+    }
+    const auto [stop, error] = std::from_chars(at, end, value);
+    if (error != std::errc{} || !in_fast_domain(value)) return false;
+    at = stop;
+  }
+  if (at != end && !is_space(*at)) return false;
+  skip_blanks();
+  return at == end || *at == '#';
 }
 
 std::size_t parse_index(std::string_view token, std::size_t line) {
@@ -131,12 +189,91 @@ void append_index(std::string& out, std::size_t value) {
   out.append(buffer, result.ptr);
 }
 
+using Uint128 = unsigned __int128;
+
+/// 10^0 through 10^20; 10^20 is above 2^64.
+constexpr std::array<Uint128, 21> kPowersOfTen = [] {
+  std::array<Uint128, 21> powers{};
+  Uint128 power = 1;
+  for (Uint128& entry : powers) {
+    entry = power;
+    power *= 10;
+  }
+  return powers;
+}();
+
+/// printf("%.17g") of a value whose magnitude is in [2^-13, 2^53), in
+/// integer arithmetic; false, having written nothing, when the value's 18th
+/// significant digit is an exact 5 (a tie) or its digits fall outside the
+/// decade the binary exponent allows.
+///
+/// The magnitude is M·2^-s with M the 53-bit significand and s in [1, 65]
+/// (s = 0 is an integer). Its 17 digits are M·10^(16-X)/2^s rounded to
+/// nearest, X the decimal exponent; X is in [-4, 15], so 10^(16-X) <= 10^20
+/// < 2^67 and the product stays below 2^120. X is floor(E·log10 2) for the
+/// binary exponent E, or one more. -4 <= X < 17, so "%g" prints fixed
+/// notation.
+bool append_fixed_17(std::string& out, double value) {
+  constexpr std::uint64_t kHiddenBit = std::uint64_t{1} << 52;
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  const int exponent = static_cast<int>((bits >> 52) & 0x7ff) - 1023;
+  const std::uint64_t significand = (bits & (kHiddenBit - 1)) | kHiddenBit;
+  const int shift = 52 - exponent;
+  if (shift <= 0) return false;
+  int decade = (exponent * 78913) >> 18;  // floor(exponent * log10 2) on [-13, 52]
+  Uint128 scaled = significand * kPowersOfTen[16 - decade];
+  if ((scaled >> shift) >= kPowersOfTen[17]) {
+    ++decade;
+    scaled = significand * kPowersOfTen[16 - decade];
+  }
+  auto digits = static_cast<std::uint64_t>(scaled >> shift);
+  if (digits < kPowersOfTen[16] || digits >= kPowersOfTen[17]) return false;
+  const Uint128 rest = scaled & ((Uint128{1} << shift) - 1);
+  const Uint128 half = Uint128{1} << (shift - 1);
+  if (rest == half) return false;
+  if (rest > half) ++digits;
+  if (digits == kPowersOfTen[17]) return false;
+
+  char text[17];
+  std::to_chars(text, text + sizeof text, digits);
+  int last = 16;  // the last digit "%g" keeps; text[0] is not '0'
+  while (text[last] == '0') --last;
+  if (value < 0) out += '-';
+  if (decade >= 0) {
+    out.append(text, static_cast<std::size_t>(decade) + 1);
+    if (last > decade) {
+      out += '.';
+      out.append(text + decade + 1, static_cast<std::size_t>(last - decade));
+    }
+  } else {
+    out += "0.";
+    out.append(static_cast<std::size_t>(-decade - 1), '0');
+    out.append(text, static_cast<std::size_t>(last) + 1);
+  }
+  return true;
+}
+
 /// printf("%.17g"), which is what the stream writer printed at precision 17.
+/// An integer of magnitude in [1, 2^53) has at most 16 digits, which "%.17g"
+/// prints exactly, so the integer writer prints it; other magnitudes in
+/// [2^-13, 2^53) take append_fixed_17. Everything else, and a tie, goes
+/// through to_chars.
 void append_real(std::string& out, double value) {
+  out += ' ';
+  const double magnitude = std::fabs(value);
+  if (magnitude >= 1 && magnitude < 0x1p53) {
+    const auto integer = static_cast<std::uint64_t>(magnitude);
+    if (static_cast<double>(integer) == magnitude) {
+      if (value < 0) out += '-';
+      char buffer[24];
+      out.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, integer).ptr);
+      return;
+    }
+  }
+  if (magnitude >= 0x1p-13 && magnitude < 0x1p53 && append_fixed_17(out, value)) return;
   char buffer[32];
   const auto result =
       std::to_chars(buffer, buffer + sizeof buffer, value, std::chars_format::general, 17);
-  out += ' ';
   out.append(buffer, result.ptr);
 }
 
@@ -241,10 +378,14 @@ Problem problem_from_text(std::string_view text) {
   for (auto* matrix : {&w, &f}) {
     const char* tag = matrix == &w ? "w" : "f";
     for (std::size_t i = 0; i < n; ++i) {
-      if (!in.next()) {
+      if (!in.next_line()) {
         parse_error(in.line_number(), std::string("missing '") + tag + "' row for task " +
                                           std::to_string(i));
       }
+      // A row the one-pass reader cannot take whole is re-read below with
+      // the token checks, the stod path and their messages.
+      if (read_row(in.line(), *tag, matrix->row_data(i))) continue;
+      in.tokenize();
       const auto& row = in.tokens();
       if (row.size() != m + 1 || row[0] != tag) {
         parse_error(in.line_number(), std::string("expected '") + tag + "' row with " +
