@@ -68,6 +68,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -563,6 +564,20 @@ int run_figure(const mf::support::CliArgs& args) {
   if (options.shard.is_sharded() && args.get_int("repeat", 1) != 1) {
     std::fprintf(stderr, "error: --repeat cannot be combined with --shard\n");
     return 2;
+  }
+  // A remote sweep turns each failed solve into a failed trial, so an
+  // unreachable daemon would print a table of empty cells; ask it once
+  // before any sweep runs.
+  if (target.has_value()) {
+    try {
+      mf::serve::Client probe(target->first, target->second);
+      if (!probe.ping()) {
+        throw std::runtime_error("serve: " + args.get("connect", "") + " did not answer a ping");
+      }
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "error: %s\n", error.what());
+      return 1;
+    }
   }
 
   std::optional<CacheScope> cache_scope;
