@@ -15,6 +15,7 @@
 #include "exp/scenario_registry.hpp"
 #include "solve/batch.hpp"
 #include "solve/cache.hpp"
+#include "solve/service.hpp"
 #include "solve/solver.hpp"
 #include "test_helpers.hpp"
 
@@ -264,23 +265,28 @@ TEST(Cache, BatchSolverPopulatesAndServesAnIsolatedCache) {
 /// The acceptance-criterion scenario: a warm-cache repeat of a figure sweep
 /// re-solves zero instances and produces identical output, under every
 /// failure regime (scenario ids are part of the cache key, so regimes never
-/// share entries). Uses the global cache — exactly what `mfsched --figure
-/// fig06 --cache rw --repeat 2` exercises — so hits are measured as deltas.
+/// share entries). The sweeps run through one `SolveService` over a cache
+/// the test owns, as `mfsched --figure fig06 --cache rw --repeat 2` runs
+/// through its one service, so the counts hold however often the test runs
+/// in one process; hits are measured as deltas across regimes.
 TEST(Cache, WarmSweepRepeatResolvesNothing) {
+  support::ThreadPool pool(4);
+  ResultCache cache;
+  SolveService service(&pool, &cache);
   exp::SweepOptions options;
   options.cache = solve::CachePolicy::kReadWrite;
-  support::ThreadPool pool(4);
+  options.executor = &service;
 
   for (const std::string& id : exp::scenario_ids()) {
     exp::SweepSpec spec = exp::scaled_down(exp::figure6_spec(), 10);  // 3 trials/point
     spec.values = {10, 20, 30};
     spec.scenario_id = id;
 
-    const CacheStats before = ResultCache::global().stats();
+    const CacheStats before = cache.stats();
     const exp::SweepResult cold = exp::run_sweep(spec, options, &pool);
-    const CacheStats after_cold = ResultCache::global().stats();
+    const CacheStats after_cold = cache.stats();
     const exp::SweepResult warm = exp::run_sweep(spec, options, &pool);
-    const CacheStats after_warm = ResultCache::global().stats();
+    const CacheStats after_warm = cache.stats();
 
     const std::size_t solves = spec.values.size() * spec.trials * spec.methods.size();
     EXPECT_EQ(after_cold.misses - before.misses, solves) << id << ": cold run solves everything";
