@@ -6,6 +6,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <span>
 #include <sstream>
@@ -202,24 +203,25 @@ constexpr std::array<Uint128, 21> kPowersOfTen = [] {
   return powers;
 }();
 
-/// printf("%.17g") of a value whose magnitude is in [2^-13, 2^53), in
-/// integer arithmetic; false, having written nothing, when the value's 18th
-/// significant digit is an exact 5 (a tie) or its digits fall outside the
-/// decade the binary exponent allows.
+/// Writes printf("%.17g") of a non-integer whose magnitude is in
+/// [2^-13, 2^53) at `at`, in integer arithmetic, and returns the end (at
+/// most 24 bytes on); nullptr when the value's 18th significant digit is an
+/// exact 5 (a tie) or its digits fall outside the decade its binary
+/// exponent allows.
 ///
 /// The magnitude is M·2^-s with M the 53-bit significand and s in [1, 65]
-/// (s = 0 is an integer). Its 17 digits are M·10^(16-X)/2^s rounded to
+/// (from 2^52 up every double is an integer). Its 17 digits are M·10^(16-X)/2^s rounded to
 /// nearest, X the decimal exponent; X is in [-4, 15], so 10^(16-X) <= 10^20
 /// < 2^67 and the product stays below 2^120. X is floor(E·log10 2) for the
 /// binary exponent E, or one more. -4 <= X < 17, so "%g" prints fixed
 /// notation.
-bool append_fixed_17(std::string& out, double value) {
+char* write_fixed_17(char* at, double value) {
   constexpr std::uint64_t kHiddenBit = std::uint64_t{1} << 52;
   const auto bits = std::bit_cast<std::uint64_t>(value);
   const int exponent = static_cast<int>((bits >> 52) & 0x7ff) - 1023;
   const std::uint64_t significand = (bits & (kHiddenBit - 1)) | kHiddenBit;
   const int shift = 52 - exponent;
-  if (shift <= 0) return false;
+  if (shift <= 0) return nullptr;
   int decade = (exponent * 78913) >> 18;  // floor(exponent * log10 2) on [-13, 52]
   Uint128 scaled = significand * kPowersOfTen[16 - decade];
   if ((scaled >> shift) >= kPowersOfTen[17]) {
@@ -227,54 +229,60 @@ bool append_fixed_17(std::string& out, double value) {
     scaled = significand * kPowersOfTen[16 - decade];
   }
   auto digits = static_cast<std::uint64_t>(scaled >> shift);
-  if (digits < kPowersOfTen[16] || digits >= kPowersOfTen[17]) return false;
+  if (digits < kPowersOfTen[16] || digits >= kPowersOfTen[17]) return nullptr;
   const Uint128 rest = scaled & ((Uint128{1} << shift) - 1);
   const Uint128 half = Uint128{1} << (shift - 1);
-  if (rest == half) return false;
+  if (rest == half) return nullptr;
   if (rest > half) ++digits;
-  if (digits == kPowersOfTen[17]) return false;
+  if (digits == kPowersOfTen[17]) return nullptr;
 
-  char text[17];
-  std::to_chars(text, text + sizeof text, digits);
-  int last = 16;  // the last digit "%g" keeps; text[0] is not '0'
-  while (text[last] == '0') --last;
-  if (value < 0) out += '-';
-  if (decade >= 0) {
-    out.append(text, static_cast<std::size_t>(decade) + 1);
-    if (last > decade) {
-      out += '.';
-      out.append(text + decade + 1, static_cast<std::size_t>(last - decade));
-    }
+  if (value < 0) *at++ = '-';
+  if (decade < 0) {
+    *at++ = '0';
+    *at++ = '.';
+    for (int zero = decade + 1; zero < 0; ++zero) *at++ = '0';
+    at = std::to_chars(at, at + 17, digits).ptr;
   } else {
-    out += "0.";
-    out.append(static_cast<std::size_t>(-decade - 1), '0');
-    out.append(text, static_cast<std::size_t>(last) + 1);
+    // The 17 digits, then a point opened after the first decade + 1.
+    char* const point = at + decade + 1;
+    at = std::to_chars(at, at + 17, digits).ptr;
+    std::memmove(point + 1, point, static_cast<std::size_t>(at - point));
+    *point = '.';
+    ++at;
   }
-  return true;
+  // Strip trailing zeros. Seventeen digits tell a non-integer from every
+  // integer (its distance to one is at least half an ulp, more than half a
+  // unit in the 17th digit), so at least one fraction digit stays.
+  while (at[-1] == '0') --at;
+  return at;
 }
 
 /// printf("%.17g"), which is what the stream writer printed at precision 17.
 /// An integer of magnitude in [1, 2^53) has at most 16 digits, which "%.17g"
 /// prints exactly, so the integer writer prints it; other magnitudes in
-/// [2^-13, 2^53) take append_fixed_17. Everything else, and a tie, goes
+/// [2^-13, 2^53) take write_fixed_17. Everything else, and a tie, goes
 /// through to_chars.
 void append_real(std::string& out, double value) {
-  out += ' ';
+  char buffer[32];
+  buffer[0] = ' ';
+  char* const first = buffer + 1;
+  char* last = nullptr;
   const double magnitude = std::fabs(value);
   if (magnitude >= 1 && magnitude < 0x1p53) {
     const auto integer = static_cast<std::uint64_t>(magnitude);
     if (static_cast<double>(integer) == magnitude) {
-      if (value < 0) out += '-';
-      char buffer[24];
-      out.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, integer).ptr);
-      return;
+      char* at = first;
+      if (value < 0) *at++ = '-';
+      last = std::to_chars(at, buffer + sizeof buffer, integer).ptr;
     }
   }
-  if (magnitude >= 0x1p-13 && magnitude < 0x1p53 && append_fixed_17(out, value)) return;
-  char buffer[32];
-  const auto result =
-      std::to_chars(buffer, buffer + sizeof buffer, value, std::chars_format::general, 17);
-  out.append(buffer, result.ptr);
+  if (last == nullptr && magnitude >= 0x1p-13 && magnitude < 0x1p53) {
+    last = write_fixed_17(first, value);
+  }
+  if (last == nullptr) {
+    last = std::to_chars(first, buffer + sizeof buffer, value, std::chars_format::general, 17).ptr;
+  }
+  out.append(buffer, last);
 }
 
 }  // namespace
