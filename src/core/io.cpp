@@ -210,11 +210,11 @@ constexpr std::array<Uint128, 21> kPowersOfTen = [] {
 /// exponent allows.
 ///
 /// The magnitude is M·2^-s with M the 53-bit significand and s in [1, 65]
-/// (from 2^52 up every double is an integer). Its 17 digits are M·10^(16-X)/2^s rounded to
-/// nearest, X the decimal exponent; X is in [-4, 15], so 10^(16-X) <= 10^20
-/// < 2^67 and the product stays below 2^120. X is floor(E·log10 2) for the
-/// binary exponent E, or one more. -4 <= X < 17, so "%g" prints fixed
-/// notation.
+/// (from 2^52 up every double is an integer). Its 17 digits are
+/// M·10^(16-X)/2^s rounded to nearest, X the decimal exponent; X is in
+/// [-4, 15], so 10^(16-X) <= 10^20 < 2^67 and the product stays below
+/// 2^120. X is floor(E·log10 2) for the binary exponent E, or one more.
+/// -4 <= X < 17, so "%g" prints fixed notation.
 char* write_fixed_17(char* at, double value) {
   constexpr std::uint64_t kHiddenBit = std::uint64_t{1} << 52;
   const auto bits = std::bit_cast<std::uint64_t>(value);
