@@ -196,14 +196,27 @@ INSTANTIATE_TEST_SUITE_P(
 /// [100, 1000], tie-heavy integer w in [100, 102] and non-integer w. The
 /// rest are hand-built: every row's minimum is the answer (kAtBound), over
 /// a thousand distinct costs between the row-min bound and the answer
-/// (kWide), and one cost everywhere (kAllEqual).
-enum BottleneckKind { kOtoPaper, kOtoTies, kOtoFractional, kAtBound, kWide, kAllEqual };
+/// (kWide), one cost everywhere (kAllEqual), a matching within the bound
+/// that leaves `param` rows unmatched, with ties at the answer (kShort), an
+/// answer in a column that holds no row's minimum (kOffMinimum, n < m),
+/// and bench_kernels' "wide" matrix itself (kBenchWide).
+enum BottleneckKind {
+  kOtoPaper,
+  kOtoTies,
+  kOtoFractional,
+  kAtBound,
+  kWide,
+  kAllEqual,
+  kShort,
+  kOffMinimum,
+  kBenchWide
+};
 
 struct GoldenBottleneck {
   BottleneckKind kind;
   std::size_t rows;
   std::size_t cols;
-  std::size_t types;  // kOto* kinds only
+  std::size_t param;  // kOto* kinds: the type count p; kShort: the unmatched rows
   std::uint64_t seed;
   double bottleneck_cost;  // hexfloat-captured, compared bit-exactly
   std::vector<std::size_t> row_to_col;
@@ -243,7 +256,7 @@ support::Matrix golden_bottleneck_cost(const GoldenBottleneck& entry) {
     exp::Scenario scenario;
     scenario.tasks = rows;
     scenario.machines = cols;
-    scenario.types = entry.types;
+    scenario.types = entry.param;
     scenario.failure_attachment = exp::FailureAttachment::kTaskOnly;
     if (entry.kind == kOtoTies) {
       scenario.time_min_ms = 100.0;
@@ -264,7 +277,13 @@ support::Matrix golden_bottleneck_cost(const GoldenBottleneck& entry) {
       }
       cost.at(r, sigma[r]) = 4.0;
     }
-  } else if (entry.kind == kWide) {
+  } else if (entry.kind == kWide || entry.kind == kBenchWide) {
+    if (entry.kind == kBenchWide) {
+      // bench_kernels draws its "at bound" matrix from the same generator
+      // first: a shuffle and rows x cols integers.
+      (void)shuffled(cols, rng);
+      for (std::size_t k = 0; k < rows * cols; ++k) (void)rng.uniform_u64(4, 9);
+    }
     // Column 0 holds each row's minimum, 1..rows, but only one row can take
     // it; every other cost is distinct and above 1000. Rows and columns are
     // then shuffled.
@@ -276,8 +295,56 @@ support::Matrix golden_bottleneck_cost(const GoldenBottleneck& entry) {
                                                : 1000.0 + static_cast<double>(r * cols + c);
       }
     }
+  } else if (entry.kind == kShort) {
+    // The first rows - param columns are cheap: each of the first
+    // rows - param rows holds a 4 in its own cheap column, and each other
+    // row a 4 in a random one, so the matching within the bound 4 leaves
+    // exactly `param` rows unmatched. Cheap columns cost 5..9 elsewhere.
+    // The spare columns cost the matched rows 5 or 6 and the others 8 or 9,
+    // so the cheapest augmenting paths run through matched rows and tie.
+    const std::size_t matched = rows - entry.param;
+    const std::vector<std::size_t> row_of = shuffled(rows, rng);
+    const std::vector<std::size_t> col_of = shuffled(cols, rng);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const bool unmatched = r >= matched;
+      for (std::size_t c = 0; c < cols; ++c) {
+        const std::uint64_t value = c < matched ? rng.uniform_u64(5, 9)
+                                    : unmatched ? rng.uniform_u64(8, 9)
+                                                : rng.uniform_u64(5, 6);
+        cost.at(row_of[r], col_of[c]) = static_cast<double>(value);
+      }
+      const std::size_t own = unmatched ? rng.uniform_u64(0, matched - 1) : r;
+      cost.at(row_of[r], col_of[own]) = 4.0;
+    }
+  } else if (entry.kind == kOffMinimum) {
+    // Every row's minimum, 1 or 2, lies in one of the first rows / 2
+    // columns, which cost 25..30 elsewhere; every other column costs 6..20.
+    // Half the rows find no free minimum, and they do better in the other
+    // columns, none of which holds a row's minimum.
+    const std::size_t half = std::max<std::size_t>(1, rows / 2);
+    const std::vector<std::size_t> col_of = shuffled(cols, rng);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const std::uint64_t value = c == r % half ? rng.uniform_u64(1, 2)
+                                    : c < half    ? rng.uniform_u64(25, 30)
+                                                  : rng.uniform_u64(6, 20);
+        cost.at(r, col_of[c]) = static_cast<double>(value);
+      }
+    }
   }
   return cost;
+}
+
+/// Maximum matching on the edges with cost <= threshold, each row's edges
+/// added in column order, from fresh buffers.
+MatchingResult probe_at(const support::Matrix& cost, double threshold) {
+  BipartiteGraph graph(cost.rows(), cost.cols());
+  for (std::size_t r = 0; r < cost.rows(); ++r) {
+    for (std::size_t c = 0; c < cost.cols(); ++c) {
+      if (cost.at(r, c) <= threshold) graph.add_edge(r, c);
+    }
+  }
+  return match(graph);
 }
 
 /// max_r min_c cost(r, c): no threshold below it leaves every row an edge.
@@ -292,24 +359,29 @@ double row_min_bound(const support::Matrix& cost) {
 
 TEST(BottleneckGolden, SameThresholdAndMatchingAsPreRewriteCapture) {
   // Captured from the solver that sorted all n*m costs and bisected over
-  // them. The threshold is unique, but the matching is whichever one
-  // Hopcroft-Karp finds on that threshold's graph, so only the exact
-  // matching shows that a rewrite still ends with the same final probe.
+  // them, and the kShort, kOffMinimum and kBenchWide rows from the one that
+  // searched sorted batches of them. The threshold is unique, but the
+  // matching is whichever one Hopcroft-Karp finds on that threshold's
+  // graph, so only the exact matching shows that a rewrite still ends with
+  // the same final probe.
   static const std::vector<GoldenBottleneck> entries{
 #include "golden_bottleneck.inc"
   };
-  ASSERT_EQ(entries.size(), 34u);
+  ASSERT_EQ(entries.size(), 44u);
   for (const GoldenBottleneck& entry : entries) {
     SCOPED_TRACE("kind=" + std::to_string(entry.kind) + " rows=" + std::to_string(entry.rows) +
-                 " cols=" + std::to_string(entry.cols) + " types=" +
-                 std::to_string(entry.types) + " seed=" + std::to_string(entry.seed));
+                 " cols=" + std::to_string(entry.cols) + " param=" +
+                 std::to_string(entry.param) + " seed=" + std::to_string(entry.seed));
     const support::Matrix cost = golden_bottleneck_cost(entry);
     const double bound = row_min_bound(cost);
+    // Rows the matching within the bound leaves unmatched.
+    const std::size_t shortfall = entry.rows - probe_at(cost, bound).size;
     // Each hand-built row covers the case it is named for.
     if (entry.kind == kAtBound || entry.kind == kAllEqual) {
       EXPECT_EQ(entry.bottleneck_cost, bound);
     }
-    if (entry.kind == kWide) {
+    if (entry.kind == kWide || entry.kind == kBenchWide) {
+      EXPECT_EQ(shortfall, entry.rows - 1);
       std::vector<double> between;
       for (std::size_t r = 0; r < cost.rows(); ++r) {
         for (double c : cost.row_data(r)) {
@@ -320,10 +392,97 @@ TEST(BottleneckGolden, SameThresholdAndMatchingAsPreRewriteCapture) {
       between.erase(std::unique(between.begin(), between.end()), between.end());
       EXPECT_GT(between.size(), 1000u);
     }
+    if (entry.kind == kShort) {
+      EXPECT_EQ(shortfall, entry.param);
+      std::size_t at_answer = 0;
+      for (std::size_t r = 0; r < cost.rows(); ++r) {
+        for (double c : cost.row_data(r)) at_answer += c == entry.bottleneck_cost ? 1 : 0;
+      }
+      EXPECT_GT(at_answer, 1u) << "ties at the answer";
+    }
+    if (entry.kind == kOffMinimum) {
+      EXPECT_LT(entry.rows, entry.cols);
+      for (std::size_t r = 0; r < entry.rows; ++r) {
+        const std::size_t c = entry.row_to_col[r];
+        if (cost.at(r, c) != entry.bottleneck_cost) continue;
+        for (std::size_t other = 0; other < entry.rows; ++other) {
+          const std::span<const double> row = cost.row_data(other);
+          EXPECT_GT(row[c], *std::min_element(row.begin(), row.end()))
+              << "column " << c << " holds row " << other << "'s minimum";
+        }
+      }
+    }
     const BottleneckResult result = solve_bottleneck_assignment(cost);
     EXPECT_EQ(result.bottleneck_cost, entry.bottleneck_cost);
     EXPECT_EQ(result.row_to_col, entry.row_to_col);
   }
+}
+
+TEST(Bottleneck, MinimaxSearchMatchesAscendingProbes) {
+  // The reference probes every distinct cost at or above the row-min bound
+  // in ascending order, each with fresh buffers, and stops at the first
+  // perfect matching: its threshold is the answer, and its matching the
+  // one the solver must return. Narrow integer ranges force ties; cheap
+  // first columns, which hold most rows' minima, leave many rows unmatched
+  // at the bound; and equal costs put the answer on the bound.
+  support::Rng rng(3434);
+  std::size_t above_bound = 0;
+  for (int k = 0; k < 2500; ++k) {
+    const std::size_t rows = rng.uniform_u64(1, 40);
+    const std::size_t cols = rng.uniform_u64(rows, 40);
+    SCOPED_TRACE("matrix " + std::to_string(k) + ": " + std::to_string(rows) + "x" +
+                 std::to_string(cols));
+    support::Matrix cost(rows, cols);
+    const double equal = std::floor(rng.uniform(1.0, 100.0));
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const bool cheap = 3 * c < cols;
+        switch (k % 5) {
+          case 0:  // integers 0..3, and 3..6 outside the cheap columns
+            cost.at(r, c) = static_cast<double>(rng.uniform_u64(0, 3) + (cheap ? 0 : 3));
+            break;
+          case 1:
+            cost.at(r, c) = static_cast<double>(rng.uniform_u64(0, 60));
+            break;
+          case 2:
+            cost.at(r, c) = rng.uniform(0.0, 1000.0);
+            break;
+          case 3:  // fractional, and 500 more outside the cheap columns
+            cost.at(r, c) = rng.uniform(0.0, 1000.0) + (cheap ? 0.0 : 500.0);
+            break;
+          default:
+            cost.at(r, c) = equal;
+            break;
+        }
+      }
+    }
+    const double bound = row_min_bound(cost);
+    std::vector<double> values;
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (double c : cost.row_data(r)) {
+        if (c >= bound) values.push_back(c);
+      }
+    }
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    double threshold = std::numeric_limits<double>::quiet_NaN();
+    MatchingResult expected;
+    for (const double value : values) {
+      expected = probe_at(cost, value);
+      if (expected.size == rows) {
+        threshold = value;
+        break;
+      }
+    }
+    ASSERT_EQ(expected.size, rows);
+    above_bound += threshold > bound ? 1 : 0;
+    const BottleneckResult result = solve_bottleneck_assignment(cost);
+    EXPECT_EQ(result.bottleneck_cost, threshold);
+    EXPECT_EQ(result.row_to_col, expected.left_match);
+  }
+  // Both ways out of the search are taken often.
+  EXPECT_GT(above_bound, 800u);
+  EXPECT_LT(above_bound, 1700u);
 }
 
 }  // namespace

@@ -184,5 +184,45 @@ TEST(RecordReader, BlobNeedsItsBytesAndANewline) {
   EXPECT_EQ(error("blob\na\nb\n\nnot-end\n", 4), "line 5: expected 'end', got 'not-end'");
 }
 
+TEST(RecordReader, ErrorsAfterABlobNameTheLinesItSpans) {
+  // Each step reads a line with u64 fields, a blob, a fail() of the
+  // caller's, or the end; the first error's message is returned.
+  const auto error = [](const std::string& text, const std::string& steps) -> std::string {
+    try {
+      RecordReader in(text);
+      for (const char step : steps) {
+        if (step == 'h') in.header("rec v1");
+        if (step == 'n') (void)in.line("n").u64();
+        if (step == 'b') (void)in.blob(in.line("blob").u64());
+        if (step == 'B') (void)in.blob(3);
+        if (step == 'f') in.fail("caller");
+        if (step == 'e') in.finish();
+      }
+    } catch (const std::invalid_argument& caught) {
+      return caught.what();
+    }
+    return "accepted";
+  };
+  // The line after a multi-line blob.
+  EXPECT_EQ(error("rec v1\nblob 6\nx\ny\nz\n\nn 1\nbad\n", "hbne"),
+            "line 8: expected 'end', got 'bad'");
+  EXPECT_EQ(error("rec v1\nblob 3\na\nb\nn x\nend\n", "hbne"), "line 5: bad number 'x'");
+  // The end of input right after a blob, and bytes after its 'end'.
+  EXPECT_EQ(error("rec v1\nblob 3\na\nb\n", "hbe"),
+            "line 5: unexpected end of input, expected 'end'");
+  EXPECT_EQ(error("rec v1\nblob 3\na\nb\nend\nx", "hbe"), "line 6: unexpected bytes after 'end'");
+  // A caller's fail() right after blob() names the blob's last line.
+  EXPECT_EQ(error("rec v1\nblob 3\na\nb\nend\n", "hbf"), "line 4: caller");
+  EXPECT_EQ(error("rec v1\nblob 4\na\nb\n\nend\n", "hbf"), "line 5: caller");
+  EXPECT_EQ(error("rec v1\nblob 0\n\nend\n", "hbf"), "line 3: caller");
+  EXPECT_EQ(error("rec v1\nblob 2\n\n\n\nend\n", "hbf"), "line 5: caller");
+  // Before any line, and a blob at the very start, whose own errors name
+  // the line before it.
+  EXPECT_EQ(error("rec v1\n", "f"), "line 0: caller");
+  EXPECT_EQ(error("a\nb\nend\n", "Bf"), "line 2: caller");
+  EXPECT_EQ(error("a\nb\nnot-end\n", "Be"), "line 3: expected 'end', got 'not-end'");
+  EXPECT_EQ(error("a\nbc\n", "B"), "line 0: expected a newline after the 3-byte blob");
+}
+
 }  // namespace
 }  // namespace mf::support
