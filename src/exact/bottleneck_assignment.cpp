@@ -16,6 +16,8 @@ namespace mf::exact {
 
 namespace {
 
+constexpr std::size_t kNpos = MatchingResult::npos;
+
 /// The threshold graphs of one solve. Every probe rebuilds the graph into
 /// the same buffers and runs Hopcroft-Karp with the same workspace and
 /// result, so probes after the first allocate nothing.
@@ -28,9 +30,10 @@ class ThresholdProbe {
     graph_.reserve_edges(cost.rows() * cost.cols());
   }
 
-  /// Maximum matching on rows using only edges with cost <= threshold. The
-  /// view stays valid until the next call.
-  const MatchingResult& operator()(double threshold) {
+  /// Maximum matching on rows using only edges with cost <= threshold,
+  /// found from an empty matching. The caller may augment it; the next
+  /// call overwrites it.
+  MatchingResult& operator()(double threshold) {
     const core::simd::KernelTable& kernels = core::simd::active();
     graph_.reset(cost_.rows(), cost_.cols());
     for (std::size_t r = 0; r < cost_.rows(); ++r) {
@@ -61,6 +64,102 @@ class ThresholdProbe {
   MatchingResult matching_;
 };
 
+/// Minimax augmenting paths over the dense cost matrix: Dijkstra with max
+/// in place of +. A path's cost is its largest unmatched edge; the matched
+/// edges it runs back along are already in the matching. Its buffers are
+/// sized once per solve, so a search allocates nothing.
+class AugmentingSearch {
+ public:
+  explicit AugmentingSearch(std::size_t cols) : reach_(cols), via_(cols) {}
+
+  /// Finds, among the alternating paths from the free rows of `matching`
+  /// to a free column, one of least cost, or any of cost at most `floor`,
+  /// augments `matching` along it and returns that cost. `matching` must
+  /// leave a row free, and the matrix must have no more rows than columns.
+  /// O(rows·cols).
+  double augment(const support::Matrix& cost, MatchingResult& matching, double floor) {
+    std::fill(reach_.begin(), reach_.end(), std::numeric_limits<double>::infinity());
+    // Every free row starts a path; a column's reach is its cheapest edge
+    // from any of them.
+    Step step;
+    for (std::size_t r = 0; r < cost.rows() && step.free == kNpos; ++r) {
+      if (matching.left_match[r] == kNpos) {
+        step = relax(cost.row_data(r), r, -std::numeric_limits<double>::infinity(), floor,
+                     matching);
+      }
+    }
+    while (step.free == kNpos) {
+      // Settle the open column of least reach: no path reaches it cheaper.
+      // A free one ends the search; a matched one extends the paths
+      // through its row.
+      MF_CHECK(step.lightest != kNpos, "minimax search reached no free column");
+      const std::size_t c = step.lightest;
+      const std::size_t owner = matching.right_match[c];
+      if (owner == kNpos) {
+        step.free = c;
+        break;
+      }
+      const double level = reach_[c];
+      reach_[c] = kSettled;
+      step = relax(cost.row_data(owner), owner, level, floor, matching);
+    }
+    const double path_cost = reach_[step.free];
+    flip_path(step.free, matching);
+    return path_cost;
+  }
+
+ private:
+  /// Settled columns read NaN, which no comparison below lets through: no
+  /// path improves them and none is the lightest.
+  static constexpr double kSettled = std::numeric_limits<double>::quiet_NaN();
+
+  struct Step {
+    std::size_t lightest = kNpos;  ///< the open column of least reach
+    std::size_t free = kNpos;      ///< a free column the search may end at
+  };
+
+  /// Offers every open column the path through `row` at cost `level`.
+  /// A free column reached at no more than `floor` ends the search.
+  Step relax(std::span<const double> costs, std::size_t row, double level, double floor,
+             const MatchingResult& matching) {
+    Step step;
+    double lightest = std::numeric_limits<double>::infinity();
+    for (std::size_t c = 0; c < costs.size(); ++c) {
+      const double through = std::max(level, costs[c]);
+      if (through < reach_[c]) {
+        reach_[c] = through;
+        via_[c] = row;
+        if (through <= floor && matching.right_match[c] == kNpos) {
+          step.free = c;
+          return step;
+        }
+      }
+      if (reach_[c] < lightest) {
+        lightest = reach_[c];
+        step.lightest = c;
+      }
+    }
+    return step;
+  }
+
+  /// Matches the path ending at free column `c`: each row on it takes the
+  /// column that reached it and leaves its old one to the row before it.
+  void flip_path(std::size_t c, MatchingResult& matching) const {
+    for (;;) {
+      const std::size_t r = via_[c];
+      const std::size_t previous = matching.left_match[r];
+      matching.left_match[r] = c;
+      matching.right_match[c] = r;
+      if (previous == kNpos) break;
+      c = previous;
+    }
+    ++matching.size;
+  }
+
+  std::vector<double> reach_;      ///< least path cost to each column so far
+  std::vector<std::size_t> via_;  ///< the row whose edge gives it
+};
+
 }  // namespace
 
 BottleneckResult solve_bottleneck_assignment(const support::Matrix& cost) {
@@ -80,62 +179,33 @@ BottleneckResult solve_bottleneck_assignment(const support::Matrix& cost) {
     }
     bound = std::max(bound, row_min);
   }
-  std::vector<double> candidates;
-  candidates.reserve(n * m);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (const double c : cost.row_data(r)) {
-      if (c >= bound) candidates.push_back(c);
-    }
-  }
 
-  // The answer is the smallest candidate whose probe matches every row, and
-  // it usually lies close to the bound. So search upward: move the next
-  // batch of smallest candidates (64, then four times more each round) to
-  // the front, sort and dedupe that batch alone, and probe its largest
-  // value. The first batch that passes holds the answer; bisect inside it.
-  // The last batch ends at the largest cost, whose probe takes every edge.
+  // Match within the bound, then grow the matching one minimax augmenting
+  // path at a time. The threshold only rises, to the largest path cost.
+  // It never passes the answer T: while the matching is short, its edges
+  // are within the threshold, hence within T, and a perfect matching
+  // within T differs from it by an augmenting path within T. Once the
+  // matching is perfect, it proves its own threshold feasible, so that
+  // threshold is T.
   ThresholdProbe probe(cost);
-  const auto values = candidates.begin();
-  double infeasible = -std::numeric_limits<double>::infinity();  // largest failed value
-  double threshold = 0.0;
-  std::size_t begin = 0;
-  std::size_t batch = 64;
-  for (;;) {
-    const std::size_t end = std::min(candidates.size(), begin + batch);
-    if (end < candidates.size()) {
-      std::nth_element(values + begin, values + (end - 1), candidates.end());
-    }
-    std::sort(values + begin, values + end);
-    const auto last = std::unique(values + begin, values + end);
-    // A batch may restart with copies of the previous batch's largest value.
-    auto lo = std::upper_bound(values + begin, last, infeasible);
-    if (lo != last && probe(*(last - 1)).size == n) {
-      auto hi = last - 1;
-      while (lo < hi) {
-        const auto mid = lo + (hi - lo) / 2;
-        if (probe(*mid).size == n) {
-          hi = mid;
-        } else {
-          lo = mid + 1;
-        }
-      }
-      threshold = *lo;
-      break;
-    }
-    MF_REQUIRE(end < candidates.size(),
-               "no perfect matching even with all edges (should be impossible)");
-    infeasible = *(last - 1);
-    begin = end;
-    batch *= 4;
+  AugmentingSearch search(m);
+  MatchingResult& matching = probe(bound);
+  double threshold = bound;
+  bool augmented = false;
+  while (matching.size < n) {
+    threshold = std::max(threshold, search.augment(cost, matching, threshold));
+    augmented = true;
   }
+  // The matching returned is the one a probe at the threshold finds. With
+  // no augmentation the bound's probe was that probe.
+  if (augmented) probe(threshold);
+  MF_CHECK(matching.size == n, "threshold probe lost feasibility");
 
-  const MatchingResult& matching = probe(threshold);
-  MF_CHECK(matching.size == n, "threshold search lost feasibility");
   BottleneckResult result;
   result.bottleneck_cost = threshold;
   result.row_to_col.assign(n, 0);
   for (std::size_t r = 0; r < n; ++r) {
-    MF_CHECK(matching.left_match[r] != MatchingResult::npos, "row left unmatched");
+    MF_CHECK(matching.left_match[r] != kNpos, "row left unmatched");
     result.row_to_col[r] = matching.left_match[r];
   }
   return result;

@@ -1,6 +1,8 @@
 #include "exact/one_to_one.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "core/failure.hpp"
 #include "exact/bottleneck_assignment.hpp"
@@ -25,9 +27,9 @@ bool has_homogeneous_times(const core::Problem& problem) {
 
 bool has_machine_independent_failures(const core::Problem& problem) {
   for (TaskIndex i = 0; i < problem.task_count(); ++i) {
-    const double f0 = problem.platform.failure(i, 0);
-    for (MachineIndex u = 1; u < problem.machine_count(); ++u) {
-      if (problem.platform.failure(i, u) != f0) return false;
+    const std::span<const double> f = problem.platform.failure_row(i);
+    for (const double value : f) {
+      if (value != f[0]) return false;
     }
   }
   return true;
@@ -64,14 +66,14 @@ OneToOneSolution optimal_one_to_one_task_failures(const core::Problem& problem) 
   for (TaskIndex i : problem.app.backward_order()) {
     const TaskIndex succ = problem.app.successor(i);
     const double downstream = succ == core::kNoTask ? 1.0 : x[succ];
-    x[i] = downstream * core::survival_inverse(problem.platform.failure(i, 0));
+    x[i] = downstream * core::survival_inverse(problem.platform.failure_row(i)[0]);
   }
 
   support::Matrix cost(problem.task_count(), problem.machine_count());
   for (TaskIndex i = 0; i < problem.task_count(); ++i) {
-    for (MachineIndex u = 0; u < problem.machine_count(); ++u) {
-      cost.at(i, u) = x[i] * problem.platform.time(i, u);
-    }
+    const std::span<const double> w = problem.platform.time_row(i);
+    const std::span<double> row = cost.row_data(i);
+    for (MachineIndex u = 0; u < w.size(); ++u) row[u] = x[i] * w[u];
   }
   const BottleneckResult bottleneck = solve_bottleneck_assignment(cost);
 

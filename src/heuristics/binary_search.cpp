@@ -1,7 +1,10 @@
 #include "heuristics/binary_search.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -172,6 +175,68 @@ std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem
 
 namespace {
 
+/// One owner row's w in one column, keyed by the w's bits.
+struct RankCell {
+  std::uint64_t bits;
+  std::uint32_t task;
+  std::uint32_t column;
+};
+
+/// ranks[i * m + u] = the dense rank of owner i's w among the owners' w in
+/// column u: the number of distinct smaller values there.
+///
+/// Platform requires every w to be > 0 and finite, so the w's bit patterns,
+/// read as unsigned integers, order exactly as their values do, and equal
+/// values have equal bits. One LSD radix sort over the bytes that vary
+/// among the owners' w puts every owner cell in ascending order, and one
+/// scan in that order ranks every column: a column's rank rises at each
+/// value it has not shown before. Integer-valued w (every figure's) vary in
+/// two or three of the eight bytes.
+void rank_columns(const core::Problem& problem, std::span<const TaskIndex> owners,
+                  std::vector<std::size_t>& ranks) {
+  const std::size_t m = problem.machine_count();
+  MF_CHECK(problem.task_count() <= UINT32_MAX && m <= UINT32_MAX,
+           "rank cells hold 32-bit task and machine indices");
+  std::vector<RankCell> cells(owners.size() * m);
+  std::vector<RankCell> sorted(cells.size());
+  const std::uint64_t first = std::bit_cast<std::uint64_t>(problem.platform.time_row(owners[0])[0]);
+  std::uint64_t varying = 0;  // the bits in which some w differs from the first
+  std::size_t k = 0;
+  for (const TaskIndex i : owners) {
+    const std::span<const double> row = problem.platform.time_row(i);
+    for (MachineIndex u = 0; u < m; ++u) {
+      const std::uint64_t bits = std::bit_cast<std::uint64_t>(row[u]);
+      varying |= bits ^ first;
+      cells[k++] = {bits, static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(u)};
+    }
+  }
+  std::array<std::size_t, 256> starts;
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xFF) == 0) continue;  // every cell has the same byte here
+    starts.fill(0);
+    for (const RankCell& cell : cells) ++starts[(cell.bits >> shift) & 0xFF];
+    std::exclusive_scan(starts.begin(), starts.end(), starts.begin(), std::size_t{0});
+    for (const RankCell& cell : cells) sorted[starts[(cell.bits >> shift) & 0xFF]++] = cell;
+    cells.swap(sorted);
+  }
+  // Each column's last value and its rank. No w has the bits of +0.0, so a
+  // column's first cell always starts a new value, and its rank counter,
+  // starting one below zero, wraps to 0 there.
+  struct Column {
+    std::uint64_t bits = 0;
+    std::size_t rank = static_cast<std::size_t>(-1);
+  };
+  std::vector<Column> columns(m);
+  for (const RankCell& cell : cells) {
+    Column& column = columns[cell.column];
+    if (cell.bits != column.bits) {
+      column.bits = cell.bits;
+      ++column.rank;
+    }
+    ranks[cell.task * m + cell.column] = column.rank;
+  }
+}
+
 /// H2's machine preference: each task ranks in every machine's ascending-w
 /// column; the task prefers machines where its rank is best, ties going to
 /// smaller w, then to the smaller index.
@@ -201,18 +266,7 @@ class RankSelector final : public MachineSelector {
     // and the owners' rows hold every w a column has, so ranking them alone
     // gives the ranks all n rows give.
     std::vector<std::size_t> ranks(n * m);
-    std::vector<std::pair<double, TaskIndex>> by_time(owners.size());
-    for (MachineIndex u = 0; u < m; ++u) {
-      for (std::size_t k = 0; k < owners.size(); ++k) {
-        by_time[k] = {problem.platform.time_row(owners[k])[u], owners[k]};
-      }
-      std::sort(by_time.begin(), by_time.end());
-      std::size_t rank = 0;
-      for (std::size_t k = 0; k < by_time.size(); ++k) {
-        if (k > 0 && by_time[k].first > by_time[k - 1].first) ++rank;
-        ranks[by_time[k].second * m + u] = rank;
-      }
-    }
+    rank_columns(problem, owners, ranks);
     // An owner's order is its machines by (rank, w, index). Its ranks lie in
     // [0, d) for d owner rows, so a counting sort by rank groups the
     // machines into one run per rank, and sorting each run by (w, index)
