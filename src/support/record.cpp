@@ -58,11 +58,15 @@ std::optional<std::uint64_t> parse_u64(std::string_view token) {
 }
 
 void RecordReader::fail(const std::string& what) const {
-  throw std::invalid_argument("line " + std::to_string(line_number_) + ": " + what);
+  const std::size_t line_number =
+      line_at_ == kNoLine
+          ? 0
+          : 1 + static_cast<std::size_t>(std::count(text_.begin(), text_.begin() + line_at_, '\n'));
+  throw std::invalid_argument("line " + std::to_string(line_number) + ": " + what);
 }
 
 std::string_view RecordReader::next_line(std::string_view expected) {
-  ++line_number_;
+  line_at_ = next_;
   const std::size_t newline = text_.find('\n', next_);
   if (newline == std::string_view::npos) {
     fail("unexpected end of input, expected " + quoted(expected));
@@ -160,8 +164,7 @@ std::string_view RecordReader::blob(std::uint64_t count) {
   }
   const std::string_view bytes = text_.substr(next_, count);
   next_ += count + 1;
-  for (const char c : bytes) line_number_ += c == '\n' ? 1 : 0;
-  ++line_number_;
+  line_at_ = next_ - 1;  // the blob's last line is now the current one
   return bytes;
 }
 
@@ -169,7 +172,7 @@ void RecordReader::finish() {
   line("end");
   if (!line_done()) fail("unread field after 'end'");
   if (next_ != text_.size()) {
-    ++line_number_;
+    line_at_ = next_;
     fail("unexpected bytes after 'end'");
   }
 }

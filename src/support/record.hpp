@@ -94,11 +94,16 @@ class RecordReader {
  private:
   std::string_view next_line(std::string_view expected);
 
+  static constexpr std::size_t kNoLine = static_cast<std::size_t>(-1);
+
   std::string_view text_;
-  std::size_t next_ = 0;         ///< offset of the first unread line
-  std::size_t line_number_ = 0;  ///< 1-based number of the current line
-  std::string_view keyword_;     ///< the current line's keyword
-  std::string_view fields_;      ///< the current line's unread part
+  std::size_t next_ = 0;  ///< offset of the first unread line
+  /// An offset on the current line: its first byte, or after a blob the
+  /// newline that ends the blob. fail() numbers the line by counting the
+  /// newlines before it, so reading counts none. kNoLine before any line.
+  std::size_t line_at_ = kNoLine;
+  std::string_view keyword_;  ///< the current line's keyword
+  std::string_view fields_;   ///< the current line's unread part
 };
 
 }  // namespace mf::support
