@@ -19,8 +19,8 @@
 // two solves that exhaust budgets 10x apart allocate the same count), H2
 // and H3 nothing per bisection probe (a solve allocates the same count
 // when every w is scaled x1024 and the search takes more probes), oto
-// nothing per threshold probe (a matrix whose answer is its row-min bound
-// and one whose search takes more probes allocate the same count), local
+// nothing per augmentation (a matrix whose answer is its row-min bound and
+// one that takes 99 augmenting paths allocate the same count), local
 // search nothing per pass (refining to convergence allocates what one
 // pass does), and the harness exits non-zero if they do — that is the
 // zero-allocation guarantee CI enforces, independent of timer noise.
@@ -458,8 +458,8 @@ int main(int argc, char** argv) {
           "\n"
           "Times the evaluation kernels on a fixed problem grid and fails if a\n"
           "zero-allocation kernel allocates, if the exact B&B allocates per node,\n"
-          "if H2 or H3 allocates per bisection probe, if oto allocates per threshold\n"
-          "probe, if local search allocates per pass,\n"
+          "if H2 or H3 allocates per bisection probe, if oto allocates per\n"
+          "augmentation, if local search allocates per pass,\n"
           "if the (n=100, m=20) relocate probe is below 3.5x over the pre-kernel\n"
           "evaluation path, if any SIMD kernel variant is not bit-identical to\n"
           "the scalar table,\n"
@@ -789,14 +789,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- oto: zero allocations per threshold probe ---------------------------
+  // --- oto: zero allocations per augmentation ------------------------------
   // Two n = m = 100 cost matrices built like BottleneckGolden's kAtBound and
   // kWide rows. In the first every row's minimum is the answer, the row-min
-  // bound, so the first batch passes. In the second the answer lies more
-  // than 1,000 distinct costs above the bound, so the first batches fail
-  // and the search takes more probes. Per-solve set-up (the candidates, the
-  // graph, the matching buffers, the result) allocates; the probes must
-  // not, so both solves must allocate the same count.
+  // bound, so the bound's matching is perfect and no path is searched. In
+  // the second the bound's matching covers one row and the answer lies more
+  // than 1,000 distinct costs above the bound, so the solve takes 99
+  // augmenting paths and a final probe. Per-solve set-up (the graph, the
+  // matching buffers, the search's column arrays, the result) allocates;
+  // the augmentations and the final probe must not, so both solves must
+  // allocate the same count.
   struct BottleneckRun {
     const char* matrix = "";
     std::uint64_t allocs = 0;
@@ -853,7 +855,7 @@ int main(int argc, char** argv) {
           {matrix.name, allocs, (now_ns() - start) / 1000.0 / kTimedSolves});
     }
     std::printf("\noto's bottleneck assignment (n=m=100, BottleneckGolden's kAtBound and kWide "
-                "shapes; us/solve is a note, allocs gate)\n");
+                "shapes; us/solve is a note, allocs gate: none per augmentation)\n");
     std::printf("| matrix   | allocs | us/solve |\n");
     std::printf("|----------|--------|----------|\n");
     for (const BottleneckRun& run : bottleneck_runs) {
@@ -934,8 +936,8 @@ int main(int argc, char** argv) {
 
   // Gate 1: the zero-allocation guarantee. Probes and every dispatched
   // SIMD kernel must not touch the heap, on any grid point, the B&B must
-  // not touch it per node, H2/H3 per bisection probe, oto per threshold
-  // probe, or local search per pass.
+  // not touch it per node, H2/H3 per bisection probe, oto per
+  // augmentation, or local search per pass.
   for (const KernelResult& r : kernels) {
     const bool must_be_clean = r.name == "relocate_probe_incremental" ||
                                r.name == "swap_probe_incremental" ||
@@ -983,10 +985,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The oto half of gate 1: the wide matrix's extra probes must not allocate.
+  // The oto half of gate 1: the wide matrix's augmentations must not
+  // allocate.
   if (bottleneck_runs[0].allocs != bottleneck_runs[1].allocs) {
     std::fprintf(stderr,
-                 "FAIL: oto allocates per threshold probe: %llu allocs on the at-bound "
+                 "FAIL: oto allocates per augmentation: %llu allocs on the at-bound "
                  "matrix, %llu on the wide one\n",
                  static_cast<unsigned long long>(bottleneck_runs[0].allocs),
                  static_cast<unsigned long long>(bottleneck_runs[1].allocs));
