@@ -73,38 +73,31 @@ class AugmentingSearch {
   explicit AugmentingSearch(std::size_t cols) : reach_(cols), via_(cols) {}
 
   /// Finds, among the alternating paths from the free rows of `matching`
-  /// to a free column, one of least cost, or any of cost at most `floor`,
-  /// augments `matching` along it and returns that cost. `matching` must
-  /// leave a row free, and the matrix must have no more rows than columns.
-  /// O(rows·cols).
-  double augment(const support::Matrix& cost, MatchingResult& matching, double floor) {
-    std::fill(reach_.begin(), reach_.end(), std::numeric_limits<double>::infinity());
+  /// to a free column, one of least cost, augments `matching` along it and
+  /// returns that cost. `matching` must leave a row free, and the matrix
+  /// must have no more rows than columns. O(rows·cols).
+  double augment(const support::Matrix& cost, MatchingResult& matching) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::fill(reach_.begin(), reach_.end(), kInf);
     // Every free row starts a path; a column's reach is its cheapest edge
     // from any of them.
-    Step step;
-    for (std::size_t r = 0; r < cost.rows() && step.free == kNpos; ++r) {
-      if (matching.left_match[r] == kNpos) {
-        step = relax(cost.row_data(r), r, -std::numeric_limits<double>::infinity(), floor,
-                     matching);
-      }
+    std::size_t lightest = kNpos;
+    for (std::size_t r = 0; r < cost.rows(); ++r) {
+      if (matching.left_match[r] == kNpos) lightest = relax(cost.row_data(r), r, -kInf);
     }
-    while (step.free == kNpos) {
-      // Settle the open column of least reach: no path reaches it cheaper.
-      // A free one ends the search; a matched one extends the paths
-      // through its row.
-      MF_CHECK(step.lightest != kNpos, "minimax search reached no free column");
-      const std::size_t c = step.lightest;
-      const std::size_t owner = matching.right_match[c];
-      if (owner == kNpos) {
-        step.free = c;
-        break;
-      }
-      const double level = reach_[c];
-      reach_[c] = kSettled;
-      step = relax(cost.row_data(owner), owner, level, floor, matching);
+    // Settle the open column of least reach: no path reaches it cheaper.
+    // A free one ends the search; a matched one extends the paths through
+    // its row.
+    for (;;) {
+      MF_CHECK(lightest != kNpos, "minimax search reached no free column");
+      const std::size_t owner = matching.right_match[lightest];
+      if (owner == kNpos) break;
+      const double level = reach_[lightest];
+      reach_[lightest] = kSettled;
+      lightest = relax(cost.row_data(owner), owner, level);
     }
-    const double path_cost = reach_[step.free];
-    flip_path(step.free, matching);
+    const double path_cost = reach_[lightest];
+    flip_path(lightest, matching);
     return path_cost;
   }
 
@@ -113,33 +106,23 @@ class AugmentingSearch {
   /// path improves them and none is the lightest.
   static constexpr double kSettled = std::numeric_limits<double>::quiet_NaN();
 
-  struct Step {
-    std::size_t lightest = kNpos;  ///< the open column of least reach
-    std::size_t free = kNpos;      ///< a free column the search may end at
-  };
-
-  /// Offers every open column the path through `row` at cost `level`.
-  /// A free column reached at no more than `floor` ends the search.
-  Step relax(std::span<const double> costs, std::size_t row, double level, double floor,
-             const MatchingResult& matching) {
-    Step step;
-    double lightest = std::numeric_limits<double>::infinity();
+  /// Offers every open column the paths through `row` at cost `level`, and
+  /// returns the open column of least reach (kNpos once none is open).
+  std::size_t relax(std::span<const double> costs, std::size_t row, double level) {
+    std::size_t lightest = kNpos;
+    double least = std::numeric_limits<double>::infinity();
     for (std::size_t c = 0; c < costs.size(); ++c) {
       const double through = std::max(level, costs[c]);
       if (through < reach_[c]) {
         reach_[c] = through;
         via_[c] = row;
-        if (through <= floor && matching.right_match[c] == kNpos) {
-          step.free = c;
-          return step;
-        }
       }
-      if (reach_[c] < lightest) {
-        lightest = reach_[c];
-        step.lightest = c;
+      if (reach_[c] < least) {
+        least = reach_[c];
+        lightest = c;
       }
     }
-    return step;
+    return lightest;
   }
 
   /// Matches the path ending at free column `c`: each row on it takes the
@@ -193,7 +176,7 @@ BottleneckResult solve_bottleneck_assignment(const support::Matrix& cost) {
   double threshold = bound;
   bool augmented = false;
   while (matching.size < n) {
-    threshold = std::max(threshold, search.augment(cost, matching, threshold));
+    threshold = std::max(threshold, search.augment(cost, matching));
     augmented = true;
   }
   // The matching returned is the one a probe at the threshold finds. With
