@@ -484,10 +484,15 @@ Problem redrawn_times(const Problem& base, Shape shape, std::uint64_t seed) {
   support::Matrix type_times(base.app.type_count(), m);
   for (std::size_t t = 0; t < type_times.rows(); ++t) {
     for (core::MachineIndex u = 0; u < m; ++u) {
-      type_times.at(t, u) =
-          shape == kBinades
-              ? std::ldexp(rng.uniform(1.0, 2.0), static_cast<int>(rng.uniform_u64(0, 1000)) - 500)
-              : std::bit_cast<double>(std::bit_cast<std::uint64_t>(300.0) + rng.uniform_u64(0, 31));
+      if (shape == kBinades) {
+        // Two statements fix the draw order, exponent first, which the
+        // arguments of one call would leave unspecified.
+        const int exponent = static_cast<int>(rng.uniform_u64(0, 1000)) - 500;
+        type_times.at(t, u) = std::ldexp(rng.uniform(1.0, 2.0), exponent);
+      } else {
+        type_times.at(t, u) =
+            std::bit_cast<double>(std::bit_cast<std::uint64_t>(300.0) + rng.uniform_u64(0, 31));
+      }
     }
   }
   support::Matrix times(n, m);
