@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/evaluation.hpp"
 #include "exp/method.hpp"
@@ -33,10 +35,68 @@ core::Problem medium_problem(std::uint64_t seed = 7) {
 }
 
 TEST(Registry, ListsAllBuiltinSolvers) {
+  // The catalogue byte for byte: `mfsched --list` prints the descriptions,
+  // and the notes travel in cache entries and response bodies.
+  struct Entry {
+    const char* id;
+    const char* description;
+    const char* note;  ///< on a problem with more types than machines
+  };
+  const Entry catalogue[] = {
+      {"H1", "constructive heuristic H1 (Section 6.2)",
+       "no specialized mapping exists (more types than machines?)"},
+      {"H2", "constructive heuristic H2 (Section 6.2)",
+       "no specialized mapping exists (more types than machines?)"},
+      {"H3", "constructive heuristic H3 (Section 6.2)",
+       "no specialized mapping exists (more types than machines?)"},
+      {"H4", "constructive heuristic H4 (Section 6.2)",
+       "no specialized mapping exists (more types than machines?)"},
+      {"H4w", "constructive heuristic H4w (Section 6.2)",
+       "no specialized mapping exists (more types than machines?)"},
+      {"H4f", "constructive heuristic H4f (Section 6.2)",
+       "no specialized mapping exists (more types than machines?)"},
+      {"oto", "optimal one-to-one mapping for machine-independent failures (Figure 9's OtO)",
+       "one-to-one mapping needs n <= m"},
+      {"bnb", "exact specialized mapping via branch-and-bound (the paper's CPLEX stand-in)",
+       "no specialized mapping exists (more types than machines)"},
+      {"brute", "exhaustive enumeration of specialized mappings (tiny instances only)",
+       "no specialized mapping exists (more types than machines)"},
+  };
+  // Other tests register doubles in the process-wide registry, so the
+  // exact id set is read from a registry holding only the built-ins.
+  SolverRegistry builtins;
+  register_builtin_solvers(builtins);
+  std::vector<std::string> expected_ids;
+  for (const Entry& entry : catalogue) expected_ids.emplace_back(entry.id);
+  std::sort(expected_ids.begin(), expected_ids.end());
+  EXPECT_EQ(builtins.ids(), expected_ids);
+
+  const core::Problem crowded = test::uniform_problem({0, 1, 2}, 2);  // p = 3 > m = 2
   const auto ids = SolverRegistry::instance().ids();
-  for (const char* id : {"H1", "H2", "H3", "H4", "H4w", "H4f", "oto", "bnb", "brute"}) {
-    EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
+  for (const Entry& entry : catalogue) {
+    SCOPED_TRACE(entry.id);
+    EXPECT_NE(std::find(ids.begin(), ids.end(), entry.id), ids.end());
+    const std::shared_ptr<const Solver> solver = builtins.find(entry.id);
+    ASSERT_NE(solver, nullptr);
+    EXPECT_EQ(solver->id(), entry.id);
+    EXPECT_EQ(solver->description(), entry.description);
+    const SolveResult result = solver->solve(crowded, SolveParams{});
+    EXPECT_EQ(result.status, Status::kInfeasible);
+    EXPECT_FALSE(result.has_mapping());
+    EXPECT_EQ(result.diagnostics.note, entry.note);
   }
+
+  // oto's two preconditions, each with its own note.
+  const std::shared_ptr<const Solver> oto = builtins.find("oto");
+  ASSERT_NE(oto, nullptr);
+  const SolveResult more_tasks = oto->solve(test::uniform_problem({0, 1, 0, 1}, 3), {});
+  EXPECT_EQ(more_tasks.status, Status::kInfeasible);
+  EXPECT_EQ(more_tasks.diagnostics.note, "one-to-one mapping needs n <= m");
+  const SolveResult dependent = oto->solve(test::tiny_chain_problem(), {});
+  EXPECT_EQ(dependent.status, Status::kInfeasible);
+  EXPECT_EQ(dependent.diagnostics.note,
+            "failures are machine-dependent: OtO precondition does not hold");
+
   // The Section 6.1 MIP is a test oracle, not a service: a request for it
   // is refused with the list of ids that are served.
   EXPECT_EQ(std::find(ids.begin(), ids.end(), "mip"), ids.end());
