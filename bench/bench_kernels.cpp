@@ -70,7 +70,7 @@
 #include "exp/scenario.hpp"
 #include "extensions/local_search.hpp"
 #include "heuristics/binary_search.hpp"
-#include "heuristics/heuristic.hpp"
+#include "heuristics/h4_family.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/matrix.hpp"
@@ -759,23 +759,22 @@ int main(int argc, char** argv) {
     }
     const mf::core::Problem scaled{problem.app,
                                    mf::core::Platform{std::move(times), std::move(failures)}};
-    const mf::heuristics::H2BinarySearchRank h2;
-    const mf::heuristics::H3BinarySearchHeterogeneity h3;
+    const struct {
+      const char* name;
+      std::optional<mf::core::Mapping> (*solve)(const mf::core::Problem&);
+    } heuristics[] = {{"H2", mf::heuristics::h2}, {"H3", mf::heuristics::h3}};
     constexpr int kTimedSolves = 20;
-    for (const mf::heuristics::Heuristic* heuristic :
-         std::initializer_list<const mf::heuristics::Heuristic*>{&h2, &h3}) {
+    for (const auto& heuristic : heuristics) {
       for (const mf::core::Problem* instance : {&problem, &scaled}) {
-        mf::support::Rng rng(0);  // deterministic heuristics ignore it
-        (void)heuristic->run(*instance, rng);  // warm-up
+        (void)heuristic.solve(*instance);  // warm-up
         const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
-        (void)heuristic->run(*instance, rng);
+        (void)heuristic.solve(*instance);
         const std::uint64_t allocs =
             g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
         const double start = now_ns();
-        for (int k = 0; k < kTimedSolves; ++k) (void)heuristic->run(*instance, rng);
+        for (int k = 0; k < kTimedSolves; ++k) (void)heuristic.solve(*instance);
         const double elapsed = now_ns() - start;
-        heuristic_runs.push_back({heuristic == &h2 ? "H2" : "H3",
-                                  instance == &problem ? 1.0 : 1024.0, allocs,
+        heuristic_runs.push_back({heuristic.name, instance == &problem ? 1.0 : 1024.0, allocs,
                                   elapsed / 1000.0 / kTimedSolves});
       }
     }
@@ -896,9 +895,7 @@ int main(int argc, char** argv) {
     } instances[] = {{"chain n=50 m=10", mf::exp::generate(chain, 7)},
                      {"in-tree n=70 m=66", mf::exp::generate_in_tree(wide, 0.4, 7)}};
     for (const auto& instance : instances) {
-      mf::support::Rng rng(7);
-      const std::optional<mf::core::Mapping> start =
-          mf::heuristics::heuristic_by_name("H4w")->run(instance.problem, rng);
+      const std::optional<mf::core::Mapping> start = mf::heuristics::h4w(instance.problem);
       MF_CHECK(start.has_value(), "H4w must map the local-search allocation instance");
       // Warm-up: the first refinement in a process may pay one-time set-up.
       (void)mf::ext::refine_mapping(instance.problem, *start);

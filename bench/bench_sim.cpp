@@ -40,10 +40,9 @@
 #include "core/failure_model.hpp"
 #include "exp/scenario.hpp"
 #include "exp/scenario_registry.hpp"
-#include "heuristics/heuristic.hpp"
+#include "heuristics/h4_family.hpp"
 #include "sim/simulator.hpp"
 #include "support/cli.hpp"
-#include "support/rng.hpp"
 
 // --- Allocation counting ----------------------------------------------------
 // Replacing the global allocation functions lets the harness observe every
@@ -97,9 +96,7 @@ Shape make_shape(const std::string& name, bool gated, const std::string& scenari
   scenario.machines = 8;
   scenario.types = 4;
   mf::exp::Instance instance = mf::exp::generate_instance(scenario_id, scenario, 11);
-  mf::support::Rng rng(1);
-  const auto mapping =
-      mf::heuristics::heuristic_by_name("H4w")->run(*instance.effective, rng);
+  const auto mapping = mf::heuristics::h4w(*instance.effective);
   if (!mapping.has_value()) {
     std::fprintf(stderr, "FATAL: no mapping for shape %s\n", name.c_str());
     std::exit(2);

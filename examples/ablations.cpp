@@ -17,12 +17,13 @@
 
 #include "core/evaluation.hpp"
 #include "exact/specialized_bnb.hpp"
+#include "exp/method.hpp"
 #include "exp/scenario.hpp"
 #include "extensions/divisible.hpp"
 #include "extensions/local_search.hpp"
 #include "extensions/reconfiguration.hpp"
 #include "heuristics/h4_family.hpp"
-#include "heuristics/heuristic.hpp"
+#include "solve/solver.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
@@ -37,21 +38,17 @@ void print_failure_factor_ablation() {
   scenario.machines = 15;
   scenario.types = 5;
   mf::support::RunningStats h4_inv, h4_raw, h4f_inv, h4f_raw, h4w_ref;
-  const mf::heuristics::H4BestPerformance h4_attempts{
-      mf::heuristics::FailureFactor::kAttemptsPerSuccess};
-  const mf::heuristics::H4BestPerformance h4_rate{mf::heuristics::FailureFactor::kRawRate};
-  const mf::heuristics::H4fReliableMachine h4f_attempts{
-      mf::heuristics::FailureFactor::kAttemptsPerSuccess};
-  const mf::heuristics::H4fReliableMachine h4f_rate{mf::heuristics::FailureFactor::kRawRate};
-  const mf::heuristics::H4wFastestMachine h4w;
+  using mf::heuristics::FailureFactor;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     const Problem problem = mf::exp::generate(scenario, seed);
-    mf::support::Rng rng(seed);
-    h4_inv.add(mf::core::period(problem, *h4_attempts.run(problem, rng)));
-    h4_raw.add(mf::core::period(problem, *h4_rate.run(problem, rng)));
-    h4f_inv.add(mf::core::period(problem, *h4f_attempts.run(problem, rng)));
-    h4f_raw.add(mf::core::period(problem, *h4f_rate.run(problem, rng)));
-    h4w_ref.add(mf::core::period(problem, *h4w.run(problem, rng)));
+    h4_inv.add(mf::core::period(
+        problem, *mf::heuristics::h4(problem, FailureFactor::kAttemptsPerSuccess)));
+    h4_raw.add(mf::core::period(problem, *mf::heuristics::h4(problem, FailureFactor::kRawRate)));
+    h4f_inv.add(mf::core::period(
+        problem, *mf::heuristics::h4f(problem, FailureFactor::kAttemptsPerSuccess)));
+    h4f_raw.add(
+        mf::core::period(problem, *mf::heuristics::h4f(problem, FailureFactor::kRawRate)));
+    h4w_ref.add(mf::core::period(problem, *mf::heuristics::h4w(problem)));
   }
   mf::support::Table table({"variant", "mean period (ms)"});
   table.add_row({"H4  with F=1/(1-f)", mf::support::format_double(h4_inv.mean(), 1)});
@@ -76,8 +73,7 @@ void print_divisible_ablation() {
     mf::support::RunningStats rigid_stats, divisible_stats, gain;
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
       const Problem problem = mf::exp::generate(scenario, seed);
-      mf::support::Rng rng(seed);
-      const auto seed_mapping = mf::heuristics::heuristic_by_name("H4w")->run(problem, rng);
+      const auto seed_mapping = mf::heuristics::h4w(problem);
       const double rigid = mf::core::period(problem, *seed_mapping);
       const auto schedule = mf::ext::divide_workload(problem, *seed_mapping);
       rigid_stats.add(rigid);
@@ -110,8 +106,7 @@ void print_reconfiguration_ablation() {
     const int trials = 20;
     for (std::uint64_t seed = 1; seed <= trials; ++seed) {
       const Problem problem = mf::exp::generate(scenario, seed);
-      mf::support::Rng rng(seed);
-      const auto spec = mf::heuristics::heuristic_by_name("H4w")->run(problem, rng);
+      const auto spec = mf::heuristics::h4w(problem);
       const auto general = mf::ext::greedy_general_mapping(problem);
       const double r = mf::ext::reconfiguration_crossover(problem, *spec, general);
       crossover.add(r);
@@ -137,15 +132,14 @@ void print_refinement_ablation() {
 
   mf::support::Table table(
       {"heuristic", "gap before %", "gap after %", "mean moves", "local optimum %"});
-  for (const auto& heuristic : mf::heuristics::all_heuristics()) {
+  for (const mf::exp::Method& heuristic : mf::exp::all_heuristic_methods()) {
     mf::support::RunningStats before, after, moves;
     int converged = 0;
     for (std::uint64_t seed = 1; seed <= kTrials; ++seed) {
       const Problem problem = mf::exp::generate(scenario, seed);
       const mf::exact::BnBResult optimal = mf::exact::solve_specialized_optimal(problem);
       if (!optimal.proven_optimal || !optimal.mapping.has_value()) continue;
-      mf::support::Rng rng(seed);
-      const auto start = heuristic->run(problem, rng);
+      const auto start = mf::solve::run(problem, heuristic.solver_id, {.seed = seed}).mapping;
       if (!start.has_value()) continue;
       const mf::ext::RefinementResult refined = mf::ext::refine_mapping(problem, *start);
       before.add(100.0 * (refined.initial_period / optimal.period - 1.0));
@@ -153,7 +147,7 @@ void print_refinement_ablation() {
       moves.add(static_cast<double>(refined.moves_applied));
       converged += refined.converged ? 1 : 0;
     }
-    table.add_row({heuristic->name(), mf::support::format_double(before.mean(), 1),
+    table.add_row({heuristic.name, mf::support::format_double(before.mean(), 1),
                    mf::support::format_double(after.mean(), 1),
                    mf::support::format_double(moves.mean(), 1),
                    mf::support::format_double(100.0 * converged / kTrials, 0)});

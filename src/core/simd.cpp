@@ -4,10 +4,10 @@
 // wide variants, with a one-lane vector type whose ops are plain double
 // expressions — so "scalar" is not a separate implementation that can
 // drift, it IS the generic code at W = 1. Dispatch probes the CPU once
-// (GCC/Clang __builtin_cpu_supports on x86-64; NEON is baseline on
-// aarch64), honors an MF_SIMD environment override (scalar/neon/avx2),
-// and exposes force() so tests and benches can pin every variant through
-// the exact dispatch point production code uses.
+// (GCC/Clang __builtin_cpu_supports on x86-64), honors an MF_SIMD
+// environment override (scalar/avx2), and exposes force() so tests and
+// benches can pin every variant through the exact dispatch point
+// production code uses.
 
 #include <algorithm>
 #include <atomic>
@@ -24,7 +24,6 @@ namespace mf::core::simd {
 const char* isa_name(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar: return "scalar";
-    case Isa::kNeon: return "neon";
     case Isa::kAvx2: return "avx2";
   }
   return "unknown";
@@ -66,18 +65,10 @@ bool host_supports(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar:
       return true;
+    case Isa::kAvx2:
 #if defined(__x86_64__) || defined(_M_X64)
-    case Isa::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
-    case Isa::kNeon:
-      return false;
-#elif defined(__aarch64__)
-    case Isa::kNeon:
-      return true;  // architectural baseline of aarch64
-    case Isa::kAvx2:
-      return false;
 #else
-    default:
       return false;
 #endif
   }
@@ -91,7 +82,6 @@ const std::vector<const KernelTable*>& available_tables() {
     std::vector<const KernelTable*> found;
     const KernelTable* candidates[] = {
         detail::scalar_table(),
-        detail::neon_table(),
         detail::avx2_table(),
     };
     for (const KernelTable* table : candidates) {

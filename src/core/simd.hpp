@@ -16,15 +16,16 @@
 //   * leq_mask  — the bottleneck assignment's threshold row scan (every
 //                 oto probe; exact comparisons to a bitmask)
 //
-// Variants: a mandatory scalar reference, AVX2 on x86-64, NEON on
-// aarch64. Each ISA lives in its own translation unit (simd_<isa>.cpp)
-// compiled with exactly the flags it needs — the rest of the library is
-// never built with -mavx2, so the baseline binary stays runnable on any
-// host and the compiler cannot leak wider instructions into non-kernel
-// code. simd::active() picks the widest variant the running CPU supports
-// (CPUID probing via __builtin_cpu_supports) the first time it is called;
-// tests and benches pin specific variants through simd::force() or the
-// MF_SIMD environment variable (e.g. MF_SIMD=scalar).
+// Variants: a mandatory scalar reference and AVX2 on x86-64; other
+// architectures run the scalar table. Each ISA lives in its own
+// translation unit (simd_<isa>.cpp) compiled with exactly the flags it
+// needs — the rest of the library is never built with -mavx2, so the
+// baseline binary stays runnable on any host and the compiler cannot leak
+// wider instructions into non-kernel code. simd::active() picks the widest
+// variant the running CPU supports (CPUID probing via
+// __builtin_cpu_supports) the first time it is called; tests and benches
+// pin specific variants through simd::force() or the MF_SIMD environment
+// variable (e.g. MF_SIMD=scalar).
 //
 // Bit-identity contract: for identical inputs, every table produces
 // byte-identical outputs to the scalar table. The enforcement is
@@ -39,12 +40,10 @@
 
 namespace mf::core::simd {
 
-/// Instruction-set variants a kernel table can be built for. Order is
-/// narrow-to-wide within an architecture; dispatch picks the widest
-/// available.
+/// Instruction-set variants a kernel table can be built for, narrow to
+/// wide; dispatch picks the widest available.
 enum class Isa : int {
   kScalar = 0,
-  kNeon,
   kAvx2,
 };
 

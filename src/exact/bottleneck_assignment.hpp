@@ -17,7 +17,9 @@
 // augmentation ran, otherwise one final probe.
 #pragma once
 
-#include "exact/hungarian.hpp"
+#include <cstddef>
+#include <vector>
+
 #include "support/matrix.hpp"
 
 namespace mf::exact {

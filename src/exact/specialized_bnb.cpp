@@ -351,12 +351,8 @@ BnBResult solve_specialized_optimal(const core::Problem& problem, const BnBOptio
   Searcher searcher(problem, options);
 
   if (options.seed_with_heuristics) {
-    support::Rng rng{0};  // deterministic heuristics ignore it
-    heuristics::H2BinarySearchRank h2;
-    heuristics::H4wFastestMachine h4w;
-    for (const heuristics::Heuristic* h :
-         std::initializer_list<const heuristics::Heuristic*>{&h2, &h4w}) {
-      if (auto mapping = h->run(problem, rng)) {
+    for (const auto heuristic : {heuristics::h2, heuristics::h4w}) {
+      if (auto mapping = heuristic(problem)) {
         const double period = core::period(problem, *mapping);
         if (period < searcher.incumbent) {
           searcher.incumbent = period;
@@ -373,8 +369,7 @@ BnBResult solve_specialized_optimal(const core::Problem& problem, const BnBOptio
     // A complete search that kept no mapping on a feasible problem pruned
     // every branch on a +inf bound or load (x·w overflowed everywhere), so
     // no mapping has a finite period: take the greedy's.
-    support::Rng rng{0};
-    if (auto mapping = heuristics::H4wFastestMachine{}.run(problem, rng)) {
+    if (auto mapping = heuristics::h4w(problem)) {
       searcher.incumbent_assignment = mapping->assignment();
     }
   }

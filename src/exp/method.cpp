@@ -1,6 +1,5 @@
 #include "exp/method.hpp"
 
-#include "heuristics/heuristic.hpp"
 #include "solve/registry.hpp"
 
 namespace mf::exp {
@@ -24,11 +23,7 @@ Method method_for(const std::string& solver_id, std::string display_name,
 }
 
 std::vector<Method> all_heuristic_methods() {
-  std::vector<Method> methods;
-  for (const auto& heuristic : heuristics::all_heuristics()) {
-    methods.push_back(method_for(heuristic->name()));
-  }
-  return methods;
+  return heuristic_methods({"H1", "H2", "H3", "H4", "H4w", "H4f"});
 }
 
 std::vector<Method> heuristic_methods(const std::vector<std::string>& names) {

@@ -34,7 +34,7 @@ struct Method {
 [[nodiscard]] Method method_for(const std::string& solver_id, std::string display_name = {},
                                 solve::SolveParams params = {});
 
-/// All six heuristics as methods, in paper order.
+/// The six heuristics as methods, in paper order: H1, H2, H3, H4, H4w, H4f.
 [[nodiscard]] std::vector<Method> all_heuristic_methods();
 
 /// Subset by paper names, e.g. {"H2", "H3", "H4w"}.

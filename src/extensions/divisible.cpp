@@ -141,9 +141,7 @@ DivisibleSchedule divide_workload(const core::Problem& problem,
 }
 
 std::optional<DivisibleSchedule> divisible_schedule(const core::Problem& problem) {
-  heuristics::H4wFastestMachine h4w;
-  support::Rng rng{0};
-  const auto seed = h4w.run(problem, rng);
+  const auto seed = heuristics::h4w(problem);
   if (!seed.has_value()) return std::nullopt;
   return divide_workload(problem, *seed);
 }

@@ -151,11 +151,15 @@ std::optional<core::Mapping> binary_search_schedule(const core::Problem& problem
     return passes;
   };
 
-  // Integer millisecond bounds, exactly as Algorithms 2-3.
+  // Integer millisecond bounds, exactly as Algorithms 2-3. The pass sums
+  // its loads in another order than the bound does, so from 2^52 on, where
+  // the ceiling adds no slack, rounding can push it over the bound; the
+  // pass at +inf then completes, each task on its first allowed machine.
   const double upper = std::ceil(core::period_upper_bound(problem));
-  if (!probe(upper)) return std::nullopt;  // defensive; UB is always feasible
+  const bool fits = probe(upper) || probe(std::numeric_limits<double>::infinity());
+  MF_CHECK(fits, "the pass at +inf places every task when p <= m");
   // From 2^63 on, the ceiling has no int64 value: the bisection then starts
-  // below INT64_MAX, and while its probes fail the mapping at `upper` stands.
+  // below INT64_MAX, and while its probes fail the starting mapping stands.
   constexpr double kInt64End = 0x1p63;
   std::int64_t lo = 0;
   std::int64_t hi = upper < kInt64End ? static_cast<std::int64_t>(upper)
@@ -350,14 +354,12 @@ class HeterogeneitySelector final : public MachineSelector {
 
 }  // namespace
 
-std::optional<core::Mapping> H2BinarySearchRank::run(const core::Problem& problem,
-                                                     support::Rng& /*rng*/) const {
+std::optional<core::Mapping> h2(const core::Problem& problem) {
   RankSelector selector;
   return binary_search_schedule(problem, selector);
 }
 
-std::optional<core::Mapping> H3BinarySearchHeterogeneity::run(const core::Problem& problem,
-                                                              support::Rng& /*rng*/) const {
+std::optional<core::Mapping> h3(const core::Problem& problem) {
   HeterogeneitySelector selector;
   return binary_search_schedule(problem, selector);
 }

@@ -16,12 +16,10 @@
 // makes and leaves the same loads, bit for bit.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <span>
 
 #include "heuristics/assignment_state.hpp"
-#include "heuristics/heuristic.hpp"
 
 namespace mf::heuristics {
 
@@ -49,31 +47,24 @@ class MachineSelector {
     const core::Problem& problem, const MachineSelector& selector, double period_bound);
 
 /// Full bisection (Algorithms 2-3 outer loop). Returns the best mapping
-/// found, or std::nullopt when p > m or even the trivial upper bound fails
-/// (cannot happen for feasible inputs; kept for interface honesty). A
-/// trivial bound beyond int64's range caps the bisection's start at
-/// INT64_MAX; the pass at the bound itself still provides the mapping.
+/// found, or std::nullopt when p > m. The search starts from the pass at
+/// the trivial upper bound or, when rounding makes that pass fail (possible
+/// from 2^52 on), from the pass at +inf, where every task takes its first
+/// allowed machine. A trivial bound beyond int64's range caps the
+/// bisection's start at INT64_MAX; the starting pass still provides the
+/// mapping.
 [[nodiscard]] std::optional<core::Mapping> binary_search_schedule(
     const core::Problem& problem, MachineSelector& selector);
 
 /// H2 — "potential optimization": for every machine the tasks are ranked by
 /// processing time; a task prefers machines where its rank is best (ties
-/// broken by smaller w, then smaller index).
-class H2BinarySearchRank final : public Heuristic {
- public:
-  [[nodiscard]] std::string name() const override { return "H2"; }
-  [[nodiscard]] std::optional<core::Mapping> run(const core::Problem& problem,
-                                                 support::Rng& rng) const override;
-};
+/// broken by smaller w, then smaller index). std::nullopt when p > m.
+[[nodiscard]] std::optional<core::Mapping> h2(const core::Problem& problem);
 
 /// H3 — "heterogeneity": machines are ordered by the standard deviation of
 /// their processing-time column, most heterogeneous first, preserving
-/// homogeneous machines for later (earlier-in-chain) tasks.
-class H3BinarySearchHeterogeneity final : public Heuristic {
- public:
-  [[nodiscard]] std::string name() const override { return "H3"; }
-  [[nodiscard]] std::optional<core::Mapping> run(const core::Problem& problem,
-                                                 support::Rng& rng) const override;
-};
+/// homogeneous machines for later (earlier-in-chain) tasks. std::nullopt
+/// when p > m.
+[[nodiscard]] std::optional<core::Mapping> h3(const core::Problem& problem);
 
 }  // namespace mf::heuristics

@@ -12,8 +12,7 @@ using core::MachineIndex;
 using core::TaskIndex;
 using core::TypeIndex;
 
-std::optional<core::Mapping> H1Random::run(const core::Problem& problem,
-                                           support::Rng& rng) const {
+std::optional<core::Mapping> h1(const core::Problem& problem, support::Rng& rng) {
   const core::Application& app = problem.app;
   const std::size_t n = app.task_count();
   const std::size_t m = problem.machine_count();

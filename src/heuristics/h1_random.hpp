@@ -9,15 +9,16 @@
 // far above the informed heuristics.
 #pragma once
 
-#include "heuristics/heuristic.hpp"
+#include <optional>
+
+#include "core/mapping.hpp"
+#include "core/platform.hpp"
+#include "support/rng.hpp"
 
 namespace mf::heuristics {
 
-class H1Random final : public Heuristic {
- public:
-  [[nodiscard]] std::string name() const override { return "H1"; }
-  [[nodiscard]] std::optional<core::Mapping> run(const core::Problem& problem,
-                                                 support::Rng& rng) const override;
-};
+/// Builds H1's specialized mapping, drawing every random choice from
+/// `rng`; std::nullopt when p > m. The only heuristic that reads an RNG.
+[[nodiscard]] std::optional<core::Mapping> h1(const core::Problem& problem, support::Rng& rng);
 
 }  // namespace mf::heuristics

@@ -64,27 +64,24 @@ std::span<const double> failure_factor_row(const core::Problem& problem, TaskInd
 
 }  // namespace
 
-std::optional<core::Mapping> H4BestPerformance::run(const core::Problem& problem,
-                                                    support::Rng& /*rng*/) const {
+std::optional<core::Mapping> h4(const core::Problem& problem, FailureFactor factor) {
   return run_greedy(problem, [&](TaskIndex i) {
     const std::span<const double> w = problem.platform.time_row(i);
-    const std::span<const double> f = failure_factor_row(problem, i, factor_);
+    const std::span<const double> f = failure_factor_row(problem, i, factor);
     return [w, f](MachineIndex u, double x) { return x * w[u] * f[u]; };
   });
 }
 
-std::optional<core::Mapping> H4wFastestMachine::run(const core::Problem& problem,
-                                                    support::Rng& /*rng*/) const {
+std::optional<core::Mapping> h4w(const core::Problem& problem) {
   return run_greedy(problem, [&](TaskIndex i) {
     const std::span<const double> w = problem.platform.time_row(i);
     return [w](MachineIndex u, double x) { return x * w[u]; };
   });
 }
 
-std::optional<core::Mapping> H4fReliableMachine::run(const core::Problem& problem,
-                                                     support::Rng& /*rng*/) const {
+std::optional<core::Mapping> h4f(const core::Problem& problem, FailureFactor factor) {
   return run_greedy(problem, [&](TaskIndex i) {
-    const std::span<const double> f = failure_factor_row(problem, i, factor_);
+    const std::span<const double> f = failure_factor_row(problem, i, factor);
     return [f](MachineIndex u, double x) { return x * f[u]; };
   });
 }

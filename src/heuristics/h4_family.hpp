@@ -19,7 +19,10 @@
 // paper's qualitative ranking (H4 ~ H4w >> H4f).
 #pragma once
 
-#include "heuristics/heuristic.hpp"
+#include <optional>
+
+#include "core/mapping.hpp"
+#include "core/platform.hpp"
 
 namespace mf::heuristics {
 
@@ -28,35 +31,18 @@ enum class FailureFactor {
   kRawRate,             ///< F = f, the literal Algorithm 4/6 caption
 };
 
-class H4BestPerformance final : public Heuristic {
- public:
-  explicit H4BestPerformance(FailureFactor factor = FailureFactor::kAttemptsPerSuccess)
-      : factor_(factor) {}
-  [[nodiscard]] std::string name() const override { return "H4"; }
-  [[nodiscard]] std::optional<core::Mapping> run(const core::Problem& problem,
-                                                 support::Rng& rng) const override;
+// Each builds its variant's specialized mapping, or std::nullopt when
+// p > m.
 
- private:
-  FailureFactor factor_;
-};
+/// H4 (best performance).
+[[nodiscard]] std::optional<core::Mapping> h4(
+    const core::Problem& problem, FailureFactor factor = FailureFactor::kAttemptsPerSuccess);
 
-class H4wFastestMachine final : public Heuristic {
- public:
-  [[nodiscard]] std::string name() const override { return "H4w"; }
-  [[nodiscard]] std::optional<core::Mapping> run(const core::Problem& problem,
-                                                 support::Rng& rng) const override;
-};
+/// H4w (fastest machine).
+[[nodiscard]] std::optional<core::Mapping> h4w(const core::Problem& problem);
 
-class H4fReliableMachine final : public Heuristic {
- public:
-  explicit H4fReliableMachine(FailureFactor factor = FailureFactor::kAttemptsPerSuccess)
-      : factor_(factor) {}
-  [[nodiscard]] std::string name() const override { return "H4f"; }
-  [[nodiscard]] std::optional<core::Mapping> run(const core::Problem& problem,
-                                                 support::Rng& rng) const override;
-
- private:
-  FailureFactor factor_;
-};
+/// H4f (reliable machine).
+[[nodiscard]] std::optional<core::Mapping> h4f(
+    const core::Problem& problem, FailureFactor factor = FailureFactor::kAttemptsPerSuccess);
 
 }  // namespace mf::heuristics

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 
 namespace mf::serve {
@@ -46,7 +47,7 @@ class LatencyHistogram {
     if (total == 0) return 0.0;
     if (q < 0.0) q = 0.0;
     if (q > 1.0) q = 1.0;
-    std::uint64_t rank = static_cast<std::uint64_t>(q * static_cast<double>(total));
+    std::uint64_t rank = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total)));
     if (rank == 0) rank = 1;
     if (rank > total) rank = total;
     std::uint64_t seen = 0;

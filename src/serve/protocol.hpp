@@ -39,7 +39,7 @@
 #include <string>
 #include <string_view>
 
-#include "solve/cache_backend.hpp"
+#include "solve/cache_key.hpp"
 #include "solve/service.hpp"
 
 namespace mf::serve {
@@ -178,7 +178,7 @@ struct WireRequest {
     const std::string& body);
 
 /// Everything the `stats` endpoint reports: the daemon's service counters
-/// (admission rejections included), its cache backend's counters, the
+/// (admission rejections included), its result cache's counters, the
 /// connection/pool gauges, and the latency distribution of completed
 /// solves.
 struct DaemonStatsSnapshot {

@@ -1,13 +1,16 @@
 #include "solve/adapters.hpp"
 
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "core/evaluation.hpp"
 #include "exact/brute_force.hpp"
 #include "exact/one_to_one.hpp"
 #include "exact/specialized_bnb.hpp"
-#include "heuristics/heuristic.hpp"
+#include "heuristics/binary_search.hpp"
+#include "heuristics/h1_random.hpp"
+#include "heuristics/h4_family.hpp"
 #include "solve/registry.hpp"
 #include "support/rng.hpp"
 
@@ -16,7 +19,7 @@ namespace mf::solve {
 namespace {
 
 /// Fills the mapping/period pair and returns the result by value so every
-/// adapter scores mappings with the same exact analytic period.
+/// built-in scores mappings with the same exact analytic period.
 SolveResult with_mapping(const core::Problem& problem, core::Mapping mapping, Status status) {
   SolveResult result;
   result.status = status;
@@ -32,101 +35,59 @@ SolveResult infeasible(std::string note) {
   return result;
 }
 
-class HeuristicSolver final : public Solver {
- public:
-  explicit HeuristicSolver(std::shared_ptr<const heuristics::Heuristic> heuristic)
-      : heuristic_(std::move(heuristic)) {}
-
-  [[nodiscard]] std::string id() const override { return heuristic_->name(); }
-  [[nodiscard]] std::string description() const override {
-    return "constructive heuristic " + heuristic_->name() + " (Section 6.2)";
+/// A constructive heuristic's answer: its mapping as kFeasible, or
+/// kInfeasible when it built none.
+SolveResult heuristic_result(const core::Problem& problem, std::optional<core::Mapping> mapping) {
+  if (!mapping.has_value()) {
+    return infeasible("no specialized mapping exists (more types than machines?)");
   }
+  return with_mapping(problem, *std::move(mapping), Status::kFeasible);
+}
 
-  [[nodiscard]] SolveResult solve(const core::Problem& problem,
-                                  const SolveParams& params) const override {
-    support::Rng rng(params.seed);
-    auto mapping = heuristic_->run(problem, rng);
-    if (!mapping.has_value()) {
-      return infeasible("no specialized mapping exists (more types than machines?)");
+SolveResult solve_one_to_one(const core::Problem& problem, const SolveParams& /*params*/) {
+  if (problem.task_count() > problem.machine_count()) {
+    return infeasible("one-to-one mapping needs n <= m");
+  }
+  if (!exact::has_machine_independent_failures(problem)) {
+    return infeasible("failures are machine-dependent: OtO precondition does not hold");
+  }
+  return with_mapping(problem, exact::optimal_one_to_one_task_failures(problem).mapping,
+                      Status::kOptimal);
+}
+
+SolveResult solve_bnb(const core::Problem& problem, const SolveParams& params) {
+  exact::BnBOptions options;
+  if (params.max_nodes.has_value()) options.max_nodes = *params.max_nodes;
+  const exact::BnBResult bnb = exact::solve_specialized_optimal(problem, options);
+  SolveResult result;
+  if (bnb.mapping.has_value()) {
+    result = with_mapping(problem, *bnb.mapping,
+                          bnb.proven_optimal ? Status::kOptimal : Status::kBudgetExhausted);
+    if (!bnb.proven_optimal) {
+      result.diagnostics.note = "node budget exhausted; best incumbent attached";
     }
-    return with_mapping(problem, *std::move(mapping), Status::kFeasible);
+  } else if (bnb.proven_optimal) {
+    result = infeasible("no specialized mapping exists (more types than machines)");
+  } else {
+    result.status = Status::kBudgetExhausted;
+    result.diagnostics.note = "node budget exhausted before any incumbent";
   }
+  result.diagnostics.nodes_explored = bnb.nodes;
+  return result;
+}
 
- private:
-  std::shared_ptr<const heuristics::Heuristic> heuristic_;
-};
-
-class OneToOneSolver final : public Solver {
- public:
-  [[nodiscard]] std::string id() const override { return "oto"; }
-  [[nodiscard]] std::string description() const override {
-    return "optimal one-to-one mapping for machine-independent failures (Figure 9's OtO)";
+SolveResult solve_brute(const core::Problem& problem, const SolveParams& /*params*/) {
+  const exact::BruteForceResult brute =
+      exact::brute_force_optimal(problem, core::MappingRule::kSpecialized);
+  SolveResult result;
+  if (brute.mapping.has_value()) {
+    result = with_mapping(problem, *brute.mapping, Status::kOptimal);
+  } else {
+    result = infeasible("no specialized mapping exists (more types than machines)");
   }
-
-  [[nodiscard]] SolveResult solve(const core::Problem& problem,
-                                  const SolveParams& /*params*/) const override {
-    if (problem.task_count() > problem.machine_count()) {
-      return infeasible("one-to-one mapping needs n <= m");
-    }
-    if (!exact::has_machine_independent_failures(problem)) {
-      return infeasible("failures are machine-dependent: OtO precondition does not hold");
-    }
-    return with_mapping(problem, exact::optimal_one_to_one_task_failures(problem).mapping,
-                        Status::kOptimal);
-  }
-};
-
-class BnBSolver final : public Solver {
- public:
-  [[nodiscard]] std::string id() const override { return "bnb"; }
-  [[nodiscard]] std::string description() const override {
-    return "exact specialized mapping via branch-and-bound (the paper's CPLEX stand-in)";
-  }
-
-  [[nodiscard]] SolveResult solve(const core::Problem& problem,
-                                  const SolveParams& params) const override {
-    exact::BnBOptions options;
-    if (params.max_nodes.has_value()) options.max_nodes = *params.max_nodes;
-    const exact::BnBResult bnb = exact::solve_specialized_optimal(problem, options);
-    SolveResult result;
-    if (bnb.mapping.has_value()) {
-      result = with_mapping(problem, *bnb.mapping,
-                            bnb.proven_optimal ? Status::kOptimal : Status::kBudgetExhausted);
-      if (!bnb.proven_optimal) {
-        result.diagnostics.note = "node budget exhausted; best incumbent attached";
-      }
-    } else if (bnb.proven_optimal) {
-      result = infeasible("no specialized mapping exists (more types than machines)");
-    } else {
-      result.status = Status::kBudgetExhausted;
-      result.diagnostics.note = "node budget exhausted before any incumbent";
-    }
-    result.diagnostics.nodes_explored = bnb.nodes;
-    return result;
-  }
-};
-
-class BruteForceSolver final : public Solver {
- public:
-  [[nodiscard]] std::string id() const override { return "brute"; }
-  [[nodiscard]] std::string description() const override {
-    return "exhaustive enumeration of specialized mappings (tiny instances only)";
-  }
-
-  [[nodiscard]] SolveResult solve(const core::Problem& problem,
-                                  const SolveParams& /*params*/) const override {
-    const exact::BruteForceResult brute =
-        exact::brute_force_optimal(problem, core::MappingRule::kSpecialized);
-    SolveResult result;
-    if (brute.mapping.has_value()) {
-      result = with_mapping(problem, *brute.mapping, Status::kOptimal);
-    } else {
-      result = infeasible("no specialized mapping exists (more types than machines)");
-    }
-    result.diagnostics.nodes_explored = brute.evaluated;
-    return result;
-  }
-};
+  result.diagnostics.nodes_explored = brute.evaluated;
+  return result;
+}
 
 class RefinedSolver final : public Solver {
  public:
@@ -191,6 +152,47 @@ class FunctionSolver final : public Solver {
   std::function<SolveResult(const core::Problem&, const SolveParams&)> fn_;
 };
 
+/// One built-in solver: its registry id, its `--list` line and its solve.
+struct Builtin {
+  const char* id;
+  const char* description;
+  SolveResult (*solve)(const core::Problem&, const SolveParams&);
+};
+
+constexpr Builtin kBuiltins[] = {
+    {"H1", "constructive heuristic H1 (Section 6.2)",
+     [](const core::Problem& problem, const SolveParams& params) {
+       support::Rng rng(params.seed);
+       return heuristic_result(problem, heuristics::h1(problem, rng));
+     }},
+    {"H2", "constructive heuristic H2 (Section 6.2)",
+     [](const core::Problem& problem, const SolveParams& /*params*/) {
+       return heuristic_result(problem, heuristics::h2(problem));
+     }},
+    {"H3", "constructive heuristic H3 (Section 6.2)",
+     [](const core::Problem& problem, const SolveParams& /*params*/) {
+       return heuristic_result(problem, heuristics::h3(problem));
+     }},
+    {"H4", "constructive heuristic H4 (Section 6.2)",
+     [](const core::Problem& problem, const SolveParams& /*params*/) {
+       return heuristic_result(problem, heuristics::h4(problem));
+     }},
+    {"H4w", "constructive heuristic H4w (Section 6.2)",
+     [](const core::Problem& problem, const SolveParams& /*params*/) {
+       return heuristic_result(problem, heuristics::h4w(problem));
+     }},
+    {"H4f", "constructive heuristic H4f (Section 6.2)",
+     [](const core::Problem& problem, const SolveParams& /*params*/) {
+       return heuristic_result(problem, heuristics::h4f(problem));
+     }},
+    {"oto", "optimal one-to-one mapping for machine-independent failures (Figure 9's OtO)",
+     solve_one_to_one},
+    {"bnb", "exact specialized mapping via branch-and-bound (the paper's CPLEX stand-in)",
+     solve_bnb},
+    {"brute", "exhaustive enumeration of specialized mappings (tiny instances only)",
+     solve_brute},
+};
+
 }  // namespace
 
 std::shared_ptr<const Solver> make_refined_solver(std::shared_ptr<const Solver> base) {
@@ -204,16 +206,11 @@ std::shared_ptr<const Solver> make_function_solver(
 }
 
 void register_builtin_solvers(SolverRegistry& registry) {
-  for (auto& heuristic : heuristics::all_heuristics()) {
-    if (!registry.contains(heuristic->name())) {
-      registry.register_solver(std::make_shared<HeuristicSolver>(std::move(heuristic)));
+  for (const Builtin& builtin : kBuiltins) {
+    if (!registry.contains(builtin.id)) {
+      registry.register_solver(
+          make_function_solver(builtin.id, builtin.description, builtin.solve));
     }
-  }
-  const std::shared_ptr<const Solver> exact_solvers[] = {
-      std::make_shared<OneToOneSolver>(), std::make_shared<BnBSolver>(),
-      std::make_shared<BruteForceSolver>()};
-  for (const auto& solver : exact_solvers) {
-    if (!registry.contains(solver->id())) registry.register_solver(solver);
   }
 }
 

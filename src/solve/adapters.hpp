@@ -1,10 +1,11 @@
-// The solver families behind the unified `Solver` interface, which
-// `register_builtin_solvers` registers, plus the composition helpers the
-// registry uses:
+// The built-in solvers, which `register_builtin_solvers` registers, plus
+// the composition helpers the registry uses. Each built-in is a plain
+// function lifted by `make_function_solver`, the same path a user's solver
+// takes:
 //
-//   id        family                                     status semantics
+//   id        function                                   status semantics
 //   -------   ----------------------------------------   -----------------
-//   H1..H4f   heuristics::Heuristic (Algorithms 1-6)     kFeasible / kInfeasible
+//   H1..H4f   heuristics::h1 .. h4f (Algorithms 1-6)     kFeasible / kInfeasible
 //   oto       exact::optimal_one_to_one_task_failures    kOptimal when the
 //             (Figure 9's "OtO")                         machine-independent
 //                                                        precondition holds
@@ -34,15 +35,16 @@ namespace mf::solve {
 [[nodiscard]] std::shared_ptr<const Solver> make_refined_solver(
     std::shared_ptr<const Solver> base);
 
-/// Lifts a plain function into a Solver — the quickest way to register an
-/// experimental method or a test double.
+/// Lifts a plain function into a Solver — how every built-in is
+/// registered, and the quickest way to register an experimental method or
+/// a test double.
 [[nodiscard]] std::shared_ptr<const Solver> make_function_solver(
     std::string id, std::string description,
     std::function<SolveResult(const core::Problem&, const SolveParams&)> fn);
 
 class SolverRegistry;
 
-/// Registers the built-in families above into `registry`, skipping ids
+/// Registers the built-ins above into `registry`, skipping ids
 /// already present. Called automatically on first
 /// `SolverRegistry::instance()` access.
 void register_builtin_solvers(SolverRegistry& registry);

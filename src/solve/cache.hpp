@@ -4,7 +4,7 @@
 // The paper's figures are paired-design sweeps: every method re-solves the
 // same random instances, hundreds of times per point, and re-running a
 // figure repeats all of it. `ResultCache` memoizes `SolveResult`s keyed on
-// the canonical `CacheKey` (solve/cache_backend.hpp) so a warm re-run — or
+// the canonical `CacheKey` (solve/cache_key.hpp) so a warm re-run — or
 // a second method sharing a deterministic sub-solve — never re-solves an
 // instance. Keys compare field-by-field (the 128-bit digest plus the full
 // canonical parameter set), so a hit is exactly the result the solver would
@@ -32,7 +32,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "solve/cache_backend.hpp"
+#include "solve/cache_key.hpp"
 
 namespace mf::solve {
 

@@ -1,4 +1,4 @@
-#include "solve/cache_backend.hpp"
+#include "solve/cache_key.hpp"
 
 #include <bit>
 

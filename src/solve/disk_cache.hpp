@@ -30,7 +30,7 @@
 #include <string>
 #include <utility>
 
-#include "solve/cache_backend.hpp"
+#include "solve/cache_key.hpp"
 
 namespace mf::solve {
 

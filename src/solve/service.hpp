@@ -78,7 +78,7 @@ struct ServiceStats {
   std::uint64_t completed = 0;     ///< requests answered (counted before the
                                    ///< answer is delivered)
   std::uint64_t solved = 0;        ///< actual Solver::solve invocations
-  std::uint64_t cache_hits = 0;    ///< requests answered from the backend
+  std::uint64_t cache_hits = 0;    ///< requests answered from the result cache
   std::uint64_t dedup_joined = 0;  ///< requests attached to an in-flight twin
   /// Admission-control rejections. The service itself never rejects — a
   /// front end (the scheduler daemon, serve/daemon.hpp) refuses the request

@@ -75,8 +75,8 @@ struct SolveParams {
   /// `max_nodes` to bound the search itself.
   double time_limit_ms = 0.0;
   /// Result-cache interaction for this solve; the `SolveService` that runs
-  /// it consults its backend when it is not kOff (`run()`: the process-wide
-  /// cache). The policy itself is execution advice, not problem content —
+  /// it consults its `ResultCache` when it is not kOff (`run()`: the
+  /// process-wide cache). The policy itself is execution advice, not problem content —
   /// it is never part of the cache key.
   CachePolicy cache = CachePolicy::kOff;
   /// Provenance label: the scenario/failure-model id that produced the

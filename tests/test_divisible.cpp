@@ -7,7 +7,7 @@
 #include "core/evaluation.hpp"
 #include "exp/scenario.hpp"
 #include "extensions/divisible.hpp"
-#include "heuristics/heuristic.hpp"
+#include "heuristics/h4_family.hpp"
 #include "test_helpers.hpp"
 
 namespace mf::ext {
@@ -89,8 +89,7 @@ TEST(Divisible, NeverWorseThanSeedMapping) {
   scenario.types = 3;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Problem problem = exp::generate(scenario, seed);
-    support::Rng rng(seed);
-    const auto seed_mapping = heuristics::heuristic_by_name("H4w")->run(problem, rng);
+    const auto seed_mapping = heuristics::h4w(problem);
     ASSERT_TRUE(seed_mapping.has_value());
     const DivisibleSchedule schedule = divide_workload(problem, *seed_mapping);
     const double seed_period = core::period(problem, *seed_mapping);
@@ -140,8 +139,7 @@ TEST(Divisible, SharesRespectSpecialization) {
   scenario.machines = 6;
   scenario.types = 3;
   const Problem problem = exp::generate(scenario, 5);
-  support::Rng rng(5);
-  const auto seed_mapping = heuristics::heuristic_by_name("H4w")->run(problem, rng);
+  const auto seed_mapping = heuristics::h4w(problem);
   ASSERT_TRUE(seed_mapping.has_value());
   const DivisibleSchedule schedule = divide_workload(problem, *seed_mapping);
 

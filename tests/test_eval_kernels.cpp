@@ -42,7 +42,8 @@
 #include "exp/scenario.hpp"
 #include "exp/scenario_registry.hpp"
 #include "extensions/local_search.hpp"
-#include "heuristics/heuristic.hpp"
+#include "heuristics/h4_family.hpp"
+#include "solve/solver.hpp"
 #include "support/rng.hpp"
 #include "test_helpers.hpp"
 
@@ -662,8 +663,7 @@ TEST(LocalSearch, ChainsLabelledOffThePathRefineWithoutThrowing) {
     for (const std::vector<TaskIndex>& label : off_path_labels(scenario.tasks)) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " label[0]=" + std::to_string(label[0]));
       const core::Problem problem = test::relabelled(chain, label);
-      support::Rng rng(seed);
-      const auto start = heuristics::heuristic_by_name("H4w")->run(problem, rng);
+      const auto start = heuristics::h4w(problem);
       ASSERT_TRUE(start.has_value());
       ext::RefinementResult refined;
       ASSERT_NO_THROW(refined = ext::refine_mapping(problem, *start));
@@ -725,8 +725,7 @@ TEST(LocalSearchGolden, RefinedMappingsByteIdenticalToPreRefactorCapture) {
     scenario.machines = entry.machines;
     scenario.types = entry.types;
     const core::Problem problem = exp::generate(scenario, entry.seed);
-    support::Rng rng(entry.seed);
-    const auto start = heuristics::heuristic_by_name(entry.method)->run(problem, rng);
+    const auto start = solve::run(problem, entry.method, {.seed = entry.seed}).mapping;
     ASSERT_TRUE(start.has_value());
     const ext::RefinementResult refined = ext::refine_mapping(problem, *start);
     EXPECT_EQ(refined.period, entry.period);
@@ -796,8 +795,7 @@ TEST(LocalSearchGolden, ShapesAndOptionsMatchPreCutoffCapture) {
     const core::Problem problem = topology.starts_with("tree")
                                       ? exp::generate_in_tree(scenario, 0.4, entry.seed)
                                       : exp::generate(scenario, entry.seed);
-    support::Rng rng(entry.seed);
-    const auto start = heuristics::heuristic_by_name(entry.start)->run(problem, rng);
+    const auto start = solve::run(problem, entry.start, {.seed = entry.seed}).mapping;
     ASSERT_TRUE(start.has_value());
     const ext::RefinementResult refined =
         ext::refine_mapping(problem, *start, refinement_options_named(entry.options));
@@ -856,8 +854,7 @@ TEST(LocalSearchGolden, EdgeShapesAndExtremeInputsMatchPreScreenCapture) {
                  std::to_string(entry.rates) + " " + entry.start + " " + entry.options);
     const core::Problem problem = edge_problem(entry.topology, entry.tasks, entry.machines,
                                                entry.types, entry.seed, entry.scale, entry.rates);
-    support::Rng rng(entry.seed);
-    const auto start = heuristics::heuristic_by_name(entry.start)->run(problem, rng);
+    const auto start = solve::run(problem, entry.start, {.seed = entry.seed}).mapping;
     ASSERT_TRUE(start.has_value());
     ext::RefinementOptions options;
     options.first_improvement =

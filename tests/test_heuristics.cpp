@@ -18,11 +18,12 @@
 #include <vector>
 
 #include "core/evaluation.hpp"
+#include "exp/method.hpp"
 #include "exp/scenario.hpp"
 #include "heuristics/binary_search.hpp"
 #include "heuristics/h1_random.hpp"
 #include "heuristics/h4_family.hpp"
-#include "heuristics/heuristic.hpp"
+#include "solve/solver.hpp"
 #include "support/matrix.hpp"
 #include "support/rng.hpp"
 #include "test_helpers.hpp"
@@ -34,40 +35,18 @@ using core::Mapping;
 using core::MappingRule;
 using core::Problem;
 
-TEST(Registry, HasAllSixInPaperOrder) {
-  const auto all = all_heuristics();
-  ASSERT_EQ(all.size(), 6u);
-  const std::vector<std::string> expected{"H1", "H2", "H3", "H4", "H4w", "H4f"};
-  for (std::size_t k = 0; k < all.size(); ++k) EXPECT_EQ(all[k]->name(), expected[k]);
-}
-
-TEST(Registry, LookupByNameAndUnknown) {
-  EXPECT_EQ(heuristic_by_name("H4w")->name(), "H4w");
-  try {
-    (void)heuristic_by_name("H5");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("H5"), std::string::npos);
-    EXPECT_NE(message.find("H1, H2, H3, H4, H4w, H4f"), std::string::npos)
-        << "the error should list the available names: " << message;
-  }
-}
-
 TEST(Heuristics, InfeasibleWhenMoreTypesThanMachines) {
   const Problem problem = test::uniform_problem({0, 1, 2}, 2);
-  support::Rng rng(1);
-  for (const auto& h : all_heuristics()) {
-    EXPECT_FALSE(h->run(problem, rng).has_value()) << h->name();
+  for (const exp::Method& method : exp::all_heuristic_methods()) {
+    EXPECT_FALSE(solve::run(problem, method.solver_id).has_mapping()) << method.solver_id;
   }
 }
 
 TEST(Heuristics, SingleTaskSingleMachine) {
   const Problem problem = test::uniform_problem({0}, 1, 100.0, 0.1);
-  support::Rng rng(1);
-  for (const auto& h : all_heuristics()) {
-    const auto mapping = h->run(problem, rng);
-    ASSERT_TRUE(mapping.has_value()) << h->name();
+  for (const exp::Method& method : exp::all_heuristic_methods()) {
+    const auto mapping = solve::run(problem, method.solver_id).mapping;
+    ASSERT_TRUE(mapping.has_value()) << method.solver_id;
     EXPECT_EQ(mapping->machine_of(0), 0u);
   }
 }
@@ -78,11 +57,11 @@ TEST(Heuristics, DeterministicExceptH1) {
   scenario.machines = 6;
   scenario.types = 3;
   const Problem problem = exp::generate(scenario, 7);
-  for (const auto& h : all_heuristics()) {
-    if (h->name() == "H1") continue;
-    support::Rng rng1(1), rng2(999);
-    EXPECT_EQ(h->run(problem, rng1), h->run(problem, rng2))
-        << h->name() << " must ignore the RNG";
+  for (const exp::Method& method : exp::all_heuristic_methods()) {
+    if (method.solver_id == "H1") continue;
+    EXPECT_EQ(solve::run(problem, method.solver_id, {.seed = 1}).mapping,
+              solve::run(problem, method.solver_id, {.seed = 999}).mapping)
+        << method.solver_id << " must ignore the seed";
   }
 }
 
@@ -92,23 +71,20 @@ TEST(Heuristics, H1VariesWithSeed) {
   scenario.machines = 10;
   scenario.types = 3;
   const Problem problem = exp::generate(scenario, 7);
-  H1Random h1;
   support::Rng rng1(1), rng2(2);
-  const auto a = h1.run(problem, rng1);
-  const auto b = h1.run(problem, rng2);
+  const auto a = h1(problem, rng1);
+  const auto b = h1(problem, rng2);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   EXPECT_NE(*a, *b) << "different seeds should (almost surely) differ";
   // Same seed reproduces exactly.
   support::Rng rng1_again(1);
-  EXPECT_EQ(*h1.run(problem, rng1_again), *a);
+  EXPECT_EQ(*h1(problem, rng1_again), *a);
 }
 
 TEST(BinarySearchEngine, RespectsPeriodBound) {
   const Problem problem = test::tiny_chain_problem();
-  H2BinarySearchRank h2;
-  support::Rng rng(1);
-  const auto mapping = h2.run(problem, rng);
+  const auto mapping = h2(problem);
   ASSERT_TRUE(mapping.has_value());
   // Check H2's mapping is within 1 ms of its binary-search certificate:
   // re-running the assignment pass at (period) must succeed.
@@ -146,8 +122,7 @@ TEST(BinarySearchEngine, PeriodBoundPastInt64StillYieldsMapping) {
       test::uniform_problem({0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}, 4, 100.0, 0.99);
   ASSERT_GT(core::period_upper_bound(problem), 0x1p63);
   for (const std::string name : {"H2", "H3"}) {
-    support::Rng rng(1);
-    const auto mapping = heuristic_by_name(name)->run(problem, rng);
+    const auto mapping = solve::run(problem, name).mapping;
     ASSERT_TRUE(mapping.has_value()) << name;
     EXPECT_TRUE(
         mapping->complies_with(MappingRule::kSpecialized, problem.app, problem.machine_count()))
@@ -194,7 +169,9 @@ std::optional<Mapping> fresh_pass_bisection(const Problem& problem, MachineSelec
   selector.prepare(problem);
   const double upper = std::ceil(core::period_upper_bound(problem));
   std::optional<Mapping> best = assign_within_period(problem, selector, upper);
-  if (!best.has_value()) return std::nullopt;
+  if (!best.has_value()) {
+    best = assign_within_period(problem, selector, std::numeric_limits<double>::infinity());
+  }
   std::int64_t lo = 0;
   std::int64_t hi = upper < 0x1p63 ? static_cast<std::int64_t>(upper)
                                    : std::numeric_limits<std::int64_t>::max();
@@ -276,9 +253,8 @@ TEST(H4Family, PrefersFastMachineWhenFailuresEqual) {
   core::Application app = core::Application::linear_chain({0});
   core::Platform platform = test::make_platform({{500, 100}}, {{0.01, 0.01}});
   const Problem problem{std::move(app), std::move(platform)};
-  support::Rng rng(1);
   for (const std::string name : {"H4", "H4w"}) {
-    const auto mapping = heuristic_by_name(name)->run(problem, rng);
+    const auto mapping = solve::run(problem, name).mapping;
     ASSERT_TRUE(mapping.has_value());
     EXPECT_EQ(mapping->machine_of(0), 1u) << name;
   }
@@ -289,12 +265,11 @@ TEST(H4Family, H4fPrefersReliableMachine) {
   core::Application app = core::Application::linear_chain({0});
   core::Platform platform = test::make_platform({{100, 500}}, {{0.2, 0.001}});
   const Problem problem{std::move(app), std::move(platform)};
-  support::Rng rng(1);
-  const auto mapping = H4fReliableMachine().run(problem, rng);
+  const auto mapping = h4f(problem);
   ASSERT_TRUE(mapping.has_value());
   EXPECT_EQ(mapping->machine_of(0), 1u);
   // ...while H4w chases speed.
-  const auto fast = H4wFastestMachine().run(problem, rng);
+  const auto fast = h4w(problem);
   EXPECT_EQ(fast->machine_of(0), 0u);
 }
 
@@ -304,9 +279,7 @@ TEST(H4Family, RawRatePolicyStillProducesValidMappings) {
   scenario.machines = 5;
   scenario.types = 2;
   const Problem problem = exp::generate(scenario, 3);
-  support::Rng rng(1);
-  const H4BestPerformance raw(FailureFactor::kRawRate);
-  const auto mapping = raw.run(problem, rng);
+  const auto mapping = h4(problem, FailureFactor::kRawRate);
   ASSERT_TRUE(mapping.has_value());
   EXPECT_TRUE(
       mapping->complies_with(MappingRule::kSpecialized, problem.app, problem.machine_count()));
@@ -346,8 +319,7 @@ TEST(H4Family, OverflowingScoresTakeTheFirstAllowedMachine) {
       }
     }
     const Problem problem{base.app, core::Platform{std::move(w), std::move(f)}};
-    support::Rng rng(1);
-    const auto mapping = heuristic_by_name(row.heuristic)->run(problem, rng);
+    const auto mapping = solve::run(problem, row.heuristic).mapping;
     ASSERT_TRUE(mapping.has_value());
     EXPECT_TRUE(
         mapping->complies_with(MappingRule::kSpecialized, problem.app, problem.machine_count()));
@@ -373,8 +345,7 @@ TEST_P(HeuristicValidityTest, ProducesValidSpecializedMapping) {
   scenario.types = dims.types;
   const Problem problem = exp::generate(scenario, seed);
 
-  support::Rng rng(seed);
-  const auto mapping = heuristic_by_name(name)->run(problem, rng);
+  const auto mapping = solve::run(problem, name, {.seed = seed}).mapping;
   ASSERT_TRUE(mapping.has_value());
   EXPECT_TRUE(mapping->is_complete(problem.machine_count()));
   EXPECT_TRUE(
@@ -401,13 +372,11 @@ TEST(Heuristics, H4wBeatsH1OnAverage) {
   scenario.types = 4;
   double h1_total = 0.0;
   double h4w_total = 0.0;
-  const auto h1 = heuristic_by_name("H1");
-  const auto h4w = heuristic_by_name("H4w");
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     const Problem problem = exp::generate(scenario, seed);
     support::Rng rng(seed);
-    h1_total += core::period(problem, *h1->run(problem, rng));
-    h4w_total += core::period(problem, *h4w->run(problem, rng));
+    h1_total += core::period(problem, *h1(problem, rng));
+    h4w_total += core::period(problem, *h4w(problem));
   }
   EXPECT_LT(h4w_total, h1_total * 0.8) << "H4w should clearly dominate the random baseline";
 }
@@ -422,17 +391,16 @@ TEST_P(BinarySearchConsistencyTest, H2PeriodIsAchievedByItsOwnMapping) {
   scenario.machines = 8;
   scenario.types = 3;
   const Problem problem = exp::generate(scenario, GetParam());
-  support::Rng rng(1);
-  const auto h2 = heuristic_by_name("H2")->run(problem, rng);
-  const auto h3 = heuristic_by_name("H3")->run(problem, rng);
-  ASSERT_TRUE(h2.has_value());
-  ASSERT_TRUE(h3.has_value());
+  const auto by_rank = h2(problem);
+  const auto by_heterogeneity = h3(problem);
+  ASSERT_TRUE(by_rank.has_value());
+  ASSERT_TRUE(by_heterogeneity.has_value());
   // Both comply with the specialized rule and neither is catastrophically
   // worse than the other (same search engine, different orderings).
   EXPECT_TRUE(
-      h2->complies_with(MappingRule::kSpecialized, problem.app, problem.machine_count()));
-  EXPECT_TRUE(
-      h3->complies_with(MappingRule::kSpecialized, problem.app, problem.machine_count()));
+      by_rank->complies_with(MappingRule::kSpecialized, problem.app, problem.machine_count()));
+  EXPECT_TRUE(by_heterogeneity->complies_with(MappingRule::kSpecialized, problem.app,
+                                              problem.machine_count()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BinarySearchConsistencyTest,
@@ -590,8 +558,7 @@ TEST(BinarySearchGolden, SameMappingsAndPeriodsAsPreRewriteCapture) {
         EXPECT_EQ(varies, entry.shape == kBinades || byte == 0) << "byte " << byte;
       }
     }
-    support::Rng rng(0);
-    const auto mapping = heuristic_by_name(entry.heuristic)->run(problem, rng);
+    const auto mapping = entry.heuristic == "H2" ? h2(problem) : h3(problem);
     ASSERT_TRUE(mapping.has_value());
     EXPECT_EQ(core::period(problem, *mapping), entry.period);
     ASSERT_EQ(mapping->task_count(), entry.assignment.size());
@@ -663,7 +630,6 @@ TEST(BinarySearchEngine, H2RanksMatchPerColumnSorts) {
   // thousand binades, or apart only in their lowest byte, each also with
   // one type split across two w rows.
   support::Rng draw(3434);
-  const H2BinarySearchRank h2;
   std::size_t mapped = 0;
   for (std::uint64_t seed = 0; seed < 600; ++seed) {
     exp::Scenario scenario;
@@ -686,19 +652,39 @@ TEST(BinarySearchEngine, H2RanksMatchPerColumnSorts) {
       const Problem problem = split ? split_type_times(retimed, seed) : retimed;
       PerColumnSortRankSelector reference;
       const std::optional<Mapping> expected = binary_search_schedule(problem, reference);
-      support::Rng rng(0);
-      const std::optional<Mapping> actual = h2.run(problem, rng);
+      const std::optional<Mapping> actual = h2(problem);
       ASSERT_EQ(actual.has_value(), expected.has_value());
       if (!expected.has_value()) continue;
       EXPECT_EQ(actual->assignment(), expected->assignment());
       ++mapped;
     }
   }
-  // p <= m throughout, yet a problem can go unmapped: past 2^52 the ceiling
-  // of the trivial bound adds no slack, and the pass at it sums its loads
-  // in another order than the bound does, so it can exceed the bound by
-  // rounding. One kBinades problem here does (n = 17 on one machine).
-  EXPECT_GE(mapped, 1199u);
+  EXPECT_EQ(mapped, 1200u) << "p <= m throughout, so every problem is mapped";
+}
+
+TEST(BinarySearchEngine, PassPastTheRoundedTrivialBoundStillYieldsMapping) {
+  // Seed 543's kBinades in-tree above: 17 tasks of one type on one machine.
+  // Past 2^52 the ceiling of the trivial bound adds no slack, and the pass
+  // at it sums its loads in another order than the bound does, so rounding
+  // pushes it over the bound. The pass at +inf places every task.
+  exp::Scenario scenario;
+  scenario.tasks = 17;
+  scenario.machines = 1;
+  scenario.types = 1;
+  const Problem problem =
+      redrawn_times(exp::generate_in_tree(scenario, 0.4, 543), kBinades, 543);
+  const double upper = std::ceil(core::period_upper_bound(problem));
+  ASSERT_GE(upper, 0x1p52);
+  ShuffledSelector one_machine(0, false);
+  one_machine.prepare(problem);
+  ASSERT_FALSE(assign_within_period(problem, one_machine, upper).has_value())
+      << "the pass at the trivial bound must fail for this case to pin the fallback";
+  const std::vector<core::MachineIndex> all_on_the_machine(scenario.tasks, 0);
+  for (const std::string name : {"H2", "H3"}) {
+    const auto mapping = name == "H2" ? h2(problem) : h3(problem);
+    ASSERT_TRUE(mapping.has_value()) << name;
+    EXPECT_EQ(mapping->assignment(), all_on_the_machine) << name;
+  }
 }
 
 }  // namespace

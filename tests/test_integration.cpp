@@ -8,11 +8,13 @@
 #include "exact/one_to_one.hpp"
 #include "exact/specialized_bnb.hpp"
 #include "exp/figures.hpp"
+#include "exp/method.hpp"
 #include "exp/runner.hpp"
 #include "extensions/divisible.hpp"
-#include "heuristics/heuristic.hpp"
+#include "heuristics/h4_family.hpp"
 #include "lp/specialized_mip.hpp"
 #include "sim/simulator.hpp"
+#include "solve/solver.hpp"
 
 namespace mf {
 namespace {
@@ -25,11 +27,10 @@ TEST(Integration, FullPipelineOnOneInstance) {
   const core::Problem problem = exp::generate(scenario, 2024);
 
   // 1. All heuristics produce valid specialized mappings.
-  support::Rng rng(1);
   double best_heuristic = std::numeric_limits<double>::infinity();
-  for (const auto& h : heuristics::all_heuristics()) {
-    const auto mapping = h->run(problem, rng);
-    ASSERT_TRUE(mapping.has_value()) << h->name();
+  for (const exp::Method& method : exp::all_heuristic_methods()) {
+    const auto mapping = solve::run(problem, method.solver_id).mapping;
+    ASSERT_TRUE(mapping.has_value()) << method.solver_id;
     best_heuristic = std::min(best_heuristic, core::period(problem, *mapping));
   }
 
@@ -164,8 +165,7 @@ TEST(Integration, OtOBeatenByNoSpecializedSolutionWhenNEqualsM) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const core::Problem problem = exp::generate(scenario, seed);
     const auto oto = exact::optimal_one_to_one_task_failures(problem);
-    support::Rng rng(seed);
-    const auto h4w = heuristics::heuristic_by_name("H4w")->run(problem, rng);
+    const auto h4w = heuristics::h4w(problem);
     ASSERT_TRUE(h4w.has_value());
     const double h4w_period = core::period(problem, *h4w);
     EXPECT_GE(h4w_period, oto.period * 0.999)

@@ -8,7 +8,9 @@
 #include "exact/specialized_bnb.hpp"
 #include "exp/scenario.hpp"
 #include "extensions/local_search.hpp"
-#include "heuristics/heuristic.hpp"
+#include "heuristics/h1_random.hpp"
+#include "heuristics/h4_family.hpp"
+#include "solve/solver.hpp"
 #include "test_helpers.hpp"
 
 namespace mf::ext {
@@ -69,7 +71,7 @@ TEST(LocalSearch, ResultStaysSpecialized) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Problem problem = exp::generate(scenario, seed);
     support::Rng rng(seed);
-    const auto start = heuristics::heuristic_by_name("H1")->run(problem, rng);
+    const auto start = heuristics::h1(problem, rng);
     ASSERT_TRUE(start.has_value());
     const RefinementResult result = refine_mapping(problem, *start);
     EXPECT_TRUE(result.mapping.complies_with(MappingRule::kSpecialized, problem.app,
@@ -86,8 +88,7 @@ TEST(LocalSearch, NeverBeatsTheExactOptimum) {
   scenario.types = 2;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const Problem problem = exp::generate(scenario, seed);
-    support::Rng rng(seed);
-    const auto start = heuristics::heuristic_by_name("H4w")->run(problem, rng);
+    const auto start = heuristics::h4w(problem);
     const RefinementResult refined = refine_mapping(problem, *start);
     const exact::BnBResult optimal = exact::solve_specialized_optimal(problem);
     ASSERT_TRUE(optimal.proven_optimal);
@@ -107,7 +108,7 @@ TEST(LocalSearch, ClosesPartOfTheOptimalityGap) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Problem problem = exp::generate(scenario, seed);
     support::Rng rng(seed);
-    const auto start = heuristics::heuristic_by_name("H1")->run(problem, rng);
+    const auto start = heuristics::h1(problem, rng);
     const RefinementResult refined = refine_mapping(problem, *start);
     const exact::BnBResult optimal = exact::solve_specialized_optimal(problem);
     ASSERT_TRUE(optimal.proven_optimal);
@@ -146,7 +147,7 @@ TEST(LocalSearch, FirstImprovementAlsoMonotone) {
   scenario.types = 3;
   const Problem problem = exp::generate(scenario, 3);
   support::Rng rng(3);
-  const auto start = heuristics::heuristic_by_name("H1")->run(problem, rng);
+  const auto start = heuristics::h1(problem, rng);
   RefinementOptions options;
   options.first_improvement = true;
   const RefinementResult result = refine_mapping(problem, *start, options);
@@ -162,7 +163,7 @@ TEST(LocalSearch, PassBudgetRespected) {
   scenario.types = 2;
   const Problem problem = exp::generate(scenario, 5);
   support::Rng rng(5);
-  const auto start = heuristics::heuristic_by_name("H1")->run(problem, rng);
+  const auto start = heuristics::h1(problem, rng);
   RefinementOptions options;
   options.max_passes = 1;
   const RefinementResult result = refine_mapping(problem, *start, options);
@@ -182,8 +183,7 @@ TEST_P(RefineAllHeuristicsTest, MonotoneAndValid) {
   scenario.machines = 6;
   scenario.types = 3;
   const Problem problem = exp::generate(scenario, seed);
-  support::Rng rng(seed);
-  const auto start = heuristics::heuristic_by_name(name)->run(problem, rng);
+  const auto start = solve::run(problem, name, {.seed = seed}).mapping;
   ASSERT_TRUE(start.has_value());
   const RefinementResult result = refine_mapping(problem, *start);
   EXPECT_LE(result.period, result.initial_period + 1e-9);

@@ -9,7 +9,10 @@
 #include "exact/specialized_bnb.hpp"
 #include "exp/scenario.hpp"
 #include "extensions/local_search.hpp"
-#include "heuristics/heuristic.hpp"
+#include "exp/method.hpp"
+#include "heuristics/binary_search.hpp"
+#include "heuristics/h4_family.hpp"
+#include "solve/solver.hpp"
 #include "sim/simulator.hpp"
 
 namespace mf {
@@ -52,8 +55,7 @@ class HeuristicSandwichTest
 TEST_P(HeuristicSandwichTest, PeriodBetweenOptimumAndUpperBound) {
   const auto& [name, seed] = GetParam();
   const Problem problem = exp::generate(small_scenario(8, 4, 2), seed);
-  support::Rng rng(seed);
-  const auto mapping = heuristics::heuristic_by_name(name)->run(problem, rng);
+  const auto mapping = solve::run(problem, name, {.seed = seed}).mapping;
   ASSERT_TRUE(mapping.has_value());
   const double period = core::period(problem, *mapping);
   const auto optimal = exact::solve_specialized_optimal(problem);
@@ -77,8 +79,7 @@ TEST_P(IoRoundTripPropertyTest, PeriodsSurviveRoundTrip) {
   const Problem tree = exp::generate_in_tree(small_scenario(10, 5, 3), 0.4, seed);
   for (const Problem* problem : {&chain, &tree}) {
     const Problem loaded = core::problem_from_text(core::to_text(*problem));
-    support::Rng rng(seed);
-    const auto mapping = heuristics::heuristic_by_name("H4w")->run(*problem, rng);
+    const auto mapping = heuristics::h4w(*problem);
     ASSERT_TRUE(mapping.has_value());
     EXPECT_DOUBLE_EQ(core::period(*problem, *mapping), core::period(loaded, *mapping));
     const core::Mapping mapping_copy =
@@ -97,12 +98,11 @@ TEST(Properties, LocalSearchBracketedByOptimum) {
     const Problem problem = exp::generate(small_scenario(7, 3, 2), seed);
     const auto optimal = exact::solve_specialized_optimal(problem);
     ASSERT_TRUE(optimal.mapping.has_value());
-    support::Rng rng(seed);
-    for (const auto& h : heuristics::all_heuristics()) {
-      const auto start = h->run(problem, rng);
+    for (const exp::Method& method : exp::all_heuristic_methods()) {
+      const auto start = solve::run(problem, method.solver_id, {.seed = seed}).mapping;
       ASSERT_TRUE(start.has_value());
       const auto refined = ext::refine_mapping(problem, *start);
-      EXPECT_GE(refined.period, optimal.period - 1e-9) << h->name();
+      EXPECT_GE(refined.period, optimal.period - 1e-9) << method.solver_id;
     }
     const auto noop = ext::refine_mapping(problem, *optimal.mapping);
     EXPECT_DOUBLE_EQ(noop.period, optimal.period);
@@ -116,8 +116,7 @@ TEST(Properties, LocalSearchBracketedByOptimum) {
 TEST(Properties, SimulatorAccountingIdentity) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const Problem problem = exp::generate(small_scenario(9, 4, 2), seed);
-    support::Rng rng(seed);
-    const auto mapping = heuristics::heuristic_by_name("H2")->run(problem, rng);
+    const auto mapping = heuristics::h2(problem);
     ASSERT_TRUE(mapping.has_value());
     sim::SimulationConfig config;
     config.seed = seed * 7;
@@ -160,8 +159,7 @@ TEST(Properties, ScenarioGenerationIsPure) {
 TEST(Properties, EvaluationIdentities) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Problem problem = exp::generate(small_scenario(15, 6, 3), seed);
-    support::Rng rng(seed);
-    const auto mapping = heuristics::heuristic_by_name("H3")->run(problem, rng);
+    const auto mapping = heuristics::h3(problem);
     ASSERT_TRUE(mapping.has_value());
     const double p = core::period(problem, *mapping);
     EXPECT_DOUBLE_EQ(core::throughput(problem, *mapping), 1.0 / p);

@@ -6,7 +6,7 @@
 #include "core/evaluation.hpp"
 #include "exp/scenario.hpp"
 #include "extensions/reconfiguration.hpp"
-#include "heuristics/heuristic.hpp"
+#include "heuristics/h4_family.hpp"
 #include "test_helpers.hpp"
 
 namespace mf::ext {
@@ -80,8 +80,7 @@ TEST(GreedyGeneral, AtLeastAsGoodAsSpecializedWithoutReconfigCosts) {
   double specialized_total = 0.0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Problem problem = exp::generate(scenario, seed);
-    support::Rng rng(seed);
-    const auto spec = heuristics::heuristic_by_name("H4w")->run(problem, rng);
+    const auto spec = heuristics::h4w(problem);
     ASSERT_TRUE(spec.has_value());
     general_total += core::period(problem, greedy_general_mapping(problem));
     specialized_total += core::period(problem, *spec);
@@ -96,8 +95,7 @@ TEST(Crossover, ZeroWhenSpecializedAlreadyWins) {
   scenario.machines = 6;
   scenario.types = 2;
   const Problem problem = exp::generate(scenario, 7);
-  support::Rng rng(7);
-  const auto spec = heuristics::heuristic_by_name("H4w")->run(problem, rng);
+  const auto spec = heuristics::h4w(problem);
   ASSERT_TRUE(spec.has_value());
   // A deliberately terrible general mapping: everything on machine 0.
   const Mapping awful{std::vector<core::MachineIndex>(problem.task_count(), 0)};
@@ -111,8 +109,7 @@ TEST(Crossover, ThresholdMakesPeriodsCross) {
   scenario.types = 3;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const Problem problem = exp::generate(scenario, seed);
-    support::Rng rng(seed);
-    const auto spec = heuristics::heuristic_by_name("H4w")->run(problem, rng);
+    const auto spec = heuristics::h4w(problem);
     ASSERT_TRUE(spec.has_value());
     const Mapping general = greedy_general_mapping(problem);
     const double r = reconfiguration_crossover(problem, *spec, general);

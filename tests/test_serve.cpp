@@ -360,6 +360,11 @@ TEST(LatencyHistogram, QuantilesBoundSamplesWithinABucket) {
   EXPECT_GE(histogram.quantile_ms(0.99), 100.0);
   EXPECT_LE(histogram.quantile_ms(0.99), 262.144);
   EXPECT_EQ(LatencyHistogram{}.quantile_ms(0.5), 0.0);
+  // The median of three samples is the 2nd smallest, ceil(0.5 * 3): 3 ms,
+  // whose bucket [2048, 4096) us reads 4.096 ms.
+  LatencyHistogram three;
+  for (const std::uint64_t us : {1000, 3000, 40000}) three.record_us(us);
+  EXPECT_EQ(three.quantile_ms(0.5), 4.096);
 }
 
 // ---------------------------------------------------------------------------

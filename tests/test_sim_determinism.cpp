@@ -14,7 +14,7 @@
 #include "core/failure_model.hpp"
 #include "exp/scenario.hpp"
 #include "exp/scenario_registry.hpp"
-#include "heuristics/heuristic.hpp"
+#include "heuristics/h4_family.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
 #include "test_helpers.hpp"
@@ -69,8 +69,7 @@ TEST_P(SimDeterminism, ReportsAreBitIdenticalAcrossRuns) {
   const Problem effective = instance.model->is_identity()
                                 ? problem
                                 : instance.model->effective_problem(problem);
-  support::Rng rng(5);
-  const auto mapping = heuristics::heuristic_by_name("H4w")->run(effective, rng);
+  const auto mapping = heuristics::h4w(effective);
   ASSERT_TRUE(mapping.has_value());
 
   SimulationConfig config;
@@ -116,9 +115,7 @@ TEST_P(SimTraceDeterminism, TraceIsBitIdenticalAcrossRuns) {
   scenario.machines = 4;
   scenario.types = 2;
   const exp::Instance instance = exp::generate_instance(GetParam(), scenario, 3);
-  support::Rng rng(3);
-  const auto mapping =
-      heuristics::heuristic_by_name("H4w")->run(*instance.effective, rng);
+  const auto mapping = heuristics::h4w(*instance.effective);
   ASSERT_TRUE(mapping.has_value());
 
   SimulationConfig config;

@@ -9,7 +9,7 @@
 #include "core/evaluation.hpp"
 #include "core/failure_model.hpp"
 #include "exp/scenario.hpp"
-#include "heuristics/heuristic.hpp"
+#include "heuristics/h4_family.hpp"
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
 
@@ -167,8 +167,7 @@ TEST(Simulator, InTreeWithSharedMachinesMakesProgress) {
   scenario.machines = 8;
   scenario.types = 4;
   const Problem problem = exp::generate_in_tree(scenario, 0.4, 13);
-  support::Rng rng(1);
-  const auto mapping = heuristics::heuristic_by_name("H4w")->run(problem, rng);
+  const auto mapping = heuristics::h4w(problem);
   ASSERT_TRUE(mapping.has_value());
   SimulationConfig config;
   config.target_outputs = 500;
@@ -408,8 +407,7 @@ TEST_P(SimulatorConvergenceTest, PeriodMatchesAnalyticModel) {
   scenario.types = 2;
   const Problem problem = exp::generate(scenario, GetParam());
 
-  support::Rng rng(GetParam());
-  const auto mapping = heuristics::heuristic_by_name("H4w")->run(problem, rng);
+  const auto mapping = heuristics::h4w(problem);
   ASSERT_TRUE(mapping.has_value());
 
   SimulationConfig config;
@@ -454,8 +452,7 @@ TEST_P(SimulatorXRecursionTest, EmpiricalXMatchesRecursion) {
   scenario.failure_max = 0.10;
   const Problem problem = exp::generate(scenario, GetParam());
 
-  support::Rng rng(GetParam());
-  const auto mapping = heuristics::heuristic_by_name("H4w")->run(problem, rng);
+  const auto mapping = heuristics::h4w(problem);
   ASSERT_TRUE(mapping.has_value());
   const auto analytic_x = core::expected_products(problem, *mapping);
 

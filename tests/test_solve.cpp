@@ -15,7 +15,7 @@
 #include "core/evaluation.hpp"
 #include "exp/method.hpp"
 #include "exp/scenario.hpp"
-#include "heuristics/heuristic.hpp"
+#include "heuristics/h4_family.hpp"
 #include "lp/specialized_mip.hpp"
 #include "solve/adapters.hpp"
 #include "solve/batch.hpp"
@@ -159,8 +159,7 @@ TEST(Registry, RuntimeRegisteredSolverResolvesLikeBuiltins) {
 TEST(Facade, MatchesDirectHeuristicCall) {
   const core::Problem problem = medium_problem();
   const SolveResult result = run(problem, "H4w", {.seed = 5});
-  support::Rng rng(5);
-  const auto direct = heuristics::heuristic_by_name("H4w")->run(problem, rng);
+  const auto direct = heuristics::h4w(problem);
   ASSERT_TRUE(result.has_mapping());
   ASSERT_TRUE(direct.has_value());
   EXPECT_EQ(*result.mapping, *direct);
@@ -449,6 +448,16 @@ TEST(Method, WrapsRegistrySolvers) {
   ASSERT_TRUE(method.counts(result));
   EXPECT_EQ(*result.mapping, *run(problem, "H4w", {.seed = 5}).mapping);
   EXPECT_THROW((void)exp::method_for("H9"), std::invalid_argument);
+}
+
+TEST(Method, AllHeuristicMethodsInPaperOrder) {
+  // The one list of the six heuristics; figure columns follow its order.
+  std::vector<std::string> ids;
+  for (const exp::Method& method : exp::all_heuristic_methods()) {
+    EXPECT_EQ(method.name, method.solver_id);
+    ids.push_back(method.solver_id);
+  }
+  EXPECT_EQ(ids, (std::vector<std::string>{"H1", "H2", "H3", "H4", "H4w", "H4f"}));
 }
 
 TEST(Method, RequireProofDropsBudgetExhaustedTrials) {

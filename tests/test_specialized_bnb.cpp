@@ -14,7 +14,8 @@
 #include "exact/brute_force.hpp"
 #include "exact/specialized_bnb.hpp"
 #include "exp/scenario.hpp"
-#include "heuristics/heuristic.hpp"
+#include "exp/method.hpp"
+#include "solve/solver.hpp"
 #include "test_helpers.hpp"
 
 namespace mf::exact {
@@ -123,12 +124,11 @@ TEST_P(BnBDominanceTest, NeverWorseThanAnyHeuristic) {
   const BnBResult bnb = solve_specialized_optimal(problem);
   ASSERT_TRUE(bnb.mapping.has_value());
   ASSERT_TRUE(bnb.proven_optimal);
-  support::Rng rng(GetParam());
-  for (const auto& h : heuristics::all_heuristics()) {
-    const auto mapping = h->run(problem, rng);
+  for (const exp::Method& method : exp::all_heuristic_methods()) {
+    const auto mapping = solve::run(problem, method.solver_id, {.seed = GetParam()}).mapping;
     ASSERT_TRUE(mapping.has_value());
     EXPECT_LE(bnb.period, core::period(problem, *mapping) + 1e-9)
-        << "optimal must dominate " << h->name();
+        << "optimal must dominate " << method.solver_id;
   }
 }
 
